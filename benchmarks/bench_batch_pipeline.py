@@ -15,6 +15,7 @@ from figshared import build_tpch, header, table, tpch_raw
 
 from repro import PostgresRaw, PostgresRawConfig, VirtualFS
 from repro.workloads.micro import generate_micro_csv, micro_schema
+from repro.workloads.tpch import tpch_query
 
 ROWS = 4000
 ATTRS = 30
@@ -127,6 +128,34 @@ def _q1_sql(cutoff: str) -> str:
     """
 
 
+def _tpch_engines() -> dict:
+    engines = {}
+    for mode, batch in (("batch", True), ("scalar", False)):
+        vfs, data = build_tpch(scale_factor=0.002)
+        engines[mode] = tpch_raw(vfs, data, PostgresRawConfig(
+            batch_mode=batch, enable_statistics=False))
+    return engines
+
+
+def _warm_batch_vs_scalar(engines: dict, sql: str, label: str,
+                          ) -> tuple[float, float]:
+    """Run ``sql`` cold then warm on both engines; assert identical
+    rows and a fully columnar batch plan (``rows_materialized == 0``,
+    cold and warm). Returns warm ``(scalar, batch)`` seconds."""
+    warm = {}
+    results = {}
+    for mode, engine in engines.items():
+        cold = engine.query(sql)
+        start = time.perf_counter()
+        again = engine.query(sql)
+        warm[mode] = time.perf_counter() - start
+        results[mode] = (cold, again)
+    assert results["batch"][0].rows == results["scalar"][0].rows, label
+    for result in results["batch"]:
+        assert result.rows_materialized == 0, label
+    return warm["scalar"], warm["batch"]
+
+
 def test_q1_aggregate_sweep_smoke(benchmark):
     """Vectorized GROUP BY aggregation vs the scalar operator path,
     wall-clock, on TPC-H Q1 shapes across a shipdate-selectivity sweep.
@@ -134,34 +163,16 @@ def test_q1_aggregate_sweep_smoke(benchmark):
     columnar (``rows_materialized == 0``), and (c) beat the scalar
     path's wall clock once structures are warm — the tripwire for
     operator-level regressions."""
-    engines = {}
-    for mode, batch in (("batch", True), ("scalar", False)):
-        vfs, data = build_tpch(scale_factor=0.002)
-        engines[mode] = tpch_raw(vfs, data, PostgresRawConfig(
-            batch_mode=batch, enable_statistics=False))
-
+    engines = _tpch_engines()
     rows = []
     warm_batch_total = warm_scalar_total = 0.0
     for cutoff in _Q1_CUTOFFS:
-        sql = _q1_sql(cutoff)
-        timings = {}
-        for mode, engine in engines.items():
-            start = time.perf_counter()
-            cold = engine.query(sql)
-            cold_seconds = time.perf_counter() - start
-            start = time.perf_counter()
-            warm = engine.query(sql)
-            warm_seconds = time.perf_counter() - start
-            timings[mode] = (cold_seconds, warm_seconds, cold, warm)
-        b_cold, b_warm, b_res, b_res_warm = timings["batch"]
-        s_cold, s_warm, s_res, _ = timings["scalar"]
-        assert b_res.rows == s_res.rows, cutoff
-        assert b_res.rows_materialized == 0, cutoff
-        assert b_res_warm.rows_materialized == 0, cutoff
+        label = f"shipdate <= {cutoff}"
+        s_warm, b_warm = _warm_batch_vs_scalar(engines, _q1_sql(cutoff),
+                                               label)
         warm_batch_total += b_warm
         warm_scalar_total += s_warm
-        rows.append([f"shipdate <= {cutoff}", s_warm * 1e3, b_warm * 1e3,
-                     s_warm / b_warm])
+        rows.append([label, s_warm * 1e3, b_warm * 1e3, s_warm / b_warm])
 
     header("TPC-H Q1-style aggregate sweep (wall clock, warm)",
            "vectorized grouped accumulation vs per-row accumulators")
@@ -173,4 +184,33 @@ def test_q1_aggregate_sweep_smoke(benchmark):
 
     benchmark.pedantic(
         lambda: engines["batch"].query(_q1_sql(_Q1_CUTOFFS[-1])),
+        rounds=3, iterations=1)
+
+
+def test_q4_q12_q14_stay_columnar_smoke(benchmark):
+    """The semi-join (Q4), CASE-aggregate (Q12, Q14), LIKE (Q14) and
+    column-vs-column (Q4, Q12) shapes next to Q1: identical rows, no
+    row materialized anywhere in the plan, and the batch path beats
+    the scalar one warm — the tripwire for any of them sliding back
+    onto the row-at-a-time fallback."""
+    engines = _tpch_engines()
+    rows = []
+    warm_batch_total = warm_scalar_total = 0.0
+    for name in ("q4", "q12", "q14"):
+        s_warm, b_warm = _warm_batch_vs_scalar(engines, tpch_query(name),
+                                               name)
+        warm_batch_total += b_warm
+        warm_scalar_total += s_warm
+        rows.append([name, s_warm * 1e3, b_warm * 1e3, s_warm / b_warm])
+
+    header("TPC-H Q4 / Q12 / Q14 (wall clock, warm)",
+           "batch semi-join, CASE/LIKE values, column-vs-column masks")
+    table(["query", "scalar ms", "batch ms", "speedup"], rows)
+
+    speedup = warm_scalar_total / warm_batch_total
+    assert speedup >= 1.3, (
+        f"warm Q4/Q12/Q14 batch speedup {speedup:.2f}x below the 1.3x bar")
+
+    benchmark.pedantic(
+        lambda: engines["batch"].query(tpch_query("q12")),
         rounds=3, iterations=1)

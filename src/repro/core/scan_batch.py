@@ -313,14 +313,10 @@ class BatchCsvScan:
                                 else column.values)
                 nulls[attr] = column.nulls
             return predicate.vector_fn(arrays, nulls, n)
-        fn = predicate.fn
-        where_attrs = self.where_attrs
-        cols = [columns[attr].values for attr in where_attrs]
-        mask = np.zeros(n, dtype=bool)
-        for i in range(n):
-            values = {attr: col[i] for attr, col in zip(where_attrs, cols)}
-            mask[i] = fn(values) is True
-        return mask
+        # Row-closure fallback: decode to Python objects only the
+        # columns the closure reads.
+        return predicate.row_mask(
+            {attr: columns[attr].values for attr in predicate.attrs}, n)
 
     # ==================================================================
     # Indexed region

@@ -726,12 +726,7 @@ class JsonlAccess:
             nulls = {attr: object_nulls(columns[attr])
                      for attr in where_attrs}
             return predicate.vector_fn(arrays, nulls, n)
-        fn = predicate.fn
-        mask = np.zeros(n, dtype=bool)
-        for i in range(n):
-            mask[i] = fn({attr: columns[attr][i]
-                          for attr in where_attrs}) is True
-        return mask
+        return predicate.row_mask(columns, n)
 
     def _collect_rows(self, collector, columns, where_attrs, out_attrs,
                       qual, n) -> None:

@@ -20,6 +20,7 @@ import hashlib
 from dataclasses import dataclass
 
 from repro.sql import ast_nodes as _ast
+from repro.sql.vectorize import build_vector_predicate
 
 #: access classes the code generator knows how to specialize
 _ACCESS_KINDS = {
@@ -87,6 +88,19 @@ def _shape(node) -> str:
     return type(node).__name__.lower()
 
 
+def _not_vectorizable(conjuncts) -> str:
+    """The ineligibility reason for a row-closure predicate, naming the
+    shape of the first conjunct the vectorizer does not cover — the
+    next uncovered shape is visible in EXPLAIN, no profiler needed."""
+    def any_column(node):
+        return 0 if isinstance(node, _ast.ColumnRef) else None
+
+    for conjunct in conjuncts:
+        if build_vector_predicate([conjunct], any_column) is None:
+            return f"predicate not vectorizable: {_shape(conjunct)}"
+    return "predicate not vectorizable"
+
+
 def scan_kernel_spec(scan_op):
     """``(KernelSpec, None)`` when ``scan_op`` has a compilable shape,
     else ``(None, reason)``."""
@@ -101,7 +115,7 @@ def scan_kernel_spec(scan_op):
         return None, "batch mode off"
     predicate = scan_op.predicate
     if predicate is not None and predicate.vector_fn is None:
-        return None, "predicate not vectorizable"
+        return None, _not_vectorizable(predicate.conjuncts)
 
     schema = access.schema
     families = tuple(t.family for t in schema.types)

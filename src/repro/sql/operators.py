@@ -18,23 +18,35 @@ columnar end-to-end in batch mode:
 * ``ScanOp`` feeds typed blocks straight from a batch-capable access
   method; ``FilterOp`` evaluates vectorized masks (falling back to the
   row closure for shapes the vectorizer does not cover);
-* ``ProjectOp`` passes resolved columns through by reference;
+* ``ProjectOp`` passes resolved columns through by reference and
+  evaluates computed items (arithmetic, CASE) as value columns;
 * ``HashAggregateOp`` / ``SortAggregateOp`` extract group keys and
-  aggregate arguments as arrays, factorize keys per block
-  (``np.unique``-based) and accumulate SUM/COUNT/MIN/MAX/AVG with
-  sequential array updates whose result is bit-identical to the scalar
-  accumulators;
-* ``HashJoinOp`` builds columnar key codes over the (concatenated)
-  build side and probes with ``searchsorted`` + gather expansion;
+  aggregate arguments (columns, arithmetic, searched CASE) as arrays,
+  factorize keys per block (``np.unique``-based) and accumulate
+  SUM/COUNT/MIN/MAX/AVG with sequential array updates whose result is
+  bit-identical to the scalar accumulators;
+* ``HashJoinOp`` and ``HashSemiJoinOp`` share one build-side key index
+  (``_KeyIndex``: columnar key codes over the concatenated build side,
+  ``searchsorted`` probe): the join expands matches by gather, the
+  semi-join (EXISTS / NOT EXISTS) keeps or drops rows by the hit mask;
 * ``SortOp`` orders via repeated stable ``np.argsort`` passes over
   rank codes, replicating the scalar multi-key stable sort exactly.
+
+Fallbacks are local. An operator that cannot stay columnar — a
+``DISTINCT`` aggregate, a value expression with INTERVAL arithmetic, a
+predicate shape the vectorizer does not cover — transposes *its own*
+input (the aggregate pulls its child's batches and materializes at its
+boundary; filters and projections fall back per block) while the
+subtree below it keeps running on arrays. Only operators with no batch
+form at all (``NestedLoopJoinOp``) pull their children row-wise.
 
 Cost charging is pull-mode invariant: batch paths charge the same unit
 totals per block that the row paths charge per row. Every place the
 batch pipeline *does* transpose a block into Python tuples (the scan
-shim, a row-closure filter/projection fallback) records the fact on the
-``rows_materialized`` observability counter, so a fully columnar plan
-is assertable as ``rows_materialized == 0``.
+shim, a row-closure filter/projection fallback, an aggregate's row
+fallback) records the fact on the ``rows_materialized`` observability
+counter, so a fully columnar plan is assertable as
+``rows_materialized == 0``.
 
 Every operator inherits a default ``batches()`` that transposes its
 ``rows()`` — so a batch-consuming parent composes with any subtree.
@@ -54,6 +66,7 @@ from repro.errors import ExecutionError
 from repro.simcost.model import CostModel
 from repro.sql.batch import ColumnBatch
 from repro.sql.scanapi import AccessMethod, ScanPredicate
+from repro.sql.vectorize import value_kind
 
 Layout = dict[str, int]
 
@@ -103,6 +116,38 @@ def _concat_nulls(masks: list, lengths: list[int]):
     return np.concatenate([
         mask if mask is not None else np.zeros(length, dtype=bool)
         for mask, length in zip(masks, lengths)])
+
+
+def _gather_batches(child: "PlanOp") -> tuple[list, list, int]:
+    """Drain ``child.batches()`` into one column set: ``(columns,
+    null_masks, total_rows)`` — the blocking operators' input (join
+    build sides, sorts)."""
+    parts = [b for b in child.batches() if b.nrows]
+    width = len(child.layout)
+    if not parts:
+        return ([np.empty(0, dtype=object) for _ in range(width)],
+                [None] * width, 0)
+    lengths = [b.nrows for b in parts]
+    columns = [_concat_columns([b.columns[c] for b in parts])
+               for c in range(width)]
+    nulls = [_concat_nulls([b.null_mask(c) for b in parts], lengths)
+             for c in range(width)]
+    return columns, nulls, sum(lengths)
+
+
+def _broadcast(values, n: int) -> np.ndarray:
+    """A vectorized value as a column: arrays pass through, a constant
+    (``sum(1)``, ``GROUP BY 'x'``) repeats ``n`` times."""
+    if isinstance(values, np.ndarray):
+        return values
+    column = np.empty(n, dtype=object)
+    column[:] = values
+    return column
+
+
+def _all_resolved(indices) -> bool:
+    """Whether the planner resolved every key to an input column."""
+    return indices is not None and all(i is not None for i in indices)
 
 
 def _scalar_of(column: np.ndarray, row: int):
@@ -305,17 +350,21 @@ class ProjectOp(PlanOp):
 
     ``col_indices`` (from the planner) marks output expressions that
     are plain input columns: the batch path forwards those arrays by
-    reference and only materializes rows for genuinely computed
-    expressions."""
+    reference. Computed expressions evaluate through their vectorized
+    twin in ``value_fns`` (arithmetic / CASE over input columns, e.g.
+    Q14's ``100.00 * sum(...) / sum(...)``); rows are materialized only
+    for an expression the vectorizer does not cover."""
 
     def __init__(self, model: CostModel, child: PlanOp,
                  fns: list[Callable], layout: Layout, names: list[str],
-                 col_indices: list[int | None] | None = None):
+                 col_indices: list[int | None] | None = None,
+                 value_fns: list[Callable | None] | None = None):
         super().__init__(model, layout)
         self.child = child
         self.fns = fns
         self.names = names
         self.col_indices = col_indices
+        self.value_fns = value_fns
 
     def rows(self) -> Iterator[tuple]:
         fns = self.fns
@@ -332,29 +381,35 @@ class ProjectOp(PlanOp):
     def batches(self) -> Iterator[ColumnBatch]:
         fns = self.fns
         width = len(fns)
-        indices = self.col_indices
-        pure = indices is not None and all(i is not None for i in indices)
+        indices = self.col_indices or [None] * width
+        value_fns = self.value_fns or [None] * width
+        columnar = all(i is not None or fn is not None
+                       for i, fn in zip(indices, value_fns))
         for batch in self.child.batches():
-            if batch.nrows:
-                self.model.tuple_form(width * batch.nrows)
-            if pure:
-                yield ColumnBatch([batch.columns[i] for i in indices],
-                                  batch.nrows,
-                                  [batch.nulls[i] for i in indices])
-                continue
-            rows = list(batch.iter_rows())
-            if rows:
-                self.model.materialize_rows(len(rows))
+            n = batch.nrows
+            if n:
+                self.model.tuple_form(width * n)
+            rows: list = []
+            if not columnar:
+                rows = list(batch.iter_rows())
+                if rows:
+                    self.model.materialize_rows(len(rows))
+            batch_nulls = _BatchNulls(batch)
             columns: list = []
             nulls: list = []
-            for j, fn in enumerate(fns):
-                if indices is not None and indices[j] is not None:
-                    columns.append(batch.columns[indices[j]])
-                    nulls.append(batch.nulls[indices[j]])
+            for index, value_fn, fn in zip(indices, value_fns, fns):
+                if index is not None:
+                    columns.append(batch.columns[index])
+                    nulls.append(batch.nulls[index])
+                elif value_fn is not None:
+                    values, null_mask = value_fn(batch.columns,
+                                                 batch_nulls, n)
+                    columns.append(_broadcast(values, n))
+                    nulls.append(null_mask)
                 else:
                     columns.append([fn(row) for row in rows])
                     nulls.append(None)
-            yield ColumnBatch(columns, batch.nrows, nulls)
+            yield ColumnBatch(columns, n, nulls)
 
     def describe(self) -> dict:
         return {"op": "Project", "columns": self.names,
@@ -425,13 +480,84 @@ class _KeyEncoder:
         return codes, known
 
 
+class _KeyIndex:
+    """The build side of an equi-join, indexed by key: the one helper
+    behind both :class:`HashJoinOp` and :class:`HashSemiJoinOp`.
+
+    Rows whose keys are all non-NULL are encoded column by column
+    (:class:`_KeyEncoder`) into a dense group code. Staged
+    pair-compaction: after every key the running code is re-compacted
+    via ``np.unique``, so the intermediate product ``code * (size + 1)
+    + key_code`` stays bounded by roughly n^2 and cannot overflow
+    int64 for any key count or cardinality; the per-stage sorted raw
+    codes are kept so :meth:`probe` maps the other side into the same
+    compacted space.
+
+    ``keyed`` is the number of build rows with non-NULL keys (what the
+    row path charges a ``hash_probe`` for); ``rows`` are the indexed
+    build rows and ``codes`` their group ids in ``[0, size)``."""
+
+    __slots__ = ("keyed", "rows", "codes", "size", "_encoders",
+                 "_stages", "_groups")
+
+    def __init__(self, columns: list, nulls: list, key_idx: list[int],
+                 total: int):
+        valid = np.ones(total, dtype=bool)
+        for idx in key_idx:
+            if nulls[idx] is not None:
+                valid &= ~nulls[idx]
+        self.keyed = int(valid.sum())
+        self._encoders: list[_KeyEncoder] = []
+        self._stages: list[np.ndarray] = []
+        codes = np.zeros(total, dtype=np.int64)
+        for idx in key_idx:
+            encoder = _KeyEncoder(columns[idx], valid)
+            key_codes, known = encoder.encode(columns[idx], valid)
+            valid = valid & known  # every build value is known
+            raw = codes * (encoder.size + 1) + key_codes
+            uniq_raw, inverse = np.unique(raw, return_inverse=True)
+            self._encoders.append(encoder)
+            self._stages.append(uniq_raw)
+            codes = inverse.astype(np.int64, copy=False)
+        self.rows = np.flatnonzero(valid)
+        self._groups, self.codes = np.unique(codes[self.rows],
+                                             return_inverse=True)
+        self.size = len(self._groups)
+
+    def probe(self, batch: ColumnBatch, key_idx: list[int],
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """``(hit, group)`` for one probe-side block: the mask of rows
+        whose (non-NULL) key exists in the build side, and per row the
+        matching group id (meaningful only where ``hit``)."""
+        n = batch.nrows
+        if not self.size:
+            return np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
+        valid = np.ones(n, dtype=bool)
+        for idx in key_idx:
+            mask = batch.null_mask(idx)
+            if mask is not None:
+                valid &= ~mask
+        codes = np.zeros(n, dtype=np.int64)
+        for idx, encoder, uniq_raw in zip(key_idx, self._encoders,
+                                          self._stages):
+            key_codes, known = encoder.encode(batch.columns[idx], valid)
+            valid = valid & known
+            raw = codes * (encoder.size + 1) + key_codes
+            codes = np.minimum(np.searchsorted(uniq_raw, raw),
+                               len(uniq_raw) - 1)
+            valid = valid & (uniq_raw[codes] == raw)
+        group = np.minimum(np.searchsorted(self._groups, codes),
+                           self.size - 1)
+        return valid & (self._groups[group] == codes), group
+
+
 class HashJoinOp(PlanOp):
     """Equi-join; builds a hash table on the right (smaller) input.
 
     With batch-capable children and resolved key columns
     (``left_key_idx`` / ``right_key_idx`` from the planner), the batch
-    path concatenates the build side column-wise, encodes keys into a
-    shared integer code space, and probes each left block with
+    path concatenates the build side column-wise, indexes its keys
+    (:class:`_KeyIndex`), and probes each left block with
     ``searchsorted`` + repeat/gather output assembly — no per-row
     tuples anywhere."""
 
@@ -468,10 +594,8 @@ class HashJoinOp(PlanOp):
     @property
     def supports_batches(self) -> bool:
         return (self.left.supports_batches and self.right.supports_batches
-                and self.left_key_idx is not None
-                and self.right_key_idx is not None
-                and all(i is not None for i in self.left_key_idx)
-                and all(i is not None for i in self.right_key_idx))
+                and _all_resolved(self.left_key_idx)
+                and _all_resolved(self.right_key_idx))
 
     def batches(self) -> Iterator[ColumnBatch]:
         if not self.supports_batches:
@@ -479,53 +603,13 @@ class HashJoinOp(PlanOp):
             return
         model = self.model
 
-        # ---- build: drain and concatenate the right side column-wise
-        parts = [b for b in self.right.batches() if b.nrows]
-        lengths = [b.nrows for b in parts]
-        right_width = len(self.right.layout)
-        if parts:
-            r_columns = [_concat_columns([b.columns[c] for b in parts])
-                         for c in range(right_width)]
-            r_nulls = [_concat_nulls([b.null_mask(c) for b in parts],
-                                     lengths) for c in range(right_width)]
-            r_total = sum(lengths)
-        else:
-            r_columns = [np.empty(0, dtype=object)
-                         for _ in range(right_width)]
-            r_nulls = [None] * right_width
-            r_total = 0
-
-        r_valid = np.ones(r_total, dtype=bool)
-        for idx in self.right_key_idx:
-            mask = r_nulls[idx]
-            if mask is not None:
-                r_valid &= ~mask
-        model.hash_probe(int(r_valid.sum()))
-
-        # Staged pair-compaction: after every key the running code is
-        # re-compacted via np.unique, so the intermediate product
-        # ``code * (size + 1) + key_code`` stays bounded by roughly
-        # n_r^2 and cannot overflow int64 for any key count or
-        # cardinality. The per-stage sorted raw codes are kept so the
-        # probe side maps into the same compacted space.
-        encoders: list[_KeyEncoder] = []
-        stage_uniques: list[np.ndarray] = []
-        r_codes = np.zeros(r_total, dtype=np.int64)
-        for idx in self.right_key_idx:
-            encoder = _KeyEncoder(r_columns[idx], r_valid)
-            encoders.append(encoder)
-            codes, known = encoder.encode(r_columns[idx], r_valid)
-            r_valid = r_valid & known  # every build value is known
-            raw = r_codes * (encoder.size + 1) + codes
-            uniq_raw, inverse = np.unique(raw, return_inverse=True)
-            stage_uniques.append(uniq_raw)
-            r_codes = inverse.astype(np.int64, copy=False)
-        r_valid_idx = np.flatnonzero(r_valid)
-        r_codes = r_codes[r_valid_idx]
-        order = np.argsort(r_codes, kind="stable")
-        sorted_codes = r_codes[order]
-        uniq_codes, counts = np.unique(r_codes, return_counts=True)
-        starts = np.searchsorted(sorted_codes, uniq_codes)
+        # ---- build: drain the right side column-wise, index its keys
+        r_columns, r_nulls, r_total = _gather_batches(self.right)
+        index = _KeyIndex(r_columns, r_nulls, self.right_key_idx, r_total)
+        model.hash_probe(index.keyed)
+        order = np.argsort(index.codes, kind="stable")
+        counts = np.bincount(index.codes, minlength=index.size)
+        starts = np.cumsum(counts) - counts
 
         # ---- probe: stream the left side block by block
         for batch in self.left.batches():
@@ -533,37 +617,18 @@ class HashJoinOp(PlanOp):
             if not n:
                 continue
             model.hash_probe(n)
-            if len(uniq_codes) == 0:
-                continue
-            l_valid = np.ones(n, dtype=bool)
-            for idx in self.left_key_idx:
-                mask = batch.null_mask(idx)
-                if mask is not None:
-                    l_valid &= ~mask
-            l_codes = np.zeros(n, dtype=np.int64)
-            for idx, encoder, uniq_raw in zip(self.left_key_idx, encoders,
-                                              stage_uniques):
-                codes, known = encoder.encode(batch.columns[idx], l_valid)
-                l_valid = l_valid & known
-                raw = l_codes * (encoder.size + 1) + codes
-                stage_pos = np.searchsorted(uniq_raw, raw)
-                stage_pos = np.minimum(stage_pos, len(uniq_raw) - 1)
-                l_valid = l_valid & (uniq_raw[stage_pos] == raw)
-                l_codes = stage_pos
-            pos = np.searchsorted(uniq_codes, l_codes)
-            pos_c = np.minimum(pos, len(uniq_codes) - 1)
-            hit = l_valid & (uniq_codes[pos_c] == l_codes)
+            hit, groups = index.probe(batch, self.left_key_idx)
             hit_rows = np.flatnonzero(hit)
             if not len(hit_rows):
                 continue
-            group = pos_c[hit_rows]
+            group = groups[hit_rows]
             group_counts = counts[group]
             total = int(group_counts.sum())
             left_out = np.repeat(hit_rows, group_counts)
             base = np.repeat(np.cumsum(group_counts) - group_counts,
                              group_counts)
             within = np.arange(total) - base
-            right_out = r_valid_idx[
+            right_out = index.rows[
                 order[np.repeat(starts[group], group_counts) + within]]
             out_columns = ([col[left_out] for col in batch.columns]
                            + [col[right_out] for col in r_columns])
@@ -611,17 +676,25 @@ class NestedLoopJoinOp(PlanOp):
 
 
 class HashSemiJoinOp(PlanOp):
-    """EXISTS / NOT EXISTS with an equality correlation (TPC-H Q4)."""
+    """EXISTS / NOT EXISTS with an equality correlation (TPC-H Q4).
+
+    The batch path is the hash join's build/probe without the gather:
+    the inner side's keys go into a :class:`_KeyIndex`, and each outer
+    block keeps the rows whose probe ``hit`` (or did not, negated)."""
 
     def __init__(self, model: CostModel, outer: PlanOp, inner: PlanOp,
                  outer_key_fns: list[Callable], inner_key_fns: list[Callable],
-                 negated: bool = False):
+                 negated: bool = False,
+                 outer_key_idx: list[int | None] | None = None,
+                 inner_key_idx: list[int | None] | None = None):
         super().__init__(model, outer.layout)
         self.outer = outer
         self.inner = inner
         self.outer_key_fns = outer_key_fns
         self.inner_key_fns = inner_key_fns
         self.negated = negated
+        self.outer_key_idx = outer_key_idx
+        self.inner_key_idx = inner_key_idx
 
     def rows(self) -> Iterator[tuple]:
         model = self.model
@@ -639,8 +712,30 @@ class HashSemiJoinOp(PlanOp):
             if matched != self.negated:
                 yield row
 
+    @property
+    def supports_batches(self) -> bool:
+        return (self.outer.supports_batches and self.inner.supports_batches
+                and _all_resolved(self.outer_key_idx)
+                and _all_resolved(self.inner_key_idx))
+
+    def batches(self) -> Iterator[ColumnBatch]:
+        if not self.supports_batches:
+            yield from super().batches()
+            return
+        model = self.model
+        columns, nulls, total = _gather_batches(self.inner)
+        index = _KeyIndex(columns, nulls, self.inner_key_idx, total)
+        model.hash_probe(index.keyed)
+        for batch in self.outer.batches():
+            if not batch.nrows:
+                continue
+            model.hash_probe(batch.nrows)
+            hit, _ = index.probe(batch, self.outer_key_idx)
+            yield batch.take(np.flatnonzero(hit != self.negated))
+
     def describe(self) -> dict:
         return {"op": "HashSemiJoin", "negated": self.negated,
+                "vectorized": self.supports_batches,
                 "outer": self.outer.describe(),
                 "inner": self.inner.describe()}
 
@@ -769,18 +864,6 @@ def _group_codes(column: np.ndarray, null_mask: Optional[np.ndarray],
     return codes, len(mapping) + 1
 
 
-#: typed dtypes the array accumulators handle natively; everything else
-#: (strings, dates, NULL-holed object columns, bools) takes the scalar
-#: per-value loop — still columnar input, never row tuples.
-def _acc_kind(values) -> str:
-    if isinstance(values, np.ndarray) and values.dtype != object:
-        if np.issubdtype(values.dtype, np.integer):
-            return "int"
-        if np.issubdtype(values.dtype, np.floating):
-            return "float"
-    return "object"
-
-
 class _VecAgg:
     """One aggregate's per-group state, fed column slices batch-wise.
 
@@ -788,7 +871,13 @@ class _VecAgg:
     ``np.minimum.at`` are sequential, unbuffered), so totals are
     bit-identical to the scalar accumulators — float summation order
     included. Sum identity is ``-0.0`` so a single ``-0.0`` input
-    survives exactly."""
+    survives exactly.
+
+    Storage follows :func:`~repro.sql.vectorize.value_kind`: int64 and
+    float64 columns accumulate natively; everything else (strings,
+    dates, NULL-holed object columns, bools, a CASE mixing int and
+    float arms) takes the scalar per-value loop — still columnar input,
+    never row tuples."""
 
     __slots__ = ("func", "count", "data", "flags", "size", "_abs_bound")
 
@@ -842,7 +931,7 @@ class _VecAgg:
         """Widen the accumulator storage to admit ``kind`` values,
         preserving exact totals (int64 -> float64 only when the scalar
         path would have mixed int and float anyway)."""
-        current = _acc_kind(self.data)
+        current = value_kind(self.data)
         if current == kind or current == "object":
             return
         if current == "float" and kind == "int":
@@ -868,12 +957,7 @@ class _VecAgg:
         if func == "count_star":
             np.add.at(self.count, slots, 1)
             return
-        if isinstance(values, np.ndarray):
-            pass
-        else:  # broadcast constant (e.g. sum(1))
-            const = np.empty(n, dtype=object)
-            const[:] = values
-            values = const
+        values = _broadcast(values, n)
         if null_mask is not None and null_mask.any():
             keep = np.flatnonzero(~null_mask)
             slots = slots[keep]
@@ -890,12 +974,12 @@ class _VecAgg:
         if func == "count":
             np.add.at(self.count, slots, 1)
             return
-        kind = _acc_kind(values)
+        kind = value_kind(values)
         if self.data is None:
             self._establish(kind)
         else:
             self._promote(kind)
-        if _acc_kind(self.data) == "object":
+        if value_kind(self.data) == "object":
             self._update_object(slots, values)
             return
         if func in ("sum", "avg"):
@@ -1006,9 +1090,25 @@ class HashAggregateOp(PlanOp):
         self.group_value_fns = group_value_fns
         self.agg_value_fns = agg_value_fns
 
+    def _child_rows(self) -> Iterator[tuple]:
+        """The row fallback's input. A batch-capable child keeps
+        running columnar and is transposed *here*, at this operator's
+        own boundary — an aggregate the vectorizer does not cover
+        (``DISTINCT``, an uncovered argument shape) costs one local
+        materialization instead of turning its whole subtree, joins
+        and scans included, row-at-a-time."""
+        if not self.child.supports_batches:
+            yield from self.child.rows()
+            return
+        for batch in self.child.batches():
+            if batch.nrows:
+                self.model.materialize_rows(batch.nrows)
+                yield from batch.iter_rows()
+
     def _consume(self, ordered_rows: Iterator[tuple] | None = None):
         model = self.model
-        rows = ordered_rows if ordered_rows is not None else self.child.rows()
+        rows = (ordered_rows if ordered_rows is not None
+                else self._child_rows())
         groups: dict[tuple, tuple[tuple, list[_Accumulator]]] = {}
         n_aggs = len(self.aggs)
         for row in rows:
@@ -1105,10 +1205,7 @@ class HashAggregateOp(PlanOp):
         combined = np.zeros(n, dtype=np.int64)
         for fn in self.group_value_fns:
             values, null_mask = fn(columns, nulls, n)
-            if not isinstance(values, np.ndarray):
-                broadcast = np.empty(n, dtype=object)
-                broadcast[:] = values
-                values = broadcast
+            values = _broadcast(values, n)
             key_cols.append(values)
             key_nulls.append(null_mask)
             codes, space = _group_codes(values, null_mask)
@@ -1189,7 +1286,7 @@ class SortAggregateOp(HashAggregateOp):
     strategy = "sort"
 
     def rows(self) -> Iterator[tuple]:
-        materialized = list(self.child.rows())
+        materialized = list(self._child_rows())
         n = len(materialized)
         if n > 1:
             self.model.sort_compare(n * max(1.0, math.log2(n)))
@@ -1251,23 +1348,17 @@ class SortOp(PlanOp):
 
     @property
     def supports_batches(self) -> bool:
-        return (self.child.supports_batches and self.key_idx is not None
-                and all(i is not None for i in self.key_idx))
+        return (self.child.supports_batches
+                and _all_resolved(self.key_idx))
 
     def batches(self) -> Iterator[ColumnBatch]:
         if not self.supports_batches:
             yield from super().batches()
             return
-        parts = [b for b in self.child.batches() if b.nrows]
-        if not parts:
+        columns, nulls, n = _gather_batches(self.child)
+        if not n:
             return
-        lengths = [b.nrows for b in parts]
-        width = parts[0].width
-        columns = [_concat_columns([b.columns[c] for b in parts])
-                   for c in range(width)]
-        nulls = [_concat_nulls([b.null_mask(c) for b in parts], lengths)
-                 for c in range(width)]
-        n = sum(lengths)
+        width = len(columns)
         if any(_has_nan(columns[idx]) for idx in self.key_idx):
             # NaN is comparison-undefined: the scalar path's Python
             # sort leaves NaN-adjacent rows wherever timsort's partial

@@ -292,9 +292,13 @@ class Planner:
         fns = [compile_expr(item.expr, resolver) for item in items]
         names = [item.alias or render_expr(item.expr) for item in items]
         layout = {expr_key(item.expr): i for i, item in enumerate(items)}
-        relation = ProjectOp(self.model, relation, fns, layout, names,
-                             col_indices=[resolver(item.expr)
-                                          for item in items])
+        col_indices = [resolver(item.expr) for item in items]
+        relation = ProjectOp(
+            self.model, relation, fns, layout, names,
+            col_indices=col_indices,
+            value_fns=[None if index is not None
+                       else build_vector_value(item.expr, resolver)
+                       for item, index in zip(items, col_indices)])
 
         if select.limit is not None:
             relation = LimitOp(self.model, relation, select.limit)
@@ -609,9 +613,11 @@ class Planner:
                          for _, o in correlations]
         inner_key_fns = [compile_expr(i, inner_resolver)
                          for i, _ in correlations]
-        return HashSemiJoinOp(self.model, outer, inner_plan,
-                              outer_key_fns, inner_key_fns,
-                              negated=exists_expr.negated)
+        return HashSemiJoinOp(
+            self.model, outer, inner_plan, outer_key_fns, inner_key_fns,
+            negated=exists_expr.negated,
+            outer_key_idx=[outer_resolver(o) for _, o in correlations],
+            inner_key_idx=[inner_resolver(i) for i, _ in correlations])
 
     # ------------------------------------------------------------------
     def _plan_aggregate(self, child: PlanOp, group_by: list[Expr],

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Protocol, Sequence
 
+import numpy as np
+
 
 @dataclass
 class ScanPredicate:
@@ -39,6 +41,24 @@ class ScanPredicate:
 
     def passes(self, values: dict[int, object]) -> bool:
         return self.fn(values) is True
+
+    def row_mask(self, columns: dict[int, np.ndarray], n: int) -> np.ndarray:
+        """Qualifying mask over one block by mapping ``fn`` over its
+        rows — the batch scans' fallback for predicates without a
+        ``vector_fn``. ``columns`` maps each of ``attrs`` to an object
+        array of Python values; rows are walked as one ``zip`` over
+        plain lists into a single reused dict."""
+        attrs = self.attrs
+        fn = self.fn
+        if not attrs:
+            return np.full(n, fn({}) is True, dtype=bool)
+        values: dict[int, object] = {}
+        mask = np.zeros(n, dtype=bool)
+        for i, row in enumerate(zip(*(columns[attr].tolist()
+                                      for attr in attrs))):
+            values.update(zip(attrs, row))
+            mask[i] = fn(values) is True
+        return mask
 
 
 class AccessMethod(Protocol):

@@ -88,6 +88,13 @@ QUERIES = [
     "SELECT id, height FROM t WHERE id IN (1, 4) ORDER BY height DESC",
     "SELECT name FROM t WHERE height BETWEEN 160 AND 185 ORDER BY name",
     "SELECT id, name FROM t WHERE name LIKE '%o%' ORDER BY id DESC",
+    # column-vs-column, LIKE/NOT LIKE masks and CASE aggregates (the
+    # shapes vectorized for TPC-H Q4/Q12/Q14) through the JSONL scan
+    "SELECT id FROM t WHERE id < height AND name < note",
+    "SELECT id FROM t WHERE name NOT LIKE '%a%' AND id * 40 <> height",
+    "SELECT id FROM t WHERE note LIKE '%x%' OR name = note",
+    "SELECT sum(CASE WHEN name LIKE '%a%' THEN height ELSE 0 END), "
+    "count(CASE WHEN id < height THEN 1 END) FROM t WHERE id <> height",
 ]
 
 

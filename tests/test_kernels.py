@@ -33,6 +33,11 @@ from tests.test_batch_differential import (
     random_schema,
     random_table,
 )
+from tests.test_batch_operators_differential import (
+    PAIR_PREDICATES,
+    PAIR_SCHEMA,
+    pair_table,
+)
 
 WORKER_COUNTS = (1, 4)
 
@@ -100,6 +105,36 @@ class TestKernelDifferentialFuzz:
             assert comparable_state(on) == comparable_state(off), \
                 f"seed={seed} diverged after {sql!r}"
         assert kernel_counters(off) == {}
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_column_pair_and_like_predicates_match(self, workers):
+        """Column-vs-column comparisons and LIKE masks are vectorized,
+        so their scans are kernel-eligible: on-vs-off must stay
+        invisible for them too (string columns bail per block)."""
+        rng = random.Random(72500)
+        payload = write_csv(pair_table(rng, 150))
+        on = kernel_engine(PAIR_SCHEMA, payload, workers, True)
+        off = kernel_engine(PAIR_SCHEMA, payload, workers, False)
+        s_on, s_off = repro.connect(on), repro.connect(off)
+        for predicate in PAIR_PREDICATES:
+            sql = f"SELECT x, d1, f2 FROM t WHERE {predicate}"
+            assert explain_kernel_lines(s_on, sql)[0].startswith(
+                "kernel: csv:"), predicate
+            explain_kernel_lines(s_off, sql)  # same EXPLAIN charges
+            for _ in range(2):  # cold + warm execution of each shape
+                assert s_on.execute(sql).fetchall() == \
+                    s_off.execute(sql).fetchall(), predicate
+            assert comparable_state(on) == comparable_state(off), predicate
+        assert on.counters().get("kernel_hits", 0) > 0
+
+    def test_ineligible_reason_names_the_offending_conjunct(self):
+        engine = kernel_engine(PAIR_SCHEMA, write_csv(pair_table(
+            random.Random(1), 5)), 1, True)
+        lines = explain_kernel_lines(
+            repro.connect(engine),
+            "SELECT x FROM t WHERE i1 < i2 AND i1 + i2 > 3")
+        assert lines == ["kernel: none (predicate not vectorizable: "
+                         "((c:i1+c:i2)>lit)) [t]"]
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_jsonl_workloads_match(self, workers):

@@ -13,6 +13,7 @@ from repro.workloads.tpch import (
     tpch_schema,
 )
 from tests.conftest import fresh_loaded_tpch, fresh_raw_tpch
+from tests.test_batch_operators_differential import plan_nodes
 
 
 def parse_table(fs, data, table):
@@ -202,6 +203,59 @@ class TestPaperQueries:
             ext_rows = normalize(external.query(tpch_query(name)).rows)
             assert raw_rows == ext_rows
 
+
+class TestPaperQueriesStayColumnar:
+    """Regression lock for §5.2's "the remaining query plan works
+    without changes": on the default config every paper query runs
+    through the columnar operators end to end — the row paths are the
+    differential oracle, not a fallback any of them needs."""
+
+    @pytest.fixture(scope="class")
+    def warm_pair(self, tpch_tiny):
+        """(columnar, row-engine) results of the *second* execution of
+        every paper query: warm scans charge no indexed-region
+        TOKENIZE, the one event batch and scalar scans may price
+        differently (simcost/model.py)."""
+        columnar = fresh_raw_tpch(tpch_tiny)
+        row_engine = fresh_raw_tpch(
+            tpch_tiny, PostgresRawConfig(batch_mode=False))
+        results = {}
+        for name in PAPER_QUERIES:
+            for engine in (columnar, row_engine):
+                engine.query(tpch_query(name))
+            results[name] = (columnar.query(tpch_query(name)),
+                             row_engine.query(tpch_query(name)))
+        return results
+
+    @pytest.mark.parametrize("name", PAPER_QUERIES)
+    def test_no_rows_materialized_and_every_node_vectorized(
+            self, warm_pair, name):
+        result, _ = warm_pair[name]
+        assert result.rows_materialized == 0
+        ops = [node["op"] for node in plan_nodes(result.plan)]
+        assert "Aggregate" in ops
+        for node in plan_nodes(result.plan):
+            if node["op"] in ("Aggregate", "Filter", "Having",
+                              "HashSemiJoin"):
+                assert node["vectorized"] is True, node["op"]
+
+    @pytest.mark.parametrize("name", PAPER_QUERIES)
+    def test_results_and_priced_counters_equal_the_row_engine(
+            self, warm_pair, name):
+        result, oracle = warm_pair[name]
+        assert list(map(repr, result.rows)) == list(map(repr, oracle.rows))
+
+        def priced(counters):
+            counters = {event: units for event, units in counters.items()
+                        if not event.startswith("kernel_")}  # zero-priced
+            if "limit" in tpch_query(name).lower():
+                # Pull granularity, not plan work: under LIMIT the row
+                # path forms only the tuples the limit pulls, the batch
+                # path projects the block it was handed.
+                counters.pop("tuple_form", None)
+            return counters
+
+        assert priced(result.counters) == priced(oracle.counters)
 
 class TestStatisticsEffect:
     def test_stats_change_q1_plan(self, tpch_tiny):
