@@ -1,0 +1,753 @@
+"""One raw-scan shell and one block-streaming driver (NoDB §4).
+
+The paper describes *one* scan operator — selective tokenize/parse,
+positional map, cache, statistics, §4.5 append detection — in which
+only "find the field" depends on the file format. This module is that
+operator's format-agnostic half; :mod:`repro.core.scan_batch` (CSV) and
+:mod:`repro.formats.jsonl` plug their per-format compute into it.
+
+* :class:`RawFileAccess` is the *shell* every line-oriented raw access
+  method subclasses: engine wiring, the ``on_error`` policy and its
+  quarantine sidecar, §4.5 ``refresh()``, the scan prologue (workload
+  accounting, the §4.4 statistics collector, the costed handle), the
+  statistics epilogue, the batch→tuple shim and the ``path``/``table``
+  error annotation. (:class:`RawAccessBase` is the slice of it that does
+  not assume a line-oriented, growable file; FITS takes just that.)
+* :class:`BlockScan` is the per-scan *driver*: the frozen
+  indexed/streaming split, the indexed-region block loop (kernel
+  attempt → zero-priced bailout → strict block → tolerant redo), and
+  the streaming region's single read → newline-discovery → row-block
+  group formation → dispatch → ordered-merge loop.
+
+What a format supplies, and nothing else: strict indexed-block compute,
+strict stream-group compute, its own staged ops, value conversion, and
+``tolerant_row``'s line split.
+
+Fan-out and the staged-op merge: the streaming region's row-block
+groups are *pure functions* of their byte slice. Each group computes
+against a :class:`~repro.simcost.model.RecordingModel`, producing an
+ordered op log — cost charges interleaved (in exact serial charge
+order) with staged line-index / positional-map / cache / statistics
+operations — plus its output batch; the driver's own read charges are
+recorded the same way, and a single-threaded merge replays the logs in
+canonical group order against the real structures. Where a group's
+compute runs is the loop's only variable: with
+``config.scan_workers > 1`` it is submitted to the engine's
+:class:`~repro.core.parallel.ScanWorkerPool` while the driver reads up
+to ``2 * workers`` groups ahead; without a pool the schedule entry is a
+deferred call executed *at merge time*, so an abandoned scan has
+computed exactly the groups it delivered and never holds more than one
+group's output batch. Replay preserves the serial charge sequence
+bit-for-bit, so results, PM/cache contents, counters *and the clock's
+float accumulation order* are identical at any worker count. The only
+observable difference a pool can make is OS-page-cache residency left
+by read-ahead when a scan is abandoned mid-stream (and, under a
+capacity-limited page cache, LRU order) — never results, structures or
+completed-scan counters.
+"""
+
+from __future__ import annotations
+
+import copy
+import functools
+from collections import deque
+from concurrent.futures import CancelledError
+from typing import Iterator, Sequence
+
+import numpy as np
+
+from repro.core.statistics import StatsCollector
+from repro.errors import (
+    ExecutionError,
+    FormatError,
+    StorageError,
+    annotate,
+)
+from repro.formats.csvfmt import newline_offsets
+from repro.simcost.model import RecordingModel
+from repro.sql.batch import ColumnBatch
+from repro.sql.scanapi import ScanPredicate
+from repro.sql.stats import TableStats
+
+
+class _KernelBailout:
+    """Sentinel a compiled scan kernel returns when a block-level
+    precondition fails; the driver falls back to the generic block
+    path. Defined here (not in :mod:`repro.kernels`) so the driver can
+    compare against it without an import cycle."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "KERNEL_BAILOUT"
+
+
+#: the one bailout instance; compared by identity at the call site
+KERNEL_BAILOUT = _KernelBailout()
+
+
+# ---------------------------------------------------------------------------
+# The access-method shell
+# ---------------------------------------------------------------------------
+class RawAccessBase:
+    """What every in-situ access method repeats whatever its file looks
+    like: engine wiring, workload accounting, the scan prologue and
+    epilogue, and the batch→tuple shim."""
+
+    def __init__(self, vfs, path: str, schema, model, config, table_info,
+                 cache):
+        self.vfs = vfs
+        self.path = path
+        self.schema = schema
+        self.model = model
+        self.config = config
+        self.table_info = table_info
+        self.cache = cache
+        self._dtypes = schema.types
+        self._families = [t.family for t in schema.types]
+        self.queries_executed = 0
+        #: workload knowledge for the §7 idle tuner: attr -> request count
+        self.attr_request_counts: dict[int, int] = {}
+
+    def _scan_setup(self, needed: Sequence[int],
+                    predicate: ScanPredicate | None):
+        """Shared prologue of every scan path: workload accounting, the
+        §4.4 stats collector, and the costed file handle."""
+        self.queries_executed += 1
+        out_attrs = list(needed)
+        where_attrs = list(predicate.attrs) if predicate else []
+        union_attrs = sorted(set(out_attrs) | set(where_attrs))
+        for attr in union_attrs:
+            self.attr_request_counts[attr] = \
+                self.attr_request_counts.get(attr, 0) + 1
+        collector = None
+        if self.config.enable_statistics:
+            # §4.4: augment incrementally — sample only attributes that
+            # have no statistics yet.
+            existing = self.table_info.stats
+            missing = [
+                attr for attr in union_attrs
+                if existing is None
+                or not existing.has_column(self.schema.columns[attr].name)
+            ]
+            if missing:
+                collector = StatsCollector(
+                    self.model, self.schema, missing,
+                    self.config.stats_sample_target,
+                    seed=self.queries_executed)
+        handle = self.vfs.open(self.path, self.model, notify=False)
+        return out_attrs, where_attrs, union_attrs, collector, handle
+
+    def _finalize_stats(self, collector) -> None:
+        if collector is None:
+            return
+        stats = self.table_info.stats or TableStats()
+        row_count = self.estimated_rows()
+        if row_count is None:
+            row_count = self.table_info.row_count_hint or 0
+        collector.finalize(stats, row_count)
+        self.table_info.stats = stats
+
+    def scan(self, needed: Sequence[int],
+             predicate: ScanPredicate | None) -> Iterator[tuple]:
+        """Batch->tuple transposition for a row-mode consumer: the one
+        place a batch scan materializes rows."""
+        for batch in self.scan_batches(needed, predicate):
+            self.model.materialize_rows(batch.nrows)
+            yield from batch.iter_rows()
+
+
+class RawFileAccess(RawAccessBase):
+    """Shell of an access method over one line-oriented raw file whose
+    line index lives in a positional map. Subclasses name their per-scan
+    :class:`BlockScan` in ``scan_class`` and supply ``tolerant_row``."""
+
+    #: the BlockScan subclass that drives this format's batch scans
+    scan_class: type | None = None
+
+    def __init__(self, vfs, path: str, schema, model, config, table_info,
+                 positional_map, cache, pool=None):
+        super().__init__(vfs, path, schema, model, config, table_info,
+                         cache)
+        self.pm = positional_map          # None only in Baseline mode
+        #: engine-shared ScanWorkerPool for parallel chunk scans (None
+        #: when config.scan_workers == 1)
+        self.pool = pool
+        self.row_count: int | None = None
+        self._seen_size = 0
+        self._seen_rewrites: int | None = None
+        #: per-table error policy (OPTIONS (on_error 'fail'|'skip'|'null'))
+        self.on_error = (getattr(table_info, "options", None)
+                         or {}).get("on_error", "fail")
+        #: quarantine sidecar for rejected rows, plus the row numbers
+        #: already written there (warm re-scans re-reject the same rows
+        #: deterministically; the sidecar records each row once)
+        self._rejects_path = f"__rejects__/{table_info.name.lower()}"
+        self._rejected_rows: set[int] = set()
+
+    # -- external updates (§4.5) ---------------------------------------
+    def refresh(self) -> None:
+        """Detect external file changes before a scan.
+
+        Appends extend the structures in place; rewrites drop them (the
+        map "can be dropped and recreated when needed again")."""
+        rewrites = self.vfs.rewrite_count(self.path)
+        size = self.vfs.size(self.path)
+        if self._seen_rewrites is None:
+            self._seen_rewrites = rewrites
+            self._seen_size = size
+            return
+        if rewrites != self._seen_rewrites:
+            if self.pm is not None:
+                self.pm.drop()
+            if self.cache is not None:
+                self.cache.clear()
+            self.row_count = None
+            self.table_info.data_version += 1
+            # Row numbers change meaning under a rewrite: restart the
+            # quarantine sidecar along with the other structures.
+            self._rejected_rows.clear()
+            if self.vfs.exists(self._rejects_path):
+                self.vfs.delete(self._rejects_path)
+        elif size > self._seen_size:
+            if self.pm is not None:
+                self.pm.invalidate_file_length()
+            self.row_count = None
+            self.table_info.data_version += 1
+        self._seen_rewrites = rewrites
+        self._seen_size = size
+
+    def estimated_rows(self) -> int | None:
+        return self.row_count
+
+    # -- scan entry points ---------------------------------------------
+    def scan_batches(self, needed: Sequence[int],
+                     predicate: ScanPredicate | None, kernel=None):
+        """Columnar pull: yield :class:`~repro.sql.batch.ColumnBatch`
+        blocks instead of tuples. ``kernel`` is an optional compiled
+        scan kernel (:mod:`repro.kernels`) taking over the per-block
+        work."""
+        def body(handle, *scan_args):
+            return self.scan_class(self, *scan_args,
+                                   kernel=kernel).run(handle)
+
+        return self._run_scan(needed, predicate, body)
+
+    def _run_scan(self, needed, predicate, body):
+        """One scan: the prologue, ``body(handle, out_attrs,
+        where_attrs, union_attrs, predicate, collector)``'s output with
+        format and storage errors annotated (``path=``, ``table=``),
+        and the statistics epilogue."""
+        out_attrs, where_attrs, union_attrs, collector, handle = \
+            self._scan_setup(needed, predicate)
+        try:
+            yield from body(handle, out_attrs, where_attrs, union_attrs,
+                            predicate, collector)
+        except (FormatError, StorageError) as exc:
+            raise annotate(exc, path=self.path,
+                           table=self.table_info.name)
+        self._finalize_stats(collector)
+
+    def _rows_with_known_span(self) -> int:
+        """Rows of the indexed region: those whose line span the map
+        already knows."""
+        if self.pm is None:
+            return 0
+        known = self.pm.known_line_count
+        if known == 0:
+            return 0
+        if self.row_count is not None and known >= self.row_count:
+            return self.row_count
+        if self.pm.has_file_length:
+            return known  # complete index (e.g. built by the prewarmer)
+        return known - 1  # last known line's end is the next line's start
+
+    def _finish_file(self, row_count: int) -> None:
+        self.table_info.row_count_hint = row_count
+
+    # -- error policies (OPTIONS (on_error ...)) ------------------------
+    def tolerant_row(self, model, line: bytes, out_attrs, where_attrs,
+                     predicate, policy: str | None = None):
+        """Best-effort evaluation of one malformed-or-suspect line
+        under a tolerant error policy (``policy``, defaulting to the
+        table's ``on_error``): ``'null'`` turns an unconvertible value
+        into SQL NULL, ``'skip'`` rejects the whole row. Returns
+        ``(qualifies, out_values | None, reject_reason | None)`` — a
+        non-None reason means the caller must quarantine the row. All
+        charges go to ``model`` so staged (recorded) redo and direct
+        redo price identically. The line split is the format's."""
+        raise NotImplementedError
+
+    def _quarantine_row(self, row_number: int, line: bytes,
+                        reason: str) -> None:
+        """Record a rejected row in the table's ``__rejects__/`` sidecar
+        (free of virtual time — observability, like the counters). The
+        caller charges ``rows_rejected``; this only persists the row,
+        once per row number per file version."""
+        if row_number in self._rejected_rows:
+            return
+        self._rejected_rows.add(row_number)
+        note = reason.replace("\t", " ").replace("\n", " ")
+        record = b"%d\t%s\t%s\n" % (
+            row_number, note.encode("utf-8", "replace"),
+            bytes(line).replace(b"\n", b" "))
+        if not self.vfs.exists(self._rejects_path):
+            self.vfs.create(self._rejects_path)
+        self.vfs.append_bytes(self._rejects_path, record)
+
+
+# ---------------------------------------------------------------------------
+# The per-scan driver
+# ---------------------------------------------------------------------------
+class _Deferred:
+    """The pool-less stand-in for a worker future: the call runs when
+    the merge asks for its result — compute at merge time, not at
+    dispatch."""
+
+    __slots__ = ("_call",)
+
+    def __init__(self, fn, *args):
+        self._call = functools.partial(fn, *args)
+
+    def result(self):
+        return self._call()
+
+    def cancel(self) -> None:
+        return None
+
+
+class BlockScan:
+    """One batch-mode scan over one line-oriented raw table.
+
+    Two regions: the *indexed region* (line spans known to the
+    positional map — processed strictly block-wise, reading only the
+    byte runs actually needed) and the *streaming region* (unseen tail —
+    read sequentially, lines discovered vectorized, processed in
+    row-block groups). Subclasses implement
+    :meth:`_indexed_block_strict`, :meth:`_compute_stream_group` and
+    :meth:`_apply_format_op`."""
+
+    def __init__(self, access: RawFileAccess, out_attrs, where_attrs,
+                 union_attrs, predicate, collector, kernel=None):
+        self.access = access
+        self.model = access.model
+        self.config = access.config
+        self.schema = access.schema
+        self.pm = access.pm
+        self.cache = access.cache
+        self.out_attrs = out_attrs
+        self.where_attrs = where_attrs
+        self.union_attrs = union_attrs
+        self.predicate = predicate
+        self.collector = collector
+        self._families = access._families
+        self._dtypes = access._dtypes
+        #: compiled scan kernel (repro.kernels.KernelProgram) or None;
+        #: its entry points charge the exact priced events the generic
+        #: paths charge, in the same order.
+        self.kernel = kernel
+
+    def run(self, handle) -> Iterator[ColumnBatch]:
+        # Freeze the indexed/streaming split for the whole scan: a
+        # concurrent scan (another cursor on the same table) may grow
+        # the positional map while this generator is live, and
+        # re-reading the span between regions would skip the rows the
+        # other scan just indexed.
+        spanned = self.access._rows_with_known_span()
+        yield from self._indexed_region(handle, spanned)
+        yield from self._streaming_region(handle, spanned)
+
+    # -- what a format supplies ----------------------------------------
+    def _indexed_block_strict(self, handle, block: int,
+                              starts: np.ndarray, ends: np.ndarray,
+                              ) -> ColumnBatch:
+        """Strict compute of one indexed block (its rows' line spans
+        are ``starts``/``ends``), flushing its PM/cache/stats
+        contributions only at the end of a clean block; raises
+        :class:`~repro.errors.FormatError` on malformed input."""
+        raise NotImplementedError
+
+    def _compute_stream_group(self, ops: list, row0: int,
+                              starts: np.ndarray, ends: np.ndarray,
+                              buffer: bytes, buffer_base: int,
+                              ) -> ColumnBatch:
+        """Strict compute of one group of freshly discovered lines — all
+        within a single row block — staging its line-index / PM / cache
+        / stats contributions into ``ops`` (shared with ``self.model``'s
+        charge recorder) instead of touching the shared structures."""
+        raise NotImplementedError
+
+    def _apply_format_op(self, op: tuple) -> None:
+        """Apply one of the format's own staged ops at the merge."""
+        raise NotImplementedError
+
+    # -- shared row-wise machinery (tolerant redo, error context) -------
+    def _line_spans(self, row0: int, row1: int):
+        spans = self.pm.line_spans_block(row0, row1)
+        if spans is None:
+            # The map lost spans this scan froze at start (DROP TABLE,
+            # drop_auxiliary, or a budget eviction of the line index
+            # under a live scan): fail cleanly instead of unpacking
+            # None — a re-run plans against the current catalog.
+            raise ExecutionError(
+                f"line spans for rows {row0}..{row1} vanished from the "
+                "positional map mid-scan (table dropped or map torn "
+                "down under a live query); re-run the query")
+        return spans
+
+    @staticmethod
+    def _lines(starts, ends, buffer, buffer_base: int) -> Iterator[bytes]:
+        """The lines spanning ``starts``/``ends`` (absolute offsets) in
+        ``buffer``, whose first byte sits at ``buffer_base``."""
+        for start, end in zip(starts.tolist(), ends.tolist()):
+            yield buffer[start - buffer_base:end - buffer_base]
+
+    def _tolerant_rows(self, row0: int, starts, ends, buffer,
+                       buffer_base: int, reject) -> ColumnBatch:
+        """Row-at-a-time evaluation of a block or group whose strict
+        vectorized computation raised under a tolerant error policy:
+        each line goes through ``access.tolerant_row``; a rejected one
+        is handed to ``reject(row_number, line, reason)`` and counted.
+        The rows contribute nothing to the positional map, the cache or
+        the statistics reservoirs — degradation, never corruption."""
+        model = self.model
+        out_attrs = self.out_attrs
+        rows: list[tuple] = []
+        for i, line in enumerate(self._lines(starts, ends, buffer,
+                                             buffer_base)):
+            qual, out_values, reason = self.access.tolerant_row(
+                model, line, out_attrs, self.where_attrs, self.predicate)
+            if reason is not None:
+                reject(row0 + i, line, reason)
+                model.rows_rejected(1)
+            elif qual:
+                rows.append(tuple(out_values))
+        return ColumnBatch.from_rows(rows, len(out_attrs))
+
+    def _with_row_number(self, exc: FormatError, row0: int, starts, ends,
+                         buffer=None, buffer_base: int = 0) -> FormatError:
+        """Give a strict failure under ``on_error 'fail'`` its absolute
+        ``row_number`` (setdefault semantics — the innermost annotation
+        wins). The vectorized tokenizer's block-relative
+        ``row_in_block`` is resolved when present; otherwise the first
+        failing row is located by an *uncharged* row-wise pass —
+        ``tolerant_row`` under a forced ``'skip'`` against a throw-away
+        model — which is the row the scalar oracle stops at (with
+        several malformed rows in one block the message may still name
+        a later one: the vectorized path fails column-major). Without a
+        ``buffer`` (the indexed region) the lines come from the file's
+        raw bytes, not a handle: the pass must not touch the clock, the
+        OS page cache or the fault schedule."""
+        row_in_block = exc.context.get("row_in_block")
+        if row_in_block is None:
+            if buffer is None:
+                buffer = self.access.vfs.read_bytes(self.access.path)
+            scratch = RecordingModel()
+            for i, line in enumerate(self._lines(starts, ends, buffer,
+                                                 buffer_base)):
+                if self.access.tolerant_row(
+                        scratch, line, self.out_attrs, self.where_attrs,
+                        self.predicate, policy="skip")[2] is not None:
+                    row_in_block = i
+                    break
+        if row_in_block is not None:
+            annotate(exc, row_number=row0 + row_in_block)
+        return exc
+
+    # ==================================================================
+    # Indexed region
+    # ==================================================================
+    def _indexed_region(self, handle, spanned: int) -> Iterator[ColumnBatch]:
+        block_size = self.config.row_block_size
+        row = 0
+        while row < spanned:
+            block = row // block_size
+            block_end = min((block + 1) * block_size, spanned)
+            batch = self._indexed_block(handle, block, row, block_end)
+            if batch is not None:
+                yield batch
+            row = block_end
+
+    def _indexed_block(self, handle, block: int, row0: int,
+                       row1: int) -> ColumnBatch | None:
+        kernel = self.kernel
+        if kernel is not None and kernel.indexed is not None:
+            batch = kernel.indexed(self, handle, block, row0, row1)
+            if batch is not KERNEL_BAILOUT:
+                return batch
+            # The probes were side-effect-free (peek, has_line_spans):
+            # the generic path below charges exactly what a kernel-less
+            # scan would. The bailout event itself is zero-priced.
+            self.model.kernel_bailout()
+        self.model.tuple_overhead(row1 - row0)
+        starts, ends = self._line_spans(row0, row1)
+        try:
+            return self._indexed_block_strict(handle, block, starts, ends)
+        except FormatError as exc:
+            if self.access.on_error == "fail":
+                raise self._with_row_number(exc, row0, starts, ends)
+        # The strict attempt flushed nothing (PM/cache writes happen
+        # only at the end of a clean block) and the indexed region
+        # always runs on the driver thread, so its partial charges stay
+        # on the clock deterministically. Redo row by row over one read
+        # of the block's byte span (mostly warm — the strict attempt
+        # already touched it), quarantining rejects directly. The redo
+        # pays its own map access for the spans, as it always has.
+        starts, ends = self._line_spans(row0, row1)
+        base = int(starts[0])
+        blob = handle.read_at(base, int(ends[-1]) - base)
+        return self._tolerant_rows(row0, starts, ends, blob, base,
+                                   self.access._quarantine_row)
+
+    # ==================================================================
+    # Streaming region
+    # ==================================================================
+    def _streaming_region(self, handle, spanned: int,
+                          ) -> Iterator[ColumnBatch]:
+        access = self.access
+        pm = self.pm
+        if access.row_count is not None and spanned >= access.row_count:
+            return  # whole file already indexed
+        file_size = handle.size
+        # Resume where the indexed region ends; if the map was dropped
+        # (or never existed) the streaming region is the whole file.
+        if pm is not None and pm.known_line_count > spanned:
+            start_offset = pm.line_start(spanned)
+        elif pm is not None and spanned > 0:
+            start_offset = file_size  # complete index: tail is empty
+        else:
+            start_offset = 0
+            spanned = 0
+        if start_offset >= file_size:
+            self._finish(spanned, file_size)
+            return
+        yield from self._stream(file_size, start_offset, spanned)
+
+    def _finish(self, row_count: int, file_size: int,
+                newline_terminated: bool | None = None) -> None:
+        if self.pm is not None:
+            self.pm.set_file_length(file_size,
+                                    newline_terminated=newline_terminated)
+        self.access.row_count = row_count
+        self.access._finish_file(row_count)
+
+    def _stream(self, file_size: int, start_offset: int,
+                row: int) -> Iterator[ColumnBatch]:
+        """The streaming loop: read sequentially, discover lines, cut
+        them into row-block groups, dispatch each group's compute, and
+        merge the schedule — recorded read charges and completed groups'
+        op logs — in exact serial order. Yields happen at the merge, so
+        batch delivery order (and everything else observable through
+        the engine) does not depend on where the compute ran; with a
+        pool, in-flight futures keep computing across yields, which is
+        what lets concurrently admitted queries overlap on it."""
+        access = self.access
+        block_size = self.config.row_block_size
+        read_size = self.config.batch_read_bytes
+        pool = access.pool if self.config.scan_workers > 1 else None
+        if pool is not None:
+            submit, depth = pool.submit, 2 * pool.workers
+        else:
+            submit, depth = _Deferred, 1
+        # ``depth`` bounds the groups in flight, and with them the
+        # read-ahead: the driver reads only while fewer are dispatched
+        # and unmerged.
+
+        # Reads charge into a recorder so their cost replays in serial
+        # order even when the driver reads ahead of the merge.
+        read_rec = RecordingModel()
+        rhandle = access.vfs.open(access.path, read_rec, notify=False)
+        rhandle.seek(start_offset)
+
+        #: (is_group, task) in canonical order; ``task.result()`` is
+        #: ``(ops, batch, error)``
+        schedule: deque = deque()
+        buffer = b""                      # unconsumed bytes ...
+        buffer_start = start_offset       # ... and where they begin
+        # spans of the discovered lines no group has taken yet
+        starts = ends = np.empty(0, dtype=np.int64)
+        in_flight = 0
+        eof = False
+        newline_terminated = True
+
+        def read_more() -> None:
+            nonlocal buffer, buffer_start, starts, ends, row
+            nonlocal in_flight, eof, newline_terminated
+            chunk, error = b"", None
+            try:
+                chunk = rhandle.read_sequential(read_size)
+            except StorageError as exc:
+                # Merged like any entry: the retries the failed read
+                # was billed replay, then it raises — in order, after
+                # every group dispatched before it.
+                error = exc
+            next_start = int(ends[-1]) + 1 if len(ends) else buffer_start
+            end_of_data = buffer_start + len(buffer) + len(chunk)
+            if chunk:
+                read_rec.newline_scan(len(chunk))
+                new_ends = newline_offsets(chunk) + (end_of_data
+                                                     - len(chunk))
+                buffer += chunk
+            else:
+                eof = True
+                new_ends = np.empty(0, dtype=np.int64)
+                if error is None and end_of_data > next_start:
+                    # Unterminated last line: the carry is a line.
+                    newline_terminated = False
+                    new_ends = np.array([end_of_data], dtype=np.int64)
+            if len(new_ends):
+                new_starts = np.empty_like(new_ends)
+                new_starts[0] = next_start
+                new_starts[1:] = new_ends[:-1] + 1
+                starts = np.concatenate([starts, new_starts])
+                ends = np.concatenate([ends, new_ends])
+            ops = read_rec.take_ops()
+            if ops or error is not None:
+                schedule.append(
+                    (False, _Deferred(lambda: (ops, None, error))))
+            if error is not None:
+                return
+            # Dispatch complete row-blocks (or everything at EOF). A
+            # group's byte window is private to its compute; delimiter
+            # and boundary lookups are clipped per line, so spans for
+            # in-group lines equal those of tokenizing the whole buffer.
+            head = 0
+            while head < len(starts):
+                take = block_size - row % block_size
+                if len(starts) - head < take:
+                    if not eof:
+                        break
+                    take = len(starts) - head
+                lo = int(starts[head])
+                hi = int(ends[head + take - 1])
+                schedule.append((True, submit(
+                    self._group_task, row, starts[head:head + take],
+                    ends[head:head + take],
+                    buffer[lo - buffer_start:hi - buffer_start], lo)))
+                in_flight += 1
+                row += take
+                head += take
+            if head:
+                consumed = min(hi + 1 - buffer_start, len(buffer))
+                buffer = buffer[consumed:]
+                buffer_start += consumed
+                starts, ends = starts[head:], ends[head:]
+
+        try:
+            while True:
+                while not eof and in_flight < depth:
+                    read_more()
+                if not schedule:
+                    break
+                is_group, task = schedule.popleft()
+                try:
+                    ops, batch, error = task.result()
+                except CancelledError:
+                    # CancelledError is a BaseException and would
+                    # escape the scheduler's error containment,
+                    # leaking the job's admission slot.
+                    raise ExecutionError(
+                        "scan worker pool was shut down while this "
+                        "parallel scan was streaming (engine.close() "
+                        "during a live query); re-run the query"
+                    ) from None
+                if is_group:
+                    in_flight -= 1
+                self._apply_staged(ops)
+                if error is not None:
+                    raise error
+                if batch is not None:
+                    yield batch
+        finally:
+            # Abandoned scan (or an error raised above): drop the
+            # unmerged tail. Its staged deltas are never applied, so
+            # structures hold exactly the merged prefix — at any worker
+            # count.
+            for _, task in schedule:
+                task.cancel()
+        self._finish(row, file_size, newline_terminated)
+
+    def _group_task(self, row0: int, starts: np.ndarray,
+                    ends: np.ndarray, buffer: bytes, buffer_base: int):
+        """One group's compute against a recording model. Returns
+        ``(ops, batch, error)``; never raises, so the merge can replay
+        the charges recorded before a failure (exactly what an inline
+        compute would have charged) and then re-raise in canonical
+        order. May run on a worker thread: touches no shared engine
+        state, only its private byte slice and the recorder."""
+        recorder = RecordingModel()
+        view = copy.copy(self)
+        view.model = recorder
+        kernel = self.kernel
+        try:
+            if kernel is not None and kernel.stream is not None:
+                batch = kernel.stream(view, recorder.ops, row0, starts,
+                                      ends, buffer, buffer_base)
+            else:
+                batch = view._compute_stream_group(
+                    recorder.ops, row0, starts, ends, buffer, buffer_base)
+            return recorder.ops, batch, None
+        except FormatError as exc:
+            if self.access.on_error == "fail":
+                return recorder.ops, None, self._with_row_number(
+                    exc, row0, starts, ends, buffer, buffer_base)
+            # Tolerant policy: discard the strict attempt's op log
+            # entirely (its charges must not replay — the redo prices
+            # the whole group itself, so runs stay bit-identical at any
+            # worker count) and recompute the group row by row. The
+            # group still stages its line starts (the line *index* is
+            # byte geometry, unaffected by malformed fields); rejects
+            # are staged as ``("rej", row, line, reason)`` ops so the
+            # sidecar write happens at the merge, in canonical order.
+            # Like the strict compute, a pure function of the byte
+            # slice.
+            redo = RecordingModel()
+            view = copy.copy(self)
+            view.model = redo
+            try:
+                redo.tuple_overhead(len(starts))
+                if self.pm is not None:
+                    redo.ops.append(("lines", starts, row0, len(starts)))
+                batch = view._tolerant_rows(
+                    row0, starts, ends, buffer, buffer_base,
+                    lambda *rejected: redo.ops.append(("rej", *rejected)))
+                return redo.ops, batch, None
+            except Exception as redo_exc:
+                return redo.ops, None, redo_exc
+        except Exception as exc:  # replayed + re-raised by the merge
+            return recorder.ops, None, exc
+
+    # ------------------------------------------------------------------
+    # Staged-op merge (single-threaded, canonical group order)
+    # ------------------------------------------------------------------
+    def _apply_staged(self, ops: list) -> None:
+        """Replay one op log against the real model and structures.
+
+        Entries are ``("c", event, units)`` charges and the staged
+        structural operations, in the exact order an inline compute
+        would have performed them — so the clock, the positional map,
+        the cache and the statistics reservoirs evolve identically."""
+        model = self.model
+        for op in ops:
+            tag = op[0]
+            if tag == "c":
+                model.charge(op[1], op[2])
+            elif tag == "lines":
+                # Bulk line-index append, trimmed of the prefix an
+                # earlier group (or scan) already recorded.
+                _, starts, row0, n = op
+                known = self.pm.known_line_count
+                if row0 + n > known:
+                    self.pm.append_line_starts(
+                        starts[max(0, known - row0):])
+            elif tag == "collect":
+                collector = self.collector
+                for row_values in op[1]:
+                    collector.add_row(row_values)
+            elif tag == "rej":
+                # Quarantine decided inside a group: the sidecar write
+                # happens here, in canonical merge order (the
+                # rows_rejected charge replays as an ordinary "c" op).
+                self.access._quarantine_row(op[1], op[2], op[3])
+            else:
+                self._apply_format_op(op)

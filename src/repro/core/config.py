@@ -85,10 +85,11 @@ class PostgresRawConfig:
         Reservoir size per column for on-the-fly statistics (§4.4).
     batch_mode:
         When True (the default), raw scans run the vectorized batch
-        pipeline (:mod:`repro.core.scan_batch`): whole row blocks per
-        step, NumPy newline/delimiter discovery, columnar selective
-        parsing, vectorized predicate masks, and whole-chunk positional
-        map / cache traffic. When False, scans run the original
+        pipeline (:mod:`repro.core.blockscan` driving the format's
+        block compute, :mod:`repro.core.scan_batch` for CSV): whole row
+        blocks per step, NumPy newline/delimiter discovery, columnar
+        selective parsing, vectorized predicate masks, and whole-chunk
+        positional map / cache traffic. When False, scans run the original
         row-at-a-time path — retained as the differential oracle and
         for features the batch pipeline does not vectorize (eager
         prefix indexing always uses the scalar path).
@@ -98,13 +99,16 @@ class PostgresRawConfig:
         comparable between the two).
     scan_workers:
         Workers for the batch streaming region (OLA-RAW-style parallel
-        chunk scans). ``1`` (the default) runs the serial pipeline;
-        ``N > 1`` fans row-block groups out across ``N`` pool workers,
-        each producing column batches plus *staged* positional-map /
-        cache deltas that a single-threaded merge applies in canonical
-        group order — so results, PM/cache contents and simcost
-        counters are bit-identical to the serial scan at any worker
-        count. Defaults to ``$REPRO_SCAN_WORKERS`` when set.
+        chunk scans). There is one loop at every setting: each
+        row-block group computes against a recorder, producing column
+        batches plus *staged* positional-map / cache deltas that a
+        single-threaded merge applies in canonical group order. ``1``
+        (the default) has no pool — a group's compute runs when the
+        merge reaches it; ``N > 1`` submits groups to ``N`` pool
+        workers while the driver reads up to ``2N`` groups ahead — so
+        results, PM/cache contents and simcost counters are
+        bit-identical at any worker count. Defaults to
+        ``$REPRO_SCAN_WORKERS`` when set.
     scan_kernels:
         When True (the default), sessions attach compiled scan kernels
         (:mod:`repro.kernels`) to prepared plans: per (format, schema,

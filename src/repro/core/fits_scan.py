@@ -18,36 +18,29 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from repro.core.blockscan import RawAccessBase
 from repro.core.cache import BinaryCache
 from repro.core.config import PostgresRawConfig
-from repro.core.statistics import StatsCollector
 from repro.formats.fits import FitsTableInfo
 from repro.simcost.model import CostModel
 from repro.sql.batch import ColumnBatch
-from repro.sql.catalog import Schema, TableInfo
+from repro.sql.catalog import TableInfo
 from repro.sql.scanapi import ScanPredicate
-from repro.sql.stats import TableStats
 from repro.storage.vfs import VirtualFS
 
 
-class RawFitsAccess:
-    """Access method for one in-situ FITS binary table."""
+class RawFitsAccess(RawAccessBase):
+    """Access method for one in-situ FITS binary table. Takes only the
+    format-blind slice of the raw-scan shell (scan prologue/epilogue,
+    batch->tuple shim): the row count comes from the header, so there is
+    no §4.5 refresh and no line index."""
 
     def __init__(self, vfs: VirtualFS, path: str, fits: FitsTableInfo,
                  model: CostModel, config: PostgresRawConfig,
                  table_info: TableInfo, cache: BinaryCache | None):
-        self.vfs = vfs
-        self.path = path
+        super().__init__(vfs, path, fits.schema, model, config,
+                         table_info, cache)
         self.fits = fits
-        self.model = model
-        self.config = config
-        self.table_info = table_info
-        self.cache = cache
-        self.schema: Schema = fits.schema
-        self._families = [t.family for t in self.schema.types]
-        self.queries_executed = 0
-        #: workload knowledge for the §7 idle tuner: attr -> request count
-        self.attr_request_counts: dict[int, int] = {}
 
     def estimated_rows(self) -> int | None:
         return self.fits.nrows
@@ -57,46 +50,15 @@ class RawFitsAccess:
     def batch_enabled(self) -> bool:
         return self.config.batch_mode
 
-    def _scan_setup(self, needed: Sequence[int],
-                    predicate: ScanPredicate | None):
-        self.queries_executed += 1
-        out_attrs = list(needed)
-        where_attrs = list(predicate.attrs) if predicate else []
-        union_attrs = sorted(set(out_attrs) | set(where_attrs))
-        for attr in union_attrs:
-            self.attr_request_counts[attr] = \
-                self.attr_request_counts.get(attr, 0) + 1
-        collector = None
-        if self.config.enable_statistics:
-            existing = self.table_info.stats
-            missing = [
-                attr for attr in union_attrs
-                if existing is None
-                or not existing.has_column(self.schema.columns[attr].name)
-            ]
-            if missing:
-                collector = StatsCollector(
-                    self.model, self.schema, missing,
-                    self.config.stats_sample_target,
-                    seed=self.queries_executed)
-        handle = self.vfs.open(self.path, self.model, notify=False)
-        return out_attrs, where_attrs, union_attrs, collector, handle
-
     def _finalize(self, collector) -> None:
-        if collector is not None:
-            stats = self.table_info.stats or TableStats()
-            collector.finalize(stats, self.fits.nrows)
-            self.table_info.stats = stats
+        self._finalize_stats(collector)
         self.table_info.row_count_hint = self.fits.nrows
 
     def scan(self, needed: Sequence[int],
              predicate: ScanPredicate | None) -> Iterator[tuple]:
         if self.batch_enabled:
-            for batch in self.scan_batches(needed, predicate):
-                self.model.materialize_rows(batch.nrows)
-                yield from batch.iter_rows()
-            return
-        yield from self._scan_scalar(needed, predicate)
+            return super().scan(needed, predicate)
+        return self._scan_scalar(needed, predicate)
 
     # ------------------------------------------------------------------
     # Batch path: whole column slices per row block

@@ -5,7 +5,9 @@ row-block groups; with ``config.scan_workers > 1`` those groups are
 computed on this pool while the scan driver keeps reading ahead and a
 single-threaded merge applies each group's staged positional-map /
 cache / statistics deltas in canonical group order (see
-:mod:`repro.core.scan_batch`).
+:class:`repro.core.blockscan.BlockScan` — the one driver every
+line-oriented raw format shares; without a pool the same loop runs each
+group's compute when the merge reaches it).
 
 Threads are the right first backend: the group kernels are
 NumPy-heavy — delimiter ``searchsorted`` arithmetic, fixed-width

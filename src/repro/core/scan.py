@@ -48,27 +48,21 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from repro.core.blockscan import RawFileAccess
 from repro.core.cache import BinaryCache
 from repro.core.config import PostgresRawConfig
 from repro.core.positional_map import PositionalMap
 from repro.core.scan_batch import BatchCsvScan
-from repro.core.statistics import StatsCollector
-from repro.errors import (
-    CSVFormatError,
-    ExecutionError,
-    FormatError,
-    StorageError,
-    annotate,
-)
+from repro.errors import CSVFormatError, ExecutionError, annotate
 from repro.formats.csvfmt import (
     field_spans_prefix,
     span_backward,
     span_forward,
 )
 from repro.simcost.model import CostModel
+from repro.sql.batch import ColumnBatch
 from repro.sql.catalog import Schema, TableInfo
 from repro.sql.scanapi import ScanPredicate
-from repro.sql.stats import TableStats
 from repro.storage.vfs import VirtualFS
 
 _NO_POS = -1  # sentinel inside PM chunks: position unknown for this row
@@ -160,8 +154,14 @@ class _RowContext:
         self.known_starts.setdefault(attr, start)
 
 
-class RawCsvAccess:
-    """Access method for one in-situ CSV table."""
+class RawCsvAccess(RawFileAccess):
+    """Access method for one in-situ CSV table. The shell — §4.5
+    refresh, scan prologue/epilogue, quarantine sidecar, error
+    annotation — is :class:`~repro.core.blockscan.RawFileAccess`; the
+    batch pipeline is :class:`~repro.core.scan_batch.BatchCsvScan`; this
+    class adds the scalar oracle and the CSV line split."""
+
+    scan_class = BatchCsvScan
 
     def __init__(self, vfs: VirtualFS, path: str, schema: Schema,
                  model: CostModel, config: PostgresRawConfig,
@@ -169,73 +169,10 @@ class RawCsvAccess:
                  positional_map: PositionalMap | None,
                  cache: BinaryCache | None,
                  pool=None):
-        self.vfs = vfs
-        self.path = path
-        self.schema = schema
-        self.model = model
-        self.config = config
-        self.table_info = table_info
-        self.pm = positional_map          # None only in Baseline mode
-        self.cache = cache
-        #: engine-shared ScanWorkerPool for parallel chunk scans (None
-        #: when config.scan_workers == 1)
-        self.pool = pool
+        super().__init__(vfs, path, schema, model, config, table_info,
+                         positional_map, cache, pool=pool)
         self.dialect = config.dialect
-        self.row_count: int | None = None
-        self._seen_size = 0
-        self._seen_rewrites: int | None = None
-        self._dtypes = schema.types
-        self._families = [t.family for t in schema.types]
-        self.queries_executed = 0
-        #: workload knowledge for the §7 idle tuner: attr -> request count
-        self.attr_request_counts: dict[int, int] = {}
-        #: per-table error policy (OPTIONS (on_error 'fail'|'skip'|'null'))
-        self.on_error = (getattr(table_info, "options", None)
-                         or {}).get("on_error", "fail")
-        #: quarantine sidecar for rejected rows, plus the row numbers
-        #: already written there (warm re-scans re-reject the same rows
-        #: deterministically; the sidecar records each row once)
-        self._rejects_path = f"__rejects__/{table_info.name.lower()}"
-        self._rejected_rows: set[int] = set()
 
-    # ------------------------------------------------------------------
-    # External updates (§4.5)
-    # ------------------------------------------------------------------
-    def refresh(self) -> None:
-        """Detect external file changes before a scan.
-
-        Appends extend the structures in place; rewrites drop them (the
-        map "can be dropped and recreated when needed again")."""
-        rewrites = self.vfs.rewrite_count(self.path)
-        size = self.vfs.size(self.path)
-        if self._seen_rewrites is None:
-            self._seen_rewrites = rewrites
-            self._seen_size = size
-            return
-        if rewrites != self._seen_rewrites:
-            if self.pm is not None:
-                self.pm.drop()
-            if self.cache is not None:
-                self.cache.clear()
-            self.row_count = None
-            self.table_info.data_version += 1
-            # Row numbers change meaning under a rewrite: restart the
-            # quarantine sidecar along with the other structures.
-            self._rejected_rows.clear()
-            if self.vfs.exists(self._rejects_path):
-                self.vfs.delete(self._rejects_path)
-        elif size > self._seen_size:
-            if self.pm is not None:
-                self.pm.invalidate_file_length()
-            self.row_count = None
-            self.table_info.data_version += 1
-        self._seen_rewrites = rewrites
-        self._seen_size = size
-
-    def estimated_rows(self) -> int | None:
-        return self.row_count
-
-    # ------------------------------------------------------------------
     @property
     def batch_enabled(self) -> bool:
         """True when scans run the vectorized batch pipeline. Eager
@@ -244,99 +181,30 @@ class RawCsvAccess:
         does not vectorize — so it pins the scalar path."""
         return self.config.batch_mode and not self.config.eager_prefix_indexing
 
-    def _scan_setup(self, needed: Sequence[int],
-                    predicate: ScanPredicate | None):
-        """Shared prologue of both scan paths: workload accounting, the
-        §4.4 stats collector, and the costed file handle."""
-        self.queries_executed += 1
-        out_attrs = list(needed)
-        where_attrs = list(predicate.attrs) if predicate else []
-        union_attrs = sorted(set(out_attrs) | set(where_attrs))
-        for attr in union_attrs:
-            self.attr_request_counts[attr] = \
-                self.attr_request_counts.get(attr, 0) + 1
-        collector = None
-        if self.config.enable_statistics:
-            # §4.4: augment incrementally — sample only attributes that
-            # have no statistics yet.
-            existing = self.table_info.stats
-            missing = [
-                attr for attr in union_attrs
-                if existing is None
-                or not existing.has_column(self.schema.columns[attr].name)
-            ]
-            if missing:
-                collector = StatsCollector(
-                    self.model, self.schema, missing,
-                    self.config.stats_sample_target,
-                    seed=self.queries_executed)
-        handle = self.vfs.open(self.path, self.model, notify=False)
-        return out_attrs, where_attrs, union_attrs, collector, handle
-
-    def _finalize_stats(self, collector) -> None:
-        if collector is None:
-            return
-        stats = self.table_info.stats or TableStats()
-        row_count = (self.row_count if self.row_count is not None
-                     else self.table_info.row_count_hint or 0)
-        collector.finalize(stats, row_count)
-        self.table_info.stats = stats
-
     def scan(self, needed: Sequence[int],
              predicate: ScanPredicate | None) -> Iterator[tuple]:
-        out_attrs, where_attrs, union_attrs, collector, handle = \
-            self._scan_setup(needed, predicate)
-        try:
-            if self.batch_enabled:
-                scanner = BatchCsvScan(self, out_attrs, where_attrs,
-                                       union_attrs, predicate, collector)
-                for batch in scanner.run(handle):
-                    # Batch->tuple transposition for a row-mode consumer:
-                    # the one place a batch scan materializes rows.
-                    self.model.materialize_rows(batch.nrows)
-                    yield from batch.iter_rows()
-            else:
-                yield from self._scan_rows_scalar(
-                    handle, out_attrs, where_attrs, union_attrs, predicate,
-                    collector)
-        except (FormatError, StorageError) as exc:
-            raise annotate(exc, path=self.path,
-                           table=self.table_info.name)
-        self._finalize_stats(collector)
+        if self.batch_enabled:
+            return super().scan(needed, predicate)
+        return self._run_scan(needed, predicate, self._scan_rows_scalar)
 
     def scan_batches(self, needed: Sequence[int],
                      predicate: ScanPredicate | None, kernel=None):
-        """Columnar pull: yield :class:`~repro.sql.batch.ColumnBatch`
-        blocks instead of tuples. On the scalar path (batch mode off)
-        this degrades to chunking the row iterator. ``kernel`` is an
-        optional compiled scan kernel (:mod:`repro.kernels`) taking
-        over the per-block work on the batch path."""
-        from repro.sql.batch import ColumnBatch
+        """On the scalar path (batch mode off) the columnar pull
+        degrades to chunking the row iterator."""
+        if self.batch_enabled:
+            return super().scan_batches(needed, predicate, kernel)
+        return self._run_scan(needed, predicate, self._scalar_batches)
 
-        out_attrs, where_attrs, union_attrs, collector, handle = \
-            self._scan_setup(needed, predicate)
-        try:
-            if self.batch_enabled:
-                scanner = BatchCsvScan(self, out_attrs, where_attrs,
-                                       union_attrs, predicate, collector,
-                                       kernel=kernel)
-                yield from scanner.run(handle)
-            else:
-                width = len(out_attrs)
-                pending: list[tuple] = []
-                for row in self._scan_rows_scalar(
-                        handle, out_attrs, where_attrs, union_attrs,
-                        predicate, collector):
-                    pending.append(row)
-                    if len(pending) >= self.config.row_block_size:
-                        yield ColumnBatch.from_rows(pending, width)
-                        pending = []
-                if pending:
-                    yield ColumnBatch.from_rows(pending, width)
-        except (FormatError, StorageError) as exc:
-            raise annotate(exc, path=self.path,
-                           table=self.table_info.name)
-        self._finalize_stats(collector)
+    def _scalar_batches(self, handle, out_attrs, *scan_args):
+        width = len(out_attrs)
+        pending: list[tuple] = []
+        for row in self._scan_rows_scalar(handle, out_attrs, *scan_args):
+            pending.append(row)
+            if len(pending) >= self.config.row_block_size:
+                yield ColumnBatch.from_rows(pending, width)
+                pending = []
+        if pending:
+            yield ColumnBatch.from_rows(pending, width)
 
     def _scan_rows_scalar(self, handle, out_attrs, where_attrs,
                           union_attrs, predicate, collector):
@@ -355,18 +223,6 @@ class RawCsvAccess:
     # ------------------------------------------------------------------
     # Indexed region: line spans known — block-wise processing
     # ------------------------------------------------------------------
-    def _rows_with_known_span(self) -> int:
-        if self.pm is None:
-            return 0
-        known = self.pm.known_line_count
-        if known == 0:
-            return 0
-        if self.row_count is not None and known >= self.row_count:
-            return self.row_count
-        if self.pm.has_file_length:
-            return known  # complete index (e.g. built by the prewarmer)
-        return known - 1  # last known line's end is the next line's start
-
     def _scan_indexed_region(self, handle, spanned, out_attrs,
                              where_attrs, union_attrs, predicate,
                              collector):
@@ -764,9 +620,6 @@ class RawCsvAccess:
         first = block * self.config.row_block_size
         return min(next_row - first, self.config.row_block_size)
 
-    def _finish_file(self, row_count: int) -> None:
-        self.table_info.row_count_hint = row_count
-
     def _process_streamed_row(self, row, block, line, out_attrs,
                               where_attrs, predicate, collector,
                               cache_entries, block_positions, max_attr):
@@ -885,9 +738,10 @@ class RawCsvAccess:
     # Error policies (OPTIONS (on_error ...)): tolerant row evaluation
     # ------------------------------------------------------------------
     def tolerant_row(self, model: CostModel, line: bytes, out_attrs,
-                     where_attrs, predicate):
+                     where_attrs, predicate, policy: str | None = None):
         """Best-effort evaluation of one malformed-or-suspect row under a
-        tolerant error policy (``on_error 'skip'`` or ``'null'``).
+        tolerant error policy (``on_error 'skip'`` or ``'null'``;
+        ``policy`` overrides the table's).
 
         The strict scan paths fall back here after a row raises
         :class:`CSVFormatError`: the whole line is re-tokenized with a
@@ -901,7 +755,7 @@ class RawCsvAccess:
         must quarantine the row. All charges go to ``model`` so staged
         (recorded) redo and direct redo price identically.
         """
-        policy = self.on_error
+        policy = policy or self.on_error
         model.tokenize(len(line))
         fields = line.decode("utf-8", "replace").split(
             self.dialect.delimiter.decode("utf-8"))
@@ -951,20 +805,3 @@ class RawCsvAccess:
             out_values.append(value)
         model.tuple_form(len(out_attrs))
         return True, out_values, None
-
-    def _quarantine_row(self, row_number: int, line: bytes,
-                        reason: str) -> None:
-        """Record a rejected row in the table's ``__rejects__/`` sidecar
-        (free of virtual time — observability, like the counters). The
-        caller charges ``rows_rejected``; this only persists the row,
-        once per row number per file version."""
-        if row_number in self._rejected_rows:
-            return
-        self._rejected_rows.add(row_number)
-        note = reason.replace("\t", " ").replace("\n", " ")
-        record = b"%d\t%s\t%s\n" % (
-            row_number, note.encode("utf-8", "replace"),
-            bytes(line).replace(b"\n", b" "))
-        if not self.vfs.exists(self._rejects_path):
-            self.vfs.create(self._rejects_path)
-        self.vfs.append_bytes(self._rejects_path, record)

@@ -26,75 +26,34 @@ from the nearest known attribute per row — forward or backward,
 whichever is closer — exactly as the scalar ``_RowContext`` does, but
 with delimiter-index arithmetic instead of byte scanning.
 
-Parallel chunk scans (``config.scan_workers > 1``): the streaming
-region's row-block groups are *pure functions* of their byte slice, so
-they fan out across the engine's :class:`~repro.core.parallel.
-ScanWorkerPool`. Each group computes against a
-:class:`~repro.simcost.model.RecordingModel`, producing an ordered op
-log — cost charges interleaved (in exact serial charge order) with
-staged line-index / positional-map / cache / statistics operations —
-plus its output batch. The driver keeps reading ahead (its own read
-charges recorded the same way) and a single-threaded merge replays the
-logs in canonical group order against the real structures. Replay
-preserves the serial charge sequence bit-for-bit, so results, PM/cache
-contents, counters *and the clock's float accumulation order* are
-identical at any worker count; ``scan_workers=1`` runs the same
-compute+replay path inline with no pool. The only observable
-difference parallel mode can make is OS-page-cache residency left by
-read-ahead when a scan is abandoned mid-stream (and, under a
-capacity-limited page cache, LRU order) — never results, structures or
-completed-scan counters.
+The scan's *driver* — the frozen indexed/streaming split, the
+indexed-region block loop with its kernel attempt and tolerant redo, the
+streaming region's read/group/dispatch/merge loop (inline or fanned out
+across the engine's :class:`~repro.core.parallel.ScanWorkerPool`) and
+the staged-op merge — is format-agnostic and lives in
+:class:`~repro.core.blockscan.BlockScan`. :class:`BatchCsvScan` supplies
+what is genuinely CSV: the strict indexed-block compute, the strict
+stream-group compute and the ``"pm"`` / ``"cache"`` staged ops they
+emit.
 """
 
 from __future__ import annotations
 
-import copy
 import datetime
-from collections import deque
-from concurrent.futures import CancelledError
-from typing import Iterator
 
 import numpy as np
 
-from repro.errors import CSVFormatError, ExecutionError, annotate
+from repro.core.blockscan import BlockScan
+from repro.errors import CSVFormatError, annotate
 from repro.formats.csvfmt import (
     BlockTokenizer,
     block_field_spans,
     block_span_forward,
-    newline_offsets,
 )
-from repro.simcost.model import RecordingModel
 from repro.sql.batch import ColumnBatch
-
-
-class _KernelBailout:
-    """Sentinel a compiled scan kernel returns when a block-level
-    precondition fails; the caller falls back to the generic block
-    path. Defined here (not in :mod:`repro.kernels`) so the format
-    accesses can compare against it without an import cycle."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "KERNEL_BAILOUT"
-
-
-#: the one bailout instance; compared by identity at the call sites
-KERNEL_BAILOUT = _KernelBailout()
 
 _NO = -1  # unknown position sentinel (absolute-offset arrays)
 _NO_POS = -1  # sentinel used inside PM chunks (relative offsets)
-
-
-def _with_row_number(exc: CSVFormatError, row0: int) -> CSVFormatError:
-    """Resolve a block-relative ``row_in_block`` annotation (from the
-    vectorized tokenizer, which never sees absolute rows) into the
-    absolute ``row_number`` — setdefault semantics, the innermost
-    annotation wins."""
-    row_in_block = exc.context.get("row_in_block")
-    if row_in_block is not None:
-        annotate(exc, row_number=row0 + row_in_block)
-    return exc
 
 #: families whose text form NumPy can parse column-wise via ``astype``
 _NUMERIC_DTYPES = {"int": np.int64, "float": np.float64}
@@ -178,47 +137,14 @@ class _Column:
         self._values = values
 
 
-class BatchCsvScan:
-    """One batch-mode scan over one raw CSV table.
+class BatchCsvScan(BlockScan):
+    """One batch-mode scan over one raw CSV table: the per-format half
+    of :class:`~repro.core.blockscan.BlockScan`."""
 
-    Mirrors the two regions of the scalar scan: the *indexed region*
-    (line spans known to the positional map — processed strictly
-    block-wise) and the *streaming region* (unseen tail — read
-    sequentially, lines discovered vectorized, processed in row-block
-    groups)."""
-
-    def __init__(self, access, out_attrs, where_attrs, union_attrs,
-                 predicate, collector, kernel=None):
-        self.access = access
-        self.model = access.model
-        self.config = access.config
-        self.schema = access.schema
+    def __init__(self, access, *scan_args, kernel=None):
+        super().__init__(access, *scan_args, kernel=kernel)
         self.arity = access.schema.arity
         self.dialect = access.dialect
-        self.pm = access.pm
-        self.cache = access.cache
-        self.out_attrs = out_attrs
-        self.where_attrs = where_attrs
-        self.union_attrs = union_attrs
-        self.predicate = predicate
-        self.collector = collector
-        self._families = access._families
-        self._dtypes = access._dtypes
-        #: compiled scan kernel (repro.kernels.KernelProgram) or None;
-        #: its entry points charge the exact priced events the generic
-        #: paths below charge, in the same order.
-        self.kernel = kernel
-
-    # ------------------------------------------------------------------
-    def run(self, handle) -> Iterator[ColumnBatch]:
-        # Freeze the indexed/streaming split for the whole scan: a
-        # concurrent scan (another cursor on the same table) may grow
-        # the positional map while this generator is live, and
-        # re-reading the span between regions would skip the rows the
-        # other scan just indexed.
-        spanned = self.access._rows_with_known_span()
-        yield from self._indexed_region(handle, spanned)
-        yield from self._streaming_region(handle, spanned)
 
     # ------------------------------------------------------------------
     # Column conversion (shared by both regions)
@@ -321,61 +247,13 @@ class BatchCsvScan:
     # ==================================================================
     # Indexed region
     # ==================================================================
-    def _indexed_region(self, handle, spanned: int) -> Iterator[ColumnBatch]:
-        if spanned == 0:
-            return
-        block_size = self.config.row_block_size
-        row = 0
-        while row < spanned:
-            block = row // block_size
-            block_end = min((block + 1) * block_size, spanned)
-            batch = self._process_indexed_block(handle, block, row,
-                                                block_end)
-            if batch is not None:
-                yield batch
-            row = block_end
-
-    def _process_indexed_block(self, handle, block: int, row0: int,
-                               row1: int) -> ColumnBatch | None:
-        kernel = self.kernel
-        if kernel is not None and kernel.indexed is not None:
-            batch = kernel.indexed(self, handle, block, row0, row1)
-            if batch is not KERNEL_BAILOUT:
-                return batch
-            # The probes were side-effect-free (peek, has_line_spans):
-            # the generic path below charges exactly what a kernel-less
-            # scan would. The bailout event itself is zero-priced.
-            self.model.kernel_bailout()
-        try:
-            return self._indexed_block_strict(handle, block, row0, row1)
-        except CSVFormatError as exc:
-            if self.access.on_error == "fail":
-                raise _with_row_number(exc, row0)
-            # The strict attempt flushed nothing (PM/cache writes happen
-            # only at the end of a clean block) and the indexed region
-            # always runs on the driver thread, so its partial charges
-            # stay on the clock deterministically; redo row by row.
-            return self._indexed_block_tolerant(handle, block, row0, row1)
-
-    def _indexed_block_strict(self, handle, block: int, row0: int,
-                              row1: int) -> ColumnBatch | None:
+    def _indexed_block_strict(self, handle, block: int,
+                              starts: np.ndarray, ends: np.ndarray,
+                              ) -> ColumnBatch:
         model = self.model
-        n = row1 - row0
+        n = len(starts)
         union_attrs = self.union_attrs
         attr_index_on = self.config.enable_positional_map
-        model.tuple_overhead(n)
-
-        spans = self.pm.line_spans_block(row0, row1)
-        if spans is None:
-            # The map lost spans this scan froze at start (DROP TABLE,
-            # drop_auxiliary, or a budget eviction of the line index
-            # under a live scan): fail cleanly instead of unpacking
-            # None — a re-run plans against the current catalog.
-            raise ExecutionError(
-                f"line spans for rows {row0}..{row1} vanished from the "
-                "positional map mid-scan (table dropped or map torn "
-                "down under a live query); re-run the query")
-        starts, ends = spans
 
         # -- prefetch cache blocks and positional columns
         cached: dict[int, object] = {}
@@ -491,41 +369,6 @@ class BatchCsvScan:
             return ColumnBatch([[] for _ in out_attrs], 0)
         return ColumnBatch(out_columns, nqual, out_nulls)
 
-    def _indexed_block_tolerant(self, handle, block: int, row0: int,
-                                row1: int) -> ColumnBatch:
-        """Row-at-a-time redo of an indexed block after the strict
-        vectorized path raised under a tolerant error policy. Reads the
-        block's byte span in one shot (mostly warm — the strict attempt
-        already touched it), evaluates each row with
-        :meth:`RawCsvAccess.tolerant_row` and quarantines rejects
-        directly (the indexed region runs on the driver thread only).
-        The block forfeits its positional-map / cache / statistics
-        contributions: degradation, never corruption."""
-        access = self.access
-        model = self.model
-        spans = self.pm.line_spans_block(row0, row1)
-        if spans is None:
-            raise ExecutionError(
-                f"line spans for rows {row0}..{row1} vanished from the "
-                "positional map mid-scan (table dropped or map torn "
-                "down under a live query); re-run the query")
-        starts, ends = spans
-        base = int(starts[0])
-        blob = handle.read_at(base, int(ends[-1]) - base)
-        out_attrs = self.out_attrs
-        rows: list[tuple] = []
-        for i in range(row1 - row0):
-            line = blob[int(starts[i]) - base:int(ends[i]) - base]
-            qual, out_values, reason = access.tolerant_row(
-                model, line, out_attrs, self.where_attrs, self.predicate)
-            if reason is not None:
-                access._quarantine_row(row0 + i, line, reason)
-                model.rows_rejected(1)
-                continue
-            if qual:
-                rows.append(tuple(out_values))
-        return ColumnBatch.from_rows(rows, len(out_attrs))
-
     @staticmethod
     def _output_column(column: _Column, qual_idx: np.ndarray):
         """One output column as ``(array, null_mask)`` for the emitted
@@ -631,374 +474,6 @@ class BatchCsvScan:
     # ==================================================================
     # Streaming region
     # ==================================================================
-    def _streaming_region(self, handle, spanned: int,
-                          ) -> Iterator[ColumnBatch]:
-        access = self.access
-        pm = self.pm
-        track = pm is not None
-        if access.row_count is not None and spanned >= access.row_count:
-            return
-        file_size = handle.size
-
-        if track and pm.known_line_count > spanned:
-            start_offset = pm.line_start(spanned)
-        elif track and spanned > 0:
-            start_offset = file_size
-        else:
-            start_offset = 0
-            spanned = 0
-        if start_offset >= file_size:
-            if track:
-                pm.set_file_length(file_size)
-            access.row_count = spanned
-            access._finish_file(spanned)
-            return
-
-        pool = (self.access.pool if self.config.scan_workers > 1
-                else None)
-        if pool is not None:
-            yield from self._stream_parallel(pool, file_size,
-                                             start_offset, spanned)
-        else:
-            yield from self._stream_serial(handle, file_size,
-                                           start_offset, spanned)
-
-    def _stream_serial(self, handle, file_size: int, start_offset: int,
-                       spanned: int) -> Iterator[ColumnBatch]:
-        """The single-threaded driver: read sequentially, discover
-        lines, run each row-block group inline (compute + replay)."""
-        pm = self.pm
-        track = pm is not None
-        model = self.model
-        block_size = self.config.row_block_size
-        handle.seek(start_offset)
-        read_size = self.config.batch_read_bytes
-
-        row = spanned
-        buffer = b""
-        buffer_start = start_offset
-        pending_starts: list[np.ndarray] = []
-        pending_ends: list[np.ndarray] = []
-        pending = 0
-        newline_terminated = True
-        eof = False
-
-        while not eof:
-            chunk = handle.read_sequential(read_size)
-            if not chunk:
-                eof = True
-                carry = self._eof_carry(buffer_start + len(buffer),
-                                        pending_ends, buffer_start)
-                if carry is not None:
-                    # Unterminated last line: treat the carry as a line.
-                    newline_terminated = False
-                    pending_starts.append(carry[0])
-                    pending_ends.append(carry[1])
-                    pending += 1
-            else:
-                model.newline_scan(len(chunk))
-                chunk_base = buffer_start + len(buffer)
-                buffer += chunk
-                lines = self._chunk_lines(chunk, chunk_base,
-                                          pending_ends, buffer_start)
-                if lines is not None:
-                    pending_starts.append(lines[0])
-                    pending_ends.append(lines[1])
-                    pending += len(lines[0])
-
-            # Process complete row-blocks (or everything at EOF).
-            while pending and (eof or
-                               pending >= block_size - row % block_size):
-                take = min(pending, block_size - row % block_size)
-                group_starts, group_ends, pending_starts, pending_ends = \
-                    self._take_group(pending_starts, pending_ends, take)
-                pending -= take
-
-                ops, batch, error = self._group_task(
-                    row, group_starts, group_ends,
-                    self._group_slice(buffer, buffer_start, group_starts,
-                                      group_ends),
-                    int(group_starts[0]))
-                self._apply_staged(ops)
-                if error is not None:
-                    raise error
-                row += take
-                # Drop consumed bytes from the buffer.
-                consumed = int(group_ends[-1]) + 1 - buffer_start
-                consumed = min(consumed, len(buffer))
-                if consumed > 0:
-                    buffer = buffer[consumed:]
-                    buffer_start += consumed
-                if batch is not None:
-                    yield batch
-
-        if track:
-            pm.set_file_length(file_size,
-                               newline_terminated=newline_terminated)
-        self.access.row_count = row
-        self.access._finish_file(row)
-
-    def _stream_parallel(self, pool, file_size: int, start_offset: int,
-                         spanned: int) -> Iterator[ColumnBatch]:
-        """The fan-out driver: same read/group-formation loop as
-        :meth:`_stream_serial`, but groups compute on the worker pool
-        while the driver reads ahead, and a merge replays each entry of
-        the schedule — recorded read charges and completed groups'
-        op logs — in exact serial order. Yields happen at the merge, so
-        batch delivery order (and everything else observable through
-        the engine) is identical to the serial driver; in-flight
-        futures keep computing across yields, which is what lets
-        concurrently admitted queries overlap on the shared pool."""
-        config = self.config
-        access = self.access
-        pm = self.pm
-        track = pm is not None
-        block_size = config.row_block_size
-        read_size = config.batch_read_bytes
-
-        # Reads charge into a recorder so their cost replays in serial
-        # order even though the driver reads ahead of the merge.
-        read_rec = RecordingModel()
-        rhandle = access.vfs.open(access.path, read_rec, notify=False)
-        rhandle.seek(start_offset)
-
-        depth = 2 * pool.workers          # groups in flight (read-ahead bound)
-        schedule: deque = deque()         # ("r", ops) | ("g", future)
-        state = {"in_flight": 0, "row": spanned, "buffer": b"",
-                 "buffer_start": start_offset, "pending": 0, "eof": False,
-                 "newline_terminated": True}
-        pending_starts: list[np.ndarray] = []
-        pending_ends: list[np.ndarray] = []
-
-        def dispatch_groups() -> None:
-            while state["pending"] and (
-                    state["eof"] or state["pending"]
-                    >= block_size - state["row"] % block_size):
-                take = min(state["pending"],
-                           block_size - state["row"] % block_size)
-                group_starts, group_ends, rest_starts, rest_ends = \
-                    self._take_group(pending_starts, pending_ends, take)
-                pending_starts[:] = rest_starts
-                pending_ends[:] = rest_ends
-                state["pending"] -= take
-                group_buf = self._group_slice(
-                    state["buffer"], state["buffer_start"], group_starts,
-                    group_ends)
-                schedule.append(("g", pool.submit(
-                    self._group_task, state["row"], group_starts,
-                    group_ends, group_buf, int(group_starts[0]))))
-                state["in_flight"] += 1
-                state["row"] += take
-                consumed = int(group_ends[-1]) + 1 - state["buffer_start"]
-                consumed = min(consumed, len(state["buffer"]))
-                if consumed > 0:
-                    state["buffer"] = state["buffer"][consumed:]
-                    state["buffer_start"] += consumed
-
-        def read_more() -> None:
-            chunk = rhandle.read_sequential(read_size)
-            if not chunk:
-                state["eof"] = True
-                carry = self._eof_carry(
-                    state["buffer_start"] + len(state["buffer"]),
-                    pending_ends, state["buffer_start"])
-                if carry is not None:
-                    state["newline_terminated"] = False
-                    pending_starts.append(carry[0])
-                    pending_ends.append(carry[1])
-                    state["pending"] += 1
-            else:
-                read_rec.newline_scan(len(chunk))
-                chunk_base = state["buffer_start"] + len(state["buffer"])
-                state["buffer"] += chunk
-                lines = self._chunk_lines(chunk, chunk_base, pending_ends,
-                                          state["buffer_start"])
-                if lines is not None:
-                    pending_starts.append(lines[0])
-                    pending_ends.append(lines[1])
-                    state["pending"] += len(lines[0])
-            ops = read_rec.take_ops()
-            if ops:
-                schedule.append(("r", ops))
-            dispatch_groups()
-
-        try:
-            while True:
-                while not state["eof"] and state["in_flight"] < depth:
-                    read_more()
-                if not schedule:
-                    break
-                kind, payload = schedule.popleft()
-                if kind == "r":
-                    self._apply_staged(payload)
-                    continue
-                try:
-                    ops, batch, error = payload.result()
-                except CancelledError:
-                    # CancelledError is a BaseException and would
-                    # escape the scheduler's error containment,
-                    # leaking the job's admission slot.
-                    raise ExecutionError(
-                        "scan worker pool was shut down while this "
-                        "parallel scan was streaming (engine.close() "
-                        "during a live query); re-run the query"
-                    ) from None
-                state["in_flight"] -= 1
-                self._apply_staged(ops)
-                if error is not None:
-                    raise error
-                if batch is not None:
-                    yield batch
-        finally:
-            # Abandoned scan (or an error raised above): drop the
-            # unmerged tail. Their staged deltas are never applied, so
-            # structures hold exactly the merged prefix — as after an
-            # abandoned serial scan at the same batch boundary.
-            for kind, payload in schedule:
-                if kind == "g":
-                    payload.cancel()
-
-        if track:
-            pm.set_file_length(
-                file_size,
-                newline_terminated=state["newline_terminated"])
-        access.row_count = state["row"]
-        access._finish_file(state["row"])
-
-    # -- shared read-loop arithmetic (both drivers must stay in
-    #    lockstep; the subtle index derivations live only here) --------
-    @staticmethod
-    def _chunk_lines(chunk: bytes, chunk_base: int,
-                     pending_ends: list, buffer_start: int):
-        """Line spans completed by one freshly read chunk: newline
-        discovery plus start derivation — the first new line begins
-        after the last pending newline, or at the head of the
-        unconsumed buffer. Returns ``(starts, ends)`` or None when the
-        chunk closed no line."""
-        nls = newline_offsets(chunk) + chunk_base
-        if not len(nls):
-            return None
-        line_ends = nls
-        line_starts = np.empty_like(line_ends)
-        line_starts[1:] = line_ends[:-1] + 1
-        line_starts[0] = (int(pending_ends[-1][-1]) + 1 if pending_ends
-                          else buffer_start)
-        return line_starts, line_ends
-
-    @staticmethod
-    def _eof_carry(end_of_data: int, pending_ends: list,
-                   buffer_start: int):
-        """Unterminated-last-line carry at EOF: single-line
-        ``(starts, ends)`` arrays, or None when the data ends exactly
-        at a newline."""
-        carry_start = (int(pending_ends[-1][-1]) + 1 if pending_ends
-                       else buffer_start)
-        if end_of_data <= carry_start:
-            return None
-        return (np.array([carry_start], dtype=np.int64),
-                np.array([end_of_data], dtype=np.int64))
-
-    @staticmethod
-    def _take_group(pending_starts: list, pending_ends: list, take: int):
-        """Split the first ``take`` pending lines off as one group.
-        Returns ``(group_starts, group_ends, rest_starts, rest_ends)``
-        with the rests already re-wrapped as pending lists."""
-        starts_arr = np.concatenate(pending_starts)
-        ends_arr = np.concatenate(pending_ends)
-        rest_starts = starts_arr[take:]
-        rest_ends = ends_arr[take:]
-        return (starts_arr[:take], ends_arr[:take],
-                [rest_starts] if len(rest_starts) else [],
-                [rest_ends] if len(rest_ends) else [])
-
-    @staticmethod
-    def _group_slice(buffer: bytes, buffer_start: int,
-                     starts: np.ndarray, ends: np.ndarray) -> bytes:
-        """The byte window covering one group's lines. Workers tokenize
-        their private slice; delimiter/boundary lookups are clipped per
-        line, so spans for in-group lines are identical to tokenizing
-        the whole buffer."""
-        return buffer[int(starts[0]) - buffer_start:
-                      int(ends[-1]) - buffer_start]
-
-    def _group_task(self, row0: int, starts: np.ndarray,
-                    ends: np.ndarray, buffer: bytes, buffer_base: int):
-        """One pool task: compute a streaming group against a recording
-        model. Returns ``(ops, batch, error)``; never raises, so the
-        merge can replay the charges recorded before a failure (exactly
-        what the serial path would have charged) and then re-raise in
-        canonical order. Runs on worker threads: touches no shared
-        engine state, only its private byte slice and the recorder."""
-        recorder = RecordingModel()
-        view = copy.copy(self)
-        view.model = recorder
-        kernel = self.kernel
-        try:
-            if kernel is not None and kernel.stream is not None:
-                batch = kernel.stream(view, recorder.ops, row0, starts,
-                                      ends, buffer, buffer_base)
-            else:
-                batch = view._compute_stream_group(recorder.ops, row0,
-                                                   starts, ends, buffer,
-                                                   buffer_base)
-            return recorder.ops, batch, None
-        except CSVFormatError as exc:
-            if self.access.on_error == "fail":
-                return recorder.ops, None, _with_row_number(exc, row0)
-            # Tolerant policy: discard the strict attempt's op log
-            # entirely (its charges must not replay — the redo prices
-            # the whole group itself, so serial and parallel runs stay
-            # bit-identical) and recompute the group row by row.
-            redo = RecordingModel()
-            view = copy.copy(self)
-            view.model = redo
-            try:
-                batch = view._compute_stream_group_tolerant(
-                    redo.ops, row0, starts, ends, buffer, buffer_base)
-                return redo.ops, batch, None
-            except Exception as redo_exc:
-                return redo.ops, None, redo_exc
-        except Exception as exc:  # replayed + re-raised by the merge
-            return recorder.ops, None, exc
-
-    # ------------------------------------------------------------------
-    # Staged-op merge (single-threaded, canonical group order)
-    # ------------------------------------------------------------------
-    def _apply_staged(self, ops: list) -> None:
-        """Replay one op log against the real model and structures.
-
-        Entries are ``("c", event, units)`` charges and the staged
-        structural operations, in the exact order the serial path
-        would have performed them — so the clock, the positional map,
-        the cache and the statistics reservoirs evolve identically."""
-        model = self.model
-        for op in ops:
-            tag = op[0]
-            if tag == "c":
-                model.charge(op[1], op[2])
-            elif tag == "lines":
-                _, starts, row0, n = op
-                known = self.pm.known_line_count
-                if row0 + n > known:
-                    self.pm.append_line_starts(
-                        starts[max(0, known - row0):])
-            elif tag == "collect":
-                collector = self.collector
-                for row_values in op[1]:
-                    collector.add_row(row_values)
-            elif tag == "pm":
-                self._merge_stream_positions(op[1], op[2], op[3])
-            elif tag == "rej":
-                # Quarantine decided inside a worker group: the sidecar
-                # write happens here, in canonical merge order (the
-                # rows_rejected charge replays as an ordinary "c" op).
-                self.access._quarantine_row(op[1], op[2], op[3])
-            else:  # "cache"
-                _, attr, block, rows_in_block, idx, values, typed, \
-                    family = op
-                self.cache.put_column(attr, block, rows_in_block, idx,
-                                      values, family, typed_values=typed)
-
     def _compute_stream_group(self, ops: list, row0: int,
                               starts: np.ndarray, ends: np.ndarray,
                               buffer: bytes, buffer_base: int,
@@ -1166,46 +641,6 @@ class BatchCsvScan:
             return ColumnBatch([[] for _ in out_attrs], 0)
         return ColumnBatch(out_columns, nqual, out_nulls)
 
-    def _compute_stream_group_tolerant(self, ops: list, row0: int,
-                                       starts: np.ndarray,
-                                       ends: np.ndarray, buffer: bytes,
-                                       buffer_base: int,
-                                       ) -> ColumnBatch | None:
-        """Row-at-a-time redo of a streaming group whose strict
-        vectorized computation raised, under a tolerant error policy
-        (``on_error 'skip'`` or ``'null'``).
-
-        Each line is re-evaluated with :meth:`RawCsvAccess.
-        tolerant_row`; rejects are staged as ``("rej", row, line,
-        reason)`` ops so the sidecar write happens at the merge, in
-        canonical order. The group still stages its line starts (the
-        line *index* is byte geometry, unaffected by malformed fields)
-        but contributes nothing to the positional map, the cache or the
-        statistics reservoirs — a malformed group degrades, it never
-        corrupts the auxiliary structures. Like the strict compute,
-        this is a pure function of the byte slice, so results and
-        op logs are identical at any worker count."""
-        access = self.access
-        model = self.model
-        n = len(starts)
-        model.tuple_overhead(n)
-        if self.pm is not None:
-            ops.append(("lines", starts, row0, n))
-        out_attrs = self.out_attrs
-        rows: list[tuple] = []
-        for i in range(n):
-            line = buffer[int(starts[i]) - buffer_base:
-                          int(ends[i]) - buffer_base]
-            qual, out_values, reason = access.tolerant_row(
-                model, line, out_attrs, self.where_attrs, self.predicate)
-            if reason is not None:
-                ops.append(("rej", row0 + i, line, reason))
-                model.rows_rejected(1)
-                continue
-            if qual:
-                rows.append(tuple(out_values))
-        return ColumnBatch.from_rows(rows, len(out_attrs))
-
     def _charge_stream_tokenize(self, tok: BlockTokenizer, charges,
                                 line_starts: np.ndarray,
                                 line_ends: np.ndarray) -> None:
@@ -1296,6 +731,14 @@ class BatchCsvScan:
         for col, attr in enumerate(attrs):
             matrix[first_in_block:, col] = discovered[attr]
         return ("pm", block, attrs, matrix)
+
+    def _apply_format_op(self, op: tuple) -> None:
+        if op[0] == "pm":
+            self._merge_stream_positions(op[1], op[2], op[3])
+        else:  # "cache"
+            _, attr, block, rows_in_block, idx, values, typed, family = op
+            self.cache.put_column(attr, block, rows_in_block, idx,
+                                  values, family, typed_values=typed)
 
     def _merge_stream_positions(self, block: int, attrs: list[int],
                                 matrix: np.ndarray) -> None:

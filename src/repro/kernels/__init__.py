@@ -1,8 +1,9 @@
 """Compiled per-query scan kernels (PAPERS.md: code generation for raw
 data processing).
 
-The generic batch pipeline (:mod:`repro.core.scan_batch`) walks the
-same tokenize -> convert -> vectorize machinery for every scan. This
+The generic batch pipeline (the :mod:`repro.core.blockscan` driver over
+the per-format block compute, e.g. :mod:`repro.core.scan_batch`) walks
+the same tokenize -> convert -> vectorize machinery for every scan. This
 package specializes that walk per scan *shape*: for a (format, schema,
 projected columns, predicate shape) signature it generates one fused
 NumPy program — selective byte-slicing, only-needed-column conversion

@@ -5,8 +5,10 @@ the textual source of up to two specialized entry points, compiles it
 with :func:`compile`/``exec`` and wraps the functions in a
 :class:`KernelProgram`:
 
-``indexed(scan, handle, block, row0, row1[, predicate, collector])``
-    The warm fast path over one fully-mapped, fully-cached row block.
+``indexed(scan, handle, block, row0, row1)``
+    The warm fast path over one fully-mapped, fully-cached row block
+    (``scan`` is the format's per-scan
+    :class:`~repro.core.blockscan.BlockScan`).
     It first probes its preconditions with **side-effect-free** peeks
     (``BinaryCache.peek``, ``PositionalMap.has_line_spans``) and
     returns :data:`KERNEL_BAILOUT` if any fails — the caller then runs
@@ -42,8 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.blockscan import KERNEL_BAILOUT
 from repro.core.scan_batch import (
-    KERNEL_BAILOUT,
     BlockTokenizer,
     _Column,
     _stream_transitions,
@@ -359,10 +361,9 @@ def _emit_jsonl_indexed(e: _Emitter, spec: KernelSpec) -> None:
     union = spec.union_attrs
     where = spec.where_attrs
     out = spec.out_attrs
-    e.emit("def kernel_indexed(scan, handle, block, row0, row1,")
-    e.emit("                   predicate, collector):")
+    e.emit("def kernel_indexed(scan, handle, block, row0, row1):")
     e.indent()
-    e.emit("if collector is not None:")
+    e.emit("if scan.collector is not None:")
     e.emit("    return KERNEL_BAILOUT")
     e.emit("cache = scan.cache")
     e.emit("pm = scan.pm")
@@ -395,7 +396,7 @@ def _emit_jsonl_indexed(e: _Emitter, spec: KernelSpec) -> None:
         e.emit(f"for attr in {where!r}:")
         e.emit("    arrays[attr] = columns[attr]")
         e.emit("    nulls[attr] = object_nulls(columns[attr])")
-        e.emit("qual = predicate.vector_fn(arrays, nulls, n)")
+        e.emit("qual = scan.predicate.vector_fn(arrays, nulls, n)")
     else:
         e.emit("qual = np.ones(n, dtype=bool)")
     e.emit("qual_idx = np.flatnonzero(qual)")

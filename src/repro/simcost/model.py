@@ -219,22 +219,23 @@ class CostModel:
 class RecordingModel(CostModel):
     """A cost model that records charges instead of advancing a clock.
 
-    The parallel chunk-scan pipeline (:mod:`repro.core.scan_batch`)
-    hands one of these to each worker: the worker's tokenize / convert /
-    predicate work charges into an ordered op log (``ops``), and the
-    single-threaded merge replays that log into the engine's real model
-    in canonical group order — so the clock's float accumulation order,
-    and therefore virtual time, is *bit-identical* to the serial scan
-    regardless of worker count. Because the replay happens inside the
-    owning query's batch pull, the scheduler's per-job counter-delta
-    accounting attributes every worker's units to the right query with
-    no extra bookkeeping.
+    The streaming scan driver (:class:`repro.core.blockscan.BlockScan`)
+    hands one of these to each row-block group's compute — on a pool
+    worker or inline — and records its own read charges into another:
+    the tokenize / convert / predicate work charges into an ordered op
+    log (``ops``), and the single-threaded merge replays that log into
+    the engine's real model in canonical group order — so the clock's
+    float accumulation order, and therefore virtual time, is
+    *bit-identical* regardless of worker count. Because the replay
+    happens inside the owning query's batch pull, the scheduler's
+    per-job counter-delta accounting attributes every worker's units to
+    the right query with no extra bookkeeping.
 
     The op log is shared with the worker's structural staging: entries
     are ``("c", event, units)`` charge records interleaved (in exact
     serial charge order) with the staged positional-map / cache /
     statistics operations the merge applies against the shared
-    structures (see ``scan_batch._apply_staged``).
+    structures (see ``BlockScan._apply_staged``).
     """
 
     def __init__(self):

@@ -13,10 +13,17 @@ replays the op logs in canonical group order — so everything observable
 through the engine is independent of the worker count. The structure
 dump comparators are reused from the PR 1 differential harness.
 
-Also covered here: the scheduler's worker overlap accounting
-(``QueryJob.worker_tasks``), error-path determinism, abandoned-scan
-cleanup, and the idle tuner's canonical PM chunk regrouping satellite
-(flush-order-independent layouts).
+The determinism class runs over both line-oriented formats (CSV and
+JSONL share one scan driver, ``repro.core.blockscan``), including the
+error paths (malformed rows, a hard read error), abandoned scans — whose
+structures, counters *and* clock must not depend on the worker count —
+and the pool-less laziness the one-loop driver depends on (a group is
+computed when the merge reaches it, never at dispatch).
+
+Also covered here: the failing row's number in the error context of
+every batch path, the scheduler's worker overlap accounting
+(``QueryJob.worker_tasks``), and the idle tuner's canonical PM chunk
+regrouping satellite (flush-order-independent layouts).
 """
 
 import random
@@ -32,6 +39,9 @@ from repro import (
     Schema,
     VirtualFS,
 )
+from repro.core.blockscan import BlockScan
+from repro.formats.jsonl import write_jsonl
+from repro.storage.faults import FaultInjectingVFS
 from repro.workloads.micro import generate_micro_csv
 
 from test_batch_differential import (
@@ -43,18 +53,61 @@ from test_batch_differential import (
 )
 from repro.formats.csvfmt import write_csv
 
+FORMATS = ("csv", "jsonl")
 
-def engine_with_workers(schema, payload: bytes, workers: int,
-                        block_size: int = 16,
+
+def jsonl_rows(schema, table):
+    """A text table (the CSV generators' rows) as JSON objects: empty
+    non-string fields are NULL, numerics are numbers, strings and dates
+    stay strings."""
+    casts = {"int": int, "float": float}
+    rows = []
+    for record in table:
+        row = {}
+        for column, text in zip(schema.columns, record):
+            family = column.dtype.family
+            if text == "" and family != "str":
+                row[column.name] = None
+            else:
+                row[column.name] = casts.get(family, str)(text)
+        rows.append(row)
+    return rows
+
+
+def engine_with_workers(schema, data, workers: int, block_size: int = 16,
+                        fmt: str = "csv", table: str = "t", vfs=None,
                         **config_kwargs) -> PostgresRaw:
-    vfs = VirtualFS()
-    vfs.create("t.csv", payload)
+    """An engine over one ``fmt`` table declared through DDL. ``data``
+    is a text table (rendered by ``write_csv`` / ``write_jsonl``) or the
+    file's raw bytes."""
+    vfs = vfs if vfs is not None else VirtualFS()
+    path = f"{table}.{fmt}"
+    if isinstance(data, bytes):
+        vfs.create(path, data)
+    elif fmt == "csv":
+        vfs.create(path, write_csv(data))
+    else:
+        write_jsonl(jsonl_rows(schema, data), vfs, path)
     engine = PostgresRaw(
         config=PostgresRawConfig(row_block_size=block_size,
                                  scan_workers=workers, **config_kwargs),
         vfs=vfs)
-    engine.register_csv("t", "t.csv", schema)
+    columns = ", ".join(f"{c.name} {c.dtype.name}" for c in schema.columns)
+    engine.query(f"CREATE TABLE {table} ({columns}) USING {fmt} "
+                 f"OPTIONS (path '{path}')")
     return engine
+
+
+def micro_engine(fmt: str, workers: int, rows: int, nattrs: int, seed: int,
+                 block_size: int, **config_kwargs) -> PostgresRaw:
+    """The micro-benchmark integer table ``m`` in either format."""
+    scratch = VirtualFS()
+    schema = generate_micro_csv(scratch, "m.csv", rows=rows, nattrs=nattrs,
+                                seed=seed)
+    data = [line.split(",") for line in
+            scratch.read_bytes("m.csv").decode().splitlines()]
+    return engine_with_workers(schema, data, workers, block_size, fmt=fmt,
+                               table="m", **config_kwargs)
 
 
 def full_state(engine, table="t"):
@@ -70,18 +123,21 @@ def full_state(engine, table="t"):
 WORKER_COUNTS = (1, 2, 4)
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
 class TestParallelDeterminism:
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_workloads_identical_across_worker_counts(self, seed):
+    def test_random_workloads_identical_across_worker_counts(self, fmt,
+                                                             seed):
         """Result sequences, PM/cache dumps, counters and the clock
         itself must be independent of scan_workers."""
         rng = random.Random(61000 + seed)
         schema = random_schema(rng)
-        payload = write_csv(random_table(rng, schema))
+        table = random_table(rng, schema)
         block_size = rng.choice([1, 3, 8, 17, 64])
         queries = [random_query(rng, schema) for _ in range(5)]
 
-        engines = {w: engine_with_workers(schema, payload, w, block_size)
+        engines = {w: engine_with_workers(schema, table, w, block_size,
+                                          fmt=fmt)
                    for w in WORKER_COUNTS}
         for sql in queries:
             results = {w: engines[w].query(sql) for w in WORKER_COUNTS}
@@ -102,11 +158,12 @@ class TestParallelDeterminism:
         dict(enable_statistics=False),
         dict(enable_cache=False, enable_statistics=False),
     ])
-    def test_feature_ablations_stay_deterministic(self, kwargs):
+    def test_feature_ablations_stay_deterministic(self, fmt, kwargs):
         rng = random.Random(4711)
         schema = random_schema(rng)
-        payload = write_csv(random_table(rng, schema))
-        engines = {w: engine_with_workers(schema, payload, w, 8, **kwargs)
+        table = random_table(rng, schema)
+        engines = {w: engine_with_workers(schema, table, w, 8, fmt=fmt,
+                                          **kwargs)
                    for w in WORKER_COUNTS}
         for sql in [random_query(rng, schema) for _ in range(4)]:
             results = {w: engines[w].query(sql) for w in WORKER_COUNTS}
@@ -114,14 +171,14 @@ class TestParallelDeterminism:
                 assert results[w].rows == results[1].rows, sql
                 assert full_state(engines[w]) == full_state(engines[1])
 
-    def test_budgeted_structures_identical(self):
+    def test_budgeted_structures_identical(self, fmt):
         """Eviction order under PM/cache budgets depends on insert
         order — which the merge keeps canonical."""
         rng = random.Random(99)
         schema = random_schema(rng)
-        payload = write_csv(random_table(rng, schema) * 3)
+        table = random_table(rng, schema) * 3
         engines = {
-            w: engine_with_workers(schema, payload, w, 8,
+            w: engine_with_workers(schema, table, w, 8, fmt=fmt,
                                    pm_budget_bytes=2048,
                                    cache_budget_bytes=4096)
             for w in WORKER_COUNTS
@@ -132,17 +189,10 @@ class TestParallelDeterminism:
             for w in WORKER_COUNTS[1:]:
                 assert full_state(engines[w]) == full_state(engines[1])
 
-    def test_prepared_statements_and_streaming_cursors(self):
-        vfs1, vfs4 = VirtualFS(), VirtualFS()
-        schema = generate_micro_csv(vfs1, "m.csv", rows=500, nattrs=6,
-                                    seed=7)
-        generate_micro_csv(vfs4, "m.csv", rows=500, nattrs=6, seed=7)
-        engines = {}
-        for workers, vfs in ((1, vfs1), (4, vfs4)):
-            engine = PostgresRaw(config=PostgresRawConfig(
-                row_block_size=64, scan_workers=workers), vfs=vfs)
-            engine.register_csv("m", "m.csv", schema)
-            engines[workers] = engine
+    def test_prepared_statements_and_streaming_cursors(self, fmt):
+        engines = {workers: micro_engine(fmt, workers, rows=500, nattrs=6,
+                                         seed=7, block_size=64)
+                   for workers in (1, 4)}
         rows = {}
         for workers, engine in engines.items():
             session = repro.connect(engine=engine)
@@ -159,53 +209,186 @@ class TestParallelDeterminism:
         assert rows[4] == rows[1]
         assert full_state(engines[4], "m") == full_state(engines[1], "m")
 
-    def test_malformed_csv_raises_identically(self):
+    def test_malformed_csv_raises_identically(self, fmt):
         """A short line must fail with the same error, after the same
         charges, at any worker count (the merge replays a failed
         group's recorded charges before re-raising in order)."""
         schema = Schema([("c0", INTEGER), ("c1", INTEGER),
                          ("c2", INTEGER)])
-        rows = [[str(i), str(i * 2), str(i * 3)] for i in range(30)]
-        payload = write_csv(rows)[:-1] + b"\n5,6\n"  # short final line
+        if fmt == "csv":
+            rows = [[str(i), str(i * 2), str(i * 3)] for i in range(30)]
+            payload = write_csv(rows)[:-1] + b"\n5,6\n"  # short final line
+        else:
+            payload = b"".join(
+                b'{"c0": %d, "c1": %d, "c2": %d}\n' % (i, i * 2, i * 3)
+                for i in range(30)) + b'{"c0": 5, "c1"\n'  # cut-off line
         outcomes = {}
         for workers in WORKER_COUNTS:
-            engine = engine_with_workers(schema, payload, workers, 8)
-            with pytest.raises(repro.errors.CSVFormatError) as info:
+            engine = engine_with_workers(schema, payload, workers, 8,
+                                         fmt=fmt)
+            with pytest.raises(repro.errors.FormatError) as info:
                 engine.query("SELECT c2 FROM t")
-            outcomes[workers] = (str(info.value), engine.counters(),
-                                 engine.clock.now())
+            assert info.value.context["row_number"] == 30
+            outcomes[workers] = (type(info.value), str(info.value),
+                                 engine.counters(), engine.clock.now())
         assert outcomes[2] == outcomes[1]
         assert outcomes[4] == outcomes[1]
 
-    def test_abandoned_scan_leaves_merged_prefix_only(self):
+    def test_hard_read_error_raises_identically(self, fmt):
+        """A read that exhausts its retry budget mid-stream is merged
+        like any schedule entry: the groups dispatched before it are
+        delivered, the retries it was billed replay, then it raises —
+        same delivered rows, counters and clock at any worker count."""
+        outcomes = {}
+        for workers in WORKER_COUNTS:
+            vfs = FaultInjectingVFS(seed=1, rate=0.0)
+            engine = micro_engine(fmt, workers, rows=2500, nattrs=5,
+                                  seed=3, block_size=32,
+                                  batch_read_bytes=700, vfs=vfs)
+            # the file's second 64 KiB OS-cache block is a bad sector
+            vfs.schedule_error(f"m.{fmt}", block=1)
+            cursor = repro.connect(engine=engine).cursor()
+            cursor.execute("SELECT a1 FROM m")
+            delivered = []
+            with pytest.raises(repro.api.exceptions.OperationalError) as info:
+                for _ in range(2500 // 50):
+                    delivered.extend(cursor.fetchmany(50))
+            assert info.value.code == "IO_FAULT"
+            assert 0 < len(delivered) < 2500
+            assert engine.counters()["io_retries"] > 0
+            outcomes[workers] = (delivered, full_state(engine, "m"))
+        assert outcomes[2] == outcomes[1]
+        assert outcomes[4] == outcomes[1]
+
+    @pytest.mark.parametrize("read_bytes", [256 * 1024, 700])
+    def test_abandoned_scan_leaves_merged_prefix_only(self, fmt,
+                                                      read_bytes):
         """Closing a cursor mid-stream cancels the unmerged tail; the
-        structures hold exactly the merged prefix, and a following full
+        structures, the priced counters and the clock hold exactly the
+        merged prefix at any worker count (read-ahead is recorded, not
+        charged, until its turn in the merge), and a following full
         scan converges to the serial engine's state."""
-        vfs1, vfs4 = VirtualFS(), VirtualFS()
-        schema = generate_micro_csv(vfs1, "m.csv", rows=400, nattrs=5,
-                                    seed=11)
-        generate_micro_csv(vfs4, "m.csv", rows=400, nattrs=5, seed=11)
         engines = {}
-        for workers, vfs in ((1, vfs1), (4, vfs4)):
-            engine = PostgresRaw(config=PostgresRawConfig(
-                row_block_size=32, scan_workers=workers), vfs=vfs)
-            engine.register_csv("m", "m.csv", schema)
+        for workers in WORKER_COUNTS:
+            engine = micro_engine(fmt, workers, rows=400, nattrs=5,
+                                  seed=11, block_size=32,
+                                  batch_read_bytes=read_bytes)
             engines[workers] = engine
             session = repro.connect(engine=engine)
             cursor = session.execute("SELECT a1 FROM m WHERE a2 > 0")
             assert len(cursor.fetchmany(70)) == 70
             cursor.close()
-        assert pm_dump(engines[4].positional_map_of("m")) == \
-            pm_dump(engines[1].positional_map_of("m"))
-        assert cache_dump(engines[4].cache_of("m")) == \
-            cache_dump(engines[1].cache_of("m"))
+        for workers in WORKER_COUNTS[1:]:
+            assert full_state(engines[workers], "m") == \
+                full_state(engines[1], "m")
         rows = {w: engines[w].query("SELECT a1, a4 FROM m").rows
-                for w in (1, 4)}
-        assert rows[4] == rows[1]
-        assert pm_dump(engines[4].positional_map_of("m")) == \
-            pm_dump(engines[1].positional_map_of("m"))
-        assert cache_dump(engines[4].cache_of("m")) == \
-            cache_dump(engines[1].cache_of("m"))
+                for w in WORKER_COUNTS}
+        for workers in WORKER_COUNTS[1:]:
+            assert rows[workers] == rows[1]
+            assert pm_dump(engines[workers].positional_map_of("m")) == \
+                pm_dump(engines[1].positional_map_of("m"))
+            assert cache_dump(engines[workers].cache_of("m")) == \
+                cache_dump(engines[1].cache_of("m"))
+
+    @pytest.mark.parametrize("kernels", [True, False])
+    def test_serial_scan_computes_groups_at_merge(self, fmt, kernels,
+                                                  monkeypatch):
+        """Without a pool a group's compute is deferred to the merge:
+        a scan abandoned after 70 of its rows (blocks of 32, the whole
+        file inside one read) has computed exactly the three groups it
+        delivered — never the groups it merely dispatched."""
+        computed = []
+        group_task = BlockScan._group_task
+
+        def counting(scan, row0, *args):
+            computed.append(row0)
+            return group_task(scan, row0, *args)
+
+        monkeypatch.setattr(BlockScan, "_group_task", counting)
+        engine = micro_engine(fmt, 1, rows=400, nattrs=5, seed=11,
+                              block_size=32, scan_kernels=kernels)
+        cursor = repro.connect(engine=engine).cursor()
+        cursor.execute("SELECT a1 FROM m WHERE a2 > 0")
+        assert len(cursor.fetchmany(70)) == 70
+        cursor.close()
+        assert computed == [0, 32, 64]
+
+
+# ---------------------------------------------------------------------------
+# Error context: the failing row's number, on every batch path
+# ---------------------------------------------------------------------------
+BAD_ROW = 2500
+#: shape -> (malformed line, the query it breaks, a query that indexes
+#: the file without reading the columns the first one converts)
+MALFORMED = {
+    "csv": {
+        "bad WHERE value": (b"oops,2500,2500",
+                            "SELECT b FROM t WHERE a >= 0", "SELECT c FROM t"),
+        "bad SELECT value": (b"2500,oops,2500",
+                             "SELECT b FROM t WHERE a >= 0", "SELECT c FROM t"),
+        "short row": (b"2500,250002500",
+                      "SELECT c FROM t WHERE a >= 0", "SELECT a FROM t"),
+    },
+    "jsonl": {
+        "bad WHERE value": (b'{"a": oops, "b": 2500, "c": 2500}',
+                            "SELECT b FROM t WHERE a >= 0", "SELECT c FROM t"),
+        "bad SELECT value": (b'{"a": 2500, "b": oops, "c": 2500}',
+                             "SELECT b FROM t WHERE a >= 0", "SELECT c FROM t"),
+        "short row": (b'{"a": 2500, "b": 2500, "c"  2500}',
+                      "SELECT b FROM t WHERE a >= 0", "SELECT a FROM t"),
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("shape", list(MALFORMED["csv"]))
+@pytest.mark.parametrize("region", ["streaming", "indexed"])
+class TestErrorRowNumber:
+    """Under the default ``on_error 'fail'`` a strict format failure
+    reports the row the scalar oracle stops at — found by an uncharged
+    row-wise pass, so the failure path's charges do not depend on it."""
+
+    SCHEMA = Schema([("a", INTEGER), ("b", INTEGER), ("c", INTEGER)])
+
+    def clean_line(self, fmt, i):
+        if fmt == "csv":
+            return b"%d,%d,%d" % (i, i, i)
+        return b'{"a": %d, "b": %d, "c": %d}' % (i, i, i)
+
+    def failure(self, fmt, shape, region, **config_kwargs):
+        bad_line, sql, indexing_sql = MALFORMED[fmt][shape]
+        lines = [self.clean_line(fmt, i) for i in range(3000)]
+        assert len(bad_line) == len(lines[BAD_ROW])
+        vfs = FaultInjectingVFS(seed=0, rate=0.0)
+        if region == "streaming":
+            lines[BAD_ROW] = bad_line       # malformed from the start
+        engine = engine_with_workers(
+            self.SCHEMA, b"\n".join(lines) + b"\n", block_size=256,
+            fmt=fmt, vfs=vfs, **config_kwargs)
+        if region == "indexed":
+            # Index the clean file, then break the row in place (same
+            # size, no rewrite counter: a truly external edit), so the
+            # failure surfaces in the indexed region.
+            engine.query(indexing_sql)
+            offset = sum(len(line) + 1 for line in lines[:BAD_ROW])
+            vfs.external_overwrite(f"t.{fmt}", offset, bad_line)
+        with pytest.raises(repro.errors.FormatError) as info:
+            engine.query(sql)
+        assert info.value.context["table"] == "t"
+        return (info.value.context.get("row_number"), str(info.value),
+                engine.counters(), engine.clock.now())
+
+    @pytest.mark.parametrize("kernels", [True, False])
+    def test_row_number_at_any_worker_count(self, fmt, shape, region,
+                                            kernels):
+        serial = self.failure(fmt, shape, region, workers=1,
+                              scan_kernels=kernels)
+        assert serial[0] == BAD_ROW
+        assert self.failure(fmt, shape, region, workers=4,
+                            scan_kernels=kernels) == serial
+        if fmt == "csv":    # the scalar oracle exists for CSV only
+            assert self.failure(fmt, shape, region, workers=1,
+                                batch_mode=False)[0] == serial[0]
 
 
 class TestPoolLifecycle:
