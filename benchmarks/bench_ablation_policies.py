@@ -1,4 +1,4 @@
-"""Ablation — design-choice knobs DESIGN.md calls out.
+"""Ablation — the design-choice knobs of ``PostgresRawConfig``.
 
 * PM chunk size (row_block_size): granularity of chunking/prefetching;
 * eager prefix indexing (§4.2 "all positions from 1 to 15 may be

@@ -12,7 +12,8 @@ files whose (string) attributes are 16 vs 64 characters wide. Claims:
 Our storage substrate reproduces the *mechanism* (wider tuples -> more
 pages -> more I/O and memory traffic, vs near-flat raw access); the
 20-70x extreme depends on vendor-specific page pathologies we model
-only partially — EXPERIMENTS.md records the measured factors.
+only partially — the table this file prints (``-s``) records the
+measured factors.
 """
 
 import random

@@ -1,18 +1,19 @@
-"""Compiled scan kernels — warm wall-clock speedup, zero recompiles.
+"""Scan kernels — warm wall-clock speedup, one bind per statement.
 
 Virtual cost is contractually identical with kernels on or off (the
-kernel replays the generic path's charges verbatim), so like the
-parallel-scan bench this measures the *Python interpreter*: the fused
-per-shape program removes the generic pipeline's per-block dispatch —
-per-column materialize calls, prefetch-set assembly, output-column
-branching — which dominates warm indexed scans at small row blocks.
+fast path performs the generic path's charges verbatim), so like the
+parallel-scan bench this measures the *Python interpreter*: the
+cached-block fast path skips the generic block compute's per-block
+setup — cache-mask copies, need-file masks, ``_IndexedBlockState``,
+per-column materialize calls, output-column branching — which
+dominates warm indexed scans at small row blocks.
 
 The smoke case is the acceptance bar: on a fully warm table, prepared
 re-executes must run >= 1.5x faster with kernels on, with results,
 non-kernel counters and the virtual clock bit-identical, and a fresh
-session must compile the statement's kernel exactly once across any
+session must bind the statement's kernel exactly once across any
 number of re-executes (``?`` re-binds and repeated executes hit the
-kernel cache, never the code generator).
+kernel cache; the ``kernel_compiles`` counter keeps its name).
 """
 
 import time
@@ -86,7 +87,7 @@ def test_kernel_warm_speedup_smoke(benchmark):
         statements[False].execute([]).fetchall()
     speedup = warm[False] / warm[True]
 
-    # A fresh session's kernel cache compiles the (now stats-stable)
+    # A fresh session's kernel cache binds the (now stats-stable)
     # statement exactly once, however many times it re-executes.
     session = repro.connect(engines[True])
     before = dict(engines[True].counters())
@@ -101,8 +102,8 @@ def test_kernel_warm_speedup_smoke(benchmark):
     bailed = engines[True].counters().get("kernel_bailouts", 0)
     assert bailed == 0, f"warm typed scan must never bail ({bailed})"
 
-    header("Compiled scan kernels (wall clock)",
-           "one fused program per scan shape: warm re-executes beat the "
+    header("Scan kernels (wall clock)",
+           "the cached-block fast path: warm re-executes beat the "
            "generic pipeline >= 1.5x at identical virtual cost")
     table(["kernels", "cold ms", f"warm ms ({WARM_EXECS} execs)",
            "speedup"],

@@ -4,7 +4,9 @@ Every ``bench_figNN_*.py`` file reproduces one table/figure from the
 paper's evaluation (§5–§6): it builds the figure's workload at laptop
 scale, runs it on deterministic virtual time, prints the series next to
 the paper's claim, and asserts the *shape* (who wins, by roughly what
-factor, where crossovers fall). EXPERIMENTS.md indexes the results.
+factor, where crossovers fall); ``python -m pytest benchmarks -q -s``
+prints them all. (Real wall clock is ``benchmarks/e2e``'s job — see its
+README.)
 """
 
 from __future__ import annotations

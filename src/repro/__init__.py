@@ -18,8 +18,9 @@ Quickstart (session API)::
 
 The pre-session surface remains: ``PostgresRaw.query(sql)`` returns an
 eager :class:`QueryResult` (and ``Database.execute`` survives as a
-deprecated alias). See DESIGN.md for the system map and EXPERIMENTS.md
-for the paper-figure reproductions under benchmarks/.
+deprecated alias). README.md holds the system map ("Columnar
+pipeline", "Layout"); benchmarks/ holds the paper-figure reproductions
+and benchmarks/e2e/README.md the wall-clock record.
 """
 
 from repro.api import (

@@ -102,7 +102,7 @@ class PreparedStatement:
         self.stats_epoch: int = session.engine.catalog.stats_epoch
         self.prepare_elapsed = prepare_elapsed
         self.prepare_counters = dict(prepare_counters)
-        #: scan leaves served by a compiled kernel (0 = generic path);
+        #: scan leaves served by a scan kernel (0 = generic path);
         #: set by the session right after it attaches kernels, and the
         #: per-execution ``kernel_hits`` multiplier
         self.kernel_scans: int = 0
@@ -123,9 +123,9 @@ class PreparedStatement:
         start = clock.checkpoint()
         before = dict(clock.counters)
         self.planned = engine.plan_select(self.select)
-        # Stats arriving is exactly what invalidates compiled kernels:
+        # Stats arriving is exactly what invalidates bound kernels:
         # re-attach against the session cache (cleared for the new
-        # epoch), so the fresh plan compiles fresh kernels.
+        # epoch), so the fresh plan binds fresh kernels.
         self.kernel_scans = self.session._attach_kernels(self.planned)
         self.kernel_notes = kernel_report(self.planned)
         self.plan = self.planned.describe()
@@ -191,7 +191,7 @@ class Session:
         self.closed = False
         self._statement_cache_size = statement_cache_size
         self._statements: OrderedDict[str, PreparedStatement] = OrderedDict()
-        #: compiled scan kernels, cached beside the statement cache and
+        #: scan kernels, cached beside the statement cache and
         #: keyed by plan signature (see repro.kernels) — ``?`` re-binds
         #: reuse entries; catalog stats-epoch bumps invalidate them
         self.kernels = KernelCache()
@@ -317,7 +317,7 @@ class Session:
         return statement
 
     def _attach_kernels(self, planned) -> int:
-        """Pin compiled scan kernels (or ineligibility reasons) onto
+        """Pin scan kernels (or ineligibility reasons) onto
         ``planned``'s scan leaves from this session's kernel cache.
         Returns the number of kernel-served scans."""
         engine = self.engine
@@ -355,7 +355,7 @@ class Session:
             statement._replan_if_stale()
             if statement.kernel_scans:
                 # Zero-priced observability: this execution's scans are
-                # served by compiled kernels (one unit per scan leaf).
+                # served by scan kernels (one unit per scan leaf).
                 self.engine.model.kernel_hit(statement.kernel_scans)
             job = QueryJob(self, statement.sql, statement.planned,
                            statement=statement, plan=statement.plan,

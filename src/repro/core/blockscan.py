@@ -14,13 +14,18 @@ operator's format-agnostic half; :mod:`repro.core.scan_batch` (CSV) and
   error annotation. (:class:`RawAccessBase` is the slice of it that does
   not assume a line-oriented, growable file; FITS takes just that.)
 * :class:`BlockScan` is the per-scan *driver*: the frozen
-  indexed/streaming split, the indexed-region block loop (kernel
-  attempt → zero-priced bailout → strict block → tolerant redo), and
+  indexed/streaming split, the indexed-region block loop (cached-block
+  fast path → zero-priced bailout → strict block → tolerant redo), and
   the streaming region's single read → newline-discovery → row-block
-  group formation → dispatch → ordered-merge loop.
+  group formation → dispatch → ordered-merge loop. It also holds the
+  steps every format's block compute performs identically: the
+  predicate charge + mask, §4.4 sample staging and the positional-map
+  chunk merge (the cache prefetch, which FITS shares too, sits on
+  :class:`RawAccessBase`).
 
 What a format supplies, and nothing else: strict indexed-block compute,
-strict stream-group compute, its own staged ops, value conversion, and
+strict stream-group compute, its own staged ops, its positional-map
+lookups, how a cached block is served, value conversion, and
 ``tolerant_row``'s line split.
 
 Fan-out and the staged-op merge: the streaming region's row-block
@@ -56,6 +61,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from repro.core.positional_map import NO_POS
 from repro.core.statistics import StatsCollector
 from repro.errors import (
     ExecutionError,
@@ -65,16 +71,17 @@ from repro.errors import (
 )
 from repro.formats.csvfmt import newline_offsets
 from repro.simcost.model import RecordingModel
-from repro.sql.batch import ColumnBatch
+from repro.sql.batch import ColumnBatch, object_nulls
 from repro.sql.scanapi import ScanPredicate
 from repro.sql.stats import TableStats
 
 
 class _KernelBailout:
-    """Sentinel a compiled scan kernel returns when a block-level
-    precondition fails; the driver falls back to the generic block
-    path. Defined here (not in :mod:`repro.kernels`) so the driver can
-    compare against it without an import cycle."""
+    """Sentinel the cached-block fast path (:mod:`repro.kernels`)
+    returns when a block-level precondition fails; the driver falls
+    back to the generic block path. Defined here (not in
+    :mod:`repro.kernels`) so the driver can compare against it without
+    an import cycle."""
 
     __slots__ = ()
 
@@ -86,13 +93,34 @@ class _KernelBailout:
 KERNEL_BAILOUT = _KernelBailout()
 
 
+def parse_numeric_fields(matrix: np.ndarray, total_width: int,
+                         dtype) -> np.ndarray | None:
+    """Parse a column of numeric text fields in one vectorized shot:
+    ``matrix`` holds one field per row, zero-padded to a common width
+    (``total_width`` is the fields' summed true widths); viewed as
+    fixed-length bytes, ``astype`` parses it. Returns None when any
+    field defeats NumPy's parser (the caller falls back to Python,
+    which also covers >64-bit ints and ``1_0``-style literals) — or
+    holds a NUL byte: the fixed-width view cannot tell a NUL inside a
+    field from its own padding and would silently drop a trailing one,
+    where the per-field parser rejects the value."""
+    if np.count_nonzero(matrix) != total_width:
+        return None
+    fields = np.ascontiguousarray(matrix).view(
+        f"S{matrix.shape[1]}").ravel()
+    try:
+        return fields.astype(dtype)
+    except (ValueError, OverflowError):
+        return None
+
+
 # ---------------------------------------------------------------------------
 # The access-method shell
 # ---------------------------------------------------------------------------
 class RawAccessBase:
     """What every in-situ access method repeats whatever its file looks
     like: engine wiring, workload accounting, the scan prologue and
-    epilogue, and the batch→tuple shim."""
+    epilogue, a block's cache prefetch, and the batch→tuple shim."""
 
     def __init__(self, vfs, path: str, schema, model, config, table_info,
                  cache):
@@ -138,6 +166,22 @@ class RawAccessBase:
         handle = self.vfs.open(self.path, self.model, notify=False)
         return out_attrs, where_attrs, union_attrs, collector, handle
 
+    def _prefetch_cache(self, union_attrs, block: int) -> dict:
+        """Fetch the block's cache entries for a scan's attributes (LRU
+        touch, hit/miss counters): attr -> cache block or None."""
+        if self.cache is None:
+            return dict.fromkeys(union_attrs)
+        return {attr: self.cache.get(attr, block) for attr in union_attrs}
+
+    @staticmethod
+    def _presence_masks(cached: dict, n: int) -> dict:
+        """attr -> which of a block's ``n`` rows its prefetched cache
+        entry holds (all-False without one)."""
+        return {attr: (cache_block.mask_array(n)
+                       if cache_block is not None
+                       else np.zeros(n, dtype=bool))
+                for attr, cache_block in cached.items()}
+
     def _finalize_stats(self, collector) -> None:
         if collector is None:
             return
@@ -160,7 +204,7 @@ class RawAccessBase:
 class RawFileAccess(RawAccessBase):
     """Shell of an access method over one line-oriented raw file whose
     line index lives in a positional map. Subclasses name their per-scan
-    :class:`BlockScan` in ``scan_class`` and supply ``tolerant_row``."""
+    :class:`BlockScan` in ``scan_class`` and supply ``_tolerant_fetch``."""
 
     #: the BlockScan subclass that drives this format's batch scans
     scan_class: type | None = None
@@ -224,9 +268,9 @@ class RawFileAccess(RawAccessBase):
     def scan_batches(self, needed: Sequence[int],
                      predicate: ScanPredicate | None, kernel=None):
         """Columnar pull: yield :class:`~repro.sql.batch.ColumnBatch`
-        blocks instead of tuples. ``kernel`` is an optional compiled
-        scan kernel (:mod:`repro.kernels`) taking over the per-block
-        work."""
+        blocks instead of tuples. ``kernel`` is an optional
+        :class:`~repro.kernels.KernelProgram` whose fast path serves
+        fully cached blocks of the indexed region."""
         def body(handle, *scan_args):
             return self.scan_class(self, *scan_args,
                                    kernel=kernel).run(handle)
@@ -275,7 +319,46 @@ class RawFileAccess(RawAccessBase):
         ``(qualifies, out_values | None, reject_reason | None)`` — a
         non-None reason means the caller must quarantine the row. All
         charges go to ``model`` so staged (recorded) redo and direct
-        redo price identically. The line split is the format's."""
+        redo price identically. The line split and the per-value
+        conversion are the format's (:meth:`_tolerant_fetch`); each
+        touched value is fetched once."""
+        policy = policy or self.on_error
+        model.tokenize(len(line))
+        try:
+            fetch = self._tolerant_fetch(model, line, policy)
+        except FormatError as exc:
+            return False, None, str(exc)
+        values: dict[int, object] = {}
+
+        def reject_reason(attrs):
+            for attr in attrs:
+                if attr not in values:
+                    values[attr], reason = fetch(attr)
+                    if reason is not None:
+                        return reason
+            return None
+
+        if predicate is not None:
+            reason = reject_reason(where_attrs)
+            if reason is not None:
+                return False, None, reason
+            model.predicate(predicate.n_terms)
+            if predicate.fn({attr: values[attr]
+                             for attr in where_attrs}) is not True:
+                return False, None, None
+        reason = reject_reason(out_attrs)
+        if reason is not None:
+            return False, None, reason
+        model.tuple_form(len(out_attrs))
+        return True, [values[attr] for attr in out_attrs], None
+
+    def _tolerant_fetch(self, model, line: bytes, policy: str):
+        """Split ``line`` the format's way, as forgivingly as it can,
+        and return ``fetch(attr) -> (value, reject_reason | None)``
+        converting one value against ``model``: an unconvertible or
+        missing value is NULL under ``'null'`` and a reason under
+        ``'skip'``. A line that cannot be split at all raises its
+        :class:`~repro.errors.FormatError` to reject the whole row."""
         raise NotImplementedError
 
     def _quarantine_row(self, row_number: int, line: bytes,
@@ -323,9 +406,8 @@ class BlockScan:
     positional map — processed strictly block-wise, reading only the
     byte runs actually needed) and the *streaming region* (unseen tail —
     read sequentially, lines discovered vectorized, processed in
-    row-block groups). Subclasses implement
-    :meth:`_indexed_block_strict`, :meth:`_compute_stream_group` and
-    :meth:`_apply_format_op`."""
+    row-block groups). Subclasses implement the "what a format
+    supplies" methods below."""
 
     def __init__(self, access: RawFileAccess, out_attrs, where_attrs,
                  union_attrs, predicate, collector, kernel=None):
@@ -342,9 +424,9 @@ class BlockScan:
         self.collector = collector
         self._families = access._families
         self._dtypes = access._dtypes
-        #: compiled scan kernel (repro.kernels.KernelProgram) or None;
-        #: its entry points charge the exact priced events the generic
-        #: paths charge, in the same order.
+        #: repro.kernels.KernelProgram or None; its fast path charges
+        #: the exact priced events the generic indexed block charges, in
+        #: the same order.
         self.kernel = kernel
 
     def run(self, handle) -> Iterator[ColumnBatch]:
@@ -380,6 +462,111 @@ class BlockScan:
     def _apply_format_op(self, op: tuple) -> None:
         """Apply one of the format's own staged ops at the merge."""
         raise NotImplementedError
+
+    def _known_positions(self, block: int) -> dict[int, np.ndarray]:
+        """The positional-map lookups an indexed block performs before
+        touching bytes (attr -> relative-offset column); empty when
+        attribute positions are switched off."""
+        raise NotImplementedError
+
+    def _cached_column(self, cache_block, n: int,
+                       qual: np.ndarray | None = None):
+        """How the fast path serves one attribute of a block's first
+        ``n`` rows straight from ``cache_block`` (which holds at least
+        ``n``): ``(column, null_mask)`` in the form ``vector_fn`` reads,
+        or None where the generic compute would not take the column
+        from the cache alone. ``qual`` None is a WHERE column — every
+        row must be served; otherwise a SELECT-only column, needed at
+        the ``qual`` rows only (§4.1 never caches more of it) and
+        returned without a null mask. Must stay side-effect-free."""
+        raise NotImplementedError
+
+    def _cached_batch(self, columns: dict, qual_idx: np.ndarray,
+                      ) -> ColumnBatch:
+        """The fast path's output step over ``_cached_column`` columns:
+        the SELECT cache-read charges and ``tuple_form`` exactly as the
+        format's generic block compute prices them, and the batch in
+        the form it emits."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _vector_input(column):
+        """``(array, null_mask)`` of one materialized block column for
+        ``predicate.vector_fn``. A block column is an object array of
+        Python values unless the format keeps something richer."""
+        return column, object_nulls(column)
+
+    @staticmethod
+    def _object_values(column) -> np.ndarray:
+        """The same column as an object array of Python values."""
+        return column
+
+    # -- steps every format's block compute shares ----------------------
+    def _predicate_mask(self, columns: dict, n: int) -> np.ndarray:
+        """Qualifying mask over a block's materialized WHERE columns;
+        one aggregated cost charge. The planner's vectorized mask when
+        there is one, the shared row-closure fallback otherwise."""
+        predicate = self.predicate
+        if predicate is None:
+            return np.ones(n, dtype=bool)
+        self.model.predicate(predicate.n_terms * n)
+        if predicate.vector_fn is not None:
+            arrays = {}
+            nulls = {}
+            for attr in self.where_attrs:
+                arrays[attr], nulls[attr] = self._vector_input(columns[attr])
+            return predicate.vector_fn(arrays, nulls, n)
+        return predicate.row_mask(
+            {attr: self._object_values(columns[attr])
+             for attr in predicate.attrs}, n)
+
+    def _sample_rows(self, columns: dict, qual: np.ndarray,
+                     n: int) -> list[dict]:
+        """§4.4 sampling, one dict per row in file order: WHERE values
+        for every row, SELECT values for qualifying rows (whose
+        conversions this scan actually paid) — the scalar streaming
+        sampling order. Fed to the collector in this order, the
+        reservoir RNG sees the serial sequence."""
+        where_attrs = self.where_attrs
+        out_attrs = self.out_attrs
+        values = {attr: self._object_values(column)
+                  for attr, column in columns.items()}
+        rows = []
+        for i in range(n):
+            row_values = {attr: values[attr][i] for attr in where_attrs}
+            if qual[i]:
+                for attr in out_attrs:
+                    row_values[attr] = values[attr][i]
+            rows.append(row_values)
+        return rows
+
+    def _insert_positions(self, block: int,
+                          discovered: dict[int, np.ndarray],
+                          existing: dict[int, np.ndarray]) -> None:
+        """Insert a block's discovered positions (attr -> int32
+        relative offsets, ``NO_POS`` holes) as one chunk whose vertical
+        group is the attributes that learned something: each column is
+        merged with what the map already knows (``existing``), and an
+        attribute with nothing new is skipped (§4.2 adaptive
+        population; scalar ``_flush_positions`` semantics exactly)."""
+        group = []
+        for attr in sorted(discovered):
+            already = existing.get(attr)
+            column = discovered[attr]
+            if already is not None:
+                prior = np.full(len(column), NO_POS, dtype=np.int32)
+                m = min(len(already), len(column))
+                prior[:m] = already[:m]
+                merged = np.where(column == NO_POS, prior, column)
+                if int((merged != NO_POS).sum()) <= \
+                        int((prior != NO_POS).sum()):
+                    continue
+                discovered[attr] = merged
+            group.append(attr)
+        if not group:
+            return
+        matrix = np.column_stack([discovered[attr] for attr in group])
+        self.pm.insert_chunk(tuple(group), block, matrix)
 
     # -- shared row-wise machinery (tolerant redo, error context) -------
     def _line_spans(self, row0: int, row1: int):
@@ -470,9 +657,8 @@ class BlockScan:
 
     def _indexed_block(self, handle, block: int, row0: int,
                        row1: int) -> ColumnBatch | None:
-        kernel = self.kernel
-        if kernel is not None and kernel.indexed is not None:
-            batch = kernel.indexed(self, handle, block, row0, row1)
+        if self.kernel is not None:
+            batch = self.kernel.indexed(self, block, row0, row1)
             if batch is not KERNEL_BAILOUT:
                 return batch
             # The probes were side-effect-free (peek, has_line_spans):
@@ -678,14 +864,9 @@ class BlockScan:
         recorder = RecordingModel()
         view = copy.copy(self)
         view.model = recorder
-        kernel = self.kernel
         try:
-            if kernel is not None and kernel.stream is not None:
-                batch = kernel.stream(view, recorder.ops, row0, starts,
-                                      ends, buffer, buffer_base)
-            else:
-                batch = view._compute_stream_group(
-                    recorder.ops, row0, starts, ends, buffer, buffer_base)
+            batch = view._compute_stream_group(
+                recorder.ops, row0, starts, ends, buffer, buffer_base)
             return recorder.ops, batch, None
         except FormatError as exc:
             if self.access.on_error == "fail":

@@ -308,8 +308,8 @@ class BinaryCache:
 
     def peek(self, attr: int, block: int) -> CacheBlock | None:
         """Side-effect-free probe: like :meth:`get` but without touching
-        the hit/miss counters or LRU order. Compiled scan kernels use it
-        to test their fast-path preconditions — a bailout must leave the
+        the hit/miss counters or LRU order. The scan kernels' fast path
+        tests its preconditions with it — a bailout must leave the
         cache byte-identical to a scan that never probed. A block that
         fails its consistency check reads as absent (quarantined later
         by the strict path's :meth:`get`)."""

@@ -28,7 +28,7 @@ def _default_scan_workers() -> int:
 
 
 def _default_scan_kernels() -> bool:
-    """Default for compiled scan kernels: the ``REPRO_SCAN_KERNELS``
+    """Default for scan kernels: the ``REPRO_SCAN_KERNELS``
     environment variable (the CI matrix runs a kernels-off leg so the
     generic batch pipeline stays a living oracle), else on. ``0``,
     ``false`` and ``off`` disable; anything else enables."""
@@ -110,14 +110,16 @@ class PostgresRawConfig:
         bit-identical at any worker count. Defaults to
         ``$REPRO_SCAN_WORKERS`` when set.
     scan_kernels:
-        When True (the default), sessions attach compiled scan kernels
-        (:mod:`repro.kernels`) to prepared plans: per (format, schema,
-        projection, predicate-shape) signature, a specialized program
-        replaces the generic per-block batch path while charging the
-        exact same priced events in the same order — results, PM/cache
-        contents, counters and the virtual clock are bit-identical to
-        the generic pipeline, which remains the differential oracle.
-        Defaults to ``$REPRO_SCAN_KERNELS`` when set.
+        When True (the default), sessions attach scan kernels
+        (:mod:`repro.kernels`) to prepared plans: a scan with an
+        eligible (format, schema, projection, predicate-shape)
+        signature serves the blocks it finds fully cached through one
+        fast-path function — skipping the generic per-block setup
+        while charging the exact same priced events in the same order.
+        Results, PM/cache contents, counters and the virtual clock are
+        bit-identical to the generic pipeline, which remains the
+        differential oracle and runs every block the fast path cannot
+        serve. Defaults to ``$REPRO_SCAN_KERNELS`` when set.
     enable_zone_aggregates:
         Answer bare ``MIN``/``MAX``/``COUNT(*)`` on partitioned tables
         straight from per-file zone maps when every file has complete

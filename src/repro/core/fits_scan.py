@@ -82,15 +82,8 @@ class RawFitsAccess(RawAccessBase):
             n = block_end - row
             model.tuple_overhead(n)
 
-            cached = {}
-            cmask = {}
-            for attr in union_attrs:
-                cache_block = (self.cache.get(attr, block)
-                               if self.cache is not None else None)
-                cached[attr] = cache_block
-                cmask[attr] = (cache_block.mask_array(n)
-                               if cache_block is not None
-                               else np.zeros(n, dtype=bool))
+            cached = self._prefetch_cache(union_attrs, block)
+            cmask = self._presence_masks(cached, n)
 
             # One sequential read covering every row missing any
             # needed attribute (fixed-width binary rows).
@@ -193,13 +186,7 @@ class RawFitsAccess(RawAccessBase):
                 arrays[attr] = typed if typed is not None else values
                 nulls[attr] = null_mask
             return predicate.vector_fn(arrays, nulls, n)
-        fn = predicate.fn
-        mask = np.zeros(n, dtype=bool)
-        cols = [values_by_attr[attr] for attr in where_attrs]
-        for i in range(n):
-            values = {attr: col[i] for attr, col in zip(where_attrs, cols)}
-            mask[i] = fn(values) is True
-        return mask
+        return predicate.row_mask(values_by_attr, n)
 
     # ------------------------------------------------------------------
     # Scalar path (differential oracle)

@@ -41,7 +41,9 @@ from repro.storage.vfs import VirtualFS
 #: (group, block) — group is the ordered tuple of attribute indexes.
 ChunkKey = tuple[tuple[int, ...], int]
 
-_NO_POS = -1  # sentinel inside chunks: position unknown for this row
+#: sentinel inside chunks (and in the columns :meth:`PositionalMap.
+#: positions` returns): position unknown for this row
+NO_POS = -1
 
 
 class PositionalMap:
@@ -160,8 +162,8 @@ class PositionalMap:
     def has_line_spans(self, lo: int, hi: int) -> bool:
         """Uncharged probe: would :meth:`line_spans_block` succeed for
         ``lo..hi-1``? Replicates its boundary checks without building
-        arrays or charging map accesses — compiled scan kernels test
-        coverage before committing to the fully-mapped fast path."""
+        arrays or charging map accesses — the scan kernels' fast path
+        tests coverage with it before committing to a block."""
         if lo < 0 or hi <= lo or hi > len(self._line_starts):
             return False
         if hi == len(self._line_starts) and self._file_length is None:
@@ -397,7 +399,7 @@ class PositionalMap:
             if not columns:
                 continue
             group = sorted(columns)
-            matrix = np.full((nrows, len(group)), _NO_POS, dtype=np.int32)
+            matrix = np.full((nrows, len(group)), NO_POS, dtype=np.int32)
             for col_idx, attr in enumerate(group):
                 col = columns[attr]
                 matrix[:len(col), col_idx] = col

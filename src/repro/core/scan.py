@@ -51,7 +51,7 @@ import numpy as np
 from repro.core.blockscan import RawFileAccess
 from repro.core.cache import BinaryCache
 from repro.core.config import PostgresRawConfig
-from repro.core.positional_map import PositionalMap
+from repro.core.positional_map import NO_POS, PositionalMap
 from repro.core.scan_batch import BatchCsvScan
 from repro.errors import CSVFormatError, ExecutionError, annotate
 from repro.formats.csvfmt import (
@@ -64,8 +64,6 @@ from repro.sql.batch import ColumnBatch
 from repro.sql.catalog import Schema, TableInfo
 from repro.sql.scanapi import ScanPredicate
 from repro.storage.vfs import VirtualFS
-
-_NO_POS = -1  # sentinel inside PM chunks: position unknown for this row
 
 
 class _RowContext:
@@ -302,7 +300,7 @@ class RawCsvAccess(RawFileAccess):
         self._read_runs(handle, rows, line_spans, need_file, line_bytes)
 
         # accumulators for end-of-block PM/cache/stat updates
-        new_positions = ({attr: np.full(nrows, _NO_POS, dtype=np.int32)
+        new_positions = ({attr: np.full(nrows, NO_POS, dtype=np.int32)
                           for attr in union_attrs} if attr_index_on else None)
         eager_positions: dict[int, np.ndarray] = {}
         cache_entries: dict[int, list] = {attr: [] for attr in union_attrs}
@@ -445,7 +443,7 @@ class RawCsvAccess(RawFileAccess):
         for attr, column in positions.items():
             if idx < len(column):
                 rel = int(column[idx])
-                if rel != _NO_POS:
+                if rel != NO_POS:
                     known_starts[attr] = rel
         return _RowContext(self, line, start, known_starts)
 
@@ -482,7 +480,7 @@ class RawCsvAccess(RawFileAccess):
                     continue  # attr 0 is implicit (line start)
                 column = discovered.get(attr)
                 if column is None:
-                    column = np.full(nrows, _NO_POS, dtype=np.int32)
+                    column = np.full(nrows, NO_POS, dtype=np.int32)
                     discovered[attr] = column
                 column[idx] = start
         group = []
@@ -496,11 +494,11 @@ class RawCsvAccess(RawFileAccess):
                 prior = already[:nrows]
                 if len(prior) < nrows:
                     prior = np.concatenate(
-                        [prior, np.full(nrows - len(prior), _NO_POS,
+                        [prior, np.full(nrows - len(prior), NO_POS,
                                         dtype=np.int32)])
-                merged = np.where(column == _NO_POS, prior, column)
-                new_known = int((merged != _NO_POS).sum())
-                old_known = int((prior != _NO_POS).sum())
+                merged = np.where(column == NO_POS, prior, column)
+                new_known = int((merged != NO_POS).sum())
+                old_known = int((prior != NO_POS).sum())
                 if new_known <= old_known:
                     continue  # nothing new for this attribute
                 discovered[attr] = merged
@@ -698,7 +696,7 @@ class RawCsvAccess(RawFileAccess):
                         for a in starts})
         if not attrs:
             return
-        matrix = np.full((rows_in_block, len(attrs)), _NO_POS,
+        matrix = np.full((rows_in_block, len(attrs)), NO_POS,
                          dtype=np.int32)
         for row_in_block, starts in block_positions.items():
             for col, attr in enumerate(attrs):
@@ -713,7 +711,7 @@ class RawCsvAccess(RawFileAccess):
             overlap = min(len(existing), rows_in_block)
             column = matrix[:overlap, col]
             merge_from = existing[:overlap]
-            unknown = column == _NO_POS
+            unknown = column == NO_POS
             column[unknown] = merge_from[unknown]
         self.pm.insert_chunk(tuple(attrs), block, matrix)
 
@@ -737,71 +735,29 @@ class RawCsvAccess(RawFileAccess):
     # ------------------------------------------------------------------
     # Error policies (OPTIONS (on_error ...)): tolerant row evaluation
     # ------------------------------------------------------------------
-    def tolerant_row(self, model: CostModel, line: bytes, out_attrs,
-                     where_attrs, predicate, policy: str | None = None):
-        """Best-effort evaluation of one malformed-or-suspect row under a
-        tolerant error policy (``on_error 'skip'`` or ``'null'``;
-        ``policy`` overrides the table's).
-
-        The strict scan paths fall back here after a row raises
+    def _tolerant_fetch(self, model: CostModel, line: bytes, policy: str):
+        """The strict scan paths fall back here after a row raises
         :class:`CSVFormatError`: the whole line is re-tokenized with a
         plain delimiter split (degradation, not the selective §4.1
         machinery — malformed lines forfeit positional-map and cache
         participation) and each *touched* value is converted
-        individually. Under ``'null'`` an unconvertible or missing value
-        becomes SQL NULL and the row stays; under ``'skip'`` it rejects
-        the whole row. Returns ``(qualifies, out_values | None,
-        reject_reason | None)`` — a non-None reason means the caller
-        must quarantine the row. All charges go to ``model`` so staged
-        (recorded) redo and direct redo price identically.
-        """
-        policy = policy or self.on_error
-        model.tokenize(len(line))
+        individually; a value beyond the last field is a short row."""
         fields = line.decode("utf-8", "replace").split(
             self.dialect.delimiter.decode("utf-8"))
-        values: dict[int, object] = {}
 
         def fetch(attr):
-            # -> (ok, value); not ok == row rejected (policy 'skip')
-            if attr in values:
-                return True, values[attr]
-            if attr >= len(fields):
-                if policy == "skip":
-                    return False, None
-                values[attr] = None
-                return True, None
-            try:
-                value = self._convert(attr, fields[attr], model=model)
-            except CSVFormatError:
-                if policy == "skip":
-                    return False, None
-                value = None
-            values[attr] = value
-            return True, value
-
-        def reason(attr):
             name = self.schema.columns[attr].name
             if attr >= len(fields):
-                return (f"short row: {len(fields)} attributes, "
-                        f"attribute {name} missing")
-            return (f"cannot parse {fields[attr]!r} as "
-                    f"{self._dtypes[attr].name} (attribute {name})")
+                problem = (f"short row: {len(fields)} attributes, "
+                           f"attribute {name} missing")
+            else:
+                try:
+                    return (self._convert(attr, fields[attr], model=model),
+                            None)
+                except CSVFormatError:
+                    problem = (f"cannot parse {fields[attr]!r} as "
+                               f"{self._dtypes[attr].name} (attribute "
+                               f"{name})")
+            return None, (problem if policy == "skip" else None)
 
-        if predicate is not None:
-            pvalues = {}
-            for attr in where_attrs:
-                ok, value = fetch(attr)
-                if not ok:
-                    return False, None, reason(attr)
-                pvalues[attr] = value
-            model.predicate(predicate.n_terms)
-            if predicate.fn(pvalues) is not True:
-                return False, None, None
-        out_values = []
-        for attr in out_attrs:
-            ok, value = fetch(attr)
-            if not ok:
-                return False, None, reason(attr)
-            out_values.append(value)
-        model.tuple_form(len(out_attrs))
-        return True, out_values, None
+        return fetch

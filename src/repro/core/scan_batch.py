@@ -43,17 +43,17 @@ import datetime
 
 import numpy as np
 
-from repro.core.blockscan import BlockScan
+from repro.core.blockscan import BlockScan, parse_numeric_fields
+from repro.core.positional_map import NO_POS
 from repro.errors import CSVFormatError, annotate
 from repro.formats.csvfmt import (
     BlockTokenizer,
     block_field_spans,
     block_span_forward,
 )
-from repro.sql.batch import ColumnBatch
+from repro.sql.batch import ColumnBatch, object_nulls
 
 _NO = -1  # unknown position sentinel (absolute-offset arrays)
-_NO_POS = -1  # sentinel used inside PM chunks (relative offsets)
 
 #: families whose text form NumPy can parse column-wise via ``astype``
 _NUMERIC_DTYPES = {"int": np.int64, "float": np.float64}
@@ -62,10 +62,9 @@ _NUMERIC_DTYPES = {"int": np.int64, "float": np.float64}
 def _decode_numeric_column(buf_arr: np.ndarray, starts: np.ndarray,
                            ends: np.ndarray, dtype) -> np.ndarray | None:
     """Parse variable-width numeric fields in one vectorized shot:
-    gather the fields into a fixed-width byte matrix, view it as a
-    fixed-length bytes array and ``astype`` it. Returns None when any
-    field defeats NumPy's parser (the caller falls back to Python,
-    which also covers >64-bit ints and ``1_0``-style literals)."""
+    gather the fields into a fixed-width byte matrix and hand it to
+    :func:`~repro.core.blockscan.parse_numeric_fields`. Returns None
+    when the caller must fall back to the per-field Python loop."""
     widths = ends - starts
     max_width = int(widths.max()) if len(widths) else 0
     if max_width == 0 or max_width > 64:
@@ -75,11 +74,7 @@ def _decode_numeric_column(buf_arr: np.ndarray, starts: np.ndarray,
     matrix = np.where(valid,
                       buf_arr[np.minimum(offsets, len(buf_arr) - 1)],
                       0).astype(np.uint8)
-    fields = np.ascontiguousarray(matrix).view(f"S{max_width}").ravel()
-    try:
-        return fields.astype(dtype)
-    except (ValueError, OverflowError):
-        return None
+    return parse_numeric_fields(matrix, int(widths.sum()), dtype)
 
 
 class _Column:
@@ -145,6 +140,22 @@ class BatchCsvScan(BlockScan):
         super().__init__(access, *scan_args, kernel=kernel)
         self.arity = access.schema.arity
         self.dialect = access.dialect
+        # Streaming-region constants of this scan's shape. The scalar
+        # _RowContext locates targets lazily from the line start; its
+        # target sequence is replayed as a state machine so the batch
+        # path charges identical tokenize units and records identical
+        # positions (see _stream_transitions).
+        where_attrs, union_attrs = self.where_attrs, self.union_attrs
+        self._max_where = max(where_attrs) if where_attrs else -1
+        self._max_union = union_attrs[-1] if union_attrs else -1
+        self._charges_w, state_w = _stream_transitions(where_attrs,
+                                                       self.arity)
+        #: highest attr whose start a failing (or any) row has recorded
+        #: after the WHERE phase
+        self._coverage_w = state_w[1]
+        # SELECT phase: continues the locate-state where WHERE left it
+        self._charges_s, _ = _stream_transitions(self.out_attrs,
+                                                 self.arity, state_w)
 
     # ------------------------------------------------------------------
     # Column conversion (shared by both regions)
@@ -214,39 +225,83 @@ class BatchCsvScan(BlockScan):
                     column=self.schema.columns[attr].name) from exc
         return values, None
 
+    # ------------------------------------------------------------------
+    # Block columns are _Column objects
+    # ------------------------------------------------------------------
     @staticmethod
-    def _null_mask(values: list) -> np.ndarray:
-        return np.fromiter((v is None for v in values), dtype=bool,
-                           count=len(values))
+    def _vector_input(column: _Column):
+        # Typed arrays where available (int/float, int-day dates served
+        # from the typed cache); object arrays otherwise — the widened
+        # vectorizer handles both.
+        return (column.typed if column.typed is not None
+                else column.values), column.nulls
 
-    # ------------------------------------------------------------------
-    # Predicate evaluation
-    # ------------------------------------------------------------------
-    def _evaluate_predicate(self, columns: dict[int, _Column],
-                            n: int) -> np.ndarray:
-        """Qualifying mask over the block; one aggregated cost charge."""
-        predicate = self.predicate
-        self.model.predicate(predicate.n_terms * n)
-        if predicate.vector_fn is not None:
-            # Typed arrays where available (int/float, int-day dates
-            # served from the typed cache); object arrays otherwise —
-            # the widened vectorizer handles both.
-            arrays = {}
-            nulls = {}
-            for attr in self.where_attrs:
-                column = columns[attr]
-                arrays[attr] = (column.typed if column.typed is not None
-                                else column.values)
-                nulls[attr] = column.nulls
-            return predicate.vector_fn(arrays, nulls, n)
-        # Row-closure fallback: decode to Python objects only the
-        # columns the closure reads.
-        return predicate.row_mask(
-            {attr: columns[attr].values for attr in predicate.attrs}, n)
+    @staticmethod
+    def _object_values(column: _Column) -> np.ndarray:
+        return column.values
 
     # ==================================================================
     # Indexed region
     # ==================================================================
+    def _known_positions(self, block: int) -> dict[int, np.ndarray]:
+        """Every union attribute, its right neighbour (a field's end is
+        the next field's start) and the nearest indexed attribute on
+        either side (§4.2: tokenize from the closest known position)."""
+        positions: dict[int, np.ndarray] = {}
+        if not self.config.enable_positional_map:
+            return positions
+        prefetch_attrs = set(self.union_attrs)
+        for attr in self.union_attrs:
+            prefetch_attrs.add(attr + 1)
+            lo, hi = self.pm.nearest_indexed(block, attr)
+            if lo is not None:
+                prefetch_attrs.add(lo)
+            if hi is not None:
+                prefetch_attrs.add(hi)
+        for attr in sorted(prefetch_attrs):
+            if 0 <= attr < self.arity:
+                column = self.pm.positions(block, attr)
+                if column is not None:
+                    positions[attr] = column
+        return positions
+
+    @staticmethod
+    def _cached_column(cache_block, n: int, qual: np.ndarray | None = None):
+        # Typed slices only, NULL-free over every cached row — where
+        # _materialize_column assembles a typed column from the cache
+        # alone.
+        typed = cache_block.typed_data()
+        if typed is None:
+            return None
+        mask = cache_block.mask[:n]
+        if qual is None:
+            if mask.all() and not typed[1][:n].any():
+                return typed[0][:n], np.zeros(n, dtype=bool)
+        elif mask[qual].all() and not typed[1][:n][mask].any():
+            return typed[0][:n], None
+        return None
+
+    def _cached_batch(self, columns: dict, qual_idx: np.ndarray,
+                      ) -> ColumnBatch:
+        model = self.model
+        nqual = len(qual_idx)
+        out_columns = []
+        for attr in self.out_attrs:
+            model.cache_read(nqual)
+            picked = columns[attr][qual_idx]
+            if self._families[attr] == "date":
+                # day numbers are a cache/predicate format
+                dates = np.empty(nqual, dtype=object)
+                if nqual:
+                    dates[:] = [datetime.date.fromordinal(v)
+                                for v in picked.tolist()]
+                picked = dates
+            out_columns.append(picked)
+        model.tuple_form(len(out_columns) * nqual)
+        if nqual == 0 and out_columns:
+            return ColumnBatch([[] for _ in out_columns], 0)
+        return ColumnBatch(out_columns, nqual, [None] * len(out_columns))
+
     def _indexed_block_strict(self, handle, block: int,
                               starts: np.ndarray, ends: np.ndarray,
                               ) -> ColumnBatch:
@@ -255,35 +310,9 @@ class BatchCsvScan(BlockScan):
         union_attrs = self.union_attrs
         attr_index_on = self.config.enable_positional_map
 
-        # -- prefetch cache blocks and positional columns
-        cached: dict[int, object] = {}
-        cmask: dict[int, np.ndarray] = {}
-        if self.cache is not None:
-            for attr in union_attrs:
-                cache_block = self.cache.get(attr, block)
-                cached[attr] = cache_block
-                cmask[attr] = (cache_block.mask_array(n)
-                               if cache_block is not None
-                               else np.zeros(n, dtype=bool))
-        else:
-            for attr in union_attrs:
-                cached[attr] = None
-                cmask[attr] = np.zeros(n, dtype=bool)
-        positions: dict[int, np.ndarray] = {}
-        if attr_index_on:
-            prefetch_attrs = set(union_attrs)
-            for attr in union_attrs:
-                prefetch_attrs.add(attr + 1)
-                lo, hi = self.pm.nearest_indexed(block, attr)
-                if lo is not None:
-                    prefetch_attrs.add(lo)
-                if hi is not None:
-                    prefetch_attrs.add(hi)
-            for attr in sorted(prefetch_attrs):
-                if 0 <= attr < self.arity:
-                    column = self.pm.positions(block, attr)
-                    if column is not None:
-                        positions[attr] = column
+        cached = self.access._prefetch_cache(union_attrs, block)
+        cmask = self.access._presence_masks(cached, n)
+        positions = self._known_positions(block)
 
         # -- block state shared by both phases
         state = _IndexedBlockState(self, n, starts, ends, positions)
@@ -291,12 +320,9 @@ class BatchCsvScan(BlockScan):
         # -- phase W: rows whose WHERE attributes are not fully cached
         where_attrs = self.where_attrs
         out_attrs = self.out_attrs
-        if where_attrs:
-            need_file = np.zeros(n, dtype=bool)
-            for attr in where_attrs:
-                need_file |= ~cmask[attr]
-        else:
-            need_file = np.zeros(n, dtype=bool)
+        need_file = np.zeros(n, dtype=bool)
+        for attr in where_attrs:
+            need_file |= ~cmask[attr]
         state.read_rows(handle, need_file)
         state.touched = need_file.copy()
 
@@ -306,10 +332,7 @@ class BatchCsvScan(BlockScan):
                 state, attr, cached[attr], cmask[attr], ~cmask[attr])
             model.cache_read(int(cmask[attr].sum()))
 
-        if self.predicate is not None:
-            qual = self._evaluate_predicate(columns, n)
-        else:
-            qual = np.ones(n, dtype=bool)
+        qual = self._predicate_mask(columns, n)
 
         collector = self.collector
         if collector is not None and where_attrs:
@@ -439,7 +462,7 @@ class BatchCsvScan(BlockScan):
         if len(conv_idx):
             values[conv_idx] = conv_values
         column.set_values(values)
-        column.nulls = self._null_mask(values.tolist())
+        column.nulls = object_nulls(values)
         np_dtype = _NUMERIC_DTYPES.get(family)
         if np_dtype is not None and not column.nulls.any() and n:
             try:
@@ -499,25 +522,17 @@ class BatchCsvScan(BlockScan):
         out_attrs = self.out_attrs
         where_attrs = self.where_attrs
         union_attrs = self.union_attrs
-        max_where = max(where_attrs) if where_attrs else -1
-        max_union = union_attrs[-1] if union_attrs else -1
+        max_union = self._max_union
+        upto_w = self._max_where   # -1 without WHERE attributes
 
         tok = BlockTokenizer(buffer, buffer_base, self.dialect)
         columns: dict[int, _Column] = {}
         span_starts = span_ends = None
-        upto_w = -1
-        # The scalar _RowContext locates targets lazily from the line
-        # start; replay its target sequence as a state machine so the
-        # batch path charges identical tokenize units and records
-        # identical positions (see _stream_transitions).
-        charges_w, state_w = _stream_transitions(where_attrs, self.arity)
-        coverage_w = state_w[1]  # highest attr whose start a failing
-        #                          (or any) row has recorded after WHERE
         if where_attrs:
-            upto_w = max_where
             span_starts, span_ends, _ = block_field_spans(
                 tok, starts, ends, upto_w)
-            self._charge_stream_tokenize(tok, charges_w, starts, ends)
+            self._charge_stream_tokenize(tok, self._charges_w, starts,
+                                         ends)
             for attr in where_attrs:
                 column = _Column(n, self._families[attr])
                 values, typed = self._convert_values(
@@ -534,24 +549,18 @@ class BatchCsvScan(BlockScan):
                     if n:
                         arr[:] = values
                     column.set_values(arr)
-                    column.nulls = self._null_mask(values)
+                    column.nulls = object_nulls(arr)
                 columns[attr] = column
 
-        if self.predicate is not None:
-            qual = self._evaluate_predicate(columns, n)
-        else:
-            qual = np.ones(n, dtype=bool)
+        qual = self._predicate_mask(columns, n)
         qual_idx = np.flatnonzero(qual)
         nqual = len(qual_idx)
 
-        # SELECT attrs: extend tokenization for qualifying rows only,
-        # continuing the locate-state where the WHERE phase left it.
+        # SELECT attrs: extend tokenization for qualifying rows only.
         sel_starts = sel_ends = None
         if out_attrs and max_union > upto_w and nqual:
             q_line_starts = starts[qual_idx]
             q_line_ends = ends[qual_idx]
-            charges_s, _ = _stream_transitions(out_attrs, self.arity,
-                                               state_w)
             if upto_w < 0:
                 sel_starts, sel_ends, _ = block_field_spans(
                     tok, q_line_starts, q_line_ends, max_union)
@@ -560,8 +569,8 @@ class BatchCsvScan(BlockScan):
                 steps = max_union - upto_w
                 sel_starts, sel_ends, _ = block_span_forward(
                     tok, base_pos, steps, q_line_ends)
-            self._charge_stream_tokenize(tok, charges_s, q_line_starts,
-                                         q_line_ends)
+            self._charge_stream_tokenize(tok, self._charges_s,
+                                         q_line_starts, q_line_ends)
 
         out_columns: list = []
         out_nulls: list = []
@@ -614,20 +623,17 @@ class BatchCsvScan(BlockScan):
         model.tuple_form(len(out_attrs) * nqual)
 
         if self.collector is not None:
-            ops.append(("collect",
-                        self._stage_stream_stats(columns, qual, n)))
+            ops.append(("collect", self._sample_rows(columns, qual, n)))
 
         # -- stage flushes: positional map chunk, then cache chunks
+        rows_in_block = first_in_block + n
         if config.enable_positional_map and pm is not None:
-            rows_in_block = first_in_block + n
             staged = self._stage_stream_positions(
                 block, rows_in_block, first_in_block, n, starts, ends,
-                qual, span_starts, span_ends, sel_starts, upto_w,
-                max_where, coverage_w)
+                qual, span_starts, span_ends, sel_starts)
             if staged is not None:
                 ops.append(staged)
         if self.cache is not None:
-            rows_in_block = first_in_block + n
             for attr in union_attrs:
                 column = columns.get(attr)
                 if column is None or column.conv_idx is None or \
@@ -664,32 +670,11 @@ class BatchCsvScan(BlockScan):
         if total:
             self.model.tokenize(total)
 
-    def _stage_stream_stats(self, columns: dict[int, _Column],
-                            qual: np.ndarray, n: int) -> list[dict]:
-        """One sample dict per row in file order: WHERE values for
-        failing rows, WHERE + SELECT values for qualifying ones — the
-        scalar streaming sampling order. The merge feeds them to the
-        collector, so the reservoir RNG sees the serial sequence."""
-        where_attrs = self.where_attrs
-        out_attrs = self.out_attrs
-        staged = []
-        for i in range(n):
-            row_values = {}
-            for attr in where_attrs:
-                row_values[attr] = columns[attr].values[i]
-            if qual[i]:
-                for attr in out_attrs:
-                    if attr not in row_values:
-                        row_values[attr] = columns[attr].values[i]
-            staged.append(row_values)
-        return staged
-
     def _stage_stream_positions(self, block, rows_in_block, first_in_block,
                                 n, line_starts, line_ends, qual,
-                                span_starts, span_ends, sel_starts,
-                                upto_w, max_where, coverage_w):
+                                span_starts, span_ends, sel_starts):
         """Build the block's discovered-position matrix (relative
-        offsets, _NO_POS holes) as a staged ``("pm", ...)`` op; the
+        offsets, NO_POS holes) as a staged ``("pm", ...)`` op; the
         merge combines it with whatever a previous group or partial
         scan already recorded and inserts it as one chunk.
 
@@ -699,12 +684,14 @@ class BatchCsvScan(BlockScan):
         a free (or memoized) next-attribute start; qualifying rows
         record every union attribute."""
         union_attrs = self.union_attrs
+        max_where = self._max_where
+        coverage_w = self._coverage_w
         discovered: dict[int, np.ndarray] = {}
         qual_idx = np.flatnonzero(qual)
         for attr in union_attrs:
             if attr <= 0 or attr >= self.arity:
                 continue
-            column = np.full(n, _NO_POS, dtype=np.int64)
+            column = np.full(n, NO_POS, dtype=np.int64)
             if attr <= max_where:
                 column[:] = span_starts[:, attr] - line_starts
             elif attr == max_where + 1 and 0 <= max_where and \
@@ -718,15 +705,15 @@ class BatchCsvScan(BlockScan):
                                      - line_starts[has_delim])
             if attr > max_where and sel_starts is not None and \
                     len(qual_idx):
-                col_idx = attr if upto_w < 0 else attr - upto_w
+                col_idx = attr if max_where < 0 else attr - max_where
                 column[qual_idx] = (sel_starts[:, col_idx]
                                     - line_starts[qual_idx])
-            if (column != _NO_POS).any():
+            if (column != NO_POS).any():
                 discovered[attr] = column
         if not discovered:
             return None
         attrs = sorted(discovered)
-        matrix = np.full((rows_in_block, len(attrs)), _NO_POS,
+        matrix = np.full((rows_in_block, len(attrs)), NO_POS,
                          dtype=np.int32)
         for col, attr in enumerate(attrs):
             matrix[first_in_block:, col] = discovered[attr]
@@ -752,7 +739,7 @@ class BatchCsvScan(BlockScan):
                 continue
             overlap = min(len(existing), rows_in_block)
             column = matrix[:overlap, col]
-            unknown = column == _NO_POS
+            unknown = column == NO_POS
             column[unknown] = existing[:overlap][unknown]
         self.pm.insert_chunk(tuple(attrs), block, matrix)
 
@@ -832,7 +819,7 @@ class _IndexedBlockState:
             col = np.full(n, _NO, dtype=np.int64)
             m = min(len(rel), n)
             rel_part = np.asarray(rel[:m], dtype=np.int64)
-            known = rel_part != _NO_POS
+            known = rel_part != NO_POS
             col[:m][known] = starts[:m][known] + rel_part[known]
             self.K[attr] = col
 
@@ -1060,27 +1047,9 @@ class _IndexedBlockState:
             col = self.K.get(attr)
             if col is None:
                 continue
-            out = np.full(n, _NO_POS, dtype=np.int32)
+            out = np.full(n, NO_POS, dtype=np.int32)
             have = touched & (col != _NO)
             out[have] = (col[have] - self.line_starts[have]).astype(np.int32)
-            if (out != _NO_POS).any():
+            if (out != NO_POS).any():
                 discovered[attr] = out
-        group = []
-        for attr in sorted(discovered):
-            already = self.positions.get(attr)
-            column = discovered[attr]
-            if already is not None:
-                prior = np.full(n, _NO_POS, dtype=np.int32)
-                m = min(len(already), n)
-                prior[:m] = already[:m]
-                merged = np.where(column == _NO_POS, prior, column)
-                new_known = int((merged != _NO_POS).sum())
-                old_known = int((prior != _NO_POS).sum())
-                if new_known <= old_known:
-                    continue
-                discovered[attr] = merged
-            group.append(attr)
-        if not group:
-            return
-        matrix = np.column_stack([discovered[attr] for attr in group])
-        scan.pm.insert_chunk(tuple(group), block, matrix)
+        scan._insert_positions(block, discovered, self.positions)

@@ -10,7 +10,7 @@ planner or the catalog and edits neither; a third-party package could
 ship this file verbatim.
 
 What lives here is what is genuinely JSONL: the tokenizer, value
-conversion, :meth:`JsonlAccess.tolerant_row`'s line split, and
+conversion, the tolerant line split (``_tolerant_fetch``), and
 :class:`JsonlScan` — the strict indexed-block and stream-group compute
 with their ``"jpm"`` / ``"jcache"`` staged ops. Everything else a scan
 does — §4.5 refresh, the line index and the indexed/streaming split,
@@ -45,7 +45,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.blockscan import BlockScan, RawFileAccess
+from repro.core.blockscan import (
+    BlockScan,
+    RawFileAccess,
+    parse_numeric_fields,
+)
+from repro.core.positional_map import NO_POS
 from repro.errors import (
     CatalogError,
     FormatError,
@@ -58,8 +63,6 @@ from repro.formats.registry import (
     validate_on_error,
 )
 from repro.sql.batch import ColumnBatch, object_nulls
-
-_NO_POS = -1  # sentinel inside PM chunks: position unknown for this row
 
 _WS = frozenset(b" \t\r")
 _QUOTE = ord('"')
@@ -237,8 +240,8 @@ class JsonlScan(BlockScan):
         aggregate conversion (unit total identical to the per-row
         path). Bare numeric tokens of int/float columns go through the
         same byte-matrix ``astype`` fast path the CSV scan uses
-        (``scan_batch._decode_numeric_column``); quoted / null /
-        missing tokens — and any batch numpy refuses — fall back to
+        (:func:`~repro.core.blockscan.parse_numeric_fields`); quoted /
+        null / missing tokens — and any batch it refuses — fall back to
         the scalar conversion, value-for-value identical."""
         if not pairs:
             return []
@@ -269,46 +272,18 @@ class JsonlScan(BlockScan):
         matrix = np.zeros((len(clean), max_width), dtype=np.uint8)
         for r, (_idx, token) in enumerate(clean):
             matrix[r, :len(token)] = np.frombuffer(token, dtype=np.uint8)
-        fields = np.ascontiguousarray(matrix).view(f"S{max_width}").ravel()
-        dtype = np.int64 if family == "int" else np.float64
-        try:
-            converted = fields.astype(dtype).tolist()
-        except (ValueError, OverflowError):
+        converted = parse_numeric_fields(
+            matrix, sum(len(token) for _, token in clean),
+            np.int64 if family == "int" else np.float64)
+        if converted is None:
             return None
         values = {idx: value
-                  for (idx, _), value in zip(clean, converted)}
+                  for (idx, _), value in zip(clean, converted.tolist())}
         for idx, token in dirty:
             values[idx] = self.access._convert_value(attr, token)
         return [(idx, values[idx]) for idx, _ in pairs]
 
     # -- pieces shared by both regions ---------------------------------
-    def _predicate_mask(self, columns, n) -> np.ndarray:
-        predicate = self.predicate
-        if predicate is None:
-            return np.ones(n, dtype=bool)
-        self.model.predicate(predicate.n_terms * n)
-        if predicate.vector_fn is not None:
-            arrays = {attr: columns[attr] for attr in self.where_attrs}
-            nulls = {attr: object_nulls(columns[attr])
-                     for attr in self.where_attrs}
-            return predicate.vector_fn(arrays, nulls, n)
-        return predicate.row_mask(columns, n)
-
-    def _sample_rows(self, columns, qual, n) -> list[dict]:
-        """§4.4 sampling, one dict per row in file order: WHERE values
-        for every row, SELECT values for qualifying rows (whose
-        conversions this scan actually paid)."""
-        where_attrs = self.where_attrs
-        out_attrs = self.out_attrs
-        rows = []
-        for i in range(n):
-            row_values = {attr: columns[attr][i] for attr in where_attrs}
-            if qual[i]:
-                for attr in out_attrs:
-                    row_values[attr] = columns[attr][i]
-            rows.append(row_values)
-        return rows
-
     def _flush_positions(self, block, rows_in_block, views, existing,
                          first_in_block: int = 0) -> None:
         """Insert value positions discovered by this block's full
@@ -327,27 +302,10 @@ class JsonlScan(BlockScan):
                 column = discovered.get(attr)
                 if column is None:
                     column = np.full(rows_in_block + first_in_block,
-                                     _NO_POS, dtype=np.int32)
+                                     NO_POS, dtype=np.int32)
                     discovered[attr] = column
                 column[first_in_block + idx] = span[0]
-        group = []
-        for attr in sorted(discovered):
-            already = existing.get(attr)
-            column = discovered[attr]
-            if already is not None:
-                prior = np.full(len(column), _NO_POS, dtype=np.int32)
-                m = min(len(already), len(column))
-                prior[:m] = already[:m]
-                merged = np.where(column == _NO_POS, prior, column)
-                if int((merged != _NO_POS).sum()) <= \
-                        int((prior != _NO_POS).sum()):
-                    continue  # nothing new for this attribute
-                discovered[attr] = merged
-            group.append(attr)
-        if not group:
-            return
-        matrix = np.column_stack([discovered[attr] for attr in group])
-        self.pm.insert_chunk(tuple(group), block, matrix)
+        self._insert_positions(block, discovered, existing)
 
     def _known_positions(self, block: int) -> dict[int, np.ndarray]:
         positions: dict[int, np.ndarray] = {}
@@ -357,6 +315,27 @@ class JsonlScan(BlockScan):
                 if column is not None:
                     positions[attr] = column
         return positions
+
+    @staticmethod
+    def _cached_column(cache_block, n: int, qual: np.ndarray | None = None):
+        rows = np.arange(n) if qual is None else np.flatnonzero(qual)
+        if not cache_block.mask[rows].all():
+            return None
+        values = np.empty(n, dtype=object)
+        values[rows] = cache_block.values_at(rows)
+        return values, (object_nulls(values) if qual is None else None)
+
+    def _cached_batch(self, columns: dict, qual_idx: np.ndarray,
+                      ) -> ColumnBatch:
+        nqual = len(qual_idx)
+        if nqual:
+            # ``materialize`` charges a cache read only where it reads
+            for attr in self.out_attrs:
+                if attr not in self.where_attrs:
+                    self.model.cache_read(nqual)
+        self.model.tuple_form(len(self.out_attrs) * nqual)
+        return ColumnBatch([columns[attr][qual_idx]
+                            for attr in self.out_attrs], nqual)
 
     # ==================================================================
     # Indexed region: line spans known to the map
@@ -368,15 +347,8 @@ class JsonlScan(BlockScan):
         where_attrs = self.where_attrs
         union_attrs = self.union_attrs
 
-        cached: dict[int, object] = {}
-        cmask: dict[int, np.ndarray] = {}
-        for attr in union_attrs:
-            cache_block = (self.cache.get(attr, block)
-                           if self.cache is not None else None)
-            cached[attr] = cache_block
-            cmask[attr] = (cache_block.mask_array(n)
-                           if cache_block is not None
-                           else np.zeros(n, dtype=bool))
+        cached = self.access._prefetch_cache(union_attrs, block)
+        cmask = self.access._presence_masks(cached, n)
         positions = self._known_positions(block)
 
         line_bytes: dict[int, bytes] = {}
@@ -394,7 +366,7 @@ class JsonlScan(BlockScan):
             if column is None or idx >= len(column):
                 return None
             rel = int(column[idx])
-            return None if rel == _NO_POS else rel
+            return None if rel == NO_POS else rel
 
         def materialize(attr: int, conv_mask: np.ndarray,
                         read_cached: np.ndarray, entries: list,
@@ -591,62 +563,28 @@ class JsonlAccess(RawFileAccess):
                 column=self.schema.columns[attr].name) from exc
 
     # -- error policies (OPTIONS (on_error ...)) ------------------------
-    def tolerant_row(self, model, line: bytes, out_attrs, where_attrs,
-                     predicate, policy: str | None = None):
-        """Best-effort evaluation of one malformed-or-suspect line under
-        a tolerant error policy — the JSONL twin of
-        :meth:`~repro.core.scan.RawCsvAccess.tolerant_row`. The line is
-        fully tokenized (a structurally broken line yields no spans);
-        a missing member is ordinary NULL, but an unparseable *value*
-        becomes NULL under ``'null'`` and rejects the row under
-        ``'skip'``. Returns ``(qualifies, out_values | None,
-        reject_reason | None)``; all charges go to ``model``."""
-        policy = policy or self.on_error
-        model.tokenize(len(line))
+    def _tolerant_fetch(self, model, line: bytes, policy: str):
+        """The line is fully tokenized (a structurally broken line
+        yields no spans — all-NULL under ``'null'``, rejected under
+        ``'skip'``); a missing member is ordinary NULL, an unparseable
+        *value* is the policy's to decide."""
         try:
             spans, _ = member_spans(line)
-        except JSONLFormatError as exc:
+        except JSONLFormatError:
             if policy == "skip":
-                return False, None, str(exc)
+                raise
             spans = {}
-        values: dict[int, object] = {}
-        errors: dict[int, str] = {}
 
         def fetch(attr):
-            # -> (ok, value); not ok == row rejected (policy 'skip')
-            if attr in values:
-                return True, values[attr]
             span = spans.get(self.keys[attr])
             token = None if span is None else line[span[0]:span[1]]
             model.convert(self._families[attr], 1)
             try:
-                value = self._convert_value(attr, token)
+                return self._convert_value(attr, token), None
             except FormatError as exc:
-                if policy == "skip":
-                    errors[attr] = str(exc)
-                    return False, None
-                value = None
-            values[attr] = value
-            return True, value
+                return None, (str(exc) if policy == "skip" else None)
 
-        if predicate is not None:
-            pvalues = {}
-            for attr in where_attrs:
-                ok, value = fetch(attr)
-                if not ok:
-                    return False, None, errors[attr]
-                pvalues[attr] = value
-            model.predicate(predicate.n_terms)
-            if predicate.fn(pvalues) is not True:
-                return False, None, None
-        out_values = []
-        for attr in out_attrs:
-            ok, value = fetch(attr)
-            if not ok:
-                return False, None, errors[attr]
-            out_values.append(value)
-        model.tuple_form(len(out_attrs))
-        return True, out_values, None
+        return fetch
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,24 @@
-"""Compiled per-query scan kernels (PAPERS.md: code generation for raw
-data processing).
+"""Scan kernels: the cached-block fast path and who gets it.
 
 The generic batch pipeline (the :mod:`repro.core.blockscan` driver over
 the per-format block compute, e.g. :mod:`repro.core.scan_batch`) walks
-the same tokenize -> convert -> vectorize machinery for every scan. This
-package specializes that walk per scan *shape*: for a (format, schema,
-projected columns, predicate shape) signature it generates one fused
-NumPy program — selective byte-slicing, only-needed-column conversion
-and predicate masking in a single pass over a row-block group — and
-caches it beside the session's prepared-statement plan cache.
+the same tokenize -> convert -> vectorize machinery for every block,
+including the blocks a warm query finds fully cached. This package
+decides, per scan *shape* — a (format, schema, projected columns,
+predicate shape) signature — whether a scan may serve such blocks
+through one plain fast-path function instead (probe the block with
+side-effect-free peeks, then perform the generic charge sequence and
+hand out the cached arrays), and remembers the decision beside the
+session's prepared-statement plan cache.
 
 Layering:
 
 - :mod:`repro.kernels.signature` — shape derivation and cache keys
-  (parameter slots excluded, so ``?`` re-binds never recompile);
-- :mod:`repro.kernels.codegen` — textual source generation +
-  ``compile``/``exec``, producing :class:`KernelProgram` entry points;
+  (parameter slots excluded, so ``?`` re-binds never rebind);
+- :mod:`repro.kernels.fastpath` — the fast-path function itself and
+  :func:`compile_kernel`, which wraps it as a :class:`KernelProgram`
+  for an eligible spec (the name is historical: nothing is generated
+  or compiled);
 - :mod:`repro.kernels.cache` — the per-session LRU ``KernelCache``,
   invalidated on catalog ``stats_epoch`` bumps;
 - :func:`attach_kernels` — walks a planned query's scan leaves and
@@ -26,14 +29,14 @@ Layering:
 The kernel path is gated by ``config.scan_kernels`` (env
 ``REPRO_SCAN_KERNELS``) and is contractually bit-identical to the
 generic path — results, PM/cache contents, cost counters and the
-virtual clock — at any worker count; unsupported block states bail out
-per block to the generic code, never per query.
+virtual clock — at any worker count; a block the fast path cannot
+serve bails out to the generic code per block, never per query.
 """
 
 from __future__ import annotations
 
 from repro.kernels.cache import KernelCache
-from repro.kernels.codegen import (
+from repro.kernels.fastpath import (
     KERNEL_BAILOUT,
     KernelProgram,
     compile_kernel,
@@ -78,16 +81,16 @@ def iter_scan_ops(root):
 
 def attach_kernels(kernels: KernelCache, model, config, planned,
                    stats_epoch: int) -> int:
-    """Attach compiled kernels to every eligible scan leaf of
+    """Attach kernel programs to every eligible scan leaf of
     ``planned`` (a :class:`~repro.sql.planner.PlannedQuery`).
 
     Returns the number of kernel-equipped scans. Each ``ScanOp`` gets
     ``kernel`` (a :class:`KernelProgram` or None) and ``kernel_info``
-    (the EXPLAIN string) set. A freshly generated program charges one
-    zero-priced ``kernel_compiles`` event against ``model``; per-
+    (the EXPLAIN string) set. A program bound on a cache miss charges
+    one zero-priced ``kernel_compiles`` event against ``model``; per-
     execution ``kernel_hits`` are charged by the session at execute
     time, so re-executes of a prepared statement show hits with no
-    recompiles.
+    rebinds.
     """
     attached = 0
     enabled = bool(getattr(config, "scan_kernels", False))

@@ -2,12 +2,14 @@
 
 One :class:`KernelCache` lives on each :class:`~repro.api.session.
 Session`, beside the prepared-statement plan cache: preparing (or
-re-planning) a statement looks its scan shapes up here, compiling on
-miss. The cache is keyed by the full collision-free kernel key (see
+re-planning) a statement looks its scan shapes up here, binding a
+:class:`~repro.kernels.fastpath.KernelProgram` on miss (the bind step
+is called through the module global ``compile_kernel``, so a tracer can
+wrap it). The cache is keyed by the full collision-free kernel key (see
 :mod:`repro.kernels.signature`) and invalidated wholesale on the same
 catalog ``stats_epoch`` bumps that trigger re-planning — DDL, drops,
 renames, statistics arrival — so a kernel can never outlive the plan
-shape it was generated for. ``?``-parameter re-binds do not touch the
+shape it was bound for. ``?``-parameter re-binds do not touch the
 cache at all: parameter values are outside the kernel key and are read
 by the predicate closures at execution time.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.kernels.codegen import KernelProgram, compile_kernel
+from repro.kernels.fastpath import KernelProgram, compile_kernel
 from repro.kernels.signature import KernelSpec
 
 #: kernels retained per session (LRU); shapes are few in practice
@@ -24,7 +26,7 @@ DEFAULT_CAPACITY = 64
 
 
 class KernelCache:
-    """LRU cache of compiled :class:`KernelProgram` objects."""
+    """LRU cache of bound :class:`KernelProgram` objects."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         self.capacity = capacity
@@ -39,9 +41,9 @@ class KernelCache:
 
     def lookup(self, spec: KernelSpec,
                stats_epoch: int) -> tuple[KernelProgram, str]:
-        """``(program, 'hit'|'compiled')`` for ``spec``, compiling on
+        """``(program, 'hit'|'compiled')`` for ``spec``, binding on
         miss. A ``stats_epoch`` different from the one the cached
-        programs were built under clears the cache first — the same
+        programs were bound under clears the cache first — the same
         staleness rule the plan cache applies per statement."""
         if self.stats_epoch != stats_epoch:
             if self._programs:

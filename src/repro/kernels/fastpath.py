@@ -1,0 +1,114 @@
+"""The cached-block fast path: what a scan kernel runs.
+
+NoDB's warm-query win is structural (§4.2/§4.3): once the positional
+map and the binary cache cover a query, the scan tokenizes and converts
+nothing. The generic indexed-block compute still pays for the
+possibility that it might — cache-mask copies, need-file masks, an
+``_IndexedBlockState`` (CSV) or per-row views (JSONL) — on every block;
+:func:`cached_block` skips all of it for a block the cache covers. It
+is one ordinary function serving every format: no generated source, no
+``exec`` — on this engine's batch path NumPy has already removed the
+per-tuple interpretation a code generator would specialize away. The
+streaming region has no fast path: a cold group runs the format's
+``_compute_stream_group`` and nothing else.
+
+**Probe, then commit.** The probe is side-effect-free
+(``BinaryCache.peek``, ``PositionalMap.has_line_spans``, the pure
+``predicate.vector_fn``); if any precondition fails the function
+returns :data:`~repro.core.blockscan.KERNEL_BAILOUT` and the caller
+runs the generic block, whose charges are untouched because the probe
+charged nothing and moved no LRU state. Once committed, it performs the
+generic path's priced events in the generic order — tuple overhead, map
+accesses, cache reads, predicate, tuple forming — by *calling* the
+prologue helpers ``_indexed_block_strict`` calls, and serves the values
+straight from the cached arrays.
+
+What differs per format — how a cached block is probed and served,
+which map lookups the prologue makes, the SELECT charge rule and the
+output form — lives on the format's scan class (``_cached_column``,
+``_known_positions``, ``_cached_batch``), beside the generic compute it
+must agree with. Bit-identity is the contract: results, PM/cache
+contents (LRU order included), counters and the virtual clock equal the
+generic pipeline's for any input (``tests/test_kernels.py`` enforces it
+differentially, under cache and map eviction too).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Callable
+
+import numpy as np
+
+from repro.core.blockscan import KERNEL_BAILOUT
+from repro.kernels.signature import KernelSpec
+
+
+@dataclass
+class KernelProgram:
+    """One bound kernel: the signature and its block entry point,
+    ``indexed(scan, block, row0, row1)`` with ``scan`` the format's
+    per-scan :class:`~repro.core.blockscan.BlockScan`."""
+
+    signature: str
+    indexed: Callable
+    spec: KernelSpec = field(default=None, repr=False)
+
+
+def cached_block(scan, block: int, row0: int, row1: int):
+    """Rows ``row0..row1`` of ``block`` as a batch served from the
+    cache alone, or ``KERNEL_BAILOUT`` with nothing charged or moved."""
+    cache = scan.cache
+    pm = scan.pm
+    if scan.collector is not None or cache is None or pm is None \
+            or not pm.has_line_spans(row0, row1):
+        return KERNEL_BAILOUT
+    n = row1 - row0
+    predicate = scan.predicate
+
+    # -- probe: every WHERE column over the whole block, every
+    #    SELECT-only column at the qualifying rows
+    def serve(attr, qual=None):
+        cache_block = cache.peek(attr, block)
+        if cache_block is None or cache_block.nrows < n:
+            return None
+        return scan._cached_column(cache_block, n, qual)
+
+    columns = {}
+    nulls = {}
+    for attr in scan.where_attrs:
+        served = serve(attr)
+        if served is None:
+            return KERNEL_BAILOUT
+        columns[attr], nulls[attr] = served
+    if predicate is not None:
+        # vector_fn is pure: evaluating it here lets the SELECT-only
+        # coverage be checked before any commitment; its charge follows.
+        qual = predicate.vector_fn(columns, nulls, n)
+    else:
+        qual = np.ones(n, dtype=bool)
+    for attr in scan.out_attrs:
+        if attr not in columns:
+            served = serve(attr, qual)
+            if served is None:
+                return KERNEL_BAILOUT
+            columns[attr] = served[0]
+
+    # -- commit: the generic warm charge sequence
+    model = scan.model
+    model.tuple_overhead(n)
+    pm.line_spans_block(row0, row1)
+    scan.access._prefetch_cache(scan.union_attrs, block)
+    scan._known_positions(block)
+    for _ in scan.where_attrs:
+        model.cache_read(n)
+    if predicate is not None:
+        model.predicate(predicate.n_terms * n)
+    return scan._cached_batch(columns, np.flatnonzero(qual))
+
+
+def compile_kernel(spec: KernelSpec) -> KernelProgram:
+    """The program for ``spec``. Eligibility is all a spec decides
+    (:func:`~repro.kernels.signature.scan_kernel_spec`); the shape
+    itself — attributes, predicate — is read off the scan per block."""
+    return KernelProgram(spec.signature, cached_block, spec)

@@ -1,15 +1,14 @@
-"""Kernel signatures: the cache key of a compiled scan kernel.
+"""Kernel signatures: the cache key of a scan kernel.
 
-A kernel is generated for one *shape* of scan — the (format, schema,
-projected columns, predicate shape) tuple that fully determines the
-specialized program. Literal constants and ``?``-parameter values are
-deliberately **excluded**: the generated code evaluates the planner's
-vectorized predicate (whose parameter closures read their slots at
-mask-build time), so re-binding a prepared statement re-uses the same
-kernel with zero recompilation.
+A kernel is bound for one *shape* of scan — the (format, schema,
+projected columns, predicate shape) tuple. Literal constants and
+``?``-parameter values are deliberately **excluded**: the fast path
+evaluates the planner's vectorized predicate (whose parameter closures
+read their slots at mask-build time), so re-binding a prepared
+statement re-uses the same kernel.
 
 ``scan_kernel_spec`` inspects one planned :class:`~repro.sql.operators.
-ScanOp` and returns either a :class:`KernelSpec` (compilable shape) or
+ScanOp` and returns either a :class:`KernelSpec` (eligible shape) or
 a human-readable ineligibility reason that EXPLAIN surfaces as
 ``kernel: none (<reason>)``.
 """
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 from repro.sql import ast_nodes as _ast
 from repro.sql.vectorize import build_vector_predicate
 
-#: access classes the code generator knows how to specialize
+#: access classes whose scans implement the fast path's format hooks
 _ACCESS_KINDS = {
     "RawCsvAccess": "csv",
     "JsonlAccess": "jsonl",
@@ -31,7 +30,7 @@ _ACCESS_KINDS = {
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Everything the code generator needs, plus the cache identity.
+    """One scan shape, plus its cache identity.
 
     ``key`` is the full collision-free cache key; ``signature`` is the
     short display form (``<kind>:<hash8>``) shown in EXPLAIN and cost
@@ -102,7 +101,7 @@ def _not_vectorizable(conjuncts) -> str:
 
 
 def scan_kernel_spec(scan_op):
-    """``(KernelSpec, None)`` when ``scan_op`` has a compilable shape,
+    """``(KernelSpec, None)`` when ``scan_op`` has an eligible shape,
     else ``(None, reason)``."""
     access = scan_op.access
     kind = _ACCESS_KINDS.get(type(access).__name__)

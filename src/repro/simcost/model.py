@@ -166,7 +166,7 @@ class CostModel:
     def rollup_miss(self, count: int = 1) -> None:
         self.charge(CostEvent.ROLLUP_MISSES, count)
 
-    # -- compiled scan kernels -----------------------------------------------
+    # -- scan kernels --------------------------------------------------------
     def kernel_hit(self, count: int = 1) -> None:
         self.charge(CostEvent.KERNEL_HITS, count)
 

@@ -76,9 +76,9 @@ class CostProfile:
     # time, so routing decisions never distort priced comparisons.
     rollup_hits: float = 0.0
     rollup_misses: float = 0.0
-    # Compiled-scan-kernel observability counters: free of virtual time
-    # by design, so the kernel path stays clock-identical to the generic
-    # batch pipeline it specializes.
+    # Scan-kernel observability counters: free of virtual time by
+    # design, so the kernel path stays clock-identical to the generic
+    # batch pipeline it short-cuts.
     kernel_hits: float = 0.0
     kernel_compiles: float = 0.0
     kernel_bailouts: float = 0.0

@@ -203,7 +203,8 @@ class ScanOp(PlanOp):
         self.table_name = table_name
         # Plan-time PartitionSelection for partitioned tables (EXPLAIN).
         self.partitions = None
-        # Compiled scan kernel (repro.kernels), attached by the session
+        # Scan kernel (a repro.kernels.KernelProgram: the cached-block
+        # fast path for this scan's shape), attached by the session
         # when the plan is prepared; ``kernel_info`` is the EXPLAIN
         # string (``<sig> (hit|compiled)`` / ``none (<reason>)``).
         self.kernel = None

@@ -69,7 +69,8 @@ class HeapWriter:
             if self._fill.tuple_count == 0:
                 raise PageFormatError(
                     f"record of {len(record)} bytes exceeds page capacity "
-                    f"— tuples cannot span pages (see DESIGN.md §6 note)")
+                    f"— tuples cannot span pages (oversized values "
+                    f"belong out of line: repro.storage.toast)")
             self._flush_fill()
         self._fill.insert(record)
         self._records_written += 1

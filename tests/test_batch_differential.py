@@ -30,6 +30,7 @@ from repro import (
     VirtualFS,
     varchar,
 )
+from repro.errors import FormatError
 from repro.formats.csvfmt import write_csv
 
 _LETTERS = "abcdefghij'\" _-"
@@ -334,3 +335,75 @@ class TestBatchDifferentialFuzz:
             normalized(raw_scalar.query(sql)) == \
             normalized(loaded.query(sql))
         assert_structures_match(raw_batch, raw_scalar)
+
+
+# ---------------------------------------------------------------------------
+# Malformed input: the vectorized converters accept what the oracle accepts
+# ---------------------------------------------------------------------------
+#: row -> the column whose numeric value ends in a NUL byte, which a
+#: fixed-width ``astype`` view cannot tell from its own padding
+NUL_ROWS = {5: "a", 10: "b"}
+NUL_QUERIES = ("SELECT a, b FROM t WHERE c >= 0",
+               "SELECT b FROM t WHERE b > 0",
+               "SELECT c FROM t WHERE a < 9")
+
+
+def nul_payload(fmt: str) -> bytes:
+    template = (b"%s,%s,%d" if fmt == "csv"
+                else b'{"a": %s, "b": %s, "c": %d}')
+    lines = []
+    for i in range(14):
+        fields = {"a": b"%d" % i, "b": b"%d.5" % i}
+        if i in NUL_ROWS:
+            fields[NUL_ROWS[i]] += b"\x00"
+        lines.append(template % (fields["a"], fields["b"], i))
+    return b"\n".join(lines) + b"\n"
+
+
+def nul_outcome(fmt: str, on_error: str, region: str, **config_kwargs):
+    """What a table with NUL-padded numeric values does under an error
+    policy: per query its rows or its failure (message, row number),
+    the ``rows_rejected`` counter, and the quarantine sidecar's (row,
+    reason) records. Shared with the JSONL twin in ``test_jsonl``."""
+    vfs = VirtualFS()
+    vfs.create(f"t.{fmt}", nul_payload(fmt))
+    engine = PostgresRaw(
+        config=PostgresRawConfig(row_block_size=4, **config_kwargs),
+        vfs=vfs)
+    engine.query(f"CREATE TABLE t (a INTEGER, b FLOAT, c INTEGER) "
+                 f"USING {fmt} OPTIONS (path 't.{fmt}', "
+                 f"on_error '{on_error}')")
+    if region == "indexed":
+        engine.query("SELECT c FROM t")  # line index; a, b unconverted
+    outcome = []
+    for sql in NUL_QUERIES:
+        try:
+            outcome.append(engine.query(sql).rows)
+        except FormatError as exc:
+            outcome.append((str(exc), exc.context["row_number"]))
+    rejects = []
+    if vfs.exists("__rejects__/t"):
+        rejects = [record.split(b"\t")[:2] for record in
+                   vfs.read_bytes("__rejects__/t").split(b"\n")[:-1]]
+    return outcome, engine.counters().get("rows_rejected"), rejects
+
+
+#: what the first query must do under each policy, spelled out so the
+#: two paths cannot agree on a wrong answer
+NUL_EXPECTED = {
+    "fail": ("cannot parse '5\\x00' as INTEGER (attribute a)", 5),
+    "skip": [(i, i + 0.5) for i in range(14) if i not in NUL_ROWS],
+    "null": [(None if NUL_ROWS.get(i) == "a" else i,
+              None if NUL_ROWS.get(i) == "b" else i + 0.5)
+             for i in range(14)],
+}
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("region", ["streaming", "indexed"])
+@pytest.mark.parametrize("on_error", ["fail", "skip", "null"])
+def test_nul_padded_numeric_matches_scalar(on_error, region, workers):
+    oracle = nul_outcome("csv", on_error, region, batch_mode=False)
+    assert oracle[0][0] == NUL_EXPECTED[on_error]
+    assert nul_outcome("csv", on_error, region, batch_mode=True,
+                       scan_workers=workers) == oracle

@@ -1,6 +1,6 @@
 """Differential tests: PostgresRaw, LoadedDBMS and ExternalFilesDBMS
-must return identical result sets for every query (DESIGN.md §5,
-"Engine equivalence invariant")."""
+must return identical result sets for every query — the engine
+equivalence invariant."""
 
 import random
 

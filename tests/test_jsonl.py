@@ -29,6 +29,8 @@ from repro.errors import JSONLFormatError
 from repro.formats.jsonl import member_spans, value_end, write_jsonl
 from repro.sql.catalog import Column
 
+from tests.test_batch_differential import nul_outcome
+
 ROWS = [
     {"id": 1, "name": "alice", "height": 170.5, "born": "2001-05-20",
      "note": "plain"},
@@ -352,3 +354,14 @@ class TestNumericFastPath:
                  "OPTIONS (path 'n.jsonl')")
         rows = db.query("SELECT a, b FROM n WHERE a >= 0").rows
         assert rows == [(i, i / 8) for i in range(64)]
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("region", ["streaming", "indexed"])
+@pytest.mark.parametrize("on_error", ["fail", "skip", "null"])
+def test_nul_padded_numeric_matches_csv_twin(on_error, region, workers):
+    """``{"a": 5\\x00}`` raises / is skipped / is NULLed exactly like
+    ``5\\x00`` in the CSV rendering of the same rows — same messages,
+    row numbers, ``rows_rejected`` and quarantine records."""
+    assert nul_outcome("jsonl", on_error, region, scan_workers=workers) \
+        == nul_outcome("csv", on_error, region, scan_workers=workers)

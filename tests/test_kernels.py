@@ -1,13 +1,17 @@
-"""Compiled scan kernels: differential fuzz + cache lifecycle.
+"""Scan kernels: differential fuzz + cache lifecycle.
 
-The kernel path (``repro.kernels``) is a per-query specialization of
-the generic batch scan and must be *invisible* except in wall-clock
-time and its own zero-priced counters. The contract under test:
+The kernel path (``repro.kernels``) — the cached-block fast path of the
+generic batch scan — must be *invisible* except in wall-clock time and
+its own zero-priced counters. The contract under test:
 
 * **On-vs-off parity** — identical result sequences, positional-map
-  and binary-cache dumps, every non-``kernel_*`` counter and the
-  virtual clock itself, with 1 and 4 scan workers, over seeded random
-  schemas/data/workloads (CSV) and JSONL tables.
+  and binary-cache dumps *and LRU orders*, every non-``kernel_*``
+  counter and the virtual clock itself, with 1 and 4 scan workers, over
+  seeded random schemas/data/workloads (CSV) and JSONL tables —
+  unbudgeted, and under cache / positional-map budgets small enough
+  that evictions interleave with the fast path.
+* **One group compute** — the streaming region has no kernel entry:
+  a cold scan runs the format's ``_compute_stream_group``.
 * **Bailouts are per block** — unsupported block states (string
   columns on CSV, not-yet-cached columns) fall back to the generic
   code for that block only; results never change.
@@ -22,7 +26,10 @@ import random
 import pytest
 
 import repro
-from repro import PostgresRaw, PostgresRawConfig, VirtualFS
+from repro import FLOAT, INTEGER, PostgresRaw, PostgresRawConfig, Schema, \
+    VirtualFS
+from repro.core.blockscan import BlockScan
+from repro.core.scan_batch import BatchCsvScan
 from repro.formats.csvfmt import write_csv
 from repro.formats.jsonl import write_jsonl
 
@@ -32,6 +39,7 @@ from tests.test_batch_differential import (
     random_query,
     random_schema,
     random_table,
+    random_text_value,
 )
 from tests.test_batch_operators_differential import (
     PAIR_PREDICATES,
@@ -58,12 +66,69 @@ def kernel_engine(schema, payload: bytes, workers: int, kernels: bool,
     return engine
 
 
+#: budget regimes the parity fuzz runs under: ``None`` is the
+#: unbudgeted engine over random mixed-type tables; the rest run over
+#: NULL-free numeric tables — so blocks actually commit — with budgets
+#: that keep the cache (and map) evicting while the fast path runs.
+PRESSURE = [
+    None,
+    dict(cache_budget_bytes=600, pm_budget_bytes=None,
+         enable_statistics=True),
+    dict(cache_budget_bytes=1500, pm_budget_bytes=800,
+         enable_statistics=False),
+    dict(cache_budget_bytes=4000, pm_budget_bytes=3000,
+         enable_statistics=True),
+    dict(cache_budget_bytes=4000, enable_positional_map=False,
+         enable_statistics=False),
+]
+
+
+def numeric_table(rng):
+    """A NULL-free INTEGER/FLOAT schema and its rows."""
+    schema = Schema([(f"c{i}", rng.choice([INTEGER, FLOAT]))
+                     for i in range(rng.randint(3, 6))])
+    rows = [[random_text_value(rng, col.dtype, nullable=False)
+             for col in schema.columns]
+            for _ in range(rng.randint(40, 160))]
+    return schema, rows
+
+
+def count_kernel_attempts(monkeypatch) -> list:
+    """Record every indexed block offered to a kernel's fast path."""
+    attempts = []
+    indexed_block = BlockScan._indexed_block
+
+    def counting(scan, handle, block, row0, row1):
+        if scan.kernel is not None:
+            attempts.append(block)
+        return indexed_block(scan, handle, block, row0, row1)
+
+    monkeypatch.setattr(BlockScan, "_indexed_block", counting)
+    return attempts
+
+
+def assert_some_blocks_served(engine, attempts, pressure):
+    """Under the roomiest budget a query's columns fit the cache, so
+    the fast path must have committed some of the blocks it was
+    offered; under the tighter ones every block may bail — the
+    all-bailout regime is their point."""
+    if pressure is not None and pressure["cache_budget_bytes"] >= 4000:
+        assert kernel_counters(engine).get("kernel_bailouts", 0) < \
+            len(attempts)
+
+
 def comparable_state(engine, table="t"):
     """Everything the parity contract covers — kernel_* counters are
-    the kernel path's own observability and are excluded."""
+    the kernel path's own observability and are excluded. The LRU key
+    orders pin that a probe never touches recency and that a committed
+    block touches it in the generic order."""
+    pm = engine.positional_map_of(table)
+    cache = engine.cache_of(table)
     return {
-        "pm": pm_dump(engine.positional_map_of(table)),
-        "cache": cache_dump(engine.cache_of(table)),
+        "pm": pm_dump(pm),
+        "cache": cache_dump(cache),
+        "pm_lru": None if pm is None else list(pm._chunks),
+        "cache_lru": None if cache is None else list(cache._blocks),
         "counters": {k: v for k, v in engine.counters().items()
                      if not k.startswith("kernel_")},
         "clock": engine.clock.now(),
@@ -85,26 +150,36 @@ def explain_kernel_lines(session, sql):
 # Differential fuzz: kernels on vs off must be invisible
 # ---------------------------------------------------------------------------
 class TestKernelDifferentialFuzz:
+    @pytest.mark.parametrize("pressure", PRESSURE)
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("seed", range(6))
-    def test_csv_random_workloads_match(self, seed, workers):
+    def test_csv_random_workloads_match(self, seed, workers, pressure,
+                                        monkeypatch):
         rng = random.Random(72000 + seed)
-        schema = random_schema(rng)
-        payload = write_csv(random_table(rng, schema))
+        if pressure is None:
+            schema = random_schema(rng)
+            rows = random_table(rng, schema)
+        else:
+            schema, rows = numeric_table(rng)
+        payload = write_csv(rows)
         block_size = rng.choice([3, 8, 17, 64])
         queries = [random_query(rng, schema) for _ in range(5)]
+        attempts = count_kernel_attempts(monkeypatch)
 
-        on = kernel_engine(schema, payload, workers, True, block_size)
-        off = kernel_engine(schema, payload, workers, False, block_size)
+        on = kernel_engine(schema, payload, workers, True, block_size,
+                           **(pressure or {}))
+        off = kernel_engine(schema, payload, workers, False, block_size,
+                            **(pressure or {}))
         s_on, s_off = repro.connect(on), repro.connect(off)
         for sql in queries:
-            for _ in range(2):  # cold + warm execution of each shape
+            for _ in range(3):  # cold + two warm executions per shape
                 rows_on = s_on.execute(sql).fetchall()
                 rows_off = s_off.execute(sql).fetchall()
                 assert rows_on == rows_off, f"seed={seed}: {sql!r}"
-            assert comparable_state(on) == comparable_state(off), \
-                f"seed={seed} diverged after {sql!r}"
+                assert comparable_state(on) == comparable_state(off), \
+                    f"seed={seed} diverged after {sql!r}"
         assert kernel_counters(off) == {}
+        assert_some_blocks_served(on, attempts, pressure)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_column_pair_and_like_predicates_match(self, workers):
@@ -136,10 +211,17 @@ class TestKernelDifferentialFuzz:
         assert lines == ["kernel: none (predicate not vectorizable: "
                          "((c:i1+c:i2)>lit)) [t]"]
 
+    @pytest.mark.parametrize("pressure", PRESSURE)
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_jsonl_workloads_match(self, workers):
-        rows = [{"a": i, "b": i % 23, "c": f"s{i % 7}", "d": i * 0.25}
-                for i in range(400)]
+    def test_jsonl_workloads_match(self, workers, pressure, monkeypatch):
+        # Under a budget c is numeric and the table short: every column
+        # can be served, and the roomiest budget holds a query's blocks.
+        rows = [{"a": i, "b": i % 23,
+                 "c": f"s{i % 7}" if pressure is None else i % 7,
+                 "d": i * 0.25}
+                for i in range(400 if pressure is None else 128)]
+        c_type = "VARCHAR" if pressure is None else "INTEGER"
+        attempts = count_kernel_attempts(monkeypatch)
 
         def build(kernels):
             vfs = VirtualFS()
@@ -147,10 +229,11 @@ class TestKernelDifferentialFuzz:
             engine = PostgresRaw(
                 config=PostgresRawConfig(row_block_size=32,
                                          scan_workers=workers,
-                                         scan_kernels=kernels),
+                                         scan_kernels=kernels,
+                                         **(pressure or {})),
                 vfs=vfs)
             engine.query(
-                "CREATE TABLE t (a INTEGER, b INTEGER, c VARCHAR, "
+                f"CREATE TABLE t (a INTEGER, b INTEGER, c {c_type}, "
                 "d FLOAT) USING jsonl OPTIONS (path 't.jsonl')")
             return engine
 
@@ -166,7 +249,8 @@ class TestKernelDifferentialFuzz:
             for _ in range(3):
                 assert s_on.execute(sql).fetchall() == \
                     s_off.execute(sql).fetchall(), sql
-            assert comparable_state(on) == comparable_state(off), sql
+                assert comparable_state(on) == comparable_state(off), sql
+        assert_some_blocks_served(on, attempts, pressure)
 
     def test_worker_counts_identical_with_kernels(self):
         """The kernel path preserves PR-4's worker-invariance contract:
@@ -211,6 +295,26 @@ class TestKernelBailouts:
         counters = kernel_counters(on)
         assert counters.get("kernel_bailouts", 0) > 0
         assert counters.get("kernel_hits", 0) > 0
+
+    def test_cold_scan_runs_the_generic_group_compute(self, monkeypatch):
+        """The streaming region has no kernel entry: a kernel-served
+        cold scan computes every group with the format's own
+        ``_compute_stream_group`` — the only group compute there is."""
+        groups = []
+        compute = BatchCsvScan._compute_stream_group
+
+        def counting(scan, ops, row0, *args):
+            groups.append(row0)
+            return compute(scan, ops, row0, *args)
+
+        monkeypatch.setattr(BatchCsvScan, "_compute_stream_group", counting)
+        rows = [[str(i), str(i % 11)] for i in range(80)]
+        schema = Schema([("a", INTEGER), ("b", INTEGER)])
+        engine = kernel_engine(schema, write_csv(rows), 1, True, 16)
+        repro.connect(engine).execute("SELECT a FROM t WHERE b < 5").fetchall()
+        assert kernel_counters(engine) == {"kernel_compiles": 1,
+                                           "kernel_hits": 1}
+        assert groups == [0, 16, 32, 48, 64]
 
     def test_string_column_output_stays_identical(self):
         rows = [[str(i), f"name_{i % 9}"] for i in range(64)]

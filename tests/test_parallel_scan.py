@@ -328,6 +328,10 @@ MALFORMED = {
                              "SELECT b FROM t WHERE a >= 0", "SELECT c FROM t"),
         "short row": (b"2500,250002500",
                       "SELECT c FROM t WHERE a >= 0", "SELECT a FROM t"),
+        # a NUL the fixed-width astype view would take for padding
+        "NUL-padded value": (b"2500,250\x00,2500",
+                             "SELECT b FROM t WHERE a >= 0",
+                             "SELECT c FROM t"),
     },
     "jsonl": {
         "bad WHERE value": (b'{"a": oops, "b": 2500, "c": 2500}',
@@ -336,6 +340,9 @@ MALFORMED = {
                              "SELECT b FROM t WHERE a >= 0", "SELECT c FROM t"),
         "short row": (b'{"a": 2500, "b": 2500, "c"  2500}',
                       "SELECT b FROM t WHERE a >= 0", "SELECT a FROM t"),
+        "NUL-padded value": (b'{"a": 2500, "b": 250\x00, "c": 2500}',
+                             "SELECT b FROM t WHERE a >= 0",
+                             "SELECT c FROM t"),
     },
 }
 

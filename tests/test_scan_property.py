@@ -2,8 +2,8 @@
 
 The invariant: whatever sequence of queries runs (warming the map and
 cache along the way), every scan's output equals a naive re-parse of
-the raw file. This is the PM/cache correctness invariant from DESIGN.md
-§5 under adversarial workloads.
+the raw file. This is the PM/cache correctness invariant under
+adversarial workloads.
 """
 
 from hypothesis import given, settings
