@@ -501,6 +501,12 @@ class BlockScan:
         """The same column as an object array of Python values."""
         return column
 
+    @staticmethod
+    def _python_values(column, rows: np.ndarray | None = None) -> list:
+        """The column's values at ``rows`` (None: every row) as a list
+        of Python objects — what §4.4 sampling consumes."""
+        return (column if rows is None else column[rows]).tolist()
+
     # -- steps every format's block compute shares ----------------------
     def _predicate_mask(self, columns: dict, n: int) -> np.ndarray:
         """Qualifying mask over a block's materialized WHERE columns;
@@ -520,25 +526,18 @@ class BlockScan:
             {attr: self._object_values(columns[attr])
              for attr in predicate.attrs}, n)
 
-    def _sample_rows(self, columns: dict, qual: np.ndarray,
-                     n: int) -> list[dict]:
-        """§4.4 sampling, one dict per row in file order: WHERE values
-        for every row, SELECT values for qualifying rows (whose
-        conversions this scan actually paid) — the scalar streaming
-        sampling order. Fed to the collector in this order, the
-        reservoir RNG sees the serial sequence."""
+    def _sample_rows(self, columns: dict,
+                     qual_idx: np.ndarray) -> dict[int, list]:
+        """§4.4 sampling, one list of Python values per attribute the
+        collector wants, in file order: WHERE values of every row,
+        SELECT-only values of the qualifying rows (whose conversions
+        this scan actually paid). Samplers are per attribute, so fed
+        these columns (:meth:`StatsCollector.add_columns`) each
+        reservoir's RNG sees the serial row-at-a-time sequence."""
         where_attrs = self.where_attrs
-        out_attrs = self.out_attrs
-        values = {attr: self._object_values(column)
-                  for attr, column in columns.items()}
-        rows = []
-        for i in range(n):
-            row_values = {attr: values[attr][i] for attr in where_attrs}
-            if qual[i]:
-                for attr in out_attrs:
-                    row_values[attr] = values[attr][i]
-            rows.append(row_values)
-        return rows
+        return {attr: self._python_values(
+                    columns[attr], None if attr in where_attrs else qual_idx)
+                for attr in self.collector.attrs}
 
     def _insert_positions(self, block: int,
                           discovered: dict[int, np.ndarray],
@@ -907,7 +906,10 @@ class BlockScan:
         Entries are ``("c", event, units)`` charges and the staged
         structural operations, in the exact order an inline compute
         would have performed them — so the clock, the positional map,
-        the cache and the statistics reservoirs evolve identically."""
+        the cache and the statistics reservoirs evolve identically. A
+        ``"collect"`` op carries :meth:`_sample_rows`' value columns;
+        the collector samples and charges them here, on the real
+        model, one column at a time."""
         model = self.model
         for op in ops:
             tag = op[0]
@@ -922,9 +924,7 @@ class BlockScan:
                     self.pm.append_line_starts(
                         starts[max(0, known - row0):])
             elif tag == "collect":
-                collector = self.collector
-                for row_values in op[1]:
-                    collector.add_row(row_values)
+                self.collector.add_columns(op[1])
             elif tag == "rej":
                 # Quarantine decided inside a group: the sidecar write
                 # happens here, in canonical merge order (the

@@ -24,13 +24,21 @@ independent of how many rows are filled); string blocks cost ``len +
 Eviction is LRU with **conversion-cost priority**: "the PostgresRaw
 cache always gives priority to attributes more costly to convert", so
 cheap-to-reconvert families (strings) are evicted before expensive ones
-(dates, floats, ints).
+(dates, floats, ints). The cache counts its live blocks per family, so
+the cheapest rate present is known without looking at the blocks and
+the victim is the first block of that rate from the LRU end.
+
+Inserts are column-at-a-time on the batch scan (:meth:`BinaryCache.
+put_column`): one masked array assignment for a typed column, one pass
+for a list of Python values; per-entry :meth:`BinaryCache.put` is the
+scalar oracle's interface and the reference both must agree with.
 """
 
 from __future__ import annotations
 
 import datetime
-from collections import OrderedDict
+from collections import Counter, OrderedDict
+from itertools import compress
 
 import numpy as np
 
@@ -49,6 +57,13 @@ _TYPED_DTYPES = {
 def _value_bytes(family: str, value) -> int:
     """Per-value footprint of variable-width (list-stored) families."""
     return len(value) + 1 if isinstance(value, str) else 8
+
+
+def _column_bytes(values: list) -> int:
+    """:func:`_value_bytes` summed over a list-stored column."""
+    strings = [value for value in values if isinstance(value, str)]
+    return (sum(map(len, strings)) + len(strings)
+            + 8 * (len(values) - len(strings)))
 
 
 def _encode(family: str, value):
@@ -75,9 +90,14 @@ class CacheBlock:
 
     __slots__ = ("family", "_data", "_mask", "_nulls", "bytes_used")
 
-    def __init__(self, family: str, values=None, mask=None):
+    def __init__(self, family: str, values=None, mask=None,
+                 nrows: int = 0):
+        """An all-uncached block of ``nrows`` rows, or — given
+        ``values`` — one of ``len(values)`` rows holding those of them
+        that ``mask`` flags."""
         self.family = family
-        nrows = len(values) if values is not None else 0
+        if values is not None:
+            nrows = len(values)
         dtype = _TYPED_DTYPES.get(family)
         if dtype is not None:
             self._data = np.zeros(nrows, dtype=dtype)
@@ -141,22 +161,19 @@ class CacheBlock:
         """The cached values at ``rows`` as Python objects (None where
         uncached or NULL) — decodes only the requested subset, unlike
         the whole-block :attr:`values` view."""
-        row_list = rows.tolist() if isinstance(rows, np.ndarray) else rows
         if isinstance(self._data, list):
+            row_list = rows.tolist() if isinstance(rows, np.ndarray) \
+                else rows
             return [self._data[i] for i in row_list]
-        mask = self._mask
-        nulls = self._nulls
-        raw = self._data[row_list].tolist()
-        family = self.family
-        out = []
-        for i, value in zip(row_list, raw):
-            if not mask[i] or (nulls is not None and nulls[i]):
-                out.append(None)
-            elif family == "date":
-                out.append(datetime.date.fromordinal(value))
-            else:
-                out.append(value)
-        return out
+        present = (self._mask[rows] & ~self._nulls[rows]).tolist()
+        raw = self._data[rows].tolist()
+        if self.family == "date":
+            fromordinal = datetime.date.fromordinal
+            return [fromordinal(value) if ok else None
+                    for value, ok in zip(raw, present)]
+        if all(present):
+            return raw
+        return [value if ok else None for value, ok in zip(raw, present)]
 
     def typed_data(self) -> tuple[np.ndarray, np.ndarray] | None:
         """``(data, nulls)`` arrays for typed families (None for list
@@ -248,6 +265,48 @@ class CacheBlock:
         self._mask[idx] = True
         return int(new.sum())
 
+    def _merge_values(self, rows, values: list) -> list:
+        """One-pass merge of Python ``values`` at ``rows`` — the batch
+        insert of whatever :meth:`_bulk_set` cannot take: strings,
+        dates, NULL-bearing numerics, demoted blocks. Rows already
+        cached are left untouched; returns the values newly cached, in
+        row order. Content is exactly what :meth:`_set` per new row
+        would leave, including the demotion point of a value the typed
+        dtype cannot hold."""
+        rows = np.asarray(rows)
+        new = ~self._mask[rows]
+        if not new.all():
+            rows = rows[new]
+            values = list(compress(values, new.tolist()))
+        if not len(rows):
+            return values
+        data = self._data
+        if isinstance(data, list):
+            for row, value in zip(rows.tolist(), values):
+                data[row] = value
+            self._mask[rows] = True
+            return values
+        nulls = np.fromiter((value is None for value in values),
+                            dtype=bool, count=len(values))
+        present = values
+        if nulls.any():
+            present = [value for value in values if value is not None]
+        try:
+            if self.family == "date":
+                present = [value.toordinal() for value in present]
+            encoded = np.array(present, dtype=data.dtype)
+        except (OverflowError, ValueError, TypeError, AttributeError):
+            # Nothing was touched yet: redo value by value, so a value
+            # beyond the dtype demotes the block exactly where (and
+            # raises exactly what) the per-value path does.
+            for row, value in zip(rows.tolist(), values):
+                self._set(row, value)
+            return values
+        data[rows[~nulls]] = encoded
+        self._nulls[rows] = nulls
+        self._mask[rows] = True
+        return values
+
     def _grow(self, nrows: int) -> int:
         """Widen to ``nrows`` rows (file append, §4.5); returns the
         byte-footprint delta."""
@@ -277,6 +336,17 @@ class BinaryCache:
         self.budget_bytes = budget_bytes
         self._blocks: OrderedDict[tuple[int, int], CacheBlock] = OrderedDict()
         self._bytes = 0
+        #: family -> live blocks of it (absent at zero): what eviction
+        #: reads the cheapest cached conversion rate from
+        self._family_blocks: Counter = Counter()
+        profile = model.profile
+        self._family_rates = {
+            "str": profile.convert_str,
+            "bool": profile.convert_int,
+            "int": profile.convert_int,
+            "float": profile.convert_float,
+            "date": profile.convert_date,
+        }
         self.evictions = 0
         self.hits = 0
         self.misses = 0
@@ -297,8 +367,7 @@ class BinaryCache:
             # counted) and the caller re-converts from the raw file —
             # the cache is a safe-to-lose accelerator, never a source
             # of wrong answers or crashes.
-            self._blocks.pop((attr, block))
-            self._bytes -= cache_block.bytes_used
+            self._drop((attr, block))
             self.model.aux_rebuild(1)
             self.misses += 1
             return None
@@ -323,13 +392,22 @@ class BinaryCache:
         key = (attr, block)
         cache_block = self._blocks.get(key)
         if cache_block is None:
-            cache_block = CacheBlock(family, [None] * rows_in_block)
+            cache_block = CacheBlock(family, nrows=rows_in_block)
             self._blocks[key] = cache_block
+            self._family_blocks[family] += 1
             self._bytes += cache_block.bytes_used
         elif cache_block.nrows < rows_in_block:
             # The block grew (file append, §4.5): widen in place.
             self._bytes += cache_block._grow(rows_in_block)
         return cache_block
+
+    def _drop(self, key: tuple[int, int]) -> None:
+        """Remove one block and everything the cache accounts for it."""
+        cache_block = self._blocks.pop(key)
+        self._bytes -= cache_block.bytes_used
+        self._family_blocks[cache_block.family] -= 1
+        if not self._family_blocks[cache_block.family]:
+            del self._family_blocks[cache_block.family]
 
     def put(self, attr: int, block: int, rows_in_block: int,
             entries: list[tuple[int, object]], family: str) -> None:
@@ -378,10 +456,12 @@ class BinaryCache:
         array (no NULLs — the scan's ``astype`` fast path only succeeds
         on fully present numeric slices): when the target block holds
         typed storage of that dtype the merge is one vectorized masked
-        assignment, and ``values`` may then be None (the parallel scan
-        skips the object-list round-trip entirely). Content, byte
-        accounting and the ``cache_write`` charge are identical either
-        way; demoted blocks fall back to the per-value loop.
+        assignment, and ``values`` may then be None (both regions of
+        the batch scan skip the object-list round-trip entirely).
+        Everything else — strings, dates, NULL-bearing numerics, a
+        demoted block — merges ``values`` in one pass
+        (:meth:`CacheBlock._merge_values`). Content, byte accounting
+        and the ``cache_write`` charge are identical either way.
         """
         n = len(row_indexes)
         if n == 0:
@@ -397,19 +477,10 @@ class BinaryCache:
         if added is None:
             if values is None:
                 values = typed_values.tolist()
-            mask = cache_block.mask
-            added = 0
-            added_bytes = 0
-            per_value = family not in _TYPED_DTYPES
-            for idx, value in zip(row_indexes, values):
-                idx = int(idx)
-                if mask[idx]:
-                    continue
-                cache_block._set(idx, value)
-                added += 1
-                if per_value:
-                    added_bytes += _value_bytes(family, value)
-            if added and per_value:
+            stored = cache_block._merge_values(row_indexes, values)
+            added = len(stored)
+            if added and family not in _TYPED_DTYPES:
+                added_bytes = _column_bytes(stored)
                 cache_block.bytes_used += added_bytes
                 self._bytes += added_bytes
         if added:
@@ -427,27 +498,19 @@ class BinaryCache:
     def _evict_one(self) -> None:
         """Evict the least-valuable block: cheapest conversion family
         first (strings before ints before floats/dates), LRU within a
-        family."""
-        victim_key = None
-        victim_rate = None
-        for key in self._blocks:  # OrderedDict: LRU -> MRU
-            rate = self._family_rate(self._blocks[key].family)
-            if victim_rate is None or rate < victim_rate:
-                victim_key = key
-                victim_rate = rate
-        block = self._blocks.pop(victim_key)
-        self._bytes -= block.bytes_used
+        family — the first block, from the LRU end, of the cheapest
+        rate any live block has (the very first block whenever a single
+        rate is cached)."""
+        cheapest = min(map(self._family_rate, self._family_blocks))
+        for key, cache_block in self._blocks.items():  # LRU -> MRU
+            if self._family_rate(cache_block.family) == cheapest:
+                break
+        self._drop(key)
         self.evictions += 1
 
     def _family_rate(self, family: str) -> float:
-        profile = self.model.profile
-        return {
-            "str": profile.convert_str,
-            "bool": profile.convert_int,
-            "int": profile.convert_int,
-            "float": profile.convert_float,
-            "date": profile.convert_date,
-        }.get(family, profile.convert_str)
+        rates = self._family_rates
+        return rates.get(family, rates["str"])
 
     # ------------------------------------------------------------------
     @property
@@ -464,8 +527,9 @@ class BinaryCache:
     def invalidate_attr(self, attr: int) -> None:
         stale = [key for key in self._blocks if key[0] == attr]
         for key in stale:
-            self._bytes -= self._blocks.pop(key).bytes_used
+            self._drop(key)
 
     def clear(self) -> None:
         self._blocks.clear()
+        self._family_blocks.clear()
         self._bytes = 0

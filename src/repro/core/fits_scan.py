@@ -143,13 +143,13 @@ class RawFitsAccess(RawAccessBase):
             model.tuple_form(len(out_attrs) * len(qual_idx))
 
             if collector is not None:
-                for i in range(n):
-                    row_values = {attr: values_by_attr[attr][i]
-                                  for attr in where_attrs}
-                    if qual[i]:
-                        for attr in out_attrs:
-                            row_values[attr] = values_by_attr[attr][i]
-                    collector.add_row(row_values)
+                # WHERE values of every row, SELECT-only values of the
+                # qualifying rows — per attribute, the scalar scan's
+                # sampling sequence.
+                collector.add_columns({
+                    attr: (values_by_attr[attr] if attr in where_attrs
+                           else values_by_attr[attr][qual_idx]).tolist()
+                    for attr in collector.attrs})
 
             if self.cache is not None:
                 for attr in union_attrs:

@@ -15,7 +15,10 @@ a sequence of :class:`~repro.sql.batch.ColumnBatch` blocks:
   typed arrays, falling back to the row closure otherwise;
 * **positional map and binary cache** traffic happens in whole chunks
   (``line_spans_block``, ``put_column``, ``insert_chunk``) instead of
-  per-row dict updates.
+  per-row dict updates — a converted numeric column reaches its cache
+  block as the array ``astype`` produced, from either region;
+* **§4.4 statistics** are sampled a block column at a time
+  (``StatsCollector.add_columns``), never a row at a time.
 
 Correctness contract: for any workload, the batch pipeline produces the
 same result rows *and leaves the same positional-map and cache contents*
@@ -84,14 +87,16 @@ class _Column:
     float64, int32 day numbers for cache-served dates, bool) covering
     every *materialized* row — with an object-array view (``values``,
     None where absent/NULL) built lazily only when a consumer needs
-    Python objects (stats sampling, row-closure fallbacks, date
-    output). When typed assembly is impossible (NULLs, strings, mixed
+    Python objects in an array (row-closure fallbacks, date output;
+    stats sampling takes :meth:`tolist` straight off the typed array).
+    When typed assembly is impossible (NULLs, strings, mixed
     sources) the object array is the storage and ``typed`` is None.
-    ``conv_idx``/``conv_values`` track the subset converted from the
-    raw file this query (the cache-write set); ``conv_typed`` is that
-    subset as a dtype-tagged array when the ``astype`` fast path
-    produced one — the cache's bulk insert consumes it directly, so
-    streaming groups can skip the object-list round-trip entirely."""
+    ``conv_idx`` tracks the subset converted from the raw file this
+    query (the cache-write set) and exactly one of ``conv_typed`` /
+    ``conv_values`` holds it: a dtype-tagged array when the ``astype``
+    fast path produced one — in either region; the cache's bulk insert
+    consumes it directly, with no object-list round-trip — and a list
+    of Python values otherwise."""
 
     __slots__ = ("n", "family", "nulls", "typed", "conv_idx",
                  "conv_values", "conv_typed", "_values", "_materialized")
@@ -125,11 +130,26 @@ class _Column:
                     else:
                         decoded = raw.tolist()
                     out[rows] = decoded
+            elif self.conv_idx is not None and len(self.conv_idx):
+                # a streamed SELECT-only column is its converted subset
+                out[self.conv_idx] = (
+                    self.conv_values if self.conv_typed is None
+                    else self.conv_typed.tolist())
             self._values = out
         return self._values
 
     def set_values(self, values: np.ndarray) -> None:
         self._values = values
+
+    def tolist(self, rows: np.ndarray | None = None) -> list:
+        """Python values at ``rows`` (None: every row; all of them
+        materialized), straight off the typed array when there is one
+        (day numbers are not values: dates go through the object
+        view)."""
+        source = self.typed
+        if source is None or self.family == "date":
+            source = self.values
+        return (source if rows is None else source[rows]).tolist()
 
 
 class BatchCsvScan(BlockScan):
@@ -162,16 +182,15 @@ class BatchCsvScan(BlockScan):
     # ------------------------------------------------------------------
     def _convert_values(self, attr: int, buf, buf_base: int,
                         starts: np.ndarray, ends: np.ndarray,
-                        want_list: bool = True,
-                        ) -> tuple[list | None, np.ndarray]:
+                        ) -> tuple[list | None, np.ndarray | None]:
         """Convert the fields at ``starts``/``ends`` (absolute offsets
         into ``buf`` based at ``buf_base``) to binary values. Returns
-        ``(values, typed_or_None)``; conversion cost is charged here,
-        one call per column slice. ``want_list=False`` lets the caller
-        skip the object-list materialization when the typed fast path
-        succeeds (``values`` comes back None then) — consumers that
-        only need arrays (vector predicates, typed cache inserts) never
-        pay the per-row ``tolist`` walk."""
+        ``(None, typed)`` when the ``astype`` fast path succeeds — the
+        consumers that only need arrays (vector predicates, typed cache
+        inserts, typed output) never pay a per-row ``tolist`` walk, the
+        others derive the list when they need it — and ``(values,
+        None)`` otherwise; conversion cost is charged here, one call
+        per column slice."""
         n = len(starts)
         family = self._families[attr]
         self.model.convert(family, n)
@@ -202,7 +221,7 @@ class BatchCsvScan(BlockScan):
                 typed = _decode_numeric_column(buf_arr, rel_starts,
                                                rel_ends, np_dtype)
                 if typed is not None:
-                    return (typed.tolist() if want_list else None), typed
+                    return None, typed
         # Fallback / non-numeric: one tight per-field loop mirroring the
         # scalar ``_convert`` exactly (empty non-string -> NULL).
         values = []
@@ -239,6 +258,11 @@ class BatchCsvScan(BlockScan):
     @staticmethod
     def _object_values(column: _Column) -> np.ndarray:
         return column.values
+
+    @staticmethod
+    def _python_values(column: _Column,
+                       rows: np.ndarray | None = None) -> list:
+        return column.tolist(rows)
 
     # ==================================================================
     # Indexed region
@@ -340,12 +364,10 @@ class BatchCsvScan(BlockScan):
             # too when there are no SELECT attributes (and those rows
             # are re-sampled by the loop-2 pass below, as in the scalar
             # path).
-            where_cols = [columns[attr].values for attr in where_attrs]
-            for i in range(n):
-                if qual[i] and out_attrs:
-                    continue
-                collector.add_row({attr: col[i] for attr, col
-                                   in zip(where_attrs, where_cols)})
+            rows = np.flatnonzero(~qual) if out_attrs else None
+            collector.add_columns(
+                {attr: columns[attr].tolist(rows) for attr in where_attrs
+                 if attr in collector.attrs})
 
         # -- phase S: bytes for qualifying rows missing SELECT attrs
         if out_attrs:
@@ -375,7 +397,16 @@ class BatchCsvScan(BlockScan):
         model.tuple_form(len(out_attrs) * nqual)
 
         if collector is not None:
-            self._collect_indexed_stats(columns, qual_idx)
+            # Scalar loop-2 adds, per qualifying row: the WHERE values
+            # converted from file this block plus every SELECT value.
+            sampled = {}
+            for attr in collector.attrs:
+                rows = qual_idx
+                if attr not in out_attrs:
+                    conv_idx = columns[attr].conv_idx
+                    rows = conv_idx[qual[conv_idx]]
+                sampled[attr] = columns[attr].tolist(rows)
+            collector.add_columns(sampled)
 
         # -- flush PM / cache accumulators (whole chunks)
         if attr_index_on:
@@ -387,7 +418,8 @@ class BatchCsvScan(BlockScan):
                         and len(column.conv_idx):
                     self.cache.put_column(attr, block, n, column.conv_idx,
                                           column.conv_values,
-                                          self._families[attr])
+                                          self._families[attr],
+                                          typed_values=column.conv_typed)
         if nqual == 0 and out_attrs:
             return ColumnBatch([[] for _ in out_attrs], 0)
         return ColumnBatch(out_columns, nqual, out_nulls)
@@ -419,7 +451,7 @@ class BatchCsvScan(BlockScan):
         column = _Column(n, family)
         conv_idx = np.flatnonzero(conv_mask)
         column.conv_idx = conv_idx
-        conv_values: list = []
+        conv_values: list | None = []
         conv_typed = None
         if len(conv_idx):
             span_starts, span_ends = state.derive_spans(attr, conv_mask)
@@ -427,6 +459,7 @@ class BatchCsvScan(BlockScan):
                 attr, state.buffer, state.base,
                 span_starts[conv_idx], span_ends[conv_idx])
         column.conv_values = conv_values
+        column.conv_typed = conv_typed
         cached_idx = np.flatnonzero(cmask)
 
         # -- typed fast path
@@ -460,7 +493,8 @@ class BatchCsvScan(BlockScan):
         if len(cached_idx):
             values[cached_idx] = cache_block.values_at(cached_idx)
         if len(conv_idx):
-            values[conv_idx] = conv_values
+            values[conv_idx] = (conv_values if conv_typed is None
+                                else conv_typed.tolist())
         column.set_values(values)
         column.nulls = object_nulls(values)
         np_dtype = _NUMERIC_DTYPES.get(family)
@@ -470,29 +504,6 @@ class BatchCsvScan(BlockScan):
             except (ValueError, TypeError, OverflowError):
                 column.typed = None
         return column
-
-    def _collect_indexed_stats(self, columns: dict[int, _Column],
-                               qual_idx: np.ndarray) -> None:
-        """Scalar loop-2 adds: per qualifying row, the WHERE values
-        converted from file this block plus every SELECT value."""
-        collector = self.collector
-        where_attrs = self.where_attrs
-        out_attrs = self.out_attrs
-        conv_masks = {}
-        for attr in where_attrs:
-            column = columns[attr]
-            mask = np.zeros(len(column.values), dtype=bool)
-            if column.conv_idx is not None and len(column.conv_idx):
-                mask[column.conv_idx] = True
-            conv_masks[attr] = mask
-        for i in qual_idx.tolist():
-            row_values = {}
-            for attr in where_attrs:
-                if conv_masks[attr][i]:
-                    row_values[attr] = columns[attr].values[i]
-            for attr in out_attrs:
-                row_values[attr] = columns[attr].values[i]
-            collector.add_row(row_values)
 
     # ==================================================================
     # Streaming region
@@ -537,8 +548,7 @@ class BatchCsvScan(BlockScan):
                 column = _Column(n, self._families[attr])
                 values, typed = self._convert_values(
                     attr, buffer, buffer_base,
-                    span_starts[:, attr], span_ends[:, attr],
-                    want_list=False)
+                    span_starts[:, attr], span_ends[:, attr])
                 column.conv_idx = np.arange(n)
                 column.conv_values = values
                 column.conv_typed = typed
@@ -600,17 +610,9 @@ class BatchCsvScan(BlockScan):
             else:
                 s_col = sel_starts[:, attr - upto_w]
                 e_col = sel_ends[:, attr - upto_w]
-            # Object values are only needed when the stats collector
-            # will sample them; the typed cache insert and the output
-            # batch consume the array directly.
             values, sub_typed = self._convert_values(
-                attr, buffer, buffer_base, s_col, e_col,
-                want_list=self.collector is not None)
+                attr, buffer, buffer_base, s_col, e_col)
             column = _Column(n, self._families[attr])
-            if values is not None:
-                arr = np.empty(n, dtype=object)
-                arr[qual_idx] = values
-                column.set_values(arr)
             column.conv_idx = qual_idx
             column.conv_values = values
             column.conv_typed = sub_typed
@@ -623,7 +625,7 @@ class BatchCsvScan(BlockScan):
         model.tuple_form(len(out_attrs) * nqual)
 
         if self.collector is not None:
-            ops.append(("collect", self._sample_rows(columns, qual, n)))
+            ops.append(("collect", self._sample_rows(columns, qual_idx)))
 
         # -- stage flushes: positional map chunk, then cache chunks
         rows_in_block = first_in_block + n

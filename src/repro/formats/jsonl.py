@@ -416,8 +416,7 @@ class JsonlScan(BlockScan):
         model.tuple_form(len(out_attrs) * len(qual_idx))
 
         if self.collector is not None:
-            for row_values in self._sample_rows(columns, qual, n):
-                self.collector.add_row(row_values)
+            self.collector.add_columns(self._sample_rows(columns, qual_idx))
 
         self._flush_positions(block, n, views, positions)
         if self.cache is not None:
@@ -491,7 +490,7 @@ class JsonlScan(BlockScan):
         model.tuple_form(len(out_attrs) * len(qual_idx))
 
         if self.collector is not None:
-            ops.append(("collect", self._sample_rows(columns, qual, n)))
+            ops.append(("collect", self._sample_rows(columns, qual_idx)))
 
         ops.append(("jpm", block, n, views, first_in_block))
         if self.cache is not None:

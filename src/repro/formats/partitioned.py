@@ -206,6 +206,9 @@ class _ModelRouter(CostModel):
     def charge(self, event, units: float = 1) -> None:
         self.target.charge(event, units)
 
+    def charge_repeat(self, event, times: int) -> None:
+        self.target.charge_repeat(event, times)
+
 
 class _EngineProxy:
     """The engine facade handed to the wrapped adapter when building a

@@ -84,6 +84,24 @@ class VirtualClock:
         self.counters[event] += units
         self.seconds += units * rate
 
+    def charge_repeat(self, event: CostEvent, times: int,
+                      rate: float) -> None:
+        """``times`` consecutive single-unit charges of ``event`` in one
+        call — what a column-at-a-time step charges where its per-value
+        ancestor charged once per value. The float accumulation is the
+        same ``times`` sequential additions (``1 * rate == rate``), not
+        one multiplication, so virtual time stays bit-identical to the
+        per-value call pattern."""
+        if times < 0:
+            raise ValueError(f"negative repeat for {event}: {times}")
+        if not times:
+            return  # no charge at all: the ledger gains no zero entry
+        self.counters[event] += times
+        seconds = self.seconds
+        for _ in range(times):
+            seconds += rate
+        self.seconds = seconds
+
     def advance(self, seconds: float) -> None:
         """Advance the clock by a raw amount of virtual seconds."""
         if seconds < 0:

@@ -18,6 +18,13 @@ charges each byte span once — so warm partial-coverage scans may
 charge slightly fewer tokenize units in batch mode (never more work,
 and zero in both modes once the map covers the query).
 
+Column-at-a-time bookkeeping keeps the convention exact where the unit
+count alone would not: §4.4 sampling prices each sampled value as one
+``stats_sample(1)`` — the scalar oracle charges value by value — so the
+batch scan charges a column through :meth:`CostModel.charge_repeat`,
+which performs the same N float additions on the clock instead of one
+``N * rate`` (equal units, but a different sum in the last digits).
+
 Parallel chunk scans keep the convention exact: workers charge into
 :class:`RecordingModel` op logs that the scan's single-threaded merge
 replays against the real model in serial charge order, so counters —
@@ -82,6 +89,12 @@ class CostModel:
     def charge(self, event: CostEvent, units: float = 1) -> None:
         """Charge ``units`` of an arbitrary event."""
         self.clock.charge(event, units, self.profile.rate(event))
+
+    def charge_repeat(self, event: CostEvent, times: int) -> None:
+        """``times`` consecutive one-unit charges of ``event`` (see
+        :meth:`VirtualClock.charge_repeat`): bit-identical on the clock
+        to calling ``charge(event, 1)`` that many times."""
+        self.clock.charge_repeat(event, times, self.profile.rate(event))
 
     # -- disk ------------------------------------------------------------
     def disk_read(self, nbytes: int, warm: bool = False) -> None:
@@ -235,7 +248,10 @@ class RecordingModel(CostModel):
     are ``("c", event, units)`` charge records interleaved (in exact
     serial charge order) with the staged positional-map / cache /
     statistics operations the merge applies against the shared
-    structures (see ``BlockScan._apply_staged``).
+    structures (see ``BlockScan._apply_staged``). A
+    :meth:`charge_repeat` is recorded as the one-unit charges it stands
+    for, so a replay is always a plain walk over charge records and
+    adds them to the clock one by one, as the serial scan did.
     """
 
     def __init__(self):
@@ -244,6 +260,11 @@ class RecordingModel(CostModel):
 
     def charge(self, event: CostEvent, units: float = 1) -> None:
         self.ops.append(("c", event, units))
+
+    def charge_repeat(self, event: CostEvent, times: int) -> None:
+        # Recorded expanded, so every replay loop stays a plain walk
+        # over ``("c", event, units)`` entries.
+        self.ops.extend([("c", event, 1)] * times)
 
     def take_ops(self) -> list:
         """Drain and return the recorded ops (used by the scan driver

@@ -15,6 +15,7 @@ binary caches — the contract that lets the scalar path vouch for the
 vectorized one.
 """
 
+import json
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from repro import (
 )
 from repro.errors import FormatError
 from repro.formats.csvfmt import write_csv
+from repro.formats.fits import write_bintable
 
 _LETTERS = "abcdefghij'\" _-"
 
@@ -407,3 +409,154 @@ def test_nul_padded_numeric_matches_scalar(on_error, region, workers):
     assert oracle[0][0] == NUL_EXPECTED[on_error]
     assert nul_outcome("csv", on_error, region, batch_mode=True,
                        scan_workers=workers) == oracle
+
+
+# ---------------------------------------------------------------------------
+# §4.4 reservoirs across paths, with replacement actually happening
+# ---------------------------------------------------------------------------
+#: twelve columns, two per type slot — the first half is first touched
+#: cold, the second half only after the append, so the collector runs
+#: over a fresh file, over the indexed region, and over indexed region +
+#: streamed tail
+RESERVOIR_KINDS = [("INTEGER", INTEGER), ("FLOAT", FLOAT),
+                   ("VARCHAR", varchar()), ("DATE", DATE),
+                   ("INTEGER", INTEGER), ("FLOAT", FLOAT)]
+RESERVOIR_COLUMNS = [(f"c{i}", *RESERVOIR_KINDS[i % 6]) for i in range(12)]
+
+
+def reservoir_rows(rng: random.Random, nrows: int) -> list[list[str]]:
+    """Text rows far larger than the sample targets below; the FLOAT
+    columns carry NULLs (``random_text_value``: ~15 %)."""
+    return [[random_text_value(rng, dtype, nullable=dtype is FLOAT)
+             for _name, _sql, dtype in RESERVOIR_COLUMNS]
+            for _ in range(nrows)]
+
+
+def reservoir_mix(first: int) -> list[str]:
+    """Five shapes over six columns starting at ``first`` (int, float,
+    str, date, int, float): WHERE-only with no SELECT, SELECT-only, a
+    column both filtered and projected, a SELECT column sampled at the
+    qualifying rows of an already-sampled filter, and the NULL-bearing
+    float as a filter."""
+    c = [f"c{first + i}" for i in range(6)]
+    return [
+        f"SELECT count(*) FROM t WHERE {c[0]} < 2000",
+        f"SELECT {c[2]}, {c[3]} FROM t",
+        f"SELECT {c[4]}, {c[3]} FROM t WHERE {c[4]} > -4000",
+        f"SELECT {c[5]} FROM t WHERE {c[0]} >= -6000",
+        f"SELECT {c[0]} FROM t WHERE {c[1]} > -200.5",
+    ]
+
+
+def reservoir_engine(fmt: str, rows, **config_kwargs) -> PostgresRaw:
+    vfs = VirtualFS()
+    vfs.create(f"t.{fmt}", reservoir_payload(fmt, rows))
+    engine = PostgresRaw(config=PostgresRawConfig(**config_kwargs), vfs=vfs)
+    columns = ", ".join(f"{name} {sql}"
+                        for name, sql, _dtype in RESERVOIR_COLUMNS)
+    engine.query(f"CREATE TABLE t ({columns}) USING {fmt} "
+                 f"OPTIONS (path 't.{fmt}')")
+    return engine
+
+
+def reservoir_payload(fmt: str, rows) -> bytes:
+    if fmt == "csv":
+        return write_csv(rows)
+    lines = []
+    for row in rows:
+        members = []
+        for (name, _sql, dtype), text in zip(RESERVOIR_COLUMNS, row):
+            if dtype.family in ("int", "float"):
+                members.append(f'"{name}": {text or "null"}')
+            else:
+                members.append(f'"{name}": {json.dumps(text)}')
+        lines.append("{" + ", ".join(members) + "}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def column_stats(engine, table="t") -> dict:
+    """name -> ``ColumnStats.__dict__`` of every collected column."""
+    info = engine.catalog.get(table)
+    if info.stats is None:
+        return {}
+    return {column.name: dict(vars(info.stats.column(column.name)))
+            for column in info.schema.columns
+            if info.stats.has_column(column.name)}
+
+
+@pytest.mark.parametrize("block_size", [8, 64])
+@pytest.mark.parametrize("target", [3, 7])
+class TestReservoirsAcrossPaths:
+    """``test_statistics_collection_identical`` runs tables smaller
+    than the default sample target, so it never reaches reservoir
+    replacement — the branch whose RNG stream depends on the exact
+    per-attribute feeding order. Tiny targets put every path there."""
+
+    def run_paths(self, fmt, variants, target, block_size):
+        rng = random.Random(4400 + target + block_size)
+        rows = reservoir_rows(rng, 150)
+        extra = reservoir_rows(rng, 45)
+        engines = {label: reservoir_engine(
+                       fmt, rows, stats_sample_target=target,
+                       row_block_size=block_size, **kwargs)
+                   for label, kwargs in variants.items()}
+        reference = next(iter(engines))
+        for phase, first in (("cold", 0), ("after append", 6)):
+            results = {label: [normalized(engine.query(sql))
+                               for sql in reservoir_mix(first)]
+                       for label, engine in engines.items()}
+            stats = {label: column_stats(engine)
+                     for label, engine in engines.items()}
+            assert len(stats[reference]) == first + 6, phase
+            for label in engines:
+                assert results[label] == results[reference], (phase, label)
+                assert stats[label] == stats[reference], (phase, label)
+            # the reservoirs really were in their replacement phase
+            assert all(column["observed_rows"] > target
+                       for column in stats[reference].values())
+            for engine in engines.values():
+                engine.vfs.append_bytes(f"t.{fmt}",
+                                        reservoir_payload(fmt, extra))
+
+    def test_csv_batch_scalar_workers_kernels(self, target, block_size):
+        self.run_paths("csv", {
+            "batch": dict(batch_mode=True),
+            "scalar": dict(batch_mode=False),
+            "4 workers": dict(scan_workers=4),
+            "kernels off": dict(scan_kernels=False),
+        }, target, block_size)
+
+    def test_jsonl_workers_kernels(self, target, block_size):
+        self.run_paths("jsonl", {
+            "serial": {},
+            "4 workers": dict(scan_workers=4),
+            "kernels off": dict(scan_kernels=False),
+        }, target, block_size)
+
+    def test_fits_batch_vs_scalar(self, target, block_size):
+        rng = random.Random(4500 + target + block_size)
+        names = ["k", "x", "y", "m", "tag"]
+        rows = [(rng.randrange(-500, 500), rng.uniform(-9, 9),
+                 rng.uniform(0, 1), rng.uniform(10, 25), f"t{i % 13:02d}")
+                for i in range(150)]
+        payload = write_bintable(names, ["K", "D", "D", "E", "8A"], rows)
+        stats = []
+        for batch in (True, False):
+            vfs = VirtualFS()
+            vfs.create("sky.fits", payload)
+            engine = PostgresRaw(
+                config=PostgresRawConfig(batch_mode=batch,
+                                         stats_sample_target=target,
+                                         row_block_size=block_size),
+                vfs=vfs)
+            engine.register_fits("sky", "sky.fits")
+            for sql in ("SELECT count(*) FROM sky WHERE k < 100",
+                        "SELECT tag, m FROM sky",
+                        "SELECT x, k FROM sky WHERE x > -3.5",
+                        "SELECT y FROM sky WHERE k >= -250"):
+                engine.query(sql)
+            stats.append(column_stats(engine, "sky"))
+        assert stats[0] == stats[1]
+        assert sorted(stats[0]) == sorted(names)
+        # SELECT-only ``y`` was sampled at the qualifying rows only
+        assert target < stats[0]["y"]["observed_rows"] < 150

@@ -82,6 +82,34 @@ class TestCacheEvictionUnderBatching:
             assert db_b.cache_of("m").evictions > 0 or attrs == [2, 5]
         assert db_b.cache_of("m").evictions > 0
 
+    def test_numeric_inserts_never_walk_values(self, monkeypatch):
+        """Both regions hand the cache the converted array: on an
+        all-numeric NULL-free table no insert — streamed on the first
+        scan, from the indexed region on the second — stores value by
+        value, evictions or not."""
+        from repro.core.cache import CacheBlock
+
+        walked = []
+        set_one = CacheBlock._set
+
+        def counting(block, row, value):
+            walked.append(row)
+            set_one(block, row, value)
+
+        monkeypatch.setattr(CacheBlock, "_set", counting)
+        db_b, _ = make_pair(cache_budget_bytes=3000)
+        truth = ground_truth(db_b)
+        access = db_b.catalog.get("m").access
+        assert list(access.scan([1, 4], None)) == \
+            [(row[1], row[4]) for row in truth]
+        assert list(access.scan([4, 6, 8], predicate_lt(2, 500_000_000))) \
+            == [(row[4], row[6], row[8]) for row in truth
+                if row[2] < 500_000_000]
+        cache = db_b.cache_of("m")
+        assert cache.evictions > 0
+        assert db_b.counters()["cache_write"] > 2 * ROWS
+        assert walked == []
+
     def test_partial_block_masks_after_selective_warmup(self):
         """A selective query caches only qualifying rows; the next full
         query must merge cache hits with fresh conversions inside every

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simcost.clock import CostEvent, VirtualClock
-from repro.simcost.model import CostModel
+from repro.simcost.model import CostModel, RecordingModel
 from repro.simcost.profiles import (
     ALL_PROFILES,
     CFITSIO_PROFILE,
@@ -194,3 +194,34 @@ class TestCostModel:
         }
         for event, units in expected.items():
             assert model.count(event) == units, event
+
+    def test_charge_repeat_is_that_many_unit_charges(self):
+        """N one-unit charges in one call: same ledger, and the same N
+        float additions on the clock — not one ``N * rate``, which
+        lands on a different float."""
+        one_by_one, repeated = CostModel(), CostModel()
+        for model in (one_by_one, repeated):
+            model.tokenize(1234)        # a clock that is not at zero
+        for _ in range(1000):
+            one_by_one.stats_sample(1)
+        repeated.charge_repeat(CostEvent.STATS_SAMPLE, 1000)
+        assert repeated.now() == one_by_one.now()       # exact
+        assert dict(repeated.clock.counters) == \
+            dict(one_by_one.clock.counters)
+        multiplied = CostModel()
+        multiplied.tokenize(1234)
+        multiplied.stats_sample(1000)
+        assert multiplied.now() != one_by_one.now()
+        idle = CostModel()              # nothing sampled: no entry
+        idle.charge_repeat(CostEvent.STATS_SAMPLE, 0)
+        assert CostEvent.STATS_SAMPLE not in idle.clock.counters
+        with pytest.raises(ValueError):
+            idle.charge_repeat(CostEvent.STATS_SAMPLE, -1)
+
+    def test_recorded_charge_repeat_replays_as_unit_charges(self):
+        recorder = RecordingModel()
+        recorder.tokenize(5)
+        recorder.charge_repeat(CostEvent.STATS_SAMPLE, 3)
+        assert recorder.ops == [("c", CostEvent.TOKENIZE, 5)] + \
+            [("c", CostEvent.STATS_SAMPLE, 1)] * 3
+        assert recorder.now() == 0.0    # a recorder never advances

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.statistics import ReservoirSampler, StatsCollector
+from repro.simcost.clock import CostEvent
 from repro.simcost.model import CostModel
 from repro.sql.catalog import Schema
 from repro.sql.datatypes import INTEGER, varchar
@@ -143,6 +144,109 @@ class TestReservoirSampler:
             hits += sum(1 for v in sampler.sample if v < 50)
         # ~50% of sampled values should come from the first half.
         assert 0.35 < hits / (10 * trials) < 0.65
+
+
+def sampler_state(sampler):
+    """Everything a sampler is. Values sit in lists so that a NaN
+    compares equal to itself (list equality tries identity first)."""
+    return (sampler.sample, sampler.seen, sampler.null_count,
+            [sampler.vmin, sampler.vmax], sampler._orderable,
+            sampler._rng.getstate())
+
+
+def chunks(items, cuts):
+    """``items`` split at the sorted ``cuts`` that fall inside it."""
+    bounds = sorted({cut for cut in cuts if cut <= len(items)})
+    bounds.append(len(items))
+    start = 0
+    for bound in bounds:
+        yield items[start:bound]
+        start = bound
+
+
+#: one column's worth of values: ints, floats (NaN and infinities
+#: included), strings, or an unorderable mix — each thinned with NULLs
+_column_values = st.one_of(*[
+    st.lists(st.one_of(st.none(), element), max_size=60)
+    for element in (
+        st.integers(-20, 20),
+        st.floats(allow_nan=True, allow_infinity=True, width=32),
+        st.text("abc", max_size=2),
+        st.one_of(st.integers(-3, 3), st.text("ab", max_size=1),
+                  st.floats(allow_nan=True)),
+    )])
+_cuts = st.lists(st.integers(0, 60), max_size=6)
+
+
+class TestColumnFeedEqualsRowFeed:
+    """The batch scan samples by column (``add_many`` /
+    ``add_columns``), the scalar oracle by value (``add`` /
+    ``add_row``): both must leave the same samplers — reservoir
+    replacement and RNG stream included — and the same ledger."""
+
+    # capacities from "every list overflows it" to "none does"
+    @given(values=_column_values, cuts=_cuts, seed=st.integers(0, 3),
+           capacity=st.sampled_from([1, 3, 7, 40, 1000]))
+    @settings(max_examples=300, deadline=None)
+    def test_add_many_equals_add_per_value(self, values, cuts, seed,
+                                           capacity):
+        by_value = ReservoirSampler(capacity, seed=seed)
+        for value in values:
+            by_value.add(value)
+        by_chunk = ReservoirSampler(capacity, seed=seed)
+        for chunk in chunks(values, cuts):
+            by_chunk.add_many(chunk)
+        assert sampler_state(by_chunk) == sampler_state(by_value)
+
+    def test_replacement_far_above_capacity(self):
+        rng = random.Random(5)
+        values = [rng.choice([None, rng.randrange(1000), rng.random()])
+                  for _ in range(5000)]
+        by_value = ReservoirSampler(7, seed=11)
+        for value in values:
+            by_value.add(value)
+        by_chunk = ReservoirSampler(7, seed=11)
+        for chunk in chunks(values, [1, 6, 7, 8, 64, 1000, 1024, 4999]):
+            by_chunk.add_many(chunk)
+        assert sampler_state(by_chunk) == sampler_state(by_value)
+        assert by_value.seen == 5000 and len(by_value.sample) == 7
+
+    @given(rows=st.lists(
+               st.dictionaries(st.integers(0, 3),
+                               st.one_of(st.none(), st.integers(-9, 9),
+                                         st.text("ab", max_size=1)),
+                               max_size=4),
+               max_size=40),
+           cuts=st.lists(st.integers(0, 40), max_size=4),
+           target=st.sampled_from([2, 5, 1000]))
+    @settings(max_examples=200, deadline=None)
+    def test_add_columns_equals_add_row_per_row(self, rows, cuts, target):
+        schema = Schema([("a", INTEGER), ("b", INTEGER), ("c", INTEGER),
+                         ("d", INTEGER)])
+        attrs = [0, 2, 3]           # attribute 1 is never collected
+        models = CostModel(), CostModel()
+        for model in models:        # a clock mid-query, not at zero
+            model.tokenize(12345)
+            model.predicate(77)
+        by_row = StatsCollector(models[0], schema, attrs, target, seed=4)
+        for row in rows:
+            by_row.add_row(row)
+        by_column = StatsCollector(models[1], schema, attrs, target, seed=4)
+        for block in chunks(rows, cuts):
+            # an attribute absent from a row contributes nothing to
+            # its column; one absent from every row has no column
+            columns = {attr: [row[attr] for row in block if attr in row]
+                       for attr in range(4)
+                       if any(attr in row for row in block)}
+            by_column.add_columns(columns)
+        for attr in attrs:
+            assert sampler_state(by_column._samplers[attr]) == \
+                sampler_state(by_row._samplers[attr]), attr
+        assert dict(models[1].clock.counters) == \
+            dict(models[0].clock.counters)  # no zero-unit entry either
+        assert models[1].clock.seconds == models[0].clock.seconds  # exact
+        sampled = sum(attr in row for row in rows for attr in attrs)
+        assert models[0].count(CostEvent.STATS_SAMPLE) == sampled
 
 
 class TestStatsCollector:
