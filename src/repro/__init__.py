@@ -17,8 +17,7 @@ Quickstart (session API)::
     assert row == ("bob",)
 
 The pre-session surface remains: ``PostgresRaw.query(sql)`` returns an
-eager :class:`QueryResult` (and ``Database.execute`` survives as a
-deprecated alias). README.md holds the system map ("Columnar
+eager :class:`QueryResult`. README.md holds the system map ("Columnar
 pipeline", "Layout"); benchmarks/ holds the paper-figure reproductions
 and benchmarks/e2e/README.md the wall-clock record.
 """
@@ -59,7 +58,7 @@ from repro.simcost.profiles import (
     POSTGRES_RAW_PROFILE,
     CostProfile,
 )
-from repro.sql.catalog import Column, Schema, TableInfo, TableKind
+from repro.sql.catalog import Column, Schema, TableInfo
 from repro.sql.datatypes import (
     BIGINT,
     BOOLEAN,
@@ -86,7 +85,7 @@ __all__ = [
     "PositionalMap", "BinaryCache", "IdleTuner", "TuningReport",
     "FsInterfacePrewarmer",
     # catalog / types
-    "Schema", "Column", "TableInfo", "TableKind", "DataType",
+    "Schema", "Column", "TableInfo", "DataType",
     "INTEGER", "BIGINT", "FLOAT", "DATE", "BOOLEAN",
     "varchar", "char", "decimal",
     # results

@@ -9,7 +9,11 @@ caching compiled query artifacts across invocations), re-execution
 binds ``?`` parameters into the cached physical plan with **zero**
 parse/plan work, and results stream through the engine's shared
 :class:`~repro.api.scheduler.Scheduler` so many sessions can query one
-engine concurrently under a single admission gate.
+engine concurrently under a single admission gate. What a prepared
+statement caches is parse + plan only: whether a scan's cached blocks
+take the fast path (:mod:`repro.kernels`) is decided by the scan
+itself, so a session's execution and a one-shot ``Database.query`` of
+the same SQL run the same scan.
 
 Cost scoping: every job charges its own clock/counter deltas (see the
 scheduler), and the session aggregates its jobs — ``session.elapsed()``
@@ -28,7 +32,6 @@ from repro.api.exceptions import (
     translate_errors,
 )
 from repro.api.scheduler import QueryJob
-from repro.kernels import KernelCache, attach_kernels, kernel_report
 from repro.sql.ast_nodes import Explain, ParamBinding, Select, is_ddl
 from repro.sql.executor import QueryResult, counters_delta, explain_rows
 
@@ -102,12 +105,6 @@ class PreparedStatement:
         self.stats_epoch: int = session.engine.catalog.stats_epoch
         self.prepare_elapsed = prepare_elapsed
         self.prepare_counters = dict(prepare_counters)
-        #: scan leaves served by a scan kernel (0 = generic path);
-        #: set by the session right after it attaches kernels, and the
-        #: per-execution ``kernel_hits`` multiplier
-        self.kernel_scans: int = 0
-        #: ``kernel: ...`` EXPLAIN annotation rows for the cached plan
-        self.kernel_notes: list[str] = []
         #: jobs currently streaming from this statement's cached plan
         self._live_jobs: set[QueryJob] = set()
 
@@ -123,11 +120,6 @@ class PreparedStatement:
         start = clock.checkpoint()
         before = dict(clock.counters)
         self.planned = engine.plan_select(self.select)
-        # Stats arriving is exactly what invalidates bound kernels:
-        # re-attach against the session cache (cleared for the new
-        # epoch), so the fresh plan binds fresh kernels.
-        self.kernel_scans = self.session._attach_kernels(self.planned)
-        self.kernel_notes = kernel_report(self.planned)
         self.plan = self.planned.describe()
         self.stats_epoch = epoch
         self.session.stats["replans"] += 1
@@ -191,10 +183,6 @@ class Session:
         self.closed = False
         self._statement_cache_size = statement_cache_size
         self._statements: OrderedDict[str, PreparedStatement] = OrderedDict()
-        #: scan kernels, cached beside the statement cache and
-        #: keyed by plan signature (see repro.kernels) — ``?`` re-binds
-        #: reuse entries; catalog stats-epoch bumps invalidate them
-        self.kernels = KernelCache()
         #: unfinished jobs started by this session (cursors come and
         #: go; the jobs are what hold scheduler slots and buffers)
         self._jobs: set[QueryJob] = set()
@@ -299,7 +287,6 @@ class Session:
             self.engine.refresh_for(select)
             planned = self.engine.plan_select(select)
             self.stats["plans"] += 1
-            kernel_scans = self._attach_kernels(planned)
             prepare_elapsed = clock.elapsed_since(start)
             prepare_counters = counters_delta(clock.counters, before)
         # Prepare cost is session work (it belongs to no single
@@ -307,23 +294,12 @@ class Session:
         self._charge(prepare_elapsed, prepare_counters)
         statement = PreparedStatement(self, sql, parsed, planned,
                                       prepare_elapsed, prepare_counters)
-        statement.kernel_scans = kernel_scans
-        statement.kernel_notes = kernel_report(planned)
         if use_cache and self._statement_cache_size != 0:
             self._statements[sql] = statement
             while (self._statement_cache_size is not None
                    and len(self._statements) > self._statement_cache_size):
                 self._statements.popitem(last=False)
         return statement
-
-    def _attach_kernels(self, planned) -> int:
-        """Pin scan kernels (or ineligibility reasons) onto
-        ``planned``'s scan leaves from this session's kernel cache.
-        Returns the number of kernel-served scans."""
-        engine = self.engine
-        return attach_kernels(self.kernels, engine.model,
-                              getattr(engine, "config", None), planned,
-                              engine.catalog.stats_epoch)
 
     # -- job plumbing (used by Cursor) ---------------------------------------
     def _start_job(self, statement: "PreparedStatement | DDLStatement",
@@ -345,7 +321,6 @@ class Session:
                 # first if statistics arrived since it was built).
                 statement._replan_if_stale()
                 columns, rows = explain_rows(statement.plan)
-                rows = rows + [(note,) for note in statement.kernel_notes]
                 job = QueryJob.completed(self, statement.sql, columns,
                                          rows, statement.plan)
                 self.stats["queries"] += 1
@@ -353,10 +328,6 @@ class Session:
             statement.bind(params)
             self.engine.refresh_for(statement.select)
             statement._replan_if_stale()
-            if statement.kernel_scans:
-                # Zero-priced observability: this execution's scans are
-                # served by scan kernels (one unit per scan leaf).
-                self.engine.model.kernel_hit(statement.kernel_scans)
             job = QueryJob(self, statement.sql, statement.planned,
                            statement=statement, plan=statement.plan,
                            timeout=timeout)

@@ -15,7 +15,8 @@ operator's format-agnostic half; :mod:`repro.core.scan_batch` (CSV) and
   not assume a line-oriented, growable file; FITS takes just that.)
 * :class:`BlockScan` is the per-scan *driver*: the frozen
   indexed/streaming split, the indexed-region block loop (cached-block
-  fast path → zero-priced bailout → strict block → tolerant redo), and
+  fast path where the scan's one eligibility decision allows it →
+  zero-priced hit, or bailout → strict block → tolerant redo), and
   the streaming region's single read → newline-discovery → row-block
   group formation → dispatch → ordered-merge loop. It also holds the
   steps every format's block compute performs identically: the
@@ -70,27 +71,11 @@ from repro.errors import (
     annotate,
 )
 from repro.formats.csvfmt import newline_offsets
+from repro.kernels import cache as kernel_cache
 from repro.simcost.model import RecordingModel
 from repro.sql.batch import ColumnBatch, object_nulls
 from repro.sql.scanapi import ScanPredicate
 from repro.sql.stats import TableStats
-
-
-class _KernelBailout:
-    """Sentinel the cached-block fast path (:mod:`repro.kernels`)
-    returns when a block-level precondition fails; the driver falls
-    back to the generic block path. Defined here (not in
-    :mod:`repro.kernels`) so the driver can compare against it without
-    an import cycle."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "KERNEL_BAILOUT"
-
-
-#: the one bailout instance; compared by identity at the call site
-KERNEL_BAILOUT = _KernelBailout()
 
 
 def parse_numeric_fields(matrix: np.ndarray, total_width: int,
@@ -266,14 +251,11 @@ class RawFileAccess(RawAccessBase):
 
     # -- scan entry points ---------------------------------------------
     def scan_batches(self, needed: Sequence[int],
-                     predicate: ScanPredicate | None, kernel=None):
+                     predicate: ScanPredicate | None):
         """Columnar pull: yield :class:`~repro.sql.batch.ColumnBatch`
-        blocks instead of tuples. ``kernel`` is an optional
-        :class:`~repro.kernels.KernelProgram` whose fast path serves
-        fully cached blocks of the indexed region."""
+        blocks instead of tuples."""
         def body(handle, *scan_args):
-            return self.scan_class(self, *scan_args,
-                                   kernel=kernel).run(handle)
+            return self.scan_class(self, *scan_args).run(handle)
 
         return self._run_scan(needed, predicate, body)
 
@@ -410,7 +392,7 @@ class BlockScan:
     supplies" methods below."""
 
     def __init__(self, access: RawFileAccess, out_attrs, where_attrs,
-                 union_attrs, predicate, collector, kernel=None):
+                 union_attrs, predicate, collector):
         self.access = access
         self.model = access.model
         self.config = access.config
@@ -424,10 +406,11 @@ class BlockScan:
         self.collector = collector
         self._families = access._families
         self._dtypes = access._dtypes
-        #: repro.kernels.KernelProgram or None; its fast path charges
-        #: the exact priced events the generic indexed block charges, in
-        #: the same order.
-        self.kernel = kernel
+        #: the cached-block fast path (repro.kernels) if this scan may
+        #: take it, else None — decided once, here, whoever started the
+        #: scan; it charges the exact priced events the generic indexed
+        #: block charges, in the same order.
+        self.kernel = kernel_cache.compile_kernel(self)
 
     def run(self, handle) -> Iterator[ColumnBatch]:
         # Freeze the indexed/streaming split for the whole scan: a
@@ -657,12 +640,13 @@ class BlockScan:
     def _indexed_block(self, handle, block: int, row0: int,
                        row1: int) -> ColumnBatch | None:
         if self.kernel is not None:
-            batch = self.kernel.indexed(self, block, row0, row1)
-            if batch is not KERNEL_BAILOUT:
+            batch = self.kernel(self, block, row0, row1)
+            if batch is not None:
+                self.model.kernel_hit()
                 return batch
             # The probes were side-effect-free (peek, has_line_spans):
             # the generic path below charges exactly what a kernel-less
-            # scan would. The bailout event itself is zero-priced.
+            # scan would. Hit and bailout events are zero-priced.
             self.model.kernel_bailout()
         self.model.tuple_overhead(row1 - row0)
         starts, ends = self._line_spans(row0, row1)
@@ -920,6 +904,15 @@ class BlockScan:
                 # earlier group (or scan) already recorded.
                 _, starts, row0, n = op
                 known = self.pm.known_line_count
+                if row0 > known:
+                    # The map lost lines this scan already indexed
+                    # (dropped under it: DROP TABLE, drop_auxiliary,
+                    # engine.close()); appending would file these lines
+                    # under the wrong row numbers.
+                    raise ExecutionError(
+                        f"line index for rows {known}..{row0} vanished "
+                        "from the positional map mid-scan; re-run the "
+                        "query")
                 if row0 + n > known:
                     self.pm.append_line_starts(
                         starts[max(0, known - row0):])

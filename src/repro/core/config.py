@@ -110,16 +110,17 @@ class PostgresRawConfig:
         bit-identical at any worker count. Defaults to
         ``$REPRO_SCAN_WORKERS`` when set.
     scan_kernels:
-        When True (the default), sessions attach scan kernels
-        (:mod:`repro.kernels`) to prepared plans: a scan with an
-        eligible (format, schema, projection, predicate-shape)
-        signature serves the blocks it finds fully cached through one
-        fast-path function — skipping the generic per-block setup
-        while charging the exact same priced events in the same order.
-        Results, PM/cache contents, counters and the virtual clock are
-        bit-identical to the generic pipeline, which remains the
-        differential oracle and runs every block the fast path cannot
-        serve. Defaults to ``$REPRO_SCAN_KERNELS`` when set.
+        When True (the default), every batch scan of a CSV or JSONL
+        table — from a session, ``Database.query``, a rollup build or a
+        partitioned table's file — whose predicate is absent or
+        vectorized and which collects no §4.4 statistics serves the
+        indexed blocks it finds fully cached through one fast-path
+        function (:mod:`repro.kernels`), skipping the generic per-block
+        setup while charging the exact same priced events in the same
+        order. Results, PM/cache contents, priced counters and the
+        virtual clock are bit-identical to the generic pipeline, which
+        remains the differential oracle and runs every block the fast
+        path cannot serve. Defaults to ``$REPRO_SCAN_KERNELS`` when set.
     enable_zone_aggregates:
         Answer bare ``MIN``/``MAX``/``COUNT(*)`` on partitioned tables
         straight from per-file zone maps when every file has complete

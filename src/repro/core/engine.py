@@ -57,15 +57,25 @@ class PostgresRaw(Database):
         return self.config.row_block_size
 
     def close(self) -> None:
-        """Release engine resources — currently the scan worker pool's
-        threads. Idempotent, and not terminal: the pool restarts lazily
-        if the engine is queried again, so this is safe to call
-        whenever a long-lived process is done with the engine. A query
-        still streaming a parallel scan when the pool shuts down fails
-        cleanly on its next fetch (ExecutionError, slot released) —
-        close when the engine is quiescent to avoid that."""
+        """Release engine resources: the scan worker pool's threads and
+        every table's auxiliary state, torn down by the table's format
+        adapter exactly as at DROP TABLE — a file-system-interface
+        prewarmer detached from the (possibly shared) VFS, positional
+        map dropped, cache cleared, partition children torn down — so a
+        closed engine holds no structure worth reclaiming and nothing
+        outside it still calls into it, even before the cycle collector
+        runs. Idempotent, and not terminal: tables stay registered, the
+        pool restarts lazily and the structures rebuild on the next
+        query (a detached prewarmer stays detached). A raw scan still
+        streaming when the engine closes fails cleanly on its next
+        fetch that needs the lost structures (ExecutionError, slot
+        released) — close when the engine is quiescent to avoid that."""
+        from repro.sql.ddl import teardown_table
+
         if self.scan_pool is not None:
             self.scan_pool.close()
+        for info in self.catalog.tables():
+            teardown_table(self, info)
 
     # ------------------------------------------------------------------
     # §7 File System Interface

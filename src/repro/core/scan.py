@@ -186,11 +186,11 @@ class RawCsvAccess(RawFileAccess):
         return self._run_scan(needed, predicate, self._scan_rows_scalar)
 
     def scan_batches(self, needed: Sequence[int],
-                     predicate: ScanPredicate | None, kernel=None):
+                     predicate: ScanPredicate | None):
         """On the scalar path (batch mode off) the columnar pull
         degrades to chunking the row iterator."""
         if self.batch_enabled:
-            return super().scan_batches(needed, predicate, kernel)
+            return super().scan_batches(needed, predicate)
         return self._run_scan(needed, predicate, self._scalar_batches)
 
     def _scalar_batches(self, handle, out_attrs, *scan_args):

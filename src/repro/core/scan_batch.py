@@ -156,8 +156,8 @@ class BatchCsvScan(BlockScan):
     """One batch-mode scan over one raw CSV table: the per-format half
     of :class:`~repro.core.blockscan.BlockScan`."""
 
-    def __init__(self, access, *scan_args, kernel=None):
-        super().__init__(access, *scan_args, kernel=kernel)
+    def __init__(self, access, *scan_args):
+        super().__init__(access, *scan_args)
         self.arity = access.schema.arity
         self.dialect = access.dialect
         # Streaming-region constants of this scan's shape. The scalar

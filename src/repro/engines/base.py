@@ -126,19 +126,6 @@ class Database:
 
         return execute_ddl(self, statement)
 
-    def execute(self, sql: str) -> QueryResult:
-        """Deprecated pre-session surface: alias of :meth:`query`.
-
-        New code should use ``repro.connect(engine=...)`` and cursors
-        (prepared statements, parameter binding, streaming fetch); this
-        shim keeps the old call sites working unchanged.
-        """
-        warnings.warn(
-            "Database.execute(sql) is deprecated; use Database.query(sql) "
-            "or the repro.connect() session API",
-            DeprecationWarning, stacklevel=2)
-        return self.query(sql)
-
     # ------------------------------------------------------------------
     # Deprecated registration shims — one implementation for every
     # engine, routed through the DDL path (CREATE TABLE ... USING ...),

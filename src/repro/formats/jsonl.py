@@ -230,8 +230,8 @@ class JsonlScan(BlockScan):
     stream-group compute, batch value conversion, and the ``"jpm"`` /
     ``"jcache"`` staged ops."""
 
-    def __init__(self, access, *scan_args, kernel=None):
-        super().__init__(access, *scan_args, kernel=kernel)
+    def __init__(self, access, *scan_args):
+        super().__init__(access, *scan_args)
         self.keys = access.keys
 
     # -- value conversion ----------------------------------------------

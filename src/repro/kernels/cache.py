@@ -1,63 +1,110 @@
-"""The plan-adjacent kernel cache.
+"""Who gets the fast path: one decision per scan, one line per EXPLAIN.
 
-One :class:`KernelCache` lives on each :class:`~repro.api.session.
-Session`, beside the prepared-statement plan cache: preparing (or
-re-planning) a statement looks its scan shapes up here, binding a
-:class:`~repro.kernels.fastpath.KernelProgram` on miss (the bind step
-is called through the module global ``compile_kernel``, so a tracer can
-wrap it). The cache is keyed by the full collision-free kernel key (see
-:mod:`repro.kernels.signature`) and invalidated wholesale on the same
-catalog ``stats_epoch`` bumps that trigger re-planning — DDL, drops,
-renames, statistics arrival — so a kernel can never outlive the plan
-shape it was bound for. ``?``-parameter re-binds do not touch the
-cache at all: parameter values are outside the kernel key and are read
-by the predicate closures at execution time.
+:func:`compile_kernel` is asked once by every
+:class:`~repro.core.blockscan.BlockScan` — whatever started it: a
+session, ``Database.query``, a rollup build, a partitioned table's
+per-file child — whether its indexed blocks may try
+:func:`~repro.kernels.fastpath.cached_block` first. Nothing is
+generated, bound or remembered between scans, so there is nothing to
+key, cache or invalidate; the name and the module are historical (the
+e2e benchmark's tracer times this call as its ``kernels.compile``
+span, through this module's global).
+
+:func:`explain_note` renders the static half of the same decision —
+the configuration and the predicate, known at plan time — as the
+``kernel: cached-block`` / ``kernel: none (<reason>)`` EXPLAIN row.
+What only the scan can know (a §4.4 collector still sampling, a block
+not yet cached) shows at run time in the zero-priced ``kernel_hits`` /
+``kernel_bailouts`` counters, one unit per indexed block.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
-from repro.kernels.fastpath import KernelProgram, compile_kernel
-from repro.kernels.signature import KernelSpec
-
-#: kernels retained per session (LRU); shapes are few in practice
-DEFAULT_CAPACITY = 64
+from repro.kernels.fastpath import cached_block
+from repro.sql import ast_nodes as _ast
+from repro.sql.vectorize import build_vector_predicate
 
 
-class KernelCache:
-    """LRU cache of bound :class:`KernelProgram` objects."""
+def compile_kernel(scan):
+    """:func:`~repro.kernels.fastpath.cached_block` when ``scan`` may
+    serve its indexed blocks through it, else None: kernels enabled, a
+    binary cache and a positional map to serve from, no statistics
+    collector (sampling needs the values the generic compute
+    materializes) and a predicate that is absent or vectorized."""
+    predicate = scan.predicate
+    if (scan.config.scan_kernels and scan.cache is not None
+            and scan.pm is not None and scan.collector is None
+            and (predicate is None or predicate.vector_fn is not None)):
+        return cached_block
+    return None
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        self.capacity = capacity
-        self._programs: OrderedDict[str, KernelProgram] = OrderedDict()
-        self.stats_epoch: int | None = None
-        self.hits = 0
-        self.compiles = 0
-        self.invalidations = 0
 
-    def __len__(self) -> int:
-        return len(self._programs)
+def explain_note(scan_op) -> str | None:
+    """The ``kernel:`` EXPLAIN note of one scan leaf, or None when its
+    access method has no block-scanned indexed region to serve (heap,
+    FITS, external files, the scalar CSV path). A partitioned table is
+    judged by its files' access method."""
+    access = scan_op.access
+    parts = getattr(access, "parts", None)
+    if parts:
+        access = parts[0].access
+    if getattr(access, "scan_class", None) is None \
+            or not access.batch_enabled:
+        return None
+    if not access.config.scan_kernels:
+        return "none (scan_kernels disabled)"
+    predicate = scan_op.predicate
+    if predicate is not None and predicate.vector_fn is None:
+        return f"none ({_not_vectorizable(predicate.conjuncts)})"
+    return "cached-block"
 
-    def lookup(self, spec: KernelSpec,
-               stats_epoch: int) -> tuple[KernelProgram, str]:
-        """``(program, 'hit'|'compiled')`` for ``spec``, binding on
-        miss. A ``stats_epoch`` different from the one the cached
-        programs were bound under clears the cache first — the same
-        staleness rule the plan cache applies per statement."""
-        if self.stats_epoch != stats_epoch:
-            if self._programs:
-                self.invalidations += 1
-            self._programs.clear()
-            self.stats_epoch = stats_epoch
-        program = self._programs.get(spec.key)
-        if program is not None:
-            self._programs.move_to_end(spec.key)
-            self.hits += 1
-            return program, "hit"
-        program = compile_kernel(spec)
-        self._programs[spec.key] = program
-        self.compiles += 1
-        while len(self._programs) > self.capacity:
-            self._programs.popitem(last=False)
-        return program, "compiled"
+
+def _shape(node) -> str:
+    """Render one predicate AST as a value-free shape string."""
+    if node is None:
+        return "_"
+    if isinstance(node, _ast.ColumnRef):
+        return "c:" + str(node.name).lower()
+    if isinstance(node, _ast.Parameter):
+        return "?"
+    if isinstance(node, _ast.Literal):
+        return "lit"
+    if isinstance(node, _ast.IntervalLiteral):
+        return "interval"
+    if isinstance(node, _ast.BinaryOp):
+        return f"({_shape(node.left)}{node.op}{_shape(node.right)})"
+    if isinstance(node, _ast.UnaryOp):
+        return f"({node.op} {_shape(node.operand)})"
+    if isinstance(node, _ast.Between):
+        neg = "not-" if node.negated else ""
+        return (f"({_shape(node.operand)} {neg}between "
+                f"{_shape(node.low)},{_shape(node.high)})")
+    if isinstance(node, _ast.InList):
+        neg = "not-" if node.negated else ""
+        items = ",".join(_shape(item) for item in node.items)
+        return f"({_shape(node.operand)} {neg}in [{items}])"
+    if isinstance(node, _ast.IsNull):
+        neg = "not-" if node.negated else ""
+        return f"({_shape(node.operand)} is {neg}null)"
+    if isinstance(node, _ast.LikeExpr):
+        neg = "not-" if node.negated else ""
+        return f"({_shape(node.operand)} {neg}like lit)"
+    if isinstance(node, _ast.FuncCall):
+        args = ",".join(_shape(a) for a in node.args)
+        return f"{node.name}({args})"
+    if isinstance(node, _ast.CaseExpr):
+        return "case"
+    return type(node).__name__.lower()
+
+
+def _not_vectorizable(conjuncts) -> str:
+    """The ineligibility reason for a row-closure predicate, naming the
+    shape of the first conjunct the vectorizer does not cover — the
+    next uncovered shape is visible in EXPLAIN, no profiler needed."""
+    def any_column(node):
+        return 0 if isinstance(node, _ast.ColumnRef) else None
+
+    for conjunct in conjuncts:
+        if build_vector_predicate([conjunct], any_column) is None:
+            return f"predicate not vectorizable: {_shape(conjunct)}"
+    return "predicate not vectorizable"

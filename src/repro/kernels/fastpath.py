@@ -1,7 +1,7 @@
 """The cached-block fast path: what a scan kernel runs.
 
 NoDB's warm-query win is structural (§4.2/§4.3): once the positional
-map and the binary cache cover a query, the scan tokenizes and converts
+map and the binary cache cover a block, the scan tokenizes and converts
 nothing. The generic indexed-block compute still pays for the
 possibility that it might — cache-mask copies, need-file masks, an
 ``_IndexedBlockState`` (CSV) or per-row views (JSONL) — on every block;
@@ -14,14 +14,16 @@ streaming region has no fast path: a cold group runs the format's
 
 **Probe, then commit.** The probe is side-effect-free
 (``BinaryCache.peek``, ``PositionalMap.has_line_spans``, the pure
-``predicate.vector_fn``); if any precondition fails the function
-returns :data:`~repro.core.blockscan.KERNEL_BAILOUT` and the caller
-runs the generic block, whose charges are untouched because the probe
-charged nothing and moved no LRU state. Once committed, it performs the
-generic path's priced events in the generic order — tuple overhead, map
-accesses, cache reads, predicate, tuple forming — by *calling* the
-prologue helpers ``_indexed_block_strict`` calls, and serves the values
-straight from the cached arrays.
+``predicate.vector_fn``); if any block-level precondition fails the
+function returns None and the scan runs the generic block, whose
+charges are untouched because the probe charged nothing and moved no
+LRU state. Once committed, it performs the generic path's priced events
+in the generic order — tuple overhead, map accesses, cache reads,
+predicate, tuple forming — by *calling* the prologue helpers
+``_indexed_block_strict`` calls, and serves the values straight from
+the cached arrays. Scan-level preconditions (a cache and a map, no §4.4
+collector, a vectorized predicate) are checked once per scan by
+:func:`repro.kernels.cache.compile_kernel`, not here.
 
 What differs per format — how a cached block is probed and served,
 which map lookups the prologue makes, the SELECT charge rule and the
@@ -35,34 +37,16 @@ differentially, under cache and map eviction too).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
-
 import numpy as np
-
-from repro.core.blockscan import KERNEL_BAILOUT
-from repro.kernels.signature import KernelSpec
-
-
-@dataclass
-class KernelProgram:
-    """One bound kernel: the signature and its block entry point,
-    ``indexed(scan, block, row0, row1)`` with ``scan`` the format's
-    per-scan :class:`~repro.core.blockscan.BlockScan`."""
-
-    signature: str
-    indexed: Callable
-    spec: KernelSpec = field(default=None, repr=False)
 
 
 def cached_block(scan, block: int, row0: int, row1: int):
     """Rows ``row0..row1`` of ``block`` as a batch served from the
-    cache alone, or ``KERNEL_BAILOUT`` with nothing charged or moved."""
+    cache alone, or None with nothing charged or moved."""
     cache = scan.cache
     pm = scan.pm
-    if scan.collector is not None or cache is None or pm is None \
-            or not pm.has_line_spans(row0, row1):
-        return KERNEL_BAILOUT
+    if not pm.has_line_spans(row0, row1):
+        return None
     n = row1 - row0
     predicate = scan.predicate
 
@@ -79,7 +63,7 @@ def cached_block(scan, block: int, row0: int, row1: int):
     for attr in scan.where_attrs:
         served = serve(attr)
         if served is None:
-            return KERNEL_BAILOUT
+            return None
         columns[attr], nulls[attr] = served
     if predicate is not None:
         # vector_fn is pure: evaluating it here lets the SELECT-only
@@ -91,7 +75,7 @@ def cached_block(scan, block: int, row0: int, row1: int):
         if attr not in columns:
             served = serve(attr, qual)
             if served is None:
-                return KERNEL_BAILOUT
+                return None
             columns[attr] = served[0]
 
     # -- commit: the generic warm charge sequence
@@ -105,10 +89,3 @@ def cached_block(scan, block: int, row0: int, row1: int):
     if predicate is not None:
         model.predicate(predicate.n_terms * n)
     return scan._cached_batch(columns, np.flatnonzero(qual))
-
-
-def compile_kernel(spec: KernelSpec) -> KernelProgram:
-    """The program for ``spec``. Eligibility is all a spec decides
-    (:func:`~repro.kernels.signature.scan_kernel_spec`); the shape
-    itself — attributes, predicate — is read off the scan per block."""
-    return KernelProgram(spec.signature, cached_block, spec)

@@ -49,9 +49,8 @@ class CostEvent(enum.Enum):
     FILES_PRUNED = "files_pruned"            # partition files skipped via zone maps
     ROLLUP_HITS = "rollup_hits"              # aggregate queries routed to a rollup
     ROLLUP_MISSES = "rollup_misses"          # aggregate queries falling back to raw
-    KERNEL_HITS = "kernel_hits"              # executions served by a scan kernel
-    KERNEL_COMPILES = "kernel_compiles"      # scan kernels bound on a kernel-cache miss
-    KERNEL_BAILOUTS = "kernel_bailouts"      # kernel blocks falling back to the generic path
+    KERNEL_HITS = "kernel_hits"              # indexed blocks served by the cached-block fast path
+    KERNEL_BAILOUTS = "kernel_bailouts"      # indexed blocks the fast path probed and left to the generic path
     IO_STALL = "io_stall"                    # virtual seconds stalled on injected I/O latency / retry backoff
     ROWS_REJECTED = "rows_rejected"          # malformed raw rows quarantined under on_error skip/null
     IO_RETRIES = "io_retries"                # transient I/O errors retried by the storage layer

@@ -183,9 +183,6 @@ class CostModel:
     def kernel_hit(self, count: int = 1) -> None:
         self.charge(CostEvent.KERNEL_HITS, count)
 
-    def kernel_compile(self, count: int = 1) -> None:
-        self.charge(CostEvent.KERNEL_COMPILES, count)
-
     def kernel_bailout(self, count: int = 1) -> None:
         self.charge(CostEvent.KERNEL_BAILOUTS, count)
 

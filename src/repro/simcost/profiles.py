@@ -80,7 +80,6 @@ class CostProfile:
     # design, so the kernel path stays clock-identical to the generic
     # batch pipeline it short-cuts.
     kernel_hits: float = 0.0
-    kernel_compiles: float = 0.0
     kernel_bailouts: float = 0.0
     # Injected I/O stalls (fault injection / transient-retry backoff) are
     # billed in raw virtual seconds: one unit is one second of stall.

@@ -6,7 +6,7 @@ in the access method bound at plan leaves (raw scan, heap scan, external
 scan), exactly as PostgresRaw overrides PostgreSQL's scan operator.
 """
 
-from repro.sql.catalog import Catalog, Column, Schema, TableInfo, TableKind
+from repro.sql.catalog import Catalog, Column, Schema, TableInfo
 from repro.sql.datatypes import (
     BOOLEAN,
     DATE,
@@ -26,7 +26,6 @@ __all__ = [
     "Schema",
     "Column",
     "TableInfo",
-    "TableKind",
     "DataType",
     "Interval",
     "INTEGER",

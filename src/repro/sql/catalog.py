@@ -11,7 +11,6 @@ for introspection (``SHOW TABLES``) and teardown (``DROP TABLE``).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
@@ -20,18 +19,6 @@ from repro.sql.datatypes import DataType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sql.stats import TableStats
-
-
-class TableKind(enum.Enum):
-    """Deprecated pre-registry enum of access paths. Kept only so old
-    callers constructing :class:`TableInfo` with ``kind=...`` keep
-    working; nothing in the engine branches on it — format dispatch
-    lives in :mod:`repro.formats.registry`."""
-
-    RAW_CSV = "raw_csv"
-    RAW_FITS = "raw_fits"
-    HEAP = "heap"
-    EXTERNAL_CSV = "external"
 
 
 @dataclass(frozen=True)
@@ -112,13 +99,11 @@ class TableInfo:
     binding. ``access`` is the access-method object serving this
     table's scans. ``stats`` holds optimizer statistics — for
     PostgresRaw these appear adaptively (§4.4); for loaded engines they
-    are built at load time. ``kind`` is the deprecated pre-registry
-    enum, accepted and stored but never consulted.
+    are built at load time.
     """
 
     name: str
     schema: Schema
-    kind: TableKind | None = None
     path: str = ""
     format: str = ""
     options: dict = field(default_factory=dict)

@@ -27,7 +27,7 @@ import datetime
 
 from repro.errors import CatalogError, ExecutionError
 from repro.formats.partitioned import maybe_wrap_partitioned
-from repro.formats.registry import get_format, sniff_format
+from repro.formats.registry import FormatAdapter, get_format, sniff_format
 from repro.sql.ast_nodes import (
     AlterTableRename,
     ColumnRef,
@@ -209,6 +209,19 @@ def _dtype_of_expr(engine, select, index):
     return varchar()
 
 
+def teardown_table(engine, info) -> None:
+    """Release one table's auxiliary state through the format adapter
+    that built it (the base adapter's generic teardown for a table
+    registered outside the registry). Used by DROP TABLE and by
+    ``PostgresRaw.close()``, after which a still-registered table
+    rebuilds its structures on its next scan."""
+    try:
+        adapter = get_format(info.format) if info.format else None
+    except CatalogError:
+        adapter = None
+    (adapter or FormatAdapter()).teardown(engine, info)
+
+
 def _drop_table(engine, statement: DropTable) -> Result:
     """Unregister + tear down. Like unlinking an open file, DROP does
     not wait for in-flight queries: a live scan that was reading the
@@ -220,19 +233,7 @@ def _drop_table(engine, statement: DropTable) -> Result:
         return ["status"], [
             (f"DROP TABLE {statement.name} skipped (absent)",)]
     info = engine.catalog.get(statement.name)
-    try:
-        adapter = get_format(info.format) if info.format else None
-    except CatalogError:
-        adapter = None
-    if adapter is not None:
-        adapter.teardown(engine, info)
-    else:  # tables registered outside the registry: generic teardown
-        positional_map = getattr(info.access, "pm", None)
-        if positional_map is not None:
-            positional_map.drop()
-        cache = getattr(info.access, "cache", None)
-        if cache is not None:
-            cache.clear()
+    teardown_table(engine, info)
     # Dropping the source invalidates its rollups for good (a future
     # table under the same name is a different table): cascade.
     rollups = getattr(engine, "rollups", None)

@@ -127,22 +127,27 @@ _PLAN_CHILD_KEYS = ("input", "left", "right", "outer", "inner")
 
 def render_plan(plan: dict) -> list[str]:
     """Flatten a ``describe()`` plan dict into indented text lines —
-    the rows of an ``EXPLAIN`` result."""
+    the rows of an ``EXPLAIN`` result — followed by one
+    ``kernel: <note> [<table>]`` row per scan that reports one."""
     lines: list[str] = []
+    notes: list[str] = []
 
     def walk(node: dict, depth: int) -> None:
         attrs = ", ".join(f"{key}={value!r}" for key, value in node.items()
-                          if key != "op" and key not in _PLAN_CHILD_KEYS)
+                          if key not in ("op", "kernel")
+                          and key not in _PLAN_CHILD_KEYS)
         prefix = "  " * depth + ("-> " if depth else "")
         lines.append(f"{prefix}{node['op']}" + (f" ({attrs})" if attrs
                                                 else ""))
+        if "kernel" in node:
+            notes.append(f"kernel: {node['kernel']} [{node['table']}]")
         for key in _PLAN_CHILD_KEYS:
             child = node.get(key)
             if isinstance(child, dict):
                 walk(child, depth + 1)
 
     walk(plan, 0)
-    return lines
+    return lines + notes
 
 
 def explain_rows(plan: dict) -> tuple[list[str], list[tuple]]:

@@ -63,6 +63,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from repro.errors import ExecutionError
+from repro.kernels import explain_note
 from repro.simcost.model import CostModel
 from repro.sql.batch import ColumnBatch
 from repro.sql.scanapi import AccessMethod, ScanPredicate
@@ -191,7 +192,12 @@ class PlanOp:
 
 
 class ScanOp(PlanOp):
-    """Plan leaf: delegates to an access method (raw/heap/external)."""
+    """Plan leaf: delegates to an access method (raw/heap/external).
+
+    It carries no kernel state: a raw scan decides for itself, once per
+    scan, whether its cached blocks take the fast path
+    (:mod:`repro.kernels`), and :meth:`describe` reports the plan-time
+    half of that decision as ``kernel``."""
 
     def __init__(self, model: CostModel, layout: Layout,
                  access: AccessMethod, needed: Sequence[int],
@@ -203,12 +209,6 @@ class ScanOp(PlanOp):
         self.table_name = table_name
         # Plan-time PartitionSelection for partitioned tables (EXPLAIN).
         self.partitions = None
-        # Scan kernel (a repro.kernels.KernelProgram: the cached-block
-        # fast path for this scan's shape), attached by the session
-        # when the plan is prepared; ``kernel_info`` is the EXPLAIN
-        # string (``<sig> (hit|compiled)`` / ``none (<reason>)``).
-        self.kernel = None
-        self.kernel_info = None
 
     def rows(self) -> Iterator[tuple]:
         return self.access.scan(self.needed, self.predicate)
@@ -220,10 +220,6 @@ class ScanOp(PlanOp):
 
     def batches(self) -> Iterator[ColumnBatch]:
         if self.supports_batches:
-            if self.kernel is not None:
-                return self.access.scan_batches(self.needed,
-                                                self.predicate,
-                                                kernel=self.kernel)
             return self.access.scan_batches(self.needed, self.predicate)
         return super().batches()
 
@@ -247,12 +243,12 @@ class ScanOp(PlanOp):
             # plan summary — 'fail' stays silent to keep default
             # EXPLAIN output unchanged.
             out["on_error"] = on_error
-        # ``kernel_info`` is deliberately NOT part of the plan summary:
-        # it is session state (hit/compiled against *that* session's
-        # kernel cache), so ``Database.explain()`` and a session's
-        # EXPLAIN of the same SQL would otherwise describe the same
-        # plan differently. The session renders it as extra EXPLAIN
-        # rows instead.
+        # Whether the scan's indexed blocks may take the cached-block
+        # fast path, as far as the plan decides it (rendered by EXPLAIN
+        # as a ``kernel:`` row; see repro.kernels).
+        kernel = explain_note(self)
+        if kernel is not None:
+            out["kernel"] = kernel
         return out
 
 

@@ -456,14 +456,6 @@ class TestErrors:
 
 
 class TestLegacyShim:
-    def test_database_execute_deprecated_alias(self, people_raw):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = people_raw.execute("SELECT id FROM people WHERE id = 1")
-        assert result.rows == [(1,)]
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-
     def test_query_still_primary(self, people_raw):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # query() must not warn

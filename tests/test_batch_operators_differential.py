@@ -596,11 +596,15 @@ def assert_columnar_parity(engines, sql: str, tables=("t",),
         assert sorted(exact(res_batch)) == sorted(exact(res_loaded)), sql
     for table in tables:
         assert_structures_match(raw_batch, raw_scalar, table)
-    counters_batch = dict(res_batch.counters)
-    counters_scalar = dict(res_scalar.counters)
+    # The batch scan's cached-block fast path counts its blocks in two
+    # zero-priced events the scalar scan never charges.
+    ignored = {"kernel_hits", "kernel_bailouts"}
     if not cold:
-        counters_batch.pop("tokenize", None)
-        counters_scalar.pop("tokenize", None)
+        ignored.add("tokenize")
+    counters_batch = {k: v for k, v in res_batch.counters.items()
+                      if k not in ignored}
+    counters_scalar = {k: v for k, v in res_scalar.counters.items()
+                       if k not in ignored}
     assert counters_batch == counters_scalar, sql
     assert res_batch.rows_materialized == 0, sql
     for node in plan_nodes(res_batch.plan):

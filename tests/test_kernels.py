@@ -1,4 +1,4 @@
-"""Scan kernels: differential fuzz + cache lifecycle.
+"""Scan kernels: differential fuzz + the per-scan decision.
 
 The kernel path (``repro.kernels``) — the cached-block fast path of the
 generic batch scan — must be *invisible* except in wall-clock time and
@@ -9,16 +9,19 @@ its own zero-priced counters. The contract under test:
   counter and the virtual clock itself, with 1 and 4 scan workers, over
   seeded random schemas/data/workloads (CSV) and JSONL tables —
   unbudgeted, and under cache / positional-map budgets small enough
-  that evictions interleave with the fast path.
+  that evictions interleave with the fast path — through a session and
+  through one-shot ``Database.query`` alike.
+* **One unit per block** — every indexed block offered to the fast
+  path counts exactly one ``kernel_hits`` (served) or
+  ``kernel_bailouts`` (probed and missed).
 * **One group compute** — the streaming region has no kernel entry:
   a cold scan runs the format's ``_compute_stream_group``.
 * **Bailouts are per block** — unsupported block states (string
   columns on CSV, not-yet-cached columns) fall back to the generic
   code for that block only; results never change.
-* **Cache lifecycle** — first prepare compiles (``kernel: <sig>
-  (compiled)`` in EXPLAIN), later prepares hit, a catalog stats-epoch
-  bump invalidates and recompiles exactly once, and ``?`` re-binds
-  never recompile.
+* **One decision per scan** — whoever starts the scan (session,
+  ``Database.query``, a partitioned table's file) gets the same
+  decision and the same static EXPLAIN row.
 """
 
 import random
@@ -48,6 +51,8 @@ from tests.test_batch_operators_differential import (
 )
 
 WORKER_COUNTS = (1, 4)
+#: the two ways a query reaches the scan
+ENTRIES = ("session", "query")
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +69,14 @@ def kernel_engine(schema, payload: bytes, workers: int, kernels: bool,
         vfs=vfs)
     engine.register_csv("t", "t.csv", schema)
     return engine
+
+
+def runner(engine, entry: str):
+    """``run(sql) -> rows`` through a session or ``Database.query``."""
+    if entry == "session":
+        session = repro.connect(engine)
+        return lambda sql: session.execute(sql).fetchall()
+    return lambda sql: engine.query(sql).rows
 
 
 #: budget regimes the parity fuzz runs under: ``None`` is the
@@ -94,7 +107,7 @@ def numeric_table(rng):
 
 
 def count_kernel_attempts(monkeypatch) -> list:
-    """Record every indexed block offered to a kernel's fast path."""
+    """Record every indexed block offered to the fast path."""
     attempts = []
     indexed_block = BlockScan._indexed_block
 
@@ -107,14 +120,16 @@ def count_kernel_attempts(monkeypatch) -> list:
     return attempts
 
 
-def assert_some_blocks_served(engine, attempts, pressure):
-    """Under the roomiest budget a query's columns fit the cache, so
-    the fast path must have committed some of the blocks it was
-    offered; under the tighter ones every block may bail — the
-    all-bailout regime is their point."""
+def assert_one_unit_per_block(engine, attempts, pressure):
+    """Every block offered counts exactly one hit or one bailout. Under
+    the roomiest budget a query's columns fit the cache, so the fast
+    path must have committed some of them; under the tighter ones every
+    block may bail — the all-bailout regime is their point."""
+    counters = kernel_counters(engine)
+    assert counters.get("kernel_hits", 0) + \
+        counters.get("kernel_bailouts", 0) == len(attempts)
     if pressure is not None and pressure["cache_budget_bytes"] >= 4000:
-        assert kernel_counters(engine).get("kernel_bailouts", 0) < \
-            len(attempts)
+        assert counters.get("kernel_hits", 0) > 0
 
 
 def comparable_state(engine, table="t"):
@@ -150,11 +165,12 @@ def explain_kernel_lines(session, sql):
 # Differential fuzz: kernels on vs off must be invisible
 # ---------------------------------------------------------------------------
 class TestKernelDifferentialFuzz:
+    @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("pressure", PRESSURE)
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("seed", range(6))
     def test_csv_random_workloads_match(self, seed, workers, pressure,
-                                        monkeypatch):
+                                        entry, monkeypatch):
         rng = random.Random(72000 + seed)
         if pressure is None:
             schema = random_schema(rng)
@@ -170,22 +186,25 @@ class TestKernelDifferentialFuzz:
                            **(pressure or {}))
         off = kernel_engine(schema, payload, workers, False, block_size,
                             **(pressure or {}))
-        s_on, s_off = repro.connect(on), repro.connect(off)
+        run_on, run_off = runner(on, entry), runner(off, entry)
         for sql in queries:
             for _ in range(3):  # cold + two warm executions per shape
-                rows_on = s_on.execute(sql).fetchall()
-                rows_off = s_off.execute(sql).fetchall()
+                rows_on = run_on(sql)
+                rows_off = run_off(sql)
                 assert rows_on == rows_off, f"seed={seed}: {sql!r}"
                 assert comparable_state(on) == comparable_state(off), \
                     f"seed={seed} diverged after {sql!r}"
         assert kernel_counters(off) == {}
-        assert_some_blocks_served(on, attempts, pressure)
+        assert_one_unit_per_block(on, attempts, pressure)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_column_pair_and_like_predicates_match(self, workers):
+    def test_column_pair_and_like_predicates_match(self, workers,
+                                                   monkeypatch):
         """Column-vs-column comparisons and LIKE masks are vectorized,
         so their scans are kernel-eligible: on-vs-off must stay
-        invisible for them too (string columns bail per block)."""
+        invisible for them too (string columns and NULLs bail per
+        block)."""
+        attempts = count_kernel_attempts(monkeypatch)
         rng = random.Random(72500)
         payload = write_csv(pair_table(rng, 150))
         on = kernel_engine(PAIR_SCHEMA, payload, workers, True)
@@ -193,14 +212,15 @@ class TestKernelDifferentialFuzz:
         s_on, s_off = repro.connect(on), repro.connect(off)
         for predicate in PAIR_PREDICATES:
             sql = f"SELECT x, d1, f2 FROM t WHERE {predicate}"
-            assert explain_kernel_lines(s_on, sql)[0].startswith(
-                "kernel: csv:"), predicate
+            assert explain_kernel_lines(s_on, sql) == \
+                ["kernel: cached-block [t]"], predicate
             explain_kernel_lines(s_off, sql)  # same EXPLAIN charges
             for _ in range(2):  # cold + warm execution of each shape
                 assert s_on.execute(sql).fetchall() == \
                     s_off.execute(sql).fetchall(), predicate
             assert comparable_state(on) == comparable_state(off), predicate
-        assert on.counters().get("kernel_hits", 0) > 0
+        assert attempts
+        assert_one_unit_per_block(on, attempts, None)
 
     def test_ineligible_reason_names_the_offending_conjunct(self):
         engine = kernel_engine(PAIR_SCHEMA, write_csv(pair_table(
@@ -211,9 +231,11 @@ class TestKernelDifferentialFuzz:
         assert lines == ["kernel: none (predicate not vectorizable: "
                          "((c:i1+c:i2)>lit)) [t]"]
 
+    @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("pressure", PRESSURE)
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_jsonl_workloads_match(self, workers, pressure, monkeypatch):
+    def test_jsonl_workloads_match(self, workers, pressure, entry,
+                                   monkeypatch):
         # Under a budget c is numeric and the table short: every column
         # can be served, and the roomiest budget holds a query's blocks.
         rows = [{"a": i, "b": i % 23,
@@ -238,7 +260,7 @@ class TestKernelDifferentialFuzz:
             return engine
 
         on, off = build(True), build(False)
-        s_on, s_off = repro.connect(on), repro.connect(off)
+        run_on, run_off = runner(on, entry), runner(off, entry)
         queries = [
             "SELECT a, d FROM t WHERE b < 7",       # cold: streaming
             "SELECT c FROM t WHERE a >= 150",       # bail: a not cached
@@ -247,10 +269,10 @@ class TestKernelDifferentialFuzz:
         ]
         for sql in queries:
             for _ in range(3):
-                assert s_on.execute(sql).fetchall() == \
-                    s_off.execute(sql).fetchall(), sql
+                assert run_on(sql) == run_off(sql), sql
                 assert comparable_state(on) == comparable_state(off), sql
-        assert_some_blocks_served(on, attempts, pressure)
+        assert kernel_counters(off) == {}
+        assert_one_unit_per_block(on, attempts, pressure)
 
     def test_worker_counts_identical_with_kernels(self):
         """The kernel path preserves PR-4's worker-invariance contract:
@@ -281,11 +303,14 @@ class TestKernelBailouts:
         schema = repro.Schema([("a", repro.INTEGER),
                                ("b", repro.INTEGER),
                                ("c", repro.varchar())])
-        on = kernel_engine(schema, write_csv(rows), 1, True, 16)
-        off = kernel_engine(schema, write_csv(rows), 1, False, 16)
+        # Without §4.4 sampling every warm scan may probe: warm `a`
+        # only; then the predicate on the uncached `b` must bail per
+        # block on the first run and go fully fused on the second.
+        on = kernel_engine(schema, write_csv(rows), 1, True, 16,
+                           enable_statistics=False)
+        off = kernel_engine(schema, write_csv(rows), 1, False, 16,
+                            enable_statistics=False)
         s_on, s_off = repro.connect(on), repro.connect(off)
-        # Warm `a` only; then predicate on the uncached `b` must bail
-        # per block on the first run and go fully fused on the second.
         for sql in ("SELECT a FROM t WHERE a < 40",
                     "SELECT a FROM t WHERE b = 3",
                     "SELECT a FROM t WHERE b = 3"):
@@ -297,9 +322,10 @@ class TestKernelBailouts:
         assert counters.get("kernel_hits", 0) > 0
 
     def test_cold_scan_runs_the_generic_group_compute(self, monkeypatch):
-        """The streaming region has no kernel entry: a kernel-served
-        cold scan computes every group with the format's own
-        ``_compute_stream_group`` — the only group compute there is."""
+        """The streaming region has no kernel entry: a cold scan
+        computes every group with the format's own
+        ``_compute_stream_group`` — the only group compute there is —
+        and, having no indexed block, counts no kernel event."""
         groups = []
         compute = BatchCsvScan._compute_stream_group
 
@@ -312,8 +338,7 @@ class TestKernelBailouts:
         schema = Schema([("a", INTEGER), ("b", INTEGER)])
         engine = kernel_engine(schema, write_csv(rows), 1, True, 16)
         repro.connect(engine).execute("SELECT a FROM t WHERE b < 5").fetchall()
-        assert kernel_counters(engine) == {"kernel_compiles": 1,
-                                           "kernel_hits": 1}
+        assert kernel_counters(engine) == {}
         assert groups == [0, 16, 32, 48, 64]
 
     def test_string_column_output_stays_identical(self):
@@ -344,65 +369,88 @@ class TestKernelBailouts:
         clock = engine.clock
         before = clock.now()
         engine.model.kernel_hit(5)
-        engine.model.kernel_compile()
         engine.model.kernel_bailout()
         assert clock.now() == before  # ... at zero price
 
 
 # ---------------------------------------------------------------------------
-# Cache lifecycle: compiled -> hit -> epoch invalidation -> compiled
+# The decision: once per scan, the same for every entry point
 # ---------------------------------------------------------------------------
-class TestKernelCacheLifecycle:
+class TestKernelDecision:
     @staticmethod
-    def _fresh(kernels=True):
+    def _fresh(kernels=True, **config_kwargs):
         rows = [[str(i), str(i % 11)] for i in range(80)]
         schema = repro.Schema([("a", repro.INTEGER),
                                ("b", repro.INTEGER)])
-        engine = kernel_engine(schema, write_csv(rows), 1, kernels, 16)
-        return engine, repro.connect(engine)
+        return kernel_engine(schema, write_csv(rows), 1, kernels, 16,
+                             **config_kwargs)
 
-    def test_explain_reports_compile_then_hit(self):
-        engine, session = self._fresh()
+    def test_one_shot_queries_take_the_fast_path(self):
+        """``Database.query`` gets the fast path with no session: the
+        warm re-run of a fully cached 80-row table serves its five
+        blocks, one hit each, at the generic path's exact cost."""
+        on, off = self._fresh(True), self._fresh(False)
         sql = "SELECT a FROM t WHERE b < 5"
-        lines = explain_kernel_lines(session, sql)
-        assert len(lines) == 1 and "(compiled)" in lines[0]
-        assert "csv:" in lines[0]
-        # A distinct statement with the same value-free shape (literals
-        # are excluded from the signature) hits the kernel cache.
-        lines = explain_kernel_lines(session, "SELECT a FROM t WHERE b < 9")
-        assert len(lines) == 1 and "(hit)" in lines[0]
+        for _ in range(2):  # cold (collects stats), then warm
+            assert on.query(sql).rows == off.query(sql).rows
+        warm = on.query(sql)
+        assert warm.rows == off.query(sql).rows
+        assert {k: v for k, v in warm.counters.items()
+                if k.startswith("kernel_")} == {"kernel_hits": 5}
+        assert comparable_state(on) == comparable_state(off)
 
-    def test_epoch_bump_invalidates_and_recompiles_once(self):
-        engine, session = self._fresh()
-        statement = session.prepare("SELECT a FROM t WHERE b < ?")
-        statement.execute([5]).fetchall()   # stats arrive: epoch moves
-        statement.execute([5]).fetchall()   # replans once, then stable
-        settled = engine.counters().get("kernel_compiles", 0)
-        for _ in range(4):
-            statement.execute([5]).fetchall()
-        assert engine.counters().get("kernel_compiles", 0) == settled
-        engine.catalog.bump_epoch()         # e.g. a rename / new rollup
-        statement.execute([5]).fetchall()
-        assert engine.counters().get("kernel_compiles", 0) == settled + 1
-        assert session.kernels.invalidations >= 1
+    def test_collecting_scan_never_probes(self, monkeypatch):
+        """A scan still sampling §4.4 statistics needs the values the
+        generic compute materializes: it decides against the fast path
+        once, and no block is probed or counted."""
+        attempts = count_kernel_attempts(monkeypatch)
+        engine = self._fresh()
+        engine.query("SELECT a FROM t")      # cold: indexes the lines
+        engine.query("SELECT b FROM t")      # b unsampled: collector
+        assert attempts == []
+        assert kernel_counters(engine) == {}
 
-    def test_param_rebind_never_recompiles(self):
-        engine, session = self._fresh()
-        statement = session.prepare("SELECT a FROM t WHERE b < ?")
-        expected = {}
-        for bound in (3, 7, 3, 10):
-            rows = statement.execute([bound]).fetchall()
-            expected.setdefault(bound, rows)
-            assert rows == expected[bound]
-        # Distinct parameter values share one kernel: compile count is
-        # whatever stats settling required, independent of re-binds.
-        compiles = engine.counters().get("kernel_compiles", 0)
-        statement.execute([999]).fetchall()
-        assert engine.counters().get("kernel_compiles", 0) == compiles
-        assert engine.counters().get("kernel_hits", 0) >= 5
+    def test_both_entry_points_explain_alike(self):
+        engine = self._fresh()
+        sql = "EXPLAIN SELECT a FROM t WHERE b < 5"
+        one_shot = [row[0] for row in engine.query(sql).rows]
+        session = [row[0] for row in
+                   repro.connect(engine).execute(sql).fetchall()]
+        assert one_shot == session
+        assert one_shot[-1] == "kernel: cached-block [t]"
+
+    def test_partitioned_files_take_the_fast_path(self):
+        """Each file of a partitioned table is its own block scan and
+        decides for itself: a warm range query is served from cache,
+        bit-identical to kernels off."""
+        def build(kernels):
+            vfs = VirtualFS()
+            for day in range(3):
+                vfs.create(f"ev-{day}.csv", write_csv(
+                    [[str(day * 100 + i), str(i % 9)] for i in range(40)]))
+            engine = PostgresRaw(
+                config=PostgresRawConfig(row_block_size=16,
+                                         scan_kernels=kernels), vfs=vfs)
+            engine.query("CREATE TABLE ev (id INTEGER, v INTEGER) "
+                         "USING csv OPTIONS (path 'ev-*.csv')")
+            return engine
+
+        on, off = build(True), build(False)
+        sql = "SELECT id FROM ev WHERE v < 4"
+        for engine, note in ((on, "cached-block"),
+                             (off, "none (scan_kernels disabled)")):
+            assert engine.query("EXPLAIN " + sql).rows[-1] == \
+                (f"kernel: {note} [ev]",)
+        for _ in range(3):
+            assert on.query(sql).rows == off.query(sql).rows
+        assert on.counters().get("kernel_hits", 0) > 0
+        assert {k: v for k, v in on.counters().items()
+                if not k.startswith("kernel_")} == off.counters()
+        assert on.clock.now() == off.clock.now()
 
     def test_disabled_config_reports_reason_and_stays_generic(self):
-        engine, session = self._fresh(kernels=False)
+        engine = self._fresh(kernels=False)
+        session = repro.connect(engine)
         lines = explain_kernel_lines(session, "SELECT a FROM t")
         assert lines == ["kernel: none (scan_kernels disabled) [t]"]
         session.execute("SELECT a FROM t").fetchall()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sql.catalog import Schema, TableInfo, TableKind
+from repro.sql.catalog import Schema, TableInfo
 from repro.sql.datatypes import INTEGER, varchar
 from repro.sql.optimizer import DEFAULT_ROWS, Optimizer
 from repro.sql.parser import parse_expression
@@ -15,7 +15,7 @@ def table_with_stats(row_count=10_000, columns=()):
         stats.set_column(column)
     return TableInfo(name="t", schema=Schema([("x", INTEGER),
                                               ("s", varchar())]),
-                     kind=TableKind.RAW_CSV, path="t.csv", stats=stats)
+                     path="t.csv", stats=stats)
 
 
 def uniform_column(name="x", lo=0, hi=999):
