@@ -33,6 +33,7 @@ worker_tasks` counts the pool tasks its pulls dispatched.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import TYPE_CHECKING, Iterator, Optional
 
@@ -145,7 +146,8 @@ class Scheduler:
             raise ValueError("max_in_flight must be >= 1")
         if max_queued is not None and max_queued < 0:
             raise ValueError("max_queued must be >= 0")
-        self.engine = engine
+        # Weak: the engine owns its scheduler (see QueryRouter).
+        self._engine = weakref.ref(engine)
         self.max_in_flight = max_in_flight
         #: bound on the accept queue (waiting jobs). ``None`` — the
         #: in-process default — queues without limit, preserving the
@@ -162,6 +164,10 @@ class Scheduler:
         self._rr = 0  # round-robin pointer for driving foreign jobs
 
     # -- introspection -----------------------------------------------------
+    @property
+    def engine(self):
+        return self._engine()
+
     @property
     def in_flight(self) -> int:
         return len(self._running)

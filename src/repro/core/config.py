@@ -107,8 +107,9 @@ class PostgresRawConfig:
         merge reaches it; ``N > 1`` submits groups to ``N`` pool
         workers while the driver reads up to ``2N`` groups ahead — so
         results, PM/cache contents and simcost counters are
-        bit-identical at any worker count. Defaults to
-        ``$REPRO_SCAN_WORKERS`` when set.
+        bit-identical at any worker count. A partitioned table scans
+        its files in order, each one fanning out this way. Defaults
+        to ``$REPRO_SCAN_WORKERS`` when set.
     scan_kernels:
         When True (the default), every batch scan of a CSV or JSONL
         table — from a session, ``Database.query``, a rollup build or a

@@ -19,6 +19,7 @@ statements and streams results batch-at-a-time through a shared
 from __future__ import annotations
 
 import warnings
+import weakref
 from typing import TYPE_CHECKING
 
 from repro.simcost.clock import VirtualClock
@@ -84,8 +85,9 @@ class Database:
         self.rollups = RollupRegistry()
         self.router = QueryRouter(self)
         self._materialization_pool = None
-        #: live sessions attached via :meth:`connect` (repro.api)
-        self.sessions: list["Session"] = []
+        #: live sessions attached via :meth:`connect` (repro.api); weak,
+        #: since each session holds its engine
+        self.sessions: "weakref.WeakSet[Session]" = weakref.WeakSet()
         self._scheduler: "Scheduler | None" = None
 
     @property
@@ -210,11 +212,10 @@ class Database:
         return self._scheduler
 
     def attach_session(self, session: "Session") -> None:
-        self.sessions.append(session)
+        self.sessions.add(session)
 
     def detach_session(self, session: "Session") -> None:
-        if session in self.sessions:
-            self.sessions.remove(session)
+        self.sessions.discard(session)
 
     def stream_block_rows(self) -> int:
         """Rows per block a streaming cursor should expect from this

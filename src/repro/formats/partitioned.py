@@ -13,23 +13,17 @@ skips the file entirely; the planner surfaces pruned/scanned file
 counts in EXPLAIN, and the scan charges them as the (deliberately
 zero-priced) ``files_scanned`` / ``files_pruned`` counters.
 
-Determinism contract (the PR-4 invariant at file granularity): children
-are scanned in canonical filename order. With a
-:class:`~repro.core.parallel.ScanWorkerPool` the scan dispatches whole
-files to workers, each charging into a
-:class:`~repro.simcost.model.RecordingModel` op log snapshotted at
-batch boundaries; the single-threaded merge replays the logs — and
-yields the buffered batches — in file order, so results, per-file
-positional-map/cache contents and every counter are bit-identical at
-any worker count. Two caveats, both deliberate: children never use the
-row-group pool themselves (file-level and group-level fan-out on one
-shared pool would deadlock), and a scan that *errors or is abandoned
-mid-flight* may leave speculatively scanned files with auxiliary state
-a serial scan would not have built yet (their recorded charges are
-discarded; on error those files' structures are reset). File fan-out
-also stays off when the simulated OS page cache is capacity-bounded —
-cross-file prefetch would make eviction order, and therefore warm/cold
-accounting, depend on thread timing.
+Determinism contract: children are scanned one after another in
+canonical filename order, and each is a normal single-file table built
+on the engine itself — the wrapped format's own cost model and the
+engine's shared row-block worker pool. Within a file the row-block
+groups fan out across that pool exactly as for any table
+(:class:`~repro.core.blockscan.BlockScan` reads on the driver thread and
+applies staged deltas only at its in-order merge), so results, per-file
+positional-map/cache contents, every counter and the virtual clock are
+bit-identical at any ``scan_workers`` — also after a scan that errors
+or is abandoned mid-flight, because no file is touched before the
+serial order reaches it.
 
 Zone-map soundness: bounds come from
 :class:`~repro.core.statistics.ReservoirSampler`'s exact extremes and
@@ -51,6 +45,7 @@ import fnmatch
 import hashlib
 import json
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -61,7 +56,6 @@ from repro.formats.registry import (
     register_format,
     sniff_format,
 )
-from repro.simcost.model import CostModel, RecordingModel
 from repro.sql.catalog import TableInfo
 from repro.sql.optimizer import zone_may_match
 from repro.sql.scanapi import ScanPredicate
@@ -177,6 +171,15 @@ def _key_extractor(pattern: str):
     return extract
 
 
+def _child_options(options: dict, path: str) -> dict:
+    """One file's options: the table's, minus the wrapper's own keys,
+    with ``path`` bound to that file."""
+    child = {key: value for key, value in options.items()
+             if key not in ("partition_by", "format")}
+    child["path"] = path
+    return child
+
+
 @dataclass
 class PartitionSelection:
     """One pruning decision: how many files the predicate left alive."""
@@ -188,61 +191,20 @@ class PartitionSelection:
     est_rows: int | None = None
 
 
-class _ModelRouter(CostModel):
-    """A cost model whose charges are forwarded to a switchable target.
-
-    Every per-file object (child access, its positional map, cache and
-    statistics collectors) is built against one router. Serially the
-    target is the real (format-profile) model; while a pooled file task
-    runs, the worker points the target at its private
-    :class:`RecordingModel` so the merge can replay the charges in
-    canonical file order.
-    """
-
-    def __init__(self, target: CostModel):
-        super().__init__(clock=target.clock, profile=target.profile)
-        self.target = target
-
-    def charge(self, event, units: float = 1) -> None:
-        self.target.charge(event, units)
-
-    def charge_repeat(self, event, times: int) -> None:
-        self.target.charge_repeat(event, times)
-
-
-class _EngineProxy:
-    """The engine facade handed to the wrapped adapter when building a
-    child access method: same machine (vfs/config/policy), but the
-    model is the child's router and there is no row-group pool (see
-    the module docstring's determinism contract)."""
-
-    def __init__(self, engine, model):
-        self.vfs = engine.vfs
-        self.model = model
-        self.config = getattr(engine, "config", None)
-        self.in_situ_policy = getattr(engine, "in_situ_policy", None)
-        self.scan_pool = None
-
-
 class _Partition:
     """One file of a partitioned table: child access + zone map."""
 
-    __slots__ = ("path", "key", "info", "access", "router", "model",
-                 "zone", "row_count", "empty", "busy", "future",
-                 "_seen_rewrites", "_seen_size")
+    __slots__ = ("path", "key", "info", "access", "zone", "row_count",
+                 "empty", "_seen_rewrites", "_seen_size")
 
     def __init__(self, path: str, key):
         self.path = path
         self.key = key
         self.info: TableInfo | None = None
         self.access = None
-        self.router: _ModelRouter | None = None
-        self.model: CostModel | None = None
         self.zone: dict[str, tuple] = {}
         self.row_count: int | None = None
         self.empty = False
-        self.busy = False
-        self.future = None
         self._seen_rewrites: int | None = None
         self._seen_size = 0
 
@@ -259,7 +221,8 @@ class PartitionedAccess:
 
     def __init__(self, engine, info: TableInfo, inner: FormatAdapter,
                  options: dict):
-        self.engine = engine
+        # Weak: the engine's catalog owns this access method.
+        self._engine = weakref.ref(engine)
         self.vfs = engine.vfs
         self.model = engine.model
         self.table_info = info
@@ -270,10 +233,8 @@ class PartitionedAccess:
         #: per-table error policy, inherited by every child access
         #: through ``_child_options`` (surfaced by EXPLAIN here).
         self.on_error = options.get("on_error", "fail")
-        self.pool = getattr(engine, "scan_pool", None)
         self.parts: list[_Partition] = []
         self._by_path: dict[str, _Partition] = {}
-        self._live_scans = 0
         self._folded = None
         self.partition_column: str | None = None
         spec = options.get("partition_by")
@@ -290,28 +251,20 @@ class PartitionedAccess:
                 f"no files match {self.pattern!r} for table "
                 f"{info.name!r}")
 
-    # -- partition lifecycle -------------------------------------------
-    def _child_options(self, path: str) -> dict:
-        child = {key: value for key, value in self.options.items()
-                 if key not in ("partition_by", "format")}
-        child["path"] = path
-        return child
+    @property
+    def engine(self):
+        return self._engine()
 
+    # -- partition lifecycle -------------------------------------------
     def _build_part(self, path: str) -> _Partition:
-        key = self._extract_key(path)
-        part = _Partition(path, key)
-        part.model = CostModel(
-            self.model.clock,
-            self.inner.cost_profile(self.engine) or self.model.profile)
-        part.router = _ModelRouter(part.model)
-        child_options = self._child_options(path)
+        part = _Partition(path, self._extract_key(path))
+        child_options = _child_options(self.options, path)
         part.info = TableInfo(
             name=f"{self.table_info.name}#{path}",
             schema=self.schema, path=path, format=self.inner.name,
             options=child_options, external=self.table_info.external)
-        proxy = _EngineProxy(self.engine, part.router)
-        part.access = self.inner.build_access(proxy, part.info,
-                                              child_options)
+        part.access = part.info.access = self.inner.build_access(
+            self.engine, part.info, child_options)
         part._seen_rewrites = self.vfs.rewrite_count(path)
         part._seen_size = self.vfs.size(path)
         if self.partition_column is not None:
@@ -409,13 +362,8 @@ class PartitionedAccess:
         return (value, value)
 
     def _teardown_part(self, part: _Partition) -> None:
-        positional_map = getattr(part.access, "pm", None)
-        if positional_map is not None:
-            positional_map.drop()
-        cache = getattr(part.access, "cache", None)
-        if cache is not None:
-            cache.clear()
-        part.access = None
+        self.inner.teardown(self.engine, part.info)
+        part.access = part.info.access = None
 
     def _expand(self) -> None:
         """(Re-)expand the glob: new files appear in sorted order,
@@ -429,25 +377,6 @@ class PartitionedAccess:
             if path not in self._by_path:
                 self._by_path[path] = self._build_part(path)
         self.parts = [self._by_path[path] for path in matched]
-
-    def _reset_part(self, part: _Partition) -> None:
-        """Back to a cold, zone-less state (file changed externally, or
-        a speculative worker scan had to be discarded)."""
-        positional_map = getattr(part.access, "pm", None)
-        if positional_map is not None:
-            positional_map.drop()
-        cache = getattr(part.access, "cache", None)
-        if cache is not None:
-            cache.clear()
-        part.info.stats = None
-        part.info.row_count_hint = None
-        if hasattr(part.access, "row_count"):
-            part.access.row_count = None
-        part.zone = {}
-        part.row_count = None
-        part.empty = False
-        if self.partition_column is not None:
-            part.zone[self.partition_column] = self._seed_bounds(part)
 
     # -- AccessMethod protocol -----------------------------------------
     def refresh(self) -> None:
@@ -534,103 +463,10 @@ class PartitionedAccess:
         survivors, pruned = self._split(conjuncts)
         self.model.files_scanned(len(survivors))
         self.model.files_pruned(len(pruned))
-        fan_out = (
-            self.pool is not None and len(survivors) > 1
-            and self._live_scans == 0
-            and self.vfs.os_cache.capacity_bytes is None)
-        self._live_scans += 1
-        try:
-            if fan_out:
-                yield from self._scan_fanout(survivors, needed,
-                                             predicate)
-            else:
-                for part in survivors:
-                    self._wait_idle(part)
-                    yield from self._scan_inline(part, needed,
-                                                 predicate)
-            self._fold_parent_stats()
-        finally:
-            self._live_scans -= 1
-
-    def _scan_inline(self, part: _Partition, needed, predicate):
-        yield from part.access.scan_batches(needed, predicate)
-        self._harvest(part)
-
-    def _wait_idle(self, part: _Partition) -> None:
-        """Block until a pooled task on ``part`` (dispatched by an
-        overlapping scan) finishes — workers never wait on the main
-        thread, so this cannot deadlock."""
-        while part.busy:
-            future = part.future
-            if future is None:
-                break
-            future.result()
-
-    # -- file-level fan-out ---------------------------------------------
-    def _run_child(self, part: _Partition, recorder: RecordingModel,
-                   needed, predicate):
-        """Worker body: run one child scan to completion, charges
-        routed into ``recorder`` and snapshotted at batch boundaries so
-        the merge can interleave replay and yield exactly like the
-        serial scan."""
-        chunks: list[tuple[list, object]] = []
-        error = None
-        try:
-            part.router.target = recorder
-            try:
-                for batch in part.access.scan_batches(needed, predicate):
-                    chunks.append((recorder.take_ops(), batch))
-            except Exception as exc:  # replayed, then re-raised in order
-                error = exc
-            chunks.append((recorder.take_ops(), None))
-        finally:
-            part.router.target = part.model
-            part.busy = False
-        return chunks, error
-
-    def _scan_fanout(self, survivors: list, needed, predicate):
-        window = max(1, self.pool.workers)
-        pending: dict[int, RecordingModel] = {}
-
-        def dispatch(i: int) -> None:
-            part = survivors[i]
-            if part.busy:
-                return  # another query's task owns it: inline later
-            recorder = RecordingModel()
-            part.busy = True
-            part.future = self.pool.submit(
-                self._run_child, part, recorder, needed, predicate)
-            pending[i] = recorder
-
-        for i in range(min(window, len(survivors))):
-            dispatch(i)
-        abort = None
-        for i, part in enumerate(survivors):
-            recorder = pending.pop(i, None)
-            if recorder is None:
-                self._wait_idle(part)
-                yield from self._scan_inline(part, needed, predicate)
-            else:
-                chunks, error = part.future.result()
-                for ops, batch in chunks:
-                    for _tag, event, units in ops:
-                        part.model.charge(event, units)
-                    if batch is not None:
-                        yield batch
-                if error is not None:
-                    abort = error
-                    break
-                self._harvest(part)
-            if i + window < len(survivors):
-                dispatch(i + window)
-        if abort is not None:
-            # The serial scan never reached the speculatively
-            # dispatched files: discard their charges and reset their
-            # structures to a clean cold state.
-            for j in sorted(pending):
-                survivors[j].future.result()
-                self._reset_part(survivors[j])
-            raise abort
+        for part in survivors:
+            yield from part.access.scan_batches(needed, predicate)
+            self._harvest(part)
+        self._fold_parent_stats()
 
     # -- zone-map harvesting ---------------------------------------------
     def _harvest(self, part: _Partition) -> None:
@@ -747,12 +583,6 @@ class PartitionedAdapter(FormatAdapter):
             raise CatalogError("cannot nest partitioned formats")
         return inner
 
-    def _child_options(self, options: dict, path: str) -> dict:
-        child = {key: value for key, value in options.items()
-                 if key not in ("partition_by", "format")}
-        child["path"] = path
-        return child
-
     def validate_options(self, engine, options: dict) -> dict:
         options = dict(options)
         pattern = options.get("path")
@@ -774,7 +604,7 @@ class PartitionedAdapter(FormatAdapter):
             raise CatalogError(f"no files match {pattern!r}")
         for path in paths:
             inner.validate_options(engine,
-                                   self._child_options(options, path))
+                                   _child_options(options, path))
         return options
 
     def infer_schema(self, engine, options: dict):
@@ -783,22 +613,20 @@ class PartitionedAdapter(FormatAdapter):
         if not paths:
             return None
         return inner.infer_schema(
-            engine, self._child_options(options, paths[0]))
+            engine, _child_options(options, paths[0]))
 
     def check_schema(self, engine, schema, options: dict) -> None:
         inner = self._resolve_inner(options)
         for path in expand_glob(engine.vfs, options.get("path", "")):
             inner.check_schema(engine,
-                               schema, self._child_options(options, path))
+                               schema, _child_options(options, path))
 
     def build_access(self, engine, info, options: dict):
         inner = self._resolve_inner(options)
         return PartitionedAccess(engine, info, inner, options)
 
     def teardown(self, engine, info) -> None:
-        prewarmer = info.extra.pop("prewarmer", None)
-        if prewarmer is not None:
-            prewarmer.detach()
+        super().teardown(engine, info)
         access = info.access
         if isinstance(access, PartitionedAccess):
             for part in access.parts:

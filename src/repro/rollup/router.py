@@ -26,6 +26,7 @@ would have chosen, so row order matches too.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from typing import TYPE_CHECKING, Iterator
 
@@ -196,10 +197,16 @@ class QueryRouter:
     base.Database` as ``engine.router``."""
 
     def __init__(self, engine):
-        self.engine = engine
+        # Weak: the engine owns its router, and the back-reference must
+        # not keep a closed, dropped engine alive in a reference cycle.
+        self._engine = weakref.ref(engine)
         #: (table, dims-incl-predicates, agg sigs) -> times requested;
         #: feeds :meth:`repro.core.tuner.IdleTuner.rollup_candidates`.
         self.patterns: Counter = Counter()
+
+    @property
+    def engine(self):
+        return self._engine()
 
     # ------------------------------------------------------------------
     def route(self, select: Select, optimizer: "Optimizer",

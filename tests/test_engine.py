@@ -243,11 +243,11 @@ class TestEngineClose:
         return engine
 
     def test_closed_engine_frees_structures_without_the_collector(self):
-        """Under ``gc.disable()`` a dropped engine is never reclaimed
-        (it sits in reference cycles), so whatever ``close()`` leaves
-        behind lives on: the cache's and map's arrays must die by
-        refcount at ``close()``, and the prewarmer it attached to the
-        shared VFS must stop charging the dead engine's clock."""
+        """Under ``gc.disable()`` only reference counting reclaims: the
+        closed, dropped engine object itself must die, the cache's and
+        map's arrays must die at ``close()``, and the prewarmer it
+        attached to the shared VFS must stop charging the dead
+        engine's clock."""
         vfs = VirtualFS()
         was_enabled = gc.isenabled()
         gc.disable()
@@ -255,6 +255,19 @@ class TestEngineClose:
             engine = self._engine(vfs)
             engine.query("SELECT a FROM t WHERE b < 3")
             engine.enable_fs_interface("t")
+            # Every back-reference to the engine — its router, its
+            # scheduler, a closed session, a partitioned table's access
+            # method — must be weak, or the engine itself outlives del.
+            for f in range(2):
+                vfs.create(f"p-{f}.csv", b"1,2\n3,4\n")
+            engine.query("CREATE TABLE p (a INTEGER, b INTEGER) USING csv "
+                         "OPTIONS (path 'p-*.csv')")
+            session = engine.connect()
+            assert session.execute("SELECT count(*) FROM p").fetchall() \
+                == [(4,)]
+            session.close()
+            del session
+            alive = weakref.ref(engine)
             cached = weakref.ref(
                 engine.cache_of("t").peek(1, 0).typed_data()[0])
             chunk = weakref.ref(next(iter(
@@ -263,6 +276,7 @@ class TestEngineClose:
             before = (clock.now(), dict(clock.counters))
             engine.close()
             del engine
+            assert alive() is None
             assert cached() is None
             assert chunk() is None
             # Another program reads the file the closed engine watched.

@@ -7,9 +7,11 @@ The load-bearing invariants:
   ``files_scanned``/``files_pruned`` counters) identical costs as the
   same rows concatenated into one file, for predicates that cannot
   prune (every file's zone intersects), at any worker count.
-* **Worker invariance** — results, per-file positional-map/cache dumps
-  and every counter are bit-identical between 1 and 4 scan workers
-  (PR-4's determinism contract lifted to file granularity).
+* **Worker invariance** — results, per-file positional-map/cache dumps,
+  every counter and the virtual clock are bit-identical between 1 and 4
+  scan workers, also after an abandoned cursor, a mid-table error or
+  under a bounded OS page cache (files are scanned strictly in order;
+  only row-block groups inside a file fan out).
 * **Zone-map soundness** — pruning never changes results, only costs:
   NULL-heavy files, all-NULL files and unscanned files are handled by
   three-valued logic and the observed-every-row completeness gate.
@@ -22,8 +24,10 @@ import random
 
 import pytest
 
+import repro
 from repro import PostgresRaw, PostgresRawConfig, VirtualFS
-from repro.errors import CatalogError
+from repro.errors import CatalogError, ReproError
+from repro.storage.vfs import OSPageCache
 
 from tests.test_batch_differential import cache_dump, pm_dump
 
@@ -378,7 +382,7 @@ class TestOracleDifferential:
 
 
 # ---------------------------------------------------------------------------
-# Worker-count invariance (PR-4 contract at file granularity)
+# Worker-count invariance
 # ---------------------------------------------------------------------------
 class TestWorkerInvariance:
     def test_results_counters_dumps_identical_1_vs_4(self):
@@ -393,10 +397,57 @@ class TestWorkerInvariance:
                 out.append((r.rows, dict(r.counters), r.elapsed))
             runs[workers] = (out, child_dumps(db))
         assert runs[1] == runs[4]
-        # and the pool really was used for file fan-out
+        # and the pool really ran row-block groups inside the files
         db = build(rows, files=8, workers=4)
+        before = db.scan_pool.tasks_submitted
         db.query("SELECT count(*) FROM ev")
-        assert db.scan_pool.tasks_submitted >= 8
+        assert db.scan_pool.tasks_submitted - before >= 8
+
+    @pytest.mark.parametrize("scenario", [
+        "abandoned_cursor", "malformed_middle_file", "bounded_os_cache"])
+    def test_state_after_event_identical_1_vs_4(self, scenario):
+        # Files are scanned strictly in order, so whatever stops a scan
+        # early (an abandoned cursor, a typed error in file 3) leaves
+        # exactly the structures a serial scan built — and a bounded OS
+        # page cache sees the same access order — at any worker count.
+        rows = make_rows(64, seed=2)
+        follow_up = "SELECT count(*) FROM ev WHERE v > 100"
+
+        def outcome(db, sql):
+            try:
+                r = db.query(sql)
+            except ReproError as exc:
+                return (exc.code, exc.context.get("path"))
+            return (r.rows, dict(r.counters))
+
+        runs = {}
+        for workers in (1, 4):
+            vfs = (VirtualFS(OSPageCache(capacity_bytes=2 * 64 * 1024))
+                   if scenario == "bounded_os_cache" else VirtualFS())
+            for f in range(8):
+                data = to_csv(rows[f * 8:(f + 1) * 8])
+                if scenario == "malformed_middle_file" and f == 3:
+                    data += b"99,z,notanint\n"
+                vfs.create(f"ev-{f}.csv", data)
+            db = PostgresRaw(vfs=vfs, config=PostgresRawConfig(
+                scan_workers=workers, row_block_size=4))
+            db.query("CREATE TABLE ev (id INTEGER, tag VARCHAR, v INTEGER) "
+                     "USING csv OPTIONS (path 'ev-*.csv', on_error 'fail')")
+            if scenario == "abandoned_cursor":
+                cur = repro.connect(engine=db).execute(
+                    "SELECT id, v FROM ev")
+                event = cur.fetchone()
+                cur.close()
+            else:
+                event = outcome(db, "SELECT id, v FROM ev WHERE v >= 0")
+            after_event = (event, child_dumps(db), db.clock.snapshot(),
+                           db.clock.seconds)
+            runs[workers] = (after_event, outcome(db, follow_up),
+                             child_dumps(db), db.clock.snapshot(),
+                             db.clock.seconds)
+        if scenario == "malformed_middle_file":
+            assert runs[1][0][0] == ("CSV_FORMAT", "ev-3.csv")
+        assert runs[1] == runs[4]
 
 
 # ---------------------------------------------------------------------------
