@@ -27,20 +27,31 @@ Only top-level scalar members are addressable as columns (nested
 arrays/objects are tokenized correctly but must be declared as strings
 to be selected raw).
 
+Tokenizing is block-at-a-time (§4.1: tokenizing dominates the first
+query on a raw file). The first full tokenization of a group's lines is
+one vectorized pass, :func:`block_member_spans` — a structural index of
+quotes, string parity, structural bytes and member boundaries, with one
+key compare against the group's first well-formed line — that yields
+the value spans of every line it resolves as columns. Lines it does not
+resolve (escapes, nesting, another member layout, anything malformed)
+take the
+per-line walk, :func:`member_spans`, which is also the oracle: same
+spans, same errors, same charges.
+
 Positional-map reuse, NoDB-style (§4.2): the map's **line index**
 stores byte offsets of line starts — warm scans skip newline discovery
 entirely and read only the byte runs they need — and its **chunks**
-store relative byte offsets of member *values*. A warm scan with a
-known value position tokenizes just that value's bytes (string-aware,
-bracket-depth scanning) instead of the whole line; positions are
-discovered as a side effect of the first full tokenization of each
-line, exactly the adaptive behavior of the CSV scan. The binary cache
-and statistics reservoirs participate identically.
+store relative byte offsets of member *values*, discovered as a side
+effect of full tokenizations. A warm scan with a known value position
+scans just that value's bytes (:func:`value_end`) instead of tokenizing
+the line, exactly the adaptive behavior of the CSV scan. The binary
+cache and statistics reservoirs participate identically.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import Sequence
 
 import numpy as np
@@ -62,6 +73,7 @@ from repro.formats.registry import (
     register_format,
     validate_on_error,
 )
+from repro.simcost import CostEvent
 from repro.sql.batch import ColumnBatch, object_nulls
 
 _WS = frozenset(b" \t\r")
@@ -69,6 +81,22 @@ _QUOTE = ord('"')
 _BACKSLASH = ord("\\")
 _OPEN = {ord("["): ord("]"), ord("{"): ord("}")}
 _BARE_END = frozenset(b",}] \t\r")
+
+_NULL = np.frombuffer(b"null", dtype=np.uint8)
+
+
+def _is_ws(b: np.ndarray) -> np.ndarray:
+    """``b in _WS`` elementwise (compares beat a lookup-table gather)."""
+    return (b == 32) | (b == 9) | (b == 13)
+
+
+def _is_structural(b: np.ndarray) -> np.ndarray:
+    return ((b == ord("{")) | (b == ord("}")) | (b == ord("["))
+            | (b == ord("]")) | (b == ord(":")) | (b == ord(",")))
+
+
+#: a quoted VARCHAR token holding none of these decodes without json
+_NEEDS_JSON = re.compile(rb"[\x00-\x1f\\]")
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +162,8 @@ def value_end(line: bytes, i: int) -> int:
 def member_spans(line: bytes) -> tuple[dict[str, tuple[int, int]], int]:
     """Spans ``(start, end)`` of every top-level member *value*, keyed
     by lower-cased member name; plus characters scanned (the whole
-    line — the cold path's full tokenization)."""
+    line — a full tokenization). The per-line walk: the fallback of
+    :func:`block_member_spans` and its oracle."""
     spans: dict[str, tuple[int, int]] = {}
     n = len(line)
     i = _skip_ws(line, 0)
@@ -142,7 +171,7 @@ def member_spans(line: bytes) -> tuple[dict[str, tuple[int, int]], int]:
         raise JSONLFormatError("line is not a JSON object")
     i = _skip_ws(line, i + 1)
     if i < n and line[i] == ord("}"):
-        return spans, n
+        return spans, _object_end(line, i)
     while True:
         if i >= n or line[i] != _QUOTE:
             raise JSONLFormatError(f"expected a member name at byte {i}")
@@ -164,8 +193,186 @@ def member_spans(line: bytes) -> tuple[dict[str, tuple[int, int]], int]:
             i = _skip_ws(line, i + 1)
             continue
         if i < n and line[i] == ord("}"):
-            return spans, n
+            return spans, _object_end(line, i)
         raise JSONLFormatError(f"expected ',' or '}}' at byte {i}")
+
+
+def _object_end(line: bytes, i: int) -> int:
+    """The closing ``}`` is at ``i``: only whitespace may follow it (a
+    second object on the line is an error, not silently dropped).
+    Returns the characters scanned — the whole line."""
+    j = _skip_ws(line, i + 1)
+    if j < len(line):
+        raise JSONLFormatError(f"trailing data after object at byte {j}")
+    return len(line)
+
+
+def block_member_spans(lines_or_buffer, line_starts=None, line_ends=None,
+                       keys: Sequence[str] = ()):
+    """Tokenize many lines in one vectorized pass (the TOKENIZE stage
+    run once per row-block group, not once per line).
+
+    ``lines_or_buffer`` is a buffer holding the lines at ``line_starts``
+    / ``line_ends`` (ascending, non-overlapping offsets), or a list of
+    lines (offsets omitted). ``keys`` are lower-cased member names.
+    Returns ``(starts, ends, fast)``: ``(len(keys), nlines)`` arrays of
+    value spans relative to each line's start (``NO_POS`` where the
+    member is absent) and the per-line mask they are valid on. On a
+    fast line they equal ``member_spans(line)[0]`` restricted to
+    ``keys``. A line is not fast when it holds a backslash or an odd
+    number of quotes, nests (depth above 1), has another member count
+    or other key bytes than the call's template line, holds a bare
+    value with whitespace or a quote in it, has bytes after its closing
+    ``}`` or is otherwise not ``{ "key": value, ... }``: such a line
+    must take :func:`member_spans`, which also raises its errors.
+
+    The index is sparse — one pass finds the quotes and the structural
+    bytes ``{ } [ ] : ,`` and everything after works on those few
+    positions: the in-string mask is the parity of the quotes since the
+    line start (exact without backslashes); the structural bytes
+    outside strings must read exactly ``{ : , : ... : }`` — depth (a
+    running count of brackets) never leaves 1, so the only brackets are
+    the outer pair; member boundaries are the ``:`` and ``,``;
+    whitespace is stripped by stepping each boundary to the next /
+    previous non-whitespace byte. Keys are matched once per call: the
+    first well-formed line is the template, its key bytes decoded as
+    :func:`member_spans` decodes them (``json.loads(...).lower()``; the
+    last of a repeated key wins), and every other line with as many
+    members is compared to them in one vector compare. A call whose
+    lines all hold a backslash, or all fail the structure, stops as
+    soon as that is known."""
+    if line_starts is None:
+        lines = list(lines_or_buffer)
+        lengths = np.array([len(line) for line in lines], dtype=np.int64)
+        line_ends = np.cumsum(lengths + 1) - 1
+        line_starts = line_ends - lengths
+        data = b"\n".join(lines)
+    else:
+        data = lines_or_buffer
+    ls = np.asarray(line_starts, dtype=np.int64)
+    le = np.asarray(line_ends, dtype=np.int64)
+    nlines = len(ls)
+    starts = np.full((len(keys), nlines), NO_POS, dtype=np.int64)
+    ends = starts.copy()
+    fast = np.zeros(nlines, dtype=bool)
+    if not nlines:
+        return starts, ends, fast
+    arr = np.frombuffer(data, dtype=np.uint8)
+    lo = int(ls[0])
+    window = arr[lo:int(le[-1])]
+
+    def skip_ws(pos, step):
+        """Step each of ``pos`` (+1 / -1) past whitespace; every caller
+        starts where a non-whitespace byte bounds the walk."""
+        pos = pos.copy()
+        moving = np.arange(len(pos))
+        while len(moving):
+            moving = moving[_is_ws(arr[pos[moving]])]
+            pos[moving] += step
+        return pos
+
+    # -- strings: no escapes, so the quotes alone delimit them
+    escapes = np.flatnonzero(window == _BACKSLASH) + lo
+    ok = np.searchsorted(escapes, ls) == np.searchsorted(escapes, le)
+    if not ok.any():
+        return starts, ends, fast
+
+    # -- quotes and structural bytes, grouped by line (any between the
+    #    lines are dropped)
+    events = np.flatnonzero((window == _QUOTE) | _is_structural(window)) + lo
+    first_event = np.searchsorted(events, ls)
+    nevents = np.searchsorted(events, le) - first_event
+    offsets = np.cumsum(nevents) - nevents
+    if offsets[-1] + nevents[-1] < len(events):
+        events = events[np.arange(nevents.sum())
+                        + np.repeat(first_event - offsets, nevents)]
+        first_event = offsets
+    event_line = np.repeat(np.arange(nlines), nevents)
+    is_quote = arr[events] == _QUOTE
+    quotes_before = np.concatenate(([0], np.cumsum(is_quote)))
+
+    # -- structure outside strings: ``{ : , : ... : }`` (or ``{}``),
+    #    only whitespace around it (with an odd quote count the last
+    #    brace reads as inside a string, so such a line fails here)
+    line_quotes = quotes_before[first_event]
+    outside = ~is_quote & (
+        (quotes_before[:-1] - line_quotes[event_line]) & 1 == 0)
+    mark_event = np.flatnonzero(outside)
+    mark_line = event_line[mark_event]
+    marks = events[mark_event]
+    count = np.bincount(mark_line, minlength=nlines)
+    first = np.cumsum(count) - count
+    rank = np.arange(len(marks)) - np.repeat(first, count)
+    expect = np.where(rank & 1, ord(":"), ord(","))
+    expect[rank == 0] = ord("{")
+    expect[rank == np.repeat(count - 1, count)] = ord("}")
+    ok[mark_line[arr[marks] != expect]] = False
+    ok &= (count == 2) | ((count & 1 == 1) & (count > 1))
+    rows = np.flatnonzero(ok)
+    lbrace = marks[first[rows]]
+    rbrace = marks[first[rows] + count[rows] - 1]
+    ok[rows] = ((skip_ws(ls[rows], 1) == lbrace)
+                & (skip_ws(le[rows] - 1, -1) == rbrace)
+                & ((count[rows] > 2) | (skip_ws(lbrace + 1, 1) == rbrace)))
+    if not ok.any():
+        return starts, ends, fast
+
+    # -- members: a quoted key before each ``:`` (decoding the template's
+    #    keys below rejects anything but one JSON string), then a string
+    #    or a bare token without whitespace or quotes
+    colon = np.flatnonzero((arr[marks] == ord(":")) & ok[mark_line])
+    member_line = mark_line[colon]
+    key_start = skip_ws(marks[colon - 1] + 1, 1)
+    key_end = skip_ws(marks[colon] - 1, -1) + 1
+    value_start = skip_ws(marks[colon] + 1, 1)
+    value_stop = skip_ws(marks[colon + 1] - 1, -1) + 1
+    value_quotes = (quotes_before[mark_event[colon + 1]]
+                    - quotes_before[mark_event[colon]])
+    quoted = arr[value_start] == _QUOTE
+    good = ((key_start < key_end) & (arr[key_start] == _QUOTE)
+            & (value_start < value_stop)
+            & np.where(quoted,
+                       (arr[value_stop - 1] == _QUOTE) & (value_quotes == 2),
+                       value_quotes == 0))
+    bare = np.flatnonzero(good & ~quoted)
+    spaces = np.flatnonzero(_is_ws(window)) + lo
+    good[bare] = (np.searchsorted(spaces, value_start[bare])
+                  == np.searchsorted(spaces, value_stop[bare]))
+    ok[member_line[~good]] = False
+
+    # -- keys: the first well-formed line is the template
+    wellformed = np.flatnonzero(ok)
+    if not len(wellformed):
+        return starts, ends, fast
+    members = (count - 1) // 2
+    m = members[wellformed[0]]
+    group = wellformed[members[wellformed] == m]
+    idx = np.searchsorted(member_line, group)[:, None] + np.arange(m)
+    kstart = key_start[idx]
+    width = key_end[idx] - kstart
+    same = (width == width[0]).all(axis=1)
+    if m:
+        alike = np.flatnonzero(same)
+        template = width[0]
+        gathered = arr[kstart[alike][:, np.repeat(np.arange(m), template)]
+                       + np.concatenate([np.arange(w)
+                                         for w in template.tolist()])]
+        same[alike] = (gathered == gathered[0]).all(axis=1)
+    try:
+        names = [json.loads(bytes(data[s:s + w]).decode("utf-8", "replace"))
+                 for s, w in zip(kstart[0].tolist(), width[0].tolist())]
+    except ValueError:
+        return starts, ends, fast  # the per-line walk raises "bad member name"
+    slot = {name.lower(): j for j, name in enumerate(names)}
+    matched = group[same]
+    fast[matched] = True
+    for k, key in enumerate(keys):
+        j = slot.get(key)
+        if j is not None:
+            member = idx[same, j]
+            starts[k, matched] = value_start[member] - ls[matched]
+            ends[k, matched] = value_stop[member] - ls[matched]
+    return starts, ends, fast
 
 
 def write_jsonl(rows: Sequence[dict], vfs, path: str) -> None:
@@ -182,43 +389,145 @@ def write_jsonl(rows: Sequence[dict], vfs, path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Per-row lazy member location (the JSONL twin of the CSV _RowContext)
+# One block's (or group's) lines and the value spans found in them
 # ---------------------------------------------------------------------------
-class _RowView:
-    """Member spans of one line, located lazily: a known positional-map
-    start costs one single-value scan; anything else costs one full
-    tokenization of the line (memoized), whose discovered positions are
-    flushed back to the map."""
+class _Lines:
+    """The lines of one indexed block or stream group, and the value
+    spans their tokenizations have found, a column at a time. Offsets
+    are into ``buffer``; rows are block- (group-) relative."""
 
-    __slots__ = ("scan", "line", "spans", "known")
-
-    def __init__(self, scan: "JsonlScan", line: bytes):
+    def __init__(self, scan: "JsonlScan", buffer, line_starts: np.ndarray,
+                 line_ends: np.ndarray, hints: dict | None = None):
+        n = len(line_starts)
         self.scan = scan
-        self.line = line
-        self.spans: dict[str, tuple[int, int]] | None = None
-        self.known: dict[int, tuple[int, int] | None] = {}
+        self.buffer = buffer
+        self.line_starts = line_starts
+        self.line_ends = line_ends
+        #: the map's relative value positions, attr -> column (indexed
+        #: region)
+        self.hints = hints or {}
+        #: rows whose bytes are in ``buffer`` (indexed region)
+        self.loaded = np.zeros(n, dtype=bool)
+        #: rows fully tokenized so far, and the union attributes' value
+        #: spans on them (``NO_POS``: member absent)
+        self.full = np.zeros(n, dtype=bool)
+        self.starts = {attr: np.full(n, NO_POS, dtype=np.int64)
+                       for attr in scan.union_attrs}
+        self.ends = {attr: np.full(n, NO_POS, dtype=np.int64)
+                     for attr in scan.union_attrs}
+        #: rows the structural index has seen, and those it resolved
+        self.indexed = np.zeros(n, dtype=bool)
+        self.fast = np.zeros(n, dtype=bool)
 
-    def span(self, attr: int,
-             hint_start: int | None) -> tuple[int, int] | None:
-        if attr in self.known:
-            return self.known[attr]
-        if self.spans is None and hint_start is not None \
-                and 0 <= hint_start < len(self.line):
-            end = value_end(self.line, hint_start)
-            self.scan.model.tokenize(end - hint_start)
-            span = (hint_start, end)
-            self.known[attr] = span
-            return span
-        if self.spans is None:
-            self.spans, scanned = member_spans(self.line)
-            self.scan.model.tokenize(scanned)
-        span = self.spans.get(self.scan.keys[attr])
-        self.known[attr] = span
-        return span
+    def read(self, handle, base: int, mask: np.ndarray) -> None:
+        """One sequential read covering every flagged row not yet
+        loaded (the CSV scan's read pattern: stream through small gaps,
+        never seek per tuple); ``base`` is the file offset of
+        ``buffer[0]``."""
+        needed = np.flatnonzero(mask & ~self.loaded)
+        if not len(needed):
+            return
+        lo = int(self.line_starts[needed[0]])
+        hi = int(self.line_ends[needed[-1]])
+        blob = handle.read_at(base + lo, hi - lo)
+        self.buffer[lo:lo + len(blob)] = blob
+        self.loaded[needed] = True
 
-    def token(self, attr: int, hint_start: int | None) -> bytes | None:
-        span = self.span(attr, hint_start)
-        return None if span is None else self.line[span[0]:span[1]]
+    def locate(self, attr: int, rows: np.ndarray,
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Spans of ``attr``'s value at ``rows`` (ascending; ``NO_POS``
+        where the member is absent), charging TOKENIZE one row at a
+        time in row order: nothing for a row already fully tokenized;
+        the value's bytes for a row whose map position is known (a
+        single-value scan); the whole line otherwise — a full
+        tokenization, through the structural index where it resolves
+        the line and the per-line walk where it does not. A malformed
+        line raises after exactly the charges of the rows before it."""
+        line_starts = self.line_starts[rows]
+        lengths = self.line_ends[rows] - line_starts
+        full = self.full[rows]
+        hint = np.full(len(rows), NO_POS, dtype=np.int64)
+        column = self.hints.get(attr)
+        if column is not None:
+            inside = rows < len(column)
+            hint[inside] = column[rows[inside]]
+        hinted = ~full & (hint >= 0) & (hint < lengths)
+        tokenized = ~full & ~hinted
+        self._index(rows[tokenized & ~self.indexed[rows]])
+        charged = hinted | tokenized
+        units = np.where(tokenized, lengths, 0)
+        starts = np.full(len(rows), NO_POS, dtype=np.int64)
+        ends = starts.copy()
+        walk = hinted | (tokenized & ~self.fast[rows])
+        for i in np.flatnonzero(walk).tolist():
+            lo = int(line_starts[i])
+            line = self.buffer[lo:lo + int(lengths[i])]
+            try:
+                if hinted[i]:
+                    start = int(hint[i])
+                    end = value_end(line, start)
+                    units[i] = end - start
+                    starts[i], ends[i] = lo + start, lo + end
+                else:
+                    self._record(int(rows[i]), lo, member_spans(line)[0])
+            except JSONLFormatError:
+                self.scan.model.charge_each(CostEvent.TOKENIZE,
+                                            units[:i][charged[:i]])
+                raise
+        self.scan.model.charge_each(CostEvent.TOKENIZE, units[charged])
+        self.full[rows[tokenized]] = True
+        spanned = ~hinted
+        starts[spanned] = self.starts[attr][rows[spanned]]
+        ends[spanned] = self.ends[attr][rows[spanned]]
+        return starts, ends
+
+    def _index(self, rows: np.ndarray) -> None:
+        """Run the structural index over ``rows``; record the spans of
+        the lines it resolves."""
+        if not len(rows):
+            return
+        union_attrs = self.scan.union_attrs
+        rel_starts, rel_ends, fast = block_member_spans(
+            self.buffer, self.line_starts[rows], self.line_ends[rows],
+            [self.scan.keys[attr] for attr in union_attrs])
+        self.indexed[rows] = True
+        resolved = rows[fast]
+        self.fast[resolved] = True
+        base = self.line_starts[resolved]
+        for k, attr in enumerate(union_attrs):
+            rel = rel_starts[k, fast]
+            present = rel != NO_POS
+            at = resolved[present]
+            self.starts[attr][at] = base[present] + rel[present]
+            self.ends[attr][at] = base[present] + rel_ends[k, fast][present]
+
+    def _record(self, row: int, lo: int, spans: dict) -> None:
+        """Record one per-line walk's spans (line-relative, at ``lo``)."""
+        keys = self.scan.keys
+        for attr in self.scan.union_attrs:
+            span = spans.get(keys[attr])
+            if span is not None:
+                self.starts[attr][row] = lo + span[0]
+                self.ends[attr][row] = lo + span[1]
+
+    def positions(self, first_in_block: int = 0) -> dict[int, np.ndarray]:
+        """The value positions this block's full tokenizations
+        discovered, as map columns (attr -> relative offsets over the
+        block's first ``first_in_block + n`` rows, ``NO_POS`` holes);
+        attributes no tokenized line holds are left out."""
+        discovered: dict[int, np.ndarray] = {}
+        full = np.flatnonzero(self.full)
+        for attr in self.scan.union_attrs:
+            starts = self.starts[attr][full]
+            present = starts != NO_POS
+            if present.any():
+                rows = full[present]
+                column = np.full(first_in_block + len(self.full), NO_POS,
+                                 dtype=np.int32)
+                column[first_in_block + rows] = (starts[present]
+                                                 - self.line_starts[rows])
+                discovered[attr] = column
+        return discovered
 
 
 # ---------------------------------------------------------------------------
@@ -235,77 +544,94 @@ class JsonlScan(BlockScan):
         self.keys = access.keys
 
     # -- value conversion ----------------------------------------------
-    def _convert_many(self, attr: int, pairs: list) -> list:
-        """Convert a batch of ``(row_idx, token)`` pairs, charging one
-        aggregate conversion (unit total identical to the per-row
-        path). Bare numeric tokens of int/float columns go through the
-        same byte-matrix ``astype`` fast path the CSV scan uses
-        (:func:`~repro.core.blockscan.parse_numeric_fields`); quoted /
-        null / missing tokens — and any batch it refuses — fall back to
-        the scalar conversion, value-for-value identical."""
-        if not pairs:
-            return []
+    def _convert(self, attr: int, buffer, starts: np.ndarray,
+                 ends: np.ndarray) -> tuple[list, np.ndarray | None]:
+        """Convert the value tokens at ``starts``/``ends`` (offsets into
+        ``buffer``; ``NO_POS``: member absent), charging one aggregate
+        conversion (unit total identical to the per-row path). Returns
+        the values in row order, plus the same column as an int64 /
+        float64 array when every token was a bare number parsed by the
+        byte-matrix ``astype`` fast path the CSV scan uses
+        (:func:`~repro.core.blockscan.parse_numeric_fields`). A quoted
+        VARCHAR token without escapes or control bytes is sliced and
+        decoded; every other token — and any numeric batch the fast
+        path refuses — goes through :meth:`JsonlAccess._convert_value`,
+        value-for-value identical."""
+        n = len(starts)
+        if not n:
+            return [], None
         family = self._families[attr]
-        self.model.convert(family, len(pairs))
+        self.model.convert(family, n)
         if family in ("int", "float"):
-            fast = self._fast_numeric(attr, pairs, family)
+            fast = self._fast_numeric(attr, buffer, starts, ends, family)
             if fast is not None:
                 return fast
         convert = self.access._convert_value
-        return [(idx, convert(attr, token)) for idx, token in pairs]
-
-    def _fast_numeric(self, attr: int, pairs: list, family: str):
-        clean: list = []
-        dirty: list = []
-        for pair in pairs:
-            token = pair[1]
-            if token is None or token == b"null" or not token \
-                    or token[:1] == b'"':
-                dirty.append(pair)
+        values = []
+        for start, end in zip(starts.tolist(), ends.tolist()):
+            token = None if start == NO_POS else buffer[start:end]
+            if family == "str" and token is not None \
+                    and token[:1] == b'"' and not _NEEDS_JSON.search(token):
+                values.append(token[1:-1].decode("utf-8", "replace"))
             else:
-                clean.append(pair)
-        if not clean:
+                values.append(convert(attr, token))
+        return values, None
+
+    def _fast_numeric(self, attr: int, buffer, starts, ends, family: str):
+        """Bare numeric tokens through one gathered byte matrix; quoted,
+        ``null`` and missing tokens through the scalar conversion. None
+        when there is no bare token or the matrix is refused."""
+        arr = np.frombuffer(buffer, dtype=np.uint8)
+        widths = ends - starts
+        dirty = starts == NO_POS
+        dirty |= arr[np.where(dirty, 0, starts)] == _QUOTE
+        maybe_null = np.flatnonzero(~dirty & (widths == 4))
+        dirty[maybe_null] = (arr[starts[maybe_null, None] + np.arange(4)]
+                             == _NULL).all(axis=1)
+        clean = np.flatnonzero(~dirty)
+        if not len(clean):
             return None
-        max_width = max(len(token) for _, token in clean)
+        clean_starts, clean_ends = starts[clean], ends[clean]
+        max_width = int(widths[clean].max())
         if max_width > 64:
             return None
-        matrix = np.zeros((len(clean), max_width), dtype=np.uint8)
-        for r, (_idx, token) in enumerate(clean):
-            matrix[r, :len(token)] = np.frombuffer(token, dtype=np.uint8)
-        converted = parse_numeric_fields(
-            matrix, sum(len(token) for _, token in clean),
+        offsets = clean_starts[:, None] + np.arange(max_width)
+        matrix = np.where(offsets < clean_ends[:, None],
+                          arr[np.minimum(offsets, len(arr) - 1)],
+                          0).astype(np.uint8)
+        parsed = parse_numeric_fields(
+            matrix, int(widths[clean].sum()),
             np.int64 if family == "int" else np.float64)
-        if converted is None:
+        if parsed is None:
             return None
-        values = {idx: value
-                  for (idx, _), value in zip(clean, converted.tolist())}
-        for idx, token in dirty:
-            values[idx] = self.access._convert_value(attr, token)
-        return [(idx, values[idx]) for idx, _ in pairs]
+        if len(clean) == len(starts):
+            return parsed.tolist(), parsed
+        values = np.empty(len(starts), dtype=object)
+        values[clean] = parsed.tolist()
+        convert = self.access._convert_value
+        for i in np.flatnonzero(dirty).tolist():
+            start = int(starts[i])
+            values[i] = convert(attr, None if start == NO_POS
+                                else buffer[start:int(ends[i])])
+        return values.tolist(), None
+
+    def _materialize(self, lines: _Lines, attr: int, rows: np.ndarray,
+                     values: np.ndarray) -> tuple:
+        """Locate and convert ``attr`` at ``rows`` into ``values``;
+        returns ``(rows, converted, typed)`` for the cache insert."""
+        starts, ends = lines.locate(attr, rows)
+        converted, typed = self._convert(attr, lines.buffer, starts, ends)
+        values[rows] = converted
+        return rows, converted, typed
 
     # -- pieces shared by both regions ---------------------------------
-    def _flush_positions(self, block, rows_in_block, views, existing,
-                         first_in_block: int = 0) -> None:
-        """Insert value positions discovered by this block's full
-        tokenizations as one chunk, merged with whatever the map
-        already knows (§4.2 adaptive population)."""
-        if self.pm is None or not self.config.enable_positional_map:
-            return
-        discovered: dict[int, np.ndarray] = {}
-        for idx, view in views.items():
-            if view.spans is None:
-                continue  # served entirely from known positions
-            for attr in self.union_attrs:
-                span = view.spans.get(self.keys[attr])
-                if span is None:
-                    continue
-                column = discovered.get(attr)
-                if column is None:
-                    column = np.full(rows_in_block + first_in_block,
-                                     NO_POS, dtype=np.int32)
-                    discovered[attr] = column
-                column[first_in_block + idx] = span[0]
-        self._insert_positions(block, discovered, existing)
+    def _flush_positions(self, block: int, discovered: dict,
+                         existing: dict) -> None:
+        """Insert value positions discovered by full tokenizations as
+        one chunk, merged with whatever the map already knows (§4.2
+        adaptive population)."""
+        if self.pm is not None and self.config.enable_positional_map:
+            self._insert_positions(block, discovered, existing)
 
     def _known_positions(self, block: int) -> dict[int, np.ndarray]:
         positions: dict[int, np.ndarray] = {}
@@ -350,37 +676,20 @@ class JsonlScan(BlockScan):
         cached = self.access._prefetch_cache(union_attrs, block)
         cmask = self.access._presence_masks(cached, n)
         positions = self._known_positions(block)
-
-        line_bytes: dict[int, bytes] = {}
-        views: dict[int, _RowView] = {}
-
-        def view_for(idx: int) -> _RowView:
-            view = views.get(idx)
-            if view is None:
-                view = _RowView(self, line_bytes[idx])
-                views[idx] = view
-            return view
-
-        def hint(attr: int, idx: int) -> int | None:
-            column = positions.get(attr)
-            if column is None or idx >= len(column):
-                return None
-            rel = int(column[idx])
-            return None if rel == NO_POS else rel
+        base = int(starts[0])
+        lines = _Lines(self, bytearray(int(ends[-1]) - base), starts - base,
+                       ends - base, positions)
+        converted: dict[int, tuple] = {}
 
         def materialize(attr: int, conv_mask: np.ndarray,
-                        read_cached: np.ndarray, entries: list,
-                        ) -> np.ndarray:
+                        read_cached: np.ndarray) -> np.ndarray:
             values = np.empty(n, dtype=object)
             cached_idx = np.flatnonzero(read_cached)
             if len(cached_idx):
                 values[cached_idx] = cached[attr].values_at(cached_idx)
                 model.cache_read(len(cached_idx))
-            pairs = [(idx, view_for(idx).token(attr, hint(attr, idx)))
-                     for idx in np.flatnonzero(conv_mask).tolist()]
-            for idx, value in self._convert_many(attr, pairs):
-                values[idx] = value
-                entries.append((idx, value))
+            converted[attr] = self._materialize(
+                lines, attr, np.flatnonzero(conv_mask), values)
             return values
 
         # -- phase W: bytes + conversion for rows whose WHERE
@@ -388,13 +697,11 @@ class JsonlScan(BlockScan):
         need_file = np.zeros(n, dtype=bool)
         for attr in where_attrs:
             need_file |= ~cmask[attr]
-        self._read_runs(handle, starts, ends, need_file, line_bytes)
+        lines.read(handle, base, need_file)
 
         columns: dict[int, np.ndarray] = {}
-        cache_entries: dict[int, list] = {attr: [] for attr in union_attrs}
         for attr in where_attrs:
-            columns[attr] = materialize(attr, ~cmask[attr], cmask[attr],
-                                        cache_entries[attr])
+            columns[attr] = materialize(attr, ~cmask[attr], cmask[attr])
 
         qual = self._predicate_mask(columns, n)
         qual_idx = np.flatnonzero(qual)
@@ -405,53 +712,36 @@ class JsonlScan(BlockScan):
         for attr in out_attrs:
             if attr not in columns:
                 missing |= ~cmask[attr]
-        need_sel = qual & missing & ~need_file
-        self._read_runs(handle, starts, ends, need_sel, line_bytes)
+        lines.read(handle, base, qual & missing & ~need_file)
         for attr in out_attrs:
-            if attr in columns:
-                continue
-            columns[attr] = materialize(
-                attr, qual & ~cmask[attr], cmask[attr] & qual,
-                cache_entries[attr])
+            if attr not in columns:
+                columns[attr] = materialize(attr, qual & ~cmask[attr],
+                                            cmask[attr] & qual)
         model.tuple_form(len(out_attrs) * len(qual_idx))
 
         if self.collector is not None:
             self.collector.add_columns(self._sample_rows(columns, qual_idx))
 
-        self._flush_positions(block, n, views, positions)
+        self._flush_positions(block, lines.positions(), positions)
         if self.cache is not None:
-            for attr, entries in cache_entries.items():
-                if entries:
-                    self.cache.put(attr, block, n, entries,
-                                   self._families[attr])
+            for attr in union_attrs:
+                rows, values, typed = converted[attr]
+                if len(rows):
+                    self.cache.put_column(attr, block, n, rows, values,
+                                          self._families[attr],
+                                          typed_values=typed)
         out_columns = [columns[attr][qual_idx] for attr in out_attrs]
         return ColumnBatch(out_columns, len(qual_idx))
-
-    @staticmethod
-    def _read_runs(handle, starts, ends, mask, line_bytes) -> None:
-        """One sequential read covering every flagged row not yet
-        loaded, sliced into per-line bytes (the CSV scan's read
-        pattern: stream through small gaps, never seek per tuple)."""
-        needed = [idx for idx in np.flatnonzero(mask).tolist()
-                  if idx not in line_bytes]
-        if not needed:
-            return
-        first, last = needed[0], needed[-1]
-        byte_start = int(starts[first])
-        blob = handle.read_at(byte_start, int(ends[last]) - byte_start)
-        for idx in needed:
-            line_bytes[idx] = blob[int(starts[idx]) - byte_start:
-                                   int(ends[idx]) - byte_start]
 
     # ==================================================================
     # Streaming region: unseen tail
     # ==================================================================
     def _compute_stream_group(self, ops, row0, starts, ends, buffer,
                               buffer_base):
-        """Full tokenization (positions staged for the map), predicate,
-        selective conversion, staged cache/stat/PM contributions, one
-        batch out. ``self`` is a view whose ``model`` is the charge
-        recorder feeding ``ops``."""
+        """Full tokenization of the whole group (positions staged for
+        the map), predicate, selective conversion, staged
+        cache/stat/PM contributions, one batch out. ``self`` is a view
+        whose ``model`` is the charge recorder feeding ``ops``."""
         model = self.model
         n = len(starts)
         out_attrs = self.out_attrs
@@ -464,52 +754,49 @@ class JsonlScan(BlockScan):
         if self.pm is not None:
             ops.append(("lines", starts, row0, n))
 
-        views = [_RowView(self, line) for line in
-                 self._lines(starts, ends, buffer, buffer_base)]
+        lines = _Lines(self, buffer, starts - buffer_base,
+                       ends - buffer_base)
         columns: dict[int, np.ndarray] = {}
-        cache_entries: dict[int, list] = {attr: []
-                                          for attr in self.union_attrs}
+        converted: dict[int, tuple] = {}
 
-        def materialize(attr: int, row_mask: np.ndarray) -> np.ndarray:
+        def materialize(attr: int, rows: np.ndarray) -> np.ndarray:
             values = np.empty(n, dtype=object)
-            entries = cache_entries[attr]
-            pairs = [(idx, views[idx].token(attr, None))
-                     for idx in np.flatnonzero(row_mask).tolist()]
-            for idx, value in self._convert_many(attr, pairs):
-                values[idx] = value
-                entries.append((first_in_block + idx, value))
+            converted[attr] = self._materialize(lines, attr, rows, values)
             return values
 
         for attr in self.where_attrs:
-            columns[attr] = materialize(attr, np.ones(n, dtype=bool))
+            columns[attr] = materialize(attr, np.arange(n))
         qual = self._predicate_mask(columns, n)
         qual_idx = np.flatnonzero(qual)
         for attr in out_attrs:
             if attr not in columns:
-                columns[attr] = materialize(attr, qual)
+                columns[attr] = materialize(attr, qual_idx)
         model.tuple_form(len(out_attrs) * len(qual_idx))
 
         if self.collector is not None:
             ops.append(("collect", self._sample_rows(columns, qual_idx)))
 
-        ops.append(("jpm", block, n, views, first_in_block))
+        if self.pm is not None:
+            ops.append(("jpm", block, lines.positions(first_in_block)))
         if self.cache is not None:
-            for attr, entries in cache_entries.items():
-                if entries:
+            for attr in self.union_attrs:
+                rows, values, typed = converted[attr]
+                if len(rows):
                     ops.append(("jcache", attr, block, rows_in_block,
-                                entries, self._families[attr]))
+                                rows + first_in_block, values, typed,
+                                self._families[attr]))
         out_columns = [columns[attr][qual_idx] for attr in out_attrs]
         return ColumnBatch(out_columns, len(qual_idx))
 
     def _apply_format_op(self, op: tuple) -> None:
         if op[0] == "jpm":
-            _, block, n, views, first_in_block = op
-            self._flush_positions(block, n, dict(enumerate(views)),
-                                  self._known_positions(block),
-                                  first_in_block=first_in_block)
+            _, block, discovered = op
+            self._flush_positions(block, discovered,
+                                  self._known_positions(block))
         else:  # "jcache"
-            _, attr, block, rows_in_block, entries, family = op
-            self.cache.put(attr, block, rows_in_block, entries, family)
+            _, attr, block, rows_in_block, rows, values, typed, family = op
+            self.cache.put_column(attr, block, rows_in_block, rows, values,
+                                  family, typed_values=typed)
 
 
 # ---------------------------------------------------------------------------
@@ -601,9 +888,11 @@ class JsonlAdapter(FormatAdapter):
         validate_on_error(options)
         return options
 
-    #: JSONL tokenization is string/escape/bracket aware — a state
-    #: machine per byte, not a memchr-style delimiter scan — so it runs
-    #: ~3x the engine's per-character tokenize rate.
+    #: The paper model's JSONL tokenizer is string/escape/bracket aware
+    #: — a state machine per byte, not a memchr-style delimiter scan —
+    #: so a tokenized character is priced at ~3x the engine's rate. A
+    #: virtual-cost rate: it does not depend on how this module
+    #: implements tokenizing (per line or by the block structural index).
     TOKENIZE_FACTOR = 3.0
     _PROFILE_TAG = "+jsonl"
 

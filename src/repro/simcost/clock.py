@@ -13,6 +13,8 @@ import enum
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class CostEvent(enum.Enum):
     """Every priced event in the system.
@@ -58,6 +60,12 @@ class CostEvent(enum.Enum):
     QUERIES_ABANDONED = "queries_abandoned"  # submitted queries cancelled before their stream finished
 
 
+def _fold(start, terms: np.ndarray):
+    """``start + terms[0] + terms[1] + ...`` added strictly left to
+    right, as a Python number."""
+    return np.add.accumulate(np.concatenate(([start], terms)))[-1].item()
+
+
 @dataclass
 class VirtualClock:
     """Accumulates virtual seconds and per-event unit counts.
@@ -83,23 +91,21 @@ class VirtualClock:
         self.counters[event] += units
         self.seconds += units * rate
 
-    def charge_repeat(self, event: CostEvent, times: int,
-                      rate: float) -> None:
-        """``times`` consecutive single-unit charges of ``event`` in one
-        call — what a column-at-a-time step charges where its per-value
-        ancestor charged once per value. The float accumulation is the
-        same ``times`` sequential additions (``1 * rate == rate``), not
-        one multiplication, so virtual time stays bit-identical to the
+    def charge_each(self, event: CostEvent, units, rate: float) -> None:
+        """One :meth:`charge` of ``event`` per entry of ``units``, in
+        order, in one call — what a column-at-a-time step charges where
+        its per-value ancestor charged once per value. Ledger and clock
+        are advanced by the same sequential additions (a left fold:
+        ``np.add.accumulate`` adds strictly in order), not by one
+        ``sum * rate``, so virtual time stays bit-identical to the
         per-value call pattern."""
-        if times < 0:
-            raise ValueError(f"negative repeat for {event}: {times}")
-        if not times:
+        units = np.asarray(units)
+        if not len(units):
             return  # no charge at all: the ledger gains no zero entry
-        self.counters[event] += times
-        seconds = self.seconds
-        for _ in range(times):
-            seconds += rate
-        self.seconds = seconds
+        if units.min() < 0:
+            raise ValueError(f"negative units for {event}: {units.min()}")
+        self.counters[event] = _fold(self.counters[event], units)
+        self.seconds = _fold(self.seconds, units * rate)
 
     def advance(self, seconds: float) -> None:
         """Advance the clock by a raw amount of virtual seconds."""

@@ -20,10 +20,12 @@ and zero in both modes once the map covers the query).
 
 Column-at-a-time bookkeeping keeps the convention exact where the unit
 count alone would not: §4.4 sampling prices each sampled value as one
-``stats_sample(1)`` — the scalar oracle charges value by value — so the
-batch scan charges a column through :meth:`CostModel.charge_repeat`,
-which performs the same N float additions on the clock instead of one
-``N * rate`` (equal units, but a different sum in the last digits).
+``stats_sample(1)`` and JSONL prices each full tokenization as one
+``tokenize(len(line))`` — their per-value ancestors charged value by
+value — so a column is charged through :meth:`CostModel.charge_each`
+(``charge_repeat`` is its all-ones case), which performs the same N
+float additions on the clock instead of one ``sum * rate`` (equal
+units, but a different sum in the last digits).
 
 Parallel chunk scans keep the convention exact: workers charge into
 :class:`RecordingModel` op logs that the scan's single-threaded merge
@@ -33,6 +35,8 @@ and the clock's float accumulation — are independent of
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.simcost.clock import CostEvent, VirtualClock
 from repro.simcost.profiles import POSTGRES_RAW_PROFILE, CostProfile
@@ -90,11 +94,18 @@ class CostModel:
         """Charge ``units`` of an arbitrary event."""
         self.clock.charge(event, units, self.profile.rate(event))
 
+    def charge_each(self, event: CostEvent, units) -> None:
+        """One ``charge(event, u)`` per entry of ``units``, in order (see
+        :meth:`VirtualClock.charge_each`): bit-identical on the clock to
+        that many separate calls."""
+        self.clock.charge_each(event, units, self.profile.rate(event))
+
     def charge_repeat(self, event: CostEvent, times: int) -> None:
-        """``times`` consecutive one-unit charges of ``event`` (see
-        :meth:`VirtualClock.charge_repeat`): bit-identical on the clock
-        to calling ``charge(event, 1)`` that many times."""
-        self.clock.charge_repeat(event, times, self.profile.rate(event))
+        """``times`` consecutive one-unit charges of ``event``: the
+        all-ones case of :meth:`charge_each`."""
+        if times < 0:
+            raise ValueError(f"negative repeat for {event}: {times}")
+        self.charge_each(event, np.ones(times, dtype=np.int64))
 
     # -- disk ------------------------------------------------------------
     def disk_read(self, nbytes: int, warm: bool = False) -> None:
@@ -246,9 +257,10 @@ class RecordingModel(CostModel):
     serial charge order) with the staged positional-map / cache /
     statistics operations the merge applies against the shared
     structures (see ``BlockScan._apply_staged``). A
-    :meth:`charge_repeat` is recorded as the one-unit charges it stands
-    for, so a replay is always a plain walk over charge records and
-    adds them to the clock one by one, as the serial scan did.
+    :meth:`charge_each` (and so a ``charge_repeat``) is recorded as the
+    separate charges it stands for, so a replay is always a plain walk
+    over charge records and adds them to the clock one by one, as the
+    serial scan did.
     """
 
     def __init__(self):
@@ -258,10 +270,10 @@ class RecordingModel(CostModel):
     def charge(self, event: CostEvent, units: float = 1) -> None:
         self.ops.append(("c", event, units))
 
-    def charge_repeat(self, event: CostEvent, times: int) -> None:
+    def charge_each(self, event: CostEvent, units) -> None:
         # Recorded expanded, so every replay loop stays a plain walk
         # over ``("c", event, units)`` entries.
-        self.ops.extend([("c", event, 1)] * times)
+        self.ops.extend([("c", event, u) for u in np.asarray(units).tolist()])
 
     def take_ops(self) -> list:
         """Drain and return the recorded ops (used by the scan driver

@@ -11,8 +11,12 @@ even with the cache disabled.
 from __future__ import annotations
 
 import datetime
+import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro import (
@@ -25,11 +29,17 @@ from repro import (
     VirtualFS,
     varchar,
 )
-from repro.errors import JSONLFormatError
-from repro.formats.jsonl import member_spans, value_end, write_jsonl
+from repro.core.positional_map import NO_POS
+from repro.errors import FormatError, JSONLFormatError
+from repro.formats.jsonl import (
+    block_member_spans,
+    member_spans,
+    value_end,
+    write_jsonl,
+)
 from repro.sql.catalog import Column
 
-from tests.test_batch_differential import nul_outcome
+from tests.test_batch_differential import cache_dump, nul_outcome, pm_dump
 
 ROWS = [
     {"id": 1, "name": "alice", "height": 170.5, "born": "2001-05-20",
@@ -271,6 +281,15 @@ class TestTokenizer:
             with pytest.raises(JSONLFormatError):
                 member_spans(bad)
 
+    def test_trailing_data_after_object_raises(self):
+        with pytest.raises(JSONLFormatError,
+                           match="trailing data after object at byte 9"):
+            member_spans(b'{"a": 1} {"a": 2}')
+        with pytest.raises(JSONLFormatError, match="at byte 2"):
+            member_spans(b"{}x")
+        spans, scanned = member_spans(b'{"a": 1} \t\r')
+        assert spans == {"a": (6, 7)} and scanned == 11
+
     def test_malformed_row_surfaces_as_data_error(self):
         vfs = VirtualFS()
         vfs.create("bad.jsonl", b'{"a": 1}\nnot json\n')
@@ -365,3 +384,358 @@ def test_nul_padded_numeric_matches_csv_twin(on_error, region, workers):
     row numbers, ``rows_rejected`` and quarantine records."""
     assert nul_outcome("jsonl", on_error, region, scan_workers=workers) \
         == nul_outcome("csv", on_error, region, scan_workers=workers)
+
+
+# ---------------------------------------------------------------------------
+# The block structural index against the per-line walk
+# ---------------------------------------------------------------------------
+#: schema keys the index is asked for (lower-cased, as the scan asks)
+INDEX_KEYS = ["id", "name", "x", "ünï"]
+
+json_values = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["true", "false", "null"]),
+    # raw non-ASCII, escaped quotes / backslashes / control characters
+    st.text(max_size=6).map(lambda s: json.dumps(s, ensure_ascii=False)),
+    st.text(max_size=4).map(json.dumps),            # \uXXXX escapes
+    st.sampled_from(['[1, [2, "]"]]', '{"k": {"j": "}"}}', "[]", "{}",
+                     '"a, b: {c}"', r'"\"\""', r'"a\\"', r'"\", \"k\": 1"',
+                     r'"a\"', '1"a,b"', '"a"1']),
+)
+padding = st.sampled_from(["", "", " ", "\t", "\r", " \t "])
+#: member names: ``json.dumps`` of a name (maybe ASCII-escaped), or a
+#: raw JSON string — same-width look-alikes, escapes in the name
+member_keys = st.one_of(
+    st.tuples(st.sampled_from(["id", "ID", "Name", "name", "x", "y", "z",
+                               "ab", "ünï", "Ünï"]), st.booleans()).map(
+        lambda nb: json.dumps(nb[0], ensure_ascii=nb[1])),
+    st.sampled_from([r'"x\""', r'"x\"', r'"\\"', '"a" "b"']))
+#: same-width stand-ins for the template's names
+LOOK_ALIKES = {'"id"': ['"ID"', '"ab"'], '"name"': ['"Name"', '"nope"'],
+               '"x"': ['"y"', '"z"']}
+LAYOUTS = ["template"] * 4 + ["shuffled", "missing", "renamed", "extra",
+                              "duplicate", "empty"]
+BREAKS = ["unterminated", "no_colon", "trailing_comma", "no_value",
+          "bare_space", "two_strings", "not_a_member", "leading_bytes",
+          "trailing_bytes", "second_object", "bracket_close"]
+
+
+@st.composite
+def jsonl_lines(draw):
+    """One line: mostly the template layout ``id, name, x``, otherwise a
+    variant or a malformed line, with random padding everywhere."""
+    kind = draw(st.sampled_from(LAYOUTS + BREAKS + ["garbage"]))
+    if kind == "garbage":
+        return draw(st.binary(max_size=12)).replace(b"\n", b" ")
+    keys = [json.dumps(name, ensure_ascii=draw(st.booleans()))
+            for name in ("id", "name", "x")]
+    if draw(st.integers(0, 9)) == 0:
+        keys[0] = '"ID"'                             # mixed case
+    if kind == "shuffled":
+        keys = draw(st.permutations(keys))
+    elif kind == "missing":
+        keys.pop(draw(st.integers(0, 2)))
+    elif kind == "renamed":
+        at = draw(st.integers(0, 2))
+        keys[at] = draw(st.sampled_from(LOOK_ALIKES.get(keys[at], ['"k"']))
+                        | member_keys)
+    elif kind == "extra":
+        keys.insert(draw(st.integers(0, 3)), draw(member_keys))
+    elif kind == "duplicate":
+        keys.append(draw(st.sampled_from(['"id"', '"ID"', '"x"'])))
+    elif kind in ("empty", "not_a_member"):
+        keys = []
+    pad = lambda: draw(padding)  # noqa: E731
+    members = []
+    for key in keys:
+        value = draw(json_values)
+        if not members and kind == "no_value":
+            value = ""
+        elif not members and kind == "bare_space":
+            value = "1 2"
+        elif not members and kind == "two_strings":
+            value = '"a" "b"'
+        members.append(f"{key}{pad()}:{pad()}{value}")
+    body = f"{pad()},{pad()}".join(members)
+    if kind == "not_a_member":
+        body = draw(st.sampled_from(['"a"', "1", "x", '"a" 1', "1: 2"]))
+    elif kind == "trailing_comma":
+        body += ","
+    line = f"{pad()}{{{pad()}{body}{pad()}}}{pad()}"
+    if kind == "unterminated":
+        line = line[:line.rfind('"')] if '"' in line else '{"a": "x'
+    elif kind == "no_colon":
+        line = line.replace(":", " ", 1) if ":" in line else '{"a" 1}'
+    elif kind == "leading_bytes":
+        line = "x" + line
+    elif kind == "trailing_bytes":
+        line += "x"
+    elif kind == "second_object":
+        line += ' {"id": 2}'
+    elif kind == "bracket_close":
+        line = line[:line.rfind("}")] + "]" + line[line.rfind("}") + 1:]
+    return line.encode("utf-8")
+
+
+def assert_index_matches_walk(lines, starts, ends, fast):
+    for i, line in enumerate(lines):
+        try:
+            spans, _ = member_spans(line)
+        except JSONLFormatError:
+            # malformed: the per-line walk must get it, to raise
+            assert not fast[i], line
+            continue
+        if fast[i]:
+            for k, key in enumerate(INDEX_KEYS):
+                expected = spans.get(key, (NO_POS, NO_POS))
+                assert (starts[k, i], ends[k, i]) == expected, (line, key)
+
+
+class TestBlockIndex:
+    @given(st.lists(jsonl_lines(), min_size=1, max_size=40), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_fast_lines_equal_member_spans(self, lines, template_first):
+        if template_first:    # the template layout is the call's template
+            lines = [b'{"id": 0, "name": "t", "x": 1}'] + lines
+        starts, ends, fast = block_member_spans(lines, keys=INDEX_KEYS)
+        assert starts.shape == ends.shape == (len(INDEX_KEYS), len(lines))
+        assert_index_matches_walk(lines, starts, ends, fast)
+
+    @given(st.lists(st.tuples(st.binary(max_size=6), jsonl_lines()),
+                    min_size=1, max_size=20))
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_between_lines_are_ignored(self, pieces):
+        """Lines cut out of a buffer whose gaps hold arbitrary bytes
+        (quotes and braces included, as the unread rows of an indexed
+        block may) index exactly like the lines alone."""
+        buffer, line_starts, line_ends = b"", [], []
+        for gap, line in pieces:
+            buffer += gap
+            line_starts.append(len(buffer))
+            buffer += line
+            line_ends.append(len(buffer))
+        lines = [line for _, line in pieces]
+        got = block_member_spans(buffer, np.array(line_starts),
+                                 np.array(line_ends), INDEX_KEYS)
+        alone = block_member_spans(lines, keys=INDEX_KEYS)
+        for a, b in zip(got, alone):
+            assert np.array_equal(a, b)
+
+    def test_template_layout_resolves_in_one_pass(self):
+        """Every line with the first well-formed line's member layout is
+        resolved, whatever whitespace pads it; every other line — another
+        member order or count, escaped, nested, malformed — is left to
+        the walk."""
+        lines = [b'{"escaped": "q\\"x"}',                  # not the template
+                 b'{"id": 1, "name": "a", "x": 2.5}',
+                 b'{"x": true, "id": 2}',
+                 b'\t{ "id" :3 ,"name":"b c" , "x": null }\r',
+                 b'{"x": 1, "name": "d", "id": 4}',
+                 b"{}",
+                 b'{"id": 5, "name": "q\\"x", "x": 1}',   # escape
+                 b'{"id": 6, "name": [1, 2], "x": 1}',     # nested
+                 b'{"id": 7} {"id": 8}',                   # trailing data
+                 b'{"id": 9, "name": "c", "x": 3}']
+        starts, ends, fast = block_member_spans(lines, keys=INDEX_KEYS)
+        assert fast.tolist() == [False, True, False, True, False,
+                                 False, False, False, False, True]
+        assert_index_matches_walk(lines, starts, ends, fast)
+        assert lines[3][starts[1, 3]:ends[1, 3]] == b'"b c"'
+
+    def test_only_identical_key_bytes_match_the_template(self):
+        """Same member count and key widths are not enough: ``"ab"`` and
+        ``"ID"`` are not ``"id"`` byte for byte. A shorter key at the end
+        of the buffer is not compared past it."""
+        lines = [b'{"id": 1, "x": 2}', b'{"ab": 3, "x": 4}',
+                 b'{"ID": 5, "x": 6}', b'{"id": 7, "x": 8}']
+        starts, ends, fast = block_member_spans(lines, keys=INDEX_KEYS)
+        assert fast.tolist() == [True, False, False, True]
+        assert_index_matches_walk(lines, starts, ends, fast)
+        lines = [b'{"a_much_longer_member_name": 1}', b'{"a": 2}']
+        starts, ends, fast = block_member_spans(lines, keys=["a"])
+        assert fast.tolist() == [True, False]
+
+    @pytest.mark.parametrize("line", [b'{"a": "\\u00e9"}', b'{"a": [1]}'])
+    def test_no_resolvable_line_resolves_nothing(self, line):
+        starts, ends, fast = block_member_spans([line] * 3, keys=INDEX_KEYS)
+        assert not fast.any()
+        assert (starts == NO_POS).all() and (ends == NO_POS).all()
+
+    @pytest.mark.parametrize("bad", [
+        b'{"id":,"x":1}', b'{"id": 1 2}', b'{"id": "a" 1}', b'{"id": 1"a,b"}',
+        b'x{"id": 1}', b'{"id": 1}x', b'{"id": 1} {"id": 2}', b'{"a\\": 1}',
+        b'{1: 2}', b'{"id": 1]', b'{"id": 1,}', b'{"id" 1}', b'{"id": "x}',
+        b"{,}", b'{"id"}', b'{"id": 1, "x": 2'])
+    def test_malformed_lines_take_the_walk(self, bad):
+        """A malformed line is never resolved — whatever layout the
+        group's other lines share — so the per-line walk raises."""
+        with pytest.raises(JSONLFormatError):
+            member_spans(bad)
+        lines = [b'{"id": 1}', bad, b'{"id": 3}']
+        starts, ends, fast = block_member_spans(lines, keys=INDEX_KEYS)
+        assert fast.tolist() == [True, False, True]
+
+    def test_repeated_key_last_wins_and_keys_fold_case(self):
+        lines = [b'{"ID": 1, "id": 2, "X": 3}'] * 3
+        starts, ends, fast = block_member_spans(lines, keys=INDEX_KEYS)
+        assert fast.all()
+        assert [lines[0][s:e] for s, e in zip(starts[:, 0], ends[:, 0])
+                if s != NO_POS] == [b"2", b"3"]
+
+
+# ---------------------------------------------------------------------------
+# Engine level: a mixed-layout file against its CSV twin
+# ---------------------------------------------------------------------------
+MIXED_BAD_ROW = 17
+
+
+def mixed_rows() -> list[tuple]:
+    rows = []
+    for i in range(60):
+        a = None if i % 6 == 2 else (i * 37) % 101 - 50
+        if i == MIXED_BAD_ROW:
+            a = "x"                                 # unparseable INTEGER
+        s = f'q"x{i}' if i % 7 == 4 else (f"é{i}" if i % 8 == 7
+                                          else f"s{i}")
+        rows.append((i, a, i * 1.25, s))
+    return rows
+
+
+def mixed_jsonl(rows) -> bytes:
+    lines = []
+    for i, a, b, s in rows:
+        a_text = "null" if a is None else json.dumps(a)
+        s_text = json.dumps(s, ensure_ascii=False)
+        members = [f'"id": {i}', f'"a": {a_text}', f'"b": {b!r}',
+                   f'"s": {s_text}']
+        if a is None and i % 12 == 2:
+            del members[1]                          # missing member
+        if i % 4 == 1:
+            members.reverse()                       # another order
+        if i % 5 == 3:
+            members.append('"extra": [1, {"k": "}"}]')   # nested
+        if i % 10 == 6:
+            members[0] = members[0].upper()         # "ID": ...
+        line = "{" + ", ".join(members) + "}"
+        if i % 9 == 5:
+            line = "\t" + line.replace(": ", " :\t") + " \r"
+        lines.append(line)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def mixed_csv(rows) -> bytes:
+    return "".join(f"{i};{'' if a is None else a};{b!r};{s}\n"
+                   for i, a, b, s in rows).encode("utf-8")
+
+
+MIXED_QUERIES = [
+    "SELECT id, b, s FROM t WHERE id >= 0",
+    "SELECT id, a, s FROM t WHERE b < 40",
+    "SELECT count(*), sum(b) FROM t WHERE s LIKE 'q%'",
+    "SELECT id, a FROM t WHERE a > 0",
+]
+
+
+def mixed_outcome(fmt: str, on_error: str, workers: int):
+    vfs = VirtualFS()
+    rows = mixed_rows()
+    vfs.create(f"t.{fmt}", mixed_jsonl(rows) if fmt == "jsonl"
+               else mixed_csv(rows))
+    engine = PostgresRaw(vfs=vfs, config=PostgresRawConfig(
+        row_block_size=8, scan_workers=workers))
+    extra = ", delimiter ';'" if fmt == "csv" else ""
+    engine.query(f"CREATE TABLE t (id INTEGER, a INTEGER, b FLOAT, "
+                 f"s VARCHAR) USING {fmt} OPTIONS (path 't.{fmt}', "
+                 f"on_error '{on_error}'{extra})")
+    answers = []
+    for sql in MIXED_QUERIES * 2:                  # cold, then warm
+        try:
+            answers.append(engine.query(sql).rows)
+        except FormatError as exc:
+            answers.append((str(exc), exc.context["row_number"]))
+    structures = (pm_dump(engine.positional_map_of("t")),
+                  cache_dump(engine.cache_of("t")),
+                  engine.counters(), engine.clock.seconds)
+    return answers, structures
+
+
+@pytest.mark.parametrize("on_error", ["fail", "skip", "null"])
+def test_mixed_layouts_match_csv_twin_at_any_worker_count(on_error):
+    answers, serial = mixed_outcome("jsonl", on_error, 1)
+    csv_answers, _ = mixed_outcome("csv", on_error, 1)
+    assert answers == csv_answers
+    rows = mixed_rows()
+    assert answers[0] == [(i, b, s) for i, _, b, s in rows]
+    if on_error == "fail":
+        assert (answers[1][1], answers[3][1]) == (MIXED_BAD_ROW,) * 2
+    else:
+        assert answers[1] == [
+            (i, None if i == MIXED_BAD_ROW else a, s)
+            for i, a, b, s in rows
+            if b < 40 and (on_error == "null" or i != MIXED_BAD_ROW)]
+    assert mixed_outcome("jsonl", on_error, 4) == (answers, serial)
+
+
+# ---------------------------------------------------------------------------
+# Trailing data after the object: an error, never a silently dropped row
+# ---------------------------------------------------------------------------
+TRAILING_LINES = [b'{"a": 0}', b'{"a": 1} {"a": 2}', b'{"a": 3}xyz',
+                  b'{"a": 4} \t']
+
+
+@pytest.mark.parametrize("on_error", ["fail", "skip", "null"])
+def test_trailing_data_follows_the_error_policy(on_error):
+    """Cold (streaming region) and warm (indexed region) alike."""
+    vfs = VirtualFS()
+    vfs.create("t.jsonl", b"\n".join(TRAILING_LINES) + b"\n")
+    engine = PostgresRaw(vfs=vfs)
+    engine.query("CREATE TABLE t (a INTEGER) USING jsonl OPTIONS "
+                 f"(path 't.jsonl', on_error '{on_error}')")
+    for _ in range(2):
+        if on_error == "fail":
+            with pytest.raises(JSONLFormatError,
+                               match="trailing data after object at byte 9"
+                               ) as info:
+                engine.query("SELECT a FROM t")
+            assert info.value.context["row_number"] == 1
+            continue
+        rows = engine.query("SELECT a FROM t").rows
+        if on_error == "skip":
+            assert rows == [(0,), (4,)]
+        else:
+            assert rows == [(0,), (None,), (None,), (4,)]
+    if on_error == "skip":
+        records = vfs.read_bytes("__rejects__/t").split(b"\n")[:-1]
+        assert [record.split(b"\t")[:2] for record in records] == [
+            [b"1", b"trailing data after object at byte 9"],
+            [b"2", b"trailing data after object at byte 8"]]
+
+
+# ---------------------------------------------------------------------------
+# VARCHAR tokens without escapes are decoded without json.loads
+# ---------------------------------------------------------------------------
+def test_plain_varchar_decode_equals_json_loads():
+    tokens = [b'""', b'"plain"', '"héllo 日本"'.encode(), b'"\xff\xfe ok"',
+              b'"\xe2"', b'"a\\"b"', b'"\\u00e9\\n"', b'"\x7f"']
+    vfs = VirtualFS()
+    vfs.create("s.jsonl", b"".join(b'{"s": %s}\n' % token
+                                   for token in tokens))
+    engine = PostgresRaw(vfs=vfs)
+    engine.query("CREATE TABLE s (s VARCHAR) USING jsonl "
+                 "OPTIONS (path 's.jsonl')")
+    expected = [(json.loads(token.decode("utf-8", "replace")),)
+                for token in tokens]
+    assert engine.query("SELECT s FROM s").rows == expected
+    assert engine.query("SELECT s FROM s").rows == expected      # warm
+
+
+def test_varchar_control_character_still_raises():
+    vfs = VirtualFS()
+    vfs.create("s.jsonl", b'{"s": "ok"}\n{"s": "tab\there"}\n')
+    engine = PostgresRaw(vfs=vfs)
+    engine.query("CREATE TABLE s (s VARCHAR) USING jsonl "
+                 "OPTIONS (path 's.jsonl')")
+    with pytest.raises(JSONLFormatError, match="bad string value") as info:
+        engine.query("SELECT s FROM s")
+    assert info.value.context["row_number"] == 1

@@ -1,5 +1,6 @@
 """Tests for the virtual clock, cost profiles, and cost model."""
 
+import numpy as np
 import pytest
 
 from repro.simcost.clock import CostEvent, VirtualClock
@@ -217,6 +218,29 @@ class TestCostModel:
         assert CostEvent.STATS_SAMPLE not in idle.clock.counters
         with pytest.raises(ValueError):
             idle.charge_repeat(CostEvent.STATS_SAMPLE, -1)
+
+    def test_charge_each_is_a_left_fold_of_single_charges(self):
+        """Per-line units in one call (JSONL full tokenizations): same
+        ledger and the same clock float as one ``charge`` per unit."""
+        rng = np.random.default_rng(7)
+        units = rng.integers(1, 400, size=2000).tolist()
+        one_by_one, folded = CostModel(), CostModel()
+        for model in (one_by_one, folded):
+            model.newline_scan(977)
+        for unit in units:
+            one_by_one.tokenize(unit)
+        folded.charge_each(CostEvent.TOKENIZE, np.array(units))
+        assert folded.now() == one_by_one.now()         # exact
+        assert dict(folded.clock.counters) == dict(one_by_one.clock.counters)
+        assert type(folded.count(CostEvent.TOKENIZE)) is int
+        folded.charge_each(CostEvent.STATS_SAMPLE, [])
+        assert CostEvent.STATS_SAMPLE not in folded.clock.counters
+        with pytest.raises(ValueError):
+            folded.charge_each(CostEvent.TOKENIZE, [3, -1])
+        recorder = RecordingModel()
+        recorder.charge_each(CostEvent.TOKENIZE, np.array([4, 9]))
+        assert recorder.ops == [("c", CostEvent.TOKENIZE, 4),
+                                ("c", CostEvent.TOKENIZE, 9)]
 
     def test_recorded_charge_repeat_replays_as_unit_charges(self):
         recorder = RecordingModel()
