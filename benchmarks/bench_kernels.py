@@ -4,7 +4,7 @@ Virtual cost is contractually identical with kernels on or off (the
 fast path performs the generic path's charges verbatim), so like the
 parallel-scan bench this measures the *Python interpreter*: the
 cached-block fast path skips the generic block compute's per-block
-setup — cache-mask copies, need-file masks, ``_IndexedBlockState``,
+setup — cache-mask copies, need-file masks, the block-lines object,
 per-column materialize calls, output-column branching — which
 dominates warm indexed scans at small row blocks.
 

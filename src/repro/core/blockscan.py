@@ -13,21 +13,31 @@ operator's format-agnostic half; :mod:`repro.core.scan_batch` (CSV) and
   statistics epilogue, the batch→tuple shim and the ``path``/``table``
   error annotation. (:class:`RawAccessBase` is the slice of it that does
   not assume a line-oriented, growable file; FITS takes just that.)
-* :class:`BlockScan` is the per-scan *driver*: the frozen
-  indexed/streaming split, the indexed-region block loop (cached-block
-  fast path where the scan's one eligibility decision allows it →
-  zero-priced hit, or bailout → strict block → tolerant redo), and
-  the streaming region's single read → newline-discovery → row-block
-  group formation → dispatch → ordered-merge loop. It also holds the
-  steps every format's block compute performs identically: the
-  predicate charge + mask, §4.4 sample staging and the positional-map
-  chunk merge (the cache prefetch, which FITS shares too, sits on
-  :class:`RawAccessBase`).
+* :class:`BlockScan` is the per-scan *driver* and the *one block
+  compute*: the frozen indexed/streaming split, the indexed-region
+  block loop (cached-block fast path where the scan's one eligibility
+  decision allows it → zero-priced hit, or bailout → strict block →
+  tolerant redo), the streaming region's single read →
+  newline-discovery → row-block group formation → dispatch →
+  ordered-merge loop, and the strict compute of an indexed block and
+  of a stream group: cache prefetch, two-phase selective reads (WHERE
+  rows, then qualifying rows missing a SELECT attribute), column
+  assembly from cache and fresh conversions (:class:`BlockColumn`),
+  the predicate mask, §4.4 sampling, and the positional-map / cache
+  inserts — applied at once in an indexed block, staged as ``"pm"`` /
+  ``"cache"`` ops in a stream group.
 
-What a format supplies, and nothing else: strict indexed-block compute,
-strict stream-group compute, its own staged ops, its positional-map
-lookups, how a cached block is served, value conversion, and
-``tolerant_row``'s line split.
+What a format supplies, and nothing else:
+
+* a :class:`BlockLines` subclass per region — the block's lines as its
+  tokenizer sees them: ``spans(attr, rows)`` (value spans, charging
+  TOKENIZE the format's way), ``qualified(qual_idx)`` and
+  ``positions()`` (what the block taught the positional map);
+* ``_convert(attr, buffer, starts, ends)`` — value conversion of one
+  span column;
+* ``_known_positions`` (the map lookups an indexed block makes) and
+  ``_cached_column`` (how the fast path serves a cached column);
+* ``tolerant_row``'s line split (``_tolerant_fetch``).
 
 Fan-out and the staged-op merge: the streaming region's row-block
 groups are *pure functions* of their byte slice. Each group computes
@@ -55,7 +65,9 @@ completed-scan counters.
 from __future__ import annotations
 
 import copy
+import datetime
 import functools
+import weakref
 from collections import deque
 from concurrent.futures import CancelledError
 from typing import Iterator, Sequence
@@ -77,26 +89,203 @@ from repro.sql.batch import ColumnBatch, object_nulls
 from repro.sql.scanapi import ScanPredicate
 from repro.sql.stats import TableStats
 
+#: families whose text form NumPy can parse column-wise via ``astype``
+NUMERIC_DTYPES = {"int": np.int64, "float": np.float64}
 
-def parse_numeric_fields(matrix: np.ndarray, total_width: int,
-                         dtype) -> np.ndarray | None:
-    """Parse a column of numeric text fields in one vectorized shot:
-    ``matrix`` holds one field per row, zero-padded to a common width
-    (``total_width`` is the fields' summed true widths); viewed as
-    fixed-length bytes, ``astype`` parses it. Returns None when any
-    field defeats NumPy's parser (the caller falls back to Python,
+
+def decode_numeric_spans(buf_arr: np.ndarray, starts: np.ndarray,
+                         ends: np.ndarray, dtype) -> np.ndarray | None:
+    """Parse the numeric text fields at ``starts``/``ends`` (offsets
+    into ``buf_arr``) in one vectorized shot: gather them into a
+    zero-padded fixed-width byte matrix, view it as fixed-length bytes
+    and ``astype`` it. Returns None when a field is empty or wider than
+    64 bytes, defeats NumPy's parser (the caller falls back to Python,
     which also covers >64-bit ints and ``1_0``-style literals) — or
     holds a NUL byte: the fixed-width view cannot tell a NUL inside a
     field from its own padding and would silently drop a trailing one,
     where the per-field parser rejects the value."""
-    if np.count_nonzero(matrix) != total_width:
+    widths = ends - starts
+    max_width = int(widths.max()) if len(widths) else 0
+    if max_width == 0 or max_width > 64:
         return None
-    fields = np.ascontiguousarray(matrix).view(
-        f"S{matrix.shape[1]}").ravel()
+    offsets = starts[:, None] + np.arange(max_width)
+    matrix = np.where(offsets < ends[:, None],
+                      buf_arr[np.minimum(offsets, len(buf_arr) - 1)],
+                      0).astype(np.uint8)
+    if np.count_nonzero(matrix) != int(widths.sum()):
+        return None
+    fields = matrix.view(f"S{max_width}").ravel()
     try:
         return fields.astype(dtype)
     except (ValueError, OverflowError):
         return None
+
+
+def _dates(day_numbers) -> list:
+    """Ordinal day numbers as :class:`datetime.date` values."""
+    return [datetime.date.fromordinal(v) for v in day_numbers.tolist()]
+
+
+class BlockColumn:
+    """One attribute's values over one block.
+
+    The canonical storage is ``typed`` — a dtype-tagged array (int64 /
+    float64, int32 day numbers for cache-served dates, bool) covering
+    every *materialized* row — with an object-array view (``values``,
+    None where absent/NULL) built lazily only when a consumer needs
+    Python objects in an array (row-closure fallbacks, date output;
+    stats sampling takes :meth:`tolist` straight off the typed array).
+    When typed assembly is impossible (NULLs, strings, mixed
+    sources) the object array is the storage and ``typed`` is None.
+    ``conv_idx`` tracks the subset converted from the raw file this
+    query (the cache-write set) and exactly one of ``conv_typed`` /
+    ``conv_values`` holds it: a dtype-tagged array when the ``astype``
+    fast path produced one — in either region; the cache's bulk insert
+    consumes it directly, with no object-list round-trip — and a list
+    of Python values otherwise."""
+
+    __slots__ = ("n", "family", "nulls", "typed", "conv_idx",
+                 "conv_values", "conv_typed", "_values", "_materialized")
+
+    def __init__(self, n: int, family: str = "?"):
+        self.n = n
+        self.family = family
+        self.nulls = np.zeros(n, dtype=bool)
+        self.typed: np.ndarray | None = None
+        self.conv_idx: np.ndarray | None = None   # block-relative rows
+        self.conv_values: list | None = None
+        self.conv_typed: np.ndarray | None = None
+        self._values: np.ndarray | None = None
+        #: rows actually holding data (None = all); typed slots outside
+        #: this mask are garbage and must not be decoded
+        self._materialized: np.ndarray | None = None
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            out = np.empty(self.n, dtype=object)
+            if self.typed is not None:
+                mask = self._materialized
+                rows = (np.arange(self.n) if mask is None
+                        else np.flatnonzero(mask))
+                if len(rows):
+                    raw = self.typed[rows]
+                    out[rows] = (_dates(raw) if self.family == "date"
+                                 else raw.tolist())
+            elif self.conv_idx is not None and len(self.conv_idx):
+                # a streamed SELECT-only column is its converted subset
+                out[self.conv_idx] = (
+                    self.conv_values if self.conv_typed is None
+                    else self.conv_typed.tolist())
+            self._values = out
+        return self._values
+
+    def set_values(self, values: np.ndarray) -> None:
+        self._values = values
+
+    def assign(self, values: np.ndarray) -> "BlockColumn":
+        """Store an object array of Python values (None: NULL) as the
+        column, typed as well when it is a NULL-free numeric one."""
+        self.set_values(values)
+        self.nulls = object_nulls(values)
+        dtype = NUMERIC_DTYPES.get(self.family)
+        if dtype is not None and not self.nulls.any() and self.n:
+            try:
+                self.typed = values.astype(dtype)
+            except (ValueError, TypeError, OverflowError):
+                self.typed = None
+        return self
+
+    def tolist(self, rows: np.ndarray | None = None) -> list:
+        """Python values at ``rows`` (None: every row; all of them
+        materialized), straight off the typed array when there is one
+        (day numbers are not values: dates go through the object
+        view)."""
+        source = self.typed
+        if source is None or self.family == "date":
+            source = self.values
+        return (source if rows is None else source[rows]).tolist()
+
+
+def predicate_mask(model, predicate: ScanPredicate | None, columns: dict,
+                   n: int) -> np.ndarray:
+    """Qualifying mask over a block's materialized WHERE columns (attr
+    -> :class:`BlockColumn`); one aggregated cost charge. The planner's
+    vectorized mask when there is one — over typed arrays where a
+    column has them; the widened vectorizer takes object arrays
+    (strings, NULL-bearing numerics) in stride — and the row-closure
+    fallback otherwise."""
+    if predicate is None:
+        return np.ones(n, dtype=bool)
+    model.predicate(predicate.n_terms * n)
+    if predicate.vector_fn is not None:
+        arrays = {}
+        nulls = {}
+        for attr in predicate.attrs:
+            column = columns[attr]
+            arrays[attr] = (column.typed if column.typed is not None
+                            else column.values)
+            nulls[attr] = column.nulls
+        return predicate.vector_fn(arrays, nulls, n)
+    return predicate.row_mask(
+        {attr: columns[attr].values for attr in predicate.attrs}, n)
+
+
+class BlockLines:
+    """The lines of one indexed block or stream group as a format's
+    tokenizer sees them: ``buffer`` holds their bytes (an indexed
+    block's only as far as :meth:`read` has loaded them) and
+    ``line_starts`` / ``line_ends`` are offsets into it; ``base`` is
+    the file offset of ``buffer[0]`` and ``known`` the map's relative
+    positions of the block (attr -> column; empty for a stream group).
+    Rows are block- (group-) relative.
+
+    A format subclasses it per region and supplies three steps:
+    :meth:`spans`, :meth:`qualified` and :meth:`positions`."""
+
+    def __init__(self, scan, buffer, base: int, line_starts: np.ndarray,
+                 line_ends: np.ndarray, known: dict):
+        self.scan = scan
+        self.buffer = buffer
+        self.base = base
+        self.line_starts = line_starts
+        self.line_ends = line_ends
+        self.known = known
+        self.n = len(line_starts)
+        #: rows whose bytes :meth:`read` has loaded
+        self.loaded = np.zeros(self.n, dtype=bool)
+
+    def read(self, handle, mask: np.ndarray) -> bool:
+        """One sequential read covering every flagged row not yet
+        loaded (stream through small gaps, never seek per tuple — the
+        scalar ``_read_runs``); True when it read anything."""
+        needed = np.flatnonzero(mask & ~self.loaded)
+        if not len(needed):
+            return False
+        lo = int(self.line_starts[needed[0]])
+        hi = int(self.line_ends[needed[-1]])
+        blob = handle.read_at(self.base + lo, hi - lo)
+        self.buffer[lo:lo + len(blob)] = blob
+        self.loaded[needed] = True
+        return True
+
+    def spans(self, attr: int, rows: np.ndarray,
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """Offsets into ``buffer`` of ``attr``'s values at ``rows``
+        (ascending), charging TOKENIZE for what finding them scans;
+        raises :class:`~repro.errors.FormatError` on a malformed
+        line."""
+        raise NotImplementedError
+
+    def qualified(self, qual_idx: np.ndarray) -> None:
+        """The predicate chose ``qual_idx``: the step before the
+        SELECT-only attributes are asked for at those rows."""
+
+    def positions(self) -> dict[int, np.ndarray]:
+        """The attribute positions this block's tokenizing discovered
+        (attr -> relative offsets over its rows, ``NO_POS`` holes);
+        attributes with none are left out."""
+        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +303,28 @@ class RawAccessBase:
         self.schema = schema
         self.model = model
         self.config = config
-        self.table_info = table_info
+        # Weak: the catalog entry owns its access method, and the
+        # back-reference must not keep a dropped engine's tables alive
+        # in a reference cycle.
+        self._table_info = weakref.ref(table_info)
         self.cache = cache
         self._dtypes = schema.types
         self._families = [t.family for t in schema.types]
         self.queries_executed = 0
         #: workload knowledge for the §7 idle tuner: attr -> request count
         self.attr_request_counts: dict[int, int] = {}
+
+    @property
+    def table_info(self):
+        """The catalog entry this access method serves. A scan holds it
+        for its lifetime; one started after its table was dropped fails
+        cleanly."""
+        info = self._table_info()
+        if info is None:
+            raise ExecutionError(
+                f"the table over {self.path!r} was dropped; re-run the "
+                "query")
+        return info
 
     def _scan_setup(self, needed: Sequence[int],
                     predicate: ScanPredicate | None):
@@ -264,14 +468,14 @@ class RawFileAccess(RawAccessBase):
         where_attrs, union_attrs, predicate, collector)``'s output with
         format and storage errors annotated (``path=``, ``table=``),
         and the statistics epilogue."""
+        info = self.table_info  # held while the scan runs
         out_attrs, where_attrs, union_attrs, collector, handle = \
             self._scan_setup(needed, predicate)
         try:
             yield from body(handle, out_attrs, where_attrs, union_attrs,
                             predicate, collector)
         except (FormatError, StorageError) as exc:
-            raise annotate(exc, path=self.path,
-                           table=self.table_info.name)
+            raise annotate(exc, path=self.path, table=info.name)
         self._finalize_stats(collector)
 
     def _rows_with_known_span(self) -> int:
@@ -423,27 +627,19 @@ class BlockScan:
         yield from self._streaming_region(handle, spanned)
 
     # -- what a format supplies ----------------------------------------
-    def _indexed_block_strict(self, handle, block: int,
-                              starts: np.ndarray, ends: np.ndarray,
-                              ) -> ColumnBatch:
-        """Strict compute of one indexed block (its rows' line spans
-        are ``starts``/``ends``), flushing its PM/cache/stats
-        contributions only at the end of a clean block; raises
-        :class:`~repro.errors.FormatError` on malformed input."""
-        raise NotImplementedError
+    #: the :class:`BlockLines` subclasses of an indexed block and of a
+    #: stream group
+    indexed_lines: type = BlockLines
+    stream_lines: type = BlockLines
 
-    def _compute_stream_group(self, ops: list, row0: int,
-                              starts: np.ndarray, ends: np.ndarray,
-                              buffer: bytes, buffer_base: int,
-                              ) -> ColumnBatch:
-        """Strict compute of one group of freshly discovered lines — all
-        within a single row block — staging its line-index / PM / cache
-        / stats contributions into ``ops`` (shared with ``self.model``'s
-        charge recorder) instead of touching the shared structures."""
-        raise NotImplementedError
-
-    def _apply_format_op(self, op: tuple) -> None:
-        """Apply one of the format's own staged ops at the merge."""
+    def _convert(self, attr: int, buffer, starts: np.ndarray,
+                 ends: np.ndarray) -> tuple[list | None, np.ndarray | None]:
+        """Convert the values at ``starts``/``ends`` (offsets into
+        ``buffer``), charging one aggregate conversion: ``(None,
+        typed)`` when the column came out as a dtype-tagged array (the
+        consumers that only need arrays — vector predicates, typed
+        cache inserts, typed output — never pay a per-row ``tolist``
+        walk), ``(values, None)`` otherwise."""
         raise NotImplementedError
 
     def _known_positions(self, block: int) -> dict[int, np.ndarray]:
@@ -452,8 +648,8 @@ class BlockScan:
         attribute positions are switched off."""
         raise NotImplementedError
 
-    def _cached_column(self, cache_block, n: int,
-                       qual: np.ndarray | None = None):
+    @staticmethod
+    def _cached_column(cache_block, n: int, qual: np.ndarray | None = None):
         """How the fast path serves one attribute of a block's first
         ``n`` rows straight from ``cache_block`` (which holds at least
         ``n``): ``(column, null_mask)`` in the form ``vector_fn`` reads,
@@ -461,71 +657,137 @@ class BlockScan:
         from the cache alone. ``qual`` None is a WHERE column — every
         row must be served; otherwise a SELECT-only column, needed at
         the ``qual`` rows only (§4.1 never caches more of it) and
-        returned without a null mask. Must stay side-effect-free."""
-        raise NotImplementedError
+        returned without a null mask. Must stay side-effect-free.
 
+        By default: typed slices only, NULL-free over every cached row
+        — where :meth:`_materialize_column` assembles a typed column
+        from the cache alone."""
+        typed = cache_block.typed_data()
+        if typed is None:
+            return None
+        mask = cache_block.mask[:n]
+        if qual is None:
+            if mask.all() and not typed[1][:n].any():
+                return typed[0][:n], np.zeros(n, dtype=bool)
+        elif mask[qual].all() and not typed[1][:n][mask].any():
+            return typed[0][:n], None
+        return None
+
+    # -- steps of the block compute ------------------------------------
     def _cached_batch(self, columns: dict, qual_idx: np.ndarray,
                       ) -> ColumnBatch:
         """The fast path's output step over ``_cached_column`` columns:
-        the SELECT cache-read charges and ``tuple_form`` exactly as the
-        format's generic block compute prices them, and the batch in
-        the form it emits."""
-        raise NotImplementedError
+        the SELECT cache-read charges and ``tuple_form`` exactly as
+        :meth:`_indexed_block_strict` prices them, day numbers decoded
+        (they are a cache/predicate format)."""
+        model = self.model
+        nqual = len(qual_idx)
+        out_columns = []
+        for attr in self.out_attrs:
+            model.cache_read(nqual)
+            picked = columns[attr][qual_idx]
+            if self._families[attr] == "date" and picked.dtype != object:
+                dates = np.empty(nqual, dtype=object)
+                dates[:] = _dates(picked)
+                picked = dates
+            out_columns.append(picked)
+        model.tuple_form(len(out_columns) * nqual)
+        if nqual == 0 and out_columns:
+            return ColumnBatch([[] for _ in out_columns], 0)
+        return ColumnBatch(out_columns, nqual, [None] * len(out_columns))
 
-    @staticmethod
-    def _vector_input(column):
-        """``(array, null_mask)`` of one materialized block column for
-        ``predicate.vector_fn``. A block column is an object array of
-        Python values unless the format keeps something richer."""
-        return column, object_nulls(column)
-
-    @staticmethod
-    def _object_values(column) -> np.ndarray:
-        """The same column as an object array of Python values."""
+    def _converted_column(self, lines: BlockLines, attr: int,
+                          rows: np.ndarray) -> BlockColumn:
+        """``attr`` located and converted at ``rows``: a column holding
+        only its fresh conversions."""
+        column = BlockColumn(lines.n, self._families[attr])
+        column.conv_idx = rows
+        column.conv_values = []
+        if len(rows):
+            starts, ends = lines.spans(attr, rows)
+            column.conv_values, column.conv_typed = self._convert(
+                attr, lines.buffer, starts, ends)
         return column
 
+    def _materialize_column(self, lines: BlockLines, attr: int,
+                            cache_block, cmask: np.ndarray,
+                            conv_mask: np.ndarray) -> BlockColumn:
+        """Assemble one attribute column of an indexed block: cached
+        values where present, fresh conversions for ``conv_mask`` rows.
+
+        When both sources are typed and NULL-free — the typed cache
+        hands over array slices, and numeric conversion took the
+        ``astype`` fast path — the column is assembled as one typed
+        array with no object round-trip: warm scans hand arrays
+        straight to the vectorizer."""
+        n = lines.n
+        column = self._converted_column(lines, attr,
+                                        np.flatnonzero(conv_mask))
+        conv_idx = column.conv_idx
+        conv_typed = column.conv_typed
+        cached_idx = np.flatnonzero(cmask)
+
+        # -- typed fast path
+        typed_cache = (cache_block.typed_data()
+                       if cache_block is not None and len(cached_idx)
+                       else None)
+        conv_ok = not len(conv_idx) or conv_typed is not None
+        cache_ok = not len(cached_idx) or (
+            typed_cache is not None
+            and not typed_cache[1][cached_idx].any())
+        if conv_ok and cache_ok and (len(conv_idx) or len(cached_idx)):
+            if len(cached_idx):
+                dtype = typed_cache[0].dtype
+                if conv_typed is not None:
+                    dtype = np.result_type(dtype, conv_typed.dtype)
+                typed = np.zeros(n, dtype=dtype)
+                typed[cached_idx] = typed_cache[0][cached_idx]
+                if conv_typed is not None:
+                    typed[conv_idx] = conv_typed
+            else:
+                typed = np.zeros(n, dtype=conv_typed.dtype)
+                typed[conv_idx] = conv_typed
+            column.typed = typed
+            materialized = cmask | conv_mask
+            if not materialized.all():
+                column._materialized = materialized
+            return column
+
+        # -- object assembly
+        values = np.empty(n, dtype=object)
+        if len(cached_idx):
+            values[cached_idx] = cache_block.values_at(cached_idx)
+        if len(conv_idx):
+            values[conv_idx] = (column.conv_values if conv_typed is None
+                                else conv_typed.tolist())
+        return column.assign(values)
+
     @staticmethod
-    def _python_values(column, rows: np.ndarray | None = None) -> list:
-        """The column's values at ``rows`` (None: every row) as a list
-        of Python objects — what §4.4 sampling consumes."""
-        return (column if rows is None else column[rows]).tolist()
+    def _output_column(column: BlockColumn, qual_idx: np.ndarray):
+        """One output column as ``(array, null_mask)`` for the emitted
+        batch — typed when the column materialized typed (dates stay
+        objects in results: day numbers are a cache/predicate format)."""
+        if column.typed is not None and column.family != "date":
+            return column.typed[qual_idx], None
+        mask = column.nulls[qual_idx]
+        return column.values[qual_idx], mask if mask.any() else None
 
-    # -- steps every format's block compute shares ----------------------
-    def _predicate_mask(self, columns: dict, n: int) -> np.ndarray:
-        """Qualifying mask over a block's materialized WHERE columns;
-        one aggregated cost charge. The planner's vectorized mask when
-        there is one, the shared row-closure fallback otherwise."""
-        predicate = self.predicate
-        if predicate is None:
-            return np.ones(n, dtype=bool)
-        self.model.predicate(predicate.n_terms * n)
-        if predicate.vector_fn is not None:
-            arrays = {}
-            nulls = {}
-            for attr in self.where_attrs:
-                arrays[attr], nulls[attr] = self._vector_input(columns[attr])
-            return predicate.vector_fn(arrays, nulls, n)
-        return predicate.row_mask(
-            {attr: self._object_values(columns[attr])
-             for attr in predicate.attrs}, n)
-
-    def _sample_rows(self, columns: dict,
-                     qual_idx: np.ndarray) -> dict[int, list]:
-        """§4.4 sampling, one list of Python values per attribute the
-        collector wants, in file order: WHERE values of every row,
-        SELECT-only values of the qualifying rows (whose conversions
-        this scan actually paid). Samplers are per attribute, so fed
-        these columns (:meth:`StatsCollector.add_columns`) each
-        reservoir's RNG sees the serial row-at-a-time sequence."""
-        where_attrs = self.where_attrs
-        return {attr: self._python_values(
-                    columns[attr], None if attr in where_attrs else qual_idx)
-                for attr in self.collector.attrs}
+    def _cache_ops(self, block: int, rows_in_block: int, first: int,
+                   columns: dict) -> list:
+        """The block's fresh conversions as staged ``("cache", ...)``
+        inserts, one per union attribute that converted anything
+        (block rows offset by ``first``)."""
+        if self.cache is None:
+            return []
+        return [("cache", attr, block, rows_in_block,
+                 columns[attr].conv_idx + first, columns[attr].conv_values,
+                 columns[attr].conv_typed, self._families[attr])
+                for attr in self.union_attrs if len(columns[attr].conv_idx)]
 
     def _insert_positions(self, block: int,
                           discovered: dict[int, np.ndarray],
                           existing: dict[int, np.ndarray]) -> None:
-        """Insert a block's discovered positions (attr -> int32
+        """Insert an indexed block's discovered positions (attr -> int32
         relative offsets, ``NO_POS`` holes) as one chunk whose vertical
         group is the attributes that learned something: each column is
         merged with what the map already knows (``existing``), and an
@@ -667,6 +929,91 @@ class BlockScan:
         blob = handle.read_at(base, int(ends[-1]) - base)
         return self._tolerant_rows(row0, starts, ends, blob, base,
                                    self.access._quarantine_row)
+
+    def _indexed_block_strict(self, handle, block: int,
+                              starts: np.ndarray, ends: np.ndarray,
+                              ) -> ColumnBatch:
+        """Strict compute of one indexed block (its rows' line spans
+        are ``starts``/``ends``), inserting its PM/cache contributions
+        only at the end of a clean block; raises
+        :class:`~repro.errors.FormatError` on malformed input."""
+        model = self.model
+        n = len(starts)
+        where_attrs = self.where_attrs
+        out_attrs = self.out_attrs
+        cached = self.access._prefetch_cache(self.union_attrs, block)
+        cmask = self.access._presence_masks(cached, n)
+        positions = self._known_positions(block)
+        base = int(starts[0])
+        lines = self.indexed_lines(self, bytearray(int(ends[-1]) - base),
+                                   base, starts - base, ends - base,
+                                   positions)
+
+        # -- phase W: bytes + conversion for rows whose WHERE
+        #    attributes are not fully cached
+        need_file = np.zeros(n, dtype=bool)
+        for attr in where_attrs:
+            need_file |= ~cmask[attr]
+        lines.read(handle, need_file)
+        columns: dict[int, BlockColumn] = {}
+        for attr in where_attrs:
+            columns[attr] = self._materialize_column(
+                lines, attr, cached[attr], cmask[attr], ~cmask[attr])
+            model.cache_read(int(cmask[attr].sum()))
+        qual = predicate_mask(model, self.predicate, columns, n)
+
+        collector = self.collector
+        if collector is not None and where_attrs:
+            # Scalar loop-1 adds: failing rows always; qualifying rows
+            # too when there are no SELECT attributes (and those rows
+            # are re-sampled by the loop-2 pass below, as in the scalar
+            # path).
+            rows = np.flatnonzero(~qual) if out_attrs else None
+            collector.add_columns(
+                {attr: columns[attr].tolist(rows) for attr in where_attrs
+                 if attr in collector.attrs})
+
+        # -- phase S: bytes + conversion for qualifying rows missing a
+        #    SELECT attribute (selective parsing, §4.1)
+        missing = np.zeros(n, dtype=bool)
+        for attr in out_attrs:
+            missing |= ~cmask[attr]
+        lines.read(handle, qual & missing)
+        qual_idx = np.flatnonzero(qual)
+        nqual = len(qual_idx)
+        out_columns: list = []
+        out_nulls: list = []
+        for attr in out_attrs:
+            column = columns.get(attr)
+            if column is None:
+                column = columns[attr] = self._materialize_column(
+                    lines, attr, cached[attr], cmask[attr],
+                    qual & ~cmask[attr])
+            model.cache_read(int((cmask[attr] & qual).sum()))
+            arr, mask = self._output_column(column, qual_idx)
+            out_columns.append(arr)
+            out_nulls.append(mask)
+        model.tuple_form(len(out_attrs) * nqual)
+
+        if collector is not None:
+            # Scalar loop-2 adds, per qualifying row: the WHERE values
+            # converted from file this block plus every SELECT value.
+            sampled = {}
+            for attr in collector.attrs:
+                rows = qual_idx
+                if attr not in out_attrs:
+                    conv_idx = columns[attr].conv_idx
+                    rows = conv_idx[qual[conv_idx]]
+                sampled[attr] = columns[attr].tolist(rows)
+            collector.add_columns(sampled)
+
+        # -- PM / cache inserts (whole chunks)
+        if self.config.enable_positional_map:
+            self._insert_positions(block, lines.positions(), positions)
+        self._apply_staged(self._cache_ops(block, n, 0, columns))
+        if nqual == 0 and out_attrs:
+            return ColumnBatch([[] for _ in out_attrs], 0)
+        return ColumnBatch(out_columns, nqual, out_nulls)
 
     # ==================================================================
     # Streaming region
@@ -881,6 +1228,92 @@ class BlockScan:
         except Exception as exc:  # replayed + re-raised by the merge
             return recorder.ops, None, exc
 
+    def _compute_stream_group(self, ops: list, row0: int,
+                              starts: np.ndarray, ends: np.ndarray,
+                              buffer: bytes, buffer_base: int,
+                              ) -> ColumnBatch:
+        """Strict compute of one group of freshly discovered lines — all
+        within a single row block — staging its line-index / PM / cache
+        / stats contributions into ``ops`` (shared with ``self.model``'s
+        charge recorder) instead of touching the shared structures."""
+        model = self.model
+        n = len(starts)
+        out_attrs = self.out_attrs
+        block, first_in_block = divmod(row0, self.config.row_block_size)
+        model.tuple_overhead(n)
+
+        # Line index: stage the bulk append (the merge trims the prefix
+        # an earlier group already recorded).
+        if self.pm is not None:
+            ops.append(("lines", starts, row0, n))
+
+        lines = self.stream_lines(self, buffer, buffer_base,
+                                  starts - buffer_base, ends - buffer_base,
+                                  {})
+        columns: dict[int, BlockColumn] = {}
+        every_row = np.arange(n)
+        for attr in self.where_attrs:
+            column = columns[attr] = self._converted_column(
+                lines, attr, every_row)
+            if column.conv_typed is not None:
+                column.typed = column.conv_typed
+            else:
+                values = np.empty(n, dtype=object)
+                values[:] = column.conv_values
+                column.set_values(values)
+                column.nulls = object_nulls(values)
+        qual = predicate_mask(model, self.predicate, columns, n)
+        qual_idx = np.flatnonzero(qual)
+        nqual = len(qual_idx)
+
+        # SELECT-only attributes: located and converted at the
+        # qualifying rows only.
+        lines.qualified(qual_idx)
+        out_columns: list = []
+        out_nulls: list = []
+        for attr in out_attrs:
+            column = columns.get(attr)
+            if column is not None:
+                arr, mask = self._output_column(column, qual_idx)
+            else:
+                column = columns[attr] = self._converted_column(
+                    lines, attr, qual_idx)
+                arr, mask = column.conv_values, None
+                if column.conv_typed is not None and \
+                        column.family != "date":
+                    arr = column.conv_typed
+            out_columns.append(arr)
+            out_nulls.append(mask)
+        model.tuple_form(len(out_attrs) * nqual)
+
+        if self.collector is not None:
+            # §4.4, in file order: WHERE values of every row, SELECT-only
+            # values of the qualifying rows (whose conversions this scan
+            # actually paid). Samplers are per attribute, so fed these
+            # columns each reservoir's RNG sees the serial row-at-a-time
+            # sequence.
+            ops.append(("collect", {
+                attr: columns[attr].tolist(
+                    None if attr in self.where_attrs else qual_idx)
+                for attr in self.collector.attrs}))
+
+        # -- stage the inserts: positional-map chunk, then cache chunks
+        rows_in_block = first_in_block + n
+        if self.config.enable_positional_map and self.pm is not None:
+            discovered = lines.positions()
+            if discovered:
+                attrs = sorted(discovered)
+                matrix = np.full((rows_in_block, len(attrs)), NO_POS,
+                                 dtype=np.int32)
+                for col, attr in enumerate(attrs):
+                    matrix[first_in_block:, col] = discovered[attr]
+                ops.append(("pm", block, attrs, matrix))
+        ops.extend(self._cache_ops(block, rows_in_block, first_in_block,
+                                   columns))
+        if nqual == 0 and out_attrs:
+            return ColumnBatch([[] for _ in out_attrs], 0)
+        return ColumnBatch(out_columns, nqual, out_nulls)
+
     # ------------------------------------------------------------------
     # Staged-op merge (single-threaded, canonical group order)
     # ------------------------------------------------------------------
@@ -891,9 +1324,9 @@ class BlockScan:
         structural operations, in the exact order an inline compute
         would have performed them — so the clock, the positional map,
         the cache and the statistics reservoirs evolve identically. A
-        ``"collect"`` op carries :meth:`_sample_rows`' value columns;
-        the collector samples and charges them here, on the real
-        model, one column at a time."""
+        ``"collect"`` op carries a group's sampled value columns; the
+        collector samples and charges them here, on the real model, one
+        column at a time."""
         model = self.model
         for op in ops:
             tag = op[0]
@@ -923,5 +1356,21 @@ class BlockScan:
                 # happens here, in canonical merge order (the
                 # rows_rejected charge replays as an ordinary "c" op).
                 self.access._quarantine_row(op[1], op[2], op[3])
-            else:
-                self._apply_format_op(op)
+            elif tag == "pm":
+                # A group's position matrix, its holes filled from what
+                # the map already knows for the block (an earlier group,
+                # a previous partial scan), inserted as one chunk.
+                _, block, attrs, matrix = op
+                for col, attr in enumerate(attrs):
+                    existing = self.pm.positions(block, attr)
+                    if existing is not None:
+                        overlap = min(len(existing), len(matrix))
+                        column = matrix[:overlap, col]
+                        unknown = column == NO_POS
+                        column[unknown] = existing[:overlap][unknown]
+                self.pm.insert_chunk(tuple(attrs), block, matrix)
+            else:  # "cache"
+                _, attr, block, rows_in_block, rows, values, typed, \
+                    family = op
+                self.cache.put_column(attr, block, rows_in_block, rows,
+                                      values, family, typed_values=typed)

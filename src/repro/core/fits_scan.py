@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.blockscan import RawAccessBase
+from repro.core.blockscan import BlockColumn, RawAccessBase, predicate_mask
 from repro.core.cache import BinaryCache
 from repro.core.config import PostgresRawConfig
 from repro.formats.fits import FitsTableInfo
@@ -50,9 +50,9 @@ class RawFitsAccess(RawAccessBase):
     def batch_enabled(self) -> bool:
         return self.config.batch_mode
 
-    def _finalize(self, collector) -> None:
+    def _finalize(self, collector, info) -> None:
         self._finalize_stats(collector)
-        self.table_info.row_count_hint = self.fits.nrows
+        info.row_count_hint = self.fits.nrows
 
     def scan(self, needed: Sequence[int],
              predicate: ScanPredicate | None) -> Iterator[tuple]:
@@ -66,6 +66,7 @@ class RawFitsAccess(RawAccessBase):
     def scan_batches(self, needed: Sequence[int],
                      predicate: ScanPredicate | None,
                      ) -> Iterator[ColumnBatch]:
+        info = self.table_info  # held while the scan runs
         out_attrs, where_attrs, union_attrs, collector, handle = \
             self._scan_setup(needed, predicate)
         model = self.model
@@ -73,7 +74,6 @@ class RawFitsAccess(RawAccessBase):
         block_size = self.config.row_block_size
         nrows = fits.nrows
         columns = fits.columns
-        n_terms = predicate.n_terms if predicate else 0
 
         row = 0
         while row < nrows:
@@ -127,12 +127,9 @@ class RawFitsAccess(RawAccessBase):
             for attr in where_attrs:
                 values_by_attr[attr] = column_values(attr, all_rows)
 
-            if predicate is not None:
-                model.predicate(n_terms * n)
-                qual = self._predicate_mask(predicate, where_attrs,
-                                            values_by_attr, n)
-            else:
-                qual = np.ones(n, dtype=bool)
+            qual = predicate_mask(model, predicate, {
+                attr: BlockColumn(n, self._families[attr]).assign(
+                    values_by_attr[attr]) for attr in where_attrs}, n)
             qual_idx = np.flatnonzero(qual)
 
             for attr in out_attrs:
@@ -161,38 +158,14 @@ class RawFitsAccess(RawAccessBase):
             yield ColumnBatch(out_columns, len(qual_idx))
             row = block_end
 
-        self._finalize(collector)
-
-    def _predicate_mask(self, predicate, where_attrs, values_by_attr,
-                        n: int) -> np.ndarray:
-        if predicate.vector_fn is not None:
-            # Typed arrays when a column converts cleanly; the widened
-            # vectorizer takes object arrays (strings, NULL-bearing
-            # numerics) in stride.
-            arrays = {}
-            nulls = {}
-            for attr in where_attrs:
-                values = values_by_attr[attr]
-                null_mask = np.fromiter((v is None for v in values),
-                                        dtype=bool, count=n)
-                family = self._families[attr]
-                typed = None
-                if family in ("int", "float") and not null_mask.any():
-                    try:
-                        typed = values.astype(
-                            np.int64 if family == "int" else np.float64)
-                    except (ValueError, TypeError):
-                        typed = None
-                arrays[attr] = typed if typed is not None else values
-                nulls[attr] = null_mask
-            return predicate.vector_fn(arrays, nulls, n)
-        return predicate.row_mask(values_by_attr, n)
+        self._finalize(collector, info)
 
     # ------------------------------------------------------------------
     # Scalar path (differential oracle)
     # ------------------------------------------------------------------
     def _scan_scalar(self, needed: Sequence[int],
                      predicate: ScanPredicate | None) -> Iterator[tuple]:
+        info = self.table_info  # held while the scan runs
         out_attrs, where_attrs, union_attrs, collector, handle = \
             self._scan_setup(needed, predicate)
         model = self.model
@@ -274,4 +247,4 @@ class RawFitsAccess(RawAccessBase):
                                        self._families[attr])
             row = block_end
 
-        self._finalize(collector)
+        self._finalize(collector, info)

@@ -9,16 +9,20 @@ shell of :mod:`repro.core.blockscan` alone. It imports nothing from the
 planner or the catalog and edits neither; a third-party package could
 ship this file verbatim.
 
-What lives here is what is genuinely JSONL: the tokenizer, value
-conversion, the tolerant line split (``_tolerant_fetch``), and
-:class:`JsonlScan` — the strict indexed-block and stream-group compute
-with their ``"jpm"`` / ``"jcache"`` staged ops. Everything else a scan
-does — §4.5 refresh, the line index and the indexed/streaming split,
-the read/group/dispatch/merge loop with its ``scan_workers`` fan-out,
-kernel attempt and bailout, error policies and the quarantine sidecar —
-is inherited from :class:`~repro.core.blockscan.RawFileAccess` and
+What lives here is what is genuinely JSONL: the tokenizer, the block's
+lines (:class:`_Lines` — value spans a column at a time), value
+conversion, the map lookups and cached columns of :class:`JsonlScan`,
+and the tolerant line split (``_tolerant_fetch``). Everything else a
+scan does — §4.5 refresh, the line index and the indexed/streaming
+split, the indexed-block and stream-group compute with its staged
+``"pm"`` / ``"cache"`` ops, the read/group/dispatch/merge loop with its
+``scan_workers`` fan-out, kernel attempt and bailout, error policies
+and the quarantine sidecar — is inherited from
+:class:`~repro.core.blockscan.RawFileAccess` and
 :class:`~repro.core.blockscan.BlockScan`, the same code the CSV scan
-runs.
+runs, so a JSONL table charges what its CSV twin charges for
+everything but byte geometry (tokenizing, newline discovery, reads,
+positional-map traffic).
 
 Data model: one JSON object per line (``{"a": 1, "b": "x"}``); values
 are reached by the declared column name (case-insensitive), missing
@@ -57,9 +61,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.blockscan import (
+    NUMERIC_DTYPES,
+    BlockLines,
     BlockScan,
     RawFileAccess,
-    parse_numeric_fields,
+    decode_numeric_spans,
 )
 from repro.core.positional_map import NO_POS
 from repro.errors import (
@@ -74,7 +80,7 @@ from repro.formats.registry import (
     validate_on_error,
 )
 from repro.simcost import CostEvent
-from repro.sql.batch import ColumnBatch, object_nulls
+from repro.sql.batch import object_nulls
 
 _WS = frozenset(b" \t\r")
 _QUOTE = ord('"')
@@ -391,23 +397,13 @@ def write_jsonl(rows: Sequence[dict], vfs, path: str) -> None:
 # ---------------------------------------------------------------------------
 # One block's (or group's) lines and the value spans found in them
 # ---------------------------------------------------------------------------
-class _Lines:
+class _Lines(BlockLines):
     """The lines of one indexed block or stream group, and the value
-    spans their tokenizations have found, a column at a time. Offsets
-    are into ``buffer``; rows are block- (group-) relative."""
+    spans their tokenizations have found, a column at a time."""
 
-    def __init__(self, scan: "JsonlScan", buffer, line_starts: np.ndarray,
-                 line_ends: np.ndarray, hints: dict | None = None):
-        n = len(line_starts)
-        self.scan = scan
-        self.buffer = buffer
-        self.line_starts = line_starts
-        self.line_ends = line_ends
-        #: the map's relative value positions, attr -> column (indexed
-        #: region)
-        self.hints = hints or {}
-        #: rows whose bytes are in ``buffer`` (indexed region)
-        self.loaded = np.zeros(n, dtype=bool)
+    def __init__(self, scan, buffer, base, line_starts, line_ends, known):
+        super().__init__(scan, buffer, base, line_starts, line_ends, known)
+        n = self.n
         #: rows fully tokenized so far, and the union attributes' value
         #: spans on them (``NO_POS``: member absent)
         self.full = np.zeros(n, dtype=bool)
@@ -419,27 +415,12 @@ class _Lines:
         self.indexed = np.zeros(n, dtype=bool)
         self.fast = np.zeros(n, dtype=bool)
 
-    def read(self, handle, base: int, mask: np.ndarray) -> None:
-        """One sequential read covering every flagged row not yet
-        loaded (the CSV scan's read pattern: stream through small gaps,
-        never seek per tuple); ``base`` is the file offset of
-        ``buffer[0]``."""
-        needed = np.flatnonzero(mask & ~self.loaded)
-        if not len(needed):
-            return
-        lo = int(self.line_starts[needed[0]])
-        hi = int(self.line_ends[needed[-1]])
-        blob = handle.read_at(base + lo, hi - lo)
-        self.buffer[lo:lo + len(blob)] = blob
-        self.loaded[needed] = True
-
-    def locate(self, attr: int, rows: np.ndarray,
-               ) -> tuple[np.ndarray, np.ndarray]:
-        """Spans of ``attr``'s value at ``rows`` (ascending; ``NO_POS``
-        where the member is absent), charging TOKENIZE one row at a
-        time in row order: nothing for a row already fully tokenized;
-        the value's bytes for a row whose map position is known (a
-        single-value scan); the whole line otherwise — a full
+    def spans(self, attr: int, rows: np.ndarray,
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """``NO_POS`` where the member is absent. TOKENIZE is charged
+        one row at a time in row order: nothing for a row already fully
+        tokenized; the value's bytes for a row whose map position is
+        known (a single-value scan); the whole line otherwise — a full
         tokenization, through the structural index where it resolves
         the line and the per-line walk where it does not. A malformed
         line raises after exactly the charges of the rows before it."""
@@ -447,7 +428,7 @@ class _Lines:
         lengths = self.line_ends[rows] - line_starts
         full = self.full[rows]
         hint = np.full(len(rows), NO_POS, dtype=np.int64)
-        column = self.hints.get(attr)
+        column = self.known.get(attr)
         if column is not None:
             inside = rows < len(column)
             hint[inside] = column[rows[inside]]
@@ -510,11 +491,8 @@ class _Lines:
                 self.starts[attr][row] = lo + span[0]
                 self.ends[attr][row] = lo + span[1]
 
-    def positions(self, first_in_block: int = 0) -> dict[int, np.ndarray]:
-        """The value positions this block's full tokenizations
-        discovered, as map columns (attr -> relative offsets over the
-        block's first ``first_in_block + n`` rows, ``NO_POS`` holes);
-        attributes no tokenized line holds are left out."""
+    def positions(self) -> dict[int, np.ndarray]:
+        """The value positions of the fully tokenized lines."""
         discovered: dict[int, np.ndarray] = {}
         full = np.flatnonzero(self.full)
         for attr in self.scan.union_attrs:
@@ -522,10 +500,8 @@ class _Lines:
             present = starts != NO_POS
             if present.any():
                 rows = full[present]
-                column = np.full(first_in_block + len(self.full), NO_POS,
-                                 dtype=np.int32)
-                column[first_in_block + rows] = (starts[present]
-                                                 - self.line_starts[rows])
+                column = np.full(self.n, NO_POS, dtype=np.int32)
+                column[rows] = starts[present] - self.line_starts[rows]
                 discovered[attr] = column
         return discovered
 
@@ -535,24 +511,20 @@ class _Lines:
 # ---------------------------------------------------------------------------
 class JsonlScan(BlockScan):
     """One batch scan over one JSON-Lines table: the per-format half of
-    :class:`~repro.core.blockscan.BlockScan` — strict indexed-block and
-    stream-group compute, batch value conversion, and the ``"jpm"`` /
-    ``"jcache"`` staged ops."""
+    :class:`~repro.core.blockscan.BlockScan` — its lines, value
+    conversion, map lookups and the fast path's cached columns."""
+
+    indexed_lines = stream_lines = _Lines
 
     def __init__(self, access, *scan_args):
         super().__init__(access, *scan_args)
         self.keys = access.keys
 
-    # -- value conversion ----------------------------------------------
     def _convert(self, attr: int, buffer, starts: np.ndarray,
-                 ends: np.ndarray) -> tuple[list, np.ndarray | None]:
-        """Convert the value tokens at ``starts``/``ends`` (offsets into
-        ``buffer``; ``NO_POS``: member absent), charging one aggregate
-        conversion (unit total identical to the per-row path). Returns
-        the values in row order, plus the same column as an int64 /
-        float64 array when every token was a bare number parsed by the
-        byte-matrix ``astype`` fast path the CSV scan uses
-        (:func:`~repro.core.blockscan.parse_numeric_fields`). A quoted
+                 ends: np.ndarray) -> tuple[list | None, np.ndarray | None]:
+        """``NO_POS`` starts are absent members. Bare numeric tokens go
+        through the byte-matrix ``astype`` fast path the CSV scan uses
+        (:func:`~repro.core.blockscan.decode_numeric_spans`); a quoted
         VARCHAR token without escapes or control bytes is sliced and
         decoded; every other token — and any numeric batch the fast
         path refuses — goes through :meth:`JsonlAccess._convert_value`,
@@ -562,7 +534,7 @@ class JsonlScan(BlockScan):
             return [], None
         family = self._families[attr]
         self.model.convert(family, n)
-        if family in ("int", "float"):
+        if family in NUMERIC_DTYPES:
             fast = self._fast_numeric(attr, buffer, starts, ends, family)
             if fast is not None:
                 return fast
@@ -582,30 +554,20 @@ class JsonlScan(BlockScan):
         ``null`` and missing tokens through the scalar conversion. None
         when there is no bare token or the matrix is refused."""
         arr = np.frombuffer(buffer, dtype=np.uint8)
-        widths = ends - starts
         dirty = starts == NO_POS
         dirty |= arr[np.where(dirty, 0, starts)] == _QUOTE
-        maybe_null = np.flatnonzero(~dirty & (widths == 4))
+        maybe_null = np.flatnonzero(~dirty & (ends - starts == 4))
         dirty[maybe_null] = (arr[starts[maybe_null, None] + np.arange(4)]
                              == _NULL).all(axis=1)
         clean = np.flatnonzero(~dirty)
         if not len(clean):
             return None
-        clean_starts, clean_ends = starts[clean], ends[clean]
-        max_width = int(widths[clean].max())
-        if max_width > 64:
-            return None
-        offsets = clean_starts[:, None] + np.arange(max_width)
-        matrix = np.where(offsets < clean_ends[:, None],
-                          arr[np.minimum(offsets, len(arr) - 1)],
-                          0).astype(np.uint8)
-        parsed = parse_numeric_fields(
-            matrix, int(widths[clean].sum()),
-            np.int64 if family == "int" else np.float64)
+        parsed = decode_numeric_spans(arr, starts[clean], ends[clean],
+                                      NUMERIC_DTYPES[family])
         if parsed is None:
             return None
         if len(clean) == len(starts):
-            return parsed.tolist(), parsed
+            return None, parsed
         values = np.empty(len(starts), dtype=object)
         values[clean] = parsed.tolist()
         convert = self.access._convert_value
@@ -614,24 +576,6 @@ class JsonlScan(BlockScan):
             values[i] = convert(attr, None if start == NO_POS
                                 else buffer[start:int(ends[i])])
         return values.tolist(), None
-
-    def _materialize(self, lines: _Lines, attr: int, rows: np.ndarray,
-                     values: np.ndarray) -> tuple:
-        """Locate and convert ``attr`` at ``rows`` into ``values``;
-        returns ``(rows, converted, typed)`` for the cache insert."""
-        starts, ends = lines.locate(attr, rows)
-        converted, typed = self._convert(attr, lines.buffer, starts, ends)
-        values[rows] = converted
-        return rows, converted, typed
-
-    # -- pieces shared by both regions ---------------------------------
-    def _flush_positions(self, block: int, discovered: dict,
-                         existing: dict) -> None:
-        """Insert value positions discovered by full tokenizations as
-        one chunk, merged with whatever the map already knows (§4.2
-        adaptive population)."""
-        if self.pm is not None and self.config.enable_positional_map:
-            self._insert_positions(block, discovered, existing)
 
     def _known_positions(self, block: int) -> dict[int, np.ndarray]:
         positions: dict[int, np.ndarray] = {}
@@ -650,153 +594,6 @@ class JsonlScan(BlockScan):
         values = np.empty(n, dtype=object)
         values[rows] = cache_block.values_at(rows)
         return values, (object_nulls(values) if qual is None else None)
-
-    def _cached_batch(self, columns: dict, qual_idx: np.ndarray,
-                      ) -> ColumnBatch:
-        nqual = len(qual_idx)
-        if nqual:
-            # ``materialize`` charges a cache read only where it reads
-            for attr in self.out_attrs:
-                if attr not in self.where_attrs:
-                    self.model.cache_read(nqual)
-        self.model.tuple_form(len(self.out_attrs) * nqual)
-        return ColumnBatch([columns[attr][qual_idx]
-                            for attr in self.out_attrs], nqual)
-
-    # ==================================================================
-    # Indexed region: line spans known to the map
-    # ==================================================================
-    def _indexed_block_strict(self, handle, block, starts, ends):
-        model = self.model
-        n = len(starts)
-        out_attrs = self.out_attrs
-        where_attrs = self.where_attrs
-        union_attrs = self.union_attrs
-
-        cached = self.access._prefetch_cache(union_attrs, block)
-        cmask = self.access._presence_masks(cached, n)
-        positions = self._known_positions(block)
-        base = int(starts[0])
-        lines = _Lines(self, bytearray(int(ends[-1]) - base), starts - base,
-                       ends - base, positions)
-        converted: dict[int, tuple] = {}
-
-        def materialize(attr: int, conv_mask: np.ndarray,
-                        read_cached: np.ndarray) -> np.ndarray:
-            values = np.empty(n, dtype=object)
-            cached_idx = np.flatnonzero(read_cached)
-            if len(cached_idx):
-                values[cached_idx] = cached[attr].values_at(cached_idx)
-                model.cache_read(len(cached_idx))
-            converted[attr] = self._materialize(
-                lines, attr, np.flatnonzero(conv_mask), values)
-            return values
-
-        # -- phase W: bytes + conversion for rows whose WHERE
-        #    attributes are not fully cached
-        need_file = np.zeros(n, dtype=bool)
-        for attr in where_attrs:
-            need_file |= ~cmask[attr]
-        lines.read(handle, base, need_file)
-
-        columns: dict[int, np.ndarray] = {}
-        for attr in where_attrs:
-            columns[attr] = materialize(attr, ~cmask[attr], cmask[attr])
-
-        qual = self._predicate_mask(columns, n)
-        qual_idx = np.flatnonzero(qual)
-
-        # -- phase S: bytes + conversion for qualifying rows missing
-        #    SELECT attributes (selective parsing, §4.1)
-        missing = np.zeros(n, dtype=bool)
-        for attr in out_attrs:
-            if attr not in columns:
-                missing |= ~cmask[attr]
-        lines.read(handle, base, qual & missing & ~need_file)
-        for attr in out_attrs:
-            if attr not in columns:
-                columns[attr] = materialize(attr, qual & ~cmask[attr],
-                                            cmask[attr] & qual)
-        model.tuple_form(len(out_attrs) * len(qual_idx))
-
-        if self.collector is not None:
-            self.collector.add_columns(self._sample_rows(columns, qual_idx))
-
-        self._flush_positions(block, lines.positions(), positions)
-        if self.cache is not None:
-            for attr in union_attrs:
-                rows, values, typed = converted[attr]
-                if len(rows):
-                    self.cache.put_column(attr, block, n, rows, values,
-                                          self._families[attr],
-                                          typed_values=typed)
-        out_columns = [columns[attr][qual_idx] for attr in out_attrs]
-        return ColumnBatch(out_columns, len(qual_idx))
-
-    # ==================================================================
-    # Streaming region: unseen tail
-    # ==================================================================
-    def _compute_stream_group(self, ops, row0, starts, ends, buffer,
-                              buffer_base):
-        """Full tokenization of the whole group (positions staged for
-        the map), predicate, selective conversion, staged
-        cache/stat/PM contributions, one batch out. ``self`` is a view
-        whose ``model`` is the charge recorder feeding ``ops``."""
-        model = self.model
-        n = len(starts)
-        out_attrs = self.out_attrs
-        block_size = self.config.row_block_size
-        block = row0 // block_size
-        first_in_block = row0 - block * block_size
-        rows_in_block = first_in_block + n
-        model.tuple_overhead(n)
-
-        if self.pm is not None:
-            ops.append(("lines", starts, row0, n))
-
-        lines = _Lines(self, buffer, starts - buffer_base,
-                       ends - buffer_base)
-        columns: dict[int, np.ndarray] = {}
-        converted: dict[int, tuple] = {}
-
-        def materialize(attr: int, rows: np.ndarray) -> np.ndarray:
-            values = np.empty(n, dtype=object)
-            converted[attr] = self._materialize(lines, attr, rows, values)
-            return values
-
-        for attr in self.where_attrs:
-            columns[attr] = materialize(attr, np.arange(n))
-        qual = self._predicate_mask(columns, n)
-        qual_idx = np.flatnonzero(qual)
-        for attr in out_attrs:
-            if attr not in columns:
-                columns[attr] = materialize(attr, qual_idx)
-        model.tuple_form(len(out_attrs) * len(qual_idx))
-
-        if self.collector is not None:
-            ops.append(("collect", self._sample_rows(columns, qual_idx)))
-
-        if self.pm is not None:
-            ops.append(("jpm", block, lines.positions(first_in_block)))
-        if self.cache is not None:
-            for attr in self.union_attrs:
-                rows, values, typed = converted[attr]
-                if len(rows):
-                    ops.append(("jcache", attr, block, rows_in_block,
-                                rows + first_in_block, values, typed,
-                                self._families[attr]))
-        out_columns = [columns[attr][qual_idx] for attr in out_attrs]
-        return ColumnBatch(out_columns, len(qual_idx))
-
-    def _apply_format_op(self, op: tuple) -> None:
-        if op[0] == "jpm":
-            _, block, discovered = op
-            self._flush_positions(block, discovered,
-                                  self._known_positions(block))
-        else:  # "jcache"
-            _, attr, block, rows_in_block, rows, values, typed, family = op
-            self.cache.put_column(attr, block, rows_in_block, rows, values,
-                                  family, typed_values=typed)
 
 
 # ---------------------------------------------------------------------------

@@ -221,11 +221,12 @@ class PartitionedAccess:
 
     def __init__(self, engine, info: TableInfo, inner: FormatAdapter,
                  options: dict):
-        # Weak: the engine's catalog owns this access method.
+        # Weak: the engine's catalog owns this access method (and the
+        # catalog entry it serves).
         self._engine = weakref.ref(engine)
+        self._table_info = weakref.ref(info)
         self.vfs = engine.vfs
         self.model = engine.model
-        self.table_info = info
         self.schema = info.schema
         self.inner = inner
         self.options = options
@@ -254,6 +255,10 @@ class PartitionedAccess:
     @property
     def engine(self):
         return self._engine()
+
+    @property
+    def table_info(self) -> TableInfo:
+        return self._table_info()
 
     # -- partition lifecycle -------------------------------------------
     def _build_part(self, path: str) -> _Partition:
@@ -458,6 +463,7 @@ class PartitionedAccess:
 
     def scan_batches(self, needed: Sequence[int],
                      predicate: ScanPredicate | None):
+        info = self.table_info  # held while the scan runs
         conjuncts = (list(predicate.conjuncts or [])
                      if predicate is not None else [])
         survivors, pruned = self._split(conjuncts)
@@ -466,7 +472,7 @@ class PartitionedAccess:
         for part in survivors:
             yield from part.access.scan_batches(needed, predicate)
             self._harvest(part)
-        self._fold_parent_stats()
+        self._fold_parent_stats(info)
 
     # -- zone-map harvesting ---------------------------------------------
     def _harvest(self, part: _Partition) -> None:
@@ -492,7 +498,7 @@ class PartitionedAccess:
                                                   col.observed_max)
         self._persist_zone(part)
 
-    def _fold_parent_stats(self) -> None:
+    def _fold_parent_stats(self, info: TableInfo) -> None:
         """Aggregate child statistics into the parent's TableStats so
         the optimizer (and prepared-statement re-planning via the
         catalog stats epoch) sees the table, not the files. Idempotent
@@ -507,7 +513,7 @@ class PartitionedAccess:
         if any(part.row_count is None for part in self.parts):
             return
         total = sum(part.row_count for part in self.parts)
-        stats = self.table_info.stats or TableStats()
+        stats = info.stats or TableStats()
         stats.set_row_count(total)
         for column in self.schema:
             merged = self._merge_column(column.name, total)
@@ -521,8 +527,8 @@ class PartitionedAccess:
                     merged.min_value, merged.max_value):
                 continue
             stats.set_column(merged)
-        self.table_info.stats = stats
-        self.table_info.row_count_hint = total
+        info.stats = stats
+        info.row_count_hint = total
 
     def _merge_column(self, name: str, total_rows: int
                       ) -> ColumnStats | None:

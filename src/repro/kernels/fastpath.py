@@ -3,14 +3,14 @@
 NoDB's warm-query win is structural (§4.2/§4.3): once the positional
 map and the binary cache cover a block, the scan tokenizes and converts
 nothing. The generic indexed-block compute still pays for the
-possibility that it might — cache-mask copies, need-file masks, an
-``_IndexedBlockState`` (CSV) or per-row views (JSONL) — on every block;
-:func:`cached_block` skips all of it for a block the cache covers. It
-is one ordinary function serving every format: no generated source, no
-``exec`` — on this engine's batch path NumPy has already removed the
-per-tuple interpretation a code generator would specialize away. The
-streaming region has no fast path: a cold group runs the format's
-``_compute_stream_group`` and nothing else.
+possibility that it might — cache-mask copies, need-file masks, the
+format's block-lines object (its byte window and span state) — on every
+block; :func:`cached_block` skips all of it for a block the cache
+covers. It is one ordinary function serving every format: no generated
+source, no ``exec`` — on this engine's batch path NumPy has already
+removed the per-tuple interpretation a code generator would specialize
+away. The streaming region has no fast path: a cold group runs
+``BlockScan._compute_stream_group`` and nothing else.
 
 **Probe, then commit.** The probe is side-effect-free
 (``BinaryCache.peek``, ``PositionalMap.has_line_spans``, the pure
@@ -25,11 +25,11 @@ the cached arrays. Scan-level preconditions (a cache and a map, no §4.4
 collector, a vectorized predicate) are checked once per scan by
 :func:`repro.kernels.cache.compile_kernel`, not here.
 
-What differs per format — how a cached block is probed and served,
-which map lookups the prologue makes, the SELECT charge rule and the
-output form — lives on the format's scan class (``_cached_column``,
-``_known_positions``, ``_cached_batch``), beside the generic compute it
-must agree with. Bit-identity is the contract: results, PM/cache
+What differs per format — how a cached column is probed and served and
+which map lookups the prologue makes — lives on the format's scan class
+(``_cached_column``, ``_known_positions``); the SELECT charges and the
+output form are the generic compute's own (``BlockScan._cached_batch``,
+beside the ``_indexed_block_strict`` it must agree with). Bit-identity is the contract: results, PM/cache
 contents (LRU order included), counters and the virtual clock equal the
 generic pipeline's for any input (``tests/test_kernels.py`` enforces it
 differentially, under cache and map eviction too).

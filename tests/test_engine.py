@@ -16,8 +16,9 @@ from repro import (
     VirtualFS,
     varchar,
 )
-from repro.errors import CatalogError, PlanningError
+from repro.errors import CatalogError, ExecutionError, PlanningError
 from repro.formats.csvfmt import write_csv
+from repro.formats.jsonl import write_jsonl
 from repro.simcost.model import CostModel
 from tests.conftest import PEOPLE_CSV, people_schema
 
@@ -285,6 +286,64 @@ class TestEngineClose:
         finally:
             if was_enabled:
                 gc.enable()
+
+    @pytest.mark.parametrize("close", [True, False])
+    @pytest.mark.parametrize("path", ["t.csv", "t.jsonl", "t-*.csv"])
+    def test_dropped_engine_frees_its_tables_without_the_collector(
+            self, path, close):
+        """A table's catalog entry, its access method (a partitioned
+        table's file's too), the cache object and the warm cache arrays
+        die by reference counting once the engine is dropped — closed
+        first or not: an access method refers back to its entry
+        weakly."""
+        vfs = VirtualFS()
+        rows = [(i, i % 7) for i in range(300)]
+        fmt = path.rsplit(".", 1)[1]
+        for name in (["t-0.csv", "t-1.csv"] if "*" in path else [path]):
+            if fmt == "csv":
+                vfs.create(name, write_csv([list(map(str, r))
+                                            for r in rows]))
+            else:
+                write_jsonl([{"a": a, "b": b} for a, b in rows], vfs, name)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            engine = PostgresRaw(vfs=vfs)
+            engine.query(f"CREATE TABLE t (a INTEGER, b INTEGER) USING "
+                         f"{fmt} OPTIONS (path '{path}')")
+            for _ in range(2):
+                engine.query("SELECT a FROM t WHERE b < 3")
+            info = engine.catalog.get("t")
+            access = info.access
+            parts = getattr(access, "parts", None)
+            file_access = parts[0].access if parts else access
+            alive = {
+                "entry": weakref.ref(info),
+                "access": weakref.ref(access),
+                "file access": weakref.ref(file_access),
+                "cache": weakref.ref(file_access.cache),
+                "arrays": weakref.ref(
+                    file_access.cache.peek(0, 0).typed_data()[0]),
+            }
+            del info, access, parts, file_access
+            if close:
+                engine.close()
+            del engine
+            assert {name: ref() is None for name, ref in alive.items()} \
+                == dict.fromkeys(alive, True)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_orphaned_access_method_fails_cleanly(self):
+        """An access method kept past its engine has no table left to
+        serve: a scan fails with a typed error, not an AttributeError."""
+        engine = self._engine(VirtualFS(), rows=10)
+        access = engine.catalog.get("t").access
+        del engine
+        gc.collect()
+        with pytest.raises(ExecutionError, match="dropped"):
+            list(access.scan_batches([0], None))
 
     def test_close_releases_memory_of_every_engine(self):
         """N engines built, queried and closed in one process: what

@@ -39,7 +39,12 @@ from repro.formats.jsonl import (
 )
 from repro.sql.catalog import Column
 
-from tests.test_batch_differential import cache_dump, nul_outcome, pm_dump
+from tests.test_batch_differential import (
+    cache_dump,
+    column_stats,
+    nul_outcome,
+    pm_dump,
+)
 
 ROWS = [
     {"id": 1, "name": "alice", "height": 170.5, "born": "2001-05-20",
@@ -739,3 +744,83 @@ def test_varchar_control_character_still_raises():
     with pytest.raises(JSONLFormatError, match="bad string value") as info:
         engine.query("SELECT s FROM s")
     assert info.value.context["row_number"] == 1
+
+
+# ---------------------------------------------------------------------------
+# One block compute: a JSONL table charges what its CSV twin charges
+# ---------------------------------------------------------------------------
+#: every priced event that does not depend on byte geometry (how many
+#: bytes a line holds, where a value sits in it)
+TWIN_COUNTERS = ("cache_read", "cache_write", "convert_int",
+                 "convert_float", "convert_str", "convert_date",
+                 "predicate_eval", "tuple_form", "tuple_overhead",
+                 "stats_sample")
+
+#: each round touches attributes the previous ones did not, so §4.4
+#: sampling also runs over the indexed region — with a cached
+#: WHERE∩SELECT column (`b`, `c`) among them
+TWIN_QUERIES = [
+    "SELECT a, c FROM t WHERE a < 4",
+    "SELECT b, c FROM t WHERE b < 3",
+    "SELECT d FROM t WHERE c > 10.5",
+    "SELECT count(*) FROM t WHERE e < DATE '2005-01-01'",
+    "SELECT a, b, d, e FROM t",
+]
+
+
+def twin_rows(first: int, count: int) -> list[tuple]:
+    return [(i % 10, None if i % 9 == 4 else i % 7, f"{(i * 7.3) % 40:.2f}",
+             f"v{i % 13}",
+             f"{1995 + i % 20}-{1 + i % 12:02d}-{1 + i % 28:02d}")
+            for i in range(first, first + count)]
+
+
+def twin_payload(fmt: str, rows) -> bytes:
+    if fmt == "csv":
+        return "".join(f"{a},{'' if b is None else b},{c},{d},{e}\n"
+                       for a, b, c, d, e in rows).encode()
+    return "".join(
+        f'{{"a": {a}, "b": {"null" if b is None else b}, "c": {c}, '
+        f'"d": "{d}", "e": "{e}"}}\n' for a, b, c, d, e in rows).encode()
+
+
+def twin_engine(fmt: str, **config_kwargs) -> PostgresRaw:
+    vfs = VirtualFS()
+    vfs.create(f"t.{fmt}", twin_payload(fmt, twin_rows(0, 300)))
+    engine = PostgresRaw(vfs=vfs, config=PostgresRawConfig(
+        row_block_size=32, stats_sample_target=7, **config_kwargs))
+    engine.query(f"CREATE TABLE t (a INTEGER, b INTEGER, c FLOAT, "
+                 f"d VARCHAR, e DATE) USING {fmt} OPTIONS (path 't.{fmt}')")
+    return engine
+
+
+def twin_counters(engine) -> dict:
+    counters = engine.counters()
+    return {name: counters.get(name, 0) for name in TWIN_COUNTERS}
+
+
+@pytest.mark.parametrize("budget", [None, 8000])
+@pytest.mark.parametrize("kernels", [True, False])
+@pytest.mark.parametrize("workers", [1, 4])
+def test_jsonl_charges_what_its_csv_twin_charges(workers, kernels, budget):
+    """Cold, warm, under a cache budget and after an append: same rows,
+    same non-geometry counters, same §4.4 reservoirs."""
+    engines = {fmt: twin_engine(fmt, scan_workers=workers,
+                                scan_kernels=kernels,
+                                cache_budget_bytes=budget)
+               for fmt in ("csv", "jsonl")}
+    for phase in ("cold", "warm", "appended"):
+        if phase == "appended":
+            for fmt, engine in engines.items():
+                engine.vfs.append_bytes(f"t.{fmt}", twin_payload(
+                    fmt, twin_rows(300, 45)))
+        for sql in TWIN_QUERIES:
+            csv_rows = engines["csv"].query(sql).rows
+            assert engines["jsonl"].query(sql).rows == csv_rows, (phase, sql)
+            assert twin_counters(engines["jsonl"]) == \
+                twin_counters(engines["csv"]), (phase, sql)
+    stats = column_stats(engines["csv"])
+    assert len(stats) == 5
+    assert column_stats(engines["jsonl"]) == stats
+    if budget is not None:
+        assert engines["jsonl"].cache_of("t").evictions > 0

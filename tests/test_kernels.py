@@ -15,7 +15,7 @@ its own zero-priced counters. The contract under test:
   path counts exactly one ``kernel_hits`` (served) or
   ``kernel_bailouts`` (probed and missed).
 * **One group compute** — the streaming region has no kernel entry:
-  a cold scan runs the format's ``_compute_stream_group``.
+  a cold scan of any format runs ``BlockScan._compute_stream_group``.
 * **Bailouts are per block** — unsupported block states (string
   columns on CSV, not-yet-cached columns) fall back to the generic
   code for that block only; results never change.
@@ -32,7 +32,6 @@ import repro
 from repro import FLOAT, INTEGER, PostgresRaw, PostgresRawConfig, Schema, \
     VirtualFS
 from repro.core.blockscan import BlockScan
-from repro.core.scan_batch import BatchCsvScan
 from repro.formats.csvfmt import write_csv
 from repro.formats.jsonl import write_jsonl
 
@@ -322,24 +321,35 @@ class TestKernelBailouts:
         assert counters.get("kernel_hits", 0) > 0
 
     def test_cold_scan_runs_the_generic_group_compute(self, monkeypatch):
-        """The streaming region has no kernel entry: a cold scan
-        computes every group with the format's own
-        ``_compute_stream_group`` — the only group compute there is —
-        and, having no indexed block, counts no kernel event."""
+        """The streaming region has no kernel entry: a cold scan of
+        either format computes every group with
+        ``BlockScan._compute_stream_group`` — the only group compute
+        there is — and, having no indexed block, counts no kernel
+        event."""
         groups = []
-        compute = BatchCsvScan._compute_stream_group
+        compute = BlockScan._compute_stream_group
 
         def counting(scan, ops, row0, *args):
-            groups.append(row0)
+            groups.append((type(scan).__name__, row0))
             return compute(scan, ops, row0, *args)
 
-        monkeypatch.setattr(BatchCsvScan, "_compute_stream_group", counting)
+        monkeypatch.setattr(BlockScan, "_compute_stream_group", counting)
         rows = [[str(i), str(i % 11)] for i in range(80)]
         schema = Schema([("a", INTEGER), ("b", INTEGER)])
         engine = kernel_engine(schema, write_csv(rows), 1, True, 16)
-        repro.connect(engine).execute("SELECT a FROM t WHERE b < 5").fetchall()
+        write_jsonl([{"a": int(a), "b": int(b)} for a, b in rows],
+                    engine.vfs, "t.jsonl")
+        engine.query("CREATE TABLE j (a INTEGER, b INTEGER) USING jsonl "
+                     "OPTIONS (path 't.jsonl')")
+        session = repro.connect(engine)
+        for table in ("t", "j"):
+            assert session.execute(
+                f"SELECT a FROM {table} WHERE b < 5").fetchall() == \
+                [(i,) for i in range(80) if i % 11 < 5]
         assert kernel_counters(engine) == {}
-        assert groups == [0, 16, 32, 48, 64]
+        assert groups == [(name, row0)
+                          for name in ("BatchCsvScan", "JsonlScan")
+                          for row0 in (0, 16, 32, 48, 64)]
 
     def test_string_column_output_stays_identical(self):
         rows = [[str(i), f"name_{i % 9}"] for i in range(64)]

@@ -47,7 +47,9 @@ def build_engine(rows, block_size, pm_budget=None, cache_budget=None,
     )
     db = PostgresRaw(config=config, vfs=vfs)
     db.register_csv("t", "t.csv", micro_schema(N_ATTRS))
-    return db.catalog.get("t").access
+    # The engine is returned too: an access method refers to its
+    # catalog entry weakly, so it scans only while its engine lives.
+    return db, db.catalog.get("t").access
 
 
 def expected(rows, attrs, filt):
@@ -77,35 +79,35 @@ class TestScanDifferential:
     @settings(max_examples=40, deadline=None)
     def test_any_workload_matches_ground_truth(self, rows, workload,
                                                block_size):
-        access = build_engine(rows, block_size)
+        _db, access = build_engine(rows, block_size)
         run_workload(access, rows, workload)
 
     @given(rows_strategy, workload_strategy)
     @settings(max_examples=25, deadline=None)
     def test_tight_budgets_never_corrupt_results(self, rows, workload):
         # Evictions (map and cache) may only cost time, never answers.
-        access = build_engine(rows, block_size=4, pm_budget=64,
+        _db, access = build_engine(rows, block_size=4, pm_budget=64,
                               cache_budget=64)
         run_workload(access, rows, workload)
 
     @given(rows_strategy, workload_strategy)
     @settings(max_examples=25, deadline=None)
     def test_baseline_mode_matches_ground_truth(self, rows, workload):
-        access = build_engine(rows, block_size=8, enable_pm=False,
+        _db, access = build_engine(rows, block_size=8, enable_pm=False,
                               enable_cache=False)
         run_workload(access, rows, workload)
 
     @given(rows_strategy, workload_strategy)
     @settings(max_examples=25, deadline=None)
     def test_cache_only_mode(self, rows, workload):
-        access = build_engine(rows, block_size=8, enable_pm=False,
+        _db, access = build_engine(rows, block_size=8, enable_pm=False,
                               enable_cache=True)
         run_workload(access, rows, workload)
 
     @given(rows_strategy, workload_strategy)
     @settings(max_examples=25, deadline=None)
     def test_pm_only_mode(self, rows, workload):
-        access = build_engine(rows, block_size=8, enable_pm=True,
+        _db, access = build_engine(rows, block_size=8, enable_pm=True,
                               enable_cache=False)
         run_workload(access, rows, workload)
 
@@ -115,7 +117,7 @@ class TestScanDifferential:
     @settings(max_examples=25, deadline=None)
     def test_abandoned_generators_leave_consistent_state(self, rows, attrs,
                                                          stop_after):
-        access = build_engine(rows, block_size=4)
+        _db, access = build_engine(rows, block_size=4)
         gen = access.scan(attrs, None)
         for _ in range(min(stop_after, len(rows))):
             try:
