@@ -22,6 +22,7 @@ scheduler), and the session aggregates its jobs — ``session.elapsed()``
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -41,7 +42,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sql.planner import PlannedQuery
 
 
-class DDLStatement:
+class _SessionOwned:
+    """A statement holds its session weakly: the session caches its
+    prepared statements, so a strong back-reference would be a cycle
+    keeping a dropped, unclosed session — and its engine — alive until
+    the cycle collector runs. Executing a statement whose session is
+    gone raises :class:`~repro.api.exceptions.InterfaceError`."""
+
+    def __init__(self, session: "Session"):
+        self._session = weakref.ref(session)
+
+    @property
+    def session(self) -> "Session":
+        session = self._session()
+        if session is None:
+            raise InterfaceError(
+                "the session this statement was prepared on is gone")
+        return session
+
+
+class DDLStatement(_SessionOwned):
     """A parsed DDL statement (CREATE/DROP/SHOW/DESCRIBE).
 
     The front end splits statements once, at parse time: SELECT/EXPLAIN
@@ -57,7 +77,7 @@ class DDLStatement:
     param_count = 0
 
     def __init__(self, session: "Session", sql: str, node):
-        self.session = session
+        super().__init__(session)
         self.sql = sql
         self.node = node
         self.plan: dict = {"op": type(node).__name__}
@@ -67,7 +87,7 @@ class DDLStatement:
         return self.session.cursor().execute(self, params)
 
 
-class PreparedStatement:
+class PreparedStatement(_SessionOwned):
     """A statement parsed and planned once, executable many times.
 
     ``execute`` re-binds the statement's ``?`` placeholders by mutating
@@ -89,7 +109,7 @@ class PreparedStatement:
     def __init__(self, session: "Session", sql: str,
                  parsed: Select | Explain, planned: "PlannedQuery",
                  prepare_elapsed: float, prepare_counters: dict):
-        self.session = session
+        super().__init__(session)
         self.sql = sql
         self.is_explain = isinstance(parsed, Explain)
         self.select: Select = (parsed.select if isinstance(parsed, Explain)

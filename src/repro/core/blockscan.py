@@ -258,7 +258,8 @@ class BlockLines:
     def read(self, handle, mask: np.ndarray) -> bool:
         """One sequential read covering every flagged row not yet
         loaded (stream through small gaps, never seek per tuple — the
-        scalar ``_read_runs``); True when it read anything."""
+        row-at-a-time reference scan's ``_read_runs``); True when it
+        read anything."""
         needed = np.flatnonzero(mask & ~self.loaded)
         if not len(needed):
             return False
@@ -586,7 +587,7 @@ class _Deferred:
 
 
 class BlockScan:
-    """One batch-mode scan over one line-oriented raw table.
+    """One block scan over one line-oriented raw table.
 
     Two regions: the *indexed region* (line spans known to the
     positional map — processed strictly block-wise, reading only the
@@ -792,7 +793,8 @@ class BlockScan:
         group is the attributes that learned something: each column is
         merged with what the map already knows (``existing``), and an
         attribute with nothing new is skipped (§4.2 adaptive
-        population; scalar ``_flush_positions`` semantics exactly)."""
+        population; the reference scan's ``_flush_positions``
+        semantics exactly)."""
         group = []
         for attr in sorted(discovered):
             already = existing.get(attr)

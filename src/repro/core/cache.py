@@ -31,7 +31,8 @@ the victim is the first block of that rate from the LRU end.
 Inserts are column-at-a-time on the batch scan (:meth:`BinaryCache.
 put_column`): one masked array assignment for a typed column, one pass
 for a list of Python values; per-entry :meth:`BinaryCache.put` is the
-scalar oracle's interface and the reference both must agree with.
+interface of the row-at-a-time reference scan (``tests/oracle/``) and
+the reference both must agree with.
 """
 
 from __future__ import annotations

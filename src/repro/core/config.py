@@ -76,27 +76,19 @@ class PostgresRawConfig:
         §4.2 Map Population: "if a query requires attributes in positions
         10 and 15, all positions from 1 to 15 may be kept". When True,
         every attribute tokenized on the way to a requested one is also
-        added to the map (as part of the query's chunk group).
+        added to the map (as part of the query's chunk group) — a
+        per-scan attribute set of the same block scan, in both regions.
     index_new_combinations:
         §4.2 Adaptive Behavior: index a query's attribute combination as
         a new vertical chunk when its attributes currently live in
         different chunks.
     stats_sample_target:
         Reservoir size per column for on-the-fly statistics (§4.4).
-    batch_mode:
-        When True (the default), raw scans run the vectorized batch
-        pipeline (:mod:`repro.core.blockscan` driving the format's
-        block compute, :mod:`repro.core.scan_batch` for CSV): whole row
-        blocks per step, NumPy newline/delimiter discovery, columnar
-        selective parsing, vectorized predicate masks, and whole-chunk
-        positional map / cache traffic. When False, scans run the original
-        row-at-a-time path — retained as the differential oracle and
-        for features the batch pipeline does not vectorize (eager
-        prefix indexing always uses the scalar path).
     batch_read_bytes:
-        Sequential read granularity of the batch streaming region
-        (matches the scalar path's 256 KiB so I/O cost accounting is
-        comparable between the two).
+        Sequential read granularity of the streaming region (256 KiB,
+        the read size of the row-at-a-time reference scan in
+        ``tests/oracle/``, so I/O cost accounting is comparable between
+        the two).
     scan_workers:
         Workers for the batch streaming region (OLA-RAW-style parallel
         chunk scans). There is one loop at every setting: each
@@ -162,7 +154,6 @@ class PostgresRawConfig:
     eager_prefix_indexing: bool = False
     index_new_combinations: bool = True
     stats_sample_target: int = 1000
-    batch_mode: bool = True
     batch_read_bytes: int = 256 * 1024
     scan_workers: int = field(default_factory=_default_scan_workers)
     scan_kernels: bool = field(default_factory=_default_scan_kernels)

@@ -1,34 +1,35 @@
 """The vectorized CSV scan: what is genuinely CSV about a block scan.
 
-This module is the batch twin of the row-at-a-time machinery in
-:mod:`repro.core.scan`. The block compute itself — two-phase selective
-reads, column assembly from cache and fresh conversions, predicate
-masks, §4.4 sampling, positional-map and cache inserts, and the whole
-indexed/streaming driver with its ``scan_workers`` fan-out — is
-format-agnostic and lives in :class:`~repro.core.blockscan.BlockScan`.
-:class:`BatchCsvScan` supplies the CSV pieces it runs on:
+The block compute itself — two-phase selective reads, column assembly
+from cache and fresh conversions, predicate masks, §4.4 sampling,
+positional-map and cache inserts, and the whole indexed/streaming
+driver with its ``scan_workers`` fan-out — is format-agnostic and lives
+in :class:`~repro.core.blockscan.BlockScan`. :class:`BatchCsvScan`
+supplies the CSV pieces it runs on:
 
 * **delimiter discovery** over raw byte buffers with NumPy
   (``BlockTokenizer``: ``np.frombuffer`` + ``flatnonzero`` +
-  ``searchsorted``) instead of per-line scalar ``find`` /
-  ``span_forward`` loops — :class:`_CsvBlockLines` for an indexed
-  block, :class:`_CsvGroupLines` for a stream group;
+  ``searchsorted``) instead of per-line ``find`` / ``span_forward``
+  loops — :class:`_CsvBlockLines` for an indexed block,
+  :class:`_CsvGroupLines` for a stream group;
 * **conversion** of whole span columns at once — int and float columns
   through a fixed-width byte-matrix ``astype`` fast path, everything
   else through one tight per-column loop (``_convert``);
 * the positional-map lookups an indexed block makes
-  (``_known_positions``).
+  (``_known_positions``), and which discovered positions the map keeps
+  (``index_attrs``: the query's attributes, or every attribute up to
+  them under §4.2 eager prefix indexing).
 
-Correctness contract: for any workload, the batch pipeline produces the
-same result rows *and leaves the same positional-map and cache contents*
-as the scalar path (which is retained as the differential oracle — see
+Correctness contract: for any workload, the scan produces the same
+result rows *and leaves the same positional-map and cache contents* as
+the row-at-a-time reference scan in ``tests/oracle/`` (see
 ``tests/test_batch_differential.py``). The trickiest part of honoring
 that contract is the §4.2 incremental tokenization: spans are derived
 from the nearest known attribute per row — forward or backward,
-whichever is closer — exactly as the scalar ``_RowContext`` does, but
-with delimiter-index arithmetic instead of byte scanning; a stream
-group replays the scalar context's target sequence as a WHERE and a
-SELECT phase (:func:`_stream_transitions`).
+whichever is closer — exactly as the reference's per-row locate does,
+but with delimiter-index arithmetic instead of byte scanning; a stream
+group replays the reference's target sequence as a WHERE and a SELECT
+phase (:func:`_stream_transitions`).
 """
 
 from __future__ import annotations
@@ -56,30 +57,31 @@ _NO = -1  # unknown position sentinel (offset arrays)
 # Streaming-region tokenization helpers
 # ---------------------------------------------------------------------------
 def _stream_transitions(targets, arity, state=(-1, 0)):
-    """Replay the scalar ``_RowContext._locate`` target sequence for a
-    fresh streaming row (``known_starts = {0: 0}``).
+    """Replay the row-at-a-time locate's target sequence (the reference
+    scan in ``tests/oracle/``) for a fresh streaming row, whose only
+    known start is attribute 0's.
 
-    The scalar context's per-row state is fully characterized by two
-    integers: ``S`` — the highest attribute whose full span has been
-    memoized — and ``M`` — the highest attribute whose *start* is known
-    (``M`` is ``S`` or ``S + 1``; the latter when a forward step left a
-    free next-attribute start). Since every streaming row starts from
-    the same state and the branch taken depends only on (S, M), the
-    whole block shares one transition sequence.
+    That per-row state is fully characterized by two integers: ``S``
+    — the highest attribute whose full span has been memoized — and
+    ``M`` — the highest attribute whose *start* is known (``M`` is
+    ``S`` or ``S + 1``; the latter when a forward step left a free
+    next-attribute start). Since every streaming row starts from the
+    same state and the branch taken depends only on (S, M), the whole
+    block shares one transition sequence.
 
     Returns ``(charges, (S, M))`` where each charge ``(base, through)``
-    says the scalar path would call span_forward from attr ``base``'s
-    start and scan through the delimiter ending attr ``through`` —
-    exactly the tokenize units to replicate, and ``M`` is the highest
-    attribute position a row of this phase has recorded (the
-    positional-map flush rule)."""
+    says the row-at-a-time locate would call span_forward from attr
+    ``base``'s start and scan through the delimiter ending attr
+    ``through`` — exactly the tokenize units to replicate, and ``M`` is
+    the highest attribute position a row of this phase has recorded
+    (the positional-map flush rule)."""
     S, M = state
     charges: list[tuple[int, int]] = []
     for t in targets:
         if t <= S:
             continue  # span memoized: no work
         if t == S + 1 and t == M:
-            # Start known (free info) but span not: the scalar context
+            # Start known (free info) but span not: the row locate
             # tokenizes one step forward, memoizing t and t+1.
             if t == arity - 1:
                 S = M = t  # last attribute: span ends at line end, free
@@ -104,7 +106,7 @@ class _CsvBlockLines(BlockLines):
     ``K`` maps attr -> start-offset array (``_NO`` holes), seeded from
     the positional map's prefetched columns; every position discovered
     while deriving spans is recorded back into it — the vectorized
-    equivalent of ``_RowContext.known_starts`` — and handed to the map
+    equivalent of a row locate's known starts — and handed to the map
     as one chunk at the end of the block (:meth:`positions`)."""
 
     def __init__(self, scan, buffer, base, line_starts, line_ends, known):
@@ -142,11 +144,12 @@ class _CsvBlockLines(BlockLines):
         return starts[rows], ends[rows]
 
     def positions(self) -> dict[int, np.ndarray]:
-        """Every known start of the rows read this block (the scalar
-        ``_flush_positions`` semantics exactly)."""
+        """Every known start of the rows read this block, for the
+        scan's ``index_attrs`` (what the row-at-a-time oracle's flush
+        keeps, exactly)."""
         scan = self.scan
         discovered: dict[int, np.ndarray] = {}
-        for attr in scan.union_attrs:
+        for attr in scan.index_attrs:
             col = self.K.get(attr)
             if attr <= 0 or attr >= scan.arity or col is None:
                 continue
@@ -289,7 +292,7 @@ class _CsvBlockLines(BlockLines):
             int((np.minimum(end_bounds + 1, line_ends) - lo_pos).sum()))
         # Record positions discovered along the way (attrs between the
         # base and the target) and the free next-attribute start.
-        for j in self.scan.union_attrs:
+        for j in self.scan.index_attrs:
             if j >= attr or j <= 0:
                 continue
             traversed = lo_attr < j
@@ -325,7 +328,7 @@ class _CsvBlockLines(BlockLines):
         starts_out[idxs] = prev + 1
         self.model.tokenize(int((hi_pos - (prev + 1)).sum()))
         # Intermediate attrs between target and base, discovered free.
-        for j in self.scan.union_attrs:
+        for j in self.scan.index_attrs:
             if j <= attr or j <= 0:
                 continue
             traversed = hi_attr > j
@@ -343,12 +346,12 @@ class _CsvBlockLines(BlockLines):
 # A stream group's lines: the WHERE and SELECT tokenizing phases
 # ---------------------------------------------------------------------------
 class _CsvGroupLines(BlockLines):
-    """One group of freshly discovered lines, tokenized in the scalar
-    path's two phases: every row through the last WHERE attribute
+    """One group of freshly discovered lines, tokenized in a row
+    locate's two phases: every row through the last WHERE attribute
     (asked for first, by the WHERE columns), then the qualifying rows
     on to the last SELECT attribute (:meth:`qualified`). Each phase
-    charges what the scalar ``_RowContext`` would, in one aggregated
-    call (:func:`_stream_transitions`)."""
+    charges what locating row by row would, in one aggregated call
+    (:func:`_stream_transitions`)."""
 
     def __init__(self, scan, buffer, base, line_starts, line_ends, known):
         super().__init__(scan, buffer, base, line_starts, line_ends, known)
@@ -395,7 +398,7 @@ class _CsvGroupLines(BlockLines):
 
     def _charge(self, charges, line_starts: np.ndarray,
                 line_ends: np.ndarray) -> None:
-        """Charge exactly what the scalar path would: for each
+        """Charge exactly what a row locate would: for each
         transition, the bytes from attr ``base``'s start through the
         delimiter ending attr ``through`` (clipped at the line end),
         summed over the rows. One aggregated model call per phase."""
@@ -417,42 +420,50 @@ class _CsvGroupLines(BlockLines):
             self.scan.model.tokenize(total)
 
     def positions(self) -> dict[int, np.ndarray]:
-        """Failing rows record starts for attributes up to
-        ``coverage_w`` — the locate-state machine's ``M`` after the
-        WHERE phase, which is ``max_where + 1`` only when the scalar
-        path would have left a free (or memoized) next-attribute start;
-        qualifying rows record every union attribute."""
+        """Of the scan's ``index_attrs``: failing rows record starts
+        for attributes up to ``coverage_w`` — the locate-state
+        machine's ``M`` after the WHERE phase, which is ``max_where +
+        1`` only when the row-at-a-time locate would have left a free
+        (or memoized) next-attribute start; qualifying rows record
+        attributes up to ``coverage_s``, its ``M`` after the SELECT
+        phase."""
         scan = self.scan
         max_where = scan._max_where
-        line_starts, line_ends = self.line_starts, self.line_ends
         qual_idx = self.qual_idx
         discovered: dict[int, np.ndarray] = {}
-        for attr in scan.union_attrs:
+        for attr in scan.index_attrs:
             if attr <= 0 or attr >= scan.arity:
                 continue
             column = np.full(self.n, NO_POS, dtype=np.int64)
             if attr <= max_where:
-                column[:] = self.where[0][:, attr] - line_starts
-            elif attr == max_where + 1 and 0 <= max_where and \
-                    scan._coverage_w >= attr:
-                # Free info: the delimiter ending the last WHERE
-                # attribute is this attribute's start — on every row
-                # whose field was actually delimiter-terminated.
-                ends_w = self.where[1][:, max_where]
-                has_delim = ends_w < line_ends
-                column[has_delim] = (ends_w[has_delim] + 1
-                                     - line_starts[has_delim])
+                column[:] = self.where[0][:, attr] - self.line_starts
+            elif attr == max_where + 1 == scan._coverage_w:
+                self._free_start(column, np.arange(self.n),
+                                 self.where[1][:, max_where])
             if attr > max_where and self.select is not None:
-                col = attr if max_where < 0 else attr - max_where
-                column[qual_idx] = (self.select[0][:, col]
-                                    - line_starts[qual_idx])
+                if attr <= scan._max_union:
+                    col = attr if max_where < 0 else attr - max_where
+                    column[qual_idx] = (self.select[0][:, col]
+                                        - self.line_starts[qual_idx])
+                elif attr == scan._coverage_s:
+                    self._free_start(column, qual_idx,
+                                     self.select[1][:, -1])
             if (column != NO_POS).any():
                 discovered[attr] = column
         return discovered
 
+    def _free_start(self, column: np.ndarray, rows: np.ndarray,
+                    ends: np.ndarray) -> None:
+        """Free info: the delimiter ending a field (``ends``, at
+        ``rows``) is the next attribute's start — recorded on every row
+        whose field was actually delimiter-terminated."""
+        has_delim = ends < self.line_ends[rows]
+        rows = rows[has_delim]
+        column[rows] = ends[has_delim] + 1 - self.line_starts[rows]
+
 
 class BatchCsvScan(BlockScan):
-    """One batch-mode scan over one raw CSV table: the per-format half
+    """One block scan over one raw CSV table: the per-format half
     of :class:`~repro.core.blockscan.BlockScan`."""
 
     indexed_lines = _CsvBlockLines
@@ -462,22 +473,28 @@ class BatchCsvScan(BlockScan):
         super().__init__(access, *scan_args)
         self.arity = access.schema.arity
         self.dialect = access.dialect
-        # Streaming-region constants of this scan's shape. The scalar
-        # _RowContext locates targets lazily from the line start; its
+        where_attrs, union_attrs = self.where_attrs, self.union_attrs
+        #: the attributes whose discovered positions the map keeps: the
+        #: query's own (§4.2 adaptive population), or — eager prefix
+        #: indexing — every one tokenized on the way to them
+        self.index_attrs = (range(1, self.arity)
+                            if self.config.eager_prefix_indexing
+                            else union_attrs)
+        # Streaming-region constants of this scan's shape. A row-at-a-
+        # time locate finds targets lazily from the line start; its
         # target sequence is replayed as a state machine so the batch
         # path charges identical tokenize units and records identical
         # positions (see _stream_transitions).
-        where_attrs, union_attrs = self.where_attrs, self.union_attrs
         self._max_where = max(where_attrs) if where_attrs else -1
         self._max_union = union_attrs[-1] if union_attrs else -1
         self._charges_w, state_w = _stream_transitions(where_attrs,
                                                        self.arity)
         #: highest attr whose start a failing (or any) row has recorded
-        #: after the WHERE phase
+        #: after the WHERE phase — and a qualifying row after the SELECT
+        #: phase, which continues the locate-state where WHERE left it
         self._coverage_w = state_w[1]
-        # SELECT phase: continues the locate-state where WHERE left it
-        self._charges_s, _ = _stream_transitions(self.out_attrs,
-                                                 self.arity, state_w)
+        self._charges_s, (_, self._coverage_s) = _stream_transitions(
+            self.out_attrs, self.arity, state_w)
 
     def _convert(self, attr: int, buffer, starts: np.ndarray,
                  ends: np.ndarray) -> tuple[list | None, np.ndarray | None]:
@@ -506,7 +523,8 @@ class BatchCsvScan(BlockScan):
                 if typed is not None:
                     return None, typed
         # Fallback / non-numeric: one tight per-field loop mirroring the
-        # scalar ``_convert`` exactly (empty non-string -> NULL).
+        # per-value ``RawCsvAccess._convert`` exactly (empty
+        # non-string -> NULL).
         values = []
         view = memoryview(buffer)
         parse = self._dtypes[attr].parse

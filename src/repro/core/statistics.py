@@ -8,13 +8,14 @@ into the table's :class:`~repro.sql.stats.TableStats`, incrementally
 augmenting whatever earlier queries collected.
 
 Sampling rides along with the scan at the scan's own granularity: the
-batch pipeline feeds whole block columns (:meth:`StatsCollector.
-add_columns` → :meth:`ReservoirSampler.add_many`), the scalar oracle
-feeds rows (:meth:`StatsCollector.add_row` → :meth:`ReservoirSampler.
-add`). Samplers are seeded per attribute and share nothing, so the two
-feeds leave identical reservoirs, extremes and RNG states — and charge
-the same ``stats_sample`` units in the same float accumulation — for
-the same values in the same per-attribute order.
+block scan feeds whole block columns (:meth:`StatsCollector.
+add_columns` → :meth:`ReservoirSampler.add_many`), the row-at-a-time
+reference scan (``tests/oracle/``) feeds rows (:meth:`StatsCollector.
+add_row` → :meth:`ReservoirSampler.add`). Samplers are seeded per
+attribute and share nothing, so the two feeds leave identical
+reservoirs, extremes and RNG states — and charge the same
+``stats_sample`` units in the same float accumulation — for the same
+values in the same per-attribute order.
 """
 
 from __future__ import annotations

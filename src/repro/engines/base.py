@@ -298,5 +298,5 @@ class Database:
         """Running total of per-row tuples materialized inside operator
         trees (batch->row transpositions; see
         :attr:`repro.simcost.model.CostModel.rows_materialized`). Stays
-        zero while batch-mode plans execute fully columnar."""
+        zero while plans execute fully columnar."""
         return self.model.rows_materialized

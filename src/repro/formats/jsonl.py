@@ -606,8 +606,6 @@ class JsonlAccess(RawFileAccess):
     this class adds value conversion and the JSONL line split."""
 
     scan_class = JsonlScan
-    #: batch delivery is the only mode (``ScanOp.supports_batches``)
-    batch_enabled = True
 
     def __init__(self, vfs, path: str, schema, model, config, table_info,
                  positional_map, cache, pool=None):

@@ -217,8 +217,6 @@ class _Partition:
 class PartitionedAccess:
     """Access method over one glob of files, one child access each."""
 
-    batch_enabled = True
-
     def __init__(self, engine, info: TableInfo, inner: FormatAdapter,
                  options: dict):
         # Weak: the engine's catalog owns this access method (and the

@@ -42,14 +42,13 @@ def compile_kernel(scan):
 def explain_note(scan_op) -> str | None:
     """The ``kernel:`` EXPLAIN note of one scan leaf, or None when its
     access method has no block-scanned indexed region to serve (heap,
-    FITS, external files, the scalar CSV path). A partitioned table is
-    judged by its files' access method."""
+    FITS, external files). A partitioned table is judged by its files'
+    access method."""
     access = scan_op.access
     parts = getattr(access, "parts", None)
     if parts:
         access = parts[0].access
-    if getattr(access, "scan_class", None) is None \
-            or not access.batch_enabled:
+    if getattr(access, "scan_class", None) is None:
         return None
     if not access.config.scan_kernels:
         return "none (scan_kernels disabled)"

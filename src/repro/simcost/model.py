@@ -10,13 +10,14 @@ units (``tuple_overhead(nrows)``, ``convert(family, ncolumn_values)``,
 ``predicate(n_terms * nrows)``) instead of once per row. Unit totals —
 and therefore virtual time — match the per-row call pattern for I/O,
 conversion, tuple, predicate, map and cache events, and for streaming
-tokenization (the batch path replays the scalar locate-state machine
-to charge identical units). The one permitted deviation is TOKENIZE
-in the *indexed* region: the scalar context's incremental stepping
-sometimes re-scans a field it already delimited, while the batch path
-charges each byte span once — so warm partial-coverage scans may
-charge slightly fewer tokenize units in batch mode (never more work,
-and zero in both modes once the map covers the query).
+tokenization (the block scan replays a row-at-a-time locate-state
+machine to charge identical units). The one permitted deviation from
+the row-at-a-time reference scan (``tests/oracle/``) is TOKENIZE in
+the *indexed* region: the reference's incremental stepping sometimes
+re-scans a field it already delimited, while the block scan charges
+each byte span once — so warm partial-coverage scans may charge
+slightly fewer tokenize units than the reference (never more work, and
+zero in both once the map covers the query).
 
 Column-at-a-time bookkeeping keeps the convention exact where the unit
 count alone would not: §4.4 sampling prices each sampled value as one
@@ -78,9 +79,10 @@ class CostModel:
         batches into rows, and operator batch paths falling back to
         row-at-a-time evaluation. Final result assembly (draining
         the plan root into a QueryResult or cursor buffer) does not
-        count. In ``batch_mode`` a fully columnar plan keeps this at
-        zero; it is kept out of the clock counters so batch/scalar
-        cost parity assertions stay byte-identical. The storage lives
+        count. A fully columnar plan keeps this at zero; it is kept
+        out of the clock counters so cost parity assertions against
+        the row-at-a-time reference engine (``tests/oracle/``) stay
+        byte-identical. The storage lives
         on the shared clock so per-format models (one engine clock,
         several :class:`CostProfile` bindings) aggregate into one
         engine-level total."""

@@ -2,8 +2,10 @@
 
 Two consumption modes share one pipeline. :func:`execute_batches` is
 the streaming core: it pulls :class:`~repro.sql.batch.ColumnBatch`
-blocks from the plan root (real columnar blocks when the subtree
-supports them, transposed rows otherwise) — cursors in
+blocks from the plan root (real columnar blocks over raw-file scans;
+rows transposed into blocks only above a row-only leaf — a heap,
+external or CFITSIO table — or an operator without a batch form) —
+cursors in
 :mod:`repro.api` hold this iterator live and materialize only what
 ``fetchmany`` asks for. :func:`execute` is the eager convenience built
 on top: it drains the stream into a :class:`QueryResult`.
@@ -48,7 +50,7 @@ class QueryResult:
     plan: dict = field(default_factory=dict)
     #: per-row tuples materialized inside the operator tree (upstream
     #: of final result assembly) while producing this result — 0 for a
-    #: fully columnar batch-mode plan. Kept separate from ``counters``
+    #: fully columnar plan. Kept separate from ``counters``
     #: (it is an observability metric, not a priced cost event).
     rows_materialized: int = 0
 
@@ -78,11 +80,13 @@ class QueryResult:
 def execute_batches(planned: PlannedQuery) -> Iterator[ColumnBatch]:
     """The streaming execution core: pull the plan root block-at-a-time.
 
-    Plans whose root produces real columnar batches (a batch-capable
-    scan under filter/project operators — see ``PlanOp.supports_batches``)
-    stream those blocks straight through; everything else streams the
-    classic row iterator transposed into batches by the operator-level
-    default. Either way nothing is materialized beyond the block in
+    Plans whose root produces real columnar batches (a raw-file scan
+    under operators with a batch form — see
+    ``PlanOp.supports_batches``) stream those blocks straight through;
+    a plan over row-only leaves (heap, external, CFITSIO tables)
+    streams the row iterator transposed into batches by the
+    operator-level default. Either way nothing is materialized beyond
+    the block in
     flight, so a cursor can fetch incrementally from an arbitrarily
     large scan."""
     return planned.root.batches()

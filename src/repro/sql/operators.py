@@ -9,11 +9,13 @@ the canonical key (:func:`repro.sql.expressions.expr_key`) of the
 expression that produced a column to its index in the row.
 
 Operators expose two pull modes. ``rows()`` is the classic Volcano
-iterator every operator implements; it is retained unchanged as the
-differential oracle for the columnar path. ``batches()`` pulls
-:class:`~repro.sql.batch.ColumnBatch` blocks instead — and, since the
-batch became a typed NumPy container, the whole operator tree stays
-columnar end-to-end in batch mode:
+iterator every operator implements: plans over row-only leaves (heap,
+external, CFITSIO tables) pull it, and the row-at-a-time reference
+engine in ``tests/oracle/`` runs it as the differential oracle for the
+columnar path. ``batches()`` pulls :class:`~repro.sql.batch.ColumnBatch`
+blocks instead — and, since the batch became a typed NumPy container,
+the whole operator tree over a raw-file scan stays columnar
+end-to-end:
 
 * ``ScanOp`` feeds typed blocks straight from a batch-capable access
   method; ``FilterOp`` evaluates vectorized masks (falling back to the
@@ -51,7 +53,9 @@ counter, so a fully columnar plan is assertable as
 Every operator inherits a default ``batches()`` that transposes its
 ``rows()`` — so a batch-consuming parent composes with any subtree.
 ``supports_batches`` reports whether a subtree produces real (scan-fed)
-columnar batches; the executor uses it to pick the pull mode per query.
+columnar batches — whether its leaves' access methods have a
+``scan_batches`` — and the executor uses it to pick the pull mode per
+query.
 """
 
 from __future__ import annotations
@@ -170,8 +174,9 @@ class PlanOp:
     @property
     def supports_batches(self) -> bool:
         """True when :meth:`batches` yields real columnar blocks (a
-        batch-capable scan feeds this subtree and every operator on the
-        way knows how to stay columnar) rather than transposed rows."""
+        raw-file scan feeds this subtree and every operator on the way
+        knows how to stay columnar) rather than rows transposed from a
+        row-only leaf."""
         return False
 
     def batches(self) -> Iterator[ColumnBatch]:
@@ -215,8 +220,9 @@ class ScanOp(PlanOp):
 
     @property
     def supports_batches(self) -> bool:
-        return (getattr(self.access, "batch_enabled", False)
-                and hasattr(self.access, "scan_batches"))
+        """Raw-file access methods scan in blocks; heap, external and
+        CFITSIO tables have no ``scan_batches`` and pull rows."""
+        return callable(getattr(self.access, "scan_batches", None))
 
     def batches(self) -> Iterator[ColumnBatch]:
         if self.supports_batches:

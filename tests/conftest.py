@@ -94,9 +94,9 @@ def tpch_tiny():
 
 
 def fresh_raw_tpch(tpch_tiny, config: PostgresRawConfig | None = None,
-                   ) -> PostgresRaw:
+                   engine=PostgresRaw) -> PostgresRaw:
     fs, data = tpch_tiny
-    db = PostgresRaw(config=config, vfs=fs)
+    db = engine(config=config, vfs=fs)
     for table, path in data.paths.items():
         db.register_csv(table, path, tpch_schema(table))
     return db

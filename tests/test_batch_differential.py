@@ -4,8 +4,8 @@ Seeded random schemas (ints, floats, strings, dates), random data
 (NULLs as empty fields, quote characters inside strings, ragged field
 widths) and random SELECT/WHERE workloads run on three engines:
 
-* PostgresRaw in **batch mode** (the vectorized pipeline under test),
-* PostgresRaw in **scalar mode** (the row-at-a-time oracle),
+* PostgresRaw (the vectorized block scan under test),
+* the row-at-a-time oracle (``tests/oracle``),
 * LoadedDBMS (the conventional engine — ground truth via a completely
   independent code path).
 
@@ -34,6 +34,7 @@ from repro import (
 from repro.errors import FormatError
 from repro.formats.csvfmt import write_csv
 from repro.formats.fits import write_bintable
+from tests.oracle import OracleRaw
 
 _LETTERS = "abcdefghij'\" _-"
 
@@ -158,12 +159,12 @@ def build_engines(schema: Schema, rows: list[list[str]],
 
     raw_batch = PostgresRaw(
         config=PostgresRawConfig(row_block_size=block_size,
-                                 batch_mode=True, **config_kwargs),
+                                 **config_kwargs),
         vfs=fresh_vfs())
     raw_batch.register_csv("t", "t.csv", schema)
-    raw_scalar = PostgresRaw(
+    raw_scalar = OracleRaw(
         config=PostgresRawConfig(row_block_size=block_size,
-                                 batch_mode=False, **config_kwargs),
+                                 **config_kwargs),
         vfs=fresh_vfs())
     raw_scalar.register_csv("t", "t.csv", schema)
     loaded = LoadedDBMS(vfs=fresh_vfs())
@@ -179,14 +180,15 @@ def normalized(result):
 # The harness
 # ---------------------------------------------------------------------------
 class TestBatchDifferentialFuzz:
+    @pytest.mark.parametrize("eager", [False, True])
     @pytest.mark.parametrize("seed", range(12))
-    def test_random_workloads_agree_across_engines(self, seed):
+    def test_random_workloads_agree_across_engines(self, seed, eager):
         rng = random.Random(1000 + seed)
         schema = random_schema(rng)
         rows = random_table(rng, schema)
         block_size = rng.choice([1, 3, 8, 17, 64])
-        raw_batch, raw_scalar, loaded = build_engines(schema, rows,
-                                                      block_size)
+        raw_batch, raw_scalar, loaded = build_engines(
+            schema, rows, block_size, eager_prefix_indexing=eager)
         for qno in range(6):
             sql = random_query(rng, schema)
             res_batch = raw_batch.query(sql)
@@ -362,14 +364,15 @@ def nul_payload(fmt: str) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
-def nul_outcome(fmt: str, on_error: str, region: str, **config_kwargs):
+def nul_outcome(fmt: str, on_error: str, region: str, engine=PostgresRaw,
+                **config_kwargs):
     """What a table with NUL-padded numeric values does under an error
     policy: per query its rows or its failure (message, row number),
     the ``rows_rejected`` counter, and the quarantine sidecar's (row,
     reason) records. Shared with the JSONL twin in ``test_jsonl``."""
     vfs = VirtualFS()
     vfs.create(f"t.{fmt}", nul_payload(fmt))
-    engine = PostgresRaw(
+    engine = engine(
         config=PostgresRawConfig(row_block_size=4, **config_kwargs),
         vfs=vfs)
     engine.query(f"CREATE TABLE t (a INTEGER, b FLOAT, c INTEGER) "
@@ -405,9 +408,9 @@ NUL_EXPECTED = {
 @pytest.mark.parametrize("region", ["streaming", "indexed"])
 @pytest.mark.parametrize("on_error", ["fail", "skip", "null"])
 def test_nul_padded_numeric_matches_scalar(on_error, region, workers):
-    oracle = nul_outcome("csv", on_error, region, batch_mode=False)
+    oracle = nul_outcome("csv", on_error, region, engine=OracleRaw)
     assert oracle[0][0] == NUL_EXPECTED[on_error]
-    assert nul_outcome("csv", on_error, region, batch_mode=True,
+    assert nul_outcome("csv", on_error, region,
                        scan_workers=workers) == oracle
 
 
@@ -448,10 +451,11 @@ def reservoir_mix(first: int) -> list[str]:
     ]
 
 
-def reservoir_engine(fmt: str, rows, **config_kwargs) -> PostgresRaw:
+def reservoir_engine(fmt: str, rows, engine=PostgresRaw,
+                     **config_kwargs) -> PostgresRaw:
     vfs = VirtualFS()
     vfs.create(f"t.{fmt}", reservoir_payload(fmt, rows))
-    engine = PostgresRaw(config=PostgresRawConfig(**config_kwargs), vfs=vfs)
+    engine = engine(config=PostgresRawConfig(**config_kwargs), vfs=vfs)
     columns = ", ".join(f"{name} {sql}"
                         for name, sql, _dtype in RESERVOIR_COLUMNS)
     engine.query(f"CREATE TABLE t ({columns}) USING {fmt} "
@@ -520,8 +524,8 @@ class TestReservoirsAcrossPaths:
 
     def test_csv_batch_scalar_workers_kernels(self, target, block_size):
         self.run_paths("csv", {
-            "batch": dict(batch_mode=True),
-            "scalar": dict(batch_mode=False),
+            "batch": {},
+            "scalar": dict(engine=OracleRaw),
             "4 workers": dict(scan_workers=4),
             "kernels off": dict(scan_kernels=False),
         }, target, block_size)
@@ -541,12 +545,11 @@ class TestReservoirsAcrossPaths:
                 for i in range(150)]
         payload = write_bintable(names, ["K", "D", "D", "E", "8A"], rows)
         stats = []
-        for batch in (True, False):
+        for engine_class in (PostgresRaw, OracleRaw):
             vfs = VirtualFS()
             vfs.create("sky.fits", payload)
-            engine = PostgresRaw(
-                config=PostgresRawConfig(batch_mode=batch,
-                                         stats_sample_target=target,
+            engine = engine_class(
+                config=PostgresRawConfig(stats_sample_target=target,
                                          row_block_size=block_size),
                 vfs=vfs)
             engine.register_fits("sky", "sky.fits")

@@ -14,21 +14,22 @@ import pytest
 from repro import PostgresRaw, PostgresRawConfig, VirtualFS
 from repro.sql.scanapi import ScanPredicate
 from repro.workloads.micro import generate_micro_csv, micro_schema
+from tests.oracle import OracleRaw
 
 ROWS = 240
 ATTRS = 10
 
 
 def make_pair(**config_kwargs):
-    """Batch-mode engine and scalar twin over identical files."""
+    """Engine and row-at-a-time oracle twin over identical files."""
     engines = []
-    for batch in (True, False):
+    for engine in (PostgresRaw, OracleRaw):
         vfs = VirtualFS()
         generate_micro_csv(vfs, "m.csv", ROWS, ATTRS, seed=77)
-        config = PostgresRawConfig(row_block_size=16, batch_mode=batch,
+        config = PostgresRawConfig(row_block_size=16,
                                    enable_statistics=False,
                                    **config_kwargs)
-        db = PostgresRaw(config=config, vfs=vfs)
+        db = engine(config=config, vfs=vfs)
         db.register_csv("m", "m.csv", micro_schema(ATTRS))
         engines.append(db)
     return engines

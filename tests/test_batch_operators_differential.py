@@ -42,6 +42,7 @@ from repro.sql.operators import ScanOp
 from repro.sql.parser import parse
 from repro.sql.planner import Planner
 from repro.workloads.micro import generate_micro_csv, micro_schema
+from tests.oracle import OracleRaw
 
 from test_batch_differential import (
     assert_structures_match,
@@ -168,13 +169,12 @@ def build_join_engines(rng: random.Random, key_family: str = "int"):
                    f"{rng.uniform(-10, 10):.3f}"]
                   for _ in range(rng.randint(0, 40))]
     engines = []
-    for batch in (True, False):
+    for engine in (PostgresRaw, OracleRaw):
         vfs = VirtualFS()
         vfs.create("l.csv", write_csv(left_rows))
         vfs.create("r.csv", write_csv(right_rows))
-        db = PostgresRaw(config=PostgresRawConfig(
-            row_block_size=rng.choice([3, 8, 32]), batch_mode=batch),
-            vfs=vfs)
+        db = engine(config=PostgresRawConfig(
+            row_block_size=rng.choice([3, 8, 32])), vfs=vfs)
         db.register_csv("l", "l.csv", left_schema)
         db.register_csv("r", "r.csv", right_schema)
         engines.append(db)
@@ -218,8 +218,8 @@ def micro_engine(batch: bool, rows: int = 400, attrs: int = 6,
                  extra_table: bool = False) -> PostgresRaw:
     vfs = VirtualFS()
     generate_micro_csv(vfs, "m.csv", rows, attrs, seed=5, value_range=40)
-    db = PostgresRaw(config=PostgresRawConfig(batch_mode=batch,
-                                              row_block_size=64), vfs=vfs)
+    engine = PostgresRaw if batch else OracleRaw
+    db = engine(config=PostgresRawConfig(row_block_size=64), vfs=vfs)
     db.register_csv("m", "m.csv", micro_schema(attrs))
     if extra_table:
         payload = b"\n".join(f"{i},{i * 7}".encode() for i in range(40))
@@ -404,11 +404,10 @@ class TestParameterVectorization:
 class TestVectorizedValueEdgeCases:
     def _pair(self, payload, schema):
         out = []
-        for batch in (True, False):
+        for engine in (PostgresRaw, OracleRaw):
             vfs = VirtualFS()
             vfs.create("t.csv", payload)
-            db = PostgresRaw(config=PostgresRawConfig(batch_mode=batch),
-                             vfs=vfs)
+            db = engine(config=PostgresRawConfig(), vfs=vfs)
             db.register_csv("t", "t.csv", schema)
             out.append(db)
         return out
@@ -548,17 +547,17 @@ def build_table_engines(tables: dict, block_size: int):
     (``name -> (schema, rows)``), each engine on its own VFS."""
     payloads = {name: write_csv(rows) for name, (_, rows) in tables.items()}
     engines = []
-    for batch in (True, False, None):
+    for engine in (PostgresRaw, OracleRaw, None):
         vfs = VirtualFS()
         for name, payload in payloads.items():
             vfs.create(f"{name}.csv", payload)
-        if batch is None:
+        if engine is None:
             db = LoadedDBMS(vfs=vfs)
             for name, (schema, _) in tables.items():
                 db.load_csv(name, f"{name}.csv", schema)
         else:
-            db = PostgresRaw(config=PostgresRawConfig(
-                row_block_size=block_size, batch_mode=batch), vfs=vfs)
+            db = engine(config=PostgresRawConfig(
+                row_block_size=block_size), vfs=vfs)
             for name, (schema, _) in tables.items():
                 db.register_csv(name, f"{name}.csv", schema)
         engines.append(db)
@@ -942,9 +941,8 @@ class TestColumnPairPredicateFuzz:
         # ~120 KB: large enough for the CI seed's schedule to fire.
         payload = write_csv(pair_table(rng, 3000))
         engines = []
-        for batch in (True, False):
-            db = PostgresRaw(config=PostgresRawConfig(
-                batch_mode=batch, row_block_size=16))
+        for engine in (PostgresRaw, OracleRaw):
+            db = engine(config=PostgresRawConfig(row_block_size=16))
             db.vfs.create("t.csv", payload)
             db.vfs.create("u.csv", payload)
             db.register_csv("t", "t.csv", PAIR_SCHEMA)

@@ -16,6 +16,7 @@ from repro import (
     VirtualFS,
     varchar,
 )
+from repro.api import InterfaceError
 from repro.errors import CatalogError, ExecutionError, PlanningError
 from repro.formats.csvfmt import write_csv
 from repro.formats.jsonl import write_jsonl
@@ -331,6 +332,31 @@ class TestEngineClose:
             del engine
             assert {name: ref() is None for name, ref in alive.items()} \
                 == dict.fromkeys(alive, True)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_dropped_session_frees_itself_and_its_engine(self):
+        """A session dropped without ``close()`` keeps its cached
+        statements, and they refer back to it weakly: with the collector
+        off, session and engine die by reference counting, and a
+        statement kept past its session fails with a typed error."""
+        vfs = VirtualFS()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            engine = self._engine(vfs, rows=20)
+            session = engine.connect()
+            assert session.execute("SELECT count(*) FROM t WHERE b < 3") \
+                .fetchall() == [(9,)]
+            kept = session.prepare("SELECT a FROM t")
+            alive = {"engine": weakref.ref(engine),
+                     "session": weakref.ref(session)}
+            del engine, session
+            assert {name: ref() is None for name, ref in alive.items()} \
+                == dict.fromkeys(alive, True)
+            with pytest.raises(InterfaceError, match="session"):
+                kept.execute()
         finally:
             if was_enabled:
                 gc.enable()

@@ -43,6 +43,7 @@ from repro.core.blockscan import BlockScan
 from repro.formats.jsonl import write_jsonl
 from repro.storage.faults import FaultInjectingVFS
 from repro.workloads.micro import generate_micro_csv
+from tests.oracle import OracleRaw
 
 from test_batch_differential import (
     cache_dump,
@@ -76,7 +77,7 @@ def jsonl_rows(schema, table):
 
 def engine_with_workers(schema, data, workers: int, block_size: int = 16,
                         fmt: str = "csv", table: str = "t", vfs=None,
-                        **config_kwargs) -> PostgresRaw:
+                        engine=PostgresRaw, **config_kwargs) -> PostgresRaw:
     """An engine over one ``fmt`` table declared through DDL. ``data``
     is a text table (rendered by ``write_csv`` / ``write_jsonl``) or the
     file's raw bytes."""
@@ -88,7 +89,7 @@ def engine_with_workers(schema, data, workers: int, block_size: int = 16,
         vfs.create(path, write_csv(data))
     else:
         write_jsonl(jsonl_rows(schema, data), vfs, path)
-    engine = PostgresRaw(
+    engine = engine(
         config=PostgresRawConfig(row_block_size=block_size,
                                  scan_workers=workers, **config_kwargs),
         vfs=vfs)
@@ -362,7 +363,8 @@ class TestErrorRowNumber:
             return b"%d,%d,%d" % (i, i, i)
         return b'{"a": %d, "b": %d, "c": %d}' % (i, i, i)
 
-    def failure(self, fmt, shape, region, **config_kwargs):
+    def failure(self, fmt, shape, region, engine=PostgresRaw,
+                **config_kwargs):
         bad_line, sql, indexing_sql = MALFORMED[fmt][shape]
         lines = [self.clean_line(fmt, i) for i in range(3000)]
         assert len(bad_line) == len(lines[BAD_ROW])
@@ -371,7 +373,7 @@ class TestErrorRowNumber:
             lines[BAD_ROW] = bad_line       # malformed from the start
         engine = engine_with_workers(
             self.SCHEMA, b"\n".join(lines) + b"\n", block_size=256,
-            fmt=fmt, vfs=vfs, **config_kwargs)
+            fmt=fmt, vfs=vfs, engine=engine, **config_kwargs)
         if region == "indexed":
             # Index the clean file, then break the row in place (same
             # size, no rewrite counter: a truly external edit), so the
@@ -395,7 +397,7 @@ class TestErrorRowNumber:
                             scan_kernels=kernels) == serial
         if fmt == "csv":    # the scalar oracle exists for CSV only
             assert self.failure(fmt, shape, region, workers=1,
-                                batch_mode=False)[0] == serial[0]
+                                engine=OracleRaw)[0] == serial[0]
 
 
 class TestPoolLifecycle:

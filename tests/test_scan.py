@@ -9,20 +9,46 @@ parsing converts SELECT attributes only for qualifying tuples.
 import pytest
 
 from repro import PostgresRaw, PostgresRawConfig, VirtualFS
+from repro.core.blockscan import BlockScan
+from repro.core.scan_batch import _CsvBlockLines
 from repro.simcost.clock import CostEvent
 from repro.sql.scanapi import ScanPredicate
-from repro.workloads.micro import generate_micro_csv, micro_schema
+from repro.workloads.micro import (
+    append_micro_rows,
+    generate_micro_csv,
+    micro_schema,
+)
+from tests.oracle import OracleRaw
+from tests.test_batch_differential import assert_structures_match
 
 ROWS = 300
 ATTRS = 12
 BLOCK = 64
 
 
-def make_engine(**config_kwargs):
+#: eager-indexing workloads (config, queries), one per way a scan meets
+#: the positional map
+EAGER_REGIONS = {
+    # a cold scan: stream groups only
+    "streaming": ({}, ["SELECT a9, a6 FROM m WHERE a3 < 500000000",
+                       "SELECT a12 FROM m WHERE a10 > 200000000"]),
+    # indexed blocks tokenized forward from a map knowing a prefix
+    "partial map": ({}, ["SELECT a2 FROM m WHERE a1 < 700000000",
+                         "SELECT a9, a6 FROM m WHERE a3 < 500000000",
+                         "SELECT a12 FROM m WHERE a10 > 200000000"]),
+    # the budget evicts the first blocks' older chunks (a2..a8): a6 is
+    # tokenized backward from a9
+    "evicted map": (dict(pm_budget_bytes=11_000, enable_cache=False),
+                    ["SELECT a7 FROM m", "SELECT a12 FROM m",
+                     "SELECT a6 FROM m"]),
+}
+
+
+def make_engine(engine=PostgresRaw, **config_kwargs):
     vfs = VirtualFS()
     generate_micro_csv(vfs, "m.csv", ROWS, ATTRS, seed=11)
     config = PostgresRawConfig(row_block_size=BLOCK, **config_kwargs)
-    db = PostgresRaw(config=config, vfs=vfs)
+    db = engine(config=config, vfs=vfs)
     db.register_csv("m", "m.csv", micro_schema(ATTRS))
     return db, db.catalog.get("m").access
 
@@ -320,3 +346,49 @@ class TestEagerPrefixIndexing:
         indexed = set(access.pm.indexed_attrs(0))
         assert 8 in indexed or 9 in indexed
         assert 2 not in indexed
+
+    def test_eager_runs_the_block_scan(self, monkeypatch):
+        """Eager indexing is an attribute set of the block scan, not a
+        reason to leave it: a cold eager scan computes stream groups."""
+        groups = []
+        compute = BlockScan._compute_stream_group
+
+        def counted(scan, *args):
+            groups.append(scan.index_attrs)
+            return compute(scan, *args)
+
+        monkeypatch.setattr(BlockScan, "_compute_stream_group", counted)
+        db, access = make_engine(eager_prefix_indexing=True)
+        assert db.query("SELECT a9 FROM m WHERE a3 < 500000000").rows
+        assert groups and all(list(attrs) == list(range(1, ATTRS))
+                              for attrs in groups)
+
+    @pytest.mark.parametrize("region", [*EAGER_REGIONS, "append"])
+    def test_eager_structures_equal_the_oracle(self, region, monkeypatch):
+        """Both regions keep what the row-at-a-time oracle keeps — in
+        results, map and cache: a cold scan; indexed blocks tokenized
+        forward from a map that knows a prefix, or backward from one a
+        budget left knowing only later attributes; and indexed blocks
+        grown by an append, whose tail streams."""
+        backward = []
+        derive = _CsvBlockLines._derive_backward
+
+        def counted(lines, *args):
+            backward.append(args[0])
+            return derive(lines, *args)
+
+        monkeypatch.setattr(_CsvBlockLines, "_derive_backward", counted)
+        config, queries = EAGER_REGIONS.get(region,
+                                            EAGER_REGIONS["partial map"])
+        engines = [make_engine(engine, eager_prefix_indexing=True,
+                               **config)[0]
+                   for engine in (PostgresRaw, OracleRaw)]
+        for sql in queries:
+            if region == "append":
+                for db in engines:
+                    append_micro_rows(db.vfs, "m.csv", rows=40,
+                                      nattrs=ATTRS, seed=5)
+            rows = [db.query(sql).rows for db in engines]
+            assert rows[0] == rows[1], sql
+            assert_structures_match(*engines, table="m")
+        assert bool(backward) == (region == "evicted map")

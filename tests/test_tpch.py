@@ -13,6 +13,7 @@ from repro.workloads.tpch import (
     tpch_schema,
 )
 from tests.conftest import fresh_loaded_tpch, fresh_raw_tpch
+from tests.oracle import OracleRaw
 from tests.test_batch_operators_differential import plan_nodes
 
 
@@ -217,8 +218,7 @@ class TestPaperQueriesStayColumnar:
         TOKENIZE, the one event batch and scalar scans may price
         differently (simcost/model.py)."""
         columnar = fresh_raw_tpch(tpch_tiny)
-        row_engine = fresh_raw_tpch(
-            tpch_tiny, PostgresRawConfig(batch_mode=False))
+        row_engine = fresh_raw_tpch(tpch_tiny, engine=OracleRaw)
         results = {}
         for name in PAPER_QUERIES:
             for engine in (columnar, row_engine):

@@ -9,6 +9,7 @@ from repro.workloads.micro import (
     generate_micro_csv,
     micro_schema,
 )
+from tests.oracle import OracleRaw
 
 ATTRS = 6
 
@@ -72,11 +73,11 @@ class TestAppends:
     def test_wide_rescan_after_append_grows_last_block(self, batch):
         """Regression: an append that grows the last positional-map
         block must not break merging newly discovered positions into
-        the shorter pre-append columns (scalar path flush)."""
+        the shorter pre-append columns (the oracle's flush too)."""
         vfs = VirtualFS()
         generate_micro_csv(vfs, "t.csv", rows=50, nattrs=ATTRS, seed=1)
-        engine = PostgresRaw(config=PostgresRawConfig(
-            row_block_size=16, batch_mode=batch), vfs=vfs)
+        engine = (PostgresRaw if batch else OracleRaw)(
+            config=PostgresRawConfig(row_block_size=16), vfs=vfs)
         engine.register_csv("t", "t.csv", micro_schema(ATTRS))
         wide = "SELECT a1, a2, a3, a4 FROM t"
         before = engine.query(wide).rows
