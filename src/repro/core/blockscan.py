@@ -481,16 +481,15 @@ class RawFileAccess(RawAccessBase):
 
     def _rows_with_known_span(self) -> int:
         """Rows of the indexed region: those whose line span the map
-        already knows."""
+        already knows. Only the map can vouch for that: ``row_count``
+        outlives a dropped map (``close()``, ``drop_auxiliary``), and a
+        scan abandoned after re-indexing every line of a one-group file
+        leaves all of its line starts but no file length."""
         if self.pm is None:
             return 0
         known = self.pm.known_line_count
-        if known == 0:
-            return 0
-        if self.row_count is not None and known >= self.row_count:
-            return self.row_count
-        if self.pm.has_file_length:
-            return known  # complete index (e.g. built by the prewarmer)
+        if known == 0 or self.pm.has_file_length:
+            return known  # complete index (a finished scan, the prewarmer)
         return known - 1  # last known line's end is the next line's start
 
     def _finish_file(self, row_count: int) -> None:

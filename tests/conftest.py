@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro import (
     INTEGER,
@@ -108,3 +109,10 @@ def fresh_loaded_tpch(tpch_tiny) -> LoadedDBMS:
     for table, path in data.paths.items():
         db.load_csv(table, path, tpch_schema(table))
     return db
+
+
+# The lockstep harness's long run (CI's lockstep-soak job):
+#     pytest tests/test_lockstep.py --hypothesis-profile=soak \
+#         --hypothesis-seed=<fixed>
+settings.register_profile("soak", max_examples=2000, deadline=None,
+                          database=None)

@@ -1,4 +1,4 @@
-"""The row-at-a-time reference engine of the differential suites.
+"""The row-at-a-time reference engine and the lockstep harness.
 
 The product has one scan path per format — the block scan
 (:mod:`repro.core.blockscan`, :mod:`repro.core.scan_batch`,
@@ -17,8 +17,10 @@ lives here, outside ``src/``, and plugs in only through public seams:
   the ``register_*`` shims — are created with those adapters instead.
 
 Everything else (catalog, planner, cost model, positional map, cache,
-statistics) is the product's, so differential suites can demand equal
-results, structure dumps, priced counters and clocks.
+statistics) is the product's, so the lockstep harness
+(:mod:`tests.oracle.digest`) can demand equal results, structure dumps,
+statistics and priced counters of it — its ``oracle`` axis, one of the
+axes every scenario is played on.
 """
 
 from __future__ import annotations

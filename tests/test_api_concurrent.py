@@ -4,19 +4,18 @@ Covers the scheduler contract (FIFO admission, max-in-flight gate,
 cooperative batch-boundary interleaving, per-query accounting) and the
 differential satellite: two cursors streaming from the same raw CSV
 table, interleaved at batch boundaries, must leave the positional map
-and binary cache identical to a serial run (structure dumps reused
-from the PR 1 differential harness).
+and binary cache identical to a serial run. Random interleaved
+workloads against the row-at-a-time oracle are the lockstep harness's
+(``tests/oracle/digest.py``, its ``Interleave`` op).
 
-"Identical" for the positional map means *content*-identical under the
-canonicalization below: every line start, the file length, the spill
-set, and every (row-block, attribute) position the map can answer.
-The vertical chunk *grouping* is excluded — it records which query's
-flush first grouped the attributes, so it is a layout artifact of
-workload interleaving order, not of what the map knows (the paper's
-map is explicitly workload-shaped, §4.2). The binary cache must match
-byte-for-byte."""
-
-import random
+"Identical" for the positional map means *content*-identical
+(``pm_content`` of the digest's dump): every line start, the file
+length, the spill set, and every (row-block, attribute) position the
+map can answer. The vertical chunk *grouping* is excluded — it records
+which query's flush first grouped the attributes, so it is a layout
+artifact of workload interleaving order, not of what the map knows (the
+paper's map is explicitly workload-shaped, §4.2). The binary cache must
+match byte-for-byte."""
 
 import pytest
 
@@ -24,39 +23,13 @@ import repro
 from repro import PostgresRaw, PostgresRawConfig, VirtualFS
 from repro.workloads.micro import generate_micro_csv
 
-from test_batch_differential import (
-    build_engines,
-    cache_dump,
-    normalized,
-    pm_dump,
-    random_query,
-    random_schema,
-    random_table,
-)
+from tests.oracle.digest import digest, pm_content
 
 
-def canonical_pm(pm):
-    """The map's queryable content, independent of chunk grouping."""
-    if pm is None:
-        return None
-    dump = pm_dump(pm)
-    positions = {}
-    for block, entries in dump["directory"].items():
-        for attr, (chunk_key, col) in entries.items():
-            matrix = dump["chunks"].get(chunk_key)
-            if matrix is not None:
-                positions[(block, attr)] = [line[col] for line in matrix]
-    return {"line_starts": dump["line_starts"],
-            "file_length": dump["file_length"],
-            "spilled": dump["spilled"],
-            "positions": positions}
-
-
-def assert_content_match(engine_a, engine_b, table="t"):
-    assert canonical_pm(engine_a.positional_map_of(table)) == \
-        canonical_pm(engine_b.positional_map_of(table))
-    assert cache_dump(engine_a.cache_of(table)) == \
-        cache_dump(engine_b.cache_of(table))
+def content(engine, table="m"):
+    """The map's content without chunk grouping, and the cache."""
+    state = digest(engine, [table])
+    return pm_content(state[f"{table}.pm"]), state[f"{table}.cache"]
 
 
 def micro_engine(rows=600, block=64, **config_kwargs):
@@ -180,63 +153,13 @@ class TestConcurrentDifferential:
     @pytest.mark.parametrize("block_size", [16, 64, 128])
     def test_structures_identical_to_serial(self, block_size):
         serial, inter = serial_vs_interleaved(block_size)
-        assert_content_match(inter, serial, table="m")
+        assert content(inter) == content(serial)
 
     def test_structures_identical_without_cache(self):
         serial, inter = serial_vs_interleaved(64, enable_cache=False)
-        assert canonical_pm(inter.positional_map_of("m")) == \
-            canonical_pm(serial.positional_map_of("m"))
+        assert content(inter) == content(serial)
 
     def test_structures_identical_without_pm(self):
         serial, inter = serial_vs_interleaved(
             64, enable_positional_map=False)
-        assert cache_dump(inter.cache_of("m")) == \
-            cache_dump(serial.cache_of("m"))
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_workloads_interleaved_match_scalar_oracle(self, seed):
-        """Extend the PR 1 differential harness: the batch engine's
-        results fetched through interleaved streaming cursors must
-        still match the scalar oracle and the loaded engine. Structure
-        contract under interleaving follows the PR 1 partial-scan
-        precedent: mid-workload the batch and scalar engines' scans sit
-        at different file offsets (different flush granularity), so
-        their maps may transiently differ — but after a completed
-        full-coverage scan both engines must converge to identical
-        content."""
-        rng = random.Random(31000 + seed)
-        schema = random_schema(rng)
-        rows = random_table(rng, schema)
-        block_size = rng.choice([1, 3, 8, 17, 64])
-        raw_batch, raw_scalar, loaded = build_engines(schema, rows,
-                                                      block_size)
-        batch_s = repro.connect(engine=raw_batch)
-        scalar_s = repro.connect(engine=raw_scalar)
-        for _ in range(4):
-            sql_a = random_query(rng, schema)
-            sql_b = random_query(rng, schema)
-            cur_ab = batch_s.execute(sql_a)
-            cur_bb = batch_s.execute(sql_b)
-            cur_as = scalar_s.execute(sql_a)
-            cur_bs = scalar_s.execute(sql_b)
-            got = {cur: [] for cur in (cur_ab, cur_bb, cur_as, cur_bs)}
-            live = True
-            while live:
-                live = False
-                for cur in got:
-                    chunk = cur.fetchmany(7)
-                    got[cur].extend(chunk)
-                    live = live or bool(chunk)
-            for sql, cur_b, cur_s in ((sql_a, cur_ab, cur_as),
-                                      (sql_b, cur_bb, cur_bs)):
-                reference = normalized(loaded.query(sql))
-                assert sorted(map(repr, got[cur_b])) == reference, sql
-                assert sorted(map(repr, got[cur_s])) == reference, sql
-        # Convergence: one serial full-coverage scan on each engine
-        # must leave identical map content and byte-identical caches.
-        columns = ", ".join(c.name for c in schema.columns)
-        convergence = f"SELECT {columns} FROM t"
-        assert normalized(raw_batch.query(convergence)) == \
-            normalized(raw_scalar.query(convergence)) == \
-            normalized(loaded.query(convergence))
-        assert_content_match(raw_batch, raw_scalar)
+        assert content(inter) == content(serial)

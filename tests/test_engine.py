@@ -424,6 +424,35 @@ class TestEngineClose:
         assert all(child.pm.known_line_count == 0 for child in children)
         assert engine.query(sql).rows == expected
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_scan_abandoned_after_close_leaves_table_queryable(self, fmt,
+                                                               workers):
+        """A file inside one row block, indexed before ``close()``: the
+        first scan after it re-indexes every line in its one group and
+        is abandoned before it learns the file length. The row count
+        from before ``close()`` must not let the next scan take those
+        line starts for a complete index."""
+        vfs = VirtualFS()
+        rows = [(i, i % 7) for i in range(40)]
+        if fmt == "csv":
+            vfs.create("t.csv", write_csv([list(map(str, r))
+                                           for r in rows]))
+        else:
+            write_jsonl([{"a": a, "b": b} for a, b in rows], vfs, "t.jsonl")
+        engine = PostgresRaw(vfs=vfs, config=PostgresRawConfig(
+            row_block_size=64, scan_workers=workers))
+        engine.query(f"CREATE TABLE t (a INTEGER, b INTEGER) USING {fmt} "
+                     f"OPTIONS (path 't.{fmt}')")
+        assert engine.query("SELECT count(*) FROM t").rows == [(40,)]
+        engine.close()
+        cursor = repro.connect(engine).execute("SELECT a, b FROM t")
+        assert cursor.fetchmany(3) == rows[:3]
+        cursor.close()
+        for _ in range(2):
+            assert engine.query("SELECT a FROM t").rows == \
+                [(a,) for a, _ in rows]
+
     def test_scan_streaming_across_close_fails_cleanly(self):
         engine = self._engine(VirtualFS(), row_block_size=16)
         cursor = repro.connect(engine).execute("SELECT a FROM t")

@@ -8,7 +8,9 @@ The fault-tolerance contract under test:
   NULL-fill the unparseable values.
 * Results, counters, virtual-clock time and positional-map / binary-
   cache structure dumps are bit-identical at any ``scan_workers``
-  count, faults or no faults.
+  count, faults or no faults — under every error policy, kernels on
+  or off, CSV and JSONL: the lockstep harness's ``workers``,
+  ``faults`` and ``kernels`` axes (``tests/oracle/digest.py``).
 * Every injected fault surfaces as a typed error or as counted
   degradation (``io_retries`` / ``rows_rejected`` / ``aux_rebuilds``)
   — never a crash, a wrong answer, or corrupted auxiliary state.
@@ -32,8 +34,6 @@ from repro.api.exceptions import (
 from repro.errors import IOFaultError, QueryTimeoutError
 from repro.simcost.clock import CostEvent
 from repro.storage.faults import FaultInjectingVFS
-
-from test_batch_differential import cache_dump, pm_dump
 
 DIRTY_CSV = (b"1,alice,30\n"
              b"2,bob,notanint\n"      # bad value in 'age'
@@ -179,70 +179,6 @@ def test_jsonl_policies():
     with pytest.raises(DataError) as err:
         cur3.fetchall()
     assert err.value.code == "JSONL_FORMAT"
-
-
-# ---------------------------------------------------------------------------
-# Worker-count bit-identity under error policies
-# ---------------------------------------------------------------------------
-def run_policy_workload(workers, on_error, kernels=True):
-    ses, cur, vfs = make_session(
-        on_error=on_error, scan_workers=workers, row_block_size=2,
-        scan_kernels=kernels)
-    out = []
-    for sql in ("SELECT id, age FROM t WHERE age > 0",
-                "SELECT name FROM t",
-                "SELECT id, age FROM t WHERE age > 0",   # warm
-                "SELECT count(*) FROM t"):
-        cur.execute(sql)
-        out.append(cur.fetchall())
-    engine = ses.engine
-    state = (out,
-             pm_dump(engine.positional_map_of("t")),
-             cache_dump(engine.cache_of("t")),
-             dict(engine.clock.counters),
-             engine.clock.now(),
-             vfs.read_bytes("__rejects__/t")
-             if vfs.exists("__rejects__/t") else None)
-    ses.close()
-    return state
-
-
-@pytest.mark.parametrize("on_error", ["skip", "null"])
-def test_policy_bit_identity_across_workers(on_error):
-    baseline = run_policy_workload(1, on_error)
-    for workers in (2, 4):
-        assert run_policy_workload(workers, on_error) == baseline
-
-
-def test_policy_bit_identity_kernels_on_off():
-    def strip_kernel_counters(state):
-        out, pm, cache, counters, elapsed, rejects = state
-        counters = {key: value for key, value in counters.items()
-                    if "kernel" not in str(key).lower()}
-        return out, pm, cache, counters, elapsed, rejects
-    # Kernel probe/bailout events are the only permitted difference —
-    # results, structures, rejects and the clock match exactly.
-    assert (strip_kernel_counters(run_policy_workload(1, "skip",
-                                                      kernels=False))
-            == strip_kernel_counters(run_policy_workload(4, "skip",
-                                                         kernels=True)))
-
-
-def test_jsonl_skip_bit_identity_across_workers():
-    def run(workers):
-        ses, cur, vfs = make_session(
-            data=DIRTY_JSONL, on_error="skip", fmt="jsonl",
-            scan_workers=workers, row_block_size=2)
-        cur.execute("SELECT id, age FROM t")
-        rows = cur.fetchall()
-        cur.execute("SELECT id, age FROM t")   # warm
-        rows2 = cur.fetchall()
-        state = (rows, rows2, dict(ses.engine.clock.counters),
-                 ses.engine.clock.now(),
-                 vfs.read_bytes("__rejects__/t"))
-        ses.close()
-        return state
-    assert run(1) == run(2) == run(4)
 
 
 # ---------------------------------------------------------------------------

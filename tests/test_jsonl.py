@@ -1,7 +1,14 @@
 """JSON-Lines adapter: the registry's openness proof.
 
-The differential harness queries the same logical data as CSV and as
-JSONL and demands identical results; the adaptive-structure tests
+The lockstep harness's ``twin`` axis (``tests/oracle/digest.py``)
+queries the same logical rows as CSV and as JSONL — lines mixing member
+order, key case, whitespace, missing members and nested extras — and
+demands the same rows, row numbers, cache contents, statistics and
+every priced counter but byte geometry, cold, warm and after file
+changes, under every error policy and worker count. Here: fixed
+differentials, the tokenizer and the block structural index against
+the per-line walk, trailing data and VARCHAR decoding; the
+adaptive-structure tests
 assert the NoDB mechanisms carry over — warm scans stop tokenizing and
 converting (binary cache), the positional map's line index kills
 newline discovery, and its value-position chunks shrink tokenization
@@ -24,13 +31,12 @@ from repro import (
     FLOAT,
     INTEGER,
     PostgresRaw,
-    PostgresRawConfig,
     Schema,
     VirtualFS,
     varchar,
 )
 from repro.core.positional_map import NO_POS
-from repro.errors import FormatError, JSONLFormatError
+from repro.errors import JSONLFormatError
 from repro.formats.jsonl import (
     block_member_spans,
     member_spans,
@@ -38,13 +44,7 @@ from repro.formats.jsonl import (
     write_jsonl,
 )
 from repro.sql.catalog import Column
-
-from tests.test_batch_differential import (
-    cache_dump,
-    column_stats,
-    nul_outcome,
-    pm_dump,
-)
+from tests.oracle.digest import build_engine
 
 ROWS = [
     {"id": 1, "name": "alice", "height": 170.5, "born": "2001-05-20",
@@ -79,22 +79,13 @@ def csv_payload() -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def make_pair(config=None, jsonl_config=None):
+def make_pair(**config):
     """One engine over the CSV rendering, one over the JSONL rendering
     of the same logical rows."""
-    csv_vfs = VirtualFS()
-    csv_vfs.create("t.csv", csv_payload())
-    csv_db = PostgresRaw(vfs=csv_vfs, config=config)
-    csv_db.query("CREATE TABLE t (id INTEGER, name VARCHAR, "
-                 "height FLOAT, born DATE, note VARCHAR) USING csv "
-                 "OPTIONS (path 't.csv', delimiter ';')")
-    jsonl_vfs = VirtualFS()
-    write_jsonl(ROWS, jsonl_vfs, "t.jsonl")
-    jsonl_db = PostgresRaw(vfs=jsonl_vfs, config=jsonl_config or config)
-    jsonl_db.query("CREATE TABLE t (id INTEGER, name VARCHAR, "
-                   "height FLOAT, born DATE, note VARCHAR) USING jsonl "
-                   "OPTIONS (path 't.jsonl')")
-    return csv_db, jsonl_db
+    jsonl = "".join(json.dumps(row) + "\n" for row in ROWS).encode()
+    return (build_engine({"t": (schema(), csv_payload())},
+                         options=", delimiter ';'", **config),
+            build_engine({"t": (schema(), jsonl)}, "jsonl", **config))
 
 
 QUERIES = [
@@ -129,8 +120,7 @@ class TestDifferential:
             assert warm == cold
 
     def test_small_blocks_differential(self):
-        config = PostgresRawConfig(row_block_size=2)
-        csv_db, jsonl_db = make_pair(config, config)
+        csv_db, jsonl_db = make_pair(row_block_size=2)
         for query in QUERIES:
             assert jsonl_db.query(query).rows == csv_db.query(query).rows
 
@@ -180,8 +170,7 @@ class TestAdaptiveStructures:
         """Cache off, map on: the second query still re-converts, but
         known value positions mean it tokenizes only the value bytes it
         needs instead of whole lines."""
-        config = PostgresRawConfig(enable_cache=False)
-        _csv_db, jsonl_db = make_pair(jsonl_config=config)
+        _csv_db, jsonl_db = make_pair(enable_cache=False)
         query = "SELECT height FROM t WHERE id > 0"
         cold = jsonl_db.query(query)
         warm = jsonl_db.query(query)
@@ -224,8 +213,7 @@ class TestAdaptiveStructures:
                               ).rows == [("frank",)]
 
     def test_streaming_cursor_abandons_cleanly(self):
-        _csv_db, jsonl_db = make_pair(
-            jsonl_config=PostgresRawConfig(row_block_size=2))
+        _csv_db, jsonl_db = make_pair(row_block_size=2)
         session = repro.connect(engine=jsonl_db)
         cursor = session.execute("SELECT id FROM t")
         assert cursor.fetchmany(2) == [(1,), (2,)]
@@ -378,17 +366,6 @@ class TestNumericFastPath:
                  "OPTIONS (path 'n.jsonl')")
         rows = db.query("SELECT a, b FROM n WHERE a >= 0").rows
         assert rows == [(i, i / 8) for i in range(64)]
-
-
-@pytest.mark.parametrize("workers", [1, 4])
-@pytest.mark.parametrize("region", ["streaming", "indexed"])
-@pytest.mark.parametrize("on_error", ["fail", "skip", "null"])
-def test_nul_padded_numeric_matches_csv_twin(on_error, region, workers):
-    """``{"a": 5\\x00}`` raises / is skipped / is NULLed exactly like
-    ``5\\x00`` in the CSV rendering of the same rows — same messages,
-    row numbers, ``rows_rejected`` and quarantine records."""
-    assert nul_outcome("jsonl", on_error, region, scan_workers=workers) \
-        == nul_outcome("csv", on_error, region, scan_workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -590,99 +567,6 @@ class TestBlockIndex:
 
 
 # ---------------------------------------------------------------------------
-# Engine level: a mixed-layout file against its CSV twin
-# ---------------------------------------------------------------------------
-MIXED_BAD_ROW = 17
-
-
-def mixed_rows() -> list[tuple]:
-    rows = []
-    for i in range(60):
-        a = None if i % 6 == 2 else (i * 37) % 101 - 50
-        if i == MIXED_BAD_ROW:
-            a = "x"                                 # unparseable INTEGER
-        s = f'q"x{i}' if i % 7 == 4 else (f"é{i}" if i % 8 == 7
-                                          else f"s{i}")
-        rows.append((i, a, i * 1.25, s))
-    return rows
-
-
-def mixed_jsonl(rows) -> bytes:
-    lines = []
-    for i, a, b, s in rows:
-        a_text = "null" if a is None else json.dumps(a)
-        s_text = json.dumps(s, ensure_ascii=False)
-        members = [f'"id": {i}', f'"a": {a_text}', f'"b": {b!r}',
-                   f'"s": {s_text}']
-        if a is None and i % 12 == 2:
-            del members[1]                          # missing member
-        if i % 4 == 1:
-            members.reverse()                       # another order
-        if i % 5 == 3:
-            members.append('"extra": [1, {"k": "}"}]')   # nested
-        if i % 10 == 6:
-            members[0] = members[0].upper()         # "ID": ...
-        line = "{" + ", ".join(members) + "}"
-        if i % 9 == 5:
-            line = "\t" + line.replace(": ", " :\t") + " \r"
-        lines.append(line)
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def mixed_csv(rows) -> bytes:
-    return "".join(f"{i};{'' if a is None else a};{b!r};{s}\n"
-                   for i, a, b, s in rows).encode("utf-8")
-
-
-MIXED_QUERIES = [
-    "SELECT id, b, s FROM t WHERE id >= 0",
-    "SELECT id, a, s FROM t WHERE b < 40",
-    "SELECT count(*), sum(b) FROM t WHERE s LIKE 'q%'",
-    "SELECT id, a FROM t WHERE a > 0",
-]
-
-
-def mixed_outcome(fmt: str, on_error: str, workers: int):
-    vfs = VirtualFS()
-    rows = mixed_rows()
-    vfs.create(f"t.{fmt}", mixed_jsonl(rows) if fmt == "jsonl"
-               else mixed_csv(rows))
-    engine = PostgresRaw(vfs=vfs, config=PostgresRawConfig(
-        row_block_size=8, scan_workers=workers))
-    extra = ", delimiter ';'" if fmt == "csv" else ""
-    engine.query(f"CREATE TABLE t (id INTEGER, a INTEGER, b FLOAT, "
-                 f"s VARCHAR) USING {fmt} OPTIONS (path 't.{fmt}', "
-                 f"on_error '{on_error}'{extra})")
-    answers = []
-    for sql in MIXED_QUERIES * 2:                  # cold, then warm
-        try:
-            answers.append(engine.query(sql).rows)
-        except FormatError as exc:
-            answers.append((str(exc), exc.context["row_number"]))
-    structures = (pm_dump(engine.positional_map_of("t")),
-                  cache_dump(engine.cache_of("t")),
-                  engine.counters(), engine.clock.seconds)
-    return answers, structures
-
-
-@pytest.mark.parametrize("on_error", ["fail", "skip", "null"])
-def test_mixed_layouts_match_csv_twin_at_any_worker_count(on_error):
-    answers, serial = mixed_outcome("jsonl", on_error, 1)
-    csv_answers, _ = mixed_outcome("csv", on_error, 1)
-    assert answers == csv_answers
-    rows = mixed_rows()
-    assert answers[0] == [(i, b, s) for i, _, b, s in rows]
-    if on_error == "fail":
-        assert (answers[1][1], answers[3][1]) == (MIXED_BAD_ROW,) * 2
-    else:
-        assert answers[1] == [
-            (i, None if i == MIXED_BAD_ROW else a, s)
-            for i, a, b, s in rows
-            if b < 40 and (on_error == "null" or i != MIXED_BAD_ROW)]
-    assert mixed_outcome("jsonl", on_error, 4) == (answers, serial)
-
-
-# ---------------------------------------------------------------------------
 # Trailing data after the object: an error, never a silently dropped row
 # ---------------------------------------------------------------------------
 TRAILING_LINES = [b'{"a": 0}', b'{"a": 1} {"a": 2}', b'{"a": 3}xyz',
@@ -744,83 +628,3 @@ def test_varchar_control_character_still_raises():
     with pytest.raises(JSONLFormatError, match="bad string value") as info:
         engine.query("SELECT s FROM s")
     assert info.value.context["row_number"] == 1
-
-
-# ---------------------------------------------------------------------------
-# One block compute: a JSONL table charges what its CSV twin charges
-# ---------------------------------------------------------------------------
-#: every priced event that does not depend on byte geometry (how many
-#: bytes a line holds, where a value sits in it)
-TWIN_COUNTERS = ("cache_read", "cache_write", "convert_int",
-                 "convert_float", "convert_str", "convert_date",
-                 "predicate_eval", "tuple_form", "tuple_overhead",
-                 "stats_sample")
-
-#: each round touches attributes the previous ones did not, so §4.4
-#: sampling also runs over the indexed region — with a cached
-#: WHERE∩SELECT column (`b`, `c`) among them
-TWIN_QUERIES = [
-    "SELECT a, c FROM t WHERE a < 4",
-    "SELECT b, c FROM t WHERE b < 3",
-    "SELECT d FROM t WHERE c > 10.5",
-    "SELECT count(*) FROM t WHERE e < DATE '2005-01-01'",
-    "SELECT a, b, d, e FROM t",
-]
-
-
-def twin_rows(first: int, count: int) -> list[tuple]:
-    return [(i % 10, None if i % 9 == 4 else i % 7, f"{(i * 7.3) % 40:.2f}",
-             f"v{i % 13}",
-             f"{1995 + i % 20}-{1 + i % 12:02d}-{1 + i % 28:02d}")
-            for i in range(first, first + count)]
-
-
-def twin_payload(fmt: str, rows) -> bytes:
-    if fmt == "csv":
-        return "".join(f"{a},{'' if b is None else b},{c},{d},{e}\n"
-                       for a, b, c, d, e in rows).encode()
-    return "".join(
-        f'{{"a": {a}, "b": {"null" if b is None else b}, "c": {c}, '
-        f'"d": "{d}", "e": "{e}"}}\n' for a, b, c, d, e in rows).encode()
-
-
-def twin_engine(fmt: str, **config_kwargs) -> PostgresRaw:
-    vfs = VirtualFS()
-    vfs.create(f"t.{fmt}", twin_payload(fmt, twin_rows(0, 300)))
-    engine = PostgresRaw(vfs=vfs, config=PostgresRawConfig(
-        row_block_size=32, stats_sample_target=7, **config_kwargs))
-    engine.query(f"CREATE TABLE t (a INTEGER, b INTEGER, c FLOAT, "
-                 f"d VARCHAR, e DATE) USING {fmt} OPTIONS (path 't.{fmt}')")
-    return engine
-
-
-def twin_counters(engine) -> dict:
-    counters = engine.counters()
-    return {name: counters.get(name, 0) for name in TWIN_COUNTERS}
-
-
-@pytest.mark.parametrize("budget", [None, 8000])
-@pytest.mark.parametrize("kernels", [True, False])
-@pytest.mark.parametrize("workers", [1, 4])
-def test_jsonl_charges_what_its_csv_twin_charges(workers, kernels, budget):
-    """Cold, warm, under a cache budget and after an append: same rows,
-    same non-geometry counters, same §4.4 reservoirs."""
-    engines = {fmt: twin_engine(fmt, scan_workers=workers,
-                                scan_kernels=kernels,
-                                cache_budget_bytes=budget)
-               for fmt in ("csv", "jsonl")}
-    for phase in ("cold", "warm", "appended"):
-        if phase == "appended":
-            for fmt, engine in engines.items():
-                engine.vfs.append_bytes(f"t.{fmt}", twin_payload(
-                    fmt, twin_rows(300, 45)))
-        for sql in TWIN_QUERIES:
-            csv_rows = engines["csv"].query(sql).rows
-            assert engines["jsonl"].query(sql).rows == csv_rows, (phase, sql)
-            assert twin_counters(engines["jsonl"]) == \
-                twin_counters(engines["csv"]), (phase, sql)
-    stats = column_stats(engines["csv"])
-    assert len(stats) == 5
-    assert column_stats(engines["jsonl"]) == stats
-    if budget is not None:
-        assert engines["jsonl"].cache_of("t").evictions > 0

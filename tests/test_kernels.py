@@ -1,16 +1,15 @@
-"""Scan kernels: differential fuzz + the per-scan decision.
+"""Scan kernels: the per-scan decision and the per-block accounting.
 
 The kernel path (``repro.kernels``) — the cached-block fast path of the
 generic batch scan — must be *invisible* except in wall-clock time and
-its own zero-priced counters. The contract under test:
+its own zero-priced counters: identical result sequences, PM/cache
+dumps and LRU orders, every non-``kernel_*`` counter and the virtual
+clock, kernels on vs off. That is the lockstep harness's ``kernels``
+axis (``tests/oracle/digest.py``): random schemas, both formats, 1 and
+4 workers, cache / PM budgets that keep the cache evicting while the
+fast path runs, sessions and one-shot ``Database.query`` alike. What
+stays here:
 
-* **On-vs-off parity** — identical result sequences, positional-map
-  and binary-cache dumps *and LRU orders*, every non-``kernel_*``
-  counter and the virtual clock itself, with 1 and 4 scan workers, over
-  seeded random schemas/data/workloads (CSV) and JSONL tables —
-  unbudgeted, and under cache / positional-map budgets small enough
-  that evictions interleave with the fast path — through a session and
-  through one-shot ``Database.query`` alike.
 * **One unit per block** — every indexed block offered to the fast
   path counts exactly one ``kernel_hits`` (served) or
   ``kernel_bailouts`` (probed and missed).
@@ -29,80 +28,33 @@ import random
 import pytest
 
 import repro
-from repro import FLOAT, INTEGER, PostgresRaw, PostgresRawConfig, Schema, \
-    VirtualFS
+from repro import INTEGER, PostgresRaw, PostgresRawConfig, Schema, VirtualFS
 from repro.core.blockscan import BlockScan
 from repro.formats.csvfmt import write_csv
 from repro.formats.jsonl import write_jsonl
-
-from tests.test_batch_differential import (
-    cache_dump,
-    pm_dump,
-    random_query,
-    random_schema,
-    random_table,
-    random_text_value,
-)
-from tests.test_batch_operators_differential import (
+from tests.oracle.digest import (
     PAIR_PREDICATES,
     PAIR_SCHEMA,
+    build_engine,
+    digest,
+    kernels_free,
+    numeric_table,
     pair_table,
 )
-
-WORKER_COUNTS = (1, 4)
-#: the two ways a query reaches the scan
-ENTRIES = ("session", "query")
 
 
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
-def kernel_engine(schema, payload: bytes, workers: int, kernels: bool,
-                  block_size: int = 16, **config_kwargs) -> PostgresRaw:
-    vfs = VirtualFS()
-    vfs.create("t.csv", payload)
-    engine = PostgresRaw(
-        config=PostgresRawConfig(row_block_size=block_size,
-                                 scan_workers=workers,
-                                 scan_kernels=kernels, **config_kwargs),
-        vfs=vfs)
-    engine.register_csv("t", "t.csv", schema)
-    return engine
+def kernel_pair(schema, rows, block_size=16, **config):
+    """The same table, kernels on and kernels off."""
+    return [build_engine({"t": (schema, rows)}, row_block_size=block_size,
+                         scan_kernels=kernels, **config)
+            for kernels in (True, False)]
 
 
-def runner(engine, entry: str):
-    """``run(sql) -> rows`` through a session or ``Database.query``."""
-    if entry == "session":
-        session = repro.connect(engine)
-        return lambda sql: session.execute(sql).fetchall()
-    return lambda sql: engine.query(sql).rows
-
-
-#: budget regimes the parity fuzz runs under: ``None`` is the
-#: unbudgeted engine over random mixed-type tables; the rest run over
-#: NULL-free numeric tables — so blocks actually commit — with budgets
-#: that keep the cache (and map) evicting while the fast path runs.
-PRESSURE = [
-    None,
-    dict(cache_budget_bytes=600, pm_budget_bytes=None,
-         enable_statistics=True),
-    dict(cache_budget_bytes=1500, pm_budget_bytes=800,
-         enable_statistics=False),
-    dict(cache_budget_bytes=4000, pm_budget_bytes=3000,
-         enable_statistics=True),
-    dict(cache_budget_bytes=4000, enable_positional_map=False,
-         enable_statistics=False),
-]
-
-
-def numeric_table(rng):
-    """A NULL-free INTEGER/FLOAT schema and its rows."""
-    schema = Schema([(f"c{i}", rng.choice([INTEGER, FLOAT]))
-                     for i in range(rng.randint(3, 6))])
-    rows = [[random_text_value(rng, col.dtype, nullable=False)
-             for col in schema.columns]
-            for _ in range(rng.randint(40, 160))]
-    return schema, rows
+def same_state(on, off) -> bool:
+    return kernels_free(digest(on, ["t"])) == kernels_free(digest(off, ["t"]))
 
 
 def count_kernel_attempts(monkeypatch) -> list:
@@ -119,36 +71,6 @@ def count_kernel_attempts(monkeypatch) -> list:
     return attempts
 
 
-def assert_one_unit_per_block(engine, attempts, pressure):
-    """Every block offered counts exactly one hit or one bailout. Under
-    the roomiest budget a query's columns fit the cache, so the fast
-    path must have committed some of them; under the tighter ones every
-    block may bail — the all-bailout regime is their point."""
-    counters = kernel_counters(engine)
-    assert counters.get("kernel_hits", 0) + \
-        counters.get("kernel_bailouts", 0) == len(attempts)
-    if pressure is not None and pressure["cache_budget_bytes"] >= 4000:
-        assert counters.get("kernel_hits", 0) > 0
-
-
-def comparable_state(engine, table="t"):
-    """Everything the parity contract covers — kernel_* counters are
-    the kernel path's own observability and are excluded. The LRU key
-    orders pin that a probe never touches recency and that a committed
-    block touches it in the generic order."""
-    pm = engine.positional_map_of(table)
-    cache = engine.cache_of(table)
-    return {
-        "pm": pm_dump(pm),
-        "cache": cache_dump(cache),
-        "pm_lru": None if pm is None else list(pm._chunks),
-        "cache_lru": None if cache is None else list(cache._blocks),
-        "counters": {k: v for k, v in engine.counters().items()
-                     if not k.startswith("kernel_")},
-        "clock": engine.clock.now(),
-    }
-
-
 def kernel_counters(engine):
     return {k: v for k, v in engine.counters().items()
             if k.startswith("kernel_")}
@@ -160,137 +82,61 @@ def explain_kernel_lines(session, sql):
             if row[0].startswith("kernel:")]
 
 
-# ---------------------------------------------------------------------------
-# Differential fuzz: kernels on vs off must be invisible
-# ---------------------------------------------------------------------------
-class TestKernelDifferentialFuzz:
-    @pytest.mark.parametrize("entry", ENTRIES)
-    @pytest.mark.parametrize("pressure", PRESSURE)
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    @pytest.mark.parametrize("seed", range(6))
-    def test_csv_random_workloads_match(self, seed, workers, pressure,
-                                        entry, monkeypatch):
-        rng = random.Random(72000 + seed)
-        if pressure is None:
-            schema = random_schema(rng)
-            rows = random_table(rng, schema)
-        else:
-            schema, rows = numeric_table(rng)
-        payload = write_csv(rows)
-        block_size = rng.choice([3, 8, 17, 64])
-        queries = [random_query(rng, schema) for _ in range(5)]
-        attempts = count_kernel_attempts(monkeypatch)
+#: workloads whose every block offered to the fast path must count one
+#: unit: a budgeted numeric CSV table whose blocks commit (so the path
+#: serves some), a JSONL table and the column-pair / LIKE predicates
+UNIT_WORKLOADS = {
+    "csv under a cache budget": "csv",
+    "jsonl": "jsonl",
+    "column pairs": "pair",
+}
 
-        on = kernel_engine(schema, payload, workers, True, block_size,
-                           **(pressure or {}))
-        off = kernel_engine(schema, payload, workers, False, block_size,
-                            **(pressure or {}))
-        run_on, run_off = runner(on, entry), runner(off, entry)
-        for sql in queries:
-            for _ in range(3):  # cold + two warm executions per shape
-                rows_on = run_on(sql)
-                rows_off = run_off(sql)
-                assert rows_on == rows_off, f"seed={seed}: {sql!r}"
-                assert comparable_state(on) == comparable_state(off), \
-                    f"seed={seed} diverged after {sql!r}"
-        assert kernel_counters(off) == {}
-        assert_one_unit_per_block(on, attempts, pressure)
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_column_pair_and_like_predicates_match(self, workers,
-                                                   monkeypatch):
-        """Column-vs-column comparisons and LIKE masks are vectorized,
-        so their scans are kernel-eligible: on-vs-off must stay
-        invisible for them too (string columns and NULLs bail per
-        block)."""
-        attempts = count_kernel_attempts(monkeypatch)
-        rng = random.Random(72500)
-        payload = write_csv(pair_table(rng, 150))
-        on = kernel_engine(PAIR_SCHEMA, payload, workers, True)
-        off = kernel_engine(PAIR_SCHEMA, payload, workers, False)
-        s_on, s_off = repro.connect(on), repro.connect(off)
-        for predicate in PAIR_PREDICATES:
-            sql = f"SELECT x, d1, f2 FROM t WHERE {predicate}"
-            assert explain_kernel_lines(s_on, sql) == \
-                ["kernel: cached-block [t]"], predicate
-            explain_kernel_lines(s_off, sql)  # same EXPLAIN charges
-            for _ in range(2):  # cold + warm execution of each shape
-                assert s_on.execute(sql).fetchall() == \
-                    s_off.execute(sql).fetchall(), predicate
-            assert comparable_state(on) == comparable_state(off), predicate
-        assert attempts
-        assert_one_unit_per_block(on, attempts, None)
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("workload", list(UNIT_WORKLOADS))
+def test_one_unit_per_indexed_block(workload, workers, monkeypatch):
+    attempts = count_kernel_attempts(monkeypatch)
+    rng = random.Random(72000)
+    kind = UNIT_WORKLOADS[workload]
+    if kind == "pair":
+        schema, rows = PAIR_SCHEMA, pair_table(rng, 150)
+        queries = [f"SELECT x, d1, f2 FROM t WHERE {p}"
+                   for p in PAIR_PREDICATES]
+    else:
+        schema, rows = numeric_table(rng)
+        names = [c.name for c in schema.columns]
+        queries = [f"SELECT {names[0]}, {names[1]} FROM t "
+                   f"WHERE {names[2]} < 5000",
+                   f"SELECT {names[2]} FROM t WHERE {names[0]} >= 0",
+                   f"SELECT sum({names[1]}) FROM t"]
+    config = dict(cache_budget_bytes=4000) if kind == "csv" else {}
+    engine = build_engine({"t": (schema, rows)},
+                          "jsonl" if kind == "jsonl" else "csv",
+                          row_block_size=16, scan_workers=workers,
+                          scan_kernels=True, enable_statistics=False,
+                          **config)
+    session = repro.connect(engine)
+    for sql in queries:
+        if kind == "pair":
+            assert explain_kernel_lines(session, sql) == \
+                ["kernel: cached-block [t]"], sql
+        for _ in range(2):
+            session.execute(sql).fetchall()
+    counters = kernel_counters(engine)
+    assert attempts
+    assert counters.get("kernel_hits", 0) + \
+        counters.get("kernel_bailouts", 0) == len(attempts)
+    assert counters.get("kernel_hits", 0) > 0
 
-    def test_ineligible_reason_names_the_offending_conjunct(self):
-        engine = kernel_engine(PAIR_SCHEMA, write_csv(pair_table(
-            random.Random(1), 5)), 1, True)
-        lines = explain_kernel_lines(
-            repro.connect(engine),
-            "SELECT x FROM t WHERE i1 < i2 AND i1 + i2 > 3")
-        assert lines == ["kernel: none (predicate not vectorizable: "
-                         "((c:i1+c:i2)>lit)) [t]"]
 
-    @pytest.mark.parametrize("entry", ENTRIES)
-    @pytest.mark.parametrize("pressure", PRESSURE)
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_jsonl_workloads_match(self, workers, pressure, entry,
-                                   monkeypatch):
-        # Under a budget c is numeric and the table short: every column
-        # can be served, and the roomiest budget holds a query's blocks.
-        rows = [{"a": i, "b": i % 23,
-                 "c": f"s{i % 7}" if pressure is None else i % 7,
-                 "d": i * 0.25}
-                for i in range(400 if pressure is None else 128)]
-        c_type = "VARCHAR" if pressure is None else "INTEGER"
-        attempts = count_kernel_attempts(monkeypatch)
-
-        def build(kernels):
-            vfs = VirtualFS()
-            write_jsonl(rows, vfs, "t.jsonl")
-            engine = PostgresRaw(
-                config=PostgresRawConfig(row_block_size=32,
-                                         scan_workers=workers,
-                                         scan_kernels=kernels,
-                                         **(pressure or {})),
-                vfs=vfs)
-            engine.query(
-                f"CREATE TABLE t (a INTEGER, b INTEGER, c {c_type}, "
-                "d FLOAT) USING jsonl OPTIONS (path 't.jsonl')")
-            return engine
-
-        on, off = build(True), build(False)
-        run_on, run_off = runner(on, entry), runner(off, entry)
-        queries = [
-            "SELECT a, d FROM t WHERE b < 7",       # cold: streaming
-            "SELECT c FROM t WHERE a >= 150",       # bail: a not cached
-            "SELECT a, b, c, d FROM t",             # no predicate
-            "SELECT sum(d) FROM t WHERE b = 3",     # aggregate above scan
-        ]
-        for sql in queries:
-            for _ in range(3):
-                assert run_on(sql) == run_off(sql), sql
-                assert comparable_state(on) == comparable_state(off), sql
-        assert kernel_counters(off) == {}
-        assert_one_unit_per_block(on, attempts, pressure)
-
-    def test_worker_counts_identical_with_kernels(self):
-        """The kernel path preserves PR-4's worker-invariance contract:
-        1 and 4 workers agree on everything, kernels on."""
-        rng = random.Random(9151)
-        schema = random_schema(rng)
-        payload = write_csv(random_table(rng, schema))
-        queries = [random_query(rng, schema) for _ in range(4)]
-        engines = {w: kernel_engine(schema, payload, w, True, 8)
-                   for w in WORKER_COUNTS}
-        sessions = {w: repro.connect(engines[w]) for w in WORKER_COUNTS}
-        for sql in queries:
-            results = {w: sessions[w].execute(sql).fetchall()
-                       for w in WORKER_COUNTS}
-            assert results[4] == results[1], sql
-            # Same blocks bail on both sides: kernel_* counters match.
-            assert engines[4].counters() == engines[1].counters(), sql
-            assert comparable_state(engines[4]) == \
-                comparable_state(engines[1]), sql
+def test_ineligible_reason_names_the_offending_conjunct():
+    engine = build_engine({"t": (PAIR_SCHEMA, pair_table(
+        random.Random(1), 5))}, row_block_size=16, scan_kernels=True)
+    lines = explain_kernel_lines(
+        repro.connect(engine),
+        "SELECT x FROM t WHERE i1 < i2 AND i1 + i2 > 3")
+    assert lines == ["kernel: none (predicate not vectorizable: "
+                     "((c:i1+c:i2)>lit)) [t]"]
 
 
 # ---------------------------------------------------------------------------
@@ -305,17 +151,14 @@ class TestKernelBailouts:
         # Without §4.4 sampling every warm scan may probe: warm `a`
         # only; then the predicate on the uncached `b` must bail per
         # block on the first run and go fully fused on the second.
-        on = kernel_engine(schema, write_csv(rows), 1, True, 16,
-                           enable_statistics=False)
-        off = kernel_engine(schema, write_csv(rows), 1, False, 16,
-                            enable_statistics=False)
+        on, off = kernel_pair(schema, rows, enable_statistics=False)
         s_on, s_off = repro.connect(on), repro.connect(off)
         for sql in ("SELECT a FROM t WHERE a < 40",
                     "SELECT a FROM t WHERE b = 3",
                     "SELECT a FROM t WHERE b = 3"):
             assert s_on.execute(sql).fetchall() == \
                 s_off.execute(sql).fetchall(), sql
-            assert comparable_state(on) == comparable_state(off), sql
+            assert same_state(on, off), sql
         counters = kernel_counters(on)
         assert counters.get("kernel_bailouts", 0) > 0
         assert counters.get("kernel_hits", 0) > 0
@@ -336,7 +179,8 @@ class TestKernelBailouts:
         monkeypatch.setattr(BlockScan, "_compute_stream_group", counting)
         rows = [[str(i), str(i % 11)] for i in range(80)]
         schema = Schema([("a", INTEGER), ("b", INTEGER)])
-        engine = kernel_engine(schema, write_csv(rows), 1, True, 16)
+        engine = build_engine({"t": (schema, rows)}, row_block_size=16,
+                              scan_workers=1, scan_kernels=True)
         write_jsonl([{"a": int(a), "b": int(b)} for a, b in rows],
                     engine.vfs, "t.jsonl")
         engine.query("CREATE TABLE j (a INTEGER, b INTEGER) USING jsonl "
@@ -351,19 +195,6 @@ class TestKernelBailouts:
                           for name in ("BatchCsvScan", "JsonlScan")
                           for row0 in (0, 16, 32, 48, 64)]
 
-    def test_string_column_output_stays_identical(self):
-        rows = [[str(i), f"name_{i % 9}"] for i in range(64)]
-        schema = repro.Schema([("a", repro.INTEGER),
-                               ("s", repro.varchar())])
-        on = kernel_engine(schema, write_csv(rows), 1, True, 16)
-        off = kernel_engine(schema, write_csv(rows), 1, False, 16)
-        s_on, s_off = repro.connect(on), repro.connect(off)
-        sql = "SELECT s FROM t WHERE a >= 20"
-        for _ in range(3):
-            assert s_on.execute(sql).fetchall() == \
-                s_off.execute(sql).fetchall()
-            assert comparable_state(on) == comparable_state(off)
-
     def test_bailouts_cost_nothing(self):
         """kernel_* events are observability, not work: they never move
         the virtual clock (asserted indirectly by every parity test,
@@ -371,7 +202,8 @@ class TestKernelBailouts:
         rows = [[str(i), str(i % 7)] for i in range(48)]
         schema = repro.Schema([("a", repro.INTEGER),
                                ("b", repro.INTEGER)])
-        engine = kernel_engine(schema, write_csv(rows), 1, True, 16)
+        engine = build_engine({"t": (schema, rows)}, row_block_size=16,
+                              scan_kernels=True)
         session = repro.connect(engine)
         for _ in range(3):
             session.execute("SELECT a FROM t WHERE b < 4").fetchall()
@@ -392,8 +224,9 @@ class TestKernelDecision:
         rows = [[str(i), str(i % 11)] for i in range(80)]
         schema = repro.Schema([("a", repro.INTEGER),
                                ("b", repro.INTEGER)])
-        return kernel_engine(schema, write_csv(rows), 1, kernels, 16,
-                             **config_kwargs)
+        return build_engine({"t": (schema, rows)}, row_block_size=16,
+                            scan_workers=1, scan_kernels=kernels,
+                            **config_kwargs)
 
     def test_one_shot_queries_take_the_fast_path(self):
         """``Database.query`` gets the fast path with no session: the
@@ -407,7 +240,7 @@ class TestKernelDecision:
         assert warm.rows == off.query(sql).rows
         assert {k: v for k, v in warm.counters.items()
                 if k.startswith("kernel_")} == {"kernel_hits": 5}
-        assert comparable_state(on) == comparable_state(off)
+        assert same_state(on, off)
 
     def test_collecting_scan_never_probes(self, monkeypatch):
         """A scan still sampling §4.4 statistics needs the values the

@@ -1,32 +1,19 @@
-"""Parallel chunk scans: determinism, accounting, and the regroup pass.
+"""Parallel chunk scans: the cases the lockstep harness does not draw.
 
-The contract under test (the PR's acceptance bar): for any workload,
-``scan_workers ∈ {1, 2, 4}`` produce
-
-* identical result *sequences* (not just sets — ordered delivery),
-* byte-identical positional-map and binary-cache structure dumps,
-* identical simcost counters (exact equality, floats included) and
-  identical virtual clock time (same float accumulation order).
-
-Workers compute row-block groups against recording models; the merge
-replays the op logs in canonical group order — so everything observable
-through the engine is independent of the worker count. The structure
-dump comparators are reused from the PR 1 differential harness.
-
-The determinism class runs over both line-oriented formats (CSV and
-JSONL share one scan driver, ``repro.core.blockscan``), including the
-error paths (malformed rows, a hard read error), abandoned scans — whose
-structures, counters *and* clock must not depend on the worker count —
-and the pool-less laziness the one-loop driver depends on (a group is
-computed when the merge reaches it, never at dispatch).
-
-Also covered here: the failing row's number in the error context of
-every batch path, the scheduler's worker overlap accounting
-(``QueryJob.worker_tasks``), and the idle tuner's canonical PM chunk
-regrouping satellite (flush-order-independent layouts).
+The contract — for any workload ``scan_workers`` 1 and 4 give the same
+result sequences, PM/cache dumps with their LRU orders, counters and
+virtual clock — is the lockstep harness's ``workers`` axis
+(``tests/oracle/digest.py``): random schemas, both line formats,
+feature ablations, budgets, prepared statements, interleaved and
+abandoned cursors. What stays here, on the harness's builder and
+digest: a malformed row and a hard read error at any worker count,
+abandoned scans under small reads, the pool-less laziness the one-loop
+driver depends on (a group is computed when the merge reaches it,
+never at dispatch), the failing row's number on every batch path, the
+pool's lifecycle, the scheduler's worker overlap accounting
+(``QueryJob.worker_tasks``) and the idle tuner's canonical PM chunk
+regrouping (flush-order-independent layouts).
 """
-
-import random
 
 import pytest
 
@@ -37,88 +24,27 @@ from repro import (
     PostgresRaw,
     PostgresRawConfig,
     Schema,
-    VirtualFS,
 )
 from repro.core.blockscan import BlockScan
-from repro.formats.jsonl import write_jsonl
 from repro.storage.faults import FaultInjectingVFS
-from repro.workloads.micro import generate_micro_csv
 from tests.oracle import OracleRaw
-
-from test_batch_differential import (
-    cache_dump,
+from tests.oracle.digest import (
+    build_engine,
+    digest,
+    micro,
     pm_dump,
-    random_query,
-    random_schema,
-    random_table,
+    render,
 )
-from repro.formats.csvfmt import write_csv
 
 FORMATS = ("csv", "jsonl")
-
-
-def jsonl_rows(schema, table):
-    """A text table (the CSV generators' rows) as JSON objects: empty
-    non-string fields are NULL, numerics are numbers, strings and dates
-    stay strings."""
-    casts = {"int": int, "float": float}
-    rows = []
-    for record in table:
-        row = {}
-        for column, text in zip(schema.columns, record):
-            family = column.dtype.family
-            if text == "" and family != "str":
-                row[column.name] = None
-            else:
-                row[column.name] = casts.get(family, str)(text)
-        rows.append(row)
-    return rows
-
-
-def engine_with_workers(schema, data, workers: int, block_size: int = 16,
-                        fmt: str = "csv", table: str = "t", vfs=None,
-                        engine=PostgresRaw, **config_kwargs) -> PostgresRaw:
-    """An engine over one ``fmt`` table declared through DDL. ``data``
-    is a text table (rendered by ``write_csv`` / ``write_jsonl``) or the
-    file's raw bytes."""
-    vfs = vfs if vfs is not None else VirtualFS()
-    path = f"{table}.{fmt}"
-    if isinstance(data, bytes):
-        vfs.create(path, data)
-    elif fmt == "csv":
-        vfs.create(path, write_csv(data))
-    else:
-        write_jsonl(jsonl_rows(schema, data), vfs, path)
-    engine = engine(
-        config=PostgresRawConfig(row_block_size=block_size,
-                                 scan_workers=workers, **config_kwargs),
-        vfs=vfs)
-    columns = ", ".join(f"{c.name} {c.dtype.name}" for c in schema.columns)
-    engine.query(f"CREATE TABLE {table} ({columns}) USING {fmt} "
-                 f"OPTIONS (path '{path}')")
-    return engine
 
 
 def micro_engine(fmt: str, workers: int, rows: int, nattrs: int, seed: int,
                  block_size: int, **config_kwargs) -> PostgresRaw:
     """The micro-benchmark integer table ``m`` in either format."""
-    scratch = VirtualFS()
-    schema = generate_micro_csv(scratch, "m.csv", rows=rows, nattrs=nattrs,
-                                seed=seed)
-    data = [line.split(",") for line in
-            scratch.read_bytes("m.csv").decode().splitlines()]
-    return engine_with_workers(schema, data, workers, block_size, fmt=fmt,
-                               table="m", **config_kwargs)
-
-
-def full_state(engine, table="t"):
-    """Everything the determinism contract covers, in one snapshot."""
-    return {
-        "pm": pm_dump(engine.positional_map_of(table)),
-        "cache": cache_dump(engine.cache_of(table)),
-        "counters": engine.counters(),
-        "clock": engine.clock.now(),
-    }
+    return build_engine({"m": micro(rows, nattrs, seed)}, fmt,
+                        row_block_size=block_size, scan_workers=workers,
+                        **config_kwargs)
 
 
 WORKER_COUNTS = (1, 2, 4)
@@ -126,90 +52,6 @@ WORKER_COUNTS = (1, 2, 4)
 
 @pytest.mark.parametrize("fmt", FORMATS)
 class TestParallelDeterminism:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_random_workloads_identical_across_worker_counts(self, fmt,
-                                                             seed):
-        """Result sequences, PM/cache dumps, counters and the clock
-        itself must be independent of scan_workers."""
-        rng = random.Random(61000 + seed)
-        schema = random_schema(rng)
-        table = random_table(rng, schema)
-        block_size = rng.choice([1, 3, 8, 17, 64])
-        queries = [random_query(rng, schema) for _ in range(5)]
-
-        engines = {w: engine_with_workers(schema, table, w, block_size,
-                                          fmt=fmt)
-                   for w in WORKER_COUNTS}
-        for sql in queries:
-            results = {w: engines[w].query(sql) for w in WORKER_COUNTS}
-            for w in WORKER_COUNTS[1:]:
-                # Exact sequence equality: ordered delivery, not sets.
-                assert results[w].rows == results[1].rows, \
-                    f"seed={seed} workers={w}: {sql!r}"
-                assert results[w].counters == results[1].counters, \
-                    f"seed={seed} workers={w}: {sql!r}"
-            states = {w: full_state(engines[w]) for w in WORKER_COUNTS}
-            for w in WORKER_COUNTS[1:]:
-                assert states[w] == states[1], \
-                    f"seed={seed} workers={w} diverged after {sql!r}"
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(enable_cache=False),
-        dict(enable_positional_map=False),
-        dict(enable_statistics=False),
-        dict(enable_cache=False, enable_statistics=False),
-    ])
-    def test_feature_ablations_stay_deterministic(self, fmt, kwargs):
-        rng = random.Random(4711)
-        schema = random_schema(rng)
-        table = random_table(rng, schema)
-        engines = {w: engine_with_workers(schema, table, w, 8, fmt=fmt,
-                                          **kwargs)
-                   for w in WORKER_COUNTS}
-        for sql in [random_query(rng, schema) for _ in range(4)]:
-            results = {w: engines[w].query(sql) for w in WORKER_COUNTS}
-            for w in WORKER_COUNTS[1:]:
-                assert results[w].rows == results[1].rows, sql
-                assert full_state(engines[w]) == full_state(engines[1])
-
-    def test_budgeted_structures_identical(self, fmt):
-        """Eviction order under PM/cache budgets depends on insert
-        order — which the merge keeps canonical."""
-        rng = random.Random(99)
-        schema = random_schema(rng)
-        table = random_table(rng, schema) * 3
-        engines = {
-            w: engine_with_workers(schema, table, w, 8, fmt=fmt,
-                                   pm_budget_bytes=2048,
-                                   cache_budget_bytes=4096)
-            for w in WORKER_COUNTS
-        }
-        for sql in [random_query(rng, schema) for _ in range(4)]:
-            for w in WORKER_COUNTS:
-                engines[w].query(sql)
-            for w in WORKER_COUNTS[1:]:
-                assert full_state(engines[w]) == full_state(engines[1])
-
-    def test_prepared_statements_and_streaming_cursors(self, fmt):
-        engines = {workers: micro_engine(fmt, workers, rows=500, nattrs=6,
-                                         seed=7, block_size=64)
-                   for workers in (1, 4)}
-        rows = {}
-        for workers, engine in engines.items():
-            session = repro.connect(engine=engine)
-            stmt = session.prepare("SELECT a1, a3 FROM m WHERE a2 < ?")
-            got = []
-            cursor = stmt.execute((600_000_000,))
-            while True:
-                chunk = cursor.fetchmany(37)
-                if not chunk:
-                    break
-                got.extend(chunk)
-            got.append(tuple(stmt.execute((100_000_000,)).fetchall()))
-            rows[workers] = got
-        assert rows[4] == rows[1]
-        assert full_state(engines[4], "m") == full_state(engines[1], "m")
-
     def test_malformed_csv_raises_identically(self, fmt):
         """A short line must fail with the same error, after the same
         charges, at any worker count (the merge replays a failed
@@ -218,15 +60,15 @@ class TestParallelDeterminism:
                          ("c2", INTEGER)])
         if fmt == "csv":
             rows = [[str(i), str(i * 2), str(i * 3)] for i in range(30)]
-            payload = write_csv(rows)[:-1] + b"\n5,6\n"  # short final line
+            payload = render("csv", schema, rows)[:-1] + b"\n5,6\n"  # short
         else:
             payload = b"".join(
                 b'{"c0": %d, "c1": %d, "c2": %d}\n' % (i, i * 2, i * 3)
                 for i in range(30)) + b'{"c0": 5, "c1"\n'  # cut-off line
         outcomes = {}
         for workers in WORKER_COUNTS:
-            engine = engine_with_workers(schema, payload, workers, 8,
-                                         fmt=fmt)
+            engine = build_engine({"t": (schema, payload)}, fmt,
+                                  row_block_size=8, scan_workers=workers)
             with pytest.raises(repro.errors.FormatError) as info:
                 engine.query("SELECT c2 FROM t")
             assert info.value.context["row_number"] == 30
@@ -257,7 +99,7 @@ class TestParallelDeterminism:
             assert info.value.code == "IO_FAULT"
             assert 0 < len(delivered) < 2500
             assert engine.counters()["io_retries"] > 0
-            outcomes[workers] = (delivered, full_state(engine, "m"))
+            outcomes[workers] = (delivered, digest(engine, ["m"]))
         assert outcomes[2] == outcomes[1]
         assert outcomes[4] == outcomes[1]
 
@@ -280,16 +122,12 @@ class TestParallelDeterminism:
             assert len(cursor.fetchmany(70)) == 70
             cursor.close()
         for workers in WORKER_COUNTS[1:]:
-            assert full_state(engines[workers], "m") == \
-                full_state(engines[1], "m")
-        rows = {w: engines[w].query("SELECT a1, a4 FROM m").rows
-                for w in WORKER_COUNTS}
+            assert digest(engines[workers], ["m"]) == \
+                digest(engines[1], ["m"])
+        after = {w: digest(engines[w], ["m"], engines[w].query(
+                     "SELECT a1, a4 FROM m").rows) for w in WORKER_COUNTS}
         for workers in WORKER_COUNTS[1:]:
-            assert rows[workers] == rows[1]
-            assert pm_dump(engines[workers].positional_map_of("m")) == \
-                pm_dump(engines[1].positional_map_of("m"))
-            assert cache_dump(engines[workers].cache_of("m")) == \
-                cache_dump(engines[1].cache_of("m"))
+            assert after[workers] == after[1]
 
     @pytest.mark.parametrize("kernels", [True, False])
     def test_serial_scan_computes_groups_at_merge(self, fmt, kernels,
@@ -371,9 +209,9 @@ class TestErrorRowNumber:
         vfs = FaultInjectingVFS(seed=0, rate=0.0)
         if region == "streaming":
             lines[BAD_ROW] = bad_line       # malformed from the start
-        engine = engine_with_workers(
-            self.SCHEMA, b"\n".join(lines) + b"\n", block_size=256,
-            fmt=fmt, vfs=vfs, engine=engine, **config_kwargs)
+        engine = build_engine(
+            {"t": (self.SCHEMA, b"\n".join(lines) + b"\n")}, fmt, engine,
+            vfs, row_block_size=256, **config_kwargs)
         if region == "indexed":
             # Index the clean file, then break the row in place (same
             # size, no rewrite counter: a truly external edit), so the
@@ -390,13 +228,13 @@ class TestErrorRowNumber:
     @pytest.mark.parametrize("kernels", [True, False])
     def test_row_number_at_any_worker_count(self, fmt, shape, region,
                                             kernels):
-        serial = self.failure(fmt, shape, region, workers=1,
+        serial = self.failure(fmt, shape, region, scan_workers=1,
                               scan_kernels=kernels)
         assert serial[0] == BAD_ROW
-        assert self.failure(fmt, shape, region, workers=4,
+        assert self.failure(fmt, shape, region, scan_workers=4,
                             scan_kernels=kernels) == serial
         if fmt == "csv":    # the scalar oracle exists for CSV only
-            assert self.failure(fmt, shape, region, workers=1,
+            assert self.failure(fmt, shape, region, scan_workers=1,
                                 engine=OracleRaw)[0] == serial[0]
 
 
@@ -411,12 +249,8 @@ class TestPoolLifecycle:
             PostgresRawConfig(scan_workers=0)  # explicit stays strict
 
     def test_engine_close_releases_and_lazily_restarts_pool(self):
-        vfs = VirtualFS()
-        schema = generate_micro_csv(vfs, "m.csv", rows=64, nattrs=4,
-                                    seed=1)
-        engine = PostgresRaw(config=PostgresRawConfig(
-            row_block_size=16, scan_workers=2), vfs=vfs)
-        engine.register_csv("m", "m.csv", schema)
+        engine = micro_engine("csv", 2, rows=64, nattrs=4, seed=1,
+                              block_size=16)
         first = engine.query("SELECT a1 FROM m").rows
         assert engine.scan_pool.started
         engine.close()
@@ -433,13 +267,8 @@ class TestPoolLifecycle:
         surface a contained engine error on the next fetch — never a
         raw CancelledError (a BaseException that would escape the
         scheduler's containment and leak the admission slot)."""
-        vfs = VirtualFS()
-        schema = generate_micro_csv(vfs, "m.csv", rows=2000, nattrs=6,
-                                    seed=2)
-        engine = PostgresRaw(config=PostgresRawConfig(
-            row_block_size=16, scan_workers=2, batch_read_bytes=512),
-            vfs=vfs)
-        engine.register_csv("m", "m.csv", schema)
+        engine = micro_engine("csv", 2, rows=2000, nattrs=6, seed=2,
+                              block_size=16, batch_read_bytes=512)
         session = repro.connect(engine=engine, max_in_flight=1)
         cursor = session.execute("SELECT a1 FROM m")
         assert len(cursor.fetchmany(20)) == 20  # scan mid-stream
@@ -460,13 +289,8 @@ class TestPoolLifecycle:
 
 class TestSchedulerWorkerOverlap:
     def micro_engine(self, workers: int) -> PostgresRaw:
-        vfs = VirtualFS()
-        schema = generate_micro_csv(vfs, "m.csv", rows=600, nattrs=8,
-                                    seed=3)
-        engine = PostgresRaw(config=PostgresRawConfig(
-            row_block_size=64, scan_workers=workers), vfs=vfs)
-        engine.register_csv("m", "m.csv", schema)
-        return engine
+        return micro_engine("csv", workers, rows=600, nattrs=8, seed=3,
+                            block_size=64)
 
     def test_serial_engine_has_no_pool(self):
         engine = self.micro_engine(1)
@@ -480,46 +304,21 @@ class TestSchedulerWorkerOverlap:
         """Two admitted queries interleaved at batch boundaries each
         dispatch their own groups to the shared pool — and keep their
         futures in flight across yields, which is the overlap
-        mechanism. Per-job worker_tasks attributes the fan-out."""
+        mechanism. Per-job worker_tasks attributes the fan-out (rows
+        and structures equal a serial engine's: the lockstep harness's
+        workers axis over ``Interleave`` ops)."""
         engine = self.micro_engine(2)
         assert engine.scan_pool is not None
         s1 = repro.connect(engine=engine, max_in_flight=4)
         s2 = repro.connect(engine=engine)
         c1 = s1.execute("SELECT a1 FROM m WHERE a1 > 0")
         c2 = s2.execute("SELECT a2, a5 FROM m")
-        out1, out2 = [], []
-        while True:
-            chunk1 = c1.fetchmany(50)
-            chunk2 = c2.fetchmany(50)
-            out1.extend(chunk1)
-            out2.extend(chunk2)
-            if not chunk1 and not chunk2:
-                break
+        while any([c1.fetchmany(50), c2.fetchmany(50)]):
+            pass
         assert c1.worker_tasks > 0
         assert c2.worker_tasks > 0
         assert engine.scan_pool.tasks_submitted >= (c1.worker_tasks
                                                     + c2.worker_tasks)
-        # Same interleave on a serial engine: identical rows and
-        # identical structures (the cooperative-interleave differential
-        # now also spans the worker fan-out).
-        serial = self.micro_engine(1)
-        t1 = repro.connect(engine=serial, max_in_flight=4)
-        t2 = repro.connect(engine=serial)
-        d1 = t1.execute("SELECT a1 FROM m WHERE a1 > 0")
-        d2 = t2.execute("SELECT a2, a5 FROM m")
-        ref1, ref2 = [], []
-        while True:
-            chunk1 = d1.fetchmany(50)
-            chunk2 = d2.fetchmany(50)
-            ref1.extend(chunk1)
-            ref2.extend(chunk2)
-            if not chunk1 and not chunk2:
-                break
-        assert out1 == ref1 and out2 == ref2
-        assert pm_dump(engine.positional_map_of("m")) == \
-            pm_dump(serial.positional_map_of("m"))
-        assert cache_dump(engine.cache_of("m")) == \
-            cache_dump(serial.cache_of("m"))
 
     def test_per_job_counters_include_worker_charges(self):
         """Worker-side charges replay inside the owning pull, so the
@@ -543,12 +342,8 @@ class TestSchedulerWorkerOverlap:
 
 class TestCanonicalRegroup:
     def build(self, order: tuple[str, ...]) -> PostgresRaw:
-        vfs = VirtualFS()
-        schema = generate_micro_csv(vfs, "m.csv", rows=300, nattrs=6,
-                                    seed=5)
-        engine = PostgresRaw(config=PostgresRawConfig(row_block_size=32),
-                             vfs=vfs)
-        engine.register_csv("m", "m.csv", schema)
+        engine = micro_engine("csv", 1, rows=300, nattrs=6, seed=5,
+                              block_size=32)
         for sql in order:
             engine.query(sql)
         return engine
@@ -609,12 +404,8 @@ class TestCanonicalRegroup:
         may differ from a serial run; regroup makes the *full* dumps
         comparable."""
         def run(workers: int) -> PostgresRaw:
-            vfs = VirtualFS()
-            schema = generate_micro_csv(vfs, "m.csv", rows=300, nattrs=6,
-                                        seed=5)
-            engine = PostgresRaw(config=PostgresRawConfig(
-                row_block_size=32, scan_workers=workers), vfs=vfs)
-            engine.register_csv("m", "m.csv", schema)
+            engine = micro_engine("csv", workers, rows=300, nattrs=6,
+                                  seed=5, block_size=32)
             session = repro.connect(engine=engine, max_in_flight=4)
             c1 = session.execute(self.QUERIES[0])
             c2 = session.execute(self.QUERIES[1])

@@ -19,7 +19,7 @@ from repro.workloads.micro import (
     micro_schema,
 )
 from tests.oracle import OracleRaw
-from tests.test_batch_differential import assert_structures_match
+from tests.oracle.digest import structures
 
 ROWS = 300
 ATTRS = 12
@@ -390,5 +390,6 @@ class TestEagerPrefixIndexing:
                                       nattrs=ATTRS, seed=5)
             rows = [db.query(sql).rows for db in engines]
             assert rows[0] == rows[1], sql
-            assert_structures_match(*engines, table="m")
+            assert structures(engines[0], "m") == \
+                structures(engines[1], "m")
         assert bool(backward) == (region == "evicted map")

@@ -1,23 +1,17 @@
-"""Multi-client determinism: wire sessions equal in-process sessions.
+"""Multi-client correctness: wire sessions under real concurrency.
 
-The differential satellite for the network front end: N wire clients
-streaming concurrently through the server must produce bit-identical
-rows AND leave the engine's priced ledger — the virtual clock and
-every cost-event counter — identical to N in-process sessions driven
-through the same admission scheduler in the same order. The server
-adds observability (connection stats, tenant ledgers) but must never
-perturb what the engine charges.
+N wire clients streaming through the server must leave every cursor's
+ledger, every session's clock and the engine's priced ledger and
+structures identical to N in-process sessions driven through the same
+admission scheduler in the same round-robin order: the lockstep
+harness's ``wire`` axis (``tests/oracle/digest.py``,
+``tests/test_lockstep.py::test_wire_equals_in_process``), which drives
+both sides from one thread (the server handles requests strictly in
+arrival order, so a sequential driver pins the interleaving).
 
-The determinism comparison drives both sides from one thread in the
-same round-robin order (the server handles requests strictly in
-arrival order, so a sequential driver pins the interleaving); a
-separate truly-threaded test checks row correctness under real
-concurrency, where the interleaving — and hence the cold/warm split
-between clients — is up to the OS scheduler, but row *content* is not.
-
-Parametrized over ``scan_workers`` 1 and 4: parallel chunk scans under
-the server charge exactly the same units as serial ones (the PR 4
-contract), now end to end through the wire.
+Here, truly threaded clients: the interleaving — and hence the
+cold/warm split between clients — is up to the OS scheduler, but row
+*content* is not, at ``scan_workers`` 1 and 4.
 """
 
 import threading
@@ -49,62 +43,6 @@ def micro_engine(workers: int) -> PostgresRaw:
         vfs=vfs)
     engine.register_csv("m", "m.csv", schema)
     return engine
-
-
-def drive_round_robin(cursors, chunk=50):
-    """Fetch ``chunk`` rows per cursor per round until all are drained;
-    the canonical interleaving both sides of the differential use."""
-    rows = [[] for _ in cursors]
-    active = set(range(len(cursors)))
-    while active:
-        for k in sorted(active):
-            got = cursors[k].fetchmany(chunk)
-            if got:
-                rows[k].extend(got)
-            else:
-                active.discard(k)
-    return rows
-
-
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_wire_clients_match_in_process_sessions(workers):
-    # In-process side: N sessions on one engine, round-robin driven.
-    engine_local = micro_engine(workers)
-    sessions = [repro.connect(engine=engine_local) for _ in CLIENT_QUERIES]
-    local_cursors = [session.cursor().execute(sql)
-                     for session, sql in zip(sessions, CLIENT_QUERIES)]
-    local_rows = drive_round_robin(local_cursors)
-    local_query_counters = [cur.counters() for cur in local_cursors]
-    local_session_elapsed = [s.elapsed() for s in sessions]
-
-    # Wire side: the same engine build served, the same driving order
-    # from this one thread (the server handles requests in arrival
-    # order, so the engine sees the identical op sequence).
-    engine_served = micro_engine(workers)
-    with QueryServer(engine_served) as server:
-        clients = [wire_connect("127.0.0.1", server.port)
-                   for _ in CLIENT_QUERIES]
-        wire_cursors = [client.execute(sql)
-                        for client, sql in zip(clients, CLIENT_QUERIES)]
-        wire_rows = drive_round_robin(wire_cursors)
-
-        # Bit-identical rows, per client.
-        assert wire_rows == local_rows
-        # Identical per-query ledgers...
-        for wire_cur, counters in zip(wire_cursors, local_query_counters):
-            assert wire_cur.counters() == counters
-        # ...identical per-session clocks...
-        for client, elapsed in zip(clients, local_session_elapsed):
-            assert client.elapsed() == elapsed
-        for client in clients:
-            client.close()
-
-    # ...and an identical engine: same virtual clock, same priced
-    # counter ledger, down to the unit. The server front end is
-    # cost-invisible.
-    assert engine_served.clock.now() == engine_local.clock.now()
-    assert dict(engine_served.clock.counters) == \
-        dict(engine_local.clock.counters)
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)

@@ -14,7 +14,7 @@ from repro.workloads.tpch import (
 )
 from tests.conftest import fresh_loaded_tpch, fresh_raw_tpch
 from tests.oracle import OracleRaw
-from tests.test_batch_operators_differential import plan_nodes
+from tests.oracle.digest import plan_nodes
 
 
 def parse_table(fs, data, table):
