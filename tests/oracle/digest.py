@@ -47,7 +47,7 @@ from repro import (
     varchar,
 )
 from repro.core.positional_map import NO_POS
-from repro.errors import ReproError
+from repro.errors import FormatError, ReproError
 from repro.formats.csvfmt import write_csv
 from repro.formats.fits import write_bintable
 from repro.storage.faults import FaultInjectingVFS
@@ -398,6 +398,35 @@ class Table:
         return rows
 
 
+def seeded(seed: int, kind: str = "random", name: str = "t"):
+    """``Table(name, kind, seed)``, its schema, and the seed's generator
+    after the table was drawn: a pinned scenario draws its block size
+    and its statements from it, so one seed fixes the whole script."""
+    rng = random.Random(seed)
+    schema = KINDS[kind](rng)[0]
+    return Table(name, kind, seed), schema, rng
+
+
+def seeded_scenario(seed: int, count: int, block_size, statement=None,
+                    kind: str = "random", layout: str = "csv",
+                    files: int = 1, entry: str = "query", repeat: int = 1,
+                    **config) -> Scenario:
+    """One seed's pinned scenario: ``seeded(seed, kind)``'s table, a
+    block size (``block_size``, or drawn from it when a list) and
+    ``count`` statements drawn by ``statement(rng, schema)`` (default
+    :func:`random_query`), each run ``repeat`` times through ``entry``,
+    under ``config``."""
+    table, schema, rng = seeded(seed, kind)
+    if isinstance(block_size, list):
+        block_size = rng.choice(block_size)
+    statements = [(statement or random_query)(rng, schema)
+                  for _ in range(count)]
+    return Scenario((table,), tuple(Query(sql, entry) for sql in statements
+                                    for _ in range(repeat)),
+                    (("row_block_size", block_size), *config.items()),
+                    layout, files)
+
+
 # The ops of a script; a digest is taken after each.
 @dataclass(frozen=True)
 class Query:            # engine.query(sql), or a session cursor's fetchall
@@ -537,6 +566,56 @@ def build_engine(tables: dict, fmt: str = "csv", engine=PostgresRaw,
         db.query(f"CREATE TABLE {name} ({columns}) USING {fmt} "
                  f"OPTIONS (path '{path}'{options})")
     return db
+
+
+# ---------------------------------------------------------------------------
+# Malformed input the generators do not draw: NUL-padded numbers
+# ---------------------------------------------------------------------------
+#: row -> the column whose numeric value ends in a NUL byte, which a
+#: fixed-width ``astype`` view cannot tell from its own padding
+NUL_ROWS = {5: "a", 10: "b"}
+NUL_QUERIES = ("SELECT a, b FROM t WHERE c >= 0",
+               "SELECT b FROM t WHERE b > 0",
+               "SELECT c FROM t WHERE a < 9")
+NUL_SCHEMA = Schema([("a", INTEGER), ("b", FLOAT), ("c", INTEGER)])
+
+
+def nul_payload(fmt: str) -> bytes:
+    template = (b"%s,%s,%d" if fmt == "csv"
+                else b'{"a": %s, "b": %s, "c": %d}')
+    lines = []
+    for i in range(14):
+        fields = {"a": b"%d" % i, "b": b"%d.5" % i}
+        if i in NUL_ROWS:
+            fields[NUL_ROWS[i]] += b"\x00"
+        lines.append(template % (fields["a"], fields["b"], i))
+    return b"\n".join(lines) + b"\n"
+
+
+def nul_outcome(fmt: str, on_error: str, region: str, engine=PostgresRaw,
+                **config):
+    """What a table with NUL-padded numeric values does under an error
+    policy, cold (``streaming``) or after a line index (``indexed``):
+    per query its rows or its failure (message, row number), the
+    ``rows_rejected`` counter, and the quarantine sidecar's (row,
+    reason) records."""
+    vfs = VirtualFS()
+    engine = build_engine({"t": (NUL_SCHEMA, nul_payload(fmt))}, fmt,
+                          engine, vfs, options=f", on_error '{on_error}'",
+                          row_block_size=4, **config)
+    if region == "indexed":
+        engine.query("SELECT c FROM t")  # line index; a, b unconverted
+    outcome = []
+    for sql in NUL_QUERIES:
+        try:
+            outcome.append(engine.query(sql).rows)
+        except FormatError as exc:
+            outcome.append((str(exc), exc.context["row_number"]))
+    rejects = []
+    if vfs.exists("__rejects__/t"):
+        rejects = [record.split(b"\t")[:2] for record in
+                   vfs.read_bytes("__rejects__/t").split(b"\n")[:-1]]
+    return outcome, engine.counters().get("rows_rejected"), rejects
 
 
 # ---------------------------------------------------------------------------
@@ -879,9 +958,13 @@ def oracle_view(d, scenario, step, pair):
     """The row-at-a-time oracle charges no kernel events, tokenizes an
     indexed row differently (after the first step the tokenize count
     parts ways), sums the clock in another order, and stops a partial
-    scan mid-block — after interleaved scans ran to the end, the map's
-    content, the caches and the statistics still agree, unless a budget
-    evicted in the interleaving's order.
+    scan mid-block — after interleaved scans ran to the end, the caches
+    and the statistics still agree, unless a budget evicted in the
+    interleaving's order. The map's free positions may not: which scan
+    reached a block first — a block at a time or a row at a time —
+    decides which of them it recorded there (a full-coverage scan
+    converges them again, see
+    ``test_api_concurrent.test_random_workloads_interleaved_match_scalar_oracle``).
 
     Under ``eager_prefix_indexing`` the block scan keeps in indexed
     blocks the free start its streaming region keeps after the last
@@ -901,8 +984,7 @@ def oracle_view(d, scenario, step, pair):
             return _rows_only(d, scenario, step)   # evicts in that order
         # after interleaved scans ran to the end: the same contents
         return {**_rows_only(d, scenario, step), **{
-            k: pm_content(v) if k.endswith(".pm") else v
-            for k, v in d.items() if k.endswith((".pm", ".cache", ".stats"))}}
+            k: v for k, v in d.items() if k.endswith((".cache", ".stats"))}}
     d = _counters(d, lambda k: _kernel(k) or (step > 0 and k == "tokenize")
                   or (eager and k == "map_insert"))
     d["ledger"] = None
@@ -1024,12 +1106,28 @@ AXES = [
 ]
 WIRE = Axis("wire", Variant(transport="session"), Variant(transport="wire"),
             same)
+#: every axis by name
+AXIS = {axis.name: axis for axis in (*AXES, WIRE)}
 
 
-def check(scenario: Scenario, axes=AXES) -> None:
+def between(name: str, left: dict, right: dict, project=same) -> Axis:
+    """An axis between two config points of the default engine."""
+    return Axis(name, Variant(config=tuple(left.items())),
+                Variant(config=tuple(right.items())), project)
+
+
+def worker_axes(*counts: int) -> list[Axis]:
+    """``scan_workers`` ``counts[0]`` against each other count: nothing
+    may differ."""
+    return [between(f"workers {counts[0]}<->{w}", {"scan_workers": counts[0]},
+                    {"scan_workers": w}) for w in counts[1:]]
+
+
+def check(scenario: Scenario, axes=AXES) -> dict[Variant, list[dict]]:
     """Play ``scenario`` on every axis that applies (each variant once)
     and fail at the first step whose projected digests differ, naming
-    the axis, the step and the digest fields."""
+    the axis, the step and the digest fields. Returns each variant's
+    digests."""
     runs: dict[Variant, list[dict]] = {}
     for axis in axes:
         if not axis.applies(scenario):
@@ -1049,6 +1147,7 @@ def check(scenario: Scenario, axes=AXES) -> None:
                     f"field(s) {fields} differ; {first}: "
                     f"{repr(a.get(first))[:300]} != "
                     f"{repr(b.get(first))[:300]}")
+    return runs
 
 
 # ---------------------------------------------------------------------------

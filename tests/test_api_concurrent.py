@@ -4,9 +4,10 @@ Covers the scheduler contract (FIFO admission, max-in-flight gate,
 cooperative batch-boundary interleaving, per-query accounting) and the
 differential satellite: two cursors streaming from the same raw CSV
 table, interleaved at batch boundaries, must leave the positional map
-and binary cache identical to a serial run. Random interleaved
-workloads against the row-at-a-time oracle are the lockstep harness's
-(``tests/oracle/digest.py``, its ``Interleave`` op).
+and binary cache identical to a serial run; random interleaved
+workloads must answer as the row-at-a-time oracle does (the lockstep
+harness, ``tests/oracle/digest.py``, with its ``Interleave`` op) and
+converge to its structures after a full-coverage scan.
 
 "Identical" for the positional map means *content*-identical
 (``pm_content`` of the digest's dump): every line start, the file
@@ -23,7 +24,17 @@ import repro
 from repro import PostgresRaw, PostgresRawConfig, VirtualFS
 from repro.workloads.micro import generate_micro_csv
 
-from tests.oracle.digest import digest, pm_content
+from tests.oracle.digest import (
+    AXIS,
+    Interleave,
+    Query,
+    Scenario,
+    check,
+    digest,
+    pm_content,
+    random_query,
+    seeded,
+)
 
 
 def content(engine, table="m"):
@@ -163,3 +174,26 @@ class TestConcurrentDifferential:
         serial, inter = serial_vs_interleaved(
             64, enable_positional_map=False)
         assert content(inter) == content(serial)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_workloads_interleaved_match_scalar_oracle(self, seed):
+        """Results fetched through interleaved streaming cursors match
+        the row-at-a-time oracle and the loaded engine; once the scans
+        ran to the end the two engines' structures agree, and a final
+        full-coverage scan leaves identical map content and
+        byte-identical caches (the harness's ``oracle`` axis over
+        ``Interleave`` ops)."""
+        table, schema, rng = seeded(31000 + seed)
+        block_size = rng.choice([1, 3, 8, 17, 64])
+        ops = [Interleave((random_query(rng, schema),
+                           random_query(rng, schema)))
+               for _ in range(4)]
+        columns = ", ".join(c.name for c in schema.columns)
+        ops.append(Query(f"SELECT {columns} FROM t"))
+        oracle = AXIS["oracle"]
+        runs = check(Scenario((table,), tuple(ops),
+                              (("row_block_size", block_size),)),
+                     [oracle, AXIS["loaded"]])
+        final = [runs[variant][-1] for variant in (oracle.left, oracle.right)]
+        assert pm_content(final[0]["t.pm"]) == pm_content(final[1]["t.pm"])
+        assert final[0]["t.cache"] == final[1]["t.cache"]

@@ -1,36 +1,46 @@
-"""Batch scan vs the row-at-a-time oracle: the fixed cases.
+"""Batch scan vs the row-at-a-time oracle vs the loaded DBMS.
 
-The random differential — seeded schemas, data and workloads on the
-block scan, the oracle (``tests/oracle``) and the loaded DBMS, with
-rows, PM/cache dumps, column statistics and counters compared after
-every step, with and without cache, map or eager indexing, §4.4
-reservoirs in their replacement phase — is the lockstep harness
-(``tests/oracle/digest.py``, driven by ``tests/test_lockstep.py``).
-What stays here are regressions it distilled and the NUL-padding
-contract of the vectorized converters.
+Seeded random schemas (ints, floats, strings, dates), random data
+(NULLs as empty fields, quote characters inside strings, ragged field
+widths) and random SELECT/WHERE workloads, pinned as scenarios of the
+lockstep harness (``tests/oracle/digest.py``) on its ``oracle`` and
+``loaded`` axes: every result must agree with the row-at-a-time oracle
+(``tests/oracle``) and with the loaded DBMS, and after every query the
+block scan and the oracle must hold identical positional maps, binary
+caches and column statistics — the contract that lets the scalar path
+vouch for the vectorized one. The harness's hypothesis fuzz
+(``tests/test_lockstep.py``) draws the open-ended version. Also here:
+the regressions it distilled, §4.4 reservoirs in their replacement
+phase on every path, and the NUL-padding contract of the vectorized
+converters.
 """
 
 import random
 
 import pytest
 
-from repro import (
-    FLOAT,
-    INTEGER,
-    LoadedDBMS,
-    PostgresRaw,
-    Schema,
-    VirtualFS,
-)
-from repro.errors import FormatError
+from repro import INTEGER, LoadedDBMS, PostgresRaw, Schema
 from tests.oracle import OracleRaw
 from tests.oracle.digest import (
+    AXIS,
+    NUL_ROWS,
+    Append,
+    Query,
+    Scenario,
+    Table,
     build_engine,
+    check,
+    nul_outcome,
     random_schema,
     random_table,
     rows_key,
+    run,
+    seeded_scenario,
     structures,
 )
+
+#: the block scan against the oracle and the loaded DBMS
+ENGINES = [AXIS["oracle"], AXIS["loaded"]]
 
 
 def block_and_oracle(schema, rows, block_size, **config):
@@ -39,99 +49,92 @@ def block_and_oracle(schema, rows, block_size, **config):
             for engine in (PostgresRaw, OracleRaw)]
 
 
-def test_pm_free_info_matches_scalar_exactly():
-    """The distilled shape: WHERE on c0 AND c1 (so c1 is located via
-    c0's one-step-forward memo, leaving no free c2 start) with c2
-    projected; failing rows must store positions for {1} only, not
-    {1, 2}. And a shape where the free start IS recorded (single-term
-    WHERE locates c1 forward from the line start, discovering c2's
-    start on the way for every row)."""
-    schema = Schema([("c0", INTEGER), ("c1", INTEGER), ("c2", INTEGER)])
-    rows = [[str(i), str(i * 10), str(i * 100)] for i in range(20)]
-    for sql in ("SELECT c2 FROM t WHERE c0 >= 5 AND c1 < 120",
-                "SELECT c2 FROM t WHERE c1 < 120"):
-        batch, oracle = block_and_oracle(schema, rows, 4)
-        assert batch.query(sql).rows == oracle.query(sql).rows
-        assert structures(batch, "t") == structures(oracle, "t")
+class TestBatchDifferentialFuzz:
+    @pytest.mark.parametrize("eager", [False, True])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_workloads_agree_across_engines(self, seed, eager):
+        check(seeded_scenario(1000 + seed, 6, [1, 3, 8, 17, 64],
+                              eager_prefix_indexing=eager), ENGINES)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_structures_match_without_cache(self, seed):
+        check(seeded_scenario(5000 + seed, 4, [2, 5, 16],
+                              enable_cache=False), ENGINES)
 
-def test_interleaved_partial_scans_converge():
-    """Abandoned generators (LIMIT-style) leave valid partial
-    structures on both paths. The granularity differs — the batch path
-    flushes whole blocks before yielding their first row, the scalar
-    path stops mid-block — so the partial states need not be identical;
-    but results must stay correct throughout, and once a scan runs to
-    completion the structures must converge exactly."""
-    rng = random.Random(4242)
-    schema = random_schema(rng)
-    rows = random_table(rng, schema)
-    while len(rows) < 40:  # ensure enough rows to abandon mid-scan
+    @pytest.mark.parametrize("seed", range(6))
+    def test_structures_match_without_positional_map(self, seed):
+        check(seeded_scenario(7000 + seed, 4, [2, 5, 16],
+                              enable_positional_map=False), ENGINES)
+
+    @pytest.mark.parametrize("seed", range(9000, 9012))
+    def test_free_info_coverage_shapes(self, seed):
+        """Regression: multi-conjunct WHERE whose locate path reaches
+        max_where via an already-known start must NOT record the
+        max_where+1 free position for failing rows (the scalar path
+        doesn't) — caught by review on this seed universe."""
+        check(seeded_scenario(seed, 6, [1, 3, 8, 17, 64]), ENGINES)
+
+    def test_pm_free_info_matches_scalar_exactly(self):
+        """The distilled shape: WHERE on c0 AND c1 (so c1 is located via
+        c0's one-step-forward memo, leaving no free c2 start) with c2
+        projected; failing rows must store positions for {1} only, not
+        {1, 2}. And a shape where the free start IS recorded (single-term
+        WHERE locates c1 forward from the line start, discovering c2's
+        start on the way for every row)."""
+        schema = Schema([("c0", INTEGER), ("c1", INTEGER),
+                         ("c2", INTEGER)])
+        rows = [[str(i), str(i * 10), str(i * 100)] for i in range(20)]
+        for sql in ("SELECT c2 FROM t WHERE c0 >= 5 AND c1 < 120",
+                    "SELECT c2 FROM t WHERE c1 < 120"):
+            batch, oracle = block_and_oracle(schema, rows, 4)
+            assert batch.query(sql).rows == oracle.query(sql).rows
+            assert structures(batch, "t") == structures(oracle, "t")
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_cold_scan_counter_parity(self, seed):
+        """A cold scan runs entirely in the streaming region, where the
+        batch path replays the scalar locate-state machine: every cost
+        counter — tokenize included — must match exactly (the oracle
+        axis compares every counter of a script's first step)."""
+        check(seeded_scenario(20000 + seed, 1, [1, 4, 16]),
+              [AXIS["oracle"]])
+
+    def test_statistics_collection_identical(self):
+        """The §4.4 reservoir samples must be fed the same values in
+        the same order on both paths (same seed => same sample)."""
+        check(seeded_scenario(99, 5, [16]), [AXIS["oracle"]])
+
+    def test_interleaved_partial_scans_converge(self):
+        """Abandoned generators (LIMIT-style) leave valid partial
+        structures on both paths. The granularity differs — the batch
+        path flushes whole blocks before yielding their first row, the
+        scalar path stops mid-block — so the partial states need not be
+        identical; but results must stay correct throughout, and once a
+        scan runs to completion the structures must converge exactly."""
+        rng = random.Random(4242)
+        schema = random_schema(rng)
         rows = random_table(rng, schema)
-    batch, oracle = block_and_oracle(schema, rows, 8)
-    for stop in (1, 7, 19):
-        prefixes = []
-        for engine in (batch, oracle):
-            scan = engine.catalog.get("t").access.scan([0, 1], None)
-            prefixes.append([next(scan) for _ in range(stop)])
-            scan.close()
-        assert prefixes[0] == prefixes[1], f"prefix diverged at {stop}"
-    sql = "SELECT c0, c1 FROM t"
-    loaded = build_engine({"t": (schema, rows)}, engine=LoadedDBMS)
-    assert sorted(rows_key(batch.query(sql).rows)) == \
-        sorted(rows_key(oracle.query(sql).rows)) == \
-        sorted(rows_key(loaded.query(sql).rows))
-    assert structures(batch, "t") == structures(oracle, "t")
+        while len(rows) < 40:  # ensure enough rows to abandon mid-scan
+            rows = random_table(rng, schema)
+        batch, oracle = block_and_oracle(schema, rows, 8)
+        for stop in (1, 7, 19):
+            prefixes = []
+            for engine in (batch, oracle):
+                scan = engine.catalog.get("t").access.scan([0, 1], None)
+                prefixes.append([next(scan) for _ in range(stop)])
+                scan.close()
+            assert prefixes[0] == prefixes[1], f"prefix diverged at {stop}"
+        sql = "SELECT c0, c1 FROM t"
+        loaded = build_engine({"t": (schema, rows)}, engine=LoadedDBMS)
+        assert sorted(rows_key(batch.query(sql).rows)) == \
+            sorted(rows_key(oracle.query(sql).rows)) == \
+            sorted(rows_key(loaded.query(sql).rows))
+        assert structures(batch, "t") == structures(oracle, "t")
 
 
 # ---------------------------------------------------------------------------
 # Malformed input: the vectorized converters accept what the oracle accepts
 # ---------------------------------------------------------------------------
-#: row -> the column whose numeric value ends in a NUL byte, which a
-#: fixed-width ``astype`` view cannot tell from its own padding
-NUL_ROWS = {5: "a", 10: "b"}
-NUL_QUERIES = ("SELECT a, b FROM t WHERE c >= 0",
-               "SELECT b FROM t WHERE b > 0",
-               "SELECT c FROM t WHERE a < 9")
-NUL_SCHEMA = Schema([("a", INTEGER), ("b", FLOAT), ("c", INTEGER)])
-
-
-def nul_payload(fmt: str) -> bytes:
-    template = (b"%s,%s,%d" if fmt == "csv"
-                else b'{"a": %s, "b": %s, "c": %d}')
-    lines = []
-    for i in range(14):
-        fields = {"a": b"%d" % i, "b": b"%d.5" % i}
-        if i in NUL_ROWS:
-            fields[NUL_ROWS[i]] += b"\x00"
-        lines.append(template % (fields["a"], fields["b"], i))
-    return b"\n".join(lines) + b"\n"
-
-
-def nul_outcome(fmt: str, on_error: str, region: str, engine=PostgresRaw,
-                **config_kwargs):
-    """What a table with NUL-padded numeric values does under an error
-    policy: per query its rows or its failure (message, row number),
-    the ``rows_rejected`` counter, and the quarantine sidecar's (row,
-    reason) records."""
-    vfs = VirtualFS()
-    engine = build_engine({"t": (NUL_SCHEMA, nul_payload(fmt))}, fmt,
-                          engine, vfs, options=f", on_error '{on_error}'",
-                          row_block_size=4, **config_kwargs)
-    if region == "indexed":
-        engine.query("SELECT c FROM t")  # line index; a, b unconverted
-    outcome = []
-    for sql in NUL_QUERIES:
-        try:
-            outcome.append(engine.query(sql).rows)
-        except FormatError as exc:
-            outcome.append((str(exc), exc.context["row_number"]))
-    rejects = []
-    if vfs.exists("__rejects__/t"):
-        rejects = [record.split(b"\t")[:2] for record in
-                   vfs.read_bytes("__rejects__/t").split(b"\n")[:-1]]
-    return outcome, engine.counters().get("rows_rejected"), rejects
-
-
 #: what the first query must do under each policy, spelled out so the
 #: two paths cannot agree on a wrong answer
 NUL_EXPECTED = {
@@ -147,12 +150,53 @@ NUL_EXPECTED = {
 @pytest.mark.parametrize("region", ["streaming", "indexed"])
 @pytest.mark.parametrize("on_error", ["fail", "skip", "null"])
 def test_nul_padded_numeric_matches_scalar(on_error, region, workers):
-    """``5\\x00`` raises / is skipped / is NULLed as the oracle does —
-    and ``{"a": 5\\x00}`` exactly like it in the JSONL twin: same
-    messages, row numbers, ``rows_rejected`` and quarantine records."""
+    """``5\\x00`` raises / is skipped / is NULLed as the oracle does:
+    same messages, row numbers, ``rows_rejected`` and quarantine
+    records."""
     oracle = nul_outcome("csv", on_error, region, engine=OracleRaw)
     assert oracle[0][0] == NUL_EXPECTED[on_error]
     assert nul_outcome("csv", on_error, region,
                        scan_workers=workers) == oracle
-    assert nul_outcome("jsonl", on_error, region,
-                       scan_workers=workers) == oracle
+
+
+# ---------------------------------------------------------------------------
+# §4.4 reservoirs across paths, with replacement actually happening
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("block_size", [8, 64])
+@pytest.mark.parametrize("target", [3, 7])
+class TestReservoirsAcrossPaths:
+    """``test_statistics_collection_identical`` runs tables smaller
+    than the default sample target, so it never reaches reservoir
+    replacement — the branch whose RNG stream depends on the exact
+    per-attribute feeding order. Tiny targets put every path there:
+    half the columns are first touched over a fresh file, the rest
+    over the indexed region plus an appended tail (a FITS file cannot
+    grow in place)."""
+
+    def run_paths(self, layout, target, block_size):
+        table = Table("t", "fits" if layout == "fits" else "random", 4402)
+        names = [column.name for column in table.generate()[0].columns]
+        first, rest = ", ".join(names[:2]), ", ".join(names[2:])
+        ops = [Query(f"SELECT count(*) FROM t WHERE {names[0]} < 0"),
+               Query(f"SELECT {first} FROM t"),
+               Append(45, 1), Query(f"SELECT {rest} FROM t")]
+        if layout == "fits":
+            del ops[2]
+        scenario = Scenario((table,), tuple(ops),
+                            (("row_block_size", block_size),
+                             ("stats_sample_target", target)), layout)
+        check(scenario)     # every axis that applies to the layout
+        stats = run(scenario)[-1]["t.stats"]
+        assert sorted(stats) == sorted(names)
+        # the reservoirs really were in their replacement phase
+        assert all(column["observed_rows"] > target
+                   for column in stats.values())
+
+    def test_csv_batch_scalar_workers_kernels(self, target, block_size):
+        self.run_paths("csv", target, block_size)
+
+    def test_jsonl_workers_kernels(self, target, block_size):
+        self.run_paths("jsonl", target, block_size)
+
+    def test_fits_batch_vs_scalar(self, target, block_size):
+        self.run_paths("fits", target, block_size)

@@ -7,7 +7,8 @@ oracle engine (``tests/oracle``, whose row scans make every operator
 above them run its row-at-a-time form) and the loaded DBMS, demanding
 identical result *sequences* (group emission order, sort tie-breaking,
 float accumulation order), identical structures and priced counters —
-is the lockstep harness (``tests/oracle/digest.py``). What stays here:
+runs as pinned scenarios of the lockstep harness
+(``tests/oracle/digest.py``, its ``oracle`` and ``loaded`` axes). Also:
 
 * **zero row materialization** on the batch path for vectorizable
   plans (``rows_materialized == 0`` upstream of final assembly), and a
@@ -41,21 +42,31 @@ from repro.sql.parser import parse
 from repro.sql.planner import Planner
 from tests.oracle import OracleRaw
 from tests.oracle.digest import (
+    AXIS,
     CASE_SCHEMA,
     JOIN_QUERIES,
     PAIR_PREDICATES,
     PAIR_SCHEMA,
+    Query,
+    Scenario,
+    Table,
     build_engine,
+    case_aggregates,
     case_query,
     case_table,
+    check,
     keyed_table,
     micro,
     pair_table,
     plan_nodes,
-    render,
+    random_agg_query,
+    random_order_query,
     random_schema,
     random_table,
+    render,
     rows_key,
+    seeded,
+    seeded_scenario,
     structures,
 )
 
@@ -66,6 +77,59 @@ WITH_D = {**MICRO, "d": (Schema([("k", INTEGER), ("w", INTEGER)]),
 
 def micro_db(engine=PostgresRaw, tables=MICRO):
     return build_engine(tables, engine=engine, row_block_size=64)
+
+
+#: the block scan against the oracle (exact sequences, structures,
+#: counters) and the loaded DBMS (the multiset of rows)
+ENGINES = [AXIS["oracle"], AXIS["loaded"]]
+
+
+def pinned(tables, queries, block_size, repeat=1) -> Scenario:
+    """The lockstep scenario of ``queries`` (each run ``repeat`` times)
+    over ``tables`` at ``block_size``."""
+    return Scenario(tuple(tables), tuple(Query(sql) for sql in queries
+                                         for _ in range(repeat)),
+                    (("row_block_size", block_size),))
+
+
+def keyed(seed: int, key_family: str):
+    """The two keyed tables ``l`` and ``r`` of ``seed`` and a generator
+    for the rest of the scenario."""
+    return ((Table("l", f"l_{key_family}", seed),
+             Table("r", f"r_{key_family}", seed + 1)), random.Random(seed))
+
+
+# ---------------------------------------------------------------------------
+# Random operator-level workloads: GROUP BY, ORDER BY, hash joins
+# ---------------------------------------------------------------------------
+class TestAggregateDifferentialFuzz:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_group_by_aggregates_agree(self, seed):
+        """Exact sequence parity: emission order and float accumulation
+        order are replicated, not just the set."""
+        check(seeded_scenario(31000 + seed, 5, [1, 3, 8, 17, 64],
+                              random_agg_query), ENGINES)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_order_by_exact_sequence(self, seed):
+        """ORDER BY must agree on the full sequence — NULL placement,
+        per-key direction and stable tie order included."""
+        check(seeded_scenario(32000 + seed, 4, [2, 5, 16],
+                              random_order_query), ENGINES)
+
+
+class TestHashJoinDifferentialFuzz:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_int_key_joins_agree(self, seed):
+        tables, rng = keyed(33000 + seed, "int")
+        check(pinned(tables, JOIN_QUERIES[:5], rng.choice([3, 8, 32])),
+              ENGINES)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_string_key_joins_agree(self, seed):
+        tables, rng = keyed(34000 + seed, "str")
+        check(pinned(tables, [JOIN_QUERIES[0], JOIN_QUERIES[4]],
+                     rng.choice([3, 8, 32])), ENGINES)
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +435,9 @@ class TestWidenedVectorizerShapes:
             assert structures(raw_batch, "t") == structures(raw_scalar, "t")
 
 
-
-
 # ---------------------------------------------------------------------------
-# Semi-joins, CASE-bearing aggregates: the
-# three shapes that used to drag TPC-H Q4/Q12/Q14 onto the row path.
-# Random workloads of each (EXISTS / NOT EXISTS, CASE aggregates, column
-# pairs pushed to the scan and as residual filters) are the lockstep
-# harness's; here, the fixed cases and the columnar-plan contract
+# Semi-joins, CASE-bearing aggregates, column-vs-column predicates:
+# the three shapes that used to drag TPC-H Q4/Q12/Q14 onto the row path
 # ---------------------------------------------------------------------------
 def trio(tables: dict, block_size: int):
     """The block scan, the row-at-a-time oracle and the loaded DBMS
@@ -446,27 +505,60 @@ def test_shapes_stay_columnar(shape):
             assert scan.predicate.vector_fn is not None, sql
 
 
-def test_hash_probe_units_match_the_row_path():
-    # Non-NULL inner keys + every outer row, duplicates included.
-    outer = [["1", "0", "5"], ["", "0", "6"], ["2", "0", "7"]]
-    inner = [["1", "0", "1"], ["1", "0", "2"], ["", "0", "3"]]
-    schema_o = Schema([("ok", INTEGER), ("ok2", INTEGER),
-                       ("ov", INTEGER)])
-    schema_i = Schema([("ik", INTEGER), ("ik2", INTEGER),
-                       ("iv", INTEGER)])
-    engines = trio({"o": (schema_o, outer), "i": (schema_i, inner)}, 2)
-    result = assert_columnar_parity(
-        engines, "SELECT ov FROM o WHERE EXISTS "
-                 "(SELECT * FROM i WHERE ik = ok)", cold=True)
-    assert result.rows == [(5,)]
-    assert result.counters["hash_probe"] == 2 + 3
-    negated = assert_columnar_parity(
-        engines, "SELECT ov FROM o WHERE NOT EXISTS "
-                 "(SELECT * FROM i WHERE ik = ok)")
-    assert negated.rows == [(6,), (7,)]  # a NULL key never matches
+class TestSemiJoinDifferentialFuzz:
+    """EXISTS / NOT EXISTS through the batch ``HashSemiJoinOp``."""
+
+    @pytest.mark.parametrize("key_family", ["int", "str"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exists_and_not_exists_agree(self, seed, key_family):
+        """Typed and object key arrays (the keyed tables draw their
+        NULL rate), multi-column correlation, inner filters down to
+        nothing, an aggregate above the semi-join (TPC-H Q4's shape)."""
+        tables, rng = keyed(37000 + seed, key_family)
+        check(pinned(tables, [sql for sql in JOIN_QUERIES
+                              if "EXISTS" in sql], rng.choice([3, 8, 32])),
+              ENGINES)
+
+    def test_hash_probe_units_match_the_row_path(self):
+        # Non-NULL inner keys + every outer row, duplicates included.
+        outer = [["1", "0", "5"], ["", "0", "6"], ["2", "0", "7"]]
+        inner = [["1", "0", "1"], ["1", "0", "2"], ["", "0", "3"]]
+        schema_o = Schema([("ok", INTEGER), ("ok2", INTEGER),
+                           ("ov", INTEGER)])
+        schema_i = Schema([("ik", INTEGER), ("ik2", INTEGER),
+                           ("iv", INTEGER)])
+        engines = trio({"o": (schema_o, outer), "i": (schema_i, inner)}, 2)
+        result = assert_columnar_parity(
+            engines, "SELECT ov FROM o WHERE EXISTS "
+                     "(SELECT * FROM i WHERE ik = ok)", cold=True)
+        assert result.rows == [(5,)]
+        assert result.counters["hash_probe"] == 2 + 3
+        negated = assert_columnar_parity(
+            engines, "SELECT ov FROM o WHERE NOT EXISTS "
+                     "(SELECT * FROM i WHERE ik = ok)")
+        assert negated.rows == [(6,), (7,)]  # a NULL key never matches
 
 
-class TestCaseAggregates:
+class TestCaseAggregateDifferentialFuzz:
+    """``agg(CASE ...)`` through ``build_vector_value``'s CASE support:
+    first-match-wins, NULL conditions, missing ELSE, branch typing."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_case_aggregates_agree(self, seed):
+        """Every CASE aggregate shape, three at a time, grouped and
+        under a WHERE."""
+        table, _, rng = seeded(38000 + seed, "case")
+        block_size = rng.choice([1, 4, 16, 64])
+        aggs = case_aggregates(rng)
+        rng.shuffle(aggs)
+        queries = []
+        while aggs:
+            picked = ", ".join(aggs.pop() for _ in range(min(len(aggs), 3)))
+            queries.append(f"SELECT g, {picked} FROM t GROUP BY g ORDER BY g")
+            queries.append(f"SELECT {picked} FROM t "
+                           f"WHERE a < {rng.randint(-20, 60)}")
+        check(pinned([table], queries, block_size), ENGINES)
+
     def test_all_else_group_keeps_the_int_zero(self):
         rows = [["1", "5", "1.5", "x", "1990-01-10"],
                 ["2", "5", "2.5", "x", "1990-01-10"],
@@ -502,7 +594,38 @@ class TestCaseAggregates:
                      "a * 2 + g FROM t")
 
 
-class TestColumnPairPredicates:
+class TestColumnPairPredicateFuzz:
+    """``col <op> col`` pushed to the scan and as a residual filter."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pushed_to_the_scan(self, seed):
+        """Each predicate twice: the repeat reads cache-served typed
+        columns (int day numbers for dates) against freshly parsed /
+        NULL-holed object ones."""
+        table, _, rng = seeded(39000 + seed, "pair")
+        block_size = rng.choice([1, 5, 16, 64])
+        predicates = list(PAIR_PREDICATES)
+        rng.shuffle(predicates)
+        check(pinned([table], [f"SELECT x, i1, d2 FROM t WHERE {predicate}"
+                               for predicate in predicates], block_size, 2),
+              ENGINES)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_as_residual_filter_and_having(self, seed):
+        """Column pairs across a join (int, float, date, string) and
+        in HAVING: the same answers, and every filter stays
+        vectorized."""
+        tables, rng = keyed(39500 + seed, "int")
+        block_size = rng.choice([4, 16])
+        queries = JOIN_QUERIES[12:]     # the column-pair residuals, HAVING
+        check(pinned(tables, queries, block_size), ENGINES)
+        db = build_engine({table.name: table.generate() for table in tables},
+                          row_block_size=block_size)
+        for sql in queries:
+            filters = [node for node in plan_nodes(db.query(sql).plan)
+                       if node["op"] in ("Filter", "Having")]
+            assert filters and all(n["vectorized"] for n in filters), sql
+
     def test_uncovered_shapes_keep_the_row_closure(self):
         # NOT(...) and arithmetic inside a comparison are still the
         # closure's job (ScanPredicate.row_mask): same rows, same

@@ -9,8 +9,9 @@ The fault-tolerance contract under test:
 * Results, counters, virtual-clock time and positional-map / binary-
   cache structure dumps are bit-identical at any ``scan_workers``
   count, faults or no faults — under every error policy, kernels on
-  or off, CSV and JSONL: the lockstep harness's ``workers``,
-  ``faults`` and ``kernels`` axes (``tests/oracle/digest.py``).
+  or off, CSV and JSONL (the lockstep harness's digest and its
+  ``workers``, ``faults`` and ``kernels`` axes,
+  ``tests/oracle/digest.py``).
 * Every injected fault surfaces as a typed error or as counted
   degradation (``io_retries`` / ``rows_rejected`` / ``aux_rebuilds``)
   — never a crash, a wrong answer, or corrupted auxiliary state.
@@ -34,6 +35,7 @@ from repro.api.exceptions import (
 from repro.errors import IOFaultError, QueryTimeoutError
 from repro.simcost.clock import CostEvent
 from repro.storage.faults import FaultInjectingVFS
+from tests.oracle.digest import digest, kernels_free
 
 DIRTY_CSV = (b"1,alice,30\n"
              b"2,bob,notanint\n"      # bad value in 'age'
@@ -179,6 +181,54 @@ def test_jsonl_policies():
     with pytest.raises(DataError) as err:
         cur3.fetchall()
     assert err.value.code == "JSONL_FORMAT"
+
+
+# ---------------------------------------------------------------------------
+# Worker-count bit-identity under error policies
+# ---------------------------------------------------------------------------
+POLICY_QUERIES = ("SELECT id, age FROM t WHERE age > 0",
+                  "SELECT name FROM t",
+                  "SELECT id, age FROM t WHERE age > 0",   # warm
+                  "SELECT count(*) FROM t")
+
+
+def policy_digests(workers, on_error, kernels=True, data=DIRTY_CSV,
+                   fmt="csv", queries=POLICY_QUERIES):
+    """The lockstep digest — rows, counters, clock, PM/cache dumps,
+    statistics and the reject sidecar — after each query over the dirty
+    file."""
+    ses, cur, _ = make_session(data, on_error, fmt, scan_workers=workers,
+                               row_block_size=2, scan_kernels=kernels)
+    digests = []
+    for sql in queries:
+        cur.execute(sql)
+        digests.append(digest(ses.engine, ["t"], cur.fetchall()))
+    ses.close()
+    return digests
+
+
+@pytest.mark.parametrize("on_error", ["skip", "null"])
+def test_policy_bit_identity_across_workers(on_error):
+    baseline = policy_digests(1, on_error)
+    assert bool(baseline[-1]["rejects"]) == (on_error == "skip")
+    for workers in (2, 4):
+        assert policy_digests(workers, on_error) == baseline
+
+
+def test_policy_bit_identity_kernels_on_off():
+    # Kernel probe/bailout events are the only permitted difference —
+    # results, structures, rejects and the clock match exactly.
+    assert [kernels_free(d) for d in policy_digests(1, "skip", False)] == \
+        [kernels_free(d) for d in policy_digests(4, "skip", True)]
+
+
+def test_jsonl_skip_bit_identity_across_workers():
+    queries = ("SELECT id, age FROM t", "SELECT id, age FROM t")  # warm
+    baseline = policy_digests(1, "skip", data=DIRTY_JSONL, fmt="jsonl",
+                              queries=queries)
+    for workers in (2, 4):
+        assert policy_digests(workers, "skip", data=DIRTY_JSONL,
+                              fmt="jsonl", queries=queries) == baseline
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ queries the same logical rows as CSV and as JSONL — lines mixing member
 order, key case, whitespace, missing members and nested extras — and
 demands the same rows, row numbers, cache contents, statistics and
 every priced counter but byte geometry, cold, warm and after file
-changes, under every error policy and worker count. Here: fixed
-differentials, the tokenizer and the block structural index against
-the per-line walk, trailing data and VARCHAR decoding; the
-adaptive-structure tests
+changes, under every error policy and worker count; here on pinned
+scenarios (dirty rows under each policy, budgets, kernels, appends).
+Also here: fixed differentials, NUL-padded numbers, the tokenizer and
+the block structural index against the per-line walk, trailing data
+and VARCHAR decoding; the adaptive-structure tests
 assert the NoDB mechanisms carry over — warm scans stop tokenizing and
 converting (binary cache), the positional map's line index kills
 newline discovery, and its value-position chunks shrink tokenization
@@ -17,6 +18,7 @@ even with the cache disabled.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import json
 
@@ -44,7 +46,18 @@ from repro.formats.jsonl import (
     write_jsonl,
 )
 from repro.sql.catalog import Column
-from tests.oracle.digest import build_engine
+from tests.oracle.digest import (
+    AXIS,
+    Append,
+    Query,
+    Scenario,
+    build_engine,
+    check,
+    nul_outcome,
+    random_query,
+    seeded,
+    worker_axes,
+)
 
 ROWS = [
     {"id": 1, "name": "alice", "height": 170.5, "born": "2001-05-20",
@@ -368,6 +381,17 @@ class TestNumericFastPath:
         assert rows == [(i, i / 8) for i in range(64)]
 
 
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("region", ["streaming", "indexed"])
+@pytest.mark.parametrize("on_error", ["fail", "skip", "null"])
+def test_nul_padded_numeric_matches_csv_twin(on_error, region, workers):
+    """``{"a": 5\\x00}`` raises / is skipped / is NULLed exactly like
+    ``5\\x00`` in the CSV rendering of the same rows — same messages,
+    row numbers, ``rows_rejected`` and quarantine records."""
+    assert nul_outcome("jsonl", on_error, region, scan_workers=workers) \
+        == nul_outcome("csv", on_error, region, scan_workers=workers)
+
+
 # ---------------------------------------------------------------------------
 # The block structural index against the per-line walk
 # ---------------------------------------------------------------------------
@@ -567,6 +591,38 @@ class TestBlockIndex:
 
 
 # ---------------------------------------------------------------------------
+# Engine level: a mixed-layout file against its CSV twin
+# ---------------------------------------------------------------------------
+def mixed_workload(on_error: str) -> Scenario:
+    """A table with unparseable values (``dirty``) under ``on_error``:
+    four random statements, cold, then warm. Its JSONL twin mixes
+    member order, key case, whitespace, missing members and nested
+    extras line by line (``render_jsonl``)."""
+    table, schema, rng = seeded(595)
+    table = dataclasses.replace(table, dirty=True)
+    queries = [random_query(rng, schema) for _ in range(4)]
+    return Scenario((table,), tuple(Query(sql) for sql in queries * 2),
+                    (("row_block_size", 8), ("on_error", on_error)))
+
+
+@pytest.mark.parametrize("on_error", ["fail", "skip", "null"])
+def test_mixed_layouts_match_csv_twin_at_any_worker_count(on_error):
+    """The CSV file answers as the row-at-a-time oracle does; its JSONL
+    twin with the same rows, row numbers, counters but byte geometry,
+    statistics and quarantine records; and the JSONL table the same at
+    1 and 4 workers."""
+    scenario = mixed_workload(on_error)
+    check(scenario, [AXIS["oracle"], AXIS["twin"]])
+    runs = check(dataclasses.replace(scenario, layout="jsonl"),
+                 worker_axes(1, 4))
+    digests = next(iter(runs.values()))
+    # the dirty values really reach the policy
+    assert any(isinstance(step["outcome"], tuple) for step in digests) \
+        == (on_error == "fail")
+    assert bool(digests[-1]["rejects"]) == (on_error == "skip")
+
+
+# ---------------------------------------------------------------------------
 # Trailing data after the object: an error, never a silently dropped row
 # ---------------------------------------------------------------------------
 TRAILING_LINES = [b'{"a": 0}', b'{"a": 1} {"a": 2}', b'{"a": 3}xyz',
@@ -628,3 +684,29 @@ def test_varchar_control_character_still_raises():
     with pytest.raises(JSONLFormatError, match="bad string value") as info:
         engine.query("SELECT s FROM s")
     assert info.value.context["row_number"] == 1
+
+
+# ---------------------------------------------------------------------------
+# One block compute: a JSONL table charges what its CSV twin charges
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("budget", [None, 8000])
+@pytest.mark.parametrize("kernels", [True, False])
+@pytest.mark.parametrize("workers", [1, 4])
+def test_jsonl_charges_what_its_csv_twin_charges(workers, kernels, budget):
+    """Cold, warm, under a cache budget and after an append: same rows,
+    same non-geometry counters, same §4.4 reservoirs (each round of the
+    twin axis) — over mixed column types, and over the wide micro table
+    the budget cannot hold."""
+    table, schema, rng = seeded(4403, "random" if budget is None
+                                else "micro")
+    queries = [Query(random_query(rng, schema)) for _ in range(5)]
+    config = {"row_block_size": 32, "stats_sample_target": 7,
+              "scan_workers": workers, "scan_kernels": kernels,
+              "cache_budget_bytes": budget}
+    check(Scenario((table,), (*queries, *queries, Append(45, 1), *queries),
+                   tuple(config.items())), [AXIS["twin"]])
+    if budget is not None:      # the budget really evicts
+        engine = build_engine({"t": table.generate()}, "jsonl", **config)
+        for query in queries:
+            engine.query(query.sql)
+        assert engine.cache_of("t").evictions > 0

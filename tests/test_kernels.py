@@ -1,15 +1,17 @@
-"""Scan kernels: the per-scan decision and the per-block accounting.
+"""Scan kernels: differential fuzz + the per-scan decision.
 
 The kernel path (``repro.kernels``) — the cached-block fast path of the
 generic batch scan — must be *invisible* except in wall-clock time and
-its own zero-priced counters: identical result sequences, PM/cache
-dumps and LRU orders, every non-``kernel_*`` counter and the virtual
-clock, kernels on vs off. That is the lockstep harness's ``kernels``
-axis (``tests/oracle/digest.py``): random schemas, both formats, 1 and
-4 workers, cache / PM budgets that keep the cache evicting while the
-fast path runs, sessions and one-shot ``Database.query`` alike. What
-stays here:
+its own zero-priced counters. The contract under test:
 
+* **On-vs-off parity** — identical result sequences, PM/cache dumps
+  and LRU orders, every non-``kernel_*`` counter and the virtual clock,
+  with 1 and 4 scan workers, over seeded random schemas/data/workloads
+  (CSV) and JSONL tables — unbudgeted, and under cache / positional-map
+  budgets small enough that evictions interleave with the fast path —
+  through a session and through one-shot ``Database.query`` alike: the
+  lockstep harness's ``kernels`` axis (``tests/oracle/digest.py``) on
+  pinned scenarios.
 * **One unit per block** — every indexed block offered to the fast
   path counts exactly one ``kernel_hits`` (served) or
   ``kernel_bailouts`` (probed and missed).
@@ -33,14 +35,41 @@ from repro.core.blockscan import BlockScan
 from repro.formats.csvfmt import write_csv
 from repro.formats.jsonl import write_jsonl
 from tests.oracle.digest import (
+    AXIS,
     PAIR_PREDICATES,
     PAIR_SCHEMA,
+    Query,
+    Scenario,
+    Table,
+    between,
     build_engine,
+    check,
     digest,
     kernels_free,
     numeric_table,
     pair_table,
+    seeded_scenario,
 )
+
+WORKER_COUNTS = (1, 4)
+#: the two ways a query reaches the scan
+ENTRIES = ("session", "query")
+
+#: budget regimes the parity fuzz runs under: ``None`` is the
+#: unbudgeted engine over random mixed-type tables; the rest run over
+#: NULL-free numeric tables — so blocks actually commit — with budgets
+#: that keep the cache (and map) evicting while the fast path runs.
+PRESSURE = [
+    None,
+    dict(cache_budget_bytes=600, pm_budget_bytes=None,
+         enable_statistics=True),
+    dict(cache_budget_bytes=1500, pm_budget_bytes=800,
+         enable_statistics=False),
+    dict(cache_budget_bytes=4000, pm_budget_bytes=3000,
+         enable_statistics=True),
+    dict(cache_budget_bytes=4000, enable_positional_map=False,
+         enable_statistics=False),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +158,68 @@ def test_one_unit_per_indexed_block(workload, workers, monkeypatch):
     assert counters.get("kernel_hits", 0) > 0
 
 
-def test_ineligible_reason_names_the_offending_conjunct():
-    engine = build_engine({"t": (PAIR_SCHEMA, pair_table(
-        random.Random(1), 5))}, row_block_size=16, scan_kernels=True)
-    lines = explain_kernel_lines(
-        repro.connect(engine),
-        "SELECT x FROM t WHERE i1 < i2 AND i1 + i2 > 3")
-    assert lines == ["kernel: none (predicate not vectorizable: "
-                     "((c:i1+c:i2)>lit)) [t]"]
+# ---------------------------------------------------------------------------
+# Differential fuzz: kernels on vs off must be invisible
+# ---------------------------------------------------------------------------
+def pressure_workload(seed, pressure, entry, layout, block_size,
+                      workers) -> Scenario:
+    """The seed's table — random mixed types unbudgeted, NULL-free
+    numeric under a budget — and five random statements, each run cold
+    and twice warm through ``entry``."""
+    return seeded_scenario(seed, 5, block_size, kind="random"
+                           if pressure is None else "numeric",
+                           layout=layout, entry=entry, repeat=3,
+                           scan_workers=workers, **(pressure or {}))
+
+
+class TestKernelDifferentialFuzz:
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("pressure", PRESSURE)
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_csv_random_workloads_match(self, seed, workers, pressure,
+                                        entry):
+        check(pressure_workload(72000 + seed, pressure, entry, "csv",
+                                [3, 8, 17, 64], workers), [AXIS["kernels"]])
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_column_pair_and_like_predicates_match(self, workers):
+        """Column-vs-column comparisons and LIKE masks are vectorized,
+        so their scans are kernel-eligible: on-vs-off must stay
+        invisible for them too (string columns and NULLs bail per
+        block)."""
+        table = Table("t", "pair", 72500)
+        ops = tuple(Query(f"SELECT x, d1, f2 FROM t WHERE {predicate}",
+                          "session")
+                    for predicate in PAIR_PREDICATES for _ in range(2))
+        check(Scenario((table,), ops, (("row_block_size", 16),
+                                       ("scan_workers", workers))),
+              [AXIS["kernels"]])
+
+    def test_ineligible_reason_names_the_offending_conjunct(self):
+        engine = build_engine({"t": (PAIR_SCHEMA, pair_table(
+            random.Random(1), 5))}, row_block_size=16, scan_kernels=True)
+        lines = explain_kernel_lines(
+            repro.connect(engine),
+            "SELECT x FROM t WHERE i1 < i2 AND i1 + i2 > 3")
+        assert lines == ["kernel: none (predicate not vectorizable: "
+                         "((c:i1+c:i2)>lit)) [t]"]
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("pressure", PRESSURE)
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_jsonl_workloads_match(self, workers, pressure, entry):
+        check(pressure_workload(72600, pressure, entry, "jsonl", 32,
+                                workers), [AXIS["kernels"]])
+
+    def test_worker_counts_identical_with_kernels(self):
+        """The kernel path preserves the worker-invariance contract: 1
+        and 4 workers agree on everything, kernels on — the same blocks
+        bail on both sides, so even ``kernel_*`` counters match."""
+        check(seeded_scenario(9151, 4, 8, entry="session",
+                              scan_kernels=True),
+              [between("workers", {"scan_workers": 1},
+                       {"scan_workers": 4})])
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +245,18 @@ class TestKernelBailouts:
         counters = kernel_counters(on)
         assert counters.get("kernel_bailouts", 0) > 0
         assert counters.get("kernel_hits", 0) > 0
+
+    def test_string_column_output_stays_identical(self):
+        rows = [[str(i), f"name_{i % 9}"] for i in range(64)]
+        schema = repro.Schema([("a", repro.INTEGER),
+                               ("s", repro.varchar())])
+        on, off = kernel_pair(schema, rows, scan_workers=1)
+        s_on, s_off = repro.connect(on), repro.connect(off)
+        sql = "SELECT s FROM t WHERE a >= 20"
+        for _ in range(3):
+            assert s_on.execute(sql).fetchall() == \
+                s_off.execute(sql).fetchall()
+            assert same_state(on, off)
 
     def test_cold_scan_runs_the_generic_group_compute(self, monkeypatch):
         """The streaming region has no kernel entry: a cold scan of

@@ -1,11 +1,11 @@
-"""Parallel chunk scans: the cases the lockstep harness does not draw.
+"""Parallel chunk scans: determinism, accounting, and the regroup pass.
 
-The contract — for any workload ``scan_workers`` 1 and 4 give the same
-result sequences, PM/cache dumps with their LRU orders, counters and
-virtual clock — is the lockstep harness's ``workers`` axis
-(``tests/oracle/digest.py``): random schemas, both line formats,
-feature ablations, budgets, prepared statements, interleaved and
-abandoned cursors. What stays here, on the harness's builder and
+The contract — for any workload ``scan_workers`` 1, 2 and 4 give the
+same result sequences, PM/cache dumps with their LRU orders, counters
+and virtual clock — is the lockstep harness's ``workers`` axis
+(``tests/oracle/digest.py``), here on pinned scenarios: random schemas,
+both line formats, feature ablations, budgets, prepared statements and
+streaming cursors. Also here, on the harness's builder and
 digest: a malformed row and a hard read error at any worker count,
 abandoned scans under small reads, the pool-less laziness the one-loop
 driver depends on (a group is computed when the merge reaches it,
@@ -29,11 +29,19 @@ from repro.core.blockscan import BlockScan
 from repro.storage.faults import FaultInjectingVFS
 from tests.oracle import OracleRaw
 from tests.oracle.digest import (
+    Interleave,
+    Prepared,
+    Scenario,
+    Table,
     build_engine,
+    check,
     digest,
     micro,
     pm_dump,
     render,
+    seeded_scenario,
+    structures,
+    worker_axes,
 )
 
 FORMATS = ("csv", "jsonl")
@@ -48,10 +56,45 @@ def micro_engine(fmt: str, workers: int, rows: int, nattrs: int, seed: int,
 
 
 WORKER_COUNTS = (1, 2, 4)
+#: 1 against 2 and against 4 workers: nothing may differ
+WORKER_AXES = worker_axes(*WORKER_COUNTS)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
 class TestParallelDeterminism:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_workloads_identical_across_worker_counts(self, fmt,
+                                                             seed):
+        """Result sequences, PM/cache dumps, counters and the clock
+        itself must be independent of scan_workers."""
+        check(seeded_scenario(61000 + seed, 5, [1, 3, 8, 17, 64],
+                              layout=fmt), WORKER_AXES)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(enable_cache=False),
+        dict(enable_positional_map=False),
+        dict(enable_statistics=False),
+        dict(enable_cache=False, enable_statistics=False),
+    ])
+    def test_feature_ablations_stay_deterministic(self, fmt, kwargs):
+        check(seeded_scenario(4711, 4, 8, layout=fmt, **kwargs),
+              WORKER_AXES)
+
+    def test_budgeted_structures_identical(self, fmt):
+        """Eviction order under PM/cache budgets depends on insert
+        order — which the merge keeps canonical."""
+        check(seeded_scenario(99, 4, 8, layout=fmt, pm_budget_bytes=400,
+                              cache_budget_bytes=600), WORKER_AXES)
+
+    def test_prepared_statements_and_streaming_cursors(self, fmt):
+        sql = "SELECT a1, a3 FROM t WHERE a2 < ?"
+        scenario = Scenario(
+            (Table("t", "micro", 7),),
+            (Interleave((sql.replace("?", "600000000"),), 37),
+             Prepared(sql, ((600_000_000,), (100_000_000,)))),
+            (("row_block_size", 64),), fmt)
+        check(scenario, WORKER_AXES[1:])
+
     def test_malformed_csv_raises_identically(self, fmt):
         """A short line must fail with the same error, after the same
         charges, at any worker count (the merge replays a failed
@@ -304,21 +347,33 @@ class TestSchedulerWorkerOverlap:
         """Two admitted queries interleaved at batch boundaries each
         dispatch their own groups to the shared pool — and keep their
         futures in flight across yields, which is the overlap
-        mechanism. Per-job worker_tasks attributes the fan-out (rows
-        and structures equal a serial engine's: the lockstep harness's
-        workers axis over ``Interleave`` ops)."""
+        mechanism. Per-job worker_tasks attributes the fan-out."""
+        def interleave(engine):
+            s1 = repro.connect(engine=engine, max_in_flight=4)
+            s2 = repro.connect(engine=engine)
+            c1 = s1.execute("SELECT a1 FROM m WHERE a1 > 0")
+            c2 = s2.execute("SELECT a2, a5 FROM m")
+            out1, out2 = [], []
+            while True:
+                chunk1, chunk2 = c1.fetchmany(50), c2.fetchmany(50)
+                out1.extend(chunk1)
+                out2.extend(chunk2)
+                if not chunk1 and not chunk2:
+                    return c1, c2, out1, out2
+
         engine = self.micro_engine(2)
         assert engine.scan_pool is not None
-        s1 = repro.connect(engine=engine, max_in_flight=4)
-        s2 = repro.connect(engine=engine)
-        c1 = s1.execute("SELECT a1 FROM m WHERE a1 > 0")
-        c2 = s2.execute("SELECT a2, a5 FROM m")
-        while any([c1.fetchmany(50), c2.fetchmany(50)]):
-            pass
+        c1, c2, out1, out2 = interleave(engine)
         assert c1.worker_tasks > 0
         assert c2.worker_tasks > 0
         assert engine.scan_pool.tasks_submitted >= (c1.worker_tasks
                                                     + c2.worker_tasks)
+        # Same interleave on a serial engine: identical rows and
+        # identical structures (the cooperative-interleave differential
+        # also spans the worker fan-out).
+        serial = self.micro_engine(1)
+        assert interleave(serial)[2:] == (out1, out2)
+        assert structures(engine, "m") == structures(serial, "m")
 
     def test_per_job_counters_include_worker_charges(self):
         """Worker-side charges replay inside the owning pull, so the

@@ -11,8 +11,8 @@ The load-bearing invariants:
   ``glob`` axis (``tests/oracle/digest.py``).
 * **Worker invariance** — results, per-file positional-map/cache dumps,
   every counter and the virtual clock are bit-identical between 1 and 4
-  scan workers (the harness's ``workers`` axis over globs, abandoned
-  cursors and malformed rows included), also under a bounded OS page
+  scan workers (the harness's ``workers`` axis over globs), also after
+  an abandoned cursor, a mid-table error or under a bounded OS page
   cache (files are scanned strictly in order; only row-block groups
   inside a file fan out).
 * **Zone-map soundness** — pruning never changes results, only costs:
@@ -27,6 +27,7 @@ import random
 
 import pytest
 
+import repro
 from repro import (
     INTEGER,
     PostgresRaw,
@@ -35,10 +36,18 @@ from repro import (
     VirtualFS,
     varchar,
 )
-from repro.errors import CatalogError
+from repro.errors import CatalogError, ReproError
 from repro.storage.vfs import OSPageCache
 
-from tests.oracle.digest import build_engine, cache_dump, digest, pm_dump
+from tests.oracle.digest import (
+    AXIS,
+    build_engine,
+    cache_dump,
+    check,
+    digest,
+    pm_dump,
+    seeded_scenario,
+)
 
 TAGS = "abcdefgh"
 EV_SCHEMA = Schema([("id", INTEGER), ("tag", varchar()), ("v", INTEGER)])
@@ -303,6 +312,26 @@ class TestOracleDifferential:
             assert math.isclose(got.elapsed, expected.elapsed,
                                 rel_tol=1e-9)
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_fuzz_rows_match_for_random_predicates(self, workers):
+        """Random tables split into 2, 3 or 6 files answer random
+        workloads as the single file does (the harness's ``glob``
+        axis)."""
+        for seed in range(8):
+            check(seeded_scenario(100 + seed, 4, 4, files=[2, 3, 6][seed % 3],
+                                  scan_workers=workers), [AXIS["glob"]])
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_prune_all_leg(self, workers):
+        rows = make_rows(48, seed=5)
+        oracle = build_oracle(rows)
+        part = build(rows, files=6, workers=workers)
+        part.query("SELECT v FROM ev")
+        sql = "SELECT id FROM ev WHERE v > 100000"
+        expected, got = oracle.query(sql), part.query(sql)
+        assert got.rows == expected.rows == []
+        assert files_counters(got) == {"files_pruned": 6}
+
     def test_structure_dumps_translate_to_oracle(self):
         # Files of 8 rows with row_block_size 4: child block b of file
         # f is oracle block 2*f + b, and child line starts shift by the
@@ -349,25 +378,64 @@ class TestOracleDifferential:
 # Worker-count invariance
 # ---------------------------------------------------------------------------
 class TestWorkerInvariance:
-    def test_bounded_os_cache_sees_one_access_order(self):
-        """Files are scanned strictly in order, so a bounded OS page
-        cache sees the same reads at any worker count — and the pool
-        really runs row-block groups inside the files."""
+    def test_results_counters_dumps_identical_1_vs_4(self):
         rows = make_rows(64, seed=2)
-        digests = []
+        runs = {}
         for workers in (1, 4):
-            vfs = VirtualFS(OSPageCache(capacity_bytes=2 * 64 * 1024))
+            db = build(rows, files=8, workers=workers)
+            runs[workers] = [
+                (digest(db, ["ev"], result.rows), result.elapsed)
+                for result in map(db.query, (
+                    PRUNE_ZERO, "SELECT count(*) FROM ev",
+                    "SELECT id FROM ev WHERE v > 300 ORDER BY id"))]
+        assert runs[1] == runs[4]
+        # and the pool really ran row-block groups inside the files
+        db = build(rows, files=8, workers=4)
+        before = db.scan_pool.tasks_submitted
+        db.query("SELECT count(*) FROM ev")
+        assert db.scan_pool.tasks_submitted - before >= 8
+
+    @pytest.mark.parametrize("scenario", [
+        "abandoned_cursor", "malformed_middle_file", "bounded_os_cache"])
+    def test_state_after_event_identical_1_vs_4(self, scenario):
+        # Files are scanned strictly in order, so whatever stops a scan
+        # early (an abandoned cursor, a typed error in file 3) leaves
+        # exactly the structures a serial scan built — and a bounded OS
+        # page cache sees the same access order — at any worker count.
+        rows = make_rows(64, seed=2)
+        follow_up = "SELECT count(*) FROM ev WHERE v > 100"
+
+        def outcome(db, sql):
+            try:
+                return db.query(sql).rows
+            except ReproError as exc:
+                return (exc.code, exc.context.get("path"))
+
+        runs = {}
+        for workers in (1, 4):
+            vfs = (VirtualFS(OSPageCache(capacity_bytes=2 * 64 * 1024))
+                   if scenario == "bounded_os_cache" else VirtualFS())
             for f in range(8):
-                vfs.create(f"ev-{f}.csv", to_csv(rows[f * 8:(f + 1) * 8]))
+                data = to_csv(rows[f * 8:(f + 1) * 8])
+                if scenario == "malformed_middle_file" and f == 3:
+                    data += b"99,z,notanint\n"
+                vfs.create(f"ev-{f}.csv", data)
             db = PostgresRaw(vfs=vfs, config=PostgresRawConfig(
                 scan_workers=workers, row_block_size=4))
             db.query("CREATE TABLE ev (id INTEGER, tag VARCHAR, v INTEGER) "
-                     "USING csv OPTIONS (path 'ev-*.csv')")
-            before = db.scan_pool.tasks_submitted if db.scan_pool else 0
-            for sql in (PRUNE_ZERO, "SELECT count(*) FROM ev WHERE v > 100"):
-                digests.append(digest(db, ["ev"], db.query(sql).rows))
-        assert digests[:2] == digests[2:]
-        assert db.scan_pool.tasks_submitted - before >= 8
+                     "USING csv OPTIONS (path 'ev-*.csv', on_error 'fail')")
+            if scenario == "abandoned_cursor":
+                cur = repro.connect(engine=db).execute(
+                    "SELECT id, v FROM ev")
+                event = cur.fetchone()
+                cur.close()
+            else:
+                event = outcome(db, "SELECT id, v FROM ev WHERE v >= 0")
+            runs[workers] = (digest(db, ["ev"], event),
+                             digest(db, ["ev"], outcome(db, follow_up)))
+        if scenario == "malformed_middle_file":
+            assert runs[1][0]["outcome"] == ("CSV_FORMAT", "ev-3.csv")
+        assert runs[1] == runs[4]
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,17 @@
 The invariant: whatever sequence of queries runs (warming the map and
 cache along the way), every scan's output equals a naive re-parse of
 the raw file. This is the PM/cache correctness invariant under
-adversarial workloads.
+adversarial workloads, checked against ground truth rather than
+against another engine (the lockstep harness's job,
+``tests/oracle/digest.py``).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import PostgresRaw, PostgresRawConfig, VirtualFS
 from repro.sql.scanapi import ScanPredicate
 from repro.workloads.micro import micro_schema
+from tests.oracle.digest import build_engine
 
 N_ATTRS = 6
 VALUE_MAX = 1000
@@ -32,23 +34,14 @@ query_strategy = st.tuples(
 workload_strategy = st.lists(query_strategy, min_size=1, max_size=6)
 
 
-def build_engine(rows, block_size, pm_budget=None, cache_budget=None,
-                 enable_pm=True, enable_cache=True):
-    vfs = VirtualFS()
-    payload = "\n".join(",".join(map(str, row)) for row in rows)
-    vfs.create("t.csv", (payload + "\n").encode())
-    config = PostgresRawConfig(
-        row_block_size=block_size,
-        pm_budget_bytes=pm_budget,
-        cache_budget_bytes=cache_budget,
-        enable_positional_map=enable_pm,
-        enable_cache=enable_cache,
-        enable_statistics=False,
-    )
-    db = PostgresRaw(config=config, vfs=vfs)
-    db.register_csv("t", "t.csv", micro_schema(N_ATTRS))
-    # The engine is returned too: an access method refers to its
-    # catalog entry weakly, so it scans only while its engine lives.
+def access_of(rows, block_size, **config):
+    """The engine over ``rows`` (statistics off) and its table's access
+    method: an access method refers to its catalog entry weakly, so it
+    scans only while its engine lives."""
+    db = build_engine({"t": (micro_schema(N_ATTRS),
+                             [[str(v) for v in row] for row in rows])},
+                      row_block_size=block_size, enable_statistics=False,
+                      **config)
     return db, db.catalog.get("t").access
 
 
@@ -79,36 +72,34 @@ class TestScanDifferential:
     @settings(max_examples=40, deadline=None)
     def test_any_workload_matches_ground_truth(self, rows, workload,
                                                block_size):
-        _db, access = build_engine(rows, block_size)
+        _db, access = access_of(rows, block_size)
         run_workload(access, rows, workload)
 
     @given(rows_strategy, workload_strategy)
     @settings(max_examples=25, deadline=None)
     def test_tight_budgets_never_corrupt_results(self, rows, workload):
         # Evictions (map and cache) may only cost time, never answers.
-        _db, access = build_engine(rows, block_size=4, pm_budget=64,
-                              cache_budget=64)
+        _db, access = access_of(rows, 4, pm_budget_bytes=64,
+                                cache_budget_bytes=64)
         run_workload(access, rows, workload)
 
     @given(rows_strategy, workload_strategy)
     @settings(max_examples=25, deadline=None)
     def test_baseline_mode_matches_ground_truth(self, rows, workload):
-        _db, access = build_engine(rows, block_size=8, enable_pm=False,
-                              enable_cache=False)
+        _db, access = access_of(rows, 8, enable_positional_map=False,
+                                enable_cache=False)
         run_workload(access, rows, workload)
 
     @given(rows_strategy, workload_strategy)
     @settings(max_examples=25, deadline=None)
     def test_cache_only_mode(self, rows, workload):
-        _db, access = build_engine(rows, block_size=8, enable_pm=False,
-                              enable_cache=True)
+        _db, access = access_of(rows, 8, enable_positional_map=False)
         run_workload(access, rows, workload)
 
     @given(rows_strategy, workload_strategy)
     @settings(max_examples=25, deadline=None)
     def test_pm_only_mode(self, rows, workload):
-        _db, access = build_engine(rows, block_size=8, enable_pm=True,
-                              enable_cache=False)
+        _db, access = access_of(rows, 8, enable_cache=False)
         run_workload(access, rows, workload)
 
     @given(rows_strategy, st.lists(st.integers(0, N_ATTRS - 1),
@@ -117,7 +108,7 @@ class TestScanDifferential:
     @settings(max_examples=25, deadline=None)
     def test_abandoned_generators_leave_consistent_state(self, rows, attrs,
                                                          stop_after):
-        _db, access = build_engine(rows, block_size=4)
+        _db, access = access_of(rows, 4)
         gen = access.scan(attrs, None)
         for _ in range(min(stop_after, len(rows))):
             try:

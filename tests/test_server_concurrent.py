@@ -1,17 +1,17 @@
-"""Multi-client correctness: wire sessions under real concurrency.
+"""Multi-client determinism: wire sessions equal in-process sessions.
 
 N wire clients streaming through the server must leave every cursor's
 ledger, every session's clock and the engine's priced ledger and
 structures identical to N in-process sessions driven through the same
 admission scheduler in the same round-robin order: the lockstep
-harness's ``wire`` axis (``tests/oracle/digest.py``,
-``tests/test_lockstep.py::test_wire_equals_in_process``), which drives
-both sides from one thread (the server handles requests strictly in
-arrival order, so a sequential driver pins the interleaving).
+harness's ``wire`` axis (``tests/oracle/digest.py``), which drives both
+sides from one thread (the server handles requests strictly in arrival
+order, so a sequential driver pins the interleaving), at
+``scan_workers`` 1 and 4.
 
-Here, truly threaded clients: the interleaving — and hence the
-cold/warm split between clients — is up to the OS scheduler, but row
-*content* is not, at ``scan_workers`` 1 and 4.
+A truly threaded test checks row correctness: the interleaving — and
+hence the cold/warm split between clients — is up to the OS scheduler,
+but row *content* is not.
 """
 
 import threading
@@ -22,6 +22,7 @@ import repro
 from repro import PostgresRaw, PostgresRawConfig, VirtualFS
 from repro.server import QueryServer, wire_connect
 from repro.workloads.micro import generate_micro_csv
+from tests.oracle.digest import WIRE, Interleave, Scenario, Table, check
 
 WORKER_COUNTS = (1, 4)
 
@@ -43,6 +44,18 @@ def micro_engine(workers: int) -> PostgresRaw:
         vfs=vfs)
     engine.register_csv("m", "m.csv", schema)
     return engine
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_wire_clients_match_in_process_sessions(workers):
+    """The wire axis on the micro table: bit-identical rows per client,
+    identical per-query ledgers and per-session clocks, and an identical
+    engine — same virtual clock, same priced counters, same structures.
+    The server front end is cost-invisible."""
+    sqls = tuple(sql.replace(" m ", " t ") for sql in CLIENT_QUERIES)
+    check(Scenario((Table("t", "micro", 11),), (Interleave(sqls, 50),),
+                   (("row_block_size", 64), ("scan_workers", workers))),
+          [WIRE])
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
