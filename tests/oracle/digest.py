@@ -25,7 +25,7 @@ here too, so no test module imports another.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import itertools
 import json
 import random
@@ -345,6 +345,31 @@ def fits_table(rng: random.Random) -> list[list[str]]:
             for _ in range(rng.randint(0, 150))]
 
 
+#: twelve columns, two per type slot: tables far larger than a small
+#: §4.4 sample target, so its reservoirs reach replacement
+RESERVOIR_SCHEMA = Schema([(f"c{i}", [INTEGER, FLOAT, varchar(), DATE,
+                                      INTEGER, FLOAT][i % 6])
+                           for i in range(12)])
+
+
+def reservoir_rows(rng: random.Random, nrows: int) -> list[list[str]]:
+    """Only the FLOAT columns carry NULLs (~15 %)."""
+    return [[random_text_value(rng, c.dtype,
+                               nullable=c.dtype.family == "float")
+             for c in RESERVOIR_SCHEMA.columns] for _ in range(nrows)]
+
+
+def abcd_table(numeric: bool):
+    """``a``, ``b``, ``c``, ``d`` counting rows: ``c`` a string over 400
+    rows or, ``numeric``, a small int over 128 rows — every column then
+    servable from the cache."""
+    schema = Schema([("a", INTEGER), ("b", INTEGER),
+                     ("c", INTEGER if numeric else varchar()), ("d", FLOAT)])
+    return schema, [[str(i), str(i % 23),
+                     str(i % 7) if numeric else f"s{i % 7}", repr(i * 0.25)]
+                    for i in range(128 if numeric else 400)]
+
+
 #: table kind -> rng -> (schema, text rows); ``l``/``r`` name the two
 #: sides of the keyed kinds, which only appear together
 KINDS = {
@@ -355,6 +380,9 @@ KINDS = {
     "case": lambda rng: (CASE_SCHEMA, case_table(rng)),
     "pair": lambda rng: (PAIR_SCHEMA, pair_table(rng)),
     "fits": lambda rng: (FITS_SCHEMA, fits_table(rng)),
+    "reservoir": lambda rng: (RESERVOIR_SCHEMA, reservoir_rows(rng, 150)),
+    "abcd": lambda rng: abcd_table(False),
+    "abcd_numeric": lambda rng: abcd_table(True),
     "l_int": lambda rng: keyed_table(rng, "l", "int"),
     "r_int": lambda rng: keyed_table(rng, "r", "int"),
     "l_str": lambda rng: keyed_table(rng, "l", "str"),
@@ -376,13 +404,16 @@ class Table:
     dirty: bool = False
 
     def generate(self):
-        rng = random.Random(self.seed)
-        schema, rows = KINDS[self.kind](rng)
-        return schema, self._dirty(schema, rows, rng)
+        """The schema and a fresh list of the (shared, never mutated)
+        rows: every variant of a scenario plays the same table."""
+        schema, rows = _generated(self)
+        return schema, list(rows)
 
     def more_rows(self, schema, seed: int, count: int):
         rng = random.Random(seed)
-        if self.kind in ("random", "numeric", "micro"):
+        if self.kind == "reservoir":
+            rows = reservoir_rows(rng, count)
+        elif self.kind in ("random", "numeric", "micro"):
             rows = [[random_text_value(rng, column.dtype,
                                        nullable=self.kind == "random")
                      for column in schema.columns] for _ in range(count)]
@@ -396,6 +427,13 @@ class Table:
                 if column.dtype.family != "str" and rng.random() < 0.05:
                     row[i] = "oops"
         return rows
+
+
+@functools.lru_cache(maxsize=64)
+def _generated(table: Table):
+    rng = random.Random(table.seed)
+    schema, rows = KINDS[table.kind](rng)
+    return schema, table._dirty(schema, rows, rng)
 
 
 def seeded(seed: int, kind: str = "random", name: str = "t"):
@@ -640,7 +678,7 @@ def cache_dump(cache):
     """Every cache block's mask and values (bytes too)."""
     if cache is None:
         return None
-    return {key: (list(block.mask), list(block.values), block.bytes_used)
+    return {key: (block.mask.tolist(), block.values, block.bytes_used)
             for key, block in cache._blocks.items()}
 
 
@@ -770,10 +808,13 @@ class _Player:
             self.server.__exit__(None, None, None)
         getattr(self.engine, "close", lambda: None)()
 
-    def cursor(self, sql, params=None):
-        """A cursor of a new session and that session."""
-        session = self.connect()
-        self.sessions.append(session)
+    def cursor(self, sql, params=None, own=False):
+        """A cursor (a prepared statement, given ``params``) of the
+        player's one session — of a session of its own when ``own`` —
+        and that session."""
+        if own or not self.sessions:
+            self.sessions.append(self.connect())
+        session = self.sessions[-1] if own else self.sessions[0]
         if params is None:
             return session.execute(sql), session
         return session.prepare(sql), session
@@ -815,7 +856,7 @@ class _Player:
             cursor.close()
             return rows_key(fetched), None
         if isinstance(op, Interleave):
-            cursors = [self.cursor(sql) for sql in op.sqls]
+            cursors = [self.cursor(sql, own=True) for sql in op.sqls]
             got = [[] for _ in cursors]
             live = set(range(len(cursors)))
             while live:
@@ -964,20 +1005,8 @@ def oracle_view(d, scenario, step, pair):
     reached a block first — a block at a time or a row at a time —
     decides which of them it recorded there (a full-coverage scan
     converges them again, see
-    ``test_api_concurrent.test_random_workloads_interleaved_match_scalar_oracle``).
-
-    Under ``eager_prefix_indexing`` the block scan keeps in indexed
-    blocks the free start its streaming region keeps after the last
-    SELECT attribute, which the oracle's walk from the map's known
-    starts may not reach — an open divergence, pinned by
-    ``test_lockstep.test_eager_indexed_blocks_match_the_oracle``: there
-    the block scan must know every position the oracle knows on the
-    blocks it holds, and ``map_insert`` and chunk groups are not
-    compared. A PM budget would evict other blocks first and cascade,
-    so :func:`scenarios` draws no eager config with one."""
-    eager = scenario.options.get("eager_prefix_indexing", False)
-    stops = (Abandon, Interleave) if eager else (Abandon,)
-    if _partial(scenario, step, stops, limit=True):
+    ``test_api_concurrent.test_random_workloads_interleaved_match_scalar_oracle``)."""
+    if _partial(scenario, step, (Abandon,), limit=True):
         return _rows_only(d, scenario, step)
     if _partial(scenario, step):
         if {"cache_budget_bytes", "pm_budget_bytes"} & set(scenario.options):
@@ -985,11 +1014,32 @@ def oracle_view(d, scenario, step, pair):
         # after interleaved scans ran to the end: the same contents
         return {**_rows_only(d, scenario, step), **{
             k: v for k, v in d.items() if k.endswith((".cache", ".stats"))}}
-    d = _counters(d, lambda k: _kernel(k) or (step > 0 and k == "tokenize")
-                  or (eager and k == "map_insert"))
+    d = _counters(d, lambda k: _kernel(k) or (step > 0 and k == "tokenize"))
     d["ledger"] = None
     del d["clock"]
-    for key in [k for k in d if eager and k.endswith(".pm")]:
+    return d
+
+
+def eager_oracle_view(d, scenario, step, pair):
+    """:func:`oracle_view` for drawn scenarios. Under
+    ``eager_prefix_indexing`` the block scan keeps in indexed blocks the
+    free start its streaming region keeps after the last SELECT
+    attribute, which the oracle's walk from the map's known starts may
+    not reach — an open divergence, pinned by
+    ``test_lockstep.test_eager_indexed_blocks_match_the_oracle``: there
+    the block scan must know every position the oracle knows on the
+    blocks it holds, ``map_insert`` and chunk groups are not compared,
+    and after any partial scan only rows are. A PM budget would evict
+    other blocks first and cascade, so :func:`scenarios` draws no eager
+    config with one. Pinned scenarios take the exact
+    :func:`oracle_view`."""
+    if not scenario.options.get("eager_prefix_indexing"):
+        return oracle_view(d, scenario, step, pair)
+    if _partial(scenario, step, limit=True):
+        return _rows_only(d, scenario, step)
+    d = oracle_view(d, scenario, step, pair)
+    d["counters"].pop("map_insert", None)
+    for key in [k for k in d if k.endswith(".pm")]:
         held = {block for block, _ in
                 (pm_content(pair[0][key]) or {"positions": ()})["positions"]}
         known, mine = pm_content(pair[1][key]), pm_content(d[key])
@@ -1002,14 +1052,6 @@ def oracle_view(d, scenario, step, pair):
             if block in held}}
         del d[key + "_lru"]
     return d
-
-
-def strict_oracle_view(d, scenario, step, pair):
-    """:func:`oracle_view` without the eager-indexing allowance."""
-    config = tuple((k, v) for k, v in scenario.config
-                   if k != "eager_prefix_indexing")
-    return oracle_view(d, dataclasses.replace(scenario, config=config),
-                       step, pair)
 
 
 def twin_view(d, scenario, step, pair):
@@ -1110,17 +1152,13 @@ WIRE = Axis("wire", Variant(transport="session"), Variant(transport="wire"),
 AXIS = {axis.name: axis for axis in (*AXES, WIRE)}
 
 
-def between(name: str, left: dict, right: dict, project=same) -> Axis:
-    """An axis between two config points of the default engine."""
-    return Axis(name, Variant(config=tuple(left.items())),
-                Variant(config=tuple(right.items())), project)
-
-
 def worker_axes(*counts: int) -> list[Axis]:
     """``scan_workers`` ``counts[0]`` against each other count: nothing
     may differ."""
-    return [between(f"workers {counts[0]}<->{w}", {"scan_workers": counts[0]},
-                    {"scan_workers": w}) for w in counts[1:]]
+    return [Axis(f"workers {counts[0]}<->{w}",
+                 Variant(config=(("scan_workers", counts[0]),)),
+                 Variant(config=(("scan_workers", w),)), same)
+            for w in counts[1:]]
 
 
 def check(scenario: Scenario, axes=AXES) -> dict[Variant, list[dict]]:
@@ -1210,7 +1248,7 @@ def scenarios(draw, families=FAMILIES, layouts=("csv", "jsonl"),
             continue    # FITS has no per-value conversion to fail
         if {name, *dict(config)} >= {"eager_prefix_indexing",
                                      "pm_budget_bytes"}:
-            continue    # see oracle_view: the eager divergence cascades
+            continue    # see eager_oracle_view: the divergence cascades
         config.append((name, draw(st.sampled_from(values))))
         if name == "fault_seed":
             config.append(("fault_rate", 0.6))

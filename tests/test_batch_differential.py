@@ -24,6 +24,7 @@ from tests.oracle import OracleRaw
 from tests.oracle.digest import (
     AXIS,
     NUL_ROWS,
+    REFERENCE,
     Append,
     Query,
     Scenario,
@@ -34,7 +35,6 @@ from tests.oracle.digest import (
     random_schema,
     random_table,
     rows_key,
-    run,
     seeded_scenario,
     structures,
 )
@@ -162,35 +162,54 @@ def test_nul_padded_numeric_matches_scalar(on_error, region, workers):
 # ---------------------------------------------------------------------------
 # §4.4 reservoirs across paths, with replacement actually happening
 # ---------------------------------------------------------------------------
+def reservoir_mix(first: int) -> list[Query]:
+    """Five shapes over six columns starting at ``first`` (int, float,
+    str, date, int, float): WHERE-only with no SELECT, SELECT-only, a
+    column both filtered and projected, a SELECT column sampled at the
+    qualifying rows of an already-sampled filter, and the NULL-bearing
+    float as a filter."""
+    c = [f"c{first + i}" for i in range(6)]
+    return [Query(sql) for sql in (
+        f"SELECT count(*) FROM t WHERE {c[0]} < 2000",
+        f"SELECT {c[2]}, {c[3]} FROM t",
+        f"SELECT {c[4]}, {c[3]} FROM t WHERE {c[4]} > -4000",
+        f"SELECT {c[5]} FROM t WHERE {c[0]} >= -6000",
+        f"SELECT {c[0]} FROM t WHERE {c[1]} > -200.5")]
+
+
+#: the same shapes over the FITS column set
+FITS_MIX = tuple(Query(sql) for sql in (
+    "SELECT count(*) FROM t WHERE k < 100", "SELECT tag, m FROM t",
+    "SELECT x, k FROM t WHERE x > -3.5", "SELECT y FROM t WHERE k >= -250"))
+#: the paths a reservoir is fed on: row by row, 1 or 4 workers, kernels
+RESERVOIR_AXES = [AXIS["oracle"], AXIS["workers"], AXIS["kernels"]]
+
+
 @pytest.mark.parametrize("block_size", [8, 64])
 @pytest.mark.parametrize("target", [3, 7])
 class TestReservoirsAcrossPaths:
     """``test_statistics_collection_identical`` runs tables smaller
     than the default sample target, so it never reaches reservoir
     replacement — the branch whose RNG stream depends on the exact
-    per-attribute feeding order. Tiny targets put every path there:
-    half the columns are first touched over a fresh file, the rest
-    over the indexed region plus an appended tail (a FITS file cannot
-    grow in place)."""
+    per-attribute feeding order. Tiny targets put every path there: of
+    twelve columns the first half is first touched over a fresh file,
+    the second half only after an append — over the indexed region plus
+    the streamed tail. The oracle (CSV, FITS), workers and kernels axes
+    compare the statistics after every query."""
 
     def run_paths(self, layout, target, block_size):
-        table = Table("t", "fits" if layout == "fits" else "random", 4402)
-        names = [column.name for column in table.generate()[0].columns]
-        first, rest = ", ".join(names[:2]), ", ".join(names[2:])
-        ops = [Query(f"SELECT count(*) FROM t WHERE {names[0]} < 0"),
-               Query(f"SELECT {first} FROM t"),
-               Append(45, 1), Query(f"SELECT {rest} FROM t")]
-        if layout == "fits":
-            del ops[2]
-        scenario = Scenario((table,), tuple(ops),
-                            (("row_block_size", block_size),
-                             ("stats_sample_target", target)), layout)
-        check(scenario)     # every axis that applies to the layout
-        stats = run(scenario)[-1]["t.stats"]
-        assert sorted(stats) == sorted(names)
-        # the reservoirs really were in their replacement phase
-        assert all(column["observed_rows"] > target
-                   for column in stats.values())
+        seed = 4400 + target + block_size
+        ops = (*reservoir_mix(0), Append(45, seed), *reservoir_mix(6))
+        digests = check(Scenario(
+            (Table("t", "reservoir", seed),), ops,
+            (("row_block_size", block_size), ("stats_sample_target", target)),
+            layout), RESERVOIR_AXES)[REFERENCE]
+        for step, collected in ((4, 6), (10, 12)):
+            stats = digests[step]["t.stats"]
+            assert len(stats) == collected
+            # the reservoirs really were in their replacement phase
+            assert all(column["observed_rows"] > target
+                       for column in stats.values())
 
     def test_csv_batch_scalar_workers_kernels(self, target, block_size):
         self.run_paths("csv", target, block_size)
@@ -199,4 +218,12 @@ class TestReservoirsAcrossPaths:
         self.run_paths("jsonl", target, block_size)
 
     def test_fits_batch_vs_scalar(self, target, block_size):
-        self.run_paths("fits", target, block_size)
+        table = Table("t", "fits", 4502)
+        stats = check(Scenario(
+            (table,), FITS_MIX,
+            (("row_block_size", block_size), ("stats_sample_target", target)),
+            "fits"), RESERVOIR_AXES)[REFERENCE][-1]["t.stats"]
+        assert sorted(stats) == ["k", "m", "tag", "x", "y"]
+        # SELECT-only ``y`` was sampled at the qualifying rows only
+        assert target < stats["y"]["observed_rows"] < \
+            len(table.generate()[1])
