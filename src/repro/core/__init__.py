@@ -4,7 +4,7 @@
 * :mod:`repro.core.cache` — the binary cache (§4.3)
 * :mod:`repro.core.scan` — selective tokenize/parse/tuple-formation (§4.1)
 * :mod:`repro.core.blockscan` — the raw-scan shell and the one
-  block-streaming driver every line-oriented format shares
+  block-streaming driver every raw format (CSV, JSONL, FITS) shares
 * :mod:`repro.core.statistics` — on-the-fly statistics (§4.4)
 * :mod:`repro.core.updates` — external updates / appends (§4.5)
 * :mod:`repro.core.engine` — the PostgresRaw engine tying it together

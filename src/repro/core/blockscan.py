@@ -6,13 +6,12 @@ only "find the field" depends on the file format. This module is that
 operator's format-agnostic half; :mod:`repro.core.scan_batch` (CSV) and
 :mod:`repro.formats.jsonl` plug their per-format compute into it.
 
-* :class:`RawFileAccess` is the *shell* every line-oriented raw access
-  method subclasses: engine wiring, the ``on_error`` policy and its
-  quarantine sidecar, §4.5 ``refresh()``, the scan prologue (workload
-  accounting, the §4.4 statistics collector, the costed handle), the
-  statistics epilogue, the batch→tuple shim and the ``path``/``table``
-  error annotation. (:class:`RawAccessBase` is the slice of it that does
-  not assume a line-oriented, growable file; FITS takes just that.)
+* :class:`RawFileAccess` is the *shell* every raw access method
+  subclasses: engine wiring, the ``on_error`` policy and its quarantine
+  sidecar, §4.5 ``refresh()``, the scan prologue (workload accounting,
+  the §4.4 statistics collector, the costed handle), the statistics
+  epilogue, the batch→tuple shim and the ``path``/``table`` error
+  annotation.
 * :class:`BlockScan` is the per-scan *driver* and the *one block
   compute*: the frozen indexed/streaming split, the indexed-region
   block loop (cached-block fast path where the scan's one eligibility
@@ -37,7 +36,10 @@ What a format supplies, and nothing else:
   span column;
 * ``_known_positions`` (the map lookups an indexed block makes) and
   ``_cached_column`` (how the fast path serves a cached column);
-* ``tolerant_row``'s line split (``_tolerant_fetch``).
+* on the access method, the line spans of the indexed region
+  (``_rows_with_known_span``, ``line_spans``: the positional map's line
+  index for CSV and JSONL, fixed-stride arithmetic for FITS) and
+  ``tolerant_row``'s line split (``_tolerant_fetch``).
 
 Fan-out and the staged-op merge: the streaming region's row-block
 groups are *pure functions* of their byte slice. Each group computes
@@ -292,13 +294,18 @@ class BlockLines:
 # ---------------------------------------------------------------------------
 # The access-method shell
 # ---------------------------------------------------------------------------
-class RawAccessBase:
-    """What every in-situ access method repeats whatever its file looks
-    like: engine wiring, workload accounting, the scan prologue and
-    epilogue, a block's cache prefetch, and the batch→tuple shim."""
+class RawFileAccess:
+    """Shell of an access method over one raw file: engine wiring,
+    workload accounting, §4.5 refresh, the scan prologue and epilogue, a
+    block's cache prefetch, the error policies and the batch→tuple shim.
+    Subclasses name their per-scan :class:`BlockScan` in ``scan_class``
+    and supply the indexed region's line spans and ``_tolerant_fetch``."""
+
+    #: the BlockScan subclass that drives this format's batch scans
+    scan_class: type | None = None
 
     def __init__(self, vfs, path: str, schema, model, config, table_info,
-                 cache):
+                 positional_map, cache, pool=None):
         self.vfs = vfs
         self.path = path
         self.schema = schema
@@ -314,6 +321,21 @@ class RawAccessBase:
         self.queries_executed = 0
         #: workload knowledge for the §7 idle tuner: attr -> request count
         self.attr_request_counts: dict[int, int] = {}
+        self.pm = positional_map          # None only in Baseline mode
+        #: engine-shared ScanWorkerPool for parallel chunk scans (None
+        #: when config.scan_workers == 1)
+        self.pool = pool
+        self.row_count: int | None = None
+        self._seen_size = 0
+        self._seen_rewrites: int | None = None
+        #: per-table error policy (OPTIONS (on_error 'fail'|'skip'|'null'))
+        self.on_error = (getattr(table_info, "options", None)
+                         or {}).get("on_error", "fail")
+        #: quarantine sidecar for rejected rows, plus the row numbers
+        #: already written there (warm re-scans re-reject the same rows
+        #: deterministically; the sidecar records each row once)
+        self._rejects_path = f"__rejects__/{table_info.name.lower()}"
+        self._rejected_rows: set[int] = set()
 
     @property
     def table_info(self):
@@ -326,35 +348,6 @@ class RawAccessBase:
                 f"the table over {self.path!r} was dropped; re-run the "
                 "query")
         return info
-
-    def _scan_setup(self, needed: Sequence[int],
-                    predicate: ScanPredicate | None):
-        """Shared prologue of every scan path: workload accounting, the
-        §4.4 stats collector, and the costed file handle."""
-        self.queries_executed += 1
-        out_attrs = list(needed)
-        where_attrs = list(predicate.attrs) if predicate else []
-        union_attrs = sorted(set(out_attrs) | set(where_attrs))
-        for attr in union_attrs:
-            self.attr_request_counts[attr] = \
-                self.attr_request_counts.get(attr, 0) + 1
-        collector = None
-        if self.config.enable_statistics:
-            # §4.4: augment incrementally — sample only attributes that
-            # have no statistics yet.
-            existing = self.table_info.stats
-            missing = [
-                attr for attr in union_attrs
-                if existing is None
-                or not existing.has_column(self.schema.columns[attr].name)
-            ]
-            if missing:
-                collector = StatsCollector(
-                    self.model, self.schema, missing,
-                    self.config.stats_sample_target,
-                    seed=self.queries_executed)
-        handle = self.vfs.open(self.path, self.model, notify=False)
-        return out_attrs, where_attrs, union_attrs, collector, handle
 
     def _prefetch_cache(self, union_attrs, block: int) -> dict:
         """Fetch the block's cache entries for a scan's attributes (LRU
@@ -372,16 +365,6 @@ class RawAccessBase:
                        else np.zeros(n, dtype=bool))
                 for attr, cache_block in cached.items()}
 
-    def _finalize_stats(self, collector) -> None:
-        if collector is None:
-            return
-        stats = self.table_info.stats or TableStats()
-        row_count = self.estimated_rows()
-        if row_count is None:
-            row_count = self.table_info.row_count_hint or 0
-        collector.finalize(stats, row_count)
-        self.table_info.stats = stats
-
     def scan(self, needed: Sequence[int],
              predicate: ScanPredicate | None) -> Iterator[tuple]:
         """Batch->tuple transposition for a row-mode consumer: the one
@@ -389,35 +372,6 @@ class RawAccessBase:
         for batch in self.scan_batches(needed, predicate):
             self.model.materialize_rows(batch.nrows)
             yield from batch.iter_rows()
-
-
-class RawFileAccess(RawAccessBase):
-    """Shell of an access method over one line-oriented raw file whose
-    line index lives in a positional map. Subclasses name their per-scan
-    :class:`BlockScan` in ``scan_class`` and supply ``_tolerant_fetch``."""
-
-    #: the BlockScan subclass that drives this format's batch scans
-    scan_class: type | None = None
-
-    def __init__(self, vfs, path: str, schema, model, config, table_info,
-                 positional_map, cache, pool=None):
-        super().__init__(vfs, path, schema, model, config, table_info,
-                         cache)
-        self.pm = positional_map          # None only in Baseline mode
-        #: engine-shared ScanWorkerPool for parallel chunk scans (None
-        #: when config.scan_workers == 1)
-        self.pool = pool
-        self.row_count: int | None = None
-        self._seen_size = 0
-        self._seen_rewrites: int | None = None
-        #: per-table error policy (OPTIONS (on_error 'fail'|'skip'|'null'))
-        self.on_error = (getattr(table_info, "options", None)
-                         or {}).get("on_error", "fail")
-        #: quarantine sidecar for rejected rows, plus the row numbers
-        #: already written there (warm re-scans re-reject the same rows
-        #: deterministically; the sidecar records each row once)
-        self._rejects_path = f"__rejects__/{table_info.name.lower()}"
-        self._rejected_rows: set[int] = set()
 
     # -- external updates (§4.5) ---------------------------------------
     def refresh(self) -> None:
@@ -432,17 +386,7 @@ class RawFileAccess(RawAccessBase):
             self._seen_size = size
             return
         if rewrites != self._seen_rewrites:
-            if self.pm is not None:
-                self.pm.drop()
-            if self.cache is not None:
-                self.cache.clear()
-            self.row_count = None
-            self.table_info.data_version += 1
-            # Row numbers change meaning under a rewrite: restart the
-            # quarantine sidecar along with the other structures.
-            self._rejected_rows.clear()
-            if self.vfs.exists(self._rejects_path):
-                self.vfs.delete(self._rejects_path)
+            self._drop_structures()
         elif size > self._seen_size:
             if self.pm is not None:
                 self.pm.invalidate_file_length()
@@ -450,6 +394,20 @@ class RawFileAccess(RawAccessBase):
             self.table_info.data_version += 1
         self._seen_rewrites = rewrites
         self._seen_size = size
+
+    def _drop_structures(self) -> None:
+        """A rewrite: everything learned about the old file goes."""
+        if self.pm is not None:
+            self.pm.drop()
+        if self.cache is not None:
+            self.cache.clear()
+        self.row_count = None
+        self.table_info.data_version += 1
+        # Row numbers change meaning under a rewrite: restart the
+        # quarantine sidecar along with the other structures.
+        self._rejected_rows.clear()
+        if self.vfs.exists(self._rejects_path):
+            self.vfs.delete(self._rejects_path)
 
     def estimated_rows(self) -> int | None:
         return self.row_count
@@ -465,19 +423,46 @@ class RawFileAccess(RawAccessBase):
         return self._run_scan(needed, predicate, body)
 
     def _run_scan(self, needed, predicate, body):
-        """One scan: the prologue, ``body(handle, out_attrs,
-        where_attrs, union_attrs, predicate, collector)``'s output with
-        format and storage errors annotated (``path=``, ``table=``),
-        and the statistics epilogue."""
+        """One scan: the prologue (workload accounting, the §4.4
+        statistics collector, the costed file handle), ``body(handle,
+        out_attrs, where_attrs, union_attrs, predicate, collector)``'s
+        output with format and storage errors annotated (``path=``,
+        ``table=``), and the statistics epilogue."""
         info = self.table_info  # held while the scan runs
-        out_attrs, where_attrs, union_attrs, collector, handle = \
-            self._scan_setup(needed, predicate)
+        self.queries_executed += 1
+        out_attrs = list(needed)
+        where_attrs = list(predicate.attrs) if predicate else []
+        union_attrs = sorted(set(out_attrs) | set(where_attrs))
+        for attr in union_attrs:
+            self.attr_request_counts[attr] = \
+                self.attr_request_counts.get(attr, 0) + 1
+        collector = None
+        if self.config.enable_statistics:
+            # §4.4: augment incrementally — sample only attributes that
+            # have no statistics yet.
+            missing = [
+                attr for attr in union_attrs
+                if info.stats is None
+                or not info.stats.has_column(self.schema.columns[attr].name)
+            ]
+            if missing:
+                collector = StatsCollector(
+                    self.model, self.schema, missing,
+                    self.config.stats_sample_target,
+                    seed=self.queries_executed)
+        handle = self.vfs.open(self.path, self.model, notify=False)
         try:
             yield from body(handle, out_attrs, where_attrs, union_attrs,
                             predicate, collector)
         except (FormatError, StorageError) as exc:
             raise annotate(exc, path=self.path, table=info.name)
-        self._finalize_stats(collector)
+        if collector is not None:
+            stats = info.stats or TableStats()
+            row_count = self.estimated_rows()
+            if row_count is None:
+                row_count = info.row_count_hint or 0
+            collector.finalize(stats, row_count)
+            info.stats = stats
 
     def _rows_with_known_span(self) -> int:
         """Rows of the indexed region: those whose line span the map
@@ -491,6 +476,21 @@ class RawFileAccess(RawAccessBase):
         if known == 0 or self.pm.has_file_length:
             return known  # complete index (a finished scan, the prewarmer)
         return known - 1  # last known line's end is the next line's start
+
+    def line_spans(self, row0: int, row1: int):
+        """Absolute ``(starts, ends)`` of rows ``row0..row1`` of the
+        indexed region, from the map's line index (charged)."""
+        spans = self.pm.line_spans_block(row0, row1)
+        if spans is None:
+            # The map lost spans a scan froze at start (DROP TABLE,
+            # drop_auxiliary, or a budget eviction of the line index
+            # under a live scan): fail cleanly instead of unpacking
+            # None — a re-run plans against the current catalog.
+            raise ExecutionError(
+                f"line spans for rows {row0}..{row1} vanished from the "
+                "positional map mid-scan (table dropped or map torn "
+                "down under a live query); re-run the query")
+        return spans
 
     def _finish_file(self, row_count: int) -> None:
         self.table_info.row_count_hint = row_count
@@ -586,14 +586,14 @@ class _Deferred:
 
 
 class BlockScan:
-    """One block scan over one line-oriented raw table.
+    """One block scan over one raw table.
 
-    Two regions: the *indexed region* (line spans known to the
-    positional map — processed strictly block-wise, reading only the
-    byte runs actually needed) and the *streaming region* (unseen tail —
-    read sequentially, lines discovered vectorized, processed in
-    row-block groups). Subclasses implement the "what a format
-    supplies" methods below."""
+    Two regions: the *indexed region* (line spans known — to the
+    positional map, or by a fixed row stride — processed strictly
+    block-wise, reading only the byte runs actually needed) and the
+    *streaming region* (unseen tail — read sequentially, lines
+    discovered vectorized, processed in row-block groups). Subclasses
+    implement the "what a format supplies" methods below."""
 
     def __init__(self, access: RawFileAccess, out_attrs, where_attrs,
                  union_attrs, predicate, collector):
@@ -814,19 +814,6 @@ class BlockScan:
         self.pm.insert_chunk(tuple(group), block, matrix)
 
     # -- shared row-wise machinery (tolerant redo, error context) -------
-    def _line_spans(self, row0: int, row1: int):
-        spans = self.pm.line_spans_block(row0, row1)
-        if spans is None:
-            # The map lost spans this scan froze at start (DROP TABLE,
-            # drop_auxiliary, or a budget eviction of the line index
-            # under a live scan): fail cleanly instead of unpacking
-            # None — a re-run plans against the current catalog.
-            raise ExecutionError(
-                f"line spans for rows {row0}..{row1} vanished from the "
-                "positional map mid-scan (table dropped or map torn "
-                "down under a live query); re-run the query")
-        return spans
-
     @staticmethod
     def _lines(starts, ends, buffer, buffer_base: int) -> Iterator[bytes]:
         """The lines spanning ``starts``/``ends`` (absolute offsets) in
@@ -912,7 +899,7 @@ class BlockScan:
             # scan would. Hit and bailout events are zero-priced.
             self.model.kernel_bailout()
         self.model.tuple_overhead(row1 - row0)
-        starts, ends = self._line_spans(row0, row1)
+        starts, ends = self.access.line_spans(row0, row1)
         try:
             return self._indexed_block_strict(handle, block, starts, ends)
         except FormatError as exc:
@@ -925,7 +912,7 @@ class BlockScan:
         # of the block's byte span (mostly warm — the strict attempt
         # already touched it), quarantining rejects directly. The redo
         # pays its own map access for the spans, as it always has.
-        starts, ends = self._line_spans(row0, row1)
+        starts, ends = self.access.line_spans(row0, row1)
         base = int(starts[0])
         blob = handle.read_at(base, int(ends[-1]) - base)
         return self._tolerant_rows(row0, starts, ends, blob, base,
@@ -1009,7 +996,7 @@ class BlockScan:
             collector.add_columns(sampled)
 
         # -- PM / cache inserts (whole chunks)
-        if self.config.enable_positional_map:
+        if self.pm is not None and self.config.enable_positional_map:
             self._insert_positions(block, lines.positions(), positions)
         self._apply_staged(self._cache_ops(block, n, 0, columns))
         if nqual == 0 and out_attrs:
@@ -1024,7 +1011,10 @@ class BlockScan:
         access = self.access
         pm = self.pm
         if access.row_count is not None and spanned >= access.row_count:
-            return  # whole file already indexed
+            # Whole file already indexed (a fixed-stride file always
+            # is): the completed scan still reports its row count.
+            access._finish_file(access.row_count)
+            return
         file_size = handle.size
         # Resume where the indexed region ends; if the map was dropped
         # (or never existed) the streaming region is the whole file.

@@ -114,6 +114,9 @@ class _CsvBlockLines(BlockLines):
         n = self.n
         self.model = scan.model
         self._tok: BlockTokenizer | None = None
+        #: eager indexing: attr -> rows whose span the row walk holds
+        self.spanned: dict[int, np.ndarray] | None = (
+            {} if scan.config.eager_prefix_indexing else None)
         self.K: dict[int, np.ndarray] = {0: line_starts.copy()}
         for attr, rel in known.items():
             if attr == 0:
@@ -270,8 +273,27 @@ class _CsvBlockLines(BlockLines):
                     model.tokenize(
                         int((np.minimum(bounds + 1, line_ends)
                              - sub_pos).sum()))
-                    self._set_k(attr + 1, need_end, bounds + 1)
+                    learns = self._learns_next(attr, need_end)
+                    self._set_k(attr + 1, need_end[learns],
+                                bounds[learns] + 1)
         return starts_out, ends_out
+
+    def _learns_next(self, attr: int, rows: np.ndarray) -> np.ndarray:
+        """Of ``rows``, whose ``attr`` end was just tokenized from a
+        known start, those where the row-at-a-time walk learns ``attr +
+        1``'s start too. The walk tokenizes one field past a known start,
+        so it holds ``attr + 1``'s whole span and, asked for it next,
+        learns no start after it; under eager indexing the map keeps
+        every learned start, so the block must learn no more either."""
+        if self.spanned is None:
+            return np.ones(len(rows), dtype=bool)
+        held = self.spanned.get(attr)
+        learns = (np.ones(len(rows), dtype=bool) if held is None
+                  else ~held[rows])
+        spanned = np.zeros(self.n, dtype=bool)
+        spanned[rows[learns]] = True
+        self.spanned[attr + 1] = spanned
+        return learns
 
     def _derive_forward(self, attr, idxs, lo_attr, lo_pos, starts_out,
                         ends_out) -> None:

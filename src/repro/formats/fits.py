@@ -233,6 +233,11 @@ def parse_fits(raw: bytes) -> FitsTableInfo:
     if col_offset != row_bytes:
         raise FITSFormatError(
             f"column widths sum to {col_offset}, NAXIS1 says {row_bytes}")
+    if len(raw) - offset < row_bytes * nrows:
+        raise FITSFormatError(
+            f"truncated FITS data: {nrows} rows of {row_bytes} bytes "
+            f"need {row_bytes * nrows}, the file holds "
+            f"{max(len(raw) - offset, 0)}")
     return FitsTableInfo(columns, row_bytes, nrows, offset)
 
 

@@ -25,15 +25,22 @@ from repro.sql import ast_nodes as _ast
 from repro.sql.vectorize import build_vector_predicate
 
 
+def _servable(access) -> bool:
+    """Whether ``access`` block-scans over a binary cache and a
+    positional map: FITS has no map, heap and external tables no scan."""
+    return (getattr(access, "scan_class", None) is not None
+            and access.cache is not None and access.pm is not None)
+
+
 def compile_kernel(scan):
     """:func:`~repro.kernels.fastpath.cached_block` when ``scan`` may
     serve its indexed blocks through it, else None: kernels enabled, a
-    binary cache and a positional map to serve from, no statistics
-    collector (sampling needs the values the generic compute
-    materializes) and a predicate that is absent or vectorized."""
+    servable access method, no statistics collector (sampling needs the
+    values the generic compute materializes) and a predicate that is
+    absent or vectorized."""
     predicate = scan.predicate
-    if (scan.config.scan_kernels and scan.cache is not None
-            and scan.pm is not None and scan.collector is None
+    if (scan.config.scan_kernels and _servable(scan.access)
+            and scan.collector is None
             and (predicate is None or predicate.vector_fn is not None)):
         return cached_block
     return None
@@ -41,14 +48,13 @@ def compile_kernel(scan):
 
 def explain_note(scan_op) -> str | None:
     """The ``kernel:`` EXPLAIN note of one scan leaf, or None when its
-    access method has no block-scanned indexed region to serve (heap,
-    FITS, external files). A partitioned table is judged by its files'
-    access method."""
+    access method is not servable (:func:`_servable`). A partitioned
+    table is judged by its files' access method."""
     access = scan_op.access
     parts = getattr(access, "parts", None)
     if parts:
         access = parts[0].access
-    if getattr(access, "scan_class", None) is None:
+    if not _servable(access):
         return None
     if not access.config.scan_kernels:
         return "none (scan_kernels disabled)"

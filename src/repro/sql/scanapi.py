@@ -64,9 +64,9 @@ class ScanPredicate:
 class AccessMethod(Protocol):
     """How a plan leaf obtains tuples of one table.
 
-    Implementations: RawCsvAccess (in-situ, §4), HeapAccess (loaded
-    binary pages), ExternalAccess (external-files straw-man),
-    RawFitsAccess (§5.3).
+    Implementations: RawCsvAccess (in-situ, §4), JsonlAccess and
+    RawFitsAccess (§5.3) on the same raw-scan shell, HeapAccess (loaded
+    binary pages), ExternalAccess (external-files straw-man).
 
     Batch-capable access methods additionally expose ``scan_batches``
     (duck-typed — see ``ScanOp.supports_batches``) with the **ordered

@@ -1,15 +1,18 @@
 """The row-at-a-time reference engine and the lockstep harness.
 
-The product has one scan path per format — the block scan
-(:mod:`repro.core.blockscan`, :mod:`repro.core.scan_batch`,
-:mod:`repro.core.fits_scan`). The naive twin it is checked against
+The product has one scan path — the block scan
+(:mod:`repro.core.blockscan`), with its CSV and FITS pieces in
+:mod:`repro.core.scan_batch` and :mod:`repro.core.fits_scan`. The naive
+twin it is checked against
 lives here, outside ``src/``, and plugs in only through public seams:
 
 * :class:`~tests.oracle.csv_scan.OracleCsvAccess` and
   :class:`~tests.oracle.fits_scan.OracleFitsAccess` subclass the
-  product's access methods, serve ``scan()`` one tuple at a time and
-  expose no ``scan_batches`` — so ``ScanOp`` pulls ``rows()`` and every
-  operator above the scan runs its row-at-a-time form as well;
+  product's access methods — keeping their shell: §4.5 refresh, the
+  scan prologue and epilogue, quarantine — serve ``scan()`` one tuple
+  at a time and expose no ``scan_batches``, so ``ScanOp`` pulls
+  ``rows()`` and every operator above the scan runs its row-at-a-time
+  form as well;
 * two format adapters build them, registered through
   :func:`repro.register_format` as ``oracle_csv`` and ``oracle_fits``;
 * :class:`OracleRaw` is a :class:`~repro.PostgresRaw` whose CSV and

@@ -26,7 +26,6 @@ here too, so no test module imports another.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import random
 import re
@@ -46,7 +45,6 @@ from repro import (
     VirtualFS,
     varchar,
 )
-from repro.core.positional_map import NO_POS
 from repro.errors import FormatError, ReproError
 from repro.formats.csvfmt import write_csv
 from repro.formats.fits import write_bintable
@@ -514,6 +512,10 @@ class Close:            # engine.close()
     pass
 
 
+#: the ops that change a table's files
+CHANGES = (Append, Rewrite, Truncate)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Tables, the op script, the config point (``PostgresRawConfig``
@@ -585,15 +587,16 @@ def build_engine(tables: dict, fmt: str = "csv", engine=PostgresRaw,
     """The one engine builder: ``tables`` maps a name to ``(schema,
     rows)`` (text rows, rendered as ``fmt``) or ``(schema, bytes)``,
     declared by ``CREATE TABLE ... USING fmt OPTIONS (path ...
-    <options>)``; ``files`` maps a name to the glob of files already
-    written. The loaded DBMS loads the CSV instead."""
+    <options>)``; a file already in ``vfs`` is taken as it is, and
+    ``files`` maps a name to the glob of files already written. The
+    loaded DBMS loads the CSV instead."""
     vfs = VirtualFS() if vfs is None else vfs
     loaded = engine is LoadedDBMS
     db = (engine(vfs=vfs) if loaded else
           engine(config=PostgresRawConfig(**config), vfs=vfs))
     for name, (schema, data) in tables.items():
         path = (files or {}).get(name) or f"{name}.{fmt}"
-        if "*" not in path:
+        if "*" not in path and not vfs.exists(path):
             vfs.create(path, data if isinstance(data, bytes)
                        else render(fmt, schema, data))
         if loaded:
@@ -761,14 +764,17 @@ def structures(engine, *tables) -> dict:
 @dataclass(frozen=True)
 class Variant:
     """One side of an axis: the engine class, a layout / file-count
-    override, config overrides, and the transport — ``mixed`` (each
+    override, config overrides, the transport — ``mixed`` (each
     query's own entry), ``session`` (every op through an in-process
-    session) or ``wire`` (through a QueryServer)."""
+    session) or ``wire`` (through a QueryServer) — and whether the
+    engine is rebuilt over the current files after each file change
+    (``fresh``)."""
     engine: type = PostgresRaw
     layout: str | None = None
     files: int | None = None
     config: tuple = ()
     transport: str = "mixed"
+    fresh: bool = False
 
 
 class _Player:
@@ -788,10 +794,11 @@ class _Player:
             for name in self.data:
                 globs[name] = f"{name}-*.{self.layout}"
                 self._write(vfs, name, vfs.create)
-        self.engine = build_engine(
-            self.data, self.layout, variant.engine, vfs,
+        self.build = functools.partial(
+            build_engine, self.data, self.layout, variant.engine, vfs,
             "" if on_error is None else f", on_error '{on_error}'", globs,
             **({} if variant.engine is LoadedDBMS else config))
+        self.engine = self.build()
         self.server, self.sessions = None, []
         if variant.transport == "wire":
             from repro.server import QueryServer, wire_connect
@@ -890,6 +897,10 @@ class _Player:
             self._write(vfs, op.table, vfs.write_bytes)
         elif isinstance(op, Close):
             getattr(self.engine, "close", lambda: None)()
+        if self.variant.fresh and isinstance(op, CHANGES):
+            self.close()
+            self.sessions = []
+            self.engine = self.build()
         return None, None
 
 
@@ -1020,38 +1031,16 @@ def oracle_view(d, scenario, step, pair):
     return d
 
 
-def eager_oracle_view(d, scenario, step, pair):
-    """:func:`oracle_view` for drawn scenarios. Under
-    ``eager_prefix_indexing`` the block scan keeps in indexed blocks the
-    free start its streaming region keeps after the last SELECT
-    attribute, which the oracle's walk from the map's known starts may
-    not reach — an open divergence, pinned by
-    ``test_lockstep.test_eager_indexed_blocks_match_the_oracle``: there
-    the block scan must know every position the oracle knows on the
-    blocks it holds, ``map_insert`` and chunk groups are not compared,
-    and after any partial scan only rows are. A PM budget would evict
-    other blocks first and cascade, so :func:`scenarios` draws no eager
-    config with one. Pinned scenarios take the exact
-    :func:`oracle_view`."""
-    if not scenario.options.get("eager_prefix_indexing"):
-        return oracle_view(d, scenario, step, pair)
-    if _partial(scenario, step, limit=True):
-        return _rows_only(d, scenario, step)
-    d = oracle_view(d, scenario, step, pair)
-    d["counters"].pop("map_insert", None)
-    for key in [k for k in d if k.endswith(".pm")]:
-        held = {block for block, _ in
-                (pm_content(pair[0][key]) or {"positions": ()})["positions"]}
-        known, mine = pm_content(pair[1][key]), pm_content(d[key])
-        d[key] = mine and {**mine, "spilled": None, "positions": {
-            (block, attr): [p if k != NO_POS else k for p, k in
-                            itertools.zip_longest(
-                                mine["positions"].get((block, attr), []),
-                                column)]
-            for (block, attr), column in known["positions"].items()
-            if block in held}}
-        del d[key + "_lru"]
-    return d
+def fresh_view(d, scenario, step, pair):
+    """A live engine after its files changed vs one built over the
+    current files: from the first change on, the rows (a multiset —
+    their statistics differ, so may the plan) or the error class."""
+    if not any(isinstance(op, CHANGES) for op in scenario.ops[:step + 1]):
+        return {}
+    outcome = d["outcome"]
+    if isinstance(outcome, tuple):
+        return {"outcome": outcome[:2]}
+    return _rows_only(d, scenario, step)
 
 
 def twin_view(d, scenario, step, pair):
@@ -1140,11 +1129,13 @@ AXES = [
     Axis("twin", REFERENCE, Variant(layout="jsonl"), twin_view, _single_csv),
     Axis("glob", Variant(files=1), REFERENCE, glob_view,
          lambda s: s.files > 1),
+    Axis("fresh", REFERENCE, Variant(fresh=True), fresh_view,
+         lambda s: not _faulted(s)
+         and any(isinstance(op, CHANGES) for op in s.ops)),
     Axis("loaded", REFERENCE, Variant(engine=LoadedDBMS), loaded_view,
          lambda s: _single_csv(s) and not _faulted(s)
          and not any(t.dirty for t in s.tables)
-         and not any(isinstance(op, (Append, Rewrite, Truncate))
-                     for op in s.ops)),
+         and not any(isinstance(op, CHANGES) for op in s.ops)),
 ]
 WIRE = Axis("wire", Variant(transport="session"), Variant(transport="wire"),
             same)
@@ -1246,9 +1237,6 @@ def scenarios(draw, families=FAMILIES, layouts=("csv", "jsonl"),
                                       max_size=3, unique=True)):
         if name == "on_error" and layout == "fits":
             continue    # FITS has no per-value conversion to fail
-        if {name, *dict(config)} >= {"eager_prefix_indexing",
-                                     "pm_budget_bytes"}:
-            continue    # see eager_oracle_view: the divergence cascades
         config.append((name, draw(st.sampled_from(values))))
         if name == "fault_seed":
             config.append(("fault_rate", 0.6))
@@ -1257,7 +1245,7 @@ def scenarios(draw, families=FAMILIES, layouts=("csv", "jsonl"),
                if c.dtype.family in ("int", "float")]
     kinds = ["query"] * 6 + ["session", "prepared", "abandon", "interleave",
                              "close"]
-    if changes and layout != "fits":    # a FITS file is never rewritten
+    if changes:
         kinds += ["append", "append", "rewrite", "truncate"]
     ops = []
     for kind in draw(st.lists(st.sampled_from(kinds), min_size=1,

@@ -1,11 +1,21 @@
 """The value-at-a-time FITS scan: the reference the block scan must equal.
 
 :class:`OracleFitsAccess` is a :class:`~repro.core.fits_scan.
-RawFitsAccess` that serves ``scan()`` one tuple at a time — per row:
-cache hit or deserialize, predicate, tuple formation, a per-row §4.4
-sample — and exposes no ``scan_batches``, so every operator above it
-pulls rows. Results, cache contents and statistics must equal the
-product's column-slice scan.
+RawFitsAccess` (so it shares the product's §4.5 refresh) that serves
+``scan()`` one tuple at a time and exposes no ``scan_batches``, so
+every operator above it pulls rows. Each row block runs in the shape
+of the CSV oracle's ``_process_block``, under the same three rules:
+
+* two-phase reads — one run for the rows missing a WHERE attribute,
+  then one for the qualifying rows still missing a SELECT attribute;
+* a column both filtered and projected reads its cached qualifying
+  values again (``cache_read``) for the SELECT;
+* §4.4 sampling in two passes — the failing rows' WHERE values, then
+  per qualifying row its WHERE values decoded from the file and every
+  SELECT value.
+
+Per value: a cache hit or a ``deserialize``. Results, cache contents
+and statistics must equal the product's block scan.
 """
 
 from __future__ import annotations
@@ -19,91 +29,103 @@ from repro.sql.scanapi import ScanPredicate
 class OracleFitsAccess(RawFitsAccess):
     """A FITS binary table scanned value at a time."""
 
+    scan_class = None
     scan_batches = None
 
     def scan(self, needed: Sequence[int],
              predicate: ScanPredicate | None) -> Iterator[tuple]:
-        info = self.table_info  # held while the scan runs
-        out_attrs, where_attrs, union_attrs, collector, handle = \
-            self._scan_setup(needed, predicate)
-        model = self.model
-        fits = self.fits
+        return self._run_scan(needed, predicate, self._scan_rows)
+
+    def _scan_rows(self, handle, out_attrs, where_attrs, union_attrs,
+                   predicate, collector):
+        nrows = self._rows_with_known_span()
         block_size = self.config.row_block_size
-        nrows = fits.nrows
-        columns = fits.columns
-        n_terms = predicate.n_terms if predicate else 0
+        for row0 in range(0, nrows, block_size):
+            yield from self._process_block(
+                handle, row0 // block_size,
+                range(row0, min(row0 + block_size, nrows)), out_attrs,
+                where_attrs, union_attrs, predicate, collector)
+        self._finish_file(nrows)
 
-        row = 0
-        while row < nrows:
-            block = row // block_size
-            block_end = min((block + 1) * block_size, nrows)
-            rows_in_block = block_end - row
+    def _process_block(self, handle, block, rows, out_attrs, where_attrs,
+                       union_attrs, predicate, collector):
+        model = self.model
+        columns = self.fits.columns
+        nrows = len(rows)
 
-            cached = {}
-            if self.cache is not None:
-                for attr in union_attrs:
-                    cached[attr] = self.cache.get(attr, block)
+        cached = {}
+        if self.cache is not None:
+            for attr in union_attrs:
+                cached[attr] = self.cache.get(attr, block)
 
-            def covered(attr: int, idx: int) -> bool:
-                cache_block = cached.get(attr)
-                return bool(cache_block and idx < len(cache_block.mask)
-                            and cache_block.mask[idx])
+        def covered(attr, idx):
+            cache_block = cached.get(attr)
+            return bool(cache_block is not None
+                        and idx < len(cache_block.mask)
+                        and cache_block.mask[idx])
 
-            # Read a contiguous row range for any row missing any needed
-            # attribute (binary rows are fixed width: one sequential read).
-            need_file = [idx for idx in range(rows_in_block)
-                         if any(not covered(a, idx) for a in union_attrs)]
-            row_data: dict[int, bytes] = {}
-            if need_file:
-                first, last = need_file[0], need_file[-1]
-                start = fits.data_offset + (row + first) * fits.row_bytes
-                length = (last - first + 1) * fits.row_bytes
-                blob = handle.read_at(start, length)
-                for idx in range(first, last + 1):
-                    lo = (idx - first) * fits.row_bytes
-                    row_data[idx] = blob[lo:lo + fits.row_bytes]
+        def value(attr, idx):
+            """Cached (``cache_read``) or decoded from the row's bytes
+            (``deserialize``, once per row and attribute)."""
+            if covered(attr, idx):
+                model.cache_read(1)
+                return cached[attr].get(idx)[1]
+            if attr not in decoded[idx]:
+                decoded[idx][attr] = columns[attr].decode(row_bytes[idx])
+                model.deserialize(1)
+                cache_entries[attr].append((idx, decoded[idx][attr]))
+            return decoded[idx][attr]
 
-            cache_entries: dict[int, list] = {a: [] for a in union_attrs}
+        row_bytes: dict[int, bytes] = {}
+        decoded: dict[int, dict] = {idx: {} for idx in range(nrows)}
+        cache_entries: dict[int, list] = {attr: [] for attr in union_attrs}
 
-            for idx in range(rows_in_block):
-                model.tuple_overhead(1)
-                values: dict[int, object] = {}
+        # -- phase W: bytes for the rows missing a WHERE attribute
+        self._read_rows(handle, rows, row_bytes,
+                        [idx for idx in range(nrows)
+                         if not all(covered(a, idx) for a in where_attrs)])
+        qualifying = []
+        for idx in range(nrows):
+            model.tuple_overhead(1)
+            if predicate is not None:
+                where_values = {a: value(a, idx) for a in where_attrs}
+                model.predicate(predicate.n_terms)
+                if predicate.fn(where_values) is not True:
+                    if collector is not None:
+                        collector.add_row(where_values)
+                    continue
+                if collector is not None and not out_attrs:
+                    collector.add_row(where_values)
+            qualifying.append(idx)
 
-                def get_value(attr: int):
-                    if attr in values:
-                        return values[attr]
-                    cache_block = cached.get(attr)
-                    if cache_block is not None:
-                        present, value = cache_block.get(idx)
-                        if present:
-                            model.cache_read(1)
-                            values[attr] = value
-                            return value
-                    value = columns[attr].decode(row_data[idx])
-                    model.deserialize(1)
-                    values[attr] = value
-                    cache_entries[attr].append((idx, value))
-                    return value
+        # -- phase S: bytes for the qualifying rows missing a SELECT one
+        self._read_rows(handle, rows, row_bytes,
+                        [idx for idx in qualifying
+                         if not all(covered(a, idx) for a in out_attrs)])
+        for idx in qualifying:
+            out = tuple(value(a, idx) for a in out_attrs)
+            model.tuple_form(len(out_attrs))
+            if collector is not None:
+                collector.add_row({**decoded[idx], **dict(zip(out_attrs,
+                                                              out))})
+            yield out
 
-                if predicate is not None:
-                    where_values = {a: get_value(a) for a in where_attrs}
-                    model.predicate(n_terms)
-                    if predicate.fn(where_values) is not True:
-                        if collector is not None:
-                            collector.add_row(values)
-                        continue
-                out = tuple(get_value(a) for a in out_attrs)
-                model.tuple_form(len(out_attrs))
-                if collector is not None:
-                    collector.add_row(values)
-                yield out
+        if self.cache is not None:
+            for attr, entries in cache_entries.items():
+                if entries:
+                    self.cache.put(attr, block, nrows, entries,
+                                   self._families[attr])
 
-            if self.cache is not None:
-                for attr, entries in cache_entries.items():
-                    if entries:
-                        self.cache.put(attr, block, rows_in_block, entries,
-                                       self._families[attr])
-            row = block_end
-
-        self._finalize_stats(collector)
-        info.row_count_hint = fits.nrows
+    def _read_rows(self, handle, rows, row_bytes, wanted) -> None:
+        """One sequential read from the first to the last ``wanted``
+        row not yet read (fixed-width rows: stream through the gaps)."""
+        needed = [idx for idx in wanted if idx not in row_bytes]
+        if not needed:
+            return
+        first, last = needed[0], needed[-1]
+        width = self.fits.row_bytes
+        blob = handle.read_at(self.fits.data_offset + rows[first] * width,
+                              (last - first + 1) * width)
+        for idx in needed:
+            lo = (idx - first) * width
+            row_bytes[idx] = blob[lo:lo + width]

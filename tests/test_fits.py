@@ -16,6 +16,15 @@ from repro.formats.fits import (
     write_bintable,
 )
 from repro.simcost.clock import CostEvent
+from tests.oracle.digest import (
+    AXIS,
+    Append,
+    Query,
+    Scenario,
+    Table,
+    Truncate,
+    check,
+)
 
 
 def sample_table(nrows=100, seed=0):
@@ -163,6 +172,89 @@ class TestRawFitsScan:
         db, _ = self.engine(10)
         info = db.catalog.get("sky")
         assert info.schema.names == ["obj_id", "ra", "dec", "mag", "label"]
+
+    def test_explain_shows_no_kernel_row(self):
+        """Fixed-stride rows have no positional map for the cached-block
+        fast path to serve from: EXPLAIN names no kernel, and a warm
+        scan counts no kernel event."""
+        db, _ = self.engine(100)
+        sql = "SELECT obj_id FROM sky WHERE ra < 180.0"
+        db.query(sql)
+        db.query(sql)
+        assert not [row for (row,) in db.query("EXPLAIN " + sql).rows
+                    if row.startswith("kernel:")]
+        assert not [name for name in db.counters()
+                    if name.startswith("kernel_")]
+
+
+def short_file(nrows=400, data_bytes=1000):
+    """A one-column FITS file and the same file with its data section
+    cut to ``data_bytes`` bytes."""
+    data = write_bintable(["a"], ["J"], [(i,) for i in range(nrows)])
+    return data, data[:parse_fits(data).data_offset + data_bytes]
+
+
+class TestTruncatedData:
+    def test_parse_rejects_short_data(self):
+        with pytest.raises(FITSFormatError, match="truncated FITS data"):
+            parse_fits(short_file()[1])
+
+    def test_create_rejects_short_data(self):
+        vfs = VirtualFS()
+        vfs.create("t.fits", short_file()[1])
+        db = PostgresRaw(vfs=vfs)
+        with pytest.raises(FITSFormatError, match="truncated FITS data"):
+            db.query("CREATE TABLE t USING fits OPTIONS (path 't.fits')")
+
+    def test_live_table_rejects_short_data(self):
+        full, short = short_file()
+        vfs = VirtualFS()
+        vfs.create("t.fits", full)
+        db = PostgresRaw(vfs=vfs)
+        db.query("CREATE TABLE t USING fits OPTIONS (path 't.fits')")
+        assert db.query("SELECT sum(a) FROM t").scalar() == 79800
+        vfs.write_bytes("t.fits", short)
+        with pytest.raises(FITSFormatError, match="truncated FITS data"):
+            db.query("SELECT sum(a) FROM t")
+        vfs.write_bytes("t.fits", full)
+        assert db.query("SELECT sum(a) FROM t").scalar() == 79800
+
+
+class TestFileChanges:
+    """§4.5 for FITS: after its file changes, a live table answers as
+    an engine built over the changed file does (the harness's ``fresh``
+    axis). The 34-row table's file keeps its size under a 3-row
+    rewrite: FITS pads to 2880-byte records."""
+
+    @pytest.mark.parametrize("change, cache", [
+        ((Truncate(3),), True), ((Truncate(3),), False),
+        ((Append(136, 5),), True), ((Append(136, 5),), False),
+        # uncached, the same geometry reads the new values correctly
+        ((Truncate(30), Append(4, 9)), True)],
+        ids=["fewer_rows", "fewer_rows_uncached", "more_rows",
+             "more_rows_uncached", "same_size_new_values"])
+    def test_live_table_matches_a_fresh_engine(self, change, cache):
+        check(Scenario((Table("t", "fits", 1),),
+                       (Query("SELECT * FROM t"), *change,
+                        Query("SELECT * FROM t"),
+                        Query("SELECT count(*) FROM t"),
+                        Query("SELECT k, tag FROM t WHERE x < 0")),
+                       (("row_block_size", 16), ("enable_cache", cache)),
+                       "fits"), [AXIS["fresh"]])
+
+    def test_change_before_the_first_query(self):
+        check(Scenario((Table("t", "fits", 1),),
+                       (Truncate(3), Query("SELECT k, y, m, x FROM t")),
+                       (("row_block_size", 16),), "fits"), [AXIS["fresh"]])
+
+    def test_columns_that_no_longer_match_are_an_error(self):
+        vfs, _ = fits_vfs(20)
+        db = PostgresRaw(vfs=vfs)
+        db.register_fits("sky", "sky.fits")
+        db.query("SELECT mag FROM sky")
+        vfs.write_bytes("sky.fits", write_bintable(["x"], ["J"], [(1,)]))
+        with pytest.raises(FITSFormatError, match="no longer matches"):
+            db.query("SELECT mag FROM sky")
 
 
 class TestCFitsioComparator:

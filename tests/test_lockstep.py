@@ -4,7 +4,8 @@ hypothesis.
 Every drawn scenario is played on each axis that applies to it — the
 row-at-a-time oracle, ``scan_workers`` 1↔4, kernels on↔off, a fixed
 fault seed at 1↔4 workers, CSV↔its JSONL twin, a glob↔one file, the
-loaded DBMS — and the per-step digests must agree up to each axis's
+loaded DBMS, a live engine after a file change↔one built over the
+changed files — and the per-step digests must agree up to each axis's
 declared projection. Tier 1 runs a fixed, derandomized budget — next
 to the seeded scenarios the differential suites pin on the same
 harness; ``--hypothesis-profile=soak`` (registered in
@@ -22,7 +23,6 @@ from hypothesis import HealthCheck, example, given, settings
 
 from repro import PostgresRaw
 from tests.oracle.digest import (
-    AXES,
     AXIS,
     REFERENCE,
     WIRE,
@@ -35,7 +35,6 @@ from tests.oracle.digest import (
     Scenario,
     Table,
     check,
-    eager_oracle_view,
     same,
     scenarios,
 )
@@ -88,12 +87,6 @@ MUTATION_PINS = [
 ]
 
 
-#: a drawn scenario's axes: the oracle compares eager maps with the open
-#: divergence's allowance (``eager_oracle_view``)
-FUZZ_AXES = [dataclasses.replace(AXES[0], project=eager_oracle_view),
-             *AXES[1:]]
-
-
 @budget(30)
 @given(scenarios())
 @example(CLOSE_THEN_ABANDON[0])
@@ -102,7 +95,7 @@ FUZZ_AXES = [dataclasses.replace(AXES[0], project=eager_oracle_view),
 @example(MUTATION_PINS[1])
 @example(MUTATION_PINS[2])
 def test_lockstep(scenario):
-    check(scenario, FUZZ_AXES)
+    check(scenario)
 
 
 @budget(15)
@@ -122,10 +115,10 @@ def test_wire_equals_in_process(scenario):
 
 
 #: eager indexing, then a warm query whose indexed blocks are tokenized
-#: forward from the map's known starts: the block scan also keeps the free
-#: start after the last SELECT attribute, as its streaming region does;
-#: the oracle's walk does not reach it — and under a PM budget the larger
-#: chunks evict other blocks first
+#: forward from the map's known starts: the block scan used to keep a
+#: start after a span the row walk already held, which the oracle never
+#: learns — and under a PM budget the larger chunks evicted other blocks
+#: first
 EAGER_DIVERGENCES = [
     Scenario((Table("l", "l_int", 2913), Table("r", "r_int", 2914)),
              (Query("SELECT lk, lv FROM l WHERE EXISTS "
@@ -142,12 +135,27 @@ EAGER_DIVERGENCES = [
 ]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="open: the block scan keeps eager free starts "
-                          "in indexed blocks that the oracle does not")
 @pytest.mark.parametrize("scenario", EAGER_DIVERGENCES)
 def test_eager_indexed_blocks_match_the_oracle(scenario):
     check(scenario, [AXIS["oracle"]])
+
+
+#: the FITS block scan's three rules, warm: two-phase reads (the WHERE
+#: rows, then qualifying rows missing a SELECT column), a filtered and
+#: projected column's cached values read again, and two-pass sampling
+FITS_RULES = ("SELECT k, x FROM t WHERE x < 0.5",
+              "SELECT k, x FROM t WHERE x < 0.5",
+              "SELECT y FROM t WHERE k < 0",
+              "SELECT k, y FROM t WHERE k < 0",
+              "SELECT m FROM t WHERE x > 0.2")
+
+
+@pytest.mark.parametrize("block_size", [8, 64])
+def test_fits_block_scan_matches_the_oracle(block_size):
+    check(Scenario((Table("t", "fits", 6),),
+                   tuple(Query(sql) for sql in FITS_RULES),
+                   (("row_block_size", block_size),), "fits"),
+          [AXIS["oracle"]])
 
 
 # ---------------------------------------------------------------------------
