@@ -34,12 +34,11 @@ What a format supplies, and nothing else:
   ``positions()`` (what the block taught the positional map);
 * ``_convert(attr, buffer, starts, ends)`` — value conversion of one
   span column;
-* ``_known_positions`` (the map lookups an indexed block makes) and
-  ``_cached_column`` (how the fast path serves a cached column);
-* on the access method, the line spans of the indexed region
-  (``_rows_with_known_span``, ``line_spans``: the positional map's line
-  index for CSV and JSONL, fixed-stride arithmetic for FITS) and
-  ``tolerant_row``'s line split (``_tolerant_fetch``).
+* ``_known_positions`` (the map lookups an indexed block makes),
+  ``_cached_column`` (how the fast path serves a cached column) and
+  ``_line_spans`` (the indexed region's: the map's line index, or
+  FITS's fixed stride over a file that is all indexed region);
+* ``tolerant_row``'s line split (``_tolerant_fetch``).
 
 Fan-out and the staged-op merge: the streaming region's row-block
 groups are *pure functions* of their byte slice. Each group computes
@@ -299,7 +298,7 @@ class RawFileAccess:
     workload accounting, §4.5 refresh, the scan prologue and epilogue, a
     block's cache prefetch, the error policies and the batch→tuple shim.
     Subclasses name their per-scan :class:`BlockScan` in ``scan_class``
-    and supply the indexed region's line spans and ``_tolerant_fetch``."""
+    and supply ``_tolerant_fetch``."""
 
     #: the BlockScan subclass that drives this format's batch scans
     scan_class: type | None = None
@@ -476,21 +475,6 @@ class RawFileAccess:
         if known == 0 or self.pm.has_file_length:
             return known  # complete index (a finished scan, the prewarmer)
         return known - 1  # last known line's end is the next line's start
-
-    def line_spans(self, row0: int, row1: int):
-        """Absolute ``(starts, ends)`` of rows ``row0..row1`` of the
-        indexed region, from the map's line index (charged)."""
-        spans = self.pm.line_spans_block(row0, row1)
-        if spans is None:
-            # The map lost spans a scan froze at start (DROP TABLE,
-            # drop_auxiliary, or a budget eviction of the line index
-            # under a live scan): fail cleanly instead of unpacking
-            # None — a re-run plans against the current catalog.
-            raise ExecutionError(
-                f"line spans for rows {row0}..{row1} vanished from the "
-                "positional map mid-scan (table dropped or map torn "
-                "down under a live query); re-run the query")
-        return spans
 
     def _finish_file(self, row_count: int) -> None:
         self.table_info.row_count_hint = row_count
@@ -814,6 +798,21 @@ class BlockScan:
         self.pm.insert_chunk(tuple(group), block, matrix)
 
     # -- shared row-wise machinery (tolerant redo, error context) -------
+    def _line_spans(self, row0: int, row1: int):
+        """Absolute ``(starts, ends)`` of rows ``row0..row1`` of the
+        indexed region, from the map's line index (charged)."""
+        spans = self.pm.line_spans_block(row0, row1)
+        if spans is None:
+            # The map lost spans this scan froze at start (DROP TABLE,
+            # drop_auxiliary, or a budget eviction of the line index
+            # under a live scan): fail cleanly instead of unpacking
+            # None — a re-run plans against the current catalog.
+            raise ExecutionError(
+                f"line spans for rows {row0}..{row1} vanished from the "
+                "positional map mid-scan (table dropped or map torn "
+                "down under a live query); re-run the query")
+        return spans
+
     @staticmethod
     def _lines(starts, ends, buffer, buffer_base: int) -> Iterator[bytes]:
         """The lines spanning ``starts``/``ends`` (absolute offsets) in
@@ -899,7 +898,7 @@ class BlockScan:
             # scan would. Hit and bailout events are zero-priced.
             self.model.kernel_bailout()
         self.model.tuple_overhead(row1 - row0)
-        starts, ends = self.access.line_spans(row0, row1)
+        starts, ends = self._line_spans(row0, row1)
         try:
             return self._indexed_block_strict(handle, block, starts, ends)
         except FormatError as exc:
@@ -912,7 +911,7 @@ class BlockScan:
         # of the block's byte span (mostly warm — the strict attempt
         # already touched it), quarantining rejects directly. The redo
         # pays its own map access for the spans, as it always has.
-        starts, ends = self.access.line_spans(row0, row1)
+        starts, ends = self._line_spans(row0, row1)
         base = int(starts[0])
         blob = handle.read_at(base, int(ends[-1]) - base)
         return self._tolerant_rows(row0, starts, ends, blob, base,
@@ -1011,10 +1010,7 @@ class BlockScan:
         access = self.access
         pm = self.pm
         if access.row_count is not None and spanned >= access.row_count:
-            # Whole file already indexed (a fixed-stride file always
-            # is): the completed scan still reports its row count.
-            access._finish_file(access.row_count)
-            return
+            return  # whole file already indexed
         file_size = handle.size
         # Resume where the indexed region ends; if the map was dropped
         # (or never existed) the streaming region is the whole file.

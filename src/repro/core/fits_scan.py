@@ -7,9 +7,11 @@ The one block scan (:class:`~repro.core.blockscan.BlockScan`) runs the
 whole file as its indexed region: row ``r`` starts at ``data_offset +
 r × NAXIS1`` and a value at its column's offset, so finding it charges
 nothing. FITS supplies those spans, the column decode and a §4.5
-refresh that re-reads the header. A value-at-a-time reference scan in
-``tests/oracle/`` must produce identical results, cache contents and
-statistics.
+refresh that re-reads the header. A scan keeps the header it started
+under and fails if the file is rewritten before it ends (another
+session's refresh may replace the access method's header meanwhile).
+A value-at-a-time reference scan in ``tests/oracle/`` must produce
+identical results, cache contents and statistics.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from repro.core.blockscan import (
     BlockScan,
     RawFileAccess,
 )
-from repro.errors import FITSFormatError
+from repro.errors import ExecutionError, FITSFormatError
 from repro.formats.fits import FitsTableInfo, parse_fits_from_vfs
 
 #: NumPy's big-endian dtype of each numeric TFORM code
@@ -34,7 +36,7 @@ class _FitsRows(BlockLines):
     column's byte range in its row, found by arithmetic alone."""
 
     def spans(self, attr: int, rows: np.ndarray):
-        column = self.scan.access.fits.columns[attr]
+        column = self.scan.fits.columns[attr]
         starts = self.line_starts[rows] + column.offset
         return starts, starts + column.nbytes
 
@@ -44,9 +46,36 @@ class FitsScan(BlockScan):
 
     indexed_lines = _FitsRows
 
+    def __init__(self, access, *scan_args):
+        super().__init__(access, *scan_args)
+        self.fits = access.fits
+        self._rewrites = access._seen_rewrites
+
+    def check_unchanged(self) -> None:
+        """A rewrite or truncation under the scan is an error, not the
+        zeros a short read leaves under the fixed stride."""
+        if self.access.vfs.rewrite_count(self.access.path) != self._rewrites:
+            raise ExecutionError(
+                f"the FITS file {self.access.path!r} changed under a live "
+                "scan; re-run the query")
+
+    def run(self, handle):
+        # The whole file is the indexed region: no streaming tail.
+        yield from self._indexed_region(handle, self.fits.nrows)
+        self.check_unchanged()
+        self.access._finish_file(self.fits.nrows)
+
+    def _line_spans(self, row0: int, row1: int):
+        self.check_unchanged()
+        fits = self.fits
+        starts = fits.data_offset + fits.row_bytes * np.arange(
+            row0, row1, dtype=np.int64)
+        return starts, starts + fits.row_bytes
+
     def _convert(self, attr: int, buffer, starts: np.ndarray,
                  ends: np.ndarray) -> tuple[list | None, np.ndarray | None]:
-        column = self.access.fits.columns[attr]
+        self.check_unchanged()  # the bytes were read under our header
+        column = self.fits.columns[attr]
         self.model.deserialize(len(starts))
         if column.code == "A":
             return [bytes(buffer[s:e]).decode("ascii", "replace")
@@ -81,10 +110,9 @@ class RawFitsAccess(RawFileAccess):
         self._seen_size = self.vfs.size(self.path)
 
     def refresh(self) -> None:
-        """§4.5 for a file whose header fixes its row count: a FITS
-        file cannot grow in place, so any change — the rewrite counter
-        catches what the 2880-byte padding hides from the size — is a
-        rewrite. The header is re-read and the cache dropped."""
+        """§4.5: the header fixes the row count, so any change — the
+        rewrite counter catches what the 2880-byte padding hides from
+        the size — re-reads the header and drops the cache."""
         if (self.vfs.rewrite_count(self.path), self.vfs.size(self.path)) \
                 == (self._seen_rewrites, self._seen_size):
             return
@@ -96,12 +124,3 @@ class RawFitsAccess(RawFileAccess):
                 f"{self.schema.names}")
         self._drop_structures()
         self._take_header(fits)
-
-    def _rows_with_known_span(self) -> int:
-        return self.fits.nrows
-
-    def line_spans(self, row0: int, row1: int):
-        fits = self.fits
-        starts = fits.data_offset + fits.row_bytes * np.arange(
-            row0, row1, dtype=np.int64)
-        return starts, starts + fits.row_bytes

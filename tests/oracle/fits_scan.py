@@ -38,7 +38,7 @@ class OracleFitsAccess(RawFitsAccess):
 
     def _scan_rows(self, handle, out_attrs, where_attrs, union_attrs,
                    predicate, collector):
-        nrows = self._rows_with_known_span()
+        nrows = self.fits.nrows
         block_size = self.config.row_block_size
         for row0 in range(0, nrows, block_size):
             yield from self._process_block(

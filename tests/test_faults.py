@@ -33,6 +33,7 @@ from repro.api.exceptions import (
     ProgrammingError,
 )
 from repro.errors import IOFaultError, QueryTimeoutError
+from repro.formats.fits import parse_fits, write_bintable
 from repro.simcost.clock import CostEvent
 from repro.storage.faults import FaultInjectingVFS
 from tests.oracle.digest import digest, kernels_free
@@ -312,6 +313,33 @@ def test_midscan_truncation_never_crashes():
     truncated = vfs.read_bytes("t.csv")
     assert count == truncated.count(b"\n") + (
         0 if truncated.endswith(b"\n") or not truncated else 1)
+
+
+def test_fits_midscan_truncation_never_crashes():
+    """The FITS twin of the test above: a short read under the fixed
+    row stride must not turn into rows of zeros."""
+    data = write_bintable(["id", "v"], ["J", "J"],
+                          [(i, i * 7 + 1) for i in range(200)])
+    vfs = FaultInjectingVFS(seed=1, rate=0.0)
+    vfs.create("t.fits", data)
+    ses = repro.connect(vfs=vfs,
+                        config=PostgresRawConfig(row_block_size=16))
+    cur = ses.cursor()
+    cur.execute("CREATE TABLE t USING fits OPTIONS (path 't.fits')")
+    # The header is parsed uncosted: the third block's read truncates
+    # the file to its first 100 rows.
+    vfs.schedule_truncation("t.fits", after_reads=2,
+                            keep_bytes=parse_fits(data).data_offset + 800)
+    cur.execute("SELECT id, v FROM t")
+    try:
+        rows = cur.fetchall()
+        assert all(v == i * 7 + 1 for i, v in rows)
+    except (DataError, OperationalError):
+        pass
+    # The next query re-reads the header of the truncated file.
+    with pytest.raises(DataError, match="truncated FITS data"):
+        cur.execute("SELECT count(*) FROM t")
+        cur.fetchall()
 
 
 def test_engine_wraps_vfs_when_fault_seed_configured():

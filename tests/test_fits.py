@@ -6,7 +6,9 @@ import struct
 
 import pytest
 
+import repro
 from repro import CFitsioProgram, PostgresRaw, PostgresRawConfig, VirtualFS
+from repro.api.exceptions import OperationalError
 from repro.errors import FITSFormatError
 from repro.formats.fits import (
     BLOCK,
@@ -246,6 +248,35 @@ class TestFileChanges:
         check(Scenario((Table("t", "fits", 1),),
                        (Truncate(3), Query("SELECT k, y, m, x FROM t")),
                        (("row_block_size", 16),), "fits"), [AXIS["fresh"]])
+
+    @pytest.mark.parametrize("fetched, nrows, other_session", [
+        (5, 10, False), (5, 10, True), (97, 200, True)],
+        ids=["fewer_rows", "fewer_rows_other_session",
+             "more_rows_after_the_last_block"])
+    def test_open_cursor_across_a_rewrite_fails_cleanly(
+            self, fetched, nrows, other_session):
+        """A scan reads under the header it started with: once its file
+        is rewritten — whether or not another session's query has taken
+        the new header — the open cursor fails instead of returning rows
+        the new file's padding decodes to."""
+        names, tforms, rows = sample_table(200)
+        vfs = VirtualFS()
+        vfs.create("sky.fits", write_bintable(names, tforms, rows[:100]))
+        db = PostgresRaw(vfs=vfs,
+                         config=PostgresRawConfig(row_block_size=16))
+        db.register_fits("sky", "sky.fits")
+        cur = repro.connect(db).cursor()
+        cur.execute("SELECT obj_id, label FROM sky")
+        assert cur.fetchmany(fetched) == [(r[0], r[4])
+                                          for r in rows[:fetched]]
+        vfs.write_bytes("sky.fits",
+                        write_bintable(names, tforms, rows[:nrows]))
+        if other_session:
+            assert db.query("SELECT count(*) FROM sky").scalar() == nrows
+        with pytest.raises(OperationalError, match="changed under"):
+            cur.fetchall()
+        cur.execute("SELECT obj_id, label FROM sky")
+        assert cur.fetchall() == [(r[0], r[4]) for r in rows[:nrows]]
 
     def test_columns_that_no_longer_match_are_an_error(self):
         vfs, _ = fits_vfs(20)
