@@ -10,8 +10,7 @@ operator's format-agnostic half; :mod:`repro.core.scan_batch` (CSV) and
   subclasses: engine wiring, the ``on_error`` policy and its quarantine
   sidecar, §4.5 ``refresh()``, the scan prologue (workload accounting,
   the §4.4 statistics collector, the costed handle), the statistics
-  epilogue, the batch→tuple shim and the ``path``/``table`` error
-  annotation.
+  epilogue and the ``path``/``table`` error annotation.
 * :class:`BlockScan` is the per-scan *driver* and the *one block
   compute*: the frozen indexed/streaming split, the indexed-region
   block loop (cached-block fast path where the scan's one eligibility
@@ -296,7 +295,7 @@ class BlockLines:
 class RawFileAccess:
     """Shell of an access method over one raw file: engine wiring,
     workload accounting, §4.5 refresh, the scan prologue and epilogue, a
-    block's cache prefetch, the error policies and the batch→tuple shim.
+    block's cache prefetch and the error policies.
     Subclasses name their per-scan :class:`BlockScan` in ``scan_class``
     and supply ``_tolerant_fetch``."""
 
@@ -363,14 +362,6 @@ class RawFileAccess:
                        if cache_block is not None
                        else np.zeros(n, dtype=bool))
                 for attr, cache_block in cached.items()}
-
-    def scan(self, needed: Sequence[int],
-             predicate: ScanPredicate | None) -> Iterator[tuple]:
-        """Batch->tuple transposition for a row-mode consumer: the one
-        place a batch scan materializes rows."""
-        for batch in self.scan_batches(needed, predicate):
-            self.model.materialize_rows(batch.nrows)
-            yield from batch.iter_rows()
 
     # -- external updates (§4.5) ---------------------------------------
     def refresh(self) -> None:

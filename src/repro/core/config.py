@@ -78,10 +78,6 @@ class PostgresRawConfig:
         every attribute tokenized on the way to a requested one is also
         added to the map (as part of the query's chunk group) — a
         per-scan attribute set of the same block scan, in both regions.
-    index_new_combinations:
-        §4.2 Adaptive Behavior: index a query's attribute combination as
-        a new vertical chunk when its attributes currently live in
-        different chunks.
     stats_sample_target:
         Reservoir size per column for on-the-fly statistics (§4.4).
     batch_read_bytes:
@@ -152,7 +148,6 @@ class PostgresRawConfig:
     cache_budget_bytes: int | None = None
     row_block_size: int = 1024
     eager_prefix_indexing: bool = False
-    index_new_combinations: bool = True
     stats_sample_target: int = 1000
     batch_read_bytes: int = 256 * 1024
     scan_workers: int = field(default_factory=_default_scan_workers)

@@ -23,12 +23,12 @@ There is one path: the shell is :class:`~repro.core.blockscan.
 RawFileAccess`, the block compute :class:`~repro.core.blockscan.
 BlockScan`, and the CSV pieces it runs on (vectorized delimiter spans,
 column conversion) :class:`~repro.core.scan_batch.BatchCsvScan`, which
-processes a whole row block per step with NumPy. ``scan()`` is a thin
-tuple shim over :meth:`RawCsvAccess.scan_batches`; batch-aware operators
-pull :class:`~repro.sql.batch.ColumnBatch` objects directly. A
-row-at-a-time reference scan, kept in ``tests/oracle/``, must produce
-identical results and leave identical positional-map and cache
-contents (``tests/test_batch_differential.py``).
+processes a whole row block per step with NumPy. The plan pulls
+:class:`~repro.sql.batch.ColumnBatch` objects from
+:meth:`RawCsvAccess.scan_batches`. A row-at-a-time reference scan,
+kept in ``tests/oracle/``, must produce identical results and leave
+identical positional-map and cache contents
+(``tests/test_batch_differential.py``).
 
 The scan has two regions: the *indexed region* (rows whose line spans
 the map already knows — processed block-wise, reading only byte runs

@@ -130,7 +130,7 @@ class IdleTuner:
             attr = info.schema.index_of(column)
             if self._fully_warm(access, attr):
                 continue
-            for _row in access.scan([attr], None):
+            for _batch in access.scan_batches([attr], None):
                 pass  # consuming the scan populates map/cache/stats
             report.warmed.append((info.name, column))
         report.seconds_used = clock.elapsed_since(start)

@@ -7,6 +7,11 @@
 * :class:`ExternalAccess` — the external-files straw-man (§3.1): every
   query re-reads and fully re-tokenizes the raw file and materializes
   complete tuples, with no auxiliary structures.
+
+Both walk their records one at a time and charge per record, as these
+systems do, but hand the plan ``scan_batches`` blocks like PostgresRaw's
+raw scan does: every engine runs the same columnar operators above its
+leaves (§5: PostgresRaw "shares the same query execution engine").
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from typing import Iterator, Sequence
 
 from repro.formats.csvfmt import CsvDialect, LineReader, split_line
 from repro.simcost.model import CostModel
+from repro.sql.batch import ColumnBatch, rows_to_batches
 from repro.sql.catalog import Schema
 from repro.sql.scanapi import ScanPredicate
 from repro.storage.buffer import BufferPool
@@ -42,8 +48,14 @@ class HeapAccess:
     def estimated_rows(self) -> int | None:
         return self.row_count
 
-    def scan(self, needed: Sequence[int],
-             predicate: ScanPredicate | None) -> Iterator[tuple]:
+    def scan_batches(self, needed: Sequence[int],
+                     predicate: ScanPredicate | None,
+                     ) -> Iterator[ColumnBatch]:
+        return rows_to_batches(self._records(needed, predicate),
+                               len(needed))
+
+    def _records(self, needed: Sequence[int],
+                 predicate: ScanPredicate | None) -> Iterator[tuple]:
         model = self.model
         needed = list(needed)
         where_attrs = list(predicate.attrs) if predicate else []
@@ -93,8 +105,14 @@ class ExternalAccess:
     def estimated_rows(self) -> int | None:
         return None  # external files expose no statistics (§2)
 
-    def scan(self, needed: Sequence[int],
-             predicate: ScanPredicate | None) -> Iterator[tuple]:
+    def scan_batches(self, needed: Sequence[int],
+                     predicate: ScanPredicate | None,
+                     ) -> Iterator[ColumnBatch]:
+        return rows_to_batches(self._records(needed, predicate),
+                               len(needed))
+
+    def _records(self, needed: Sequence[int],
+                 predicate: ScanPredicate | None) -> Iterator[tuple]:
         model = self.model
         needed = list(needed)
         arity = self.schema.arity

@@ -33,6 +33,7 @@ from repro.sql.ast_nodes import (
     Statement,
     is_ddl,
 )
+from repro.sql.batch import DEFAULT_BATCH_ROWS
 from repro.sql.catalog import Catalog, Schema, TableInfo
 from repro.sql.executor import (
     QueryResult,
@@ -41,7 +42,6 @@ from repro.sql.executor import (
     explain_result,
 )
 from repro.sql.expressions import split_conjuncts
-from repro.sql.operators import DEFAULT_BATCH_ROWS
 from repro.sql.optimizer import Optimizer
 from repro.sql.parser import parse
 from repro.sql.planner import PlannedQuery, Planner

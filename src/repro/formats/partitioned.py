@@ -47,7 +47,7 @@ import json
 import re
 import weakref
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.errors import CatalogError
 from repro.formats.registry import (
@@ -453,12 +453,6 @@ class PartitionedAccess:
                                   pruned=len(pruned), est_rows=est)
 
     # -- scanning -------------------------------------------------------
-    def scan(self, needed: Sequence[int],
-             predicate: ScanPredicate | None) -> Iterator[tuple]:
-        for batch in self.scan_batches(needed, predicate):
-            self.model.materialize_rows(batch.nrows)
-            yield from batch.iter_rows()
-
     def scan_batches(self, needed: Sequence[int],
                      predicate: ScanPredicate | None):
         info = self.table_info  # held while the scan runs

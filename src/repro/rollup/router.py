@@ -52,6 +52,7 @@ from repro.sql.ast_nodes import (
     TableRef,
     UnaryOp,
 )
+from repro.sql.batch import ColumnBatch
 from repro.sql.catalog import Catalog, TableInfo
 from repro.sql.expressions import (
     _children,
@@ -95,6 +96,9 @@ class ZoneAggregateOp(PlanOp):
         self.row = tuple(row)
         self.table_name = table_name
         self.files = files
+
+    def batches(self) -> Iterator[ColumnBatch]:
+        yield ColumnBatch.from_rows([self.row], len(self.layout))
 
     def rows(self) -> Iterator[tuple]:
         yield self.row

@@ -75,9 +75,8 @@ class CostModel:
     def rows_materialized(self) -> int:
         """Observability counter (NOT a priced event, NOT in the clock
         ledger): per-row Python tuples materialized from columnar
-        batches at operator boundaries — scan shims transposing
-        batches into rows, and operator batch paths falling back to
-        row-at-a-time evaluation. Final result assembly (draining
+        batches inside the operator tree — an operator's batch path
+        falling back to its row closures. Final result assembly (draining
         the plan root into a QueryResult or cursor buffer) does not
         count. A fully columnar plan keeps this at zero; it is kept
         out of the clock counters so cost parity assertions against

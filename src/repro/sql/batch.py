@@ -9,14 +9,13 @@ list carries per-column validity: a boolean mask where the column has
 NULLs, or ``None`` when it provably has none (typed columns cannot
 represent NULL in-band, so their mask is always explicit or absent).
 
-Operators that understand batches (:class:`~repro.sql.operators.ScanOp`
-and friends) exchange these instead of individual tuples, amortizing
-per-tuple interpreter overhead over a whole block *and* keeping data in
-typed arrays end-to-end (vectorized predicate masks, grouped
-aggregation, gather-based joins, argsort ordering). Everything else
-consumes the :meth:`iter_rows` shim — which materializes plain Python
-tuples — so a batch-producing subtree composes with the Volcano-style
-row operators unchanged.
+Every operator (:mod:`repro.sql.operators`) exchanges these instead of
+individual tuples, amortizing per-tuple interpreter overhead over a
+whole block *and* keeping data in typed arrays end-to-end (vectorized
+predicate masks, grouped aggregation, gather-based joins, argsort
+ordering). The :meth:`iter_rows` shim materializes plain Python tuples
+— for final result assembly, and for an operator's local fallback to
+its row closures.
 
 Batch streams follow the scan API's ordered delivery contract
 (:mod:`repro.sql.scanapi`): file order, always — parallel chunk scans
@@ -30,6 +29,9 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
+
+#: rows per batch where rows are gathered into batches
+DEFAULT_BATCH_ROWS = 1024
 
 
 def as_object_array(values: Sequence) -> np.ndarray:
@@ -139,10 +141,10 @@ class ColumnBatch:
 
     @classmethod
     def from_rows(cls, rows: Sequence[tuple], width: int) -> "ColumnBatch":
-        """Transpose materialized rows into a batch (the adapter used to
-        lift a row-producing child into a batch-consuming parent).
-        Columns come out as object arrays — typed columns only ever
-        originate at a batch-capable scan or a vectorized operator."""
+        """Transpose materialized rows into a batch (a record-at-a-time
+        leaf's rows, an operator's row-closure output). Columns come out
+        as object arrays — typed columns only ever originate at a
+        raw-file scan or a vectorized operator."""
         if not rows:
             return cls([[] for _ in range(width)], 0)
         return cls([list(col) for col in zip(*rows)], len(rows))
@@ -152,3 +154,16 @@ def batches_to_rows(batches) -> Iterator[tuple]:
     """Flatten an iterable of batches into a tuple iterator."""
     for batch in batches:
         yield from batch.iter_rows()
+
+
+def rows_to_batches(rows, width: int) -> Iterator[ColumnBatch]:
+    """Gather a tuple iterator into batches of :data:`DEFAULT_BATCH_ROWS`
+    rows (the inverse of :func:`batches_to_rows`)."""
+    pending: list[tuple] = []
+    for row in rows:
+        pending.append(row)
+        if len(pending) >= DEFAULT_BATCH_ROWS:
+            yield ColumnBatch.from_rows(pending, width)
+            pending = []
+    if pending:
+        yield ColumnBatch.from_rows(pending, width)

@@ -1,14 +1,12 @@
 """Plan execution and query results.
 
-Two consumption modes share one pipeline. :func:`execute_batches` is
-the streaming core: it pulls :class:`~repro.sql.batch.ColumnBatch`
-blocks from the plan root (real columnar blocks over raw-file scans;
-rows transposed into blocks only above a row-only leaf — a heap,
-external or CFITSIO table — or an operator without a batch form) —
-cursors in
-:mod:`repro.api` hold this iterator live and materialize only what
-``fetchmany`` asks for. :func:`execute` is the eager convenience built
-on top: it drains the stream into a :class:`QueryResult`.
+One pull mode serves every engine. :func:`execute_batches` is the
+streaming core: it pulls :class:`~repro.sql.batch.ColumnBatch` blocks
+from the plan root — raw-file, heap and external scans all feed the
+same columnar operators — and cursors in :mod:`repro.api` hold this
+iterator live and materialize only what ``fetchmany`` asks for.
+:func:`execute` is the eager convenience built on top: it drains the
+stream into a :class:`QueryResult`.
 """
 
 from __future__ import annotations
@@ -80,15 +78,9 @@ class QueryResult:
 def execute_batches(planned: PlannedQuery) -> Iterator[ColumnBatch]:
     """The streaming execution core: pull the plan root block-at-a-time.
 
-    Plans whose root produces real columnar batches (a raw-file scan
-    under operators with a batch form — see
-    ``PlanOp.supports_batches``) stream those blocks straight through;
-    a plan over row-only leaves (heap, external, CFITSIO tables)
-    streams the row iterator transposed into batches by the
-    operator-level default. Either way nothing is materialized beyond
-    the block in
-    flight, so a cursor can fetch incrementally from an arbitrarily
-    large scan."""
+    Nothing is materialized beyond the block in flight (and what a
+    blocking operator — a join's build side, a sort — holds), so a
+    cursor can fetch incrementally from an arbitrarily large scan."""
     return planned.root.batches()
 
 

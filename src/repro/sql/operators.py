@@ -1,25 +1,21 @@
-"""Physical plan operators (Volcano-style generators + columnar pull).
+"""Physical plan operators: one columnar pull.
 
 Every operator charges the engine's cost model for the work it does, so
 virtual query time reflects plan choices (hash vs sort aggregation, join
 order) exactly the way the paper's Figure 12 depends on.
 
-Rows are plain tuples. Each operator carries a *layout*: a dict mapping
-the canonical key (:func:`repro.sql.expressions.expr_key`) of the
-expression that produced a column to its index in the row.
+Each operator carries a *layout*: a dict mapping the canonical key
+(:func:`repro.sql.expressions.expr_key`) of the expression that
+produced a column to its index in the output.
 
-Operators expose two pull modes. ``rows()`` is the classic Volcano
-iterator every operator implements: plans over row-only leaves (heap,
-external, CFITSIO tables) pull it, and the row-at-a-time reference
-engine in ``tests/oracle/`` runs it as the differential oracle for the
-columnar path. ``batches()`` pulls :class:`~repro.sql.batch.ColumnBatch`
-blocks instead — and, since the batch became a typed NumPy container,
-the whole operator tree over a raw-file scan stays columnar
-end-to-end:
+The engine pulls ``batches()``: :class:`~repro.sql.batch.ColumnBatch`
+blocks of typed NumPy columns, from every leaf — raw-file, heap and
+external scans alike, so PostgresRaw and its comparators share one
+execution engine, as in the paper's §5 — to the root:
 
-* ``ScanOp`` feeds typed blocks straight from a batch-capable access
-  method; ``FilterOp`` evaluates vectorized masks (falling back to the
-  row closure for shapes the vectorizer does not cover);
+* ``ScanOp`` feeds the blocks of its access method's ``scan_batches``;
+  ``FilterOp`` evaluates vectorized masks (falling back to the row
+  closure for shapes the vectorizer does not cover);
 * ``ProjectOp`` passes resolved columns through by reference and
   evaluates computed items (arithmetic, CASE) as value columns;
 * ``HashAggregateOp`` / ``SortAggregateOp`` extract group keys and
@@ -36,26 +32,20 @@ end-to-end:
 
 Fallbacks are local. An operator that cannot stay columnar — a
 ``DISTINCT`` aggregate, a value expression with INTERVAL arithmetic, a
-predicate shape the vectorizer does not cover — transposes *its own*
-input (the aggregate pulls its child's batches and materializes at its
-boundary; filters and projections fall back per block) while the
-subtree below it keeps running on arrays. Only operators with no batch
-form at all (``NestedLoopJoinOp``) pull their children row-wise.
+predicate shape the vectorizer does not cover, a join or sort key that
+is an expression rather than a column, a non-equi (nested-loop) join —
+transposes *its own* input and evaluates its row closures there, while
+the subtree below it keeps running on arrays.
 
 Cost charging is pull-mode invariant: batch paths charge the same unit
-totals per block that the row paths charge per row. Every place the
-batch pipeline *does* transpose a block into Python tuples (the scan
-shim, a row-closure filter/projection fallback, an aggregate's row
-fallback) records the fact on the ``rows_materialized`` observability
-counter, so a fully columnar plan is assertable as
-``rows_materialized == 0``.
+totals per block that the row forms charge per row. Every place a
+batch is transposed into Python tuples records the fact on the
+``rows_materialized`` observability counter, so a fully columnar plan
+is assertable as ``rows_materialized == 0``.
 
-Every operator inherits a default ``batches()`` that transposes its
-``rows()`` — so a batch-consuming parent composes with any subtree.
-``supports_batches`` reports whether a subtree produces real (scan-fed)
-columnar batches — whether its leaves' access methods have a
-``scan_batches`` — and the executor uses it to pick the pull mode per
-query.
+``rows()``, the classic Volcano iterator, is not pulled by the engine:
+it is the row-at-a-time reference engine the differential oracle in
+``tests/oracle/`` runs against the columnar one.
 """
 
 from __future__ import annotations
@@ -69,14 +59,11 @@ import numpy as np
 from repro.errors import ExecutionError
 from repro.kernels import explain_note
 from repro.simcost.model import CostModel
-from repro.sql.batch import ColumnBatch
+from repro.sql.batch import ColumnBatch, rows_to_batches
 from repro.sql.scanapi import AccessMethod, ScanPredicate
 from repro.sql.vectorize import value_kind
 
 Layout = dict[str, int]
-
-#: rows per batch when transposing a row iterator into batches
-DEFAULT_BATCH_ROWS = 1024
 
 
 def layout_resolver(layout: Layout):
@@ -123,21 +110,20 @@ def _concat_nulls(masks: list, lengths: list[int]):
         for mask, length in zip(masks, lengths)])
 
 
-def _gather_batches(child: "PlanOp") -> tuple[list, list, int]:
-    """Drain ``child.batches()`` into one column set: ``(columns,
-    null_masks, total_rows)`` — the blocking operators' input (join
-    build sides, sorts)."""
+def _gather_batches(child: "PlanOp") -> ColumnBatch:
+    """Drain ``child.batches()`` into one batch with resolved NULL
+    masks — the blocking operators' input (join build sides, sorts)."""
     parts = [b for b in child.batches() if b.nrows]
     width = len(child.layout)
     if not parts:
-        return ([np.empty(0, dtype=object) for _ in range(width)],
-                [None] * width, 0)
+        return ColumnBatch([np.empty(0, dtype=object)
+                            for _ in range(width)], 0)
     lengths = [b.nrows for b in parts]
     columns = [_concat_columns([b.columns[c] for b in parts])
                for c in range(width)]
     nulls = [_concat_nulls([b.null_mask(c) for b in parts], lengths)
              for c in range(width)]
-    return columns, nulls, sum(lengths)
+    return ColumnBatch(columns, sum(lengths), nulls)
 
 
 def _broadcast(values, n: int) -> np.ndarray:
@@ -155,6 +141,27 @@ def _all_resolved(indices) -> bool:
     return indices is not None and all(i is not None for i in indices)
 
 
+def _materialized(model: CostModel, batches) -> Iterator[tuple]:
+    """``batches`` transposed into tuples — an operator's local fallback
+    to its row closures, counted on ``rows_materialized``."""
+    for batch in batches:
+        if batch.nrows:
+            model.materialize_rows(batch.nrows)
+            yield from batch.iter_rows()
+
+
+def _keyed(model: CostModel, batch: ColumnBatch, key_idx,
+           key_fns: list[Callable]) -> tuple[ColumnBatch, list[int]]:
+    """The block an equi-join key index reads and the key positions in
+    it: the block itself when every key is resolved to a column, else
+    the keys evaluated by their row closures over the block's rows."""
+    if _all_resolved(key_idx):
+        return batch, key_idx
+    rows = list(_materialized(model, [batch]))
+    return (ColumnBatch([[fn(row) for row in rows] for fn in key_fns],
+                        batch.nrows), list(range(len(key_fns))))
+
+
 def _scalar_of(column: np.ndarray, row: int):
     """One column entry as a plain Python value."""
     value = column[row]
@@ -162,35 +169,18 @@ def _scalar_of(column: np.ndarray, row: int):
 
 
 class PlanOp:
-    """Base class: an iterator of tuples with a layout and a describe()."""
+    """Base class: a producer of column batches with a layout and a
+    describe(); ``rows()`` is its row-at-a-time reference form."""
 
     def __init__(self, model: CostModel, layout: Layout):
         self.model = model
         self.layout = layout
 
-    def rows(self) -> Iterator[tuple]:
+    def batches(self) -> Iterator[ColumnBatch]:
         raise NotImplementedError
 
-    @property
-    def supports_batches(self) -> bool:
-        """True when :meth:`batches` yields real columnar blocks (a
-        raw-file scan feeds this subtree and every operator on the way
-        knows how to stay columnar) rather than rows transposed from a
-        row-only leaf."""
-        return False
-
-    def batches(self) -> Iterator[ColumnBatch]:
-        """Columnar pull with a row-transposing default, so any subtree
-        can be consumed batch-wise."""
-        width = len(self.layout)
-        pending: list[tuple] = []
-        for row in self.rows():
-            pending.append(row)
-            if len(pending) >= DEFAULT_BATCH_ROWS:
-                yield ColumnBatch.from_rows(pending, width)
-                pending = []
-        if pending:
-            yield ColumnBatch.from_rows(pending, width)
+    def rows(self) -> Iterator[tuple]:
+        raise NotImplementedError
 
     def describe(self) -> dict:
         raise NotImplementedError
@@ -215,19 +205,17 @@ class ScanOp(PlanOp):
         # Plan-time PartitionSelection for partitioned tables (EXPLAIN).
         self.partitions = None
 
-    def rows(self) -> Iterator[tuple]:
-        return self.access.scan(self.needed, self.predicate)
-
-    @property
-    def supports_batches(self) -> bool:
-        """Raw-file access methods scan in blocks; heap, external and
-        CFITSIO tables have no ``scan_batches`` and pull rows."""
-        return callable(getattr(self.access, "scan_batches", None))
-
     def batches(self) -> Iterator[ColumnBatch]:
-        if self.supports_batches:
-            return self.access.scan_batches(self.needed, self.predicate)
-        return super().batches()
+        return self.access.scan_batches(self.needed, self.predicate)
+
+    def rows(self) -> Iterator[tuple]:
+        """The reference engine's leaf: a row-at-a-time access method's
+        own ``scan`` (``tests/oracle``), else the blocks transposed."""
+        scan = getattr(self.access, "scan", None)
+        if scan is not None:
+            return scan(self.needed, self.predicate)
+        return _materialized(self.model, self.access.scan_batches(
+            self.needed, self.predicate))
 
     def describe(self) -> dict:
         out = {
@@ -285,10 +273,6 @@ class FilterOp(PlanOp):
             if predicate(row) is True:
                 yield row
 
-    @property
-    def supports_batches(self) -> bool:
-        return self.child.supports_batches
-
     def batches(self) -> Iterator[ColumnBatch]:
         predicate = self.predicate_fn
         vector_fn = self.vector_fn
@@ -335,10 +319,6 @@ class GateOp(PlanOp):
         if self._open():
             yield from self.child.rows()
 
-    @property
-    def supports_batches(self) -> bool:
-        return self.child.supports_batches
-
     def batches(self) -> Iterator[ColumnBatch]:
         if self._open():
             yield from self.child.batches()
@@ -376,10 +356,6 @@ class ProjectOp(PlanOp):
         for row in self.child.rows():
             model.tuple_form(width)
             yield tuple(fn(row) for fn in fns)
-
-    @property
-    def supports_batches(self) -> bool:
-        return self.child.supports_batches
 
     def batches(self) -> Iterator[ColumnBatch]:
         fns = self.fns
@@ -503,19 +479,20 @@ class _KeyIndex:
     __slots__ = ("keyed", "rows", "codes", "size", "_encoders",
                  "_stages", "_groups")
 
-    def __init__(self, columns: list, nulls: list, key_idx: list[int],
-                 total: int):
-        valid = np.ones(total, dtype=bool)
+    def __init__(self, batch: ColumnBatch, key_idx: list[int]):
+        valid = np.ones(batch.nrows, dtype=bool)
         for idx in key_idx:
-            if nulls[idx] is not None:
-                valid &= ~nulls[idx]
+            mask = batch.null_mask(idx)
+            if mask is not None:
+                valid &= ~mask
         self.keyed = int(valid.sum())
         self._encoders: list[_KeyEncoder] = []
         self._stages: list[np.ndarray] = []
-        codes = np.zeros(total, dtype=np.int64)
+        codes = np.zeros(batch.nrows, dtype=np.int64)
         for idx in key_idx:
-            encoder = _KeyEncoder(columns[idx], valid)
-            key_codes, known = encoder.encode(columns[idx], valid)
+            column = batch.columns[idx]
+            encoder = _KeyEncoder(column, valid)
+            key_codes, known = encoder.encode(column, valid)
             valid = valid & known  # every build value is known
             raw = codes * (encoder.size + 1) + key_codes
             uniq_raw, inverse = np.unique(raw, return_inverse=True)
@@ -557,12 +534,13 @@ class _KeyIndex:
 class HashJoinOp(PlanOp):
     """Equi-join; builds a hash table on the right (smaller) input.
 
-    With batch-capable children and resolved key columns
-    (``left_key_idx`` / ``right_key_idx`` from the planner), the batch
-    path concatenates the build side column-wise, indexes its keys
-    (:class:`_KeyIndex`), and probes each left block with
+    The batch path concatenates the build side column-wise, indexes its
+    keys (:class:`_KeyIndex`), and probes each left block with
     ``searchsorted`` + repeat/gather output assembly — no per-row
-    tuples anywhere."""
+    tuples anywhere when every key is resolved to a column
+    (``left_key_idx`` / ``right_key_idx`` from the planner); without
+    them the key closures are evaluated over each block
+    (:func:`_keyed`)."""
 
     def __init__(self, model: CostModel, left: PlanOp, right: PlanOp,
                  left_key_fns: list[Callable], right_key_fns: list[Callable],
@@ -594,21 +572,13 @@ class HashJoinOp(PlanOp):
             for match in table.get(key, ()):
                 yield row + match
 
-    @property
-    def supports_batches(self) -> bool:
-        return (self.left.supports_batches and self.right.supports_batches
-                and _all_resolved(self.left_key_idx)
-                and _all_resolved(self.right_key_idx))
-
     def batches(self) -> Iterator[ColumnBatch]:
-        if not self.supports_batches:
-            yield from super().batches()
-            return
         model = self.model
 
         # ---- build: drain the right side column-wise, index its keys
-        r_columns, r_nulls, r_total = _gather_batches(self.right)
-        index = _KeyIndex(r_columns, r_nulls, self.right_key_idx, r_total)
+        build = _gather_batches(self.right)
+        index = _KeyIndex(*_keyed(model, build, self.right_key_idx,
+                                  self.right_key_fns))
         model.hash_probe(index.keyed)
         order = np.argsort(index.codes, kind="stable")
         counts = np.bincount(index.codes, minlength=index.size)
@@ -620,7 +590,9 @@ class HashJoinOp(PlanOp):
             if not n:
                 continue
             model.hash_probe(n)
-            hit, groups = index.probe(batch, self.left_key_idx)
+            hit, groups = index.probe(*_keyed(model, batch,
+                                              self.left_key_idx,
+                                              self.left_key_fns))
             hit_rows = np.flatnonzero(hit)
             if not len(hit_rows):
                 continue
@@ -634,11 +606,11 @@ class HashJoinOp(PlanOp):
             right_out = index.rows[
                 order[np.repeat(starts[group], group_counts) + within]]
             out_columns = ([col[left_out] for col in batch.columns]
-                           + [col[right_out] for col in r_columns])
+                           + [col[right_out] for col in build.columns])
             out_nulls = ([mask[left_out] if mask is not None else None
                           for mask in batch.nulls]
                          + [mask[right_out] if mask is not None else None
-                            for mask in r_nulls])
+                            for mask in build.nulls])
             yield ColumnBatch(out_columns, total, out_nulls)
 
     def describe(self) -> dict:
@@ -659,11 +631,11 @@ class NestedLoopJoinOp(PlanOp):
         self.predicate_fn = predicate_fn
         self.n_terms = n_terms
 
-    def rows(self) -> Iterator[tuple]:
+    def _pairs(self, left_rows, right_rows: list) -> Iterator[tuple]:
+        """Every left row joined with every right row that passes."""
         model = self.model
-        right_rows = list(self.right.rows())
         predicate = self.predicate_fn
-        for left_row in self.left.rows():
+        for left_row in left_rows:
             for right_row in right_rows:
                 combined = left_row + right_row
                 if predicate is not None:
@@ -671,6 +643,18 @@ class NestedLoopJoinOp(PlanOp):
                     if predicate(combined) is not True:
                         continue
                 yield combined
+
+    def rows(self) -> Iterator[tuple]:
+        right_rows = list(self.right.rows())
+        yield from self._pairs(self.left.rows(), right_rows)
+
+    def batches(self) -> Iterator[ColumnBatch]:
+        """Gather the right side once, then evaluate the row closure per
+        pair (both sides' rows are materialized)."""
+        right_rows = list(_materialized(self.model, self.right.batches()))
+        yield from rows_to_batches(
+            self._pairs(_materialized(self.model, self.left.batches()),
+                        right_rows), len(self.layout))
 
     def describe(self) -> dict:
         return {"op": "NestedLoopJoin", "terms": self.n_terms,
@@ -683,7 +667,9 @@ class HashSemiJoinOp(PlanOp):
 
     The batch path is the hash join's build/probe without the gather:
     the inner side's keys go into a :class:`_KeyIndex`, and each outer
-    block keeps the rows whose probe ``hit`` (or did not, negated)."""
+    block keeps the rows whose probe ``hit`` (or did not, negated). It
+    is vectorized when every correlation key is resolved to a column,
+    and evaluates the key closures over each block otherwise."""
 
     def __init__(self, model: CostModel, outer: PlanOp, inner: PlanOp,
                  outer_key_fns: list[Callable], inner_key_fns: list[Callable],
@@ -715,30 +701,23 @@ class HashSemiJoinOp(PlanOp):
             if matched != self.negated:
                 yield row
 
-    @property
-    def supports_batches(self) -> bool:
-        return (self.outer.supports_batches and self.inner.supports_batches
-                and _all_resolved(self.outer_key_idx)
-                and _all_resolved(self.inner_key_idx))
-
     def batches(self) -> Iterator[ColumnBatch]:
-        if not self.supports_batches:
-            yield from super().batches()
-            return
         model = self.model
-        columns, nulls, total = _gather_batches(self.inner)
-        index = _KeyIndex(columns, nulls, self.inner_key_idx, total)
+        index = _KeyIndex(*_keyed(model, _gather_batches(self.inner),
+                                  self.inner_key_idx, self.inner_key_fns))
         model.hash_probe(index.keyed)
         for batch in self.outer.batches():
             if not batch.nrows:
                 continue
             model.hash_probe(batch.nrows)
-            hit, _ = index.probe(batch, self.outer_key_idx)
+            hit, _ = index.probe(*_keyed(model, batch, self.outer_key_idx,
+                                         self.outer_key_fns))
             yield batch.take(np.flatnonzero(hit != self.negated))
 
     def describe(self) -> dict:
         return {"op": "HashSemiJoin", "negated": self.negated,
-                "vectorized": self.supports_batches,
+                "vectorized": (_all_resolved(self.outer_key_idx)
+                               and _all_resolved(self.inner_key_idx)),
                 "outer": self.outer.describe(),
                 "inner": self.inner.describe()}
 
@@ -1073,11 +1052,11 @@ class _VecAgg:
 class HashAggregateOp(PlanOp):
     """Hash-based grouping (chosen when statistics predict few groups).
 
-    With a batch-capable child and vectorizable group keys / aggregate
-    arguments (``group_value_fns`` / ``agg_value_fns`` from the
-    planner), the batch path factorizes keys per block, maps them into
-    a global group table, and feeds whole column slices to array
-    accumulators — per-row tuples are never formed."""
+    With vectorizable group keys / aggregate arguments
+    (``group_value_fns`` / ``agg_value_fns`` from the planner), the
+    batch path factorizes keys per block, maps them into a global group
+    table, and feeds whole column slices to array accumulators —
+    per-row tuples are never formed."""
 
     strategy = "hash"
 
@@ -1093,25 +1072,8 @@ class HashAggregateOp(PlanOp):
         self.group_value_fns = group_value_fns
         self.agg_value_fns = agg_value_fns
 
-    def _child_rows(self) -> Iterator[tuple]:
-        """The row fallback's input. A batch-capable child keeps
-        running columnar and is transposed *here*, at this operator's
-        own boundary — an aggregate the vectorizer does not cover
-        (``DISTINCT``, an uncovered argument shape) costs one local
-        materialization instead of turning its whole subtree, joins
-        and scans included, row-at-a-time."""
-        if not self.child.supports_batches:
-            yield from self.child.rows()
-            return
-        for batch in self.child.batches():
-            if batch.nrows:
-                self.model.materialize_rows(batch.nrows)
-                yield from batch.iter_rows()
-
-    def _consume(self, ordered_rows: Iterator[tuple] | None = None):
+    def _consume(self, rows: Iterator[tuple]):
         model = self.model
-        rows = (ordered_rows if ordered_rows is not None
-                else self._child_rows())
         groups: dict[tuple, tuple[tuple, list[_Accumulator]]] = {}
         n_aggs = len(self.aggs)
         for row in rows:
@@ -1129,8 +1091,9 @@ class HashAggregateOp(PlanOp):
                     acc.update(spec.arg_fn(row) if spec.arg_fn else None)
         return groups
 
-    def rows(self) -> Iterator[tuple]:
-        groups = self._consume()
+    def _results(self, rows: Iterator[tuple]) -> Iterator[tuple]:
+        """The row form's output over ``rows``: one tuple per group."""
+        groups = self._consume(rows)
         if not groups and not self.group_fns:
             # Global aggregate over empty input: one all-identity row.
             empty = [_Accumulator(a.func, a.distinct) for a in self.aggs]
@@ -1139,11 +1102,12 @@ class HashAggregateOp(PlanOp):
         for key, accumulators in groups.values():
             yield key + tuple(acc.result() for acc in accumulators)
 
+    def rows(self) -> Iterator[tuple]:
+        return self._results(self.child.rows())
+
     # -- columnar pull -------------------------------------------------
     @property
     def _vector_ready(self) -> bool:
-        if not self.child.supports_batches:
-            return False
         if self.group_value_fns is None or self.agg_value_fns is None:
             return False
         if any(fn is None for fn in self.group_value_fns):
@@ -1155,15 +1119,16 @@ class HashAggregateOp(PlanOp):
                 return False
         return True
 
-    @property
-    def supports_batches(self) -> bool:
-        return self._vector_ready
-
     def batches(self) -> Iterator[ColumnBatch]:
-        if not self._vector_ready:
-            yield from super().batches()
+        if self._vector_ready:
+            yield self._consume_vectorized()
             return
-        yield self._consume_vectorized()
+        # An aggregate the vectorizer does not cover (``DISTINCT``, an
+        # uncovered argument shape) transposes its input here, at its
+        # own boundary; the subtree below keeps running columnar.
+        yield from rows_to_batches(
+            self._results(_materialized(self.model, self.child.batches())),
+            len(self.layout))
 
     def _consume_vectorized(self) -> ColumnBatch:
         model = self.model
@@ -1288,21 +1253,15 @@ class SortAggregateOp(HashAggregateOp):
 
     strategy = "sort"
 
-    def rows(self) -> Iterator[tuple]:
-        materialized = list(self._child_rows())
+    def _results(self, rows: Iterator[tuple]) -> Iterator[tuple]:
+        materialized = list(rows)
         n = len(materialized)
         if n > 1:
             self.model.sort_compare(n * max(1.0, math.log2(n)))
             group_fns = self.group_fns
             materialized.sort(key=lambda row: tuple(
                 _null_safe(fn(row)) for fn in group_fns))
-        groups = self._consume(iter(materialized))
-        if not groups and not self.group_fns:
-            empty = [_Accumulator(a.func, a.distinct) for a in self.aggs]
-            yield tuple(acc.result() for acc in empty)
-            return
-        for key, accumulators in groups.values():
-            yield key + tuple(acc.result() for acc in accumulators)
+        yield from super()._results(iter(materialized))
 
     def _group_order(self, key_rows: list, total_rows: int) -> list[int]:
         if total_rows > 1:
@@ -1324,7 +1283,9 @@ class SortOp(PlanOp):
     The columnar path ranks each key column (``np.unique`` codes, NULL
     ranked last) and applies the same least-significant-key-first
     sequence of stable argsorts the row path applies — ties, NULL
-    placement and per-key direction come out identical."""
+    placement and per-key direction come out identical. A key that is
+    an expression rather than a column (``ORDER BY a + b``) sorts the
+    gathered rows by the key closures instead."""
 
     def __init__(self, model: CostModel, child: PlanOp,
                  key_fns: list[Callable], descending: list[bool],
@@ -1335,8 +1296,8 @@ class SortOp(PlanOp):
         self.descending = descending
         self.key_idx = key_idx
 
-    def rows(self) -> Iterator[tuple]:
-        materialized = list(self.child.rows())
+    def _sorted(self, materialized: list[tuple]) -> list[tuple]:
+        """The row form's sort, in place, by the key closures."""
         n = len(materialized)
         if n > 1:
             self.model.sort_compare(
@@ -1347,27 +1308,26 @@ class SortOp(PlanOp):
                 materialized.sort(
                     key=lambda row, fn=fn: _null_safe(fn(row)),
                     reverse=desc)
-        yield from materialized
+        return materialized
 
-    @property
-    def supports_batches(self) -> bool:
-        return (self.child.supports_batches
-                and _all_resolved(self.key_idx))
+    def rows(self) -> Iterator[tuple]:
+        yield from self._sorted(list(self.child.rows()))
 
     def batches(self) -> Iterator[ColumnBatch]:
-        if not self.supports_batches:
-            yield from super().batches()
-            return
-        columns, nulls, n = _gather_batches(self.child)
+        gathered = _gather_batches(self.child)
+        columns, nulls, n = gathered.columns, gathered.nulls, gathered.nrows
         if not n:
             return
-        width = len(columns)
-        if any(_has_nan(columns[idx]) for idx in self.key_idx):
-            # NaN is comparison-undefined: the scalar path's Python
-            # sort leaves NaN-adjacent rows wherever timsort's partial
-            # comparisons put them. Rank codes cannot replicate that —
-            # replay the row path's exact sort over the same sequence.
-            yield self._scalar_order(columns, nulls, n, width)
+        if not _all_resolved(self.key_idx) or any(
+                _has_nan(columns[idx]) for idx in self.key_idx):
+            # An expression key has no column to rank. NaN is
+            # comparison-undefined: the scalar path's Python sort leaves
+            # NaN-adjacent rows wherever timsort's partial comparisons
+            # put them, which rank codes cannot replicate. Either way,
+            # replay the row form's exact sort over the same sequence
+            # (a materialization, and counted as one).
+            yield ColumnBatch.from_rows(self._sorted(list(_materialized(
+                self.model, [gathered]))), gathered.width)
             return
         if n > 1:
             self.model.sort_compare(
@@ -1384,22 +1344,6 @@ class SortOp(PlanOp):
             nulls = [mask[order] if mask is not None else None
                      for mask in nulls]
         yield ColumnBatch(columns, n, nulls)
-
-    def _scalar_order(self, columns, nulls, n: int,
-                      width: int) -> ColumnBatch:
-        """The row path's sort, verbatim, over the gathered input —
-        the NaN fallback (counted as materialization, because it is)."""
-        materialized = list(ColumnBatch(columns, n, nulls).iter_rows())
-        self.model.materialize_rows(n)
-        if n > 1:
-            self.model.sort_compare(
-                n * max(1.0, math.log2(n)) * len(self.key_fns))
-            for idx, desc in reversed(list(zip(self.key_idx,
-                                               self.descending))):
-                materialized.sort(
-                    key=lambda row, i=idx: _null_safe(row[i]),
-                    reverse=desc)
-        return ColumnBatch.from_rows(materialized, width)
 
     def describe(self) -> dict:
         return {"op": "Sort", "keys": len(self.key_fns),
@@ -1442,16 +1386,7 @@ class LimitOp(PlanOp):
             if emitted >= self.limit:
                 return
 
-    @property
-    def supports_batches(self) -> bool:
-        return self.child.supports_batches
-
     def batches(self) -> Iterator[ColumnBatch]:
-        if not self.child.supports_batches:
-            # A transposing child would pull whole blocks past the
-            # limit; the row path stops the moment the quota is met.
-            yield from super().batches()
-            return
         remaining = self.limit
         if remaining <= 0:
             return

@@ -14,6 +14,8 @@ from typing import Callable, Iterator, Optional, Protocol, Sequence
 
 import numpy as np
 
+from repro.sql.batch import ColumnBatch
+
 
 @dataclass
 class ScanPredicate:
@@ -62,34 +64,30 @@ class ScanPredicate:
 
 
 class AccessMethod(Protocol):
-    """How a plan leaf obtains tuples of one table.
+    """How a plan leaf obtains the rows of one table: in blocks.
 
     Implementations: RawCsvAccess (in-situ, §4), JsonlAccess and
-    RawFitsAccess (§5.3) on the same raw-scan shell, HeapAccess (loaded
-    binary pages), ExternalAccess (external-files straw-man).
+    RawFitsAccess (§5.3) on the same raw-scan shell, PartitionedAccess
+    (a glob of such files), HeapAccess (loaded binary pages) and
+    ExternalAccess (external-files straw-man). There is one pull mode:
+    the plan leaf (``ScanOp``) feeds ``scan_batches`` to the columnar
+    operators above it.
 
-    Batch-capable access methods additionally expose ``scan_batches``
-    (duck-typed — see ``ScanOp.supports_batches``) with the **ordered
-    delivery contract**: batches arrive in file order, carrying rows in
-    file order, regardless of how the scan is executed internally. In
-    particular PostgresRaw's parallel chunk scans compute row-block
-    groups out of order on a worker pool, but the merge yields them —
-    and applies their positional-map/cache/statistics effects — in
-    canonical group order, so the operator tree above never observes
-    the fan-out.
+    ``scan_batches`` follows the **ordered delivery contract**: batches
+    arrive in file order, carrying rows in file order, regardless of
+    how the scan is executed internally. In particular PostgresRaw's
+    parallel chunk scans compute row-block groups out of order on a
+    worker pool, but the merge yields them — and applies their
+    positional-map/cache/statistics effects — in canonical group order,
+    so the operator tree above never observes the fan-out.
     """
 
-    def scan(self, needed: Sequence[int],
-             predicate: ScanPredicate | None) -> Iterator[tuple]:
-        """Yield tuples of the values of ``needed`` attributes (in that
-        order) for every row passing ``predicate``."""
-        ...
-
     def scan_batches(self, needed: Sequence[int],
-                     predicate: ScanPredicate | None):
-        """Yield :class:`~repro.sql.batch.ColumnBatch` blocks under the
-        ordered delivery contract (optional — row-only access methods
-        simply omit it and the plan leaf falls back to ``scan``)."""
+                     predicate: ScanPredicate | None,
+                     ) -> Iterator[ColumnBatch]:
+        """Yield :class:`~repro.sql.batch.ColumnBatch` blocks holding
+        the values of ``needed`` attributes (in that order) of every row
+        passing ``predicate``, under the ordered delivery contract."""
         ...
 
     def estimated_rows(self) -> int | None:

@@ -2,22 +2,25 @@
 
 The product has one scan path — the block scan
 (:mod:`repro.core.blockscan`), with its CSV and FITS pieces in
-:mod:`repro.core.scan_batch` and :mod:`repro.core.fits_scan`. The naive
-twin it is checked against
-lives here, outside ``src/``, and plugs in only through public seams:
+:mod:`repro.core.scan_batch` and :mod:`repro.core.fits_scan` — and one
+pull mode: every engine's executor pulls ``batches()`` through the
+columnar operators. The naive twin it is checked against lives here,
+outside ``src/``, and plugs in only through public seams:
 
 * :class:`~tests.oracle.csv_scan.OracleCsvAccess` and
   :class:`~tests.oracle.fits_scan.OracleFitsAccess` subclass the
   product's access methods — keeping their shell: §4.5 refresh, the
-  scan prologue and epilogue, quarantine — serve ``scan()`` one tuple
-  at a time and expose no ``scan_batches``, so ``ScanOp`` pulls
-  ``rows()`` and every operator above the scan runs its row-at-a-time
-  form as well;
+  scan prologue and epilogue, quarantine — and serve ``scan()`` one
+  tuple at a time (their ``scan_batches`` gathers that scan into
+  blocks; it never runs the block scan);
 * two format adapters build them, registered through
   :func:`repro.register_format` as ``oracle_csv`` and ``oracle_fits``;
 * :class:`OracleRaw` is a :class:`~repro.PostgresRaw` whose CSV and
   FITS tables — ``CREATE TABLE ... USING csv|fits``, sniffed or through
-  the ``register_*`` shims — are created with those adapters instead.
+  the ``register_*`` shims — are created with those adapters instead,
+  and whose plans pull their root's ``rows()``: every operator runs its
+  row-at-a-time form, and ``ScanOp.rows`` reaches the oracle accesses'
+  ``scan()`` (a heap or partitioned leaf's blocks are transposed).
 
 Everything else (catalog, planner, cost model, positional map, cache,
 statistics) is the product's, so the lockstep harness
@@ -33,11 +36,13 @@ import dataclasses
 from repro import PostgresRaw, register_format
 from repro.formats.registry import CsvAdapter, FitsAdapter, sniff_format
 from repro.sql.ast_nodes import CreateTable
+from repro.sql.batch import rows_to_batches
+from repro.sql.operators import PlanOp, ScanOp
 
 from .csv_scan import OracleCsvAccess
 from .fits_scan import OracleFitsAccess
 
-__all__ = ["OracleRaw"]
+__all__ = ["OracleRaw", "scan_rows"]
 
 
 class _OracleCsvAdapter(CsvAdapter):
@@ -70,9 +75,37 @@ _ORACLE_FORMATS = {
 }
 
 
+def scan_rows(access, needed, predicate=None):
+    """The rows one access method scans, as the reference engine's plan
+    leaf sees them (``ScanOp.rows``): an oracle access's own ``scan()``,
+    else the product's blocks transposed."""
+    return ScanOp(access.model, {}, access, needed, predicate, "").rows()
+
+
+class _RowRoot(PlanOp):
+    """The oracle's plan root: hands the executor its plan's ``rows()``
+    gathered into batches."""
+
+    def __init__(self, child: PlanOp):
+        super().__init__(child.model, child.layout)
+        self.child = child
+
+    def batches(self):
+        yield from rows_to_batches(self.child.rows(), len(self.layout))
+
+    def describe(self) -> dict:
+        return self.child.describe()
+
+
 class OracleRaw(PostgresRaw):
     """A PostgresRaw (same constructor) whose CSV and FITS tables scan
-    row at a time: the reference engine of the differential suites."""
+    row at a time and whose plans run row at a time: the reference
+    engine of the differential suites."""
+
+    def _plan(self, select):
+        planned = super()._plan(select)
+        planned.root = _RowRoot(planned.root)
+        return planned
 
     def run_ddl(self, statement):
         if isinstance(statement, CreateTable) and \

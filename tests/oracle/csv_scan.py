@@ -1,8 +1,9 @@
 """The row-at-a-time CSV scan: the reference the block scan must equal.
 
 :class:`OracleCsvAccess` is a :class:`~repro.core.scan.RawCsvAccess`
-that serves ``scan()`` one tuple at a time through :class:`_RowContext`
-and exposes no ``scan_batches``, so every operator above it pulls rows.
+that serves ``scan()`` one tuple at a time through :class:`_RowContext`:
+the reference engine's plan leaf (``ScanOp.rows``) pulls it, under
+operators running their row forms.
 It runs the same §4.1–§4.4 mechanisms the block scan runs — selective
 tokenizing and parsing, the positional map with incremental forward /
 backward tokenization from the nearest known attribute, the binary
@@ -28,6 +29,7 @@ from repro.core.positional_map import NO_POS
 from repro.core.scan import RawCsvAccess
 from repro.errors import CSVFormatError, ExecutionError, annotate
 from repro.formats.csvfmt import span_backward, span_forward
+from repro.sql.batch import rows_to_batches
 from repro.sql.scanapi import ScanPredicate
 
 
@@ -118,16 +120,22 @@ class _RowContext:
 
 
 class OracleCsvAccess(RawCsvAccess):
-    """A raw CSV table scanned row at a time. ``scan_batches = None``
-    makes ``ScanOp`` pull :meth:`scan`; ``scan_class = None`` leaves
-    EXPLAIN without a ``kernel:`` row (there is no block to serve)."""
+    """A raw CSV table scanned row at a time. ``scan_class = None``
+    leaves EXPLAIN without a ``kernel:`` row (there is no block to
+    serve)."""
 
     scan_class = None
-    scan_batches = None
 
     def scan(self, needed: Sequence[int],
              predicate: ScanPredicate | None) -> Iterator[tuple]:
         return self._run_scan(needed, predicate, self._scan_rows_scalar)
+
+    def scan_batches(self, needed: Sequence[int],
+                     predicate: ScanPredicate | None):
+        """The row scan gathered into blocks, for a plan run outside
+        ``OracleRaw``'s row root (a rollup build) — never the block
+        scan."""
+        return rows_to_batches(self.scan(needed, predicate), len(needed))
 
     def _scan_rows_scalar(self, handle, out_attrs, where_attrs,
                           union_attrs, predicate, collector):

@@ -2,8 +2,9 @@
 
 :class:`OracleFitsAccess` is a :class:`~repro.core.fits_scan.
 RawFitsAccess` (so it shares the product's §4.5 refresh) that serves
-``scan()`` one tuple at a time and exposes no ``scan_batches``, so
-every operator above it pulls rows. Each row block runs in the shape
+``scan()`` one tuple at a time: the reference engine's plan leaf
+(``ScanOp.rows``) pulls it, under operators running their row forms.
+Each row block runs in the shape
 of the CSV oracle's ``_process_block``, under the same three rules:
 
 * two-phase reads — one run for the rows missing a WHERE attribute,
@@ -23,6 +24,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from repro.core.fits_scan import RawFitsAccess
+from repro.sql.batch import rows_to_batches
 from repro.sql.scanapi import ScanPredicate
 
 
@@ -30,11 +32,16 @@ class OracleFitsAccess(RawFitsAccess):
     """A FITS binary table scanned value at a time."""
 
     scan_class = None
-    scan_batches = None
 
     def scan(self, needed: Sequence[int],
              predicate: ScanPredicate | None) -> Iterator[tuple]:
         return self._run_scan(needed, predicate, self._scan_rows)
+
+    def scan_batches(self, needed: Sequence[int],
+                     predicate: ScanPredicate | None):
+        """The row scan gathered into blocks (see
+        :meth:`~tests.oracle.csv_scan.OracleCsvAccess.scan_batches`)."""
+        return rows_to_batches(self.scan(needed, predicate), len(needed))
 
     def _scan_rows(self, handle, out_attrs, where_attrs, union_attrs,
                    predicate, collector):

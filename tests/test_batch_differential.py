@@ -20,7 +20,7 @@ import random
 import pytest
 
 from repro import INTEGER, LoadedDBMS, PostgresRaw, Schema
-from tests.oracle import OracleRaw
+from tests.oracle import OracleRaw, scan_rows
 from tests.oracle.digest import (
     AXIS,
     NUL_ROWS,
@@ -120,7 +120,7 @@ class TestBatchDifferentialFuzz:
         for stop in (1, 7, 19):
             prefixes = []
             for engine in (batch, oracle):
-                scan = engine.catalog.get("t").access.scan([0, 1], None)
+                scan = scan_rows(engine.catalog.get("t").access, [0, 1], None)
                 prefixes.append([next(scan) for _ in range(stop)])
                 scan.close()
             assert prefixes[0] == prefixes[1], f"prefix diverged at {stop}"

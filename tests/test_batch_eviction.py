@@ -14,7 +14,7 @@ import pytest
 from repro import PostgresRaw, PostgresRawConfig, VirtualFS
 from repro.sql.scanapi import ScanPredicate
 from repro.workloads.micro import generate_micro_csv, micro_schema
-from tests.oracle import OracleRaw
+from tests.oracle import OracleRaw, scan_rows
 
 ROWS = 240
 ATTRS = 10
@@ -51,8 +51,8 @@ def run_and_compare(db_batch, db_scalar, attrs, predicate, truth,
                     expected_fn):
     access_b = db_batch.catalog.get("m").access
     access_s = db_scalar.catalog.get("m").access
-    got_b = list(access_b.scan(attrs, predicate))
-    got_s = list(access_s.scan(attrs, predicate))
+    got_b = list(scan_rows(access_b, attrs, predicate))
+    got_s = list(scan_rows(access_s, attrs, predicate))
     expected = expected_fn(truth)
     assert got_b == expected, "batch diverged from ground truth"
     assert got_s == expected, "scalar diverged from ground truth"
@@ -101,9 +101,10 @@ class TestCacheEvictionUnderBatching:
         db_b, _ = make_pair(cache_budget_bytes=3000)
         truth = ground_truth(db_b)
         access = db_b.catalog.get("m").access
-        assert list(access.scan([1, 4], None)) == \
+        assert list(scan_rows(access, [1, 4], None)) == \
             [(row[1], row[4]) for row in truth]
-        assert list(access.scan([4, 6, 8], predicate_lt(2, 500_000_000))) \
+        assert list(scan_rows(access, [4, 6, 8],
+                              predicate_lt(2, 500_000_000))) \
             == [(row[4], row[6], row[8]) for row in truth
                 if row[2] < 500_000_000]
         cache = db_b.cache_of("m")

@@ -37,7 +37,10 @@ from repro import (
     Schema,
     varchar,
 )
+from repro.core.blockscan import BlockScan
+from repro.sql import operators
 from repro.sql.operators import ScanOp
+from repro.sql.executor import execute
 from repro.sql.parser import parse
 from repro.sql.planner import Planner
 from tests.oracle import OracleRaw
@@ -166,6 +169,29 @@ class TestZeroRowMaterialization:
         db.query("SELECT a1, count(*) FROM m GROUP BY a1")
         assert db.rows_materialized == 0
 
+    def test_oracle_runs_no_batch_form(self, monkeypatch):
+        # The reference engine must really run the row forms: with
+        # every operator's batch entry point and the block scan
+        # raising, the oracle still answers a join + aggregate + sort,
+        # and answers what the columnar engine answers.
+        tables = {"l": keyed_table(random.Random(11), "l", "int"),
+                  "r": keyed_table(random.Random(8), "r", "int")}
+        sql = ("SELECT ls, count(*), sum(rf) FROM l, r WHERE lk = rk "
+               "GROUP BY ls ORDER BY ls")
+        expected = build_engine(tables).query(sql).rows
+        oracle = build_engine(tables, engine=OracleRaw)
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("the oracle ran a batch form")
+        for op in vars(operators).values():
+            if isinstance(op, type) and issubclass(op, operators.PlanOp):
+                monkeypatch.setattr(op, "batches", forbidden)
+        monkeypatch.setattr(BlockScan, "__init__", forbidden)
+        result = oracle.query(sql)
+        assert result.rows == expected
+        assert [node["op"] for node in plan_nodes(result.plan)][:4] == \
+            ["Project", "Sort", "Aggregate", "HashJoin"]
+
     def test_row_fallbacks_are_counted(self):
         # count(DISTINCT ...) is not vectorized: the aggregate falls
         # back to the row path, which transposes the scan's batches.
@@ -173,6 +199,58 @@ class TestZeroRowMaterialization:
         result = db.query("SELECT count(DISTINCT a1) FROM m")
         assert result.rows_materialized == 400
         assert result.scalar() == 40
+
+
+# ---------------------------------------------------------------------------
+# Local fallbacks: an operator that evaluates row closures over its input
+# ---------------------------------------------------------------------------
+class TestLocalRowFallbacks:
+    """A non-equi join (nested loop), an expression join key (a residual
+    over the nested loop) and an expression sort key run their row
+    closures inside their own batch form: the block scan answers as the
+    oracle does (sequences, structures, counters) and the loaded DBMS
+    as the block scan does."""
+
+    TABLES = (Table("l", "l_int", 11), Table("r", "r_int", 8))
+    QUERIES = [
+        "SELECT lv, rv FROM l, r WHERE lv < rv - 150",
+        "SELECT lk2, count(*), sum(rv) FROM l, r WHERE lk + 1 = rk "
+        "GROUP BY lk2 ORDER BY lk2",
+        "SELECT lv, lf FROM l ORDER BY lv + lk2, lf",
+        "SELECT lv, lf FROM l ORDER BY lv + lk2 DESC, lf LIMIT 9",
+    ]
+
+    @pytest.mark.parametrize("block_size", [4, 64])
+    def test_agree_with_the_oracle_and_the_loaded_dbms(self, block_size):
+        check(pinned(self.TABLES, self.QUERIES, block_size, repeat=2),
+              ENGINES)
+
+    def test_loaded_dbms_orders_as_the_block_scan(self):
+        tables = {t.name: t.generate() for t in self.TABLES}
+        raw, loaded = (build_engine(tables, engine=engine)
+                       for engine in (PostgresRaw, LoadedDBMS))
+        for sql in self.QUERIES[1:]:  # the ORDER BY queries
+            assert rows_key(loaded.query(sql).rows) == \
+                rows_key(raw.query(sql).rows), sql
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT lv, rv FROM l, r WHERE lk = rk",
+        "SELECT lk, lv FROM l WHERE EXISTS (SELECT * FROM r WHERE rk = lk)",
+    ])
+    def test_unresolved_join_keys_use_the_key_closures(self, sql):
+        tables = {t.name: t.generate() for t in self.TABLES}
+        db = build_engine(tables, row_block_size=16)
+        planned = Planner(db.catalog, db.model).plan(parse(sql))
+        join = planned.root.child
+        for attr in ("left_key_idx", "right_key_idx", "outer_key_idx",
+                     "inner_key_idx"):
+            if hasattr(join, attr):
+                setattr(join, attr, None)
+        result = execute(planned, db.model)
+        assert result.rows == build_engine(
+            tables, engine=OracleRaw).query(sql).rows
+        assert result.rows_materialized == len(tables["l"][1]) + len(
+            tables["r"][1])
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,16 @@ class TestIdleTuner:
         report = tuner.exploit_idle_time(10.0)
         assert ("t", "a1") not in report.warmed
 
+    def test_idle_work_materializes_no_tuples(self):
+        # Warming drains the block scan: background work forms no
+        # per-row tuples, so a columnar engine's counter stays 0.
+        db = make_engine(rows=5000, block=1024)
+        db.query("SELECT sum(a2) FROM t WHERE a1 < 500000000")
+        assert db.rows_materialized == 0
+        report = IdleTuner(db).exploit_idle_time(10.0)
+        assert report.warmed
+        assert db.rows_materialized == 0
+
     def test_zero_budget_rejected(self):
         tuner = IdleTuner(make_engine())
         with pytest.raises(ReproError):

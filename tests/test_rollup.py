@@ -23,6 +23,7 @@ from repro import (
 )
 from repro.core.tuner import IdleTuner
 from repro.errors import CatalogError, ParseError, ReproError
+from tests.oracle import OracleRaw
 
 SALES_CSV = (
     b"east,apple,10,1.5\n"
@@ -54,10 +55,10 @@ def sales_schema() -> Schema:
     ])
 
 
-def make_engine() -> PostgresRaw:
+def make_engine(engine=PostgresRaw) -> PostgresRaw:
     fs = VirtualFS()
     fs.create("sales.csv", SALES_CSV)
-    db = PostgresRaw(vfs=fs)
+    db = engine(vfs=fs)
     db.register_csv("sales", "sales.csv", sales_schema())
     return db
 
@@ -190,6 +191,18 @@ class TestRouting:
         assert got.plan.get("rollup") == "r1", got.plan
         assert got.columns == expected.columns
         assert got.rows == expected.rows
+
+    @pytest.mark.parametrize("sql", DIFFERENTIAL_QUERIES)
+    def test_row_engine_builds_and_routes_alike(self, twins, sql):
+        # The reference engine builds the rollup from its row scan and
+        # answers the routed query with the operators' row forms.
+        _, routed = twins
+        oracle = make_engine(OracleRaw)
+        oracle.query("SELECT region, product, qty, price FROM sales")
+        oracle.query(CREATE_R1)
+        got = oracle.query(sql)
+        assert got.plan.get("rollup") == "r1", got.plan
+        assert got.rows == routed.query(sql).rows
 
     def test_explain_names_the_rollup(self, twins):
         _, routed = twins

@@ -18,7 +18,7 @@ from repro.workloads.micro import (
     generate_micro_csv,
     micro_schema,
 )
-from tests.oracle import OracleRaw
+from tests.oracle import OracleRaw, scan_rows
 from tests.oracle.digest import structures
 
 ROWS = 300
@@ -71,47 +71,47 @@ class TestCorrectness:
     def test_full_projection_matches_ground_truth(self):
         db, access = make_engine()
         truth = ground_truth(db.vfs)
-        got = list(access.scan(list(range(ATTRS)), None))
+        got = list(scan_rows(access, list(range(ATTRS)), None))
         assert got == [tuple(row) for row in truth]
 
     def test_subset_projection(self):
         db, access = make_engine()
         truth = ground_truth(db.vfs)
-        got = list(access.scan([3, 7], None))
+        got = list(scan_rows(access, [3, 7], None))
         assert got == [(row[3], row[7]) for row in truth]
 
     def test_projection_order_respected(self):
         db, access = make_engine()
         truth = ground_truth(db.vfs)
-        got = list(access.scan([7, 3], None))
+        got = list(scan_rows(access, [7, 3], None))
         assert got == [(row[7], row[3]) for row in truth]
 
     def test_predicate_filters(self):
         db, access = make_engine()
         truth = ground_truth(db.vfs)
         threshold = 500_000_000
-        got = list(access.scan([1], predicate_lt(0, threshold)))
+        got = list(scan_rows(access, [1], predicate_lt(0, threshold)))
         assert got == [(row[1],) for row in truth if row[0] < threshold]
 
     def test_repeated_scans_identical(self):
         # First scan streams, later scans run over the indexed region.
         db, access = make_engine()
-        runs = [list(access.scan([2, 9], None)) for _ in range(4)]
+        runs = [list(scan_rows(access, [2, 9], None)) for _ in range(4)]
         assert runs[0] == runs[1] == runs[2] == runs[3]
 
     def test_alternating_attribute_sets(self):
         db, access = make_engine()
         truth = ground_truth(db.vfs)
         for attrs in ([0, 5], [11], [4, 2, 8], [5, 0], [7]):
-            got = list(access.scan(attrs, None))
+            got = list(scan_rows(access, attrs, None))
             assert got == [tuple(row[a] for a in attrs) for row in truth]
 
     def test_predicate_after_warm_cache(self):
         db, access = make_engine()
         truth = ground_truth(db.vfs)
         threshold = 300_000_000
-        list(access.scan([0, 4], None))  # warm cache for attrs 0 and 4
-        got = list(access.scan([4], predicate_lt(0, threshold)))
+        list(scan_rows(access, [0, 4], None))  # warm cache for attrs 0 and 4
+        got = list(scan_rows(access, [4], predicate_lt(0, threshold)))
         assert got == [(row[4],) for row in truth if row[0] < threshold]
 
     def test_abandoned_scan_then_full_scan(self):
@@ -119,12 +119,12 @@ class TestCorrectness:
         # next scan must still produce the complete correct answer.
         db, access = make_engine()
         truth = ground_truth(db.vfs)
-        gen = access.scan([1], None)
+        gen = scan_rows(access, [1], None)
         for _ in range(10):
             next(gen)
         gen.close()
         assert access.row_count is None
-        got = list(access.scan([1], None))
+        got = list(scan_rows(access, [1], None))
         assert got == [(row[1],) for row in truth]
         assert access.row_count == ROWS
 
@@ -134,7 +134,7 @@ class TestCorrectness:
         db = PostgresRaw(vfs=vfs)
         db.register_csv("e", "e.csv", micro_schema(3))
         access = db.catalog.get("e").access
-        assert list(access.scan([0], None)) == []
+        assert list(scan_rows(access, [0], None)) == []
         assert access.row_count == 0
 
     def test_unterminated_last_line(self):
@@ -143,36 +143,36 @@ class TestCorrectness:
         db = PostgresRaw(vfs=vfs)
         db.register_csv("u", "u.csv", micro_schema(2))
         access = db.catalog.get("u").access
-        assert list(access.scan([0, 1], None)) == [(1, 2), (3, 4)]
+        assert list(scan_rows(access, [0, 1], None)) == [(1, 2), (3, 4)]
         # Second scan: last line's span is computed from the file length.
-        assert list(access.scan([0, 1], None)) == [(1, 2), (3, 4)]
+        assert list(scan_rows(access, [0, 1], None)) == [(1, 2), (3, 4)]
 
 
 class TestSelectiveTokenizing:
     def test_prefix_scan_tokenizes_less(self):
         db_low, access_low = make_engine()
         db_high, access_high = make_engine()
-        list(access_low.scan([1], None))
-        list(access_high.scan([ATTRS - 1], None))
+        list(scan_rows(access_low, [1], None))
+        list(scan_rows(access_high, [ATTRS - 1], None))
         low = db_low.model.count(CostEvent.TOKENIZE)
         high = db_high.model.count(CostEvent.TOKENIZE)
         assert low < high
 
     def test_newline_scan_charged_only_while_streaming(self):
         db, access = make_engine()
-        list(access.scan([1], None))
+        list(scan_rows(access, [1], None))
         streamed = db.model.count(CostEvent.NEWLINE_SCAN)
         assert streamed >= db.vfs.size("m.csv")
-        list(access.scan([1], None))
+        list(scan_rows(access, [1], None))
         assert db.model.count(CostEvent.NEWLINE_SCAN) == streamed
 
 
 class TestPositionalMapMechanism:
     def test_second_scan_avoids_tokenizing(self):
         db, access = make_engine()
-        list(access.scan([5], None))
+        list(scan_rows(access, [5], None))
         after_first = db.model.count(CostEvent.TOKENIZE)
-        list(access.scan([5], None))
+        list(scan_rows(access, [5], None))
         # Attr 5's span is fully known (start of 5 and of 6 recorded):
         # zero additional tokenization; values come from the cache.
         assert db.model.count(CostEvent.TOKENIZE) == after_first
@@ -181,13 +181,13 @@ class TestPositionalMapMechanism:
         # After querying attr 5, attr 6 can start from 5's position
         # instead of tokenizing the prefix 0..6.
         db, access = make_engine(enable_cache=False)
-        list(access.scan([5], None))
+        list(scan_rows(access, [5], None))
         t0 = db.model.count(CostEvent.TOKENIZE)
-        list(access.scan([6], None))
+        list(scan_rows(access, [6], None))
         jump_cost = db.model.count(CostEvent.TOKENIZE) - t0
 
         db2, access2 = make_engine(enable_cache=False)
-        list(access2.scan([6], None))
+        list(scan_rows(access2, [6], None))
         fresh_cost = db2.model.count(CostEvent.TOKENIZE)
         assert jump_cost < fresh_cost
 
@@ -195,37 +195,37 @@ class TestPositionalMapMechanism:
         # Attr 9 indexed; asking for attr 8 should tokenize backward
         # from 9, far cheaper than forward from the line start.
         db, access = make_engine(enable_cache=False)
-        list(access.scan([9], None))
+        list(scan_rows(access, [9], None))
         t0 = db.model.count(CostEvent.TOKENIZE)
-        list(access.scan([8], None))
+        list(scan_rows(access, [8], None))
         backward_cost = db.model.count(CostEvent.TOKENIZE) - t0
         db2, access2 = make_engine(enable_cache=False)
-        list(access2.scan([8], None))
+        list(scan_rows(access2, [8], None))
         assert backward_cost < db2.model.count(CostEvent.TOKENIZE)
 
     def test_map_population_is_adaptive(self):
         db, access = make_engine()
         pm = access.pm
         assert pm.pointer_count == 0
-        list(access.scan([3], None))
+        list(scan_rows(access, [3], None))
         pointers_after_q1 = pm.pointer_count
         assert pointers_after_q1 > 0
-        list(access.scan([7], None))
+        list(scan_rows(access, [7], None))
         assert pm.pointer_count > pointers_after_q1
 
     def test_pm_budget_respected_during_scans(self):
         db, access = make_engine(pm_budget_bytes=2000)
         for attr in range(0, ATTRS, 2):
-            list(access.scan([attr], None))
+            list(scan_rows(access, [attr], None))
             assert access.pm.chunk_bytes <= 2000
 
     def test_disabled_pm_keeps_tokenizing(self):
         db, access = make_engine(enable_positional_map=False,
                                  enable_cache=False,
                                  enable_statistics=False)
-        list(access.scan([5], None))
+        list(scan_rows(access, [5], None))
         first = db.model.count(CostEvent.TOKENIZE)
-        list(access.scan([5], None))
+        list(scan_rows(access, [5], None))
         second = db.model.count(CostEvent.TOKENIZE) - first
         assert second == first  # no learning at all (Baseline)
 
@@ -233,10 +233,10 @@ class TestPositionalMapMechanism:
 class TestCacheMechanism:
     def test_fully_cached_scan_does_no_io(self):
         db, access = make_engine()
-        list(access.scan([2, 6], None))
+        list(scan_rows(access, [2, 6], None))
         io_before = (db.model.count(CostEvent.DISK_READ_COLD)
                      + db.model.count(CostEvent.DISK_READ_WARM))
-        result = list(access.scan([2, 6], None))
+        result = list(scan_rows(access, [2, 6], None))
         io_after = (db.model.count(CostEvent.DISK_READ_COLD)
                     + db.model.count(CostEvent.DISK_READ_WARM))
         assert io_after == io_before
@@ -245,30 +245,30 @@ class TestCacheMechanism:
 
     def test_cached_scan_does_no_conversion(self):
         db, access = make_engine()
-        list(access.scan([2], None))
+        list(scan_rows(access, [2], None))
         conv_before = db.model.count(CostEvent.CONVERT_INT)
-        list(access.scan([2], None))
+        list(scan_rows(access, [2], None))
         assert db.model.count(CostEvent.CONVERT_INT) == conv_before
 
     def test_partial_cache_reads_only_missing(self):
         db, access = make_engine()
-        list(access.scan([2], None))
+        list(scan_rows(access, [2], None))
         io_before = db.model.count(CostEvent.DISK_READ_WARM)
-        list(access.scan([2, 3], None))  # attr 3 missing -> file access
+        list(scan_rows(access, [2, 3], None))  # attr 3 missing -> file access
         assert db.model.count(CostEvent.DISK_READ_WARM) > io_before
 
     def test_cache_budget_respected(self):
         db, access = make_engine(cache_budget_bytes=1500)
         for attr in range(ATTRS):
-            list(access.scan([attr], None))
+            list(scan_rows(access, [attr], None))
             assert access.cache.bytes_used <= 1500
 
     def test_cache_disabled_always_reads_file(self):
         db, access = make_engine(enable_cache=False)
-        list(access.scan([2], None))
+        list(scan_rows(access, [2], None))
         io_before = (db.model.count(CostEvent.DISK_READ_COLD)
                      + db.model.count(CostEvent.DISK_READ_WARM))
-        list(access.scan([2], None))
+        list(scan_rows(access, [2], None))
         io_after = (db.model.count(CostEvent.DISK_READ_COLD)
                     + db.model.count(CostEvent.DISK_READ_WARM))
         assert io_after > io_before
@@ -280,21 +280,21 @@ class TestSelectiveParsing:
         threshold = 100_000_000  # ~10% selectivity
         truth = ground_truth(db.vfs)
         qualifying = sum(1 for row in truth if row[0] < threshold)
-        list(access.scan([5], predicate_lt(0, threshold)))
+        list(scan_rows(access, [5], predicate_lt(0, threshold)))
         conversions = db.model.count(CostEvent.CONVERT_INT)
         # attr 0 converted for every row; attr 5 only for qualifying.
         assert conversions == ROWS + qualifying
 
     def test_hundred_percent_selectivity_converts_all(self):
         db, access = make_engine(enable_statistics=False)
-        list(access.scan([5], predicate_lt(0, 2 * 10 ** 9)))
+        list(scan_rows(access, [5], predicate_lt(0, 2 * 10 ** 9)))
         assert db.model.count(CostEvent.CONVERT_INT) == 2 * ROWS
 
 
 class TestStatistics:
     def test_stats_collected_for_requested_attrs_only(self):
         db, access = make_engine()
-        list(access.scan([3], None))
+        list(scan_rows(access, [3], None))
         stats = db.catalog.get("m").stats
         assert stats is not None
         assert stats.has_column("a4")       # attr 3 is a4
@@ -303,28 +303,28 @@ class TestStatistics:
 
     def test_stats_augmented_incrementally(self):
         db, access = make_engine()
-        list(access.scan([3], None))
-        list(access.scan([6], None))
+        list(scan_rows(access, [3], None))
+        list(scan_rows(access, [6], None))
         stats = db.catalog.get("m").stats
         assert stats.has_column("a4") and stats.has_column("a7")
 
     def test_no_resampling_of_known_attrs(self):
         db, access = make_engine()
-        list(access.scan([3], None))
+        list(scan_rows(access, [3], None))
         samples = db.model.count(CostEvent.STATS_SAMPLE)
-        list(access.scan([3], None))
+        list(scan_rows(access, [3], None))
         assert db.model.count(CostEvent.STATS_SAMPLE) == samples
 
     def test_stats_disabled(self):
         db, access = make_engine(enable_statistics=False)
-        list(access.scan([3], None))
+        list(scan_rows(access, [3], None))
         assert db.catalog.get("m").stats is None
         assert db.model.count(CostEvent.STATS_SAMPLE) == 0
 
     def test_stats_min_max_plausible(self):
         db, access = make_engine()
         truth = ground_truth(db.vfs)
-        list(access.scan([0], None))
+        list(scan_rows(access, [0], None))
         column = db.catalog.get("m").stats.column("a1")
         actual = [row[0] for row in truth]
         assert min(actual) <= column.min_value <= column.max_value
@@ -336,13 +336,13 @@ class TestEagerPrefixIndexing:
         # §4.2: "if a query requires attributes in positions 10 and 15,
         # all positions from 1 to 15 may be kept".
         db, access = make_engine(eager_prefix_indexing=True)
-        list(access.scan([8], None))
+        list(scan_rows(access, [8], None))
         indexed = access.pm.indexed_attrs(0)
         assert set(range(1, 9)) <= set(indexed)
 
     def test_lazy_keeps_only_requested(self):
         db, access = make_engine(eager_prefix_indexing=False)
-        list(access.scan([8], None))
+        list(scan_rows(access, [8], None))
         indexed = set(access.pm.indexed_attrs(0))
         assert 8 in indexed or 9 in indexed
         assert 2 not in indexed

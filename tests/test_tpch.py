@@ -239,6 +239,28 @@ class TestPaperQueriesStayColumnar:
                               "HashSemiJoin"):
                 assert node["vectorized"] is True, node["op"]
 
+    @pytest.fixture(scope="class")
+    def comparators(self, tpch_tiny):
+        """The loaded and external-files comparators: the same columnar
+        executor over their heap and re-parsing scans (§5)."""
+        fs, data = tpch_tiny
+        external = ExternalFilesDBMS(vfs=fs)
+        for table, path in data.paths.items():
+            external.register_csv(table, path, tpch_schema(table))
+        return {"loaded": fresh_loaded_tpch(tpch_tiny),
+                "external": external}
+
+    @pytest.mark.parametrize("engine", ["loaded", "external"])
+    @pytest.mark.parametrize("name", PAPER_QUERIES)
+    def test_comparators_run_the_columnar_operators(
+            self, comparators, warm_pair, engine, name):
+        result = comparators[engine].query(tpch_query(name))
+        assert result.rows_materialized == 0
+        assert normalize(result.rows) == normalize(warm_pair[name][0].rows)
+        for node in plan_nodes(result.plan):
+            if node["op"] in ("Aggregate", "HashSemiJoin"):
+                assert node["vectorized"] is True, node["op"]
+
     @pytest.mark.parametrize("name", PAPER_QUERIES)
     def test_results_and_priced_counters_equal_the_row_engine(
             self, warm_pair, name):
