@@ -13,7 +13,7 @@ them, and the TPC-H shapes stay fully columnar
 
 import time
 
-from figshared import build_tpch, header, table, tpch_raw
+from figshared import build_tpch, create_table, header, table, tpch_raw
 
 from repro import PostgresRaw, PostgresRawConfig, VirtualFS
 from repro.workloads.micro import generate_micro_csv, micro_schema
@@ -29,7 +29,7 @@ def build(**config_kwargs) -> PostgresRaw:
     vfs = VirtualFS()
     generate_micro_csv(vfs, "m.csv", ROWS, ATTRS, seed=3)
     db = PostgresRaw(config=PostgresRawConfig(**config_kwargs), vfs=vfs)
-    db.register_csv("m", "m.csv", micro_schema(ATTRS))
+    create_table(db, "m", "m.csv", micro_schema(ATTRS))
     return db
 
 

@@ -16,7 +16,7 @@ checks:
 
 import time
 
-from figshared import header, table
+from figshared import create_table, header, table
 
 from repro import PostgresRaw, PostgresRawConfig, VirtualFS
 from repro.storage.faults import FaultInjectingVFS
@@ -33,7 +33,7 @@ def build_engine(vfs_cls):
     vfs = vfs_cls()
     generate_micro_csv(vfs, "m.csv", ROWS, ATTRS, seed=0)
     engine = PostgresRaw(config=PostgresRawConfig(), vfs=vfs)
-    engine.register_csv("m", "m.csv", micro_schema(ATTRS))
+    create_table(engine, "m", "m.csv", micro_schema(ATTRS))
     engine.query(Q1)  # warm: PM + cache built, kernels aside
     return engine
 

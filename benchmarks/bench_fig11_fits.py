@@ -16,7 +16,7 @@ Both enjoy a warm filesystem cache. Claims:
 import random
 import statistics
 
-from figshared import header, table
+from figshared import create_table, header, table
 
 from repro import CFitsioProgram, PostgresRaw, VirtualFS
 from repro.formats.fits import write_bintable
@@ -53,7 +53,7 @@ def run_pair():
 
     program = CFitsioProgram(vfs, "survey.fits")
     engine = PostgresRaw(vfs=vfs)
-    engine.register_fits("survey", "survey.fits")
+    create_table(engine, "survey", "survey.fits", fmt="fits")
 
     cfitsio_times, raw_times = [], []
     for func, column in QUERIES:

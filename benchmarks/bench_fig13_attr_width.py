@@ -18,7 +18,7 @@ measured factors.
 
 import random
 
-from figshared import header, table
+from figshared import create_table, header, table
 
 from repro import LoadedDBMS, PostgresRaw, VirtualFS
 from repro.workloads.micro import generate_string_csv
@@ -33,7 +33,7 @@ def run_width(width):
     schema = generate_string_csv(vfs, "s.csv", ROWS, ATTRS, width, seed=4)
 
     raw = PostgresRaw(vfs=vfs)
-    raw.register_csv("s", "s.csv", schema)
+    create_table(raw, "s", "s.csv", schema)
     postgres = LoadedDBMS(vfs=vfs)
     postgres.load_csv("s", "s.csv", schema)
     postgres.restart()

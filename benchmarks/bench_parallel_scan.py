@@ -19,7 +19,7 @@ measured (flat) scaling.
 import os
 import time
 
-from figshared import build_tpch, header, table, tpch_raw
+from figshared import build_tpch, create_table, header, table, tpch_raw
 
 from repro import PostgresRaw, PostgresRawConfig, VirtualFS
 from repro.workloads.micro import generate_micro_csv, micro_schema
@@ -38,7 +38,7 @@ def micro_engine(workers: int, rows: int, nattrs: int,
         # Q1 sweep bench sets the same switch for the same reason.
         enable_statistics=False)
     engine = PostgresRaw(config=config, vfs=vfs)
-    engine.register_csv("m", "m.csv", micro_schema(nattrs))
+    create_table(engine, "m", "m.csv", micro_schema(nattrs))
     return engine
 
 

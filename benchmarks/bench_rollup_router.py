@@ -14,7 +14,7 @@ identically (the router never changes results, only costs).
 
 import random
 
-from figshared import header, table
+from figshared import create_table, header, table
 
 from repro import (
     FLOAT,
@@ -48,7 +48,7 @@ def make_engine(data: bytes) -> PostgresRaw:
     vfs = VirtualFS()
     vfs.create("sales.csv", data)
     db = PostgresRaw(vfs=vfs, config=PostgresRawConfig())
-    db.register_csv("sales", "sales.csv", Schema([
+    create_table(db, "sales", "sales.csv", Schema([
         ("region", varchar()),
         ("product", varchar()),
         ("qty", INTEGER),

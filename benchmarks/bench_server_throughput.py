@@ -17,7 +17,7 @@ multiple of the row-block size, never the full result).
 import threading
 import time
 
-from figshared import header, table
+from figshared import create_table, header, table
 
 from repro import PostgresRaw, PostgresRawConfig, VirtualFS
 from repro.server import QueryServer, wire_connect
@@ -38,7 +38,7 @@ def build_engine() -> PostgresRaw:
     generate_micro_csv(vfs, "m.csv", rows=ROWS, nattrs=6, seed=5)
     engine = PostgresRaw(
         config=PostgresRawConfig(row_block_size=BLOCK), vfs=vfs)
-    engine.register_csv("m", "m.csv", micro_schema(6))
+    create_table(engine, "m", "m.csv", micro_schema(6))
     return engine
 
 

@@ -18,7 +18,7 @@ QUERIES_PER_EPOCH = 12
 
 def main() -> None:
     vfs = VirtualFS()
-    schema = generate_micro_csv(vfs, "wide.csv", ROWS, ATTRS, seed=3)
+    generate_micro_csv(vfs, "wide.csv", ROWS, ATTRS, seed=3)
 
     config = PostgresRawConfig(
         row_block_size=256,
@@ -26,7 +26,9 @@ def main() -> None:
         pm_budget_bytes=150_000,
     )
     db = PostgresRaw(config=config, vfs=vfs)
-    db.register_csv("wide", "wide.csv", schema)
+    columns = ", ".join(f"a{i} INTEGER" for i in range(1, ATTRS + 1))
+    db.query(f"CREATE TABLE wide ({columns}) "
+             "USING csv OPTIONS (path 'wide.csv')")
 
     # Fig 6's epochs: region shifts, returns, then straddles old/new.
     epochs = [(1, 20), (21, 40), (1, 40), (30, 50), (35, 55)]

@@ -31,8 +31,11 @@ def main() -> None:
     vfs = VirtualFS()
     schema = generate_micro_csv(vfs, "data.csv", ROWS, ATTRS, seed=1)
 
+    create_data = ("CREATE TABLE data ("
+                   + ", ".join(f"a{i} INTEGER" for i in range(1, ATTRS + 1))
+                   + ") USING csv OPTIONS (path 'data.csv')")
     postgres_raw = PostgresRaw(vfs=vfs)
-    postgres_raw.register_csv("data", "data.csv", schema)
+    postgres_raw.query(create_data)
 
     postgresql = LoadedDBMS(vfs=vfs)
     load_time = postgresql.load_csv("data", "data.csv", schema)
@@ -41,7 +44,7 @@ def main() -> None:
     mysql_load = mysql.load_csv("data", "data.csv", schema)
 
     csv_engine = ExternalFilesDBMS(profile=CSV_ENGINE_PROFILE, vfs=vfs)
-    csv_engine.register_csv("data", "data.csv", schema)
+    csv_engine.query(create_data)
 
     queries = [selectivity_query("data", ATTRS, sel, proj)
                for sel, proj in [(1.0, 1.0), (0.8, 0.8), (0.6, 0.6),

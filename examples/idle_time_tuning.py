@@ -25,9 +25,11 @@ ATTRS = 30
 
 def fresh_engine():
     vfs = VirtualFS()
-    schema = generate_micro_csv(vfs, "metrics.csv", ROWS, ATTRS, seed=12)
+    generate_micro_csv(vfs, "metrics.csv", ROWS, ATTRS, seed=12)
     engine = PostgresRaw(vfs=vfs)
-    engine.register_csv("metrics", "metrics.csv", schema)
+    columns = ", ".join(f"a{i} INTEGER" for i in range(1, ATTRS + 1))
+    engine.query(f"CREATE TABLE metrics ({columns}) "
+                 "USING csv OPTIONS (path 'metrics.csv')")
     return engine
 
 

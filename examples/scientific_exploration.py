@@ -16,15 +16,7 @@ Run:  python examples/scientific_exploration.py
 
 import random
 
-from repro import (
-    CFitsioProgram,
-    DATE,
-    FLOAT,
-    INTEGER,
-    PostgresRaw,
-    Schema,
-    VirtualFS,
-)
+from repro import CFitsioProgram, PostgresRaw, VirtualFS
 from repro.formats.fits import write_bintable
 
 
@@ -51,7 +43,7 @@ def make_sky_survey(vfs: VirtualFS, nrows: int = 4300) -> None:
     vfs.create("survey.fits", write_bintable(names, tforms, rows))
 
 
-def make_observation_log(vfs: VirtualFS, nrows: int = 500) -> Schema:
+def make_observation_log(vfs: VirtualFS, nrows: int = 500) -> None:
     rng = random.Random(7)
     lines = []
     for night in range(nrows):
@@ -59,18 +51,19 @@ def make_observation_log(vfs: VirtualFS, nrows: int = 500) -> Schema:
             f"{night},{1992 + night % 8}-{1 + night % 12:02d}-15,"
             f"{rng.uniform(0.5, 3.0):.2f},{rng.randrange(4300)}")
     vfs.create("obslog.csv", ("\n".join(lines) + "\n").encode())
-    return Schema([("night", INTEGER), ("obs_date", DATE),
-                   ("seeing", FLOAT), ("target", INTEGER)])
 
 
 def main() -> None:
     vfs = VirtualFS()
     make_sky_survey(vfs)
-    log_schema = make_observation_log(vfs)
+    make_observation_log(vfs)
 
     db = PostgresRaw(vfs=vfs)
-    db.register_fits("survey", "survey.fits")   # schema read from header
-    db.register_csv("obslog", "obslog.csv", log_schema)
+    # The FITS header carries the schema; the CSV log declares its own.
+    db.query("CREATE TABLE survey USING fits OPTIONS (path 'survey.fits')")
+    db.query("CREATE TABLE obslog (night INTEGER, obs_date DATE, "
+             "seeing FLOAT, target INTEGER) "
+             "USING csv OPTIONS (path 'obslog.csv')")
     print("survey schema (from FITS header):",
           db.catalog.get("survey").schema.names)
 

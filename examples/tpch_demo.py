@@ -29,10 +29,14 @@ def main() -> None:
     for table, count in sorted(data.row_counts.items()):
         print(f"  {table:<10} {count:>7} rows")
 
-    raw = repro.connect(engine=PostgresRaw(vfs=vfs))
+    raw_engine = PostgresRaw(vfs=vfs)
     loaded_engine = LoadedDBMS(vfs=vfs)
     for table, path in data.paths.items():
-        raw.register_csv(table, path, tpch_schema(table))
+        columns = ", ".join(f"{c.name} {c.dtype.name}"
+                            for c in tpch_schema(table))
+        raw_engine.query(f"CREATE TABLE {table} ({columns}) USING csv "
+                         f"OPTIONS (path '{path}')")
+    raw = repro.connect(engine=raw_engine)
     load_time = sum(loaded_engine.load_csv(t, p, tpch_schema(t))
                     for t, p in data.paths.items())
     loaded = repro.connect(engine=loaded_engine)

@@ -4,14 +4,13 @@ Data Files* (Alagiannis et al., SIGMOD 2012).
 Quickstart (session API)::
 
     import repro
-    from repro import Schema, INTEGER, varchar
     from repro.storage import VirtualFS
 
     vfs = VirtualFS()
     vfs.create("people.csv", b"1,alice\\n2,bob\\n")
     session = repro.connect(vfs=vfs)
-    session.register_csv("people", "people.csv",
-                         Schema([("id", INTEGER), ("name", varchar())]))
+    session.execute("CREATE TABLE people (id INTEGER, name VARCHAR) "
+                    "USING csv OPTIONS (path 'people.csv')")
     row = session.execute("SELECT name FROM people WHERE id = ?",
                           (2,)).fetchone()
     assert row == ("bob",)

@@ -236,32 +236,6 @@ class Session:
         finally:
             cursor.close()
 
-    # -- catalog conveniences (forwarded to the engine) ----------------------
-    def register_csv(self, name: str, path: str, schema):
-        """Deprecated engine shim; prefer ``session.execute("CREATE
-        TABLE ... USING csv OPTIONS (path '...')")``."""
-        return self._forward("register_csv", name, path, schema)
-
-    def register_fits(self, name: str, path: str):
-        """Deprecated engine shim; prefer ``CREATE TABLE ... USING
-        fits``."""
-        return self._forward("register_fits", name, path)
-
-    def add_file(self, name: str, path: str, schema):
-        """Deprecated engine shim (§4.5 vocabulary); prefer ``CREATE
-        TABLE ... USING csv``."""
-        return self._forward("add_file", name, path, schema)
-
-    def _forward(self, method: str, *args):
-        self._check_open()
-        fn = getattr(self.engine, method, None)
-        if fn is None:
-            raise InterfaceError(
-                f"engine {type(self.engine).__name__} does not support "
-                f"{method}()")
-        with translate_errors():
-            return fn(*args)
-
     # -- prepared statements -----------------------------------------------
     def prepare(self, sql: str) -> "PreparedStatement | DDLStatement":
         """Parse + plan ``sql`` once; the result re-executes with new

@@ -14,41 +14,19 @@ from repro.errors import BudgetError
 from repro.formats.csvfmt import DEFAULT_DIALECT, CsvDialect
 
 
-def _default_scan_workers() -> int:
-    """Default worker count for parallel chunk scans: the
-    ``REPRO_SCAN_WORKERS`` environment variable (used by the CI matrix
-    to run the whole suite under parallel scans), else 1 — the serial
-    pipeline, byte-identical to the pre-parallel behavior. Unusable
-    values (non-integers, or anything below 1) fall back to serial
-    rather than making every config construction raise."""
-    try:
-        return max(1, int(os.environ.get("REPRO_SCAN_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _default_scan_kernels() -> bool:
-    """Default for scan kernels: the ``REPRO_SCAN_KERNELS``
-    environment variable (the CI matrix runs a kernels-off leg so the
-    generic batch pipeline stays a living oracle), else on. ``0``,
-    ``false`` and ``off`` disable; anything else enables."""
-    return os.environ.get("REPRO_SCAN_KERNELS", "1").strip().lower() not in (
-        "0", "false", "off")
-
-
-def _default_fault_seed() -> int | None:
-    """Default fault-injection seed: the ``REPRO_FAULT_SEED``
-    environment variable (the CI fault leg sets it so the chaos suite
-    and differential modules run against injected I/O faults), else
-    None — no fault injection. Unusable values fall back to None rather
-    than making every config construction raise."""
-    raw = os.environ.get("REPRO_FAULT_SEED", "").strip()
+def _env_default(name: str, parse, default):
+    """A ``default_factory`` value read from the environment variable
+    ``name`` (the CI matrix legs set them to run the whole suite under
+    another configuration): unset or blank gives ``default``, and so
+    does a value ``parse`` rejects with ``ValueError`` — an unusable
+    value must not make every config construction raise."""
+    raw = os.environ.get(name, "").strip()
     if not raw:
-        return None
+        return default
     try:
-        return int(raw)
+        return parse(raw)
     except ValueError:
-        return None
+        return default
 
 
 @dataclass
@@ -97,7 +75,7 @@ class PostgresRawConfig:
         results, PM/cache contents and simcost counters are
         bit-identical at any worker count. A partitioned table scans
         its files in order, each one fanning out this way. Defaults
-        to ``$REPRO_SCAN_WORKERS`` when set.
+        to ``$REPRO_SCAN_WORKERS`` when set, clamped to at least 1.
     scan_kernels:
         When True (the default), every batch scan of a CSV or JSONL
         table — from a session, ``Database.query``, a rollup build or a
@@ -109,14 +87,8 @@ class PostgresRawConfig:
         order. Results, PM/cache contents, priced counters and the
         virtual clock are bit-identical to the generic pipeline, which
         remains the differential oracle and runs every block the fast
-        path cannot serve. Defaults to ``$REPRO_SCAN_KERNELS`` when set.
-    enable_zone_aggregates:
-        Answer bare ``MIN``/``MAX``/``COUNT(*)`` on partitioned tables
-        straight from per-file zone maps when every file has complete
-        zones and row counts — zero bytes read. Off by default: the
-        fold changes priced counters for those queries, and the
-        partitioned-vs-single-file cost-parity oracle relies on
-        identical charging.
+        path cannot serve. Defaults to ``$REPRO_SCAN_KERNELS`` when set
+        (``0``, ``false`` and ``off`` disable; anything else enables).
     fault_seed:
         When not None, engines constructed without an explicit VFS wrap
         it in a :class:`~repro.storage.faults.FaultInjectingVFS` seeded
@@ -127,12 +99,6 @@ class PostgresRawConfig:
     fault_rate:
         Probability (per file/block/fault-kind triple, decided by the
         seeded hash schedule — never by call order) that a fault fires.
-    io_retry_limit / io_retry_backoff:
-        Bounded-retry budget for transient I/O errors: up to
-        ``io_retry_limit`` retries, each stalling the virtual clock by
-        an exponentially growing backoff starting at
-        ``io_retry_backoff`` seconds. Exhausting the budget raises a
-        typed :class:`~repro.errors.IOFaultError`.
     query_deadline:
         Default per-query deadline in virtual seconds (None = no
         deadline), overridable per call via ``cursor.execute(...,
@@ -150,13 +116,14 @@ class PostgresRawConfig:
     eager_prefix_indexing: bool = False
     stats_sample_target: int = 1000
     batch_read_bytes: int = 256 * 1024
-    scan_workers: int = field(default_factory=_default_scan_workers)
-    scan_kernels: bool = field(default_factory=_default_scan_kernels)
-    enable_zone_aggregates: bool = False
-    fault_seed: int | None = field(default_factory=_default_fault_seed)
+    scan_workers: int = field(default_factory=lambda: _env_default(
+        "REPRO_SCAN_WORKERS", lambda raw: max(1, int(raw)), 1))
+    scan_kernels: bool = field(default_factory=lambda: _env_default(
+        "REPRO_SCAN_KERNELS",
+        lambda raw: raw.lower() not in ("0", "false", "off"), True))
+    fault_seed: int | None = field(default_factory=lambda: _env_default(
+        "REPRO_FAULT_SEED", int, None))
     fault_rate: float = 0.05
-    io_retry_limit: int = 3
-    io_retry_backoff: float = 0.001
     query_deadline: float | None = None
     dialect: CsvDialect = field(default_factory=lambda: DEFAULT_DIALECT)
 
@@ -175,9 +142,5 @@ class PostgresRawConfig:
             raise BudgetError("stats_sample_target must be positive")
         if not 0.0 <= self.fault_rate <= 1.0:
             raise BudgetError("fault_rate must be within [0, 1]")
-        if self.io_retry_limit < 0:
-            raise BudgetError("io_retry_limit must be >= 0")
-        if self.io_retry_backoff < 0:
-            raise BudgetError("io_retry_backoff must be >= 0")
         if self.query_deadline is not None and self.query_deadline <= 0:
             raise BudgetError("query_deadline must be positive or None")

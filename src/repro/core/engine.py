@@ -1,10 +1,9 @@
 """PostgresRaw: the NoDB engine (§4).
 
 Tables are declared, never loaded: ``CREATE TABLE ... USING <format>``
-(or the deprecated ``register_*`` shims over it) records the schema and
-binds an in-situ access method built by the table's
-:class:`~repro.formats.registry.FormatAdapter`; the first query touches
-the raw file. The engine itself holds no format knowledge — it only
+records the schema and binds an in-situ access method built by the
+table's :class:`~repro.formats.registry.FormatAdapter`; the first query
+touches the raw file. The engine itself holds no format knowledge — it only
 advertises ``in_situ_policy = "raw"`` and its config, which adapters
 consult to wire per-table auxiliary structures (positional map, binary
 cache, statistics participation).

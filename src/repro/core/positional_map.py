@@ -199,10 +199,6 @@ class PositionalMap:
     def block_of(self, row: int) -> int:
         return row // self.row_block_size
 
-    def block_rows(self, block: int, total_rows: int) -> range:
-        lo = block * self.row_block_size
-        return range(lo, min(lo + self.row_block_size, total_rows))
-
     def insert_chunk(self, group: Iterable[int], block: int,
                      matrix: np.ndarray) -> None:
         """Store relative offsets for ``group`` attributes over ``block``.

@@ -43,7 +43,8 @@ from repro.core.cache import BinaryCache
 from repro.core.config import PostgresRawConfig
 from repro.core.positional_map import PositionalMap
 from repro.core.scan_batch import BatchCsvScan
-from repro.errors import CSVFormatError, annotate
+from repro.errors import CSVFormatError
+from repro.formats.csvfmt import convert_field
 from repro.simcost.model import CostModel
 from repro.sql.catalog import Schema, TableInfo
 from repro.storage.vfs import VirtualFS
@@ -73,18 +74,10 @@ class RawCsvAccess(RawFileAccess):
     def _convert(self, attr: int, text: str, model: CostModel | None = None):
         """Convert raw text to the attribute's binary value, charging the
         family-specific conversion cost (the paper's dominant CPU cost)."""
-        family = self._families[attr]
-        (model if model is not None else self.model).convert(family, 1)
-        if text == "" and family != "str":
-            return None
-        try:
-            return self._dtypes[attr].parse(text)
-        except Exception as exc:
-            raise annotate(
-                CSVFormatError(
-                    f"cannot parse {text!r} as {self._dtypes[attr].name} "
-                    f"(attribute {self.schema.columns[attr].name})"),
-                column=self.schema.columns[attr].name) from exc
+        (model if model is not None else self.model).convert(
+            self._families[attr], 1)
+        return convert_field(text, self._dtypes[attr],
+                             self.schema.columns[attr].name)
 
     # ------------------------------------------------------------------
     # Error policies (OPTIONS (on_error ...)): tolerant row evaluation

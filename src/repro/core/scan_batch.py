@@ -43,11 +43,12 @@ from repro.core.blockscan import (
     decode_numeric_spans,
 )
 from repro.core.positional_map import NO_POS
-from repro.errors import CSVFormatError, annotate
+from repro.errors import CSVFormatError
 from repro.formats.csvfmt import (
     BlockTokenizer,
     block_field_spans,
     block_span_forward,
+    field_error,
 )
 
 _NO = -1  # unknown position sentinel (offset arrays)
@@ -559,12 +560,8 @@ class BatchCsvScan(BlockScan):
             try:
                 values.append(parse(text))
             except Exception as exc:
-                raise annotate(
-                    CSVFormatError(
-                        f"cannot parse {text!r} as "
-                        f"{self._dtypes[attr].name} (attribute "
-                        f"{self.schema.columns[attr].name})"),
-                    column=self.schema.columns[attr].name) from exc
+                raise field_error(text, self._dtypes[attr],
+                                  self.schema.columns[attr].name) from exc
         return values, None
 
     def _known_positions(self, block: int) -> dict[int, np.ndarray]:

@@ -18,7 +18,13 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from repro.formats.csvfmt import CsvDialect, LineReader, split_line
+from repro.errors import CSVFormatError, annotate
+from repro.formats.csvfmt import (
+    CsvDialect,
+    LineReader,
+    convert_field,
+    split_line,
+)
 from repro.simcost.model import CostModel
 from repro.sql.batch import ColumnBatch, rows_to_batches
 from repro.sql.catalog import Schema
@@ -117,25 +123,31 @@ class ExternalAccess:
         needed = list(needed)
         arity = self.schema.arity
         n_terms = predicate.n_terms if predicate else 0
+        names = self.schema.names
         handle = self.vfs.open(self.path, model)
         reader = LineReader(handle)
         scanned_before = 0
-        for _offset, line in reader:
+        for row_number, (_offset, line) in enumerate(reader):
             model.newline_scan(reader.chars_scanned - scanned_before)
             scanned_before = reader.chars_scanned
             spans, scanned = split_line(line, self.dialect)
             model.tokenize(scanned)
             model.tuple_overhead(1)
-            if len(spans) != arity:
-                continue  # ragged line: skipped, like the CSV engine does
+            if len(spans) < arity:
+                # A short line is skipped: the straw-man forgives what
+                # PostgresRaw and the loader reject. Fields past the
+                # schema's last column are ignored, as PostgresRaw does.
+                continue
             values = []
-            for attr, (start, end) in enumerate(spans):
+            for attr in range(arity):
+                start, end = spans[attr]
                 text = line[start:end].decode("utf-8", "replace")
                 model.convert(self._families[attr], 1)
-                if text == "" and self._families[attr] != "str":
-                    values.append(None)
-                else:
-                    values.append(self._dtypes[attr].parse(text))
+                try:
+                    values.append(convert_field(text, self._dtypes[attr],
+                                                names[attr]))
+                except CSVFormatError as exc:
+                    raise annotate(exc, row_number=row_number)
             model.tuple_form(arity)
             if predicate is not None:
                 model.predicate(n_terms)

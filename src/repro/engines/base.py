@@ -6,6 +6,11 @@ only in the access methods their catalogs bind (and in their calibrated
 cost profiles). This is the paper's experimental control: PostgresRaw
 "shares the same query execution engine" as PostgreSQL (§5).
 
+Tables are declared in SQL, as in §3.1: ``CREATE TABLE t (...) USING
+csv OPTIONS (path '...')`` through :meth:`Database.query` or a session.
+:meth:`Database.run_ddl` hands the statement to the format registry,
+the one place tables are built.
+
 Two public surfaces sit on this path. :meth:`Database.query` is the
 original one-shot call: parse, plan, run to completion, return an eager
 :class:`~repro.sql.executor.QueryResult`. The session/cursor façade in
@@ -18,23 +23,15 @@ statements and streams results batch-at-a-time through a shared
 
 from __future__ import annotations
 
-import warnings
 import weakref
 from typing import TYPE_CHECKING
 
 from repro.simcost.clock import VirtualClock
 from repro.simcost.model import CostModel
 from repro.simcost.profiles import CostProfile
-from repro.sql.ast_nodes import (
-    CreateTable,
-    Exists,
-    Explain,
-    Select,
-    Statement,
-    is_ddl,
-)
+from repro.sql.ast_nodes import Exists, Explain, Select, Statement, is_ddl
 from repro.sql.batch import DEFAULT_BATCH_ROWS
-from repro.sql.catalog import Catalog, Schema, TableInfo
+from repro.sql.catalog import Catalog
 from repro.sql.executor import (
     QueryResult,
     counters_delta,
@@ -127,51 +124,6 @@ class Database:
         from repro.sql.ddl import execute_ddl
 
         return execute_ddl(self, statement)
-
-    # ------------------------------------------------------------------
-    # Deprecated registration shims — one implementation for every
-    # engine, routed through the DDL path (CREATE TABLE ... USING ...),
-    # so the format registry is the single place tables are built.
-    # ------------------------------------------------------------------
-    def _create_via_ddl(self, name: str, schema: Schema | None,
-                        fmt: str, options: dict,
-                        external: bool = False) -> TableInfo:
-        statement = CreateTable(name=name, format=fmt, options=options,
-                                external=external, schema=schema)
-        self.run_ddl(statement)
-        return self.catalog.get(name)
-
-    def register_csv(self, name: str, csv_path: str, schema: Schema,
-                     ) -> TableInfo:
-        """Deprecated: ``CREATE TABLE <name> (...) USING csv OPTIONS
-        (path '<csv_path>')`` — the §3.1 declaration as real SQL."""
-        warnings.warn(
-            "register_csv() is deprecated; use query(\"CREATE TABLE ... "
-            "USING csv OPTIONS (path '...')\")",
-            DeprecationWarning, stacklevel=2)
-        return self._create_via_ddl(name, schema, "csv",
-                                    {"path": csv_path})
-
-    def add_file(self, name: str, csv_path: str, schema: Schema,
-                 ) -> TableInfo:
-        """Deprecated §4.5 synonym of :meth:`register_csv`: a newly
-        added data file is immediately queryable."""
-        warnings.warn(
-            "add_file() is deprecated; use query(\"CREATE TABLE ... "
-            "USING csv OPTIONS (path '...')\")",
-            DeprecationWarning, stacklevel=2)
-        return self._create_via_ddl(name, schema, "csv",
-                                    {"path": csv_path})
-
-    def register_fits(self, name: str, fits_path: str) -> TableInfo:
-        """Deprecated: ``CREATE TABLE <name> USING fits OPTIONS (path
-        '<fits_path>')`` — the schema comes from the file's header."""
-        warnings.warn(
-            "register_fits() is deprecated; use query(\"CREATE TABLE ... "
-            "USING fits OPTIONS (path '...')\")",
-            DeprecationWarning, stacklevel=2)
-        return self._create_via_ddl(name, None, "fits",
-                                    {"path": fits_path})
 
     def explain(self, sql: str) -> dict:
         """The physical plan summary for ``sql`` (no execution).

@@ -88,6 +88,28 @@ def split_line(line: bytes, dialect: CsvDialect = DEFAULT_DIALECT,
     return spans, len(line)
 
 
+def convert_field(text: str, dtype, column: str):
+    """One CSV field's text as its column's value, the rule every CSV
+    reader shares: an empty field of a non-string column is NULL, and
+    text ``dtype`` cannot parse raises :func:`field_error`. Uncosted:
+    the caller charges the conversion."""
+    if text == "" and dtype.family != "str":
+        return None
+    try:
+        return dtype.parse(text)
+    except Exception as exc:
+        raise field_error(text, dtype, column) from exc
+
+
+def field_error(text: str, dtype, column: str) -> CSVFormatError:
+    """The error for a field ``dtype`` cannot parse, naming the column
+    in the message and in ``context["column"]``."""
+    return annotate(
+        CSVFormatError(f"cannot parse {text!r} as {dtype.name} "
+                       f"(attribute {column})"),
+        column=column)
+
+
 def field_spans_prefix(line: bytes, upto: int,
                        dialect: CsvDialect = DEFAULT_DIALECT,
                        ) -> tuple[list[tuple[int, int]], int]:

@@ -12,7 +12,7 @@ results and staleness tracked against the source table's data version.
 """
 
 from repro.rollup.metadata import RollupInfo, RollupRegistry, agg_signature
-from repro.rollup.router import QueryRouter, RoutedQuery, ZoneAggregateOp
+from repro.rollup.router import QueryRouter, RoutedQuery
 
 __all__ = [
     "RollupInfo",
@@ -20,5 +20,4 @@ __all__ = [
     "agg_signature",
     "QueryRouter",
     "RoutedQuery",
-    "ZoneAggregateOp",
 ]

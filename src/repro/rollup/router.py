@@ -1,12 +1,10 @@
-"""The query router: aggregate queries -> rollup probes / zone folds.
+"""The query router: aggregate queries -> rollup probes.
 
 Sits inside ``Database._plan``. For every single-table aggregate query
 it (1) records the grouping pattern for the idle tuner's rollup
-proposals, (2) tries to fold bare MIN/MAX/COUNT(*) on partitioned
-tables straight out of complete zone maps (zero bytes read, opt-in via
-``enable_zone_aggregates``), and (3) matches the query against the
-engine's registered rollups, rewriting a covered query to probe the
-smallest fresh rollup instead of rescanning the raw file.
+proposals and (2) matches the query against the engine's registered
+rollups, rewriting a covered query to probe the smallest fresh rollup
+instead of rescanning the raw file.
 
 Routing is invisible until it can matter: with no rollups registered,
 queries plan exactly as before — no counters, no EXPLAIN annotation.
@@ -28,7 +26,7 @@ from __future__ import annotations
 
 import weakref
 from collections import Counter
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
 from repro.rollup.builder import ForcedAggOptimizer
@@ -52,7 +50,6 @@ from repro.sql.ast_nodes import (
     TableRef,
     UnaryOp,
 )
-from repro.sql.batch import ColumnBatch
 from repro.sql.catalog import Catalog, TableInfo
 from repro.sql.expressions import (
     _children,
@@ -60,7 +57,7 @@ from repro.sql.expressions import (
     collect_column_refs,
     expr_key,
 )
-from repro.sql.operators import LimitOp, PlanOp
+from repro.sql.operators import PlanOp
 from repro.sql.planner import PlannedQuery, Planner, _rewrite, render_expr
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -83,29 +80,6 @@ class RoutedQuery(PlannedQuery):
         out = dict(self.root.describe())
         out["rollup"] = self.rollup_label
         return out
-
-
-class ZoneAggregateOp(PlanOp):
-    """A constant-row plan leaf: the aggregate was answered entirely
-    from per-file zone maps at plan time. Charges nothing — no file is
-    opened, no byte is read (``files_scanned`` stays 0)."""
-
-    def __init__(self, model, layout, row: tuple, table_name: str,
-                 files: int):
-        super().__init__(model, layout)
-        self.row = tuple(row)
-        self.table_name = table_name
-        self.files = files
-
-    def batches(self) -> Iterator[ColumnBatch]:
-        yield ColumnBatch.from_rows([self.row], len(self.layout))
-
-    def rows(self) -> Iterator[tuple]:
-        yield self.row
-
-    def describe(self) -> dict:
-        return {"op": "ZoneAggregate", "table": self.table_name,
-                "files": self.files, "files_scanned": 0}
 
 
 class _Shape:
@@ -226,9 +200,6 @@ class QueryRouter:
             return None, None  # not an aggregate query
         if shape is not None:
             self._observe(shape)
-            zone = self._zone_fold(select, shape)
-            if zone is not None:
-                return zone, None
         if not len(self.engine.rollups):
             return None, None  # invisible until rollups exist
         if shape is None:
@@ -481,69 +452,3 @@ class QueryRouter:
             return BinaryOp("/", total, count)
         return FuncCall("sum" if func == "sum" else func,
                         (ColumnRef(storage[sig]),))
-
-    # ------------------------------------------------------------------
-    # Zone-map aggregate fold (opt-in)
-    # ------------------------------------------------------------------
-    def _zone_fold(self, select: Select,
-                   shape: _Shape) -> PlannedQuery | None:
-        config = getattr(self.engine, "config", None)
-        if not getattr(config, "enable_zone_aggregates", False):
-            return None
-        if select.group_by or select.where is not None or \
-                select.having is not None or select.order_by:
-            return None
-        parts = getattr(shape.info.access, "parts", None)
-        if parts is None or not parts:
-            return None
-        values = []
-        for item in select.items:
-            expr = item.expr
-            if not (isinstance(expr, FuncCall) and expr.is_aggregate):
-                return None
-            value = self._fold_one(expr, shape.info, parts)
-            if value is _NO_FOLD:
-                return None
-            values.append(value)
-        model = self.engine.model
-        layout = {expr_key(item.expr): i
-                  for i, item in enumerate(select.items)}
-        names = [item.alias or _display(item.expr)
-                 for item in select.items]
-        root: PlanOp = ZoneAggregateOp(model, layout, tuple(values),
-                                       shape.info.name, len(parts))
-        if select.limit is not None:
-            root = LimitOp(model, root, select.limit)
-        return PlannedQuery(root, names)
-
-    def _fold_one(self, agg: FuncCall, info: TableInfo, parts):
-        sig = agg_signature(agg)
-        func, column = sig
-        if sig == ("count", "*"):
-            total = 0
-            for part in parts:
-                if getattr(part, "empty", False):
-                    continue
-                if part.row_count is None:
-                    return _NO_FOLD  # a file without a harvested count
-                total += part.row_count
-            return total
-        if func not in ("min", "max") or column == "*":
-            return _NO_FOLD
-        if not info.schema.has_column(column):
-            return _NO_FOLD
-        extremes = []
-        for part in parts:
-            bounds = part.bounds_of(column)
-            if bounds is None:
-                return _NO_FOLD  # zone unknown: the file must be read
-            low, high = bounds
-            side = low if func == "min" else high
-            if side is not None:
-                extremes.append(side)
-        if not extremes:
-            return None  # no non-NULL value anywhere, like the raw scan
-        return min(extremes) if func == "min" else max(extremes)
-
-
-_NO_FOLD = object()

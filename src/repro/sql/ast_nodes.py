@@ -217,8 +217,9 @@ class CreateTable:
 
     ``format`` is None when ``USING`` was omitted (the registry sniffs
     it from the path's extension). ``schema`` is the programmatic
-    channel used by the deprecated ``register_*`` shims — a prebuilt
-    :class:`~repro.sql.catalog.Schema` that bypasses ``columns``.
+    channel for a prebuilt :class:`~repro.sql.catalog.Schema` that
+    bypasses ``columns``: CTAS passes its result schema and
+    ``LoadedDBMS.load_csv`` the schema it was handed.
     """
 
     name: str

@@ -66,15 +66,6 @@ from repro.sql.vectorize import value_kind
 Layout = dict[str, int]
 
 
-def layout_resolver(layout: Layout):
-    """A resolver (see expressions.compile_expr) over a row layout."""
-    from repro.sql.expressions import expr_key
-
-    def resolve(node):
-        return layout.get(expr_key(node))
-    return resolve
-
-
 class _BatchNulls:
     """Lazy per-column NULL-mask view of one batch, with the mapping
     ``.get`` interface the vectorizer's mask/value functions expect."""

@@ -183,5 +183,4 @@ class FaultInjectingVFS(VirtualFS):
         """Build from a :class:`~repro.core.config.PostgresRawConfig`
         (``fault_seed`` must be set)."""
         return cls(seed=config.fault_seed, rate=config.fault_rate,
-                   retry_limit=config.io_retry_limit,
-                   backoff=config.io_retry_backoff, os_cache=os_cache)
+                   os_cache=os_cache)

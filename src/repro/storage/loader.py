@@ -11,8 +11,13 @@ statistics in place.
 from __future__ import annotations
 
 from repro.core.statistics import ReservoirSampler
-from repro.errors import CSVFormatError
-from repro.formats.csvfmt import CsvDialect, LineReader, split_line
+from repro.errors import CSVFormatError, annotate
+from repro.formats.csvfmt import (
+    CsvDialect,
+    LineReader,
+    convert_field,
+    split_line,
+)
 from repro.simcost.model import CostModel
 from repro.sql.catalog import Schema
 from repro.sql.stats import ColumnStats, TableStats
@@ -40,14 +45,17 @@ class BulkLoader:
         Tuples wider than the TOAST threshold get their largest string
         values moved to ``<heap_path>.toast`` (see storage.toast).
 
-        Raises :class:`CSVFormatError` on arity mismatches — a loader
-        must reject malformed input (unlike the forgiving straw-man
-        external scan).
+        Raises :class:`CSVFormatError` on arity mismatches and on a
+        value its column's type cannot parse (``context`` names the
+        ``column`` and ``row_number``) — a loader must reject malformed
+        input (unlike the straw-man external scan, which skips short
+        lines).
         """
         model = self.model
         codec = RecordCodec(schema)
         dtypes = schema.types
         families = [t.family for t in dtypes]
+        names = schema.names
         arity = schema.arity
         samplers = [ReservoirSampler(_SAMPLE_TARGET, seed=i)
                     for i in range(arity)]
@@ -75,10 +83,11 @@ class BulkLoader:
                 for attr, (start, end) in enumerate(spans):
                     text = line[start:end].decode("utf-8", "replace")
                     model.convert(families[attr], 1)
-                    if text == "" and families[attr] != "str":
-                        value = None
-                    else:
-                        value = dtypes[attr].parse(text)
+                    try:
+                        value = convert_field(text, dtypes[attr],
+                                              names[attr])
+                    except CSVFormatError as exc:
+                        raise annotate(exc, row_number=rows)
                     values.append(value)
                     samplers[attr].add(value)
                     model.stats_sample(1)

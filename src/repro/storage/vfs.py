@@ -39,10 +39,6 @@ class OSPageCache:
         self.block_size = block_size
         self._resident: OrderedDict[tuple[str, int], None] = OrderedDict()
 
-    @property
-    def resident_bytes(self) -> int:
-        return len(self._resident) * self.block_size
-
     def _capacity_blocks(self) -> int | None:
         if self.capacity_bytes is None:
             return None

@@ -15,15 +15,15 @@ from repro.api import (
 )
 from repro.errors import ReproError, UnknownColumnError
 from repro.simcost.clock import CostEvent
-from repro.workloads.micro import generate_micro_csv, micro_schema
+from repro.workloads.micro import generate_micro_csv
 
-from conftest import people_schema
+from conftest import create_table, people_schema
 
 
 @pytest.fixture
 def session(people_vfs):
     db = PostgresRaw(vfs=people_vfs)
-    db.register_csv("people", "people.csv", people_schema())
+    create_table(db, "people", "people.csv", people_schema())
     with repro.connect(engine=db) as s:
         yield s
 
@@ -34,7 +34,8 @@ class TestSessionBasics:
         vfs.create("t.csv", b"1\n2\n")
         s = repro.connect(vfs=vfs)
         assert isinstance(s.engine, PostgresRaw)
-        s.register_csv("t", "t.csv", micro_schema(1))
+        s.execute("CREATE TABLE t (a1 INTEGER) USING csv "
+                  "OPTIONS (path 't.csv')")
         assert s.execute("SELECT a1 FROM t").fetchall() == [(1,), (2,)]
 
     def test_connect_rejects_vfs_with_explicit_engine(self, people_raw):
@@ -309,7 +310,7 @@ class TestStreaming:
                                     seed=11)
         engine = PostgresRaw(
             config=PostgresRawConfig(row_block_size=block), vfs=vfs)
-        engine.register_csv("m", "m.csv", schema)
+        create_table(engine, "m", "m.csv", schema)
         return repro.connect(engine=engine), engine
 
     def test_fetchmany_never_materializes_full_scan(self):

@@ -24,6 +24,7 @@ import repro
 from repro import PostgresRaw, PostgresRawConfig, VirtualFS
 from repro.workloads.micro import generate_micro_csv
 
+from tests.conftest import create_table
 from tests.oracle.digest import (
     AXIS,
     Interleave,
@@ -49,7 +50,7 @@ def micro_engine(rows=600, block=64, **config_kwargs):
     engine = PostgresRaw(
         config=PostgresRawConfig(row_block_size=block, **config_kwargs),
         vfs=vfs)
-    engine.register_csv("m", "m.csv", schema)
+    create_table(engine, "m", "m.csv", schema)
     return engine
 
 

@@ -14,6 +14,7 @@ import pytest
 from repro import PostgresRaw, PostgresRawConfig, VirtualFS
 from repro.sql.scanapi import ScanPredicate
 from repro.workloads.micro import generate_micro_csv, micro_schema
+from tests.conftest import create_table
 from tests.oracle import OracleRaw, scan_rows
 
 ROWS = 240
@@ -30,7 +31,7 @@ def make_pair(**config_kwargs):
                                    enable_statistics=False,
                                    **config_kwargs)
         db = engine(config=config, vfs=vfs)
-        db.register_csv("m", "m.csv", micro_schema(ATTRS))
+        create_table(db, "m", "m.csv", micro_schema(ATTRS))
         engines.append(db)
     return engines
 

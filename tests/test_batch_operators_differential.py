@@ -43,6 +43,7 @@ from repro.sql.operators import ScanOp
 from repro.sql.executor import execute
 from repro.sql.parser import parse
 from repro.sql.planner import Planner
+from tests.conftest import create_table
 from tests.oracle import OracleRaw
 from tests.oracle.digest import (
     AXIS,
@@ -752,8 +753,8 @@ class TestColumnPairPredicateFuzz:
             db = engine(config=PostgresRawConfig(row_block_size=16))
             db.vfs.create("t.csv", payload)
             db.vfs.create("u.csv", payload)
-            db.register_csv("t", "t.csv", PAIR_SCHEMA)
-            db.register_csv("u", "u.csv", Schema(
+            create_table(db, "t", "t.csv", PAIR_SCHEMA)
+            create_table(db, "u", "u.csv", Schema(
                 [(f"u_{c.name}", c.dtype) for c in PAIR_SCHEMA.columns]))
             engines.append(db)
         db_batch, db_scalar = engines

@@ -16,7 +16,7 @@ import repro
 from repro import LoadedDBMS, PostgresRaw, VirtualFS
 from repro.errors import CatalogError
 
-from conftest import PEOPLE_CSV, people_schema
+from conftest import PEOPLE_CSV, create_table, people_schema
 
 
 @pytest.fixture
@@ -24,7 +24,7 @@ def raw() -> PostgresRaw:
     fs = VirtualFS()
     fs.create("people.csv", PEOPLE_CSV)
     db = PostgresRaw(vfs=fs)
-    db.register_csv("people", "people.csv", people_schema())
+    create_table(db, "people", "people.csv", people_schema())
     return db
 
 

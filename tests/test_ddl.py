@@ -4,7 +4,7 @@ Covers the statement-dispatch split (Database.query and Session.execute
 share one path), the format registry's error taxonomy (CatalogError /
 ParseError with token positions, never tracebacks of other kinds), the
 DROP lifecycle (auxiliary teardown + stats-epoch bump so prepared
-statements re-plan), and the collapsed register_* deprecation shims.
+statements re-plan).
 """
 
 from __future__ import annotations
@@ -13,14 +13,11 @@ import pytest
 
 import repro
 from repro import (
-    INTEGER,
     ExternalFilesDBMS,
     LoadedDBMS,
     PostgresRaw,
     PostgresRawConfig,
-    Schema,
     VirtualFS,
-    varchar,
 )
 from repro.api.exceptions import ProgrammingError
 from repro.api.session import DDLStatement
@@ -337,43 +334,6 @@ class TestDropLifecycle:
         session.execute("DROP TABLE people")
         with pytest.raises(ProgrammingError, match="unknown table"):
             stmt.execute()
-
-
-class TestDeprecatedShims:
-    def schema(self):
-        return Schema([("id", INTEGER), ("name", varchar()),
-                       ("age", INTEGER)])
-
-    def test_register_csv_warns_and_routes_through_ddl(self, raw):
-        with pytest.warns(DeprecationWarning, match="register_csv"):
-            info = raw.register_csv("people", "people.csv", self.schema())
-        assert info.format == "csv"  # built by the registry, not ad hoc
-        assert raw.query("SELECT count(*) FROM people").scalar() == 3
-
-    def test_add_file_warns_once_and_matches_register(self, raw):
-        with pytest.warns(DeprecationWarning) as record:
-            raw.add_file("people", "people.csv", self.schema())
-        shim_warnings = [w for w in record
-                         if issubclass(w.category, DeprecationWarning)]
-        assert len(shim_warnings) == 1  # one warning, not one per layer
-        assert raw.catalog.get("people").format == "csv"
-
-    def test_external_register_csv_same_shim(self, fs):
-        db = ExternalFilesDBMS(vfs=fs)
-        with pytest.warns(DeprecationWarning, match="register_csv"):
-            db.register_csv("people", "people.csv", self.schema())
-        assert type(db.catalog.get("people").access).__name__ == \
-            "ExternalAccess"
-
-    def test_shim_and_ddl_results_identical(self, fs):
-        via_shim = PostgresRaw(vfs=fs)
-        with pytest.warns(DeprecationWarning):
-            via_shim.register_csv("people", "people.csv", self.schema())
-        via_ddl = PostgresRaw(vfs=VirtualFS())
-        via_ddl.vfs.create("people.csv", PEOPLE)
-        via_ddl.query(CREATE_PEOPLE)
-        q = "SELECT name, age FROM people WHERE id <> 2 ORDER BY age"
-        assert via_shim.query(q).rows == via_ddl.query(q).rows
 
 
 class TestStatementKinds:

@@ -21,30 +21,30 @@ from repro.errors import CatalogError, ExecutionError, PlanningError
 from repro.formats.csvfmt import write_csv
 from repro.formats.jsonl import write_jsonl
 from repro.simcost.model import CostModel
-from tests.conftest import PEOPLE_CSV, people_schema
+from tests.conftest import PEOPLE_CSV, create_table, people_schema
 
 
 class TestRegistration:
     def test_register_requires_existing_file(self, vfs):
         db = PostgresRaw(vfs=vfs)
         with pytest.raises(CatalogError):
-            db.register_csv("t", "missing.csv", people_schema())
+            create_table(db, "t", "missing.csv", people_schema())
 
     def test_duplicate_registration_rejected(self, people_vfs):
         db = PostgresRaw(vfs=people_vfs)
-        db.register_csv("people", "people.csv", people_schema())
+        create_table(db, "people", "people.csv", people_schema())
         with pytest.raises(CatalogError):
-            db.register_csv("people", "people.csv", people_schema())
+            create_table(db, "people", "people.csv", people_schema())
 
     def test_registration_touches_no_data(self, people_vfs):
         db = PostgresRaw(vfs=people_vfs)
-        db.register_csv("people", "people.csv", people_schema())
+        create_table(db, "people", "people.csv", people_schema())
         # NoDB's whole point: zero data access until the first query.
         assert db.elapsed() == 0.0
 
-    def test_add_file_synonym(self, people_vfs):
+    def test_create_table_returns_catalog_entry(self, people_vfs):
         db = PostgresRaw(vfs=people_vfs)
-        info = db.add_file("people", "people.csv", people_schema())
+        info = create_table(db, "people", "people.csv", people_schema())
         assert db.catalog.has("people")
         assert info.schema.arity == 5
 
@@ -184,9 +184,9 @@ class TestConfigurationVariants:
             "tiny-blocks", "tiny-budgets"])
     def test_all_variants_agree(self, people_vfs, config):
         reference = PostgresRaw(vfs=people_vfs)
-        reference.register_csv("people", "people.csv", people_schema())
+        create_table(reference, "people", "people.csv", people_schema())
         variant = PostgresRaw(config=config, vfs=people_vfs)
-        variant.register_csv("people", "people.csv", people_schema())
+        create_table(variant, "people", "people.csv", people_schema())
         queries = [
             "SELECT name FROM people WHERE age < 30",
             "SELECT age, count(*) FROM people GROUP BY age",
@@ -202,11 +202,11 @@ class TestMultiTable:
         vfs.create("dept.csv", b"1,eng\n2,sales\n3,legal\n")
         vfs.create("emp.csv", b"1,ann,1\n2,bo,1\n3,cy,2\n")
         db = PostgresRaw(vfs=vfs)
-        db.register_csv("dept", "dept.csv",
-                        Schema([("d_id", INTEGER), ("d_name", varchar())]))
-        db.register_csv("emp", "emp.csv",
-                        Schema([("e_id", INTEGER), ("e_name", varchar()),
-                                ("e_dept", INTEGER)]))
+        create_table(db, "dept", "dept.csv",
+                     Schema([("d_id", INTEGER), ("d_name", varchar())]))
+        create_table(db, "emp", "emp.csv",
+                     Schema([("e_id", INTEGER), ("e_name", varchar()),
+                             ("e_dept", INTEGER)]))
         joined = db.query(
             "SELECT d_name, count(*) AS n FROM emp, dept "
             "WHERE e_dept = d_id GROUP BY d_name ORDER BY n DESC")
@@ -222,7 +222,7 @@ class TestMultiTable:
 
     def test_self_join_with_aliases(self, people_vfs):
         db = PostgresRaw(vfs=people_vfs)
-        db.register_csv("people", "people.csv", people_schema())
+        create_table(db, "people", "people.csv", people_schema())
         result = db.query(
             "SELECT a.name, b.name FROM people a, people b "
             "WHERE a.age = b.age AND a.id < b.id")

@@ -20,6 +20,8 @@ from repro.workloads.queries import (
     selectivity_query,
 )
 
+from conftest import create_table
+
 ROWS = 400
 ATTRS = 10
 
@@ -29,7 +31,7 @@ def engines():
     vfs = VirtualFS()
     schema = generate_micro_csv(vfs, "m.csv", ROWS, ATTRS, seed=42)
     raw = PostgresRaw(vfs=vfs)
-    raw.register_csv("m", "m.csv", schema)
+    create_table(raw, "m", "m.csv", schema)
     postgres = LoadedDBMS(vfs=vfs)
     postgres.load_csv("m", "m.csv", schema)
     dbms_x = LoadedDBMS(profile=DBMS_X_PROFILE, vfs=vfs)
@@ -37,7 +39,7 @@ def engines():
     mysql = LoadedDBMS(profile=MYSQL_PROFILE, vfs=vfs)
     mysql.load_csv("m", "m.csv", schema)
     external = ExternalFilesDBMS(vfs=vfs)
-    external.register_csv("m", "m.csv", schema)
+    create_table(external, "m", "m.csv", schema)
     return [raw, postgres, dbms_x, mysql, external]
 
 

@@ -15,6 +15,8 @@ from repro.errors import CatalogError, ReproError
 from repro.simcost.clock import CostEvent
 from repro.workloads.micro import generate_micro_csv, micro_schema
 
+from conftest import create_table
+
 ATTRS = 10
 
 
@@ -23,7 +25,7 @@ def make_engine(rows=200, block=64):
     generate_micro_csv(vfs, "t.csv", rows, ATTRS, seed=6)
     db = PostgresRaw(config=PostgresRawConfig(row_block_size=block),
                      vfs=vfs)
-    db.register_csv("t", "t.csv", micro_schema(ATTRS))
+    create_table(db, "t", "t.csv", micro_schema(ATTRS))
     return db
 
 
@@ -118,7 +120,7 @@ class TestFsInterfacePrewarmer:
         generate_micro_csv(vfs, "t.csv", 50, ATTRS, seed=6)
         db = PostgresRaw(config=PostgresRawConfig(
             enable_positional_map=False, enable_cache=False), vfs=vfs)
-        db.register_csv("t", "t.csv", micro_schema(ATTRS))
+        create_table(db, "t", "t.csv", micro_schema(ATTRS))
         with pytest.raises(CatalogError):
             db.enable_fs_interface("t")
 

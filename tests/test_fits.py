@@ -18,6 +18,7 @@ from repro.formats.fits import (
     write_bintable,
 )
 from repro.simcost.clock import CostEvent
+from tests.conftest import create_table
 from tests.oracle.digest import (
     AXIS,
     Append,
@@ -115,7 +116,7 @@ class TestRawFitsScan:
         vfs, rows = fits_vfs(nrows)
         config = PostgresRawConfig(row_block_size=64, **config_kwargs)
         db = PostgresRaw(config=config, vfs=vfs)
-        db.register_fits("sky", "sky.fits")
+        create_table(db, "sky", "sky.fits", fmt="fits")
         return db, rows
 
     def test_projection_matches_written_rows(self):
@@ -264,7 +265,7 @@ class TestFileChanges:
         vfs.create("sky.fits", write_bintable(names, tforms, rows[:100]))
         db = PostgresRaw(vfs=vfs,
                          config=PostgresRawConfig(row_block_size=16))
-        db.register_fits("sky", "sky.fits")
+        create_table(db, "sky", "sky.fits", fmt="fits")
         cur = repro.connect(db).cursor()
         cur.execute("SELECT obj_id, label FROM sky")
         assert cur.fetchmany(fetched) == [(r[0], r[4])
@@ -281,7 +282,7 @@ class TestFileChanges:
     def test_columns_that_no_longer_match_are_an_error(self):
         vfs, _ = fits_vfs(20)
         db = PostgresRaw(vfs=vfs)
-        db.register_fits("sky", "sky.fits")
+        create_table(db, "sky", "sky.fits", fmt="fits")
         db.query("SELECT mag FROM sky")
         vfs.write_bytes("sky.fits", write_bintable(["x"], ["J"], [(1,)]))
         with pytest.raises(FITSFormatError, match="no longer matches"):
@@ -293,7 +294,7 @@ class TestCFitsioComparator:
         vfs, rows = fits_vfs(120)
         program = CFitsioProgram(vfs, "sky.fits")
         db = PostgresRaw(vfs=vfs)
-        db.register_fits("sky", "sky.fits")
+        create_table(db, "sky", "sky.fits", fmt="fits")
         for func in ("min", "max", "avg"):
             answer = program.aggregate(func, "mag")
             sql = db.query(f"SELECT {func}(mag) FROM sky").scalar()

@@ -7,6 +7,7 @@ from repro import (
     DBMS_X_PROFILE,
     ExternalFilesDBMS,
     LoadedDBMS,
+    PostgresRaw,
     VirtualFS,
 )
 from repro.errors import CSVFormatError
@@ -14,7 +15,7 @@ from repro.simcost.clock import CostEvent
 from repro.simcost.model import CostModel
 from repro.storage.loader import BulkLoader
 from repro.workloads.micro import generate_micro_csv, micro_schema
-from tests.conftest import PEOPLE_CSV, people_schema
+from tests.conftest import PEOPLE_CSV, create_table, people_schema
 
 
 class TestBulkLoader:
@@ -124,19 +125,19 @@ class TestLoadedDBMS:
 class TestExternalFilesDBMS:
     def test_instant_registration(self, people_vfs):
         db = ExternalFilesDBMS(vfs=people_vfs)
-        db.register_csv("people", "people.csv", people_schema())
+        create_table(db, "people", "people.csv", people_schema())
         assert db.elapsed() == 0.0
 
     def test_correct_results(self, people_vfs):
         db = ExternalFilesDBMS(vfs=people_vfs)
-        db.register_csv("people", "people.csv", people_schema())
+        create_table(db, "people", "people.csv", people_schema())
         result = db.query("SELECT name FROM people WHERE age = 25 "
                           "ORDER BY name")
         assert result.column("name") == ["bob", "erin"]
 
     def test_every_query_reparses_everything(self, people_vfs):
         db = ExternalFilesDBMS(vfs=people_vfs)
-        db.register_csv("people", "people.csv", people_schema())
+        create_table(db, "people", "people.csv", people_schema())
         db.query("SELECT id FROM people")
         first = db.model.count(CostEvent.CONVERT_INT)
         db.query("SELECT id FROM people")
@@ -147,7 +148,7 @@ class TestExternalFilesDBMS:
 
     def test_no_statistics_for_optimizer(self, people_vfs):
         db = ExternalFilesDBMS(vfs=people_vfs)
-        db.register_csv("people", "people.csv", people_schema())
+        create_table(db, "people", "people.csv", people_schema())
         db.query("SELECT id FROM people")
         assert db.catalog.get("people").stats is None
         assert db.use_statistics is False
@@ -155,8 +156,17 @@ class TestExternalFilesDBMS:
     def test_ragged_lines_skipped(self, vfs):
         vfs.create("ragged.csv", b"1,2\n3\n4,5\n")
         db = ExternalFilesDBMS(vfs=vfs)
-        db.register_csv("r", "ragged.csv", micro_schema(2))
+        create_table(db, "r", "ragged.csv", micro_schema(2))
         assert db.query("SELECT count(*) FROM r").scalar() == 2
+
+    def test_lines_wider_than_the_schema_are_read(self, vfs):
+        """Two declared columns over a three-field file: every line is
+        a row, its third field ignored — as PostgresRaw reads it."""
+        vfs.create("wide.csv", b"1,2,9\n3,4,9\n5,6,9\n")
+        db = ExternalFilesDBMS(vfs=vfs)
+        create_table(db, "w", "wide.csv", micro_schema(2))
+        assert db.query("SELECT a1, a2 FROM w").rows == [
+            (1, 2), (3, 4), (5, 6)]
 
     def test_csv_engine_profile_default(self, people_vfs):
         db = ExternalFilesDBMS(vfs=people_vfs)
@@ -164,8 +174,48 @@ class TestExternalFilesDBMS:
 
     def test_updates_visible_without_invalidation(self, people_vfs):
         db = ExternalFilesDBMS(vfs=people_vfs)
-        db.register_csv("people", "people.csv", people_schema())
+        create_table(db, "people", "people.csv", people_schema())
         assert db.query("SELECT count(*) FROM people").scalar() == 5
         people_vfs.append_bytes("people.csv",
                                 b"6,frank,41,175.0,1983-02-11\n")
         assert db.query("SELECT count(*) FROM people").scalar() == 6
+
+
+def _external_engines(vfs):
+    """The straw-man as its own engine and as ``CREATE EXTERNAL TABLE``
+    inside PostgresRaw, next to PostgresRaw's own scan: the three must
+    agree on what a raw file says."""
+    external = ExternalFilesDBMS(vfs=vfs)
+    create_table(external, "t", "t.csv", micro_schema(2))
+    inside = PostgresRaw(vfs=vfs)
+    inside.query("CREATE EXTERNAL TABLE t (a1 INTEGER, a2 INTEGER) "
+                 "USING csv OPTIONS (path 't.csv')")
+    raw = PostgresRaw(vfs=vfs)
+    create_table(raw, "t", "t.csv", micro_schema(2))
+    return {"external": external, "external table": inside, "raw": raw}
+
+
+class TestExternalAgreesWithRaw:
+    def test_prefix_schema_gives_the_same_rows(self, vfs):
+        vfs.create("t.csv", b"1,2,x\n3,4,y\n5,,z\n")
+        answers = {name: db.query("SELECT a1, a2 FROM t").rows
+                   for name, db in _external_engines(vfs).items()}
+        assert answers == {name: [(1, 2), (3, 4), (5, None)]
+                           for name in answers}
+
+    def test_bad_value_is_the_same_error(self, vfs):
+        vfs.create("t.csv", b"1,2\n3,4\n5,x\n7,8\n")
+        errors = {}
+        for name, db in _external_engines(vfs).items():
+            with pytest.raises(CSVFormatError) as caught:
+                db.query("SELECT a1, a2 FROM t")
+            context = caught.value.context
+            errors[name] = (context.get("column"), context.get("row_number"))
+        assert errors == {name: ("a2", 2) for name in errors}
+
+    def test_loader_names_the_bad_value(self, vfs):
+        vfs.create("t.csv", b"1,2\n3,4\n5,x\n")
+        with pytest.raises(CSVFormatError, match="cannot parse 'x'") as caught:
+            LoadedDBMS(vfs=vfs).load_csv("t", "t.csv", micro_schema(2))
+        assert caught.value.context["column"] == "a2"
+        assert caught.value.context["row_number"] == 2

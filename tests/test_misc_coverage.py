@@ -23,6 +23,8 @@ from repro.workloads.queries import (
     selectivity_query,
 )
 
+from conftest import create_table
+
 
 class TestQueryResult:
     def test_scalar_requires_1x1(self):
@@ -47,7 +49,7 @@ class TestQueryResult:
 class TestEngineBaseHelpers:
     def test_tables_of_includes_exists_subqueries(self, people_vfs):
         db = PostgresRaw(vfs=people_vfs)
-        db.register_csv("people", "people.csv", Schema(
+        create_table(db, "people", "people.csv", Schema(
             [("id", __import__("repro").INTEGER)]))
         from repro.sql.parser import parse
         select = parse(
@@ -130,7 +132,7 @@ def build_pair(rows):
     vfs.create("p.csv", (payload + "\n").encode())
     schema = micro_schema(N_ATTRS)
     raw = PostgresRaw(vfs=vfs)
-    raw.register_csv("p", "p.csv", schema)
+    create_table(raw, "p", "p.csv", schema)
     loaded = LoadedDBMS(vfs=vfs)
     loaded.load_csv("p", "p.csv", schema)
     return raw, loaded

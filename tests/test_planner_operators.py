@@ -13,6 +13,8 @@ from repro import (
 from repro.errors import PlanningError
 from repro.simcost.clock import CostEvent
 
+from conftest import create_table
+
 
 @pytest.fixture
 def db():
@@ -21,12 +23,12 @@ def db():
                b"1,100,a\n2,200,b\n3,150,a\n4,300,c\n5,50,b\n")
     vfs.create("customers.csv", b"a,usa\nb,france\nc,japan\n")
     engine = PostgresRaw(vfs=vfs)
-    engine.register_csv(
-        "orders", "orders.csv",
+    create_table(
+        engine, "orders", "orders.csv",
         Schema([("o_id", INTEGER), ("amount", INTEGER),
                 ("cust", varchar())]))
-    engine.register_csv(
-        "customers", "customers.csv",
+    create_table(
+        engine, "customers", "customers.csv",
         Schema([("c_id", varchar()), ("country", varchar())]))
     return engine
 
@@ -95,8 +97,8 @@ class TestPlanShapes:
 
     def test_ambiguous_column_rejected(self, db):
         db.vfs.create("dup.csv", b"1,2\n")
-        db.register_csv("dup", "dup.csv",
-                        Schema([("o_id", INTEGER), ("x", INTEGER)]))
+        create_table(db, "dup", "dup.csv",
+                     Schema([("o_id", INTEGER), ("x", INTEGER)]))
         with pytest.raises(PlanningError):
             db.query("SELECT o_id FROM orders, dup")
 
@@ -138,8 +140,8 @@ class TestOperatorSemantics:
 
     def test_join_with_nulls_never_matches(self, db):
         db.vfs.create("n.csv", b"1,\n2,a\n")
-        db.register_csv("n", "n.csv",
-                        Schema([("k", INTEGER), ("ref", varchar())]))
+        create_table(db, "n", "n.csv",
+                     Schema([("k", INTEGER), ("ref", varchar())]))
         result = db.query(
             "SELECT k FROM n, customers WHERE ref = c_id")
         assert result.rows == [(2,)]
@@ -154,15 +156,15 @@ class TestOperatorSemantics:
 
     def test_order_by_nulls_last_asc(self, db):
         db.vfs.create("nv.csv", b"1,\n2,5\n3,2\n")
-        db.register_csv("nv", "nv.csv",
-                        Schema([("k", INTEGER), ("v", INTEGER)]))
+        create_table(db, "nv", "nv.csv",
+                     Schema([("k", INTEGER), ("v", INTEGER)]))
         result = db.query("SELECT k FROM nv ORDER BY v")
         assert result.column("k") == [3, 2, 1]
 
     def test_order_by_desc_nulls_first(self, db):
         db.vfs.create("nv2.csv", b"1,\n2,5\n3,2\n")
-        db.register_csv("nv2", "nv2.csv",
-                        Schema([("k", INTEGER), ("v", INTEGER)]))
+        create_table(db, "nv2", "nv2.csv",
+                     Schema([("k", INTEGER), ("v", INTEGER)]))
         result = db.query("SELECT k FROM nv2 ORDER BY v DESC")
         assert result.column("k") == [1, 2, 3]
 
@@ -180,8 +182,8 @@ class TestOperatorSemantics:
 
     def test_avg_ignores_nulls(self, db):
         db.vfs.create("av.csv", b"1,10\n2,\n3,20\n")
-        db.register_csv("av", "av.csv",
-                        Schema([("k", INTEGER), ("v", INTEGER)]))
+        create_table(db, "av", "av.csv",
+                     Schema([("k", INTEGER), ("v", INTEGER)]))
         result = db.query("SELECT avg(v), count(v), count(*) FROM av")
         assert result.rows == [(15.0, 2, 3)]
 

@@ -14,7 +14,7 @@ import repro
 from repro import LoadedDBMS, PostgresRaw, VirtualFS
 from repro.errors import CatalogError, ParseError
 
-from conftest import PEOPLE_CSV, people_schema
+from conftest import PEOPLE_CSV, create_table, people_schema
 
 
 @pytest.fixture
@@ -22,7 +22,7 @@ def raw() -> PostgresRaw:
     fs = VirtualFS()
     fs.create("people.csv", PEOPLE_CSV)
     db = PostgresRaw(vfs=fs)
-    db.register_csv("people", "people.csv", people_schema())
+    create_table(db, "people", "people.csv", people_schema())
     return db
 
 

@@ -23,6 +23,7 @@ from repro import (
 )
 from repro.core.tuner import IdleTuner
 from repro.errors import CatalogError, ParseError, ReproError
+from tests.conftest import create_table
 from tests.oracle import OracleRaw
 
 SALES_CSV = (
@@ -59,7 +60,7 @@ def make_engine(engine=PostgresRaw) -> PostgresRaw:
     fs = VirtualFS()
     fs.create("sales.csv", SALES_CSV)
     db = engine(vfs=fs)
-    db.register_csv("sales", "sales.csv", sales_schema())
+    create_table(db, "sales", "sales.csv", sales_schema())
     return db
 
 
@@ -335,7 +336,7 @@ class TestStaleness:
         the cascade already dropped the rollup, so nothing routes."""
         sales.query(CREATE_R1)
         sales.query("DROP TABLE sales")
-        sales.register_csv("sales", "sales.csv", sales_schema())
+        create_table(sales, "sales", "sales.csv", sales_schema())
         result = sales.query(
             "SELECT region, count(*) FROM sales GROUP BY region")
         assert "rollup" not in result.plan

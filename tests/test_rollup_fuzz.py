@@ -29,6 +29,8 @@ from repro import (
 )
 from repro.core.tuner import IdleTuner
 
+from conftest import create_table
+
 REGIONS = ["east", "west", "north", "south"]
 PRODUCTS = ["apple", "pear", "fig", "plum", "kiwi", "date"]
 
@@ -87,7 +89,7 @@ def make_engine(data: bytes, workers: int) -> PostgresRaw:
     fs.create("data.csv", data)
     db = PostgresRaw(vfs=fs, config=PostgresRawConfig(
         scan_workers=workers, row_block_size=32))
-    db.register_csv("data", "data.csv", data_schema())
+    create_table(db, "data", "data.csv", data_schema())
     return db
 
 
@@ -198,8 +200,8 @@ class TestRollupFuzz:
         data = generate_csv(60, seed=13)
         twins.baseline.vfs.write_bytes("data.csv", data)
         twins.routed.vfs.write_bytes("data.csv", data)
-        twins.baseline.register_csv("data", "data.csv", data_schema())
-        twins.routed.register_csv("data", "data.csv", data_schema())
+        create_table(twins.baseline, "data", "data.csv", data_schema())
+        create_table(twins.routed, "data", "data.csv", data_schema())
         rng = random.Random(21)
         plans = [twins.check(random_query(rng)) for _ in range(8)]
         assert all("rollup" not in p for p in plans)

@@ -18,6 +18,7 @@ from repro.workloads.micro import (
     generate_micro_csv,
     micro_schema,
 )
+from tests.conftest import create_table
 from tests.oracle import OracleRaw, scan_rows
 from tests.oracle.digest import structures
 
@@ -49,7 +50,7 @@ def make_engine(engine=PostgresRaw, **config_kwargs):
     generate_micro_csv(vfs, "m.csv", ROWS, ATTRS, seed=11)
     config = PostgresRawConfig(row_block_size=BLOCK, **config_kwargs)
     db = engine(config=config, vfs=vfs)
-    db.register_csv("m", "m.csv", micro_schema(ATTRS))
+    create_table(db, "m", "m.csv", micro_schema(ATTRS))
     return db, db.catalog.get("m").access
 
 
@@ -132,7 +133,7 @@ class TestCorrectness:
         vfs = VirtualFS()
         vfs.create("e.csv", b"")
         db = PostgresRaw(vfs=vfs)
-        db.register_csv("e", "e.csv", micro_schema(3))
+        create_table(db, "e", "e.csv", micro_schema(3))
         access = db.catalog.get("e").access
         assert list(scan_rows(access, [0], None)) == []
         assert access.row_count == 0
@@ -141,7 +142,7 @@ class TestCorrectness:
         vfs = VirtualFS()
         vfs.create("u.csv", b"1,2\n3,4")  # no trailing newline
         db = PostgresRaw(vfs=vfs)
-        db.register_csv("u", "u.csv", micro_schema(2))
+        create_table(db, "u", "u.csv", micro_schema(2))
         access = db.catalog.get("u").access
         assert list(scan_rows(access, [0, 1], None)) == [(1, 2), (3, 4)]
         # Second scan: last line's span is computed from the file length.

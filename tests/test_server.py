@@ -47,6 +47,8 @@ from repro.server import protocol
 from repro.simcost.clock import CostEvent
 from repro.workloads.micro import generate_micro_csv
 
+from conftest import create_table
+
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
@@ -58,7 +60,7 @@ def micro_engine(rows=300, block=64, **config_kwargs):
     engine = PostgresRaw(
         config=PostgresRawConfig(row_block_size=block, **config_kwargs),
         vfs=vfs)
-    engine.register_csv("m", "m.csv", schema)
+    create_table(engine, "m", "m.csv", schema)
     return engine
 
 

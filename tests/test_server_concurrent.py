@@ -22,6 +22,7 @@ import repro
 from repro import PostgresRaw, PostgresRawConfig, VirtualFS
 from repro.server import QueryServer, wire_connect
 from repro.workloads.micro import generate_micro_csv
+from tests.conftest import create_table
 from tests.oracle.digest import WIRE, Interleave, Scenario, Table, check
 
 WORKER_COUNTS = (1, 4)
@@ -42,7 +43,7 @@ def micro_engine(workers: int) -> PostgresRaw:
     engine = PostgresRaw(
         config=PostgresRawConfig(row_block_size=64, scan_workers=workers),
         vfs=vfs)
-    engine.register_csv("m", "m.csv", schema)
+    create_table(engine, "m", "m.csv", schema)
     return engine
 
 

@@ -18,6 +18,8 @@ from repro.storage.toast import (
     toast_values,
 )
 
+from conftest import create_table
+
 
 class TestPointers:
     def test_roundtrip(self):
@@ -132,7 +134,7 @@ class TestEndToEnd:
         loaded = LoadedDBMS(vfs=vfs)
         loaded.load_csv("wide", "wide.csv", self.wide_schema())
         raw = PostgresRaw(vfs=vfs)
-        raw.register_csv("wide", "wide.csv", self.wide_schema())
+        create_table(raw, "wide", "wide.csv", self.wide_schema())
         for sql in ("SELECT id, s3 FROM wide WHERE id < 5",
                     "SELECT count(*) FROM wide WHERE s0 LIKE 'aaa%'",
                     "SELECT max(s7) FROM wide"):

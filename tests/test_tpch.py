@@ -12,7 +12,7 @@ from repro.workloads.tpch import (
     tpch_query,
     tpch_schema,
 )
-from tests.conftest import fresh_loaded_tpch, fresh_raw_tpch
+from tests.conftest import create_table, fresh_loaded_tpch, fresh_raw_tpch
 from tests.oracle import OracleRaw
 from tests.oracle.digest import plan_nodes
 
@@ -197,7 +197,7 @@ class TestPaperQueries:
         fs, data = tpch_tiny
         external = ExternalFilesDBMS(vfs=fs)
         for table, path in data.paths.items():
-            external.register_csv(table, path, tpch_schema(table))
+            create_table(external, table, path, tpch_schema(table))
         raw = fresh_raw_tpch(tpch_tiny)
         for name in ("q1", "q6"):
             raw_rows = normalize(raw.query(tpch_query(name)).rows)
@@ -246,7 +246,7 @@ class TestPaperQueriesStayColumnar:
         fs, data = tpch_tiny
         external = ExternalFilesDBMS(vfs=fs)
         for table, path in data.paths.items():
-            external.register_csv(table, path, tpch_schema(table))
+            create_table(external, table, path, tpch_schema(table))
         return {"loaded": fresh_loaded_tpch(tpch_tiny),
                 "external": external}
 

@@ -9,6 +9,7 @@ from repro.workloads.micro import (
     generate_micro_csv,
     micro_schema,
 )
+from tests.conftest import create_table
 from tests.oracle import OracleRaw
 
 ATTRS = 6
@@ -20,7 +21,7 @@ def db():
     generate_micro_csv(vfs, "t.csv", rows=50, nattrs=ATTRS, seed=1)
     engine = PostgresRaw(config=PostgresRawConfig(row_block_size=16),
                          vfs=vfs)
-    engine.register_csv("t", "t.csv", micro_schema(ATTRS))
+    create_table(engine, "t", "t.csv", micro_schema(ATTRS))
     return engine
 
 
@@ -78,7 +79,7 @@ class TestAppends:
         generate_micro_csv(vfs, "t.csv", rows=50, nattrs=ATTRS, seed=1)
         engine = (PostgresRaw if batch else OracleRaw)(
             config=PostgresRawConfig(row_block_size=16), vfs=vfs)
-        engine.register_csv("t", "t.csv", micro_schema(ATTRS))
+        create_table(engine, "t", "t.csv", micro_schema(ATTRS))
         wide = "SELECT a1, a2, a3, a4 FROM t"
         before = engine.query(wide).rows
         append_micro_rows(engine.vfs, "t.csv", rows=3, nattrs=ATTRS,
@@ -114,17 +115,17 @@ class TestNewFiles:
     def test_new_file_instantly_queryable(self, db):
         generate_micro_csv(db.vfs, "fresh.csv", rows=10, nattrs=ATTRS,
                            seed=5)
-        db.add_file("fresh", "fresh.csv", micro_schema(ATTRS))
+        create_table(db, "fresh", "fresh.csv", micro_schema(ATTRS))
         assert db.query("SELECT count(*) FROM fresh").scalar() == 10
 
     def test_two_new_tables_join(self, db):
         from repro import INTEGER, Schema, varchar
         db.vfs.create("lookup.csv", b"1,one\n2,two\n3,three\n")
         db.vfs.create("facts.csv", b"10,1\n20,1\n30,3\n")
-        db.add_file("lookup", "lookup.csv",
-                    Schema([("k", INTEGER), ("label", varchar())]))
-        db.add_file("facts", "facts.csv",
-                    Schema([("v", INTEGER), ("fk", INTEGER)]))
+        create_table(db, "lookup", "lookup.csv",
+                     Schema([("k", INTEGER), ("label", varchar())]))
+        create_table(db, "facts", "facts.csv",
+                     Schema([("v", INTEGER), ("fk", INTEGER)]))
         joined = db.query(
             "SELECT label, sum(v) AS total FROM lookup, facts "
             "WHERE fk = k GROUP BY label ORDER BY total DESC")
