@@ -13,17 +13,21 @@ import pytest
 
 import repro
 from repro import (
+    INTEGER,
     ExternalFilesDBMS,
     LoadedDBMS,
     PostgresRaw,
     PostgresRawConfig,
+    Schema,
     VirtualFS,
+    varchar,
 )
 from repro.api.exceptions import ProgrammingError
 from repro.api.session import DDLStatement
 from repro.errors import CatalogError, ParseError
 from repro.formats.registry import available_formats, get_format
 from repro.sql.parser import parse
+from tests.conftest import create_table
 
 PEOPLE = b"1,alice,30\n2,bob,25\n3,carol,35\n"
 CREATE_PEOPLE = ("CREATE TABLE people (id INTEGER, name VARCHAR, "
@@ -334,6 +338,27 @@ class TestDropLifecycle:
         session.execute("DROP TABLE people")
         with pytest.raises(ProgrammingError, match="unknown table"):
             stmt.execute()
+
+
+class TestDeclarationInSql:
+    def test_helper_and_query_declare_the_same_table(self, fs):
+        """The tests' ``create_table`` helper runs the same CREATE TABLE
+        text through ``run_ddl``: the same table, with no charge, where
+        ``query`` of that text charges its ``query_overhead`` only."""
+        via_helper = PostgresRaw(vfs=fs)
+        info = create_table(via_helper, "people", "people.csv", Schema(
+            [("id", INTEGER), ("name", varchar()), ("age", INTEGER)]))
+        assert via_helper.elapsed() == 0.0
+        via_query = PostgresRaw(vfs=fs)
+        declared = via_query.query(CREATE_PEOPLE)
+        assert declared.counters == {"query_overhead": 1}
+        assert info.format == via_query.catalog.get("people").format
+        assert [(c.name, c.dtype.name) for c in info.schema.columns] == [
+            (c.name, c.dtype.name)
+            for c in via_query.catalog.get("people").schema.columns]
+        q = "SELECT name, age FROM people WHERE id <> 2 ORDER BY age"
+        assert via_helper.query(q).rows == via_query.query(q).rows == [
+            ("alice", 30), ("carol", 35)]
 
 
 class TestStatementKinds:

@@ -351,6 +351,28 @@ def test_engine_wraps_vfs_when_fault_seed_configured():
     assert not isinstance(eng2.vfs, FaultInjectingVFS)
 
 
+def test_configured_engine_keeps_the_default_retry_budget():
+    eng = PostgresRaw(config=PostgresRawConfig(fault_seed=3,
+                                               fault_rate=0.2))
+    default = FaultInjectingVFS(seed=3)
+    assert (eng.vfs.seed, eng.vfs.rate) == (3, 0.2)
+    assert eng.vfs.retry_limit == default.retry_limit == 3
+    assert eng.vfs.backoff == default.backoff == 0.001
+
+
+@pytest.mark.parametrize("raw, seed", [
+    (None, None), ("", None), ("  ", None), ("abc", None), ("7", 7)])
+def test_fault_seed_env_default(monkeypatch, raw, seed):
+    """``REPRO_FAULT_SEED`` sets the default ``fault_seed``; unset,
+    blank or unparseable leaves faults off."""
+    if raw is None:
+        monkeypatch.delenv("REPRO_FAULT_SEED", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_FAULT_SEED", raw)
+    assert PostgresRawConfig().fault_seed == seed
+    assert PostgresRawConfig(fault_seed=5).fault_seed == 5
+
+
 # ---------------------------------------------------------------------------
 # Auxiliary-structure self-healing
 # ---------------------------------------------------------------------------
