@@ -6,11 +6,15 @@ only "find the field" depends on the file format. This module is that
 operator's format-agnostic half; :mod:`repro.core.scan_batch` (CSV) and
 :mod:`repro.formats.jsonl` plug their per-format compute into it.
 
+* :class:`ErrorPolicy` is the ``on_error`` policy — the tolerant redo
+  of a malformed row and the quarantine sidecar, restarted when the
+  file is rewritten — that the raw access methods and the
+  external-files straw-man share.
 * :class:`RawFileAccess` is the *shell* every raw access method
-  subclasses: engine wiring, the ``on_error`` policy and its quarantine
-  sidecar, §4.5 ``refresh()``, the scan prologue (workload accounting,
-  the §4.4 statistics collector, the costed handle), the statistics
-  epilogue and the ``path``/``table`` error annotation.
+  subclasses: engine wiring, §4.5 ``refresh()``, the scan prologue
+  (workload accounting, the §4.4 statistics collector, the costed
+  handle), the statistics epilogue and the ``path``/``table`` error
+  annotation.
 * :class:`BlockScan` is the per-scan *driver* and the *one block
   compute*: the frozen indexed/streaming split, the indexed-region
   block loop (cached-block fast path where the scan's one eligibility
@@ -37,7 +41,7 @@ What a format supplies, and nothing else:
   ``_cached_column`` (how the fast path serves a cached column) and
   ``_line_spans`` (the indexed region's: the map's line index, or
   FITS's fixed stride over a file that is all indexed region);
-* ``tolerant_row``'s line split (``_tolerant_fetch``).
+* the tolerant redo's line split (``_tolerant_fetch``).
 
 Fan-out and the staged-op merge: the streaming region's row-block
 groups are *pure functions* of their byte slice. Each group computes
@@ -292,20 +296,140 @@ class BlockLines:
 # ---------------------------------------------------------------------------
 # The access-method shell
 # ---------------------------------------------------------------------------
-class RawFileAccess:
+class ErrorPolicy:
+    """A raw table's error policy (OPTIONS (on_error 'fail'|'skip'|
+    'null')) over one file: the tolerant redo of a malformed row and
+    the quarantine sidecar of rejected ones, which :meth:`refresh`
+    restarts when the file is rewritten. Every access method that reads
+    a raw table row by row or block by block — PostgresRaw's and the
+    external-files straw-man's — answers a malformed row through this
+    one class. Subclasses supply ``_tolerant_fetch``."""
+
+    def __init__(self, vfs, path: str, table_info):
+        self.vfs = vfs
+        self.path = path
+        self._seen_rewrites: int | None = None
+        #: per-table error policy (OPTIONS (on_error 'fail'|'skip'|'null'))
+        self.on_error = (getattr(table_info, "options", None)
+                         or {}).get("on_error", "fail")
+        #: quarantine sidecar for rejected rows, plus the row numbers
+        #: already written there (warm re-scans re-reject the same rows
+        #: deterministically; the sidecar records each row once)
+        self._rejects_path = f"__rejects__/{table_info.name.lower()}"
+        self._rejected_rows: set[int] = set()
+
+    def tolerant_row(self, model, line: bytes, out_attrs, where_attrs,
+                     predicate, policy: str | None = None):
+        """Best-effort evaluation of one malformed-or-suspect line
+        under a tolerant error policy (``policy``, defaulting to the
+        table's ``on_error``): ``'null'`` turns an unconvertible value
+        into SQL NULL, ``'skip'`` rejects the whole row. Returns
+        ``(qualifies, out_values | None, reject_reason | None)`` — a
+        non-None reason means the caller must quarantine the row. All
+        charges go to ``model`` so staged (recorded) redo and direct
+        redo price identically. The line split and the per-value
+        conversion are the format's (:meth:`_tolerant_fetch`); each
+        touched value is fetched once."""
+        policy = policy or self.on_error
+        model.tokenize(len(line))
+        try:
+            fetch = self._tolerant_fetch(model, line, policy)
+        except FormatError as exc:
+            return False, None, str(exc)
+        values: dict[int, object] = {}
+
+        def reject_reason(attrs):
+            for attr in attrs:
+                if attr not in values:
+                    values[attr], reason = fetch(attr)
+                    if reason is not None:
+                        return reason
+            return None
+
+        if predicate is not None:
+            reason = reject_reason(where_attrs)
+            if reason is not None:
+                return False, None, reason
+            model.predicate(predicate.n_terms)
+            if predicate.fn({attr: values[attr]
+                             for attr in where_attrs}) is not True:
+                return False, None, None
+        reason = reject_reason(out_attrs)
+        if reason is not None:
+            return False, None, reason
+        model.tuple_form(len(out_attrs))
+        return True, [values[attr] for attr in out_attrs], None
+
+    def tolerant_redo(self, model, row_number: int, line: bytes,
+                      out_attrs, where_attrs, predicate,
+                      reject=None) -> tuple | None:
+        """One row redone by :meth:`tolerant_row`: its output tuple if
+        it qualifies, else None. A rejected row is handed to
+        ``reject(row_number, line, reason)`` (default: the sidecar,
+        :meth:`_quarantine_row`) and counted on ``rows_rejected``."""
+        qual, out_values, reason = self.tolerant_row(
+            model, line, out_attrs, where_attrs, predicate)
+        if reason is not None:
+            (reject or self._quarantine_row)(row_number, line, reason)
+            model.rows_rejected(1)
+        return tuple(out_values) if qual else None
+
+    def _tolerant_fetch(self, model, line: bytes, policy: str):
+        """Split ``line`` the format's way, as forgivingly as it can,
+        and return ``fetch(attr) -> (value, reject_reason | None)``
+        converting one value against ``model``: an unconvertible or
+        missing value is NULL under ``'null'`` and a reason under
+        ``'skip'``. A line that cannot be split at all raises its
+        :class:`~repro.errors.FormatError` to reject the whole row."""
+        raise NotImplementedError
+
+    def _quarantine_row(self, row_number: int, line: bytes,
+                        reason: str) -> None:
+        """Record a rejected row in the table's ``__rejects__/`` sidecar
+        (free of virtual time — observability, like the counters). The
+        caller charges ``rows_rejected``; this only persists the row,
+        once per row number per file version."""
+        if row_number in self._rejected_rows:
+            return
+        self._rejected_rows.add(row_number)
+        note = reason.replace("\t", " ").replace("\n", " ")
+        record = b"%d\t%s\t%s\n" % (
+            row_number, note.encode("utf-8", "replace"),
+            bytes(line).replace(b"\n", b" "))
+        if not self.vfs.exists(self._rejects_path):
+            self.vfs.create(self._rejects_path)
+        self.vfs.append_bytes(self._rejects_path, record)
+
+    def refresh(self) -> None:
+        """Detect a rewrite of the file before a scan (§4.5): what was
+        learned about the old file goes (:meth:`_drop_structures`)."""
+        rewrites = self.vfs.rewrite_count(self.path)
+        if self._seen_rewrites not in (None, rewrites):
+            self._drop_structures()
+        self._seen_rewrites = rewrites
+
+    def _drop_structures(self) -> None:
+        """A rewrite changes what row numbers mean: the quarantine
+        sidecar starts over with the new file version."""
+        self._rejected_rows.clear()
+        if self.vfs.exists(self._rejects_path):
+            self.vfs.delete(self._rejects_path)
+
+
+class RawFileAccess(ErrorPolicy):
     """Shell of an access method over one raw file: engine wiring,
-    workload accounting, §4.5 refresh, the scan prologue and epilogue, a
-    block's cache prefetch and the error policies.
-    Subclasses name their per-scan :class:`BlockScan` in ``scan_class``
-    and supply ``_tolerant_fetch``."""
+    workload accounting, §4.5 refresh, the scan prologue and epilogue
+    and a block's cache prefetch; the error policies are
+    :class:`ErrorPolicy`'s. Subclasses name their per-scan
+    :class:`BlockScan` in ``scan_class`` and supply
+    ``_tolerant_fetch``."""
 
     #: the BlockScan subclass that drives this format's batch scans
     scan_class: type | None = None
 
     def __init__(self, vfs, path: str, schema, model, config, table_info,
                  positional_map, cache, pool=None):
-        self.vfs = vfs
-        self.path = path
+        super().__init__(vfs, path, table_info)
         self.schema = schema
         self.model = model
         self.config = config
@@ -325,15 +449,6 @@ class RawFileAccess:
         self.pool = pool
         self.row_count: int | None = None
         self._seen_size = 0
-        self._seen_rewrites: int | None = None
-        #: per-table error policy (OPTIONS (on_error 'fail'|'skip'|'null'))
-        self.on_error = (getattr(table_info, "options", None)
-                         or {}).get("on_error", "fail")
-        #: quarantine sidecar for rejected rows, plus the row numbers
-        #: already written there (warm re-scans re-reject the same rows
-        #: deterministically; the sidecar records each row once)
-        self._rejects_path = f"__rejects__/{table_info.name.lower()}"
-        self._rejected_rows: set[int] = set()
 
     @property
     def table_info(self):
@@ -369,20 +484,14 @@ class RawFileAccess:
 
         Appends extend the structures in place; rewrites drop them (the
         map "can be dropped and recreated when needed again")."""
-        rewrites = self.vfs.rewrite_count(self.path)
         size = self.vfs.size(self.path)
-        if self._seen_rewrites is None:
-            self._seen_rewrites = rewrites
-            self._seen_size = size
-            return
-        if rewrites != self._seen_rewrites:
-            self._drop_structures()
-        elif size > self._seen_size:
+        if self._seen_rewrites == self.vfs.rewrite_count(self.path) \
+                and size > self._seen_size:
             if self.pm is not None:
                 self.pm.invalidate_file_length()
             self.row_count = None
             self.table_info.data_version += 1
-        self._seen_rewrites = rewrites
+        super().refresh()
         self._seen_size = size
 
     def _drop_structures(self) -> None:
@@ -393,11 +502,7 @@ class RawFileAccess:
             self.cache.clear()
         self.row_count = None
         self.table_info.data_version += 1
-        # Row numbers change meaning under a rewrite: restart the
-        # quarantine sidecar along with the other structures.
-        self._rejected_rows.clear()
-        if self.vfs.exists(self._rejects_path):
-            self.vfs.delete(self._rejects_path)
+        super()._drop_structures()
 
     def estimated_rows(self) -> int | None:
         return self.row_count
@@ -469,75 +574,6 @@ class RawFileAccess:
 
     def _finish_file(self, row_count: int) -> None:
         self.table_info.row_count_hint = row_count
-
-    # -- error policies (OPTIONS (on_error ...)) ------------------------
-    def tolerant_row(self, model, line: bytes, out_attrs, where_attrs,
-                     predicate, policy: str | None = None):
-        """Best-effort evaluation of one malformed-or-suspect line
-        under a tolerant error policy (``policy``, defaulting to the
-        table's ``on_error``): ``'null'`` turns an unconvertible value
-        into SQL NULL, ``'skip'`` rejects the whole row. Returns
-        ``(qualifies, out_values | None, reject_reason | None)`` — a
-        non-None reason means the caller must quarantine the row. All
-        charges go to ``model`` so staged (recorded) redo and direct
-        redo price identically. The line split and the per-value
-        conversion are the format's (:meth:`_tolerant_fetch`); each
-        touched value is fetched once."""
-        policy = policy or self.on_error
-        model.tokenize(len(line))
-        try:
-            fetch = self._tolerant_fetch(model, line, policy)
-        except FormatError as exc:
-            return False, None, str(exc)
-        values: dict[int, object] = {}
-
-        def reject_reason(attrs):
-            for attr in attrs:
-                if attr not in values:
-                    values[attr], reason = fetch(attr)
-                    if reason is not None:
-                        return reason
-            return None
-
-        if predicate is not None:
-            reason = reject_reason(where_attrs)
-            if reason is not None:
-                return False, None, reason
-            model.predicate(predicate.n_terms)
-            if predicate.fn({attr: values[attr]
-                             for attr in where_attrs}) is not True:
-                return False, None, None
-        reason = reject_reason(out_attrs)
-        if reason is not None:
-            return False, None, reason
-        model.tuple_form(len(out_attrs))
-        return True, [values[attr] for attr in out_attrs], None
-
-    def _tolerant_fetch(self, model, line: bytes, policy: str):
-        """Split ``line`` the format's way, as forgivingly as it can,
-        and return ``fetch(attr) -> (value, reject_reason | None)``
-        converting one value against ``model``: an unconvertible or
-        missing value is NULL under ``'null'`` and a reason under
-        ``'skip'``. A line that cannot be split at all raises its
-        :class:`~repro.errors.FormatError` to reject the whole row."""
-        raise NotImplementedError
-
-    def _quarantine_row(self, row_number: int, line: bytes,
-                        reason: str) -> None:
-        """Record a rejected row in the table's ``__rejects__/`` sidecar
-        (free of virtual time — observability, like the counters). The
-        caller charges ``rows_rejected``; this only persists the row,
-        once per row number per file version."""
-        if row_number in self._rejected_rows:
-            return
-        self._rejected_rows.add(row_number)
-        note = reason.replace("\t", " ").replace("\n", " ")
-        record = b"%d\t%s\t%s\n" % (
-            row_number, note.encode("utf-8", "replace"),
-            bytes(line).replace(b"\n", b" "))
-        if not self.vfs.exists(self._rejects_path):
-            self.vfs.create(self._rejects_path)
-        self.vfs.append_bytes(self._rejects_path, record)
 
 
 # ---------------------------------------------------------------------------
@@ -812,26 +848,23 @@ class BlockScan:
             yield buffer[start - buffer_base:end - buffer_base]
 
     def _tolerant_rows(self, row0: int, starts, ends, buffer,
-                       buffer_base: int, reject) -> ColumnBatch:
+                       buffer_base: int, reject=None) -> ColumnBatch:
         """Row-at-a-time evaluation of a block or group whose strict
         vectorized computation raised under a tolerant error policy:
-        each line goes through ``access.tolerant_row``; a rejected one
-        is handed to ``reject(row_number, line, reason)`` and counted.
+        each line goes through ``access.tolerant_redo``; a rejected one
+        is handed to ``reject(row_number, line, reason)`` (default: the
+        sidecar) and counted.
         The rows contribute nothing to the positional map, the cache or
         the statistics reservoirs — degradation, never corruption."""
-        model = self.model
-        out_attrs = self.out_attrs
-        rows: list[tuple] = []
+        rows = []
         for i, line in enumerate(self._lines(starts, ends, buffer,
                                              buffer_base)):
-            qual, out_values, reason = self.access.tolerant_row(
-                model, line, out_attrs, self.where_attrs, self.predicate)
-            if reason is not None:
-                reject(row0 + i, line, reason)
-                model.rows_rejected(1)
-            elif qual:
-                rows.append(tuple(out_values))
-        return ColumnBatch.from_rows(rows, len(out_attrs))
+            row = self.access.tolerant_redo(
+                self.model, row0 + i, line, self.out_attrs,
+                self.where_attrs, self.predicate, reject)
+            if row is not None:
+                rows.append(row)
+        return ColumnBatch.from_rows(rows, len(self.out_attrs))
 
     def _with_row_number(self, exc: FormatError, row0: int, starts, ends,
                          buffer=None, buffer_base: int = 0) -> FormatError:
@@ -905,8 +938,7 @@ class BlockScan:
         starts, ends = self._line_spans(row0, row1)
         base = int(starts[0])
         blob = handle.read_at(base, int(ends[-1]) - base)
-        return self._tolerant_rows(row0, starts, ends, blob, base,
-                                   self.access._quarantine_row)
+        return self._tolerant_rows(row0, starts, ends, blob, base)
 
     def _indexed_block_strict(self, handle, block: int,
                               starts: np.ndarray, ends: np.ndarray,

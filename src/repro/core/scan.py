@@ -39,72 +39,23 @@ read sequentially, discovering line starts).
 from __future__ import annotations
 
 from repro.core.blockscan import RawFileAccess
-from repro.core.cache import BinaryCache
-from repro.core.config import PostgresRawConfig
-from repro.core.positional_map import PositionalMap
 from repro.core.scan_batch import BatchCsvScan
-from repro.errors import CSVFormatError
-from repro.formats.csvfmt import convert_field
-from repro.simcost.model import CostModel
-from repro.sql.catalog import Schema, TableInfo
-from repro.storage.vfs import VirtualFS
+from repro.formats.csvfmt import CsvDialect, CsvTolerance
 
 
-class RawCsvAccess(RawFileAccess):
+class RawCsvAccess(CsvTolerance, RawFileAccess):
     """Access method for one in-situ CSV table. The shell — §4.5
     refresh, scan prologue/epilogue, quarantine sidecar, error
     annotation — is :class:`~repro.core.blockscan.RawFileAccess`; the
-    block scan is :class:`~repro.core.scan_batch.BatchCsvScan`; this
-    class adds the dialect, per-value conversion and the CSV line
-    split of the tolerant error policies."""
+    block scan is :class:`~repro.core.scan_batch.BatchCsvScan`; the CSV
+    line split of the tolerant error policies is
+    :class:`~repro.formats.csvfmt.CsvTolerance`'s; this class adds the
+    dialect."""
 
     scan_class = BatchCsvScan
 
-    def __init__(self, vfs: VirtualFS, path: str, schema: Schema,
-                 model: CostModel, config: PostgresRawConfig,
-                 table_info: TableInfo,
-                 positional_map: PositionalMap | None,
-                 cache: BinaryCache | None,
-                 pool=None):
-        super().__init__(vfs, path, schema, model, config, table_info,
-                         positional_map, cache, pool=pool)
-        self.dialect = config.dialect
-
-    # ------------------------------------------------------------------
-    def _convert(self, attr: int, text: str, model: CostModel | None = None):
-        """Convert raw text to the attribute's binary value, charging the
-        family-specific conversion cost (the paper's dominant CPU cost)."""
-        (model if model is not None else self.model).convert(
-            self._families[attr], 1)
-        return convert_field(text, self._dtypes[attr],
-                             self.schema.columns[attr].name)
-
-    # ------------------------------------------------------------------
-    # Error policies (OPTIONS (on_error ...)): tolerant row evaluation
-    # ------------------------------------------------------------------
-    def _tolerant_fetch(self, model: CostModel, line: bytes, policy: str):
-        """The strict scan paths fall back here after a row raises
-        :class:`CSVFormatError`: the whole line is re-tokenized with a
-        plain delimiter split (degradation, not the selective §4.1
-        machinery — malformed lines forfeit positional-map and cache
-        participation) and each *touched* value is converted
-        individually; a value beyond the last field is a short row."""
-        fields = line.decode("utf-8", "replace").split(
-            self.dialect.delimiter.decode("utf-8"))
-
-        def fetch(attr):
-            name = self.schema.columns[attr].name
-            if attr >= len(fields):
-                problem = (f"short row: {len(fields)} attributes, "
-                           f"attribute {name} missing")
-            else:
-                try:
-                    return (self._convert(attr, fields[attr], model=model),
-                            None)
-                except CSVFormatError:
-                    problem = (f"cannot parse {fields[attr]!r} as "
-                               f"{self._dtypes[attr].name} (attribute "
-                               f"{name})")
-            return None, (problem if policy == "skip" else None)
-
-        return fetch
+    @property
+    def dialect(self) -> CsvDialect:
+        """The table's dialect (its ``delimiter`` option, else the
+        engine's), carried by its config."""
+        return self.config.dialect

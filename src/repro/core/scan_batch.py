@@ -85,7 +85,7 @@ def _stream_transitions(targets, arity, state=(-1, 0)):
             # Start known (free info) but span not: the row locate
             # tokenizes one step forward, memoizing t and t+1.
             if t == arity - 1:
-                S = M = t  # last attribute: span ends at line end, free
+                S = M = t  # last attribute: its end is free
             else:
                 charges.append((t, t + 1))
                 S = M = t + 1
@@ -249,7 +249,11 @@ class _CsvBlockLines(BlockLines):
             pos = ka[idxs]
             starts_out[idxs] = pos
             if attr == arity - 1:
-                ends_out[idxs] = self.line_ends[idxs]
+                # Free, as in the streaming walk: the line's end, or the
+                # next delimiter of a line wider than the schema.
+                tok = self.tokenizer()
+                ends_out[idxs], _ = tok.boundary(tok.delim_index(pos),
+                                                 self.line_ends[idxs])
             else:
                 kn = self.K.get(attr + 1)
                 if kn is not None:
@@ -546,8 +550,7 @@ class BatchCsvScan(BlockScan):
                 if typed is not None:
                     return None, typed
         # Fallback / non-numeric: one tight per-field loop mirroring the
-        # per-value ``RawCsvAccess._convert`` exactly (empty
-        # non-string -> NULL).
+        # per-value ``convert_field`` exactly (empty non-string -> NULL).
         values = []
         view = memoryview(buffer)
         parse = self._dtypes[attr].parse

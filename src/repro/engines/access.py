@@ -6,7 +6,10 @@
   largest needed attribute (heap tuples are sequential, like CSV rows).
 * :class:`ExternalAccess` — the external-files straw-man (§3.1): every
   query re-reads and fully re-tokenizes the raw file and materializes
-  complete tuples, with no auxiliary structures.
+  complete tuples, with no auxiliary structures. It reads lines
+  through the bulk loader's record walk (:func:`~repro.formats.csvfmt.
+  read_records`) and answers a malformed one by PostgresRaw's
+  :class:`~repro.core.blockscan.ErrorPolicy`.
 
 Both walk their records one at a time and charge per record, as these
 systems do, but hand the plan ``scan_batches`` blocks like PostgresRaw's
@@ -18,13 +21,9 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from repro.errors import CSVFormatError, annotate
-from repro.formats.csvfmt import (
-    CsvDialect,
-    LineReader,
-    convert_field,
-    split_line,
-)
+from repro.core.blockscan import ErrorPolicy
+from repro.errors import CSVFormatError
+from repro.formats.csvfmt import CsvDialect, CsvTolerance, read_records
 from repro.simcost.model import CostModel
 from repro.sql.batch import ColumnBatch, rows_to_batches
 from repro.sql.catalog import Schema
@@ -95,18 +94,23 @@ class HeapAccess:
         return value
 
 
-class ExternalAccess:
-    """Straw-man in-situ scan: full re-parse, full tuples, every query."""
+class ExternalAccess(CsvTolerance, ErrorPolicy):
+    """Straw-man in-situ scan: full re-parse, full tuples, every query.
+
+    A malformed line — short, blank, or a value its column cannot
+    parse — fails the query under ``on_error 'fail'``, even in a column
+    the query never touches, which PostgresRaw's selective parsing
+    never reads: the one answer the engines do not share. Under
+    ``'skip'`` / ``'null'`` the line is redone over the touched columns
+    by PostgresRaw's own tolerant row evaluation and sidecar."""
 
     def __init__(self, vfs: VirtualFS, path: str, schema: Schema,
-                 model: CostModel, dialect: CsvDialect | None = None):
-        self.vfs = vfs
-        self.path = path
+                 model: CostModel, table_info,
+                 dialect: CsvDialect | None = None):
+        super().__init__(vfs, path, table_info)
         self.schema = schema
         self.model = model
         self.dialect = dialect if dialect is not None else CsvDialect()
-        self._dtypes = schema.types
-        self._families = [t.family for t in schema.types]
 
     def estimated_rows(self) -> int | None:
         return None  # external files expose no statistics (§2)
@@ -121,37 +125,26 @@ class ExternalAccess:
                  predicate: ScanPredicate | None) -> Iterator[tuple]:
         model = self.model
         needed = list(needed)
+        where_attrs = list(predicate.attrs) if predicate else []
         arity = self.schema.arity
-        n_terms = predicate.n_terms if predicate else 0
-        names = self.schema.names
         handle = self.vfs.open(self.path, model)
-        reader = LineReader(handle)
-        scanned_before = 0
-        for row_number, (_offset, line) in enumerate(reader):
-            model.newline_scan(reader.chars_scanned - scanned_before)
-            scanned_before = reader.chars_scanned
-            spans, scanned = split_line(line, self.dialect)
-            model.tokenize(scanned)
+        for row_number, line, values in read_records(
+                handle, self.schema, model, self.dialect):
             model.tuple_overhead(1)
-            if len(spans) < arity:
-                # A short line is skipped: the straw-man forgives what
-                # PostgresRaw and the loader reject. Fields past the
-                # schema's last column are ignored, as PostgresRaw does.
+            try:
+                values = list(values)
+            except CSVFormatError:
+                if self.on_error == "fail":
+                    raise
+                row = self.tolerant_redo(model, row_number, line, needed,
+                                         where_attrs, predicate)
+                if row is not None:
+                    yield row
                 continue
-            values = []
-            for attr in range(arity):
-                start, end = spans[attr]
-                text = line[start:end].decode("utf-8", "replace")
-                model.convert(self._families[attr], 1)
-                try:
-                    values.append(convert_field(text, self._dtypes[attr],
-                                                names[attr]))
-                except CSVFormatError as exc:
-                    raise annotate(exc, row_number=row_number)
             model.tuple_form(arity)
             if predicate is not None:
-                model.predicate(n_terms)
-                row = {attr: values[attr] for attr in predicate.attrs}
+                model.predicate(predicate.n_terms)
+                row = {attr: values[attr] for attr in where_attrs}
                 if predicate.fn(row) is not True:
                     continue
             yield tuple(values[attr] for attr in needed)

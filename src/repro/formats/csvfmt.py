@@ -19,6 +19,11 @@ from any known attribute position becomes pure index arithmetic, with
 no per-row byte scanning. The ``block_*`` functions are pinned to their
 scalar counterparts (spans and chars-scanned both) by property tests.
 
+What a line means as a row is written once too: :func:`convert_field`
+(the value rule every reader follows), :func:`read_records` (the line
+walk of the engines that parse every record) and :class:`CsvTolerance`
+(a malformed line under a tolerant ``on_error`` policy).
+
 Dialect note: fields are raw bytes between delimiters; no quoting or
 escaping (the paper's generated workloads are plain CSV). The generators
 in :mod:`repro.workloads` never emit delimiter bytes inside values, and
@@ -88,11 +93,12 @@ def split_line(line: bytes, dialect: CsvDialect = DEFAULT_DIALECT,
     return spans, len(line)
 
 
-def convert_field(text: str, dtype, column: str):
+def convert_field(model, text: str, dtype, column: str):
     """One CSV field's text as its column's value, the rule every CSV
-    reader shares: an empty field of a non-string column is NULL, and
-    text ``dtype`` cannot parse raises :func:`field_error`. Uncosted:
-    the caller charges the conversion."""
+    reader shares: one conversion of ``dtype``'s family is charged to
+    ``model``, an empty field of a non-string column is NULL, and text
+    ``dtype`` cannot parse raises :func:`field_error`."""
+    model.convert(dtype.family, 1)
     if text == "" and dtype.family != "str":
         return None
     try:
@@ -108,6 +114,81 @@ def field_error(text: str, dtype, column: str) -> CSVFormatError:
         CSVFormatError(f"cannot parse {text!r} as {dtype.name} "
                        f"(attribute {column})"),
         column=column)
+
+
+def short_row_error(found: int, column: str) -> CSVFormatError:
+    """The error for a line of ``found`` fields that has no field for
+    ``column``, named in the message and in ``context["column"]``."""
+    return annotate(
+        CSVFormatError(f"short row: {found} attributes, attribute "
+                       f"{column} missing"),
+        column=column)
+
+
+def read_records(handle: VirtualFile, schema, model,
+                 dialect: CsvDialect = DEFAULT_DIALECT,
+                 ) -> Iterator[tuple[int, bytes, Iterator]]:
+    """The record walk of the engines that parse every record — the
+    bulk loader and the external-files straw-man: one ``(row_number,
+    line, values)`` per line of ``handle``, read sequentially, charging
+    ``newline_scan`` and ``tokenize`` per line. ``values`` is lazy, one
+    :func:`convert_field` per column as it is pulled, so a consumer
+    prices its own work in between. A line wider than the schema is
+    read as its prefix; a shorter one (a blank line too), a NUL byte or
+    a value its column cannot parse raises :class:`CSVFormatError` from
+    ``values``, with ``row_number`` (and ``column``, but for a NUL)."""
+    columns = schema.columns
+    reader = LineReader(handle)
+    scanned = 0
+    for row_number, (_offset, line) in enumerate(reader):
+        model.newline_scan(reader.chars_scanned - scanned)
+        scanned = reader.chars_scanned
+        model.tokenize(len(line))
+        yield row_number, line, _record_values(model, line, row_number,
+                                               columns, dialect)
+
+
+def _record_values(model, line: bytes, row_number: int, columns,
+                   dialect: CsvDialect) -> Iterator:
+    try:
+        spans, _ = split_line(line, dialect)
+        if len(spans) < len(columns):
+            raise short_row_error(len(spans), columns[len(spans)].name)
+        for (start, end), column in zip(spans, columns):
+            yield convert_field(model, line[start:end].decode(
+                "utf-8", "replace"), column.dtype, column.name)
+    except CSVFormatError as exc:
+        raise annotate(exc, row_number=row_number)
+
+
+class CsvTolerance:
+    """CSV's line split for a tolerant error policy's redo of a failed
+    row (:class:`~repro.core.blockscan.ErrorPolicy`), shared by the CSV
+    access methods — PostgresRaw's and the external-files straw-man's,
+    which supply ``schema`` and ``dialect``."""
+
+    def _tolerant_fetch(self, model, line: bytes, policy: str):
+        """The whole line is re-tokenized with a plain delimiter split
+        (degradation, not the selective §4.1 machinery — malformed
+        lines forfeit positional-map and cache participation) and each
+        *touched* value is converted individually against ``model``:
+        a value beyond the last field (a short row) or one its column
+        cannot parse is NULL under ``'null'`` and a reason under
+        ``'skip'``."""
+        fields = line.decode("utf-8", "replace").split(
+            self.dialect.delimiter.decode("utf-8"))
+
+        def fetch(attr):
+            column = self.schema.columns[attr]
+            try:
+                if attr >= len(fields):
+                    raise short_row_error(len(fields), column.name)
+                return convert_field(model, fields[attr], column.dtype,
+                                     column.name), None
+            except CSVFormatError as exc:
+                return None, (str(exc) if policy == "skip" else None)
+
+        return fetch
 
 
 def field_spans_prefix(line: bytes, upto: int,

@@ -322,7 +322,7 @@ class CsvAdapter(FormatAdapter):
         dialect = self._dialect(engine, options)
         if self._policy(engine, info.external) == "external":
             return ExternalAccess(engine.vfs, info.path, info.schema,
-                                  engine.model, dialect=dialect)
+                                  engine.model, info, dialect=dialect)
 
         from repro.core.scan import RawCsvAccess
 

@@ -11,13 +11,7 @@ statistics in place.
 from __future__ import annotations
 
 from repro.core.statistics import ReservoirSampler
-from repro.errors import CSVFormatError, annotate
-from repro.formats.csvfmt import (
-    CsvDialect,
-    LineReader,
-    convert_field,
-    split_line,
-)
+from repro.formats.csvfmt import CsvDialect, read_records
 from repro.simcost.model import CostModel
 from repro.sql.catalog import Schema
 from repro.sql.stats import ColumnStats, TableStats
@@ -40,84 +34,28 @@ class BulkLoader:
 
     def load(self, csv_path: str, heap_path: str, schema: Schema,
              ) -> tuple[int, TableStats]:
-        """Run the load; returns ``(row_count, stats)``.
-
-        Tuples wider than the TOAST threshold get their largest string
-        values moved to ``<heap_path>.toast`` (see storage.toast).
-
-        Raises :class:`CSVFormatError` on arity mismatches and on a
-        value its column's type cannot parse (``context`` names the
-        ``column`` and ``row_number``) — a loader must reject malformed
-        input (unlike the straw-man external scan, which skips short
-        lines).
-        """
-        model = self.model
-        codec = RecordCodec(schema)
-        dtypes = schema.types
-        families = [t.family for t in dtypes]
-        names = schema.names
-        arity = schema.arity
-        samplers = [ReservoirSampler(_SAMPLE_TARGET, seed=i)
-                    for i in range(arity)]
-        if self.vfs.exists(heap_path):
-            self.vfs.delete(heap_path)
-        toast_path = heap_path + ".toast"
-        if self.vfs.exists(toast_path):
-            self.vfs.delete(toast_path)
-        toast_writer = ToastWriter(self.vfs, toast_path, model)
-        handle = self.vfs.open(csv_path, model)
-        reader = LineReader(handle)
-        rows = 0
-        scanned_before = 0
-        with HeapWriter(self.vfs, heap_path, model) as writer:
-            for _offset, line in reader:
-                model.newline_scan(reader.chars_scanned - scanned_before)
-                scanned_before = reader.chars_scanned
-                spans, scanned = split_line(line, self.dialect)
-                model.tokenize(scanned)
-                if len(spans) != arity:
-                    raise CSVFormatError(
-                        f"row {rows} has {len(spans)} attributes, "
-                        f"schema has {arity}", row_number=rows)
-                values = []
-                for attr, (start, end) in enumerate(spans):
-                    text = line[start:end].decode("utf-8", "replace")
-                    model.convert(families[attr], 1)
-                    try:
-                        value = convert_field(text, dtypes[attr],
-                                              names[attr])
-                    except CSVFormatError as exc:
-                        raise annotate(exc, row_number=rows)
-                    values.append(value)
-                    samplers[attr].add(value)
-                    model.stats_sample(1)
-                model.serialize(arity)
-                values = toast_values(values, families, toast_writer,
-                                      codec.encoded_width)
-                writer.append(codec.encode(values))
-                rows += 1
-        stats = TableStats(row_count=rows)
-        for attr, sampler in enumerate(samplers):
-            if sampler.seen == 0:
-                continue
-            column = ColumnStats(name=schema.columns[attr].name)
-            column.merge_sample(sampler.sample, rows, sampler.null_count,
-                                sampler.seen)
-            stats.set_column(column)
-        return rows, stats
+        """Run the load — :func:`load_rows` over the file's records
+        (:func:`~repro.formats.csvfmt.read_records`, streamed) — and
+        return ``(row_count, stats)``. A load runs under ``on_error
+        'fail'``, as PostgresRaw and the straw-man read a line under
+        it: a short or blank line or a value its column cannot parse
+        raises :class:`CSVFormatError` (``column`` and ``row_number`` in
+        its ``context``); a wider line loads its declared prefix."""
+        records = read_records(self.vfs.open(csv_path, self.model), schema,
+                               self.model, self.dialect)
+        return load_rows(self.vfs, self.model, heap_path, schema,
+                         (values for _, _, values in records))
 
 
 def load_rows(vfs: VirtualFS, model: CostModel, heap_path: str,
               schema: Schema, rows) -> tuple[int, TableStats]:
-    """Materialize already-computed tuples into a heap file.
-
-    The serialize-and-sample half of :class:`BulkLoader` without the
-    parse half: CTAS and rollup builds land here with tuples produced
-    by a query whose scan already paid the tokenize/convert cost, so
-    only serialization and statistics sampling are charged.
-
-    Returns ``(row_count, stats)`` like :meth:`BulkLoader.load`.
-    """
+    """Materialize tuples into a heap file; returns ``(row_count,
+    stats)``. Each value is sampled for statistics as it is pulled from
+    its row, then the tuple is serialized, its largest string values
+    moved to ``<heap_path>.toast`` past the TOAST threshold (see
+    storage.toast), and appended. A row may be lazy — a CSV record
+    whose values convert as they are pulled (:class:`BulkLoader`) — or
+    computed, as CTAS and rollup builds hand over a query's tuples."""
     codec = RecordCodec(schema)
     families = [t.family for t in schema.types]
     arity = schema.arity
@@ -131,15 +69,12 @@ def load_rows(vfs: VirtualFS, model: CostModel, heap_path: str,
     toast_writer = ToastWriter(vfs, toast_path, model)
     count = 0
     with HeapWriter(vfs, heap_path, model) as writer:
-        for values in rows:
-            values = list(values)
-            if len(values) != arity:
-                raise CSVFormatError(
-                    f"row {count} has {len(values)} attributes, "
-                    f"schema has {arity}", row_number=count)
-            for attr, value in enumerate(values):
-                samplers[attr].add(value)
+        for row in rows:
+            values = []
+            for sampler, value in zip(samplers, row):
+                sampler.add(value)
                 model.stats_sample(1)
+                values.append(value)
             model.serialize(arity)
             values = toast_values(values, families, toast_writer,
                                   codec.encoded_width)

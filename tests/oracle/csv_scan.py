@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.positional_map import NO_POS
 from repro.core.scan import RawCsvAccess
 from repro.errors import CSVFormatError, ExecutionError, annotate
-from repro.formats.csvfmt import span_backward, span_forward
+from repro.formats.csvfmt import convert_field, span_backward, span_forward
 from repro.sql.batch import rows_to_batches
 from repro.sql.scanapi import ScanPredicate
 
@@ -55,7 +55,9 @@ class _RowContext:
             return self.values[attr]
         span = self.span(attr)
         text = self.line[span[0]:span[1]].decode("utf-8", "replace")
-        value = self.scan._convert(attr, text)
+        column = self.scan.schema.columns[attr]
+        value = convert_field(self.scan.model, text, column.dtype,
+                              column.name)
         self.values[attr] = value
         return value
 
@@ -80,7 +82,11 @@ class _RowContext:
                 self._record(attr, (start, known[attr + 1] - 1))
                 return
             if attr == nattrs - 1:
-                self._record(attr, (start, self.line_len))
+                # Free: the line's end, or the next delimiter of a line
+                # wider than the schema.
+                end = self.line.find(scan.dialect.delimiter, start)
+                self._record(attr, (start, self.line_len if end < 0
+                                    else end))
                 return
             spans, scanned = span_forward(self.line, start, 1,
                                           scan.dialect)

@@ -38,6 +38,7 @@ from repro import (
     DATE,
     FLOAT,
     INTEGER,
+    ExternalFilesDBMS,
     LoadedDBMS,
     PostgresRaw,
     PostgresRawConfig,
@@ -45,7 +46,7 @@ from repro import (
     VirtualFS,
     varchar,
 )
-from repro.errors import FormatError, ReproError
+from repro.errors import CSVFormatError, FormatError, ReproError
 from repro.formats.csvfmt import write_csv
 from repro.formats.fits import write_bintable
 from repro.storage.faults import FaultInjectingVFS
@@ -395,11 +396,14 @@ KINDS = {
 class Table:
     """Schema and rows follow from ``KINDS[kind]`` and ``seed``;
     ``dirty`` turns ~5 % of the non-string cells into text no converter
-    accepts (the ``on_error`` policies' input)."""
+    accepts (the ``on_error`` policies' input); ``narrow`` declares the
+    schema without its last ``narrow`` columns, whose fields the file's
+    lines still carry."""
     name: str = "t"
     kind: str = "random"
     seed: int = 0
     dirty: bool = False
+    narrow: int = 0
 
     def generate(self):
         """The schema and a fresh list of the (shared, never mutated)
@@ -431,7 +435,23 @@ class Table:
 def _generated(table: Table):
     rng = random.Random(table.seed)
     schema, rows = KINDS[table.kind](rng)
+    schema = Schema(schema.columns[:schema.arity - table.narrow])
     return schema, table._dirty(schema, rows, rng)
+
+
+def first_malformed(table: Table):
+    """``(row_number, column)`` of the first line of ``table``'s initial
+    file with a field its declared column cannot parse, or None."""
+    schema, rows = table.generate()
+    for row_number, row in enumerate(rows):
+        for column, text in zip(schema.columns, row):
+            if text == "" and column.dtype.family != "str":
+                continue
+            try:
+                column.dtype.parse(text)
+            except Exception:
+                return row_number, column.name
+    return None
 
 
 def seeded(seed: int, kind: str = "random", name: str = "t"):
@@ -581,6 +601,10 @@ def render(fmt: str, schema: Schema, rows, style: int = 0) -> bytes:
                for c, v in zip(schema.columns, row)) for row in rows])
 
 
+#: the comparators, which take no ``PostgresRawConfig``
+CONFIGLESS = (LoadedDBMS, ExternalFilesDBMS)
+
+
 def build_engine(tables: dict, fmt: str = "csv", engine=PostgresRaw,
                  vfs=None, options: str = "", files: dict | None = None,
                  **config) -> PostgresRaw:
@@ -589,10 +613,11 @@ def build_engine(tables: dict, fmt: str = "csv", engine=PostgresRaw,
     declared by ``CREATE TABLE ... USING fmt OPTIONS (path ...
     <options>)``; a file already in ``vfs`` is taken as it is, and
     ``files`` maps a name to the glob of files already written. The
-    loaded DBMS loads the CSV instead."""
+    loaded DBMS loads the CSV instead; it and the external-files
+    straw-man take no config."""
     vfs = VirtualFS() if vfs is None else vfs
     loaded = engine is LoadedDBMS
-    db = (engine(vfs=vfs) if loaded else
+    db = (engine(vfs=vfs) if engine in CONFIGLESS else
           engine(config=PostgresRawConfig(**config), vfs=vfs))
     for name, (schema, data) in tables.items():
         path = (files or {}).get(name) or f"{name}.{fmt}"
@@ -797,7 +822,7 @@ class _Player:
         self.build = functools.partial(
             build_engine, self.data, self.layout, variant.engine, vfs,
             "" if on_error is None else f", on_error '{on_error}'", globs,
-            **({} if variant.engine is LoadedDBMS else config))
+            **({} if variant.engine in CONFIGLESS else config))
         self.engine = self.build()
         self.server, self.sessions = None, []
         if variant.transport == "wire":
@@ -852,11 +877,14 @@ class _Player:
             cursor, session = self.cursor(op.sql)
             return rows_key(cursor.fetchall()), _ledger([(cursor, session)])
         if isinstance(op, Prepared):
+            # A re-bind waits for the last result: one still streaming
+            # refuses it (OperationalError), and stays live on.
             statement, session = self.cursor(op.sql, op.binds)
-            cursors = [(statement.execute(bind), session)
-                       for bind in op.binds]
-            return ([rows_key(c.fetchall()) for c, _ in cursors],
-                    _ledger(cursors))
+            cursors, rows = [], []
+            for bind in op.binds:
+                cursors.append((statement.execute(bind), session))
+                rows.append(rows_key(cursors[-1][0].fetchall()))
+            return rows, _ledger(cursors)
         if isinstance(op, Abandon):
             cursor, _ = self.cursor(op.sql)
             fetched = sum((cursor.fetchmany(5) for _ in range(op.k)), [])
@@ -911,8 +939,9 @@ def _ledger(cursors):
 
 def run(scenario: Scenario, variant: Variant = Variant()) -> list[dict]:
     """Play ``scenario`` on ``variant``: one digest per op. A typed
-    failure is an outcome — error class, code and row number; an engine
-    crash (a typed error caused by an untyped one) fails the run."""
+    failure is an outcome — error class, code, row number and column;
+    an engine crash (a typed error caused by an untyped one) fails the
+    run."""
     player = _Player(scenario, variant)
     names = [table.name for table in scenario.tables]
     digests = []
@@ -925,7 +954,8 @@ def run(scenario: Scenario, variant: Variant = Variant()) -> list[dict]:
                         not isinstance(exc.__cause__, ReproError):
                     raise
                 outcome, ledger = ("error", type(exc).__name__, exc.code,
-                                   exc.context.get("row_number")), None
+                                   exc.context.get("row_number"),
+                                   exc.context.get("column")), None
             digests.append(digest(player.engine, names, outcome, ledger))
     finally:
         player.close()
@@ -996,13 +1026,14 @@ def _as_multiset(outcome):
 def _rows_only(d, scenario, step):
     """Rows as a multiset (statistics a partial scan sampled may turn
     the planner to another grouping strategy); of interleaved cursors
-    any one may fail first."""
+    any one may fail first; a failure's column is the first one a
+    block's column-major compute met, not always its row's first."""
     op, outcome = scenario.ops[step], d["outcome"]
     if isinstance(op, Abandon):
         return {}
     if isinstance(outcome, tuple):
         return {"outcome": outcome[:3] if isinstance(op, Interleave)
-                else outcome}
+                else outcome[:4]}
     return {"outcome": _as_multiset(outcome)}
 
 
@@ -1084,6 +1115,12 @@ def glob_view(d, scenario, step, pair):
 _FLOAT = re.compile(r"-?\d+\.\d+(?:e[-+]?\d+)?")
 
 
+def _rounded(cursors):
+    """Each cursor's rows as a multiset, floats to 12 digits."""
+    return [[_FLOAT.sub(lambda m: f"{float(m.group()):.12g}", row)
+             for row in sorted(cursor)] for cursor in cursors]
+
+
 def loaded_view(d, scenario, step, pair):
     """The loaded DBMS, an independent engine: the multiset of rows of
     every query and interleaved cursor, floats to 12 digits (it may sum
@@ -1093,10 +1130,47 @@ def loaded_view(d, scenario, step, pair):
         return {}
     if isinstance(outcome, tuple):
         return {"outcome": "error"}
-    rows = [outcome] if isinstance(op, Query) else outcome
-    return {"outcome": [
-        [_FLOAT.sub(lambda m: f"{float(m.group()):.12g}", row)
-         for row in sorted(cursor)] for cursor in rows]}
+    return {"outcome": _rounded([outcome] if isinstance(op, Query)
+                                else outcome)}
+
+
+def external_view(d, scenario, step, pair):
+    """The external-files straw-man, which plans without statistics
+    (§2) — it may group by sorting where the reference hashes, and
+    build a join on the other side — and parses every field of every
+    line. Rows are compared as the loaded DBMS's are, a failure by
+    class, code and row number, and the ``__rejects__/`` sidecar byte
+    for byte until an abandoned or interleaved scan stopped the two
+    engines' reading at different lines. Under ``on_error 'fail'`` a
+    dirty table fails each query over it at its first malformed line,
+    row number and column, whatever the query touches — the one answer
+    the engines do not share. Until the files change, that error (its
+    code, row number and column) stands in for the reference's answer —
+    of a join, either table's: the plan picks the side it reads
+    first."""
+    op, outcome = scenario.ops[step], d["outcome"]
+    done = scenario.ops[:step + 1]
+    if "on_error" not in scenario.options and any(
+            t.dirty for t in scenario.tables):
+        if not isinstance(op, Query) or any(
+                isinstance(o, CHANGES) for o in done):
+            return {}
+        firsts = [(CSVFormatError.code, *first) for first in
+                  map(first_malformed, scenario.tables) if first is not None]
+        if firsts:
+            got = pair[1]["outcome"]
+            got = got[2:] if isinstance(got, tuple) else got
+            return {"outcome": got if d is pair[1] or got in firsts
+                    else firsts[0]}
+    view = {} if any(isinstance(o, (Abandon, Interleave)) for o in done) \
+        else {"rejects": d["rejects"]}
+    if isinstance(op, Abandon) or outcome is None:
+        return view
+    if isinstance(outcome, tuple):
+        return {**view, "outcome": outcome[:3] if isinstance(op, Interleave)
+                else outcome[:4]}
+    return {**view, "outcome": _rounded(
+        [outcome] if isinstance(op, Query) else outcome)}
 
 
 @dataclass(frozen=True)
@@ -1136,6 +1210,8 @@ AXES = [
          lambda s: _single_csv(s) and not _faulted(s)
          and not any(t.dirty for t in s.tables)
          and not any(isinstance(op, CHANGES) for op in s.ops)),
+    Axis("external", REFERENCE, Variant(engine=ExternalFilesDBMS),
+         external_view, lambda s: _single_csv(s) and not _faulted(s)),
 ]
 WIRE = Axis("wire", Variant(transport="session"), Variant(transport="wire"),
             same)
@@ -1185,6 +1261,9 @@ def check(scenario: Scenario, axes=AXES) -> dict[Variant, list[dict]]:
 #: table families; the keyed ones are a pair ``l`` / ``r``
 FAMILIES = ("random", "numeric", "micro", "case", "pair", "keyed_int",
             "keyed_str", "fits")
+#: the families whose statements follow the schema, so a schema
+#: narrower than the file's lines (``Table.narrow``) may be drawn
+NARROWABLE = ("random", "numeric", "micro")
 
 #: a config point is a block size plus up to three of these
 CONFIG_CHOICES = [
@@ -1215,7 +1294,8 @@ def _statement(rng: random.Random, family: str, schema: Schema) -> str:
 @st.composite
 def scenarios(draw, families=FAMILIES, layouts=("csv", "jsonl"),
               max_files=3, max_ops=6, changes=True):
-    """One table family, a layout, a config point and a script: queries
+    """One table family (its schema perhaps narrower than its file's
+    lines), a layout, a config point and a script: queries
     from one grammar (select / aggregate / order shapes, joins and
     EXISTS, CASE aggregates, column pairs) through ``Database.query`` or
     a session, prepared re-binds, abandoned and interleaved cursors,
@@ -1228,7 +1308,8 @@ def scenarios(draw, families=FAMILIES, layouts=("csv", "jsonl"),
         tables = (Table("l", f"l_{key}", seed, dirty),
                   Table("r", f"r_{key}", seed + 1, dirty))
     else:
-        tables = (Table("t", family, seed, dirty),)
+        narrow = draw(st.integers(0, 2)) if family in NARROWABLE else 0
+        tables = (Table("t", family, seed, dirty, narrow),)
     layout = "fits" if family == "fits" else draw(st.sampled_from(layouts))
     files = 1 if len(tables) > 1 or layout == "fits" else \
         draw(st.integers(1, max_files))

@@ -9,6 +9,16 @@ maps replaces the scan, so the partitioned-vs-one-file cost parity of
 the lockstep harness's ``glob`` axis holds for these queries too. New,
 appended and all-NULL files change the answers exactly as they change
 the data.
+
+One byte per file boundary is the exception. A warm block read over
+the line index covers the block's lines up to, not including, the last
+one's newline; the next block's read starts a byte later, and the VFS
+charges that one-byte forward gap as read-through
+(``disk_read_warm``). One file has such a gap at every block boundary;
+a glob whose block boundaries are file boundaries has none there — the
+newline ends a file nobody reads on. So ``min(tag), max(tag)`` over
+three files reads ``files - 1`` bytes less than over one, and every
+other counter is equal.
 """
 
 from __future__ import annotations
@@ -100,6 +110,18 @@ class TestBareAggregatesOverGlobs:
             assert part.query(sql).rows == one.query(sql).rows, sql
         assert part.query("SELECT count(*), sum(v) FROM ev").rows == [
             (12, 117)]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_warm_reads_differ_by_the_boundary_newlines(self, workers):
+        one, part = build(files=1, workers=workers), build(workers=workers)
+        one.query(BARE)
+        part.query(BARE)
+        sql = "SELECT min(tag), max(tag) FROM ev"
+        expected, got = core_counters(one.query(sql)), core_counters(
+            part.query(sql))
+        assert (expected.pop("disk_read_warm") - got.pop("disk_read_warm")
+                == 3 - 1)
+        assert got == expected
 
     def test_varchar_extremes(self):
         db = build()

@@ -51,6 +51,18 @@ class TestBulkLoader:
         with pytest.raises(CSVFormatError):
             loader.load("bad.csv", "bad.heap", micro_schema(2))
 
+    def test_narrower_schema_loads_the_prefix(self, vfs):
+        """Lines wider than the schema load their first declared
+        columns, converting and sampling only those."""
+        vfs.create("wide.csv", b"1,2,x\n3,4,y\n")
+        model = CostModel()
+        rows, stats = BulkLoader(vfs, model).load("wide.csv", "w.heap",
+                                                   micro_schema(2))
+        assert rows == 2
+        assert model.count(CostEvent.CONVERT_INT) == 4
+        assert model.count(CostEvent.STATS_SAMPLE) == 4
+        assert stats.column("a2").max_value == 4
+
     def test_reload_overwrites(self, people_vfs):
         model = CostModel()
         loader = BulkLoader(people_vfs, model)
@@ -153,11 +165,17 @@ class TestExternalFilesDBMS:
         assert db.catalog.get("people").stats is None
         assert db.use_statistics is False
 
-    def test_ragged_lines_skipped(self, vfs):
+    def test_ragged_line_fails_the_query(self, vfs):
+        """A short line is malformed under the default ``on_error
+        'fail'``, as PostgresRaw and the loader read it: the query
+        fails naming the line and the missing column."""
         vfs.create("ragged.csv", b"1,2\n3\n4,5\n")
         db = ExternalFilesDBMS(vfs=vfs)
         create_table(db, "r", "ragged.csv", micro_schema(2))
-        assert db.query("SELECT count(*) FROM r").scalar() == 2
+        with pytest.raises(CSVFormatError, match="short row") as caught:
+            db.query("SELECT count(*) FROM r")
+        assert caught.value.context["row_number"] == 1
+        assert caught.value.context["column"] == "a2"
 
     def test_lines_wider_than_the_schema_are_read(self, vfs):
         """Two declared columns over a three-field file: every line is
@@ -181,37 +199,113 @@ class TestExternalFilesDBMS:
         assert db.query("SELECT count(*) FROM people").scalar() == 6
 
 
-def _external_engines(vfs):
-    """The straw-man as its own engine and as ``CREATE EXTERNAL TABLE``
-    inside PostgresRaw, next to PostgresRaw's own scan: the three must
-    agree on what a raw file says."""
-    external = ExternalFilesDBMS(vfs=vfs)
-    create_table(external, "t", "t.csv", micro_schema(2))
-    inside = PostgresRaw(vfs=vfs)
-    inside.query("CREATE EXTERNAL TABLE t (a1 INTEGER, a2 INTEGER) "
-                 "USING csv OPTIONS (path 't.csv')")
-    raw = PostgresRaw(vfs=vfs)
-    create_table(raw, "t", "t.csv", micro_schema(2))
-    return {"external": external, "external table": inside, "raw": raw}
+#: every engine over one CSV file: the straw-man as its own engine and
+#: as ``CREATE EXTERNAL TABLE`` inside PostgresRaw, the loaded DBMS and
+#: PostgresRaw's own scan
+ENGINES = ("external", "external table", "loaded", "raw")
+
+
+def _answers(data: bytes, sql: str = "SELECT * FROM t",
+             columns: str = "a1 INTEGER, a2 INTEGER", on_error=None,
+             scans: int = 2):
+    """Each engine's answer to ``sql`` run ``scans`` times over its own
+    ``t.csv`` holding ``data``: the last scan's rows, or the
+    :class:`CSVFormatError` (raised by the query, or by the load) as
+    ``(row_number, column)``; and the ``__rejects__/t`` sidecar. The
+    loaded DBMS always loads under ``on_error 'fail'``, so it answers
+    only without a policy."""
+    answers = {}
+    for name in ENGINES:
+        if name == "loaded" and on_error is not None:
+            continue
+        vfs = VirtualFS()
+        vfs.create("t.csv", data)
+        options = "" if on_error is None else f", on_error '{on_error}'"
+        try:
+            if name == "loaded":
+                db = LoadedDBMS(vfs=vfs)
+                db.query(f"CREATE TABLE t ({columns}) USING heap "
+                         "OPTIONS (path 't.csv')")
+            else:
+                db = (ExternalFilesDBMS if name == "external"
+                      else PostgresRaw)(vfs=vfs)
+                kind = "EXTERNAL TABLE" if name == "external table" \
+                    else "TABLE"
+                db.query(f"CREATE {kind} t ({columns}) USING csv "
+                         f"OPTIONS (path 't.csv'{options})")
+            for _ in range(scans):
+                answer = db.query(sql).rows
+        except CSVFormatError as exc:
+            answer = (exc.context.get("row_number"),
+                      exc.context.get("column"))
+        answers[name] = answer, (vfs.read_bytes("__rejects__/t")
+                                 if vfs.exists("__rejects__/t") else None)
+    return answers
+
+
+def _same(answers):
+    """The one answer every engine gave."""
+    assert len(set(map(repr, answers.values()))) == 1, answers
+    return next(iter(answers.values()))
 
 
 class TestExternalAgreesWithRaw:
-    def test_prefix_schema_gives_the_same_rows(self, vfs):
-        vfs.create("t.csv", b"1,2,x\n3,4,y\n5,,z\n")
-        answers = {name: db.query("SELECT a1, a2 FROM t").rows
-                   for name, db in _external_engines(vfs).items()}
-        assert answers == {name: [(1, 2), (3, 4), (5, None)]
-                           for name in answers}
+    """One answer to a dirty file from every engine: each reads a line
+    through one record path and the table's ``on_error`` policy."""
 
-    def test_bad_value_is_the_same_error(self, vfs):
-        vfs.create("t.csv", b"1,2\n3,4\n5,x\n7,8\n")
-        errors = {}
-        for name, db in _external_engines(vfs).items():
-            with pytest.raises(CSVFormatError) as caught:
-                db.query("SELECT a1, a2 FROM t")
-            context = caught.value.context
-            errors[name] = (context.get("column"), context.get("row_number"))
-        assert errors == {name: ("a2", 2) for name in errors}
+    def test_prefix_schema_gives_the_same_rows(self):
+        assert _same(_answers(b"1,2,x\n3,4,y\n5,,z\n")) == (
+            [(1, 2), (3, 4), (5, None)], None)
+
+    def test_wider_lines_warm_read_only_the_last_declared_field(self):
+        """A warm scan whose map knows where the last declared column
+        starts still ends it at the next delimiter, not the line's
+        end."""
+        assert _same(_answers(b"1,ab,x\n3,cd,y\n", "SELECT a2 FROM t",
+                              "a1 INTEGER, a2 VARCHAR", scans=3)) == (
+            [("ab",), ("cd",)], None)
+
+    @pytest.mark.parametrize("data", [b"1,2\n3\n5,6\n", b"1,2\n\n5,6\n"],
+                             ids=["short line", "blank line"])
+    def test_short_line_fails_every_engine(self, data):
+        answers = _answers(data)
+        assert {row for (row, _), _ in answers.values()} == {1}
+        # The engines that parse whole lines name the missing column.
+        for name in ("external", "external table", "loaded"):
+            assert answers[name] == ((1, "a2"), None)
+
+    def test_bad_value_is_the_same_error(self):
+        assert _same(_answers(b"1,2\n3,4\n5,x\n7,8\n")) == (
+            (2, "a2"), None)
+
+    @pytest.mark.parametrize("data", [b"1,2\n3,x\n5,6\n",
+                                      b"1,2\n3\n5,6\n", b"1,2\n\n5,6\n"],
+                             ids=["bad value", "short line", "blank line"])
+    def test_skip_rejects_the_line_into_the_same_sidecar(self, data):
+        (rows, rejects) = _same(_answers(data, on_error="skip"))
+        assert rows == [(1, 2), (5, 6)]
+        assert rejects.startswith(b"1\t") and rejects.count(b"\n") == 1
+
+    @pytest.mark.parametrize("data, row", [
+        (b"1,2\n3,x\n5,6\n", (3, None)), (b"1,2\n3\n5,6\n", (3, None)),
+        (b"1,2\n\n5,6\n", (None, None))],
+        ids=["bad value", "short line", "blank line"])
+    def test_null_turns_the_missing_value_null(self, data, row):
+        assert _same(_answers(data, on_error="null")) == (
+            [(1, 2), row, (5, 6)], None)
+
+    def test_untouched_bad_value_is_the_one_divergence(self):
+        """Under ``'fail'`` the engines that convert every column fail
+        on a value the query never touches, which PostgresRaw's
+        selective parsing never reads; under a tolerant policy the
+        line is redone over the touched columns alone, as PostgresRaw
+        reads it."""
+        data, sql = b"1,2\n3,x\n", "SELECT a1 FROM t"
+        answers = _answers(data, sql)
+        assert answers.pop("raw") == ([(1,), (3,)], None)
+        assert _same(answers) == ((1, "a2"), None)
+        assert _same(_answers(data, sql, on_error="skip")) == (
+            [(1,), (3,)], None)
 
     def test_loader_names_the_bad_value(self, vfs):
         vfs.create("t.csv", b"1,2\n3,4\n5,x\n")

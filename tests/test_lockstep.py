@@ -4,8 +4,8 @@ hypothesis.
 Every drawn scenario is played on each axis that applies to it — the
 row-at-a-time oracle, ``scan_workers`` 1↔4, kernels on↔off, a fixed
 fault seed at 1↔4 workers, CSV↔its JSONL twin, a glob↔one file, the
-loaded DBMS, a live engine after a file change↔one built over the
-changed files — and the per-step digests must agree up to each axis's
+loaded DBMS, the external-files straw-man, a live engine after a file
+change↔one built over the changed files — and the per-step digests must agree up to each axis's
 declared projection. Tier 1 runs a fixed, derandomized budget — next
 to the seeded scenarios the differential suites pin on the same
 harness; ``--hypothesis-profile=soak`` (registered in
