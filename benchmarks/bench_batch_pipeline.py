@@ -6,7 +6,7 @@ columnar pipeline's point is keeping per-row interpreter work out of
 the hot loop. What it asserts are contracts, not speedups over a
 row-at-a-time twin (that twin is a test oracle, ``tests/oracle/``, and
 the tier-1 differential suites hold it to identical rows, structures
-and counters): §4.4 statistics cost at most 2.8x a first query without
+and counters): §4.4 statistics cost at most 1.3x a first query without
 them, and the TPC-H shapes stay fully columnar
 (``rows_materialized == 0``), cold and warm.
 """
@@ -36,10 +36,13 @@ def build(**config_kwargs) -> PostgresRaw:
 def test_statistics_overhead_smoke(benchmark):
     """§4.4 statistics ride along with the scan: the first query on a
     fresh table with ``enable_statistics=True`` (the default) may cost
-    at most 2.8x the same query with statistics off — sampling is a
-    column-at-a-time step of the block pipeline, not a per-value walk
-    (which measured 4.1x). Rows and every priced counter other than
-    ``stats_sample`` are the same either way."""
+    at most 1.3x the same query with statistics off. Sampling is a
+    bottom-k sample keyed by row position: a block's keys are one
+    vectorized hash, and only the values whose key enters the sample
+    become Python objects — neither a per-value walk (which measured
+    4.1x) nor one random draw per value (Algorithm R, which measured
+    ~1.7x). Rows and every priced counter other than ``stats_sample``
+    are the same either way."""
     sql = ("SELECT " + ", ".join(f"a{i + 1}" for i in PROJECTED)
            + " FROM m WHERE a1 < 500000000")
     first_query = {}
@@ -64,9 +67,9 @@ def test_statistics_overhead_smoke(benchmark):
     table(["statistics", "first query ms", "vs off"],
           [["off", first_query[False] * 1e3, 1.0],
            ["on", first_query[True] * 1e3, ratio]])
-    assert ratio <= 2.8, (
+    assert ratio <= 1.3, (
         f"first query with statistics costs {ratio:.2f}x the same "
-        "query without (bar: 2.8x)")
+        "query without (bar: 1.3x)")
 
     benchmark.pedantic(lambda: build().query(sql), rounds=3,
                        iterations=1)

@@ -138,7 +138,7 @@ class BlockColumn:
     every *materialized* row — with an object-array view (``values``,
     None where absent/NULL) built lazily only when a consumer needs
     Python objects in an array (row-closure fallbacks, date output;
-    stats sampling takes :meth:`tolist` straight off the typed array).
+    stats sampling takes :meth:`at` straight off the typed array).
     When typed assembly is impossible (NULLs, strings, mixed
     sources) the object array is the storage and ``typed`` is None.
     ``conv_idx`` tracks the subset converted from the raw file this
@@ -200,15 +200,15 @@ class BlockColumn:
                 self.typed = None
         return self
 
-    def tolist(self, rows: np.ndarray | None = None) -> list:
-        """Python values at ``rows`` (None: every row; all of them
-        materialized), straight off the typed array when there is one
-        (day numbers are not values: dates go through the object
-        view)."""
+    def at(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """The values at ``rows`` (None: every row; all of them
+        materialized) for §4.4 sampling: a slice of the typed array when
+        there is one (day numbers are not values: dates come from the
+        object view)."""
         source = self.typed
         if source is None or self.family == "date":
             source = self.values
-        return (source if rows is None else source[rows]).tolist()
+        return source if rows is None else source[rows]
 
 
 def predicate_mask(model, predicate: ScanPredicate | None, columns: dict,
@@ -440,7 +440,6 @@ class RawFileAccess(ErrorPolicy):
         self.cache = cache
         self._dtypes = schema.types
         self._families = [t.family for t in schema.types]
-        self.queries_executed = 0
         #: workload knowledge for the §7 idle tuner: attr -> request count
         self.attr_request_counts: dict[int, int] = {}
         self.pm = positional_map          # None only in Baseline mode
@@ -449,6 +448,8 @@ class RawFileAccess(ErrorPolicy):
         self.pool = pool
         self.row_count: int | None = None
         self._seen_size = 0
+        #: (data version, attr) of every statistic a live scan collects
+        self._collecting: set[tuple[int, int]] = set()
 
     @property
     def table_info(self):
@@ -522,9 +523,15 @@ class RawFileAccess(ErrorPolicy):
         statistics collector, the costed file handle), ``body(handle,
         out_attrs, where_attrs, union_attrs, predicate, collector)``'s
         output with format and storage errors annotated (``path=``,
-        ``table=``), and the statistics epilogue."""
+        ``table=``), and the statistics epilogue.
+
+        One owner per statistic: the first live scan to open a
+        collector for (data version, attribute) collects it, and a
+        scan running at the same time leaves that attribute alone, so
+        the statistics two concurrent scans leave do not depend on
+        their pace. The claim ends with the scan — finished, failed or
+        abandoned."""
         info = self.table_info  # held while the scan runs
-        self.queries_executed += 1
         out_attrs = list(needed)
         where_attrs = list(predicate.attrs) if predicate else []
         union_attrs = sorted(set(out_attrs) | set(where_attrs))
@@ -532,32 +539,36 @@ class RawFileAccess(ErrorPolicy):
             self.attr_request_counts[attr] = \
                 self.attr_request_counts.get(attr, 0) + 1
         collector = None
+        claims = []
         if self.config.enable_statistics:
             # §4.4: augment incrementally — sample only attributes that
-            # have no statistics yet.
-            missing = [
-                attr for attr in union_attrs
-                if info.stats is None
-                or not info.stats.has_column(self.schema.columns[attr].name)
-            ]
-            if missing:
+            # have no statistics yet and no other live scan collects.
+            claims = [
+                (info.data_version, attr) for attr in union_attrs
+                if (info.stats is None or not info.stats.has_column(
+                    self.schema.columns[attr].name))
+                and (info.data_version, attr) not in self._collecting]
+            if claims:
                 collector = StatsCollector(
-                    self.model, self.schema, missing,
-                    self.config.stats_sample_target,
-                    seed=self.queries_executed)
+                    self.model, self.schema, [attr for _, attr in claims],
+                    self.config.stats_sample_target)
+                self._collecting.update(claims)
         handle = self.vfs.open(self.path, self.model, notify=False)
         try:
             yield from body(handle, out_attrs, where_attrs, union_attrs,
                             predicate, collector)
         except (FormatError, StorageError) as exc:
             raise annotate(exc, path=self.path, table=info.name)
-        if collector is not None:
-            stats = info.stats or TableStats()
-            row_count = self.estimated_rows()
-            if row_count is None:
-                row_count = info.row_count_hint or 0
-            collector.finalize(stats, row_count)
-            info.stats = stats
+        else:
+            if collector is not None:
+                stats = info.stats or TableStats()
+                row_count = self.estimated_rows()
+                if row_count is None:
+                    row_count = info.row_count_hint or 0
+                collector.finalize(stats, row_count)
+                info.stats = stats
+        finally:
+            self._collecting.difference_update(claims)
 
     def _rows_with_known_span(self) -> int:
         """Rows of the indexed region: those whose line span the map
@@ -855,7 +866,7 @@ class BlockScan:
         is handed to ``reject(row_number, line, reason)`` (default: the
         sidecar) and counted.
         The rows contribute nothing to the positional map, the cache or
-        the statistics reservoirs — degradation, never corruption."""
+        the statistics samples — degradation, never corruption."""
         rows = []
         for i, line in enumerate(self._lines(starts, ends, buffer,
                                              buffer_base)):
@@ -924,7 +935,8 @@ class BlockScan:
         self.model.tuple_overhead(row1 - row0)
         starts, ends = self._line_spans(row0, row1)
         try:
-            return self._indexed_block_strict(handle, block, starts, ends)
+            return self._indexed_block_strict(handle, block, row0, starts,
+                                              ends)
         except FormatError as exc:
             if self.access.on_error == "fail":
                 raise self._with_row_number(exc, row0, starts, ends)
@@ -940,11 +952,11 @@ class BlockScan:
         blob = handle.read_at(base, int(ends[-1]) - base)
         return self._tolerant_rows(row0, starts, ends, blob, base)
 
-    def _indexed_block_strict(self, handle, block: int,
+    def _indexed_block_strict(self, handle, block: int, row0: int,
                               starts: np.ndarray, ends: np.ndarray,
                               ) -> ColumnBatch:
-        """Strict compute of one indexed block (its rows' line spans
-        are ``starts``/``ends``), inserting its PM/cache contributions
+        """Strict compute of one indexed block (rows ``row0`` on; their
+        line spans are ``starts``/``ends``), inserting its PM/cache contributions
         only at the end of a clean block; raises
         :class:`~repro.errors.FormatError` on malformed input."""
         model = self.model
@@ -975,13 +987,13 @@ class BlockScan:
         collector = self.collector
         if collector is not None and where_attrs:
             # Scalar loop-1 adds: failing rows always; qualifying rows
-            # too when there are no SELECT attributes (and those rows
-            # are re-sampled by the loop-2 pass below, as in the scalar
-            # path).
-            rows = np.flatnonzero(~qual) if out_attrs else None
+            # too when there are no SELECT attributes (the loop-2 pass
+            # below feeds those rows again, as the scalar path does;
+            # the sample counts a row once).
+            rows = np.flatnonzero(~qual) if out_attrs else np.arange(n)
             collector.add_columns(
-                {attr: columns[attr].tolist(rows) for attr in where_attrs
-                 if attr in collector.attrs})
+                {attr: (columns[attr].at(rows), row0 + rows)
+                 for attr in where_attrs if attr in collector.attrs})
 
         # -- phase S: bytes + conversion for qualifying rows missing a
         #    SELECT attribute (selective parsing, §4.1)
@@ -1014,7 +1026,7 @@ class BlockScan:
                 if attr not in out_attrs:
                     conv_idx = columns[attr].conv_idx
                     rows = conv_idx[qual[conv_idx]]
-                sampled[attr] = columns[attr].tolist(rows)
+                sampled[attr] = columns[attr].at(rows), row0 + rows
             collector.add_columns(sampled)
 
         # -- PM / cache inserts (whole chunks)
@@ -1297,15 +1309,19 @@ class BlockScan:
         model.tuple_form(len(out_attrs) * nqual)
 
         if self.collector is not None:
-            # §4.4, in file order: WHERE values of every row, SELECT-only
-            # values of the qualifying rows (whose conversions this scan
-            # actually paid). Samplers are per attribute, so fed these
-            # columns each reservoir's RNG sees the serial row-at-a-time
-            # sequence.
-            ops.append(("collect", {
-                attr: columns[attr].tolist(
-                    None if attr in self.where_attrs else qual_idx)
-                for attr in self.collector.attrs}))
+            # §4.4: WHERE values of every row, SELECT-only values of the
+            # qualifying rows (whose conversions this scan actually
+            # paid) — those as converted, with no block-wide view.
+            sampled = {}
+            for attr in self.collector.attrs:
+                column = columns[attr]
+                if attr in self.where_attrs:
+                    sampled[attr] = column.at(), row0 + every_row
+                else:
+                    sampled[attr] = (column.conv_values
+                                     if column.conv_typed is None
+                                     else column.conv_typed), row0 + qual_idx
+            ops.append(("collect", sampled))
 
         # -- stage the inserts: positional-map chunk, then cache chunks
         rows_in_block = first_in_block + n
@@ -1333,10 +1349,10 @@ class BlockScan:
         Entries are ``("c", event, units)`` charges and the staged
         structural operations, in the exact order an inline compute
         would have performed them — so the clock, the positional map,
-        the cache and the statistics reservoirs evolve identically. A
-        ``"collect"`` op carries a group's sampled value columns; the
-        collector samples and charges them here, on the real model, one
-        column at a time."""
+        the cache and the statistics samples evolve identically. A
+        ``"collect"`` op carries a group's sampled value columns with
+        their row positions; the collector samples and charges them
+        here, on the real model."""
         model = self.model
         for op in ops:
             tag = op[0]

@@ -57,7 +57,7 @@ class PostgresRawConfig:
         added to the map (as part of the query's chunk group) — a
         per-scan attribute set of the same block scan, in both regions.
     stats_sample_target:
-        Reservoir size per column for on-the-fly statistics (§4.4).
+        Sample size per column for on-the-fly statistics (§4.4).
     batch_read_bytes:
         Sequential read granularity of the streaming region (256 KiB,
         the read size of the row-at-a-time reference scan in

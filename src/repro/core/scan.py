@@ -17,7 +17,7 @@ One scan integrates every mechanism of the paper:
 * **binary cache** — converted values are served from / inserted into
   the cache, per (attribute, block), with partial-block masks;
 * **statistics** — values converted during the scan feed per-attribute
-  reservoir samples (§4.4).
+  bottom-k samples keyed by row position (§4.4).
 
 There is one path: the shell is :class:`~repro.core.blockscan.
 RawFileAccess`, the block compute :class:`~repro.core.blockscan.

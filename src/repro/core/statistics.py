@@ -2,151 +2,336 @@
 
 PostgresRaw invokes "the native statistics routines of the DBMS,
 providing it with a sample of the data", only for attributes the current
-query actually reads. We reproduce that with per-attribute reservoir
-samplers filled during the scan; at end-of-scan the samples are folded
-into the table's :class:`~repro.sql.stats.TableStats`, incrementally
-augmenting whatever earlier queries collected.
+query actually reads. We reproduce that with one bottom-k sample per
+attribute, filled during the scan; at end-of-scan the samples are
+folded into the table's :class:`~repro.sql.stats.TableStats`,
+incrementally augmenting whatever earlier queries collected.
+
+The sample is keyed by row position (Cohen & Kaplan's bottom-k
+sketches): a value's key is :func:`position_keys` — splitmix64 of its
+column and its absolute row number under one fixed seed — and the
+sample keeps the values of the ``capacity`` smallest keys. It is a
+uniform sample without replacement of the rows the scan fed, and a pure
+function of *which* rows those were: not of their order, their
+chunking, the worker count, the kernels or how concurrent scans
+interleave. A row fed twice has one key and counts once; the samples
+of two disjoint sets of rows merge into the sample of their union by
+keeping the smallest keys of both (:attr:`BottomKSampler.entries`).
 
 Sampling rides along with the scan at the scan's own granularity: the
-block scan feeds whole block columns (:meth:`StatsCollector.
-add_columns` → :meth:`ReservoirSampler.add_many`), the row-at-a-time
-reference scan (``tests/oracle/``) feeds rows (:meth:`StatsCollector.
-add_row` → :meth:`ReservoirSampler.add`). Samplers are seeded per
-attribute and share nothing, so the two feeds leave identical
-reservoirs, extremes and RNG states — and charge the same
-``stats_sample`` units in the same float accumulation — for the same
-values in the same per-attribute order.
+block scan feeds typed block columns with their row positions
+(:meth:`StatsCollector.add_columns` → :meth:`BottomKSampler.add_many`);
+the row-at-a-time reference scan (``tests/oracle/``) feeds rows with
+their row numbers (:meth:`StatsCollector.add_row`). Past the first
+``capacity`` rows only values whose key beats the current k-th key are
+turned into Python objects — a handful per block. Both feeds charge one
+``stats_sample`` unit per value fed, in the same float accumulation.
 """
 
 from __future__ import annotations
 
-import random
 from itertools import chain
+
+import numpy as np
 
 from repro.simcost.clock import CostEvent
 from repro.simcost.model import CostModel
 from repro.sql.catalog import Schema
 from repro.sql.stats import ColumnStats, TableStats
 
+#: the keys' fixed seed: a key depends on its column and row only, not
+#: on which scan or query collects it
+_SEED = 0x5EED_0404
+_MASK = (1 << 64) - 1
 
-class ReservoirSampler:
-    """Classic reservoir sampling (Vitter's algorithm R), deterministic
-    per (seed, attribute) so experiments are reproducible."""
 
-    def __init__(self, capacity: int, seed: int = 0):
+def _splitmix64(z: int) -> int:
+    """Steele, Lea & Flood's splitmix64 step over one 64-bit integer."""
+    z = (z + 0x9E3779B97F4A7C15) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def position_keys(column: int, positions: np.ndarray) -> np.ndarray:
+    """The sample keys of ``column`` at absolute row ``positions``: the
+    vectorized :func:`_splitmix64` of a column salt plus the row number
+    (uint64 arithmetic wraps). A bijection of the row number, so two
+    rows never share a key."""
+    salt = np.uint64(_splitmix64(_SEED + column))
+    z = positions.astype(np.uint64) + salt
+    z += np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+#: typed values a sampler holds back, to sample them in one batch
+_BATCH = 8192
+
+
+def _objects(values: list, idx: np.ndarray) -> np.ndarray:
+    out = np.empty(len(idx), dtype=object)
+    out[:] = [values[i] for i in idx.tolist()]
+    return out
+
+
+class BottomKSampler:
+    """One attribute's sample: the values at the ``capacity`` smallest
+    :func:`position_keys`, plus exact ``seen`` / ``null_count`` over
+    the distinct row positions fed and the exact extremes.
+
+    ``vmin``/``vmax`` are the strict-``<`` left fold over every non-null
+    value fed, in feed order (NaNs and first-wins ties fall as that
+    fold lets them), over *all* values, not just the survivors: sample
+    extremes are unsound for zone-map pruning, true extremes are free
+    to maintain. A bitmap of fed positions (one byte per row) makes a
+    position fed again add neither a key nor a count.
+
+    Typed blocks are held back (copied) until ``_BATCH`` values of one
+    dtype are pending, then sampled as one array; reading the sample,
+    the counts or the extremes samples what is pending first."""
+
+    def __init__(self, capacity: int, column: int = 0):
         self.capacity = capacity
-        self.sample: list = []
-        self.seen = 0
-        self.null_count = 0
-        # Exact min/max over *all* non-null values added (not just the
-        # reservoir survivors): sample extremes are unsound for zone-map
-        # pruning, true extremes are free to maintain.
-        self.vmin = None
-        self.vmax = None
+        self.column = column
+        self._salt = _splitmix64(_SEED + column)
+        self._seen = 0
+        self._nulls = 0
+        self._vmin = None
+        self._vmax = None
         self._orderable = True
-        self._rng = random.Random(seed)
+        self._keys = np.empty(0, dtype=np.uint64)
+        self._values = np.empty(0, dtype=object)
+        self._fed = np.zeros(0, dtype=bool)
+        #: held-back typed blocks: (values, positions), in feed order
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+        self._pending_rows = 0
+        self._pending_top = -1
 
-    def add(self, value) -> None:
-        self.seen += 1
+    @property
+    def seen(self) -> int:
+        """Distinct row positions fed, NULLs included."""
+        self._flush()
+        return self._seen
+
+    @property
+    def null_count(self) -> int:
+        self._flush()
+        return self._nulls
+
+    @property
+    def vmin(self):
+        self._flush()
+        return self._vmin
+
+    @property
+    def vmax(self):
+        self._flush()
+        return self._vmax
+
+    @property
+    def entries(self) -> list[tuple[int, object]]:
+        """The sample as ``(key, value)`` pairs in key order. Two
+        samplers' entries over disjoint rows merge into the entries of
+        both feeds: the ``capacity`` smallest of their union."""
+        self._flush()
+        order = np.argsort(self._keys)
+        return list(zip(self._keys[order].tolist(),
+                        self._values[order].tolist()))
+
+    @property
+    def sample(self) -> np.ndarray:
+        """The sampled values in key order: a typed array while every
+        one came from a typed block of one dtype, else an object array
+        of Python values."""
+        self._flush()
+        return self._values[np.argsort(self._keys)]
+
+    def add(self, value, position: int) -> None:
+        """Feed one Python value (None: NULL) observed at row
+        ``position``: :meth:`add_many` of one value, in Python ints."""
+        self._flush()
+        if position >= len(self._fed):
+            self._grow(position + 1)
+        elif self._fed[position]:
+            return
+        self._fed[position] = True
+        self._seen += 1
         if value is None:
-            self.null_count += 1
+            self._nulls += 1
             return
-        if self._orderable:
-            try:
-                if self.vmin is None or value < self.vmin:
-                    self.vmin = value
-                if self.vmax is None or value > self.vmax:
-                    self.vmax = value
-            except TypeError:
-                self.vmin = self.vmax = None
-                self._orderable = False
-        if len(self.sample) < self.capacity:
-            self.sample.append(value)
-            return
-        slot = self._rng.randrange(self.seen)
-        if slot < self.capacity:
-            self.sample[slot] = value
-
-    def add_many(self, values: list) -> None:
-        """:meth:`add` for each of ``values`` (Python objects) in order,
-        leaving exactly the state the per-value calls would: the fill
-        phase is one ``extend``, the extremes one builtin ``min`` /
-        ``max`` seeded with the current extreme (the same strict-``<``
-        left fold, so NaNs and first-wins ties fall the same way), and
-        the replacement phase draws once per value through the same
-        ``randrange(seen)`` call, so the RNG stream is unchanged."""
-        first_seen = self.seen
-        self.seen += len(values)
-        present = [value for value in values if value is not None]
-        nulls = len(values) - len(present)
-        self.null_count += nulls
-        if not present:
-            return
-        if self._orderable:
-            try:
-                if self.vmin is None:
-                    self.vmin = min(present)
-                    self.vmax = max(present)
-                else:
-                    self.vmin = min(chain((self.vmin,), present))
-                    self.vmax = max(chain((self.vmax,), present))
-            except TypeError:
-                self.vmin = self.vmax = None
-                self._orderable = False
-        sample = self.sample
-        capacity = self.capacity
-        room = capacity - len(sample)
-        sample.extend(present[:room])
-        if room >= len(present):
-            return
-        # Replacement phase: each value draws against the number of
-        # values seen up to and including itself, NULLs counted.
-        if nulls:
-            seen_at = [first_seen + i for i, value
-                       in enumerate(values, 1) if value is not None]
-            seen_at = seen_at[room:]
+        self._fold([value])
+        key = _splitmix64((self._salt + position) & _MASK)
+        if self._values.dtype != object:
+            self._values = self._values.astype(object)
+        if len(self._keys) < self.capacity:
+            self._keys = np.append(self._keys, np.uint64(key))
+            self._values = np.append(self._values, None)
+            self._values[-1] = value
         else:
-            seen_at = range(first_seen + room + 1, self.seen + 1)
-        randrange = self._rng.randrange
-        for value, seen in zip(present[room:], seen_at):
-            slot = randrange(seen)
-            if slot < capacity:
-                sample[slot] = value
+            top = int(np.argmax(self._keys))
+            if key < int(self._keys[top]):
+                self._keys[top] = key
+                self._values[top] = value
+
+    def add_many(self, values, positions: np.ndarray) -> None:
+        """Feed ``values`` — a typed NumPy array (no NULLs), or a list
+        or object array of Python values (None: NULL) — observed at the
+        distinct absolute row ``positions``, in feed order."""
+        if not len(positions):
+            return
+        if isinstance(values, np.ndarray) and values.dtype != object:
+            pending = self._pending
+            if pending and (pending[-1][0].dtype != values.dtype
+                            or int(positions.min()) <= self._pending_top):
+                self._flush()   # keep one dtype; a row may repeat
+            self._pending.append((values.copy(), positions))
+            self._pending_rows += len(positions)
+            self._pending_top = max(self._pending_top,
+                                    int(positions.max()))
+            if self._pending_rows >= _BATCH:
+                self._flush()
+            return
+        self._flush()
+        self._sample(values.tolist() if isinstance(values, np.ndarray)
+                     else values, positions)
+
+    def _flush(self) -> None:
+        """Sample the held-back typed blocks as one array."""
+        pending = self._pending
+        if not pending:
+            return
+        self._pending = []
+        self._pending_rows = 0
+        self._pending_top = -1
+        if len(pending) == 1:
+            self._sample(*pending[0])
+        else:
+            self._sample(np.concatenate([v for v, _ in pending]),
+                         np.concatenate([p for _, p in pending]))
+
+    def _sample(self, values, positions: np.ndarray) -> None:
+        """Sample ``values`` (a typed array or a list of Python values)
+        at the distinct ``positions``."""
+        fresh = self._mark_fed(positions)
+        self._seen += int(np.count_nonzero(fresh))
+        typed = isinstance(values, np.ndarray)
+        if typed:
+            if values.dtype.kind == "f" and np.isnan(values).any():
+                self._fold(values.tolist())
+            else:
+                self._fold_typed(values)
+            eligible = fresh
+        else:
+            nulls = np.fromiter((v is None for v in values), dtype=bool,
+                                count=len(values))
+            self._nulls += int(np.count_nonzero(fresh & nulls))
+            self._fold([v for v in values if v is not None])
+            eligible = fresh & ~nulls
+        idx = np.flatnonzero(eligible)
+        if not len(idx):
+            return
+        keys = position_keys(self.column, positions[idx])
+        held = len(self._keys)
+        if held == self.capacity:
+            better = keys < self._keys.max()
+            idx, keys = idx[better], keys[better]
+            if not len(idx):
+                return
+        kept_old = np.arange(held)
+        if held + len(keys) > self.capacity:
+            kept = np.argpartition(np.concatenate([self._keys, keys]),
+                                   self.capacity - 1)[:self.capacity]
+            kept_old, kept_new = kept[kept < held], kept[kept >= held] - held
+            idx, keys = idx[kept_new], keys[kept_new]
+        # The sample stays a typed array while every value in it came
+        # from one dtype: Python objects are made when it is read.
+        picked = values[idx] if typed else _objects(values, idx)
+        kept_values = self._values[kept_old]
+        if len(kept_values) and kept_values.dtype != picked.dtype:
+            kept_values = kept_values.astype(object)
+            picked = picked.astype(object)
+        self._keys = np.concatenate([self._keys[kept_old], keys])
+        self._values = (np.concatenate([kept_values, picked])
+                        if len(kept_values) else picked)
+
+    def _grow(self, size: int) -> None:
+        grown = np.zeros(max(size, 2 * len(self._fed)), dtype=bool)
+        grown[:len(self._fed)] = self._fed
+        self._fed = grown
+
+    def _mark_fed(self, positions: np.ndarray) -> np.ndarray:
+        """Which of ``positions`` are fed for the first time; marks
+        them all fed."""
+        top = int(positions.max()) + 1
+        if top > len(self._fed):
+            self._grow(top)
+        fresh = ~self._fed[positions]
+        self._fed[positions] = True
+        return fresh
+
+    def _fold(self, present: list) -> None:
+        """The extremes' left fold over Python values: builtin ``min`` /
+        ``max`` seeded with the current extreme."""
+        if not present or not self._orderable:
+            return
+        try:
+            if self._vmin is None:
+                self._vmin = min(present)
+                self._vmax = max(present)
+            else:
+                self._vmin = min(chain((self._vmin,), present))
+                self._vmax = max(chain((self._vmax,), present))
+        except TypeError:
+            self._vmin = self._vmax = None
+            self._orderable = False
+
+    def _fold_typed(self, values: np.ndarray) -> None:
+        """:meth:`_fold` over a NaN-free typed array: ``argmin`` /
+        ``argmax`` name the first extreme, as the builtins do."""
+        if not self._orderable:
+            return
+        low = values[np.argmin(values)].item()
+        high = values[np.argmax(values)].item()
+        if self._vmin is None:
+            self._vmin, self._vmax = low, high
+        else:
+            self._fold([low, high])
 
 
 class StatsCollector:
     """Collects samples for a set of attributes during one scan."""
 
     def __init__(self, model: CostModel, schema: Schema, attrs: list[int],
-                 sample_target: int = 1000, seed: int = 0):
+                 sample_target: int = 1000):
         self.model = model
         self.schema = schema
         self.attrs = list(attrs)
-        self._samplers = {
-            attr: ReservoirSampler(sample_target, seed=seed * 1009 + attr)
-            for attr in self.attrs
-        }
+        self._samplers = {attr: BottomKSampler(sample_target, attr)
+                          for attr in self.attrs}
 
-    def add_row(self, values: dict[int, object]) -> None:
-        """Sample the attribute values of one row (missing attrs skipped:
-        selective parsing may not have converted them)."""
+    def add_row(self, values: dict[int, object], row: int) -> None:
+        """Sample the attribute values of row number ``row`` (missing
+        attrs skipped: selective parsing may not have converted them)."""
         for attr in self.attrs:
             if attr in values:
-                self._samplers[attr].add(values[attr])
+                self._samplers[attr].add(values[attr], row)
                 self.model.stats_sample(1)
 
-    def add_columns(self, columns: dict[int, list]) -> None:
-        """Sample whole block columns: attr -> its values (Python
-        objects) in row order; attributes without a column are skipped.
-        Per attribute the sampler ends in the state :meth:`add_row`
-        would leave after the same values row by row, and the charge is
-        the same one ``stats_sample`` unit per value."""
+    def add_columns(self, columns: dict[int, tuple]) -> None:
+        """Sample whole block columns: attr -> ``(values, positions)``,
+        its values (a typed array, or Python values) at those absolute
+        row numbers; attributes without a column are skipped. The
+        charge is the one ``stats_sample`` unit per value that
+        :meth:`add_row` charges."""
         sampled = 0
         for attr in self.attrs:
-            values = columns.get(attr)
-            if values is not None:
-                self._samplers[attr].add_many(values)
-                sampled += len(values)
+            column = columns.get(attr)
+            if column is not None:
+                values, positions = column
+                self._samplers[attr].add_many(values, positions)
+                sampled += len(positions)
         self.model.charge_repeat(CostEvent.STATS_SAMPLE, sampled)
 
     def finalize(self, table_stats: TableStats, row_count: int) -> TableStats:

@@ -49,7 +49,7 @@ store relative byte offsets of member *values*, discovered as a side
 effect of full tokenizations. A warm scan with a known value position
 scans just that value's bytes (:func:`value_end`) instead of tokenizing
 the line, exactly the adaptive behavior of the CSV scan. The binary
-cache and statistics reservoirs participate identically.
+cache and statistics samples participate identically.
 """
 
 from __future__ import annotations

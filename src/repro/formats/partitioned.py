@@ -7,7 +7,7 @@ granularity: ``CREATE TABLE t (...) USING csv OPTIONS (path
 file through the wrapped :class:`~repro.formats.registry.FormatAdapter`
 (csv, jsonl and fits work unchanged), and accumulates a **zone map**
 per file — exact min/max per attribute plus the row count — harvested
-from the child's §4.4 statistics reservoirs the first time each file is
+from the child's §4.4 statistics samples the first time each file is
 scanned. A predicate whose interval cannot intersect a file's zone
 skips the file entirely; the planner surfaces pruned/scanned file
 counts in EXPLAIN, and the scan charges them as the (deliberately
@@ -26,7 +26,7 @@ or is abandoned mid-flight, because no file is touched before the
 serial order reaches it.
 
 Zone-map soundness: bounds come from
-:class:`~repro.core.statistics.ReservoirSampler`'s exact extremes and
+:class:`~repro.core.statistics.BottomKSampler`'s exact extremes and
 are used only when the collecting scan observed *every* row of the
 file (true for WHERE attributes, and for all attributes of an
 unfiltered scan). SQL three-valued logic makes min/max over non-null

@@ -8,7 +8,10 @@ during scans (§4.4) — only for attributes queries have actually touched.
 from __future__ import annotations
 
 import datetime
+from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 _DEFAULT_EQ_SELECTIVITY = 0.005
 _DEFAULT_RANGE_SELECTIVITY = 1.0 / 3.0
@@ -17,8 +20,12 @@ _HISTOGRAM_BUCKETS = 10
 
 
 def _is_orderable(value) -> bool:
-    return isinstance(value, (int, float, datetime.date, str)) and not isinstance(
-        value, bool)
+    return _is_orderable_type(type(value))
+
+
+def _is_orderable_type(kind: type) -> bool:
+    return issubclass(kind, (int, float, datetime.date, str)) and not \
+        issubclass(kind, bool)
 
 
 @dataclass
@@ -28,6 +35,11 @@ class ColumnStats:
     ``n_distinct`` uses the Haas–Stokes "duj1" estimator PostgreSQL also
     uses: d = n*D / (n - f1 + f1*n/N), where D = sample distincts, f1 =
     values seen exactly once, n = sample size, N = row count.
+
+    A collecting scan counts *distinct rows*: ``observed_rows`` and the
+    NULLs behind ``null_frac`` / ``observed_nulls`` count each row
+    position once, however many of the scan's feed sites handed it to
+    the sampler (a row fed again adds neither a sample key nor a count).
     """
 
     name: str
@@ -43,8 +55,8 @@ class ColumnStats:
     #: ``min_value``/``max_value`` — sample extremes, fine for
     #: selectivity, unsound for pruning — these are tracked over
     #: *every* value the collecting scan observed. ``observed_rows``
-    #: counts how many rows fed the tracker (incl. nulls) so a caller
-    #: can tell whether the bounds cover the whole relation;
+    #: counts the distinct rows that fed the tracker (incl. nulls) so a
+    #: caller can tell whether the bounds cover the whole relation;
     #: ``observed_min``/``observed_max`` stay None when every observed
     #: value was NULL or the values were not orderable.
     observed_min: object | None = None
@@ -105,31 +117,71 @@ class ColumnStats:
             return 0.5
         return _numeric_gap(self.min_value, value) / width
 
-    def merge_sample(self, sample: list, row_count: int,
+    def merge_sample(self, sample, row_count: int,
                      null_count: int, seen_count: int) -> None:
         """Recompute this column's stats from a fresh sample.
 
         ``seen_count`` is how many values (incl. nulls) the sample was
-        drawn from; ``row_count`` the table's total rows.
+        drawn from; ``row_count`` the table's total rows. ``sample`` is
+        a list of Python values (None: NULL) or a typed NumPy array,
+        which gives the same statistics as its ``tolist()``.
         """
         self.null_frac = null_count / seen_count if seen_count else 0.0
+        if isinstance(sample, np.ndarray):
+            if _numeric_sample(sample):
+                self._merge_typed(sample, row_count)
+                return
+            sample = sample.tolist()
         non_null = [v for v in sample if v is not None]
         if not non_null:
             self.n_distinct = 0.0
             return
-        orderable = all(_is_orderable(v) for v in non_null)
+        orderable = all(_is_orderable_type(t) for t in set(map(type,
+                                                              non_null)))
         if orderable:
             ordered = sorted(non_null)
             self.min_value = ordered[0]
             self.max_value = ordered[-1]
         else:
             ordered = non_null
-        counts: dict = {}
-        for v in non_null:
-            counts[v] = counts.get(v, 0) + 1
+        counts = Counter(non_null)
         sample_distinct = len(counts)
-        f1 = sum(1 for c in counts.values() if c == 1)
+        f1 = list(counts.values()).count(1)
         n = len(non_null)
+        self._set_distinct(n, sample_distinct, f1, row_count)
+        self.mcv = [(v, c / n) for v, c in counts.most_common(_MCV_KEEP)
+                    if c > 1]
+        self._set_histogram(ordered if orderable else None, sample_distinct)
+
+    def _merge_typed(self, sample: np.ndarray, row_count: int) -> None:
+        """:meth:`merge_sample` of a NaN-free int or float array, sorted
+        and counted by NumPy: a stable sort keeps equal values (``0.0``
+        and ``-0.0``) in sample order, as ``sorted`` does, and a run's
+        first value is its first occurrence, the one ``Counter`` keys."""
+        n = len(sample)
+        order = np.argsort(sample, kind="stable")
+        ordered = sample[order]
+        starts = np.flatnonzero(np.concatenate(
+            ([True], ordered[1:] != ordered[:-1])))
+        counts = np.diff(np.append(starts, n))
+        sample_distinct = len(starts)
+        f1 = int(np.count_nonzero(counts == 1))
+        self.min_value = ordered[0].item()
+        self.max_value = ordered[-1].item()
+        self._set_distinct(n, sample_distinct, f1, row_count)
+        repeated = np.flatnonzero(counts > 1)
+        if len(repeated):
+            first = order[starts[repeated]]
+            ranked = repeated[np.lexsort((first, -counts[repeated]))]
+            self.mcv = [(ordered[start].item(), int(count) / n)
+                        for start, count in zip(starts[ranked[:_MCV_KEEP]],
+                                                counts[ranked[:_MCV_KEEP]])]
+        else:
+            self.mcv = []
+        self._set_histogram(ordered, sample_distinct)
+
+    def _set_distinct(self, n: int, sample_distinct: int, f1: int,
+                      row_count: int) -> None:
         total = max(row_count, n)
         if f1 == n:
             # Every sampled value unique: assume the column scales with N.
@@ -138,16 +190,30 @@ class ColumnStats:
             denom = n - f1 + f1 * n / total
             self.n_distinct = min(float(total),
                                   max(1.0, n * sample_distinct / denom))
-        common = sorted(counts.items(), key=lambda kv: -kv[1])[:_MCV_KEEP]
-        self.mcv = [(v, c / n) for v, c in common if c > 1]
-        if orderable and sample_distinct > _HISTOGRAM_BUCKETS:
+
+    def _set_histogram(self, ordered, sample_distinct: int) -> None:
+        """Equi-depth bounds over the sorted sample (None: unorderable)."""
+        if ordered is not None and sample_distinct > _HISTOGRAM_BUCKETS:
             self.histogram = [
-                ordered[min(len(ordered) - 1,
-                            round(i * (len(ordered) - 1) / _HISTOGRAM_BUCKETS))]
+                _python(ordered[min(len(ordered) - 1, round(
+                    i * (len(ordered) - 1) / _HISTOGRAM_BUCKETS))])
                 for i in range(_HISTOGRAM_BUCKETS + 1)
             ]
         else:
             self.histogram = []
+
+
+def _numeric_sample(sample: np.ndarray) -> bool:
+    """An int or float array without NaN (NaNs are distinct objects to
+    ``Counter`` and unordered to ``sorted``)."""
+    kind = sample.dtype.kind
+    return len(sample) > 0 and (kind in "iu" or kind == "f"
+                                and not np.isnan(sample).any())
+
+
+def _python(value):
+    """A NumPy scalar as its Python value; anything else unchanged."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _numeric_gap(lo, hi) -> float:

@@ -10,7 +10,9 @@ statistics in place.
 
 from __future__ import annotations
 
-from repro.core.statistics import ReservoirSampler
+import numpy as np
+
+from repro.core.statistics import BottomKSampler
 from repro.formats.csvfmt import CsvDialect, read_records
 from repro.simcost.model import CostModel
 from repro.sql.catalog import Schema
@@ -21,6 +23,8 @@ from repro.storage.toast import ToastWriter, toast_values
 from repro.storage.vfs import VirtualFS
 
 _SAMPLE_TARGET = 1000
+#: rows whose values are handed to the samplers at once
+_SAMPLE_CHUNK = 4096
 
 
 class BulkLoader:
@@ -50,17 +54,27 @@ class BulkLoader:
 def load_rows(vfs: VirtualFS, model: CostModel, heap_path: str,
               schema: Schema, rows) -> tuple[int, TableStats]:
     """Materialize tuples into a heap file; returns ``(row_count,
-    stats)``. Each value is sampled for statistics as it is pulled from
+    stats)``. Each value is charged for statistics as it is pulled from
     its row, then the tuple is serialized, its largest string values
     moved to ``<heap_path>.toast`` past the TOAST threshold (see
     storage.toast), and appended. A row may be lazy — a CSV record
     whose values convert as they are pulled (:class:`BulkLoader`) — or
-    computed, as CTAS and rollup builds hand over a query's tuples."""
+    computed, as CTAS and rollup builds hand over a query's tuples.
+    The values reach the columns' samplers (the scans' §4.4 sample,
+    keyed by row number) a chunk of rows at a time."""
     codec = RecordCodec(schema)
     families = [t.family for t in schema.types]
     arity = schema.arity
-    samplers = [ReservoirSampler(_SAMPLE_TARGET, seed=i)
-                for i in range(arity)]
+    samplers = [BottomKSampler(_SAMPLE_TARGET, attr)
+                for attr in range(arity)]
+    pending: list[list] = [[] for _ in range(arity)]
+
+    def sample(first_row: int) -> None:
+        for sampler, values in zip(samplers, pending):
+            sampler.add_many(values, np.arange(first_row,
+                                               first_row + len(values)))
+            values.clear()
+
     if vfs.exists(heap_path):
         vfs.delete(heap_path)
     toast_path = heap_path + ".toast"
@@ -71,8 +85,8 @@ def load_rows(vfs: VirtualFS, model: CostModel, heap_path: str,
     with HeapWriter(vfs, heap_path, model) as writer:
         for row in rows:
             values = []
-            for sampler, value in zip(samplers, row):
-                sampler.add(value)
+            for column, value in zip(pending, row):
+                column.append(value)
                 model.stats_sample(1)
                 values.append(value)
             model.serialize(arity)
@@ -80,6 +94,9 @@ def load_rows(vfs: VirtualFS, model: CostModel, heap_path: str,
                                   codec.encoded_width)
             writer.append(codec.encode(values))
             count += 1
+            if count % _SAMPLE_CHUNK == 0:
+                sample(count - _SAMPLE_CHUNK)
+    sample(count - count % _SAMPLE_CHUNK)
     stats = TableStats(row_count=count)
     for attr, sampler in enumerate(samplers):
         if sampler.seen == 0:

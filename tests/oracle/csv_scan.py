@@ -280,11 +280,11 @@ class OracleCsvAccess(RawCsvAccess):
                     continue
                 if passed is not True:
                     if collector is not None:
-                        collector.add_row(row_values)
+                        collector.add_row(row_values, row0 + idx)
                     continue
             qualifying.append(idx)
             if collector is not None and not out_attrs:
-                collector.add_row(row_values)
+                collector.add_row(row_values, row0 + idx)
 
         # -- phase S: fetch bytes for qualifying rows missing SELECT attrs
         need_file_select = np.zeros(nrows, dtype=bool)
@@ -336,7 +336,7 @@ class OracleCsvAccess(RawCsvAccess):
                 continue
             model.tuple_form(len(out_attrs))
             if collector is not None:
-                collector.add_row(row_values)
+                collector.add_row(row_values, row0 + idx)
             yield tuple(out_values)
 
         # -- flush PM / cache accumulators
@@ -617,7 +617,7 @@ class OracleCsvAccess(RawCsvAccess):
             model.tuple_form(len(out_attrs))
             result = tuple(out_values)
         if collector is not None:
-            collector.add_row(row_values)
+            collector.add_row(row_values, row)
         if self.config.enable_positional_map:
             starts = (context.known_starts
                       if self.config.eager_prefix_indexing

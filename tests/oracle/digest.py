@@ -345,7 +345,7 @@ def fits_table(rng: random.Random) -> list[list[str]]:
 
 
 #: twelve columns, two per type slot: tables far larger than a small
-#: §4.4 sample target, so its reservoirs reach replacement
+#: §4.4 sample target, so its samples reach replacement
 RESERVOIR_SCHEMA = Schema([(f"c{i}", [INTEGER, FLOAT, varchar(), DATE,
                                       INTEGER, FLOAT][i % 6])
                            for i in range(12)])

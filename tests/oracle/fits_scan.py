@@ -99,10 +99,10 @@ class OracleFitsAccess(RawFitsAccess):
                 model.predicate(predicate.n_terms)
                 if predicate.fn(where_values) is not True:
                     if collector is not None:
-                        collector.add_row(where_values)
+                        collector.add_row(where_values, rows[idx])
                     continue
                 if collector is not None and not out_attrs:
-                    collector.add_row(where_values)
+                    collector.add_row(where_values, rows[idx])
             qualifying.append(idx)
 
         # -- phase S: bytes for the qualifying rows missing a SELECT one
@@ -114,7 +114,8 @@ class OracleFitsAccess(RawFitsAccess):
             model.tuple_form(len(out_attrs))
             if collector is not None:
                 collector.add_row({**decoded[idx], **dict(zip(out_attrs,
-                                                              out))})
+                                                              out))},
+                                  rows[idx])
             yield out
 
         if self.cache is not None:

@@ -10,7 +10,7 @@ block scan and the oracle must hold identical positional maps, binary
 caches and column statistics — the contract that lets the scalar path
 vouch for the vectorized one. The harness's hypothesis fuzz
 (``tests/test_lockstep.py``) draws the open-ended version. Also here:
-the regressions it distilled, §4.4 reservoirs in their replacement
+the regressions it distilled, §4.4 samples in their replacement
 phase on every path, and the NUL-padding contract of the vectorized
 converters.
 """
@@ -100,8 +100,8 @@ class TestBatchDifferentialFuzz:
               [AXIS["oracle"]])
 
     def test_statistics_collection_identical(self):
-        """The §4.4 reservoir samples must be fed the same values in
-        the same order on both paths (same seed => same sample)."""
+        """The §4.4 samples must be fed the same rows on both paths
+        (the same rows => the same sample)."""
         check(seeded_scenario(99, 5, [16]), [AXIS["oracle"]])
 
     def test_interleaved_partial_scans_converge(self):
@@ -160,7 +160,7 @@ def test_nul_padded_numeric_matches_scalar(on_error, region, workers):
 
 
 # ---------------------------------------------------------------------------
-# §4.4 reservoirs across paths, with replacement actually happening
+# §4.4 samples across paths, with replacement actually happening
 # ---------------------------------------------------------------------------
 def reservoir_mix(first: int) -> list[Query]:
     """Five shapes over six columns starting at ``first`` (int, float,
@@ -181,7 +181,7 @@ def reservoir_mix(first: int) -> list[Query]:
 FITS_MIX = tuple(Query(sql) for sql in (
     "SELECT count(*) FROM t WHERE k < 100", "SELECT tag, m FROM t",
     "SELECT x, k FROM t WHERE x > -3.5", "SELECT y FROM t WHERE k >= -250"))
-#: the paths a reservoir is fed on: row by row, 1 or 4 workers, kernels
+#: the paths a sample is fed on: row by row, 1 or 4 workers, kernels
 RESERVOIR_AXES = [AXIS["oracle"], AXIS["workers"], AXIS["kernels"]]
 
 
@@ -189,9 +189,8 @@ RESERVOIR_AXES = [AXIS["oracle"], AXIS["workers"], AXIS["kernels"]]
 @pytest.mark.parametrize("target", [3, 7])
 class TestReservoirsAcrossPaths:
     """``test_statistics_collection_identical`` runs tables smaller
-    than the default sample target, so it never reaches reservoir
-    replacement — the branch whose RNG stream depends on the exact
-    per-attribute feeding order. Tiny targets put every path there: of
+    than the default sample target, so its samples keep every row;
+    tiny targets make every path replace keys in its sample: of
     twelve columns the first half is first touched over a fresh file,
     the second half only after an append — over the indexed region plus
     the streamed tail. The oracle (CSV, FITS), workers and kernels axes
@@ -207,7 +206,7 @@ class TestReservoirsAcrossPaths:
         for step, collected in ((4, 6), (10, 12)):
             stats = digests[step]["t.stats"]
             assert len(stats) == collected
-            # the reservoirs really were in their replacement phase
+            # the samples really were in their replacement phase
             assert all(column["observed_rows"] > target
                        for column in stats.values())
 

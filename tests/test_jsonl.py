@@ -694,7 +694,7 @@ def test_varchar_control_character_still_raises():
 @pytest.mark.parametrize("workers", [1, 4])
 def test_jsonl_charges_what_its_csv_twin_charges(workers, kernels, budget):
     """Cold, warm, under a cache budget and after an append: same rows,
-    same non-geometry counters, same §4.4 reservoirs (each round of the
+    same non-geometry counters, same §4.4 samples (each round of the
     twin axis) — over mixed column types, and over the wide micro table
     the budget cannot hold."""
     table, schema, rng = seeded(4403, "random" if budget is None

@@ -114,6 +114,24 @@ def test_wire_equals_in_process(scenario):
     check(scenario, [WIRE])
 
 
+#: two interleaved cursors that both need statistics of x, i1 and d2:
+#: each used to collect them and the last to finish won, so the block
+#: scan kept the second cursor's and the row oracle the first's; the
+#: first scan to start now owns them (a 53- and a 264-seeded table)
+CONCURRENT_COLLECTORS = [
+    Scenario((Table("t", "pair", seed),),
+             (Interleave(("SELECT x, i1, d2 FROM t WHERE s1 = s2",
+                          "SELECT x, i1, d2 FROM t WHERE d1 < d2"), 7),),
+             (("row_block_size", block_size),))
+    for seed, block_size in ((53, 17), (264, 64))
+]
+
+
+@pytest.mark.parametrize("scenario", CONCURRENT_COLLECTORS)
+def test_concurrent_collectors_match_the_oracle(scenario):
+    check(scenario, [AXIS["oracle"]])
+
+
 #: eager indexing, then a warm query whose indexed blocks are tokenized
 #: forward from the map's known starts: the block scan used to keep a
 #: start after a span the row walk already held, which the oracle never

@@ -3,16 +3,33 @@
 import datetime
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.statistics import ReservoirSampler, StatsCollector
+import repro
+from repro import PostgresRaw, PostgresRawConfig, VirtualFS
+from repro.core.statistics import BottomKSampler, StatsCollector, position_keys
 from repro.simcost.clock import CostEvent
 from repro.simcost.model import CostModel
 from repro.sql.catalog import Schema
 from repro.sql.datatypes import INTEGER, varchar
+from repro.sql.scanapi import ScanPredicate
 from repro.sql.stats import ColumnStats, TableStats
+from tests.oracle.digest import (
+    AXIS,
+    OTHER_KERNELS,
+    REFERENCE,
+    RESERVOIR_SCHEMA,
+    Append,
+    Axis,
+    Query,
+    Scenario,
+    Table,
+    Variant,
+    check,
+)
 
 
 def stats_from(values, row_count=None, nulls=0):
@@ -104,54 +121,214 @@ class TestColumnStats:
         assert 0.0 <= column.selectivity_eq(values[0]) <= 1.0
 
 
-class TestReservoirSampler:
+    @given(values=st.one_of(
+               st.lists(st.integers(-30, 30), max_size=80),
+               st.lists(st.integers(-2**62, 2**62), max_size=40),
+               st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.25, 7.0,
+                                         float("inf"), float("nan")]),
+                        max_size=80),
+               st.lists(st.floats(width=32), max_size=80)),
+           row_count=st.integers(0, 500))
+    @settings(max_examples=300, deadline=None)
+    def test_typed_sample_equals_its_values(self, values, row_count):
+        """A typed sample (NumPy's sort and counts) gives exactly the
+        statistics of the same values as a list: min, max, histogram
+        and MCV representatives of ``0.0``/``-0.0`` ties included."""
+        as_list, as_array = ColumnStats(name="c"), ColumnStats(name="c")
+        typed = np.array(values)
+        as_list.merge_sample(typed.tolist(), row_count, 1, len(values) + 1)
+        as_array.merge_sample(typed, row_count, 1, len(values) + 1)
+        assert repr(vars(as_array)) == repr(vars(as_list))
+
+
+class TestBottomKSampler:
     def test_small_stream_kept_entirely(self):
-        sampler = ReservoirSampler(100)
-        for i in range(50):
-            sampler.add(i)
-        assert sorted(sampler.sample) == list(range(50))
+        sampler = BottomKSampler(100)
+        sampler.add_many(np.arange(50), np.arange(50))
+        assert sorted(sampler.sample.tolist()) == list(range(50))
 
     def test_capacity_respected(self):
-        sampler = ReservoirSampler(10)
+        sampler = BottomKSampler(10)
         for i in range(1000):
-            sampler.add(i)
+            sampler.add(i, i)
         assert len(sampler.sample) == 10
         assert sampler.seen == 1000
 
     def test_nulls_counted_not_sampled(self):
-        sampler = ReservoirSampler(10)
-        sampler.add(None)
-        sampler.add(1)
+        sampler = BottomKSampler(10)
+        sampler.add(None, 0)
+        sampler.add(1, 1)
         assert sampler.null_count == 1
-        assert sampler.sample == [1]
+        assert sampler.sample.tolist() == [1]
 
-    def test_deterministic_under_seed(self):
-        a = ReservoirSampler(5, seed=42)
-        b = ReservoirSampler(5, seed=42)
-        for i in range(100):
-            a.add(i)
-            b.add(i)
-        assert a.sample == b.sample
+    def test_sample_is_the_smallest_keys(self):
+        """The values at the column's ``capacity`` smallest position
+        keys, fed as a block or row by row backwards."""
+        values = np.arange(1000) * 3
+        keys = position_keys(5, np.arange(1000))
+        expected = values[np.argsort(keys)[:7]].tolist()
+        by_block = BottomKSampler(7, column=5)
+        by_block.add_many(values, np.arange(1000))
+        backwards = BottomKSampler(7, column=5)
+        for row in reversed(range(1000)):
+            backwards.add(int(values[row]), row)
+        assert by_block.sample.tolist() == backwards.sample.tolist() == \
+            expected
 
     def test_sample_is_roughly_uniform(self):
-        rng = random.Random(0)
         hits = 0
         trials = 200
-        for t in range(trials):
-            sampler = ReservoirSampler(10, seed=t)
-            for i in range(100):
-                sampler.add(i)
+        for column in range(trials):
+            sampler = BottomKSampler(10, column)
+            sampler.add_many(np.arange(100), np.arange(100))
             hits += sum(1 for v in sampler.sample if v < 50)
         # ~50% of sampled values should come from the first half.
         assert 0.35 < hits / (10 * trials) < 0.65
 
+    def test_slot_inclusion_chi_square(self):
+        """Every row is equally likely to be sampled: over 2 000
+        columns (each its own key salt) a 5-slot sample of 50 rows
+        includes each row about 200 times. The keys are fixed, so the
+        chi-square statistic (49 degrees of freedom) is one fixed
+        number; the bound is the distribution's 0.999 quantile."""
+        rows, slots, columns = 50, 5, 2000
+        included = np.zeros(rows)
+        for column in range(columns):
+            sampler = BottomKSampler(slots, column)
+            sampler.add_many(np.arange(rows), np.arange(rows))
+            included[sampler.sample] += 1
+        expected = columns * slots / rows
+        chi_square = float(((included - expected) ** 2 / expected).sum())
+        assert chi_square < 85.4
 
-def sampler_state(sampler):
-    """Everything a sampler is. Values sit in lists so that a NaN
-    compares equal to itself (list equality tries identity first)."""
-    return (sampler.sample, sampler.seen, sampler.null_count,
-            [sampler.vmin, sampler.vmax], sampler._orderable,
-            sampler._rng.getstate())
+    @given(values=st.lists(st.one_of(st.none(), st.integers(-9, 9),
+                                      st.text("ab", max_size=1)),
+                           max_size=80),
+           cut=st.integers(0, 80), capacity=st.sampled_from([1, 3, 7, 100]))
+    @settings(max_examples=150, deadline=None)
+    def test_disjoint_halves_merge_into_the_whole(self, values, cut,
+                                                  capacity):
+        """Two samplers over disjoint rows: the smallest ``capacity``
+        of their entries are the entries of one sampler over all the
+        rows, and their counts add up to its counts."""
+        positions = np.arange(len(values))
+        whole = BottomKSampler(capacity, 3)
+        whole.add_many(values, positions)
+        left, right = BottomKSampler(capacity, 3), BottomKSampler(capacity, 3)
+        left.add_many(values[:cut], positions[:cut])
+        right.add_many(values[cut:], positions[cut:])
+        assert sorted(left.entries + right.entries)[:capacity] == \
+            whole.entries
+        assert (left.seen + right.seen, left.null_count + right.null_count
+                ) == (whole.seen, whole.null_count)
+
+
+class TestSeenCountsPositions:
+    """``observed_rows`` and ``null_frac`` count distinct row positions:
+    the indexed block scan without SELECT attributes feeds a qualifying
+    row from two sites (loop 1 and loop 2), and the row counts once."""
+
+    def test_block_fed_twice(self):
+        schema = Schema([("x", INTEGER), ("s", varchar())])
+        model = CostModel()
+        collector = StatsCollector(model, schema, [0, 1], 3)
+        rows = np.arange(40, 48)
+        xs = np.arange(8) * 10
+        strings = ["a", None, "b", None, "c", "d", None, "e"]
+        collector.add_columns({0: (xs, rows), 1: (strings, rows)})
+        qualifying = np.array([0, 2, 3, 7])
+        collector.add_columns({
+            0: (xs[qualifying], rows[qualifying]),
+            1: (np.array(strings, dtype=object)[qualifying],
+                rows[qualifying])})
+        stats = collector.finalize(TableStats(), 8)
+        x, s = stats.column("x"), stats.column("s")
+        assert (x.observed_rows, x.observed_nulls, x.null_frac) == (8, 0, 0.0)
+        assert (s.observed_rows, s.observed_nulls, s.null_frac) == \
+            (8, 3, 3 / 8)
+        assert (x.observed_min, x.observed_max) == (0, 70)
+        assert (s.observed_min, s.observed_max) == ("a", "e")
+        # the charge stays one unit per value fed
+        assert model.count(CostEvent.STATS_SAMPLE) == 2 * (8 + 4)
+
+    def test_partition_zone_trusts_a_twice_fed_column(self):
+        """A WHERE-only scan over indexed blocks feeds ``v``'s
+        qualifying rows twice; each file's ``observed_rows`` still
+        equals its row count, so its zone is kept and prunes."""
+        vfs = VirtualFS()
+        for f in range(3):
+            vfs.create(f"ev-{f}.csv", "".join(
+                f"{i},{i * 10 + 3}\n" for i in range(f * 8, f * 8 + 8)
+            ).encode())
+        db = PostgresRaw(vfs=vfs, config=PostgresRawConfig(row_block_size=4))
+        db.query("CREATE TABLE ev (id INTEGER, v INTEGER) "
+                 "USING csv OPTIONS (path 'ev-*.csv')")
+        db.query("SELECT id FROM ev")       # indexes every line
+        access = db.catalog.get("ev").access
+        predicate = ScanPredicate([1], lambda row: row[1] > 50)
+        batches = list(access.scan_batches([], predicate))
+        assert sum(batch.nrows for batch in batches) == 19
+        for f, part in enumerate(access.parts):
+            column = part.info.stats.column("v")
+            assert column.observed_rows == part.row_count == 8
+            assert part.zone["v"] == (f * 80 + 3, f * 80 + 73)
+        pruned = db.query("SELECT count(*) FROM ev WHERE v > 1000")
+        assert pruned.rows == [(0,)]
+        assert pruned.counters.get("files_pruned") == 3
+
+
+class TestOneOwnerPerStatistic:
+    """The first live scan to open a collector for a column owns it: a
+    scan running at the same time does not collect that column, and a
+    scan's claim ends with it, abandoned or not."""
+
+    @staticmethod
+    def engine():
+        vfs = VirtualFS()
+        vfs.create("t.csv", "".join(f"{i},{2 * i}\n"
+                                    for i in range(100)).encode())
+        db = PostgresRaw(vfs=vfs, config=PostgresRawConfig(row_block_size=8))
+        db.query("CREATE TABLE t (a INTEGER, b INTEGER) "
+                 "USING csv OPTIONS (path 't.csv')")
+        return db
+
+    @staticmethod
+    def observed(db):
+        stats = db.catalog.get("t").stats
+        return {name: stats.column(name).observed_rows
+                for name in ("a", "b")
+                if stats is not None and stats.has_column(name)}
+
+    def test_a_concurrent_scan_leaves_a_claimed_column_alone(self):
+        db = self.engine()
+        owner = repro.connect(engine=db).execute(
+            "SELECT a FROM t WHERE b < 20")
+        owner.fetchmany(3)                  # a and b are claimed
+        other = repro.connect(engine=db).execute("SELECT a, b FROM t")
+        assert len(other.fetchall()) == 100
+        assert self.observed(db) == {}
+        assert len(owner.fetchall()) == 7
+        # the owner's statistics: b at every row, a at the qualifying ones
+        assert self.observed(db) == {"a": 10, "b": 100}
+
+    def test_an_abandoned_cursor_leaves_no_claim(self):
+        db = self.engine()
+        cursor = repro.connect(engine=db).execute(
+            "SELECT a FROM t WHERE b < 20")
+        cursor.fetchmany(1)
+        cursor.close()
+        assert self.observed(db) == {}
+        db.query("SELECT a, b FROM t")
+        assert self.observed(db) == {"a": 100, "b": 100}
+
+
+def sampler_state(sampler, exact=False):
+    """Everything a sampler is; ``exact`` compares the extremes and the
+    entries by ``repr``, so a NaN equals a NaN and ``-0.0`` is not
+    ``0.0``."""
+    state = (sampler.entries, sampler.seen, sampler.null_count,
+             [sampler.vmin, sampler.vmax], sampler._orderable)
+    return repr(state) if exact else state
 
 
 def chunks(items, cuts):
@@ -164,50 +341,81 @@ def chunks(items, cuts):
         start = bound
 
 
-#: one column's worth of values: ints, floats (NaN and infinities
-#: included), strings, or an unorderable mix — each thinned with NULLs
+#: one column's worth of values: ints, floats (infinities included, no
+#: NaN: the extremes' left fold lets a NaN's place decide), strings, or
+#: an unorderable mix — each thinned with NULLs
 _column_values = st.one_of(*[
     st.lists(st.one_of(st.none(), element), max_size=60)
     for element in (
         st.integers(-20, 20),
-        st.floats(allow_nan=True, allow_infinity=True, width=32),
+        st.floats(allow_nan=False, allow_infinity=True, width=32),
         st.text("abc", max_size=2),
         st.one_of(st.integers(-3, 3), st.text("ab", max_size=1),
-                  st.floats(allow_nan=True)),
+                  st.floats(allow_nan=False)),
     )])
 _cuts = st.lists(st.integers(0, 60), max_size=6)
 
 
-class TestColumnFeedEqualsRowFeed:
-    """The batch scan samples by column (``add_many`` /
-    ``add_columns``), the scalar oracle by value (``add`` /
-    ``add_row``): both must leave the same samplers — reservoir
-    replacement and RNG stream included — and the same ledger."""
+class TestFeedOrderInvariance:
+    """The sample, the extremes and ``seen`` are a function of which
+    rows were fed: the block scan feeds typed block columns
+    (``add_many`` / ``add_columns``), the row oracle one value at a
+    time (``add`` / ``add_row``), in any order and chunking."""
 
     # capacities from "every list overflows it" to "none does"
-    @given(values=_column_values, cuts=_cuts, seed=st.integers(0, 3),
+    @given(data=st.data(), values=_column_values, cuts=_cuts,
            capacity=st.sampled_from([1, 3, 7, 40, 1000]))
     @settings(max_examples=300, deadline=None)
-    def test_add_many_equals_add_per_value(self, values, cuts, seed,
-                                           capacity):
-        by_value = ReservoirSampler(capacity, seed=seed)
-        for value in values:
-            by_value.add(value)
-        by_chunk = ReservoirSampler(capacity, seed=seed)
-        for chunk in chunks(values, cuts):
-            by_chunk.add_many(chunk)
+    def test_any_order_and_chunking(self, data, values, cuts, capacity):
+        by_value = BottomKSampler(capacity, 2)
+        for row, value in enumerate(values):
+            by_value.add(value, row)
+        order = data.draw(st.permutations(range(len(values))))
+        # a NULL-free int column goes in as typed blocks
+        typed = all(type(value) is int for value in values)
+        by_chunk = BottomKSampler(capacity, 2)
+        for chunk in chunks(order, cuts):
+            block = [values[row] for row in chunk]
+            by_chunk.add_many(np.array(block, dtype=np.int64) if typed
+                              else block, np.array(chunk, dtype=np.int64))
         assert sampler_state(by_chunk) == sampler_state(by_value)
+
+    @given(values=st.one_of(
+               st.lists(st.integers(-2**40, 2**40), max_size=60),
+               st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                                  width=32), max_size=60)),
+           cuts=_cuts, capacity=st.sampled_from([1, 3, 1000]))
+    @settings(max_examples=200, deadline=None)
+    def test_typed_blocks_equal_values_in_feed_order(self, values, cuts,
+                                                     capacity):
+        """Typed int64 / float64 blocks leave exactly what the Python
+        values leave fed in the same order: NaNs and first-wins ties
+        (``-0.0`` against ``0.0``) fall as the builtin left fold lets
+        them, and sampled values are Python ints and floats."""
+        by_value = BottomKSampler(capacity, 4)
+        for row, value in enumerate(values):
+            by_value.add(value, row)
+        typed = BottomKSampler(capacity, 4)
+        for chunk in chunks(list(range(len(values))), cuts):
+            typed.add_many(np.array([values[row] for row in chunk]
+                                    or np.empty(0)),
+                           np.array(chunk, dtype=np.int64))
+        assert sampler_state(typed, exact=True) == \
+            sampler_state(by_value, exact=True)
 
     def test_replacement_far_above_capacity(self):
         rng = random.Random(5)
         values = [rng.choice([None, rng.randrange(1000), rng.random()])
                   for _ in range(5000)]
-        by_value = ReservoirSampler(7, seed=11)
-        for value in values:
-            by_value.add(value)
-        by_chunk = ReservoirSampler(7, seed=11)
-        for chunk in chunks(values, [1, 6, 7, 8, 64, 1000, 1024, 4999]):
-            by_chunk.add_many(chunk)
+        by_value = BottomKSampler(7, 11)
+        for row, value in enumerate(values):
+            by_value.add(value, row)
+        rows = list(range(5000))
+        rng.shuffle(rows)
+        by_chunk = BottomKSampler(7, 11)
+        for chunk in chunks(rows, [1, 6, 7, 8, 64, 1000, 1024, 4999]):
+            by_chunk.add_many([values[row] for row in chunk],
+                              np.array(chunk, dtype=np.int64))
         assert sampler_state(by_chunk) == sampler_state(by_value)
         assert by_value.seen == 5000 and len(by_value.sample) == 7
 
@@ -228,16 +436,19 @@ class TestColumnFeedEqualsRowFeed:
         for model in models:        # a clock mid-query, not at zero
             model.tokenize(12345)
             model.predicate(77)
-        by_row = StatsCollector(models[0], schema, attrs, target, seed=4)
-        for row in rows:
-            by_row.add_row(row)
-        by_column = StatsCollector(models[1], schema, attrs, target, seed=4)
-        for block in chunks(rows, cuts):
+        by_row = StatsCollector(models[0], schema, attrs, target)
+        for number, row in enumerate(rows):
+            by_row.add_row(row, number)
+        by_column = StatsCollector(models[1], schema, attrs, target)
+        numbered = list(enumerate(rows))
+        for block in reversed(list(chunks(numbered, cuts))):
             # an attribute absent from a row contributes nothing to
             # its column; one absent from every row has no column
-            columns = {attr: [row[attr] for row in block if attr in row]
+            columns = {attr: ([row[attr] for _, row in block if attr in row],
+                              np.array([number for number, row in block
+                                        if attr in row], dtype=np.int64))
                        for attr in range(4)
-                       if any(attr in row for row in block)}
+                       if any(attr in row for _, row in block)}
             by_column.add_columns(columns)
         for attr in attrs:
             assert sampler_state(by_column._samplers[attr]) == \
@@ -249,6 +460,72 @@ class TestColumnFeedEqualsRowFeed:
         assert models[0].count(CostEvent.STATS_SAMPLE) == sampled
 
 
+def _stats_only(d, *_):
+    return {k: v for k, v in d.items() if k.endswith(".stats")}
+
+
+#: ``RESERVOIR_SCHEMA``'s twelve columns by family, with a WHERE term
+#: that keeps part of the rows
+_TERMS = {"int": "{} < {}", "float": "{} < {}.5",
+          "str": "{} < 'm'", "date": "{} < DATE '2010-06-01'"}
+
+
+@st.composite
+def _sampled_scenarios(draw):
+    """A ``reservoir`` table, a sample target that the table overflows
+    (or not), a block size and 2-4 full scans — WHERE-only, SELECT-only,
+    and SELECT with WHERE — with an optional append between them."""
+    columns = RESERVOIR_SCHEMA.columns
+    ops = []
+    for _ in range(draw(st.integers(2, 4))):
+        where = draw(st.sampled_from(columns))
+        term = _TERMS[where.dtype.family].format(
+            where.name, draw(st.integers(-600, 600)))
+        select = draw(st.lists(st.sampled_from([c.name for c in columns]),
+                               min_size=0, max_size=3, unique=True))
+        shape = draw(st.sampled_from(["where", "select", "both"]))
+        if shape == "select" and select:
+            ops.append(Query(f"SELECT {', '.join(select)} FROM t"))
+        elif shape == "both" and select:
+            ops.append(Query(f"SELECT {', '.join(select)} FROM t "
+                             f"WHERE {term}"))
+        else:
+            ops.append(Query(f"SELECT count(*) FROM t WHERE {term}"))
+    if draw(st.booleans()):
+        ops.insert(draw(st.integers(1, len(ops))),
+                   Append(draw(st.integers(1, 60)), draw(st.integers(0, 99))))
+    return Scenario(
+        (Table("t", "reservoir", draw(st.integers(0, 10**6))),), tuple(ops),
+        (("row_block_size", draw(st.sampled_from([1, 7, 16, 64]))),
+         ("stats_sample_target", draw(st.sampled_from([3, 7, 1000])))))
+
+
+#: the same scans chunked otherwise, fanned out to 2 or 4 workers, with
+#: the kernels switched, and row at a time
+_SAMPLE_AXES = [
+    Axis("chunking", REFERENCE, Variant(config=(("row_block_size", 5),)),
+         _stats_only),
+    *(Axis(f"workers {w}", REFERENCE,
+           Variant(config=(("scan_workers", w),)), _stats_only)
+      for w in (1, 2, 4)),
+    Axis("kernels", REFERENCE,
+         Variant(config=(("scan_kernels", OTHER_KERNELS),)), _stats_only),
+    AXIS["oracle"],
+]
+
+
+class TestSampleAcrossPaths:
+    """The column statistics — sample, extremes, ``seen`` — a scan
+    sequence leaves do not depend on the block size, the worker count,
+    the kernels or a row-at-a-time scan."""
+
+    @given(_sampled_scenarios())
+    @settings(max_examples=8, derandomize=True, deadline=None,
+              database=None)
+    def test_statistics_are_path_free(self, scenario):
+        check(scenario, _SAMPLE_AXES)
+
+
 class TestStatsCollector:
     def schema(self):
         return Schema([("x", INTEGER), ("y", INTEGER), ("s", varchar())])
@@ -256,7 +533,7 @@ class TestStatsCollector:
     def test_collects_only_requested_attrs(self):
         collector = StatsCollector(CostModel(), self.schema(), [0, 2])
         for i in range(20):
-            collector.add_row({0: i, 2: f"v{i}"})
+            collector.add_row({0: i, 2: f"v{i}"}, i)
         stats = collector.finalize(TableStats(), row_count=20)
         assert stats.has_column("x")
         assert stats.has_column("s")
@@ -266,8 +543,8 @@ class TestStatsCollector:
     def test_missing_values_tolerated(self):
         # Selective parsing may skip attrs for non-qualifying rows.
         collector = StatsCollector(CostModel(), self.schema(), [0, 1])
-        collector.add_row({0: 5})
-        collector.add_row({0: 6, 1: 60})
+        collector.add_row({0: 5}, 0)
+        collector.add_row({0: 6, 1: 60}, 1)
         stats = collector.finalize(TableStats(), row_count=2)
         assert stats.column("x").max_value == 6
         assert stats.column("y").max_value == 60
@@ -275,10 +552,10 @@ class TestStatsCollector:
     def test_augments_existing_stats(self):
         schema = self.schema()
         first = StatsCollector(CostModel(), schema, [0])
-        first.add_row({0: 1})
+        first.add_row({0: 1}, 0)
         table_stats = first.finalize(TableStats(), 1)
         second = StatsCollector(CostModel(), schema, [1])
-        second.add_row({1: 2})
+        second.add_row({1: 2}, 0)
         table_stats = second.finalize(table_stats, 1)
         assert table_stats.has_column("x") and table_stats.has_column("y")
 
