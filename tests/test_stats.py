@@ -500,8 +500,8 @@ def _sampled_scenarios(draw):
          ("stats_sample_target", draw(st.sampled_from([3, 7, 1000])))))
 
 
-#: the same scans chunked otherwise, fanned out to 2 or 4 workers, with
-#: the kernels switched, and row at a time
+#: the same scans chunked otherwise, on 1, 2 or 4 workers (the default
+#: follows the environment), with the kernels switched, and row at a time
 _SAMPLE_AXES = [
     Axis("chunking", REFERENCE, Variant(config=(("row_block_size", 5),)),
          _stats_only),
