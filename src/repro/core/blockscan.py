@@ -956,8 +956,8 @@ class BlockScan:
                               starts: np.ndarray, ends: np.ndarray,
                               ) -> ColumnBatch:
         """Strict compute of one indexed block (rows ``row0`` on; their
-        line spans are ``starts``/``ends``), inserting its PM/cache contributions
-        only at the end of a clean block; raises
+        line spans are ``starts``/``ends``), inserting its PM/cache
+        contributions only at the end of a clean block; raises
         :class:`~repro.errors.FormatError` on malformed input."""
         model = self.model
         n = len(starts)
