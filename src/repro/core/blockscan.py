@@ -987,9 +987,7 @@ class BlockScan:
         collector = self.collector
         if collector is not None and where_attrs:
             # Scalar loop-1 adds: failing rows always; qualifying rows
-            # too when there are no SELECT attributes (the loop-2 pass
-            # below feeds those rows again, as the scalar path does;
-            # the sample counts a row once).
+            # too when there are no SELECT attributes.
             rows = np.flatnonzero(~qual) if out_attrs else np.arange(n)
             collector.add_columns(
                 {attr: (columns[attr].at(rows), row0 + rows)
@@ -1020,14 +1018,21 @@ class BlockScan:
         if collector is not None:
             # Scalar loop-2 adds, per qualifying row: the WHERE values
             # converted from file this block plus every SELECT value.
+            # Without SELECT attributes loop 1 fed those rows already:
+            # they are charged again, not fed.
             sampled = {}
             for attr in collector.attrs:
                 rows = qual_idx
                 if attr not in out_attrs:
                     conv_idx = columns[attr].conv_idx
                     rows = conv_idx[qual[conv_idx]]
-                sampled[attr] = columns[attr].at(rows), row0 + rows
-            collector.add_columns(sampled)
+                sampled[attr] = rows
+            if out_attrs:
+                collector.add_columns(
+                    {attr: (columns[attr].at(rows), row0 + rows)
+                     for attr, rows in sampled.items()})
+            else:
+                collector.recharge(sum(map(len, sampled.values())))
 
         # -- PM / cache inserts (whole chunks)
         if self.pm is not None and self.config.enable_positional_map:

@@ -14,18 +14,24 @@ sample keeps the values of the ``capacity`` smallest keys. It is a
 uniform sample without replacement of the rows the scan fed, and a pure
 function of *which* rows those were: not of their order, their
 chunking, the worker count, the kernels or how concurrent scans
-interleave. A row fed twice has one key and counts once; the samples
-of two disjoint sets of rows merge into the sample of their union by
-keeping the smallest keys of both (:attr:`BottomKSampler.entries`).
+interleave. The samples of two disjoint sets of rows merge into the
+sample of their union by keeping the smallest keys of both.
 
 Sampling rides along with the scan at the scan's own granularity: the
 block scan feeds typed block columns with their row positions
 (:meth:`StatsCollector.add_columns` → :meth:`BottomKSampler.add_many`);
 the row-at-a-time reference scan (``tests/oracle/``) feeds rows with
-their row numbers (:meth:`StatsCollector.add_row`). Past the first
-``capacity`` rows only values whose key beats the current k-th key are
-turned into Python objects — a handful per block. Both feeds charge one
-``stats_sample`` unit per value fed, in the same float accumulation.
+their row numbers (:meth:`StatsCollector.add_row`). Once the sample
+has filled, only the few values of a block whose key can still enter
+it are picked out, and a typed block's stay typed: the sample reaches
+:meth:`~repro.sql.stats.ColumnStats.merge_sample` as a typed array when
+every value came from one dtype. Both feeds charge one ``stats_sample``
+unit per value fed, in the same float accumulation.
+
+A scan hands each row to a column's sampler once, so ``seen`` counts
+distinct rows. Where a second feed site of the scan handles a row
+again (a WHERE-only scan's qualifying rows), it charges the values
+again (:meth:`StatsCollector.recharge`) but does not feed them.
 """
 
 from __future__ import annotations
@@ -58,16 +64,15 @@ def position_keys(column: int, positions: np.ndarray) -> np.ndarray:
     vectorized :func:`_splitmix64` of a column salt plus the row number
     (uint64 arithmetic wraps). A bijection of the row number, so two
     rows never share a key."""
-    salt = np.uint64(_splitmix64(_SEED + column))
-    z = positions.astype(np.uint64) + salt
-    z += np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
-#: typed values a sampler holds back, to sample them in one batch
-_BATCH = 8192
+    z = positions.astype(np.uint64)
+    z += np.uint64((_splitmix64(_SEED + column) + 0x9E3779B97F4A7C15)
+                   & _MASK)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _objects(values: list, idx: np.ndarray) -> np.ndarray:
@@ -79,197 +84,91 @@ def _objects(values: list, idx: np.ndarray) -> np.ndarray:
 class BottomKSampler:
     """One attribute's sample: the values at the ``capacity`` smallest
     :func:`position_keys`, plus exact ``seen`` / ``null_count`` over
-    the distinct row positions fed and the exact extremes.
+    the rows fed and the exact extremes. A scan feeds each row position
+    once (see :class:`~repro.sql.stats.ColumnStats`).
+
+    The sampler holds candidates: every value whose key is at most the
+    ``capacity``-th smallest key as of the last prune. It prunes back
+    to ``capacity`` when they reach twice that, so a block costs one
+    hash and one comparison, not a selection.
 
     ``vmin``/``vmax`` are the strict-``<`` left fold over every non-null
     value fed, in feed order (NaNs and first-wins ties fall as that
     fold lets them), over *all* values, not just the survivors: sample
     extremes are unsound for zone-map pruning, true extremes are free
-    to maintain. A bitmap of fed positions (one byte per row) makes a
-    position fed again add neither a key nor a count.
-
-    Typed blocks are held back (copied) until ``_BATCH`` values of one
-    dtype are pending, then sampled as one array; reading the sample,
-    the counts or the extremes samples what is pending first."""
+    to maintain."""
 
     def __init__(self, capacity: int, column: int = 0):
         self.capacity = capacity
         self.column = column
-        self._salt = _splitmix64(_SEED + column)
-        self._seen = 0
-        self._nulls = 0
-        self._vmin = None
-        self._vmax = None
+        #: rows fed, NULLs included
+        self.seen = 0
+        self.null_count = 0
+        self.vmin = None
+        self.vmax = None
         self._orderable = True
         self._keys = np.empty(0, dtype=np.uint64)
+        #: the candidates' values, a typed array while every one of
+        #: them came from a typed block of one dtype
         self._values = np.empty(0, dtype=object)
-        self._fed = np.zeros(0, dtype=bool)
-        #: held-back typed blocks: (values, positions), in feed order
-        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
-        self._pending_rows = 0
-        self._pending_top = -1
-
-    @property
-    def seen(self) -> int:
-        """Distinct row positions fed, NULLs included."""
-        self._flush()
-        return self._seen
-
-    @property
-    def null_count(self) -> int:
-        self._flush()
-        return self._nulls
-
-    @property
-    def vmin(self):
-        self._flush()
-        return self._vmin
-
-    @property
-    def vmax(self):
-        self._flush()
-        return self._vmax
-
-    @property
-    def entries(self) -> list[tuple[int, object]]:
-        """The sample as ``(key, value)`` pairs in key order. Two
-        samplers' entries over disjoint rows merge into the entries of
-        both feeds: the ``capacity`` smallest of their union."""
-        self._flush()
-        order = np.argsort(self._keys)
-        return list(zip(self._keys[order].tolist(),
-                        self._values[order].tolist()))
+        #: a key above this cannot enter the sample
+        self._top = np.uint64(_MASK)
 
     @property
     def sample(self) -> np.ndarray:
         """The sampled values in key order: a typed array while every
         one came from a typed block of one dtype, else an object array
         of Python values."""
-        self._flush()
-        return self._values[np.argsort(self._keys)]
+        return self._values[np.argsort(self._keys)[:self.capacity]]
 
     def add(self, value, position: int) -> None:
         """Feed one Python value (None: NULL) observed at row
-        ``position``: :meth:`add_many` of one value, in Python ints."""
-        self._flush()
-        if position >= len(self._fed):
-            self._grow(position + 1)
-        elif self._fed[position]:
-            return
-        self._fed[position] = True
-        self._seen += 1
-        if value is None:
-            self._nulls += 1
-            return
-        self._fold([value])
-        key = _splitmix64((self._salt + position) & _MASK)
-        if self._values.dtype != object:
-            self._values = self._values.astype(object)
-        if len(self._keys) < self.capacity:
-            self._keys = np.append(self._keys, np.uint64(key))
-            self._values = np.append(self._values, None)
-            self._values[-1] = value
-        else:
-            top = int(np.argmax(self._keys))
-            if key < int(self._keys[top]):
-                self._keys[top] = key
-                self._values[top] = value
+        ``position``."""
+        self.add_many([value], np.array([position]))
 
     def add_many(self, values, positions: np.ndarray) -> None:
         """Feed ``values`` — a typed NumPy array (no NULLs), or a list
         or object array of Python values (None: NULL) — observed at the
-        distinct absolute row ``positions``, in feed order."""
+        distinct absolute row ``positions``, none fed before, in feed
+        order."""
         if not len(positions):
             return
-        if isinstance(values, np.ndarray) and values.dtype != object:
-            pending = self._pending
-            if pending and (pending[-1][0].dtype != values.dtype
-                            or int(positions.min()) <= self._pending_top):
-                self._flush()   # keep one dtype; a row may repeat
-            self._pending.append((values.copy(), positions))
-            self._pending_rows += len(positions)
-            self._pending_top = max(self._pending_top,
-                                    int(positions.max()))
-            if self._pending_rows >= _BATCH:
-                self._flush()
-            return
-        self._flush()
-        self._sample(values.tolist() if isinstance(values, np.ndarray)
-                     else values, positions)
-
-    def _flush(self) -> None:
-        """Sample the held-back typed blocks as one array."""
-        pending = self._pending
-        if not pending:
-            return
-        self._pending = []
-        self._pending_rows = 0
-        self._pending_top = -1
-        if len(pending) == 1:
-            self._sample(*pending[0])
-        else:
-            self._sample(np.concatenate([v for v, _ in pending]),
-                         np.concatenate([p for _, p in pending]))
-
-    def _sample(self, values, positions: np.ndarray) -> None:
-        """Sample ``values`` (a typed array or a list of Python values)
-        at the distinct ``positions``."""
-        fresh = self._mark_fed(positions)
-        self._seen += int(np.count_nonzero(fresh))
-        typed = isinstance(values, np.ndarray)
+        self.seen += len(positions)
+        typed = isinstance(values, np.ndarray) and values.dtype != object
+        present = None
         if typed:
             if values.dtype.kind == "f" and np.isnan(values).any():
                 self._fold(values.tolist())
             else:
                 self._fold_typed(values)
-            eligible = fresh
         else:
+            if isinstance(values, np.ndarray):
+                values = values.tolist()
             nulls = np.fromiter((v is None for v in values), dtype=bool,
                                 count=len(values))
-            self._nulls += int(np.count_nonzero(fresh & nulls))
+            self.null_count += int(np.count_nonzero(nulls))
             self._fold([v for v in values if v is not None])
-            eligible = fresh & ~nulls
-        idx = np.flatnonzero(eligible)
+            present = np.flatnonzero(~nulls)
+            positions = positions[present]
+        keys = position_keys(self.column, positions)
+        better = keys <= self._top
+        idx = np.flatnonzero(better) if present is None else present[better]
         if not len(idx):
             return
-        keys = position_keys(self.column, positions[idx])
-        held = len(self._keys)
-        if held == self.capacity:
-            better = keys < self._keys.max()
-            idx, keys = idx[better], keys[better]
-            if not len(idx):
-                return
-        kept_old = np.arange(held)
-        if held + len(keys) > self.capacity:
-            kept = np.argpartition(np.concatenate([self._keys, keys]),
-                                   self.capacity - 1)[:self.capacity]
-            kept_old, kept_new = kept[kept < held], kept[kept >= held] - held
-            idx, keys = idx[kept_new], keys[kept_new]
-        # The sample stays a typed array while every value in it came
-        # from one dtype: Python objects are made when it is read.
+        # Only candidates are picked out; a typed block's stay typed
+        # until the sample is read.
         picked = values[idx] if typed else _objects(values, idx)
-        kept_values = self._values[kept_old]
-        if len(kept_values) and kept_values.dtype != picked.dtype:
-            kept_values = kept_values.astype(object)
-            picked = picked.astype(object)
-        self._keys = np.concatenate([self._keys[kept_old], keys])
-        self._values = (np.concatenate([kept_values, picked])
-                        if len(kept_values) else picked)
-
-    def _grow(self, size: int) -> None:
-        grown = np.zeros(max(size, 2 * len(self._fed)), dtype=bool)
-        grown[:len(self._fed)] = self._fed
-        self._fed = grown
-
-    def _mark_fed(self, positions: np.ndarray) -> np.ndarray:
-        """Which of ``positions`` are fed for the first time; marks
-        them all fed."""
-        top = int(positions.max()) + 1
-        if top > len(self._fed):
-            self._grow(top)
-        fresh = ~self._fed[positions]
-        self._fed[positions] = True
-        return fresh
+        held = self._values
+        if len(held) and held.dtype != picked.dtype:
+            held, picked = held.astype(object), picked.astype(object)
+        self._keys = np.concatenate([self._keys, keys[better]])
+        self._values = np.concatenate([held, picked]) if len(held) \
+            else picked
+        if len(self._keys) >= 2 * self.capacity:
+            kept = np.argpartition(self._keys,
+                                   self.capacity - 1)[:self.capacity]
+            self._keys, self._values = self._keys[kept], self._values[kept]
+            self._top = self._keys.max()
 
     def _fold(self, present: list) -> None:
         """The extremes' left fold over Python values: builtin ``min`` /
@@ -277,14 +176,14 @@ class BottomKSampler:
         if not present or not self._orderable:
             return
         try:
-            if self._vmin is None:
-                self._vmin = min(present)
-                self._vmax = max(present)
+            if self.vmin is None:
+                self.vmin = min(present)
+                self.vmax = max(present)
             else:
-                self._vmin = min(chain((self._vmin,), present))
-                self._vmax = max(chain((self._vmax,), present))
+                self.vmin = min(chain((self.vmin,), present))
+                self.vmax = max(chain((self.vmax,), present))
         except TypeError:
-            self._vmin = self._vmax = None
+            self.vmin = self.vmax = None
             self._orderable = False
 
     def _fold_typed(self, values: np.ndarray) -> None:
@@ -294,8 +193,8 @@ class BottomKSampler:
             return
         low = values[np.argmin(values)].item()
         high = values[np.argmax(values)].item()
-        if self._vmin is None:
-            self._vmin, self._vmax = low, high
+        if self.vmin is None:
+            self.vmin, self.vmax = low, high
         else:
             self._fold([low, high])
 
@@ -333,6 +232,12 @@ class StatsCollector:
                 self._samplers[attr].add_many(values, positions)
                 sampled += len(positions)
         self.model.charge_repeat(CostEvent.STATS_SAMPLE, sampled)
+
+    def recharge(self, units: int) -> None:
+        """Charge ``units`` values an earlier feed site of this scan
+        already fed: the site pays its one ``stats_sample`` unit per
+        value, the rows are not fed again."""
+        self.model.charge_repeat(CostEvent.STATS_SAMPLE, units)
 
     def finalize(self, table_stats: TableStats, row_count: int) -> TableStats:
         """Fold the samples into ``table_stats`` (augmenting, not

@@ -8,7 +8,6 @@ during scans (§4.4) — only for attributes queries have actually touched.
 from __future__ import annotations
 
 import datetime
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,12 +19,8 @@ _HISTOGRAM_BUCKETS = 10
 
 
 def _is_orderable(value) -> bool:
-    return _is_orderable_type(type(value))
-
-
-def _is_orderable_type(kind: type) -> bool:
-    return issubclass(kind, (int, float, datetime.date, str)) and not \
-        issubclass(kind, bool)
+    return isinstance(value, (int, float, datetime.date, str)) and not isinstance(
+        value, bool)
 
 
 @dataclass
@@ -36,10 +31,10 @@ class ColumnStats:
     uses: d = n*D / (n - f1 + f1*n/N), where D = sample distincts, f1 =
     values seen exactly once, n = sample size, N = row count.
 
-    A collecting scan counts *distinct rows*: ``observed_rows`` and the
-    NULLs behind ``null_frac`` / ``observed_nulls`` count each row
-    position once, however many of the scan's feed sites handed it to
-    the sampler (a row fed again adds neither a sample key nor a count).
+    A collecting scan counts *distinct rows*: it hands each row position
+    to a column's sampler once, however many of its feed sites handle
+    the row, so ``observed_rows`` and the NULLs behind ``null_frac`` /
+    ``observed_nulls`` count each row once.
     """
 
     name: str
@@ -136,49 +131,46 @@ class ColumnStats:
         if not non_null:
             self.n_distinct = 0.0
             return
-        orderable = all(_is_orderable_type(t) for t in set(map(type,
-                                                              non_null)))
+        orderable = all(_is_orderable(v) for v in non_null)
         if orderable:
             ordered = sorted(non_null)
             self.min_value = ordered[0]
             self.max_value = ordered[-1]
         else:
             ordered = non_null
-        counts = Counter(non_null)
+        counts: dict = {}
+        for v in non_null:
+            counts[v] = counts.get(v, 0) + 1
         sample_distinct = len(counts)
-        f1 = list(counts.values()).count(1)
+        f1 = sum(1 for c in counts.values() if c == 1)
         n = len(non_null)
         self._set_distinct(n, sample_distinct, f1, row_count)
-        self.mcv = [(v, c / n) for v, c in counts.most_common(_MCV_KEEP)
-                    if c > 1]
+        common = sorted(counts.items(), key=lambda kv: -kv[1])[:_MCV_KEEP]
+        self.mcv = [(v, c / n) for v, c in common if c > 1]
         self._set_histogram(ordered if orderable else None, sample_distinct)
 
     def _merge_typed(self, sample: np.ndarray, row_count: int) -> None:
         """:meth:`merge_sample` of a NaN-free int or float array, sorted
         and counted by NumPy: a stable sort keeps equal values (``0.0``
-        and ``-0.0``) in sample order, as ``sorted`` does, and a run's
-        first value is its first occurrence, the one ``Counter`` keys."""
+        and ``-0.0``) in sample order, as ``sorted`` does, so a run's
+        first value is its first occurrence, the one the counts key."""
         n = len(sample)
         order = np.argsort(sample, kind="stable")
         ordered = sample[order]
         starts = np.flatnonzero(np.concatenate(
             ([True], ordered[1:] != ordered[:-1])))
         counts = np.diff(np.append(starts, n))
-        sample_distinct = len(starts)
-        f1 = int(np.count_nonzero(counts == 1))
-        self.min_value = ordered[0].item()
-        self.max_value = ordered[-1].item()
-        self._set_distinct(n, sample_distinct, f1, row_count)
+        values = ordered.tolist()
+        self.min_value, self.max_value = values[0], values[-1]
+        self._set_distinct(n, len(starts), int(np.count_nonzero(counts == 1)),
+                           row_count)
+        # repeated values by count, ties in order of first occurrence
         repeated = np.flatnonzero(counts > 1)
-        if len(repeated):
-            first = order[starts[repeated]]
-            ranked = repeated[np.lexsort((first, -counts[repeated]))]
-            self.mcv = [(ordered[start].item(), int(count) / n)
-                        for start, count in zip(starts[ranked[:_MCV_KEEP]],
-                                                counts[ranked[:_MCV_KEEP]])]
-        else:
-            self.mcv = []
-        self._set_histogram(ordered, sample_distinct)
+        ranked = repeated[np.lexsort((order[starts[repeated]],
+                                      -counts[repeated]))][:_MCV_KEEP]
+        self.mcv = [(values[start], count / n) for start, count in
+                    zip(starts[ranked].tolist(), counts[ranked].tolist())]
+        self._set_histogram(values, len(starts))
 
     def _set_distinct(self, n: int, sample_distinct: int, f1: int,
                       row_count: int) -> None:
@@ -195,8 +187,8 @@ class ColumnStats:
         """Equi-depth bounds over the sorted sample (None: unorderable)."""
         if ordered is not None and sample_distinct > _HISTOGRAM_BUCKETS:
             self.histogram = [
-                _python(ordered[min(len(ordered) - 1, round(
-                    i * (len(ordered) - 1) / _HISTOGRAM_BUCKETS))])
+                ordered[min(len(ordered) - 1,
+                            round(i * (len(ordered) - 1) / _HISTOGRAM_BUCKETS))]
                 for i in range(_HISTOGRAM_BUCKETS + 1)
             ]
         else:
@@ -205,15 +197,10 @@ class ColumnStats:
 
 def _numeric_sample(sample: np.ndarray) -> bool:
     """An int or float array without NaN (NaNs are distinct objects to
-    ``Counter`` and unordered to ``sorted``)."""
+    the counts and unordered to ``sorted``)."""
     kind = sample.dtype.kind
     return len(sample) > 0 and (kind in "iu" or kind == "f"
                                 and not np.isnan(sample).any())
-
-
-def _python(value):
-    """A NumPy scalar as its Python value; anything else unchanged."""
-    return value.item() if isinstance(value, np.generic) else value
 
 
 def _numeric_gap(lo, hi) -> float:

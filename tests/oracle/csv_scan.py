@@ -336,7 +336,11 @@ class OracleCsvAccess(RawCsvAccess):
                 continue
             model.tuple_form(len(out_attrs))
             if collector is not None:
-                collector.add_row(row_values, row0 + idx)
+                if out_attrs:
+                    collector.add_row(row_values, row0 + idx)
+                else:   # fed by loop 1: charged again, not fed
+                    collector.recharge(sum(attr in row_values
+                                           for attr in collector.attrs))
             yield tuple(out_values)
 
         # -- flush PM / cache accumulators

@@ -113,9 +113,12 @@ class OracleFitsAccess(RawFitsAccess):
             out = tuple(value(a, idx) for a in out_attrs)
             model.tuple_form(len(out_attrs))
             if collector is not None:
-                collector.add_row({**decoded[idx], **dict(zip(out_attrs,
-                                                              out))},
-                                  rows[idx])
+                row_values = {**decoded[idx], **dict(zip(out_attrs, out))}
+                if out_attrs:
+                    collector.add_row(row_values, rows[idx])
+                else:   # fed by loop 1: charged again, not fed
+                    collector.recharge(sum(attr in row_values
+                                           for attr in collector.attrs))
             yield out
 
         if self.cache is not None:

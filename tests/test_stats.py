@@ -17,6 +17,7 @@ from repro.sql.catalog import Schema
 from repro.sql.datatypes import INTEGER, varchar
 from repro.sql.scanapi import ScanPredicate
 from repro.sql.stats import ColumnStats, TableStats
+from tests.oracle import OracleRaw
 from tests.oracle.digest import (
     AXIS,
     OTHER_KERNELS,
@@ -120,7 +121,6 @@ class TestColumnStats:
                 assert 0.0 <= sel <= 1.0
         assert 0.0 <= column.selectivity_eq(values[0]) <= 1.0
 
-
     @given(values=st.one_of(
                st.lists(st.integers(-30, 30), max_size=80),
                st.lists(st.integers(-2**62, 2**62), max_size=40),
@@ -201,59 +201,69 @@ class TestBottomKSampler:
         chi_square = float(((included - expected) ** 2 / expected).sum())
         assert chi_square < 85.4
 
-    @given(values=st.lists(st.one_of(st.none(), st.integers(-9, 9),
-                                      st.text("ab", max_size=1)),
-                           max_size=80),
+    @given(kinds=st.lists(st.sampled_from([None, int, str]), max_size=80),
            cut=st.integers(0, 80), capacity=st.sampled_from([1, 3, 7, 100]))
     @settings(max_examples=150, deadline=None)
-    def test_disjoint_halves_merge_into_the_whole(self, values, cut,
+    def test_disjoint_halves_merge_into_the_whole(self, kinds, cut,
                                                   capacity):
-        """Two samplers over disjoint rows: the smallest ``capacity``
-        of their entries are the entries of one sampler over all the
-        rows, and their counts add up to its counts."""
+        """Two samplers over disjoint rows: the ``capacity`` values of
+        their two samples with the smallest keys are the sample of one
+        sampler over all the rows, and their counts add up to its
+        counts. A value names its row (``r`` or ``str(r)``), so the
+        test recomputes its key."""
+        values = [kind if kind is None else kind(row)
+                  for row, kind in enumerate(kinds)]
         positions = np.arange(len(values))
         whole = BottomKSampler(capacity, 3)
         whole.add_many(values, positions)
         left, right = BottomKSampler(capacity, 3), BottomKSampler(capacity, 3)
         left.add_many(values[:cut], positions[:cut])
         right.add_many(values[cut:], positions[cut:])
-        assert sorted(left.entries + right.entries)[:capacity] == \
-            whole.entries
+        merged = left.sample.tolist() + right.sample.tolist()
+        keys = position_keys(3, np.array([int(v) for v in merged],
+                                         dtype=np.int64))
+        assert [merged[i] for i in np.argsort(keys)][:capacity] == \
+            whole.sample.tolist()
         assert (left.seen + right.seen, left.null_count + right.null_count
                 ) == (whole.seen, whole.null_count)
 
 
 class TestSeenCountsPositions:
     """``observed_rows`` and ``null_frac`` count distinct row positions:
-    the indexed block scan without SELECT attributes feeds a qualifying
-    row from two sites (loop 1 and loop 2), and the row counts once."""
+    the indexed block scan without SELECT attributes handles a
+    qualifying row at two sites (loop 1 and loop 2); loop 1 feeds it,
+    loop 2 charges its values again, and the row counts once."""
 
-    def test_block_fed_twice(self):
-        schema = Schema([("x", INTEGER), ("s", varchar())])
-        model = CostModel()
-        collector = StatsCollector(model, schema, [0, 1], 3)
-        rows = np.arange(40, 48)
-        xs = np.arange(8) * 10
-        strings = ["a", None, "b", None, "c", "d", None, "e"]
-        collector.add_columns({0: (xs, rows), 1: (strings, rows)})
-        qualifying = np.array([0, 2, 3, 7])
-        collector.add_columns({
-            0: (xs[qualifying], rows[qualifying]),
-            1: (np.array(strings, dtype=object)[qualifying],
-                rows[qualifying])})
-        stats = collector.finalize(TableStats(), 8)
-        x, s = stats.column("x"), stats.column("s")
-        assert (x.observed_rows, x.observed_nulls, x.null_frac) == (8, 0, 0.0)
-        assert (s.observed_rows, s.observed_nulls, s.null_frac) == \
-            (8, 3, 3 / 8)
-        assert (x.observed_min, x.observed_max) == (0, 70)
-        assert (s.observed_min, s.observed_max) == ("a", "e")
-        # the charge stays one unit per value fed
-        assert model.count(CostEvent.STATS_SAMPLE) == 2 * (8 + 4)
+    @pytest.mark.parametrize("engine", [PostgresRaw, OracleRaw])
+    def test_block_fed_twice(self, engine):
+        nulls = ["1", "", "2", "", "3", "4", "", "5"] * 3
+        vfs = VirtualFS()
+        vfs.create("t.csv", "".join(f"{i * 10},{v},{i}\n"
+                                    for i, v in enumerate(nulls)).encode())
+        db = engine(vfs=vfs, config=PostgresRawConfig(row_block_size=8))
+        db.query("CREATE TABLE t (x INTEGER, n INTEGER, k INTEGER) "
+                 "USING csv OPTIONS (path 't.csv')")
+        db.query("SELECT k FROM t")         # indexes every line
+        access = db.catalog.get("t").access
+        predicate = ScanPredicate(
+            [0, 1], lambda row: row[0] < 150 and (row[1] or 0) > 1)
+        before = db.model.count(CostEvent.STATS_SAMPLE)
+        list(access.scan_batches([], predicate))
+        stats = db.catalog.get("t").stats
+        x, n = stats.column("x"), stats.column("n")
+        assert (x.observed_rows, x.observed_nulls, x.null_frac) == \
+            (24, 0, 0.0)
+        assert (n.observed_rows, n.observed_nulls, n.null_frac) == \
+            (24, 9, 9 / 24)
+        assert (x.observed_min, x.observed_max) == (0, 230)
+        assert (n.observed_min, n.observed_max) == (1, 5)
+        # both sites charge one unit per value: 24 rows, 7 qualifying
+        assert db.model.count(CostEvent.STATS_SAMPLE) - before == \
+            2 * (24 + 7)
 
     def test_partition_zone_trusts_a_twice_fed_column(self):
-        """A WHERE-only scan over indexed blocks feeds ``v``'s
-        qualifying rows twice; each file's ``observed_rows`` still
+        """A WHERE-only scan over indexed blocks handles ``v``'s
+        qualifying rows at two sites; each file's ``observed_rows``
         equals its row count, so its zone is kept and prunes."""
         vfs = VirtualFS()
         for f in range(3):
@@ -324,9 +334,9 @@ class TestOneOwnerPerStatistic:
 
 def sampler_state(sampler, exact=False):
     """Everything a sampler is; ``exact`` compares the extremes and the
-    entries by ``repr``, so a NaN equals a NaN and ``-0.0`` is not
+    sample by ``repr``, so a NaN equals a NaN and ``-0.0`` is not
     ``0.0``."""
-    state = (sampler.entries, sampler.seen, sampler.null_count,
+    state = (sampler.sample.tolist(), sampler.seen, sampler.null_count,
              [sampler.vmin, sampler.vmax], sampler._orderable)
     return repr(state) if exact else state
 
@@ -401,6 +411,33 @@ class TestFeedOrderInvariance:
                                     or np.empty(0)),
                            np.array(chunk, dtype=np.int64))
         assert sampler_state(typed, exact=True) == \
+            sampler_state(by_value, exact=True)
+
+    @given(values=st.one_of(
+               st.lists(st.one_of(st.none(), st.floats(width=32)),
+                        max_size=60),
+               st.lists(st.one_of(st.none(), st.integers(-3, 3),
+                                  st.text("ab", max_size=1), st.floats()),
+                        max_size=60)),
+           cuts=_cuts, capacity=st.sampled_from([1, 3, 1000]),
+           as_array=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_python_blocks_equal_values_in_feed_order(self, values, cuts,
+                                                      capacity, as_array):
+        """A float column with NULLs, or a mixed one, reaches the
+        sampler as Python values (a list, or an object array): blocks
+        of them leave exactly what the values leave fed one at a time
+        in the same order, NaNs included (``st.floats`` draws them)."""
+        by_value = BottomKSampler(capacity, 4)
+        for row, value in enumerate(values):
+            by_value.add(value, row)
+        by_block = BottomKSampler(capacity, 4)
+        for chunk in chunks(list(range(len(values))), cuts):
+            block = [values[row] for row in chunk]
+            if as_array:
+                block = np.array(block, dtype=object)
+            by_block.add_many(block, np.array(chunk, dtype=np.int64))
+        assert sampler_state(by_block, exact=True) == \
             sampler_state(by_value, exact=True)
 
     def test_replacement_far_above_capacity(self):
